@@ -21,5 +21,5 @@ class BudgetExceeded(Exception):
     """An enumeration exceeded its explicit resource budget."""
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Malformed or out-of-contract input data."""

@@ -403,36 +403,27 @@ def _gma_structure(algebra: AssocAlgebra, ch: ChAlgebra | None, e1: np.ndarray) 
     eye_a = np.eye(a.n, dtype=np.int64)
     ae1 = np.array([al.amul(row, e1) for row in eye_a])
     ae2 = np.array([al.amul(row, e2) for row in eye_a])
-    for mat, corner in ((ae1, p11), (ae2, p22)):
-        if linalg.kernel(mat, a.p, a.k).shape[0]:
+    # each corner factored once serves its phi projection and the pairing
+    span1, span2 = (linalg.FactoredSpan.factor(mat, a.p, a.k, ncols=al.n) for mat in (ae1, ae2))
+    for span, corner in ((span1, p11), (span2, p22)):
+        if span.kernel.shape[0]:
             raise InvariantViolation("scalar corner is not free of rank one")
         corner_span = linalg.howell_form(corner, a.p, a.k, ncols=al.n)
-        scalar_span = linalg.howell_form(mat, a.p, a.k, ncols=al.n)
-        if not linalg.span_equal(corner_span, scalar_span):
+        if not linalg.span_equal(corner_span, span.h):
             raise InvariantViolation("corner does not reduce to base scalars")
-    phi1 = np.zeros((al.n, a.n), dtype=np.int64)
-    phi2 = np.zeros((al.n, a.n), dtype=np.int64)
-    eye = np.eye(al.n, dtype=np.int64)
-    for i in range(al.n):
-        c1 = linalg.solve_left(ae1, (eye[i] @ p11) % al.char, a.p, a.k)
-        c2 = linalg.solve_left(ae2, (eye[i] @ p22) % al.char, a.p, a.k)
-        if c1 is None or c2 is None:
-            raise InvariantViolation("corner projection escaped the scalar corner")
-        phi1[i], phi2[i] = c1 % a.char, c2 % a.char
+    phi1, ok1 = span1.solve(p11)
+    phi2, ok2 = span2.solve(p22)
+    if not (ok1.all() and ok2.all()):
+        raise InvariantViolation("corner projection escaped the scalar corner")
     b_basis = linalg.howell_form(p12, a.p, a.k, ncols=al.n)
     c_basis = linalg.howell_form(p21, a.p, a.k, ncols=al.n)
-    nb, nc = b_basis.shape[0], c_basis.shape[0]
-    m_table = np.zeros((nb, nc, a.n), dtype=np.int64)
-    for i in range(nb):
-        for j in range(nc):
-            val = linalg.solve_left(ae1, al.mul(b_basis[i], c_basis[j]), a.p, a.k)
-            if val is None:
-                raise InvariantViolation("a B*C product escaped the first corner")
-            m_table[i, j] = val % a.char
-            # the reversed product lands in the other corner with the same value
-            swap = linalg.solve_left(ae2, al.mul(c_basis[j], b_basis[i]), a.p, a.k)
-            if swap is None or not np.array_equal(swap % a.char, m_table[i, j]):
-                raise InvariantViolation("pairing is not symmetric across the corners")
+    m_table, ok = span1.solve(al.mul_outer(b_basis, c_basis))
+    if not ok.all():
+        raise InvariantViolation("a B*C product escaped the first corner")
+    # the reversed product lands in the other corner with the same value
+    swap, ok = span2.solve(al.mul_outer(c_basis, b_basis).transpose(1, 0, 2))
+    if not ok.all() or not np.array_equal(swap, m_table):
+        raise InvariantViolation("pairing is not symmetric across the corners")
     gma = GmaAlgebra(al, ch, e1, e2, phi1, phi2, b_basis, c_basis, m_table, p12, p21)
     _verify_gma(gma)
     return gma

@@ -6,15 +6,28 @@ for a row span is the Howell form: unlike the reduced echelon form it is a
 complete invariant of the span over a ring with zero divisors, because the
 annihilator closure rows are part of the data.
 
+A `FactoredSpan` is a row span factored once: its Howell form H, the
+transform U with U @ rows = H (from `howell_with_transform`) and the pivot
+of each row of H.  Its `reduce`, `contains` and `solve` answer a batch of
+vectors in one pass over the pivots, and its left kernel is computed only
+on request; `solve_left`, `span_contains` and `reduce_by_howell` are their
+one-vector forms.
+
 Rows are numpy int64 vectors with entries in [0, p^k).  All operations are
 exact; no floating point anywhere.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+import math
+
 import numpy as np
 
+from .errors import InputError
+
 __all__ = [
+    "FactoredSpan",
     "check_modulus",
     "howell_form",
     "howell_with_transform",
@@ -24,7 +37,6 @@ __all__ = [
     "span_contains",
     "span_equal",
     "span_log_size",
-    "span_sum",
     "reduce_by_howell",
     "pivot_info",
 ]
@@ -33,15 +45,15 @@ __all__ = [
 def check_modulus(p: int, k: int) -> None:
     """Reject moduli outside the supported range (odd prime power, 2 a unit)."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
-        raise ValueError(f"base prime must be an odd prime, got {p}")
+        raise InputError(f"base prime must be an odd prime, got {p}")
     # small trial division is enough at desk scale
     d = 3
     while d * d <= p:
         if p % d == 0:
-            raise ValueError(f"base prime must be prime, got {p}")
+            raise InputError(f"base prime must be prime, got {p}")
         d += 2
     if not isinstance(k, int) or k < 1:
-        raise ValueError(f"exponent must be a positive integer, got {k}")
+        raise InputError(f"exponent must be a positive integer, got {k}")
 
 
 def _val(x: int, p: int, k: int) -> int:
@@ -127,23 +139,85 @@ def howell_form(rows, p: int, k: int, ncols: int | None = None) -> np.ndarray:
     return h[:done].copy()
 
 
-def howell_with_transform(rows, p: int, k: int):
+class FactoredSpan:
+    """The row span of a matrix over Z/p^k, factored once for many queries.
+
+    `pivots` lists (row i, column c, entry h[i, c] = p^v) for each nonzero
+    row of the Howell form `h`; a span made by `factor` also holds `u` with
+    u @ rows = h, which `solve` needs.  `reduce`, `contains` and `solve`
+    take one vector or a stack of any leading shape, in one pass over the
+    pivots; each vector gets the answer a one-vector call gives.
+    """
+
+    def __init__(self, h, p: int, k: int, u=None, kernel_gens=None):
+        """Wrap `h`, which must already be in Howell form."""
+        self.p, self.k, self.m = p, k, p**k
+        self.h = _as_matrix(h)
+        self.u = u
+        self._kernel_gens = kernel_gens
+        self.pivots = []  # (row, column, entry) of the first nonzero of each row
+        for i, row in enumerate(self.h.tolist()):
+            for c, x in enumerate(row):
+                if x:
+                    self.pivots.append((i, c, x))
+                    break
+
+    @classmethod
+    def factor(cls, rows, p: int, k: int, ncols: int | None = None) -> "FactoredSpan":
+        """Howell form of `rows` with its transform, computed once."""
+        h, u, kernel_gens = howell_with_transform(rows, p, k, ncols)
+        return cls(h, p, k, u, kernel_gens)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Howell basis of {x : x @ rows = 0}; only for a span made by `factor`."""
+        gens = self._kernel_gens
+        return howell_form(gens, self.p, self.k, ncols=gens.shape[1])
+
+    def reduce(self, vecs):
+        """(residual, coeffs) with vecs = coeffs @ h + residual mod p^k.
+
+        The residual is the canonical coset representative of vec + span.
+        """
+        m = self.m
+        v = np.asarray(vecs, dtype=np.int64) % m
+        shape = v.shape
+        flat = v.reshape(math.prod(shape[:-1]), shape[-1])
+        coeffs = np.zeros((flat.shape[0], self.h.shape[0]), dtype=np.int64)
+        for i, c, piv in self.pivots:
+            q = flat[:, c] // piv
+            if np.count_nonzero(q):
+                flat = (flat - q[:, None] * self.h[i]) % m
+                coeffs[:, i] = q
+        return flat.reshape(shape), coeffs.reshape(shape[:-1] + (self.h.shape[0],))
+
+    def contains(self, vecs):
+        """Whether each vector lies in the span."""
+        res, _ = self.reduce(vecs)
+        return ~res.any(axis=-1)
+
+    def solve(self, rhs):
+        """(x, ok): x @ rows = rhs for each right-hand side where ok holds.
+
+        Where ok is false the right-hand side is outside the span and its x
+        means nothing.  Only for a span made by `factor`.
+        """
+        res, coeffs = self.reduce(rhs)
+        return (coeffs @ self.u) % self.m, ~res.any(axis=-1)
+
+
+def howell_with_transform(rows, p: int, k: int, ncols: int | None = None):
     """Return (H, U, K): H the Howell form, U with U @ rows = H row-block,
-    K a spanning set for {x : x @ rows = 0}."""
-    a = _as_matrix(rows)
+    K a spanning set for {x : x @ rows = 0}, not reduced."""
+    a = _as_matrix(rows, ncols)
     h, u, done = _engine(a, p, k, with_transform=True)
-    kern = u[done:] if u is not None else np.zeros((0, a.shape[0]), dtype=np.int64)
     # rows of h beyond `done` are zero by construction
-    return h[:done].copy(), u[:done].copy(), howell_form(kern, p, k, ncols=a.shape[0])
+    return h[:done].copy(), u[:done].copy(), u[done:]
 
 
 def kernel(mat, p: int, k: int) -> np.ndarray:
     """Howell basis of the left kernel {x : x @ mat == 0 over Z/p^k}."""
-    a = _as_matrix(mat)
-    if a.shape[0] == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    _, _, kern = howell_with_transform(a, p, k)
-    return kern
+    return FactoredSpan.factor(mat, p, k).kernel
 
 
 def kernel_mod(mat, p: int, k_src: int, k_dst: int) -> np.ndarray:
@@ -161,71 +235,28 @@ def kernel_mod(mat, p: int, k_src: int, k_dst: int) -> np.ndarray:
 
 def pivot_info(h: np.ndarray, p: int, k: int) -> dict[int, int]:
     """Map pivot column -> valuation of its pivot, for a Howell-form matrix."""
-    info: dict[int, int] = {}
-    for row in h:
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        info[c] = _val(int(row[c]), p, k)
-    return info
+    return {c: _val(piv, p, k) for _, c, piv in FactoredSpan(h, p, k).pivots}
 
 
 def reduce_by_howell(h: np.ndarray, vec, p: int, k: int):
-    """Reduce `vec` against a Howell-form matrix.
-
-    Returns (residual, coeffs) with vec = coeffs @ h + residual mod p^k.
-    The residual is the canonical coset representative of vec + rowspan(h).
-    """
-    m = p**k
-    v = np.asarray(vec, dtype=np.int64).copy() % m
-    coeffs = np.zeros(h.shape[0], dtype=np.int64)
-    for i, row in enumerate(h):
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        piv = int(row[c])
-        q = int(v[c]) // piv
-        if q:
-            v = (v - q * row) % m
-            coeffs[i] = q % m
-    return v, coeffs
+    """Reduce `vec` against a Howell-form matrix; see FactoredSpan.reduce."""
+    return FactoredSpan(h, p, k).reduce(vec)
 
 
 def span_contains(h: np.ndarray, vec, p: int, k: int) -> bool:
-    res, _ = reduce_by_howell(h, vec, p, k)
-    return not res.any()
+    return bool(FactoredSpan(h, p, k).contains(vec))
 
 
 def span_equal(h1: np.ndarray, h2: np.ndarray) -> bool:
     return h1.shape == h2.shape and bool(np.array_equal(h1, h2))
 
 
-def span_sum(h1: np.ndarray, h2: np.ndarray, p: int, k: int) -> np.ndarray:
-    if h1.shape[0] == 0:
-        return h2
-    if h2.shape[0] == 0:
-        return h1
-    return howell_form(np.vstack([h1, h2]), p, k)
-
-
 def span_log_size(h: np.ndarray, p: int, k: int) -> int:
     """log_p of the number of elements in the row span (h in Howell form)."""
-    total = 0
-    for _, v in pivot_info(h, p, k).items():
-        total += k - v
-    return total
+    return sum(k - v for v in pivot_info(h, p, k).values())
 
 
 def solve_left(mat, rhs, p: int, k: int):
     """Solve x @ mat = rhs over Z/p^k; return one solution or None."""
-    a = _as_matrix(mat)
-    if a.shape[0] == 0:
-        r = np.asarray(rhs, dtype=np.int64) % (p**k)
-        return np.zeros(0, dtype=np.int64) if not r.any() else None
-    h, u, _ = howell_with_transform(a, p, k)
-    res, coeffs = reduce_by_howell(h, rhs, p, k)
-    if res.any():
-        return None
-    return (coeffs @ u) % (p**k)
+    x, ok = FactoredSpan.factor(mat, p, k).solve(rhs)
+    return x if ok else None

@@ -735,7 +735,9 @@ def ordinary_tangent_count(
         if s not in kept:
             raise InvariantViolation("constrained deformations are not closed under addition")
     count = len(kept)
-    fp_kept = round(np.log(count) / np.log(p))
+    fp_kept = 0
+    while p ** (fp_kept + 1) <= count:
+        fp_kept += 1
     if p**fp_kept != count:
         raise InvariantViolation("constrained deformation count is not a power of p")
     if fp_kept % nf:

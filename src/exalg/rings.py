@@ -185,11 +185,10 @@ class FiniteRing:
             return self.zero()
         return np.einsum("i,j,ijl->l", x, y, self.table) % self.char
 
-    def mul_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Row-wise products of two stacks of elements."""
-        if self.n == 0:
-            return np.zeros((len(xs), 0), dtype=np.int64)
-        return np.einsum("bi,bj,ijl->bl", xs, ys, self.table) % self.char
+    def mul_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """All products xs[a] * ys[b], shape (len(xs), len(ys), n)."""
+        left = np.tensordot(xs, self.table, axes=(1, 0)) % self.char
+        return np.matmul(ys, left) % self.char
 
     def pow_el(self, x, e: int) -> np.ndarray:
         r = self.one.copy()
@@ -210,11 +209,12 @@ class FiniteRing:
     def is_unit(self, x) -> bool:
         if self.n == 0:
             return True  # zero ring: 0 = 1 is invertible
-        return linalg.solve_left(self.mul_matrix(x), self.one, self.p, self.k) is not None
+        h = linalg.howell_form(self.mul_matrix(x), self.p, self.k, ncols=self.n)
+        return bool(linalg.FactoredSpan(h, self.p, self.k).contains(self.one))
 
     def inv(self, x) -> np.ndarray:
-        y = linalg.solve_left(self.mul_matrix(x), self.one, self.p, self.k)
-        if y is None:
+        y, ok = linalg.FactoredSpan.factor(self.mul_matrix(x), self.p, self.k).solve(self.one)
+        if not ok:
             raise InputError("element is not a unit")
         return y
 
@@ -237,13 +237,6 @@ class FiniteRing:
 
     def random_element(self, rng) -> np.ndarray:
         return np.array([rng.randrange(self.char) for _ in range(self.n)], dtype=np.int64)
-
-    def random_unit(self, rng, tries: int = 200) -> np.ndarray:
-        for _ in range(tries):
-            x = self.random_element(rng)
-            if self.is_unit(x):
-                return x
-        raise BudgetExceeded("no unit found; ring may be zero")
 
     # ---- verification ----------------------------------------------
 
@@ -411,11 +404,15 @@ class Ideal:
 
     # ---- predicates -------------------------------------------------
 
+    @cached_property
+    def span(self) -> linalg.FactoredSpan:
+        return linalg.FactoredSpan(self.basis, self.ring.p, self.ring.k)
+
     def contains(self, x) -> bool:
-        return linalg.span_contains(self.basis, x, self.ring.p, self.ring.k)
+        return bool(self.span.contains(x))
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        return bool(self.span.contains(other.basis).all())
 
     def __eq__(self, other):
         return (
@@ -647,35 +644,27 @@ def fiber_product(f: RingMap, g: RingMap, name: str | None = None):
     # submodule structure: invariant factors p^(k - exps[c]) for exps[c] < k
     if any(0 < int(e) < k for e in exps):
         raise NonFreeQuotientError("fiber product module is not free over Z/p^k")
-    basis = winv[[c for c in range(na + nb) if exps[c] == 0]] % (p**k)
-    nn = basis.shape[0]
-
-    def mul_pair(x, y):
-        xa, xb = x[:na], x[na:]
-        ya, yb = y[:na], y[na:]
-        return np.concatenate([a_ring.mul(xa, ya), b_ring.mul(xb, yb)])
-
-    table = np.zeros((nn, nn, nn), dtype=np.int64)
-    for i in range(nn):
-        for j in range(i, nn):
-            prod = mul_pair(basis[i], basis[j])
-            coeff = linalg.solve_left(basis, prod, p, k)
-            if coeff is None:
-                raise InvariantViolation("fiber product basis is not multiplicatively closed")
-            table[i, j] = coeff
-            table[j, i] = coeff
-    one_pair = np.concatenate([a_ring.one, b_ring.one])
-    one = linalg.solve_left(basis, one_pair, p, k)
-    if one is None:
+    sel = exps == 0
+    basis = winv[sel] % (p**k)
+    nn, ba, bb = basis.shape[0], basis[:, :na], basis[:, na:]
+    # basis = winv[sel] and w = winv^-1, so (x @ w)[sel] are the coordinates
+    # of x in the basis, and x is in its span iff (x @ w)[~sel] vanishes
+    prods = np.concatenate([a_ring.mul_outer(ba, ba), b_ring.mul_outer(bb, bb)], axis=2)
+    coords = (prods.reshape(nn * nn, na + nb) @ w) % (p**k)
+    if coords[:, ~sel].any():
+        raise InvariantViolation("fiber product basis is not multiplicatively closed")
+    table = coords[:, sel].reshape(nn, nn, nn)
+    one_c = (np.concatenate([a_ring.one, b_ring.one]) @ w) % (p**k)
+    if one_c[~sel].any():
         raise InvariantViolation("fiber product does not contain 1")
+    one = one_c[sel]
     ring = FiniteRing(p, k, table, one, name=name or f"{a_ring.name}x{b_ring.name}")
     ring.check_ring()
-    proj_a = RingMap(ring, a_ring, basis[:, :na], name="pr1")
-    proj_b = RingMap(ring, b_ring, basis[:, na:], name="pr2")
+    proj_a = RingMap(ring, a_ring, ba, name="pr1")
+    proj_b = RingMap(ring, b_ring, bb, name="pr2")
     proj_a.check_hom()
     proj_b.check_hom()
     ring._embedding = basis  # rows: images in A x B coordinates
-    ring._embedding_split = (a_ring, b_ring, na)
     return ring, proj_a, proj_b
 
 
@@ -762,9 +751,7 @@ def field_ring(p: int, e: int = 1, name: str | None = None) -> FiniteRing:
             table[i, j] = np.array(reds[i + j]) % p
     one = np.zeros(e, dtype=np.int64)
     one[0] = 1
-    r = FiniteRing(p, 1, table, one, name=name or f"F{p**e}")
-    r._field_poly = poly
-    return r
+    return FiniteRing(p, 1, table, one, name=name or f"F{p**e}")
 
 
 def truncated_poly_ring(base: FiniteRing, trunc: int, name: str | None = None) -> FiniteRing:
@@ -794,10 +781,7 @@ def product_ring(a: FiniteRing, b: FiniteRing, name: str | None = None) -> Finit
     table[: a.n, : a.n, : a.n] = a.table
     table[a.n :, a.n :, a.n :] = b.table
     one = np.concatenate([a.one, b.one])
-    r = FiniteRing(a.p, a.k, table, one, name=name or f"{a.name}x{b.name}")
-    r._embedding = np.eye(n, dtype=np.int64)
-    r._embedding_split = (a, b, a.n)
-    return r
+    return FiniteRing(a.p, a.k, table, one, name=name or f"{a.name}x{b.name}")
 
 
 # ---- hom enumeration (monogenic sources) ----------------------------
@@ -839,14 +823,10 @@ def all_ring_maps(src: FiniteRing, dst: FiniteRing, limit: int = 20000) -> list[
         powers_src.append(src.mul(powers_src[-1], g))
     basis_in_powers = np.array(powers_src)
     # express each src basis vector through the power basis once, up front
-    coeffs = []
-    for i in range(src.n):
-        e = np.zeros(src.n, dtype=np.int64)
-        e[i] = 1
-        sol = linalg.solve_left(basis_in_powers, e, src.p, src.k)
-        if sol is None:
-            raise InvariantViolation("power basis fails to express a basis vector")
-        coeffs.append(sol)
+    span = linalg.FactoredSpan.factor(basis_in_powers, src.p, src.k)
+    coeffs, ok = span.solve(np.eye(src.n, dtype=np.int64))
+    if not ok.all():
+        raise InvariantViolation("power basis fails to express a basis vector")
     out = []
     for cand in dst.elements(limit=limit):
         acc = dst.one.copy()

@@ -26,6 +26,7 @@ Tower scenarios:
     replay        Fitting-ideal replay of the cotangent bound
 """
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -216,7 +217,7 @@ class _State:
         d = body["dvr"]
         lam = DvrModel(int(d["p"]), int(d.get("e", 1)), int(d["trunc"]))
         self.cache["lam"] = lam
-        return towers.build_eisenstein_tower(lam, int(body["r"]), dict(body["h"]))
+        return towers.build_eisenstein_tower(lam, int(body["r"]), body["h"])
 
 
 # ---- stages ----------------------------------------------------------
@@ -297,7 +298,7 @@ def _stage_audit(st: _State) -> dict:
 def _stage_criterion(st: _State) -> dict:
     t = st.get("tower")
     lam = st.cache["lam"]
-    if t.label.startswith("plane"):
+    if st.sc.body["h"]["kind"] == "plane":
         model = towers.branch_algebra(lam, t.r) if t.r else towers.base_algebra(lam)
         tag = "rank2"
     else:
@@ -444,7 +445,7 @@ def _char_spec(rng: random.Random, n: int, p: int, k: int, forbid=None):
     """A power character spec valid on a cyclic generator of order n."""
     modulus = p**k
     unit_order = (p - 1) * p ** (k - 1)
-    d = _gcd(n, unit_order)
+    d = math.gcd(n, unit_order)
     choices = [pow(_ROOTS[modulus], (unit_order // d) * j, modulus) for j in range(d)]
     if forbid is not None:
         choices = [c for c in choices if c != forbid] or choices
@@ -452,12 +453,6 @@ def _char_spec(rng: random.Random, n: int, p: int, k: int, forbid=None):
     if value == 1:
         return {"kind": "trivial"}, 1
     return {"kind": "power", "gen": 1, "value": value}, value
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _psrep_body(rng: random.Random, family: str) -> dict:

@@ -77,14 +77,31 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+class _Fields(dict):
+    """One JSON object of a scenario; reading a field it lacks is an InputError."""
+
+    def __missing__(self, key):
+        raise InputError(f"{self.where}: missing field {self.path + str(key)!r}")
+
+
+def _fields(x, where: str, path: str = ""):
+    if isinstance(x, list):
+        return [_fields(v, where, f"{path}{i}.") for i, v in enumerate(x)]
+    if isinstance(x, dict):
+        x = _Fields({k: _fields(v, where, f"{path}{k}.") for k, v in x.items()})
+        x.where, x.path = where, path
+    return x
+
+
 def parse_scenario_text(text: str, where: str = "<scenario>") -> dict:
     """Parse and shape-check one scenario document.
 
     Raises InputError with the offending location or field name; deeper
-    semantic validation happens when the scenario is resolved.
+    semantic validation happens when the scenario is resolved, and a
+    field missing there raises InputError too.
     """
     try:
-        doc = json.loads(text)
+        doc = _fields(json.loads(text), where)
     except json.JSONDecodeError as e:
         raise InputError(f"{where}: line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):

@@ -125,18 +125,11 @@ def _free_basis(o: DvrModel, ring: FiniteRing, emb: RingMap, basis=None) -> np.n
     return basis
 
 
-def _coordinate_rows(o: DvrModel, ring: FiniteRing, emb: RingMap, basis: np.ndarray) -> np.ndarray:
-    """Rows indexed (basis element, base coordinate), for coefficient solves."""
+def _coordinate_span(ring: FiniteRing, emb: RingMap, basis: np.ndarray) -> linalg.FactoredSpan:
+    """Factored rows indexed (basis element, base coordinate), for coefficient solves."""
     mats = np.stack([ring.mul_matrix(v) for v in emb.matrix])
     rows = np.einsum("in,bnm->ibm", basis % ring.char, mats)
-    return rows.reshape(-1, ring.n) % ring.char
-
-
-def _base_coords(o: DvrModel, ring: FiniteRing, coords: np.ndarray, x: np.ndarray, d: int):
-    sol = linalg.solve_left(coords, x % ring.char, ring.p, ring.k)
-    if sol is None:
-        return None
-    return sol.reshape(d, o.ring.n)
+    return linalg.FactoredSpan.factor(rows.reshape(-1, ring.n) % ring.char, ring.p, ring.k)
 
 
 # ---- augmented algebras --------------------------------------------
@@ -267,15 +260,11 @@ def _min_ideal_gen_rows(ring: FiniteRing, ideal: Ideal) -> np.ndarray:
 
 def _mult_matrix_over_base(o: DvrModel, ring: FiniteRing, emb: RingMap, basis: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Matrix of multiplication by g in the given base-module basis."""
-    coords = _coordinate_rows(o, ring, emb, basis)
     d = basis.shape[0]
-    out = np.zeros((d, d, o.ring.n), dtype=np.int64)
-    for i in range(d):
-        row = _base_coords(o, ring, coords, ring.mul(g, basis[i]), d)
-        if row is None:
-            raise InvariantViolation("product left the base-module span")
-        out[i] = row
-    return out
+    sol, ok = _coordinate_span(ring, emb, basis).solve((basis @ ring.mul_matrix(g)) % ring.char)
+    if not ok.all():
+        raise InvariantViolation("product left the base-module span")
+    return sol.reshape(d, d, o.ring.n)
 
 
 def _nzd_by_determinant(o: DvrModel, ring: FiniteRing, emb: RingMap, basis: np.ndarray, g: np.ndarray) -> bool:
@@ -291,11 +280,10 @@ def _monogenic_presentation(o: DvrModel, ring: FiniteRing, emb: RingMap, gen: np
     for _ in range(rank):
         pows.append(ring.mul(pows[-1], gen))
     basis = np.array(pows[:rank], dtype=np.int64)
-    coords = _coordinate_rows(o, ring, emb, basis)
-    h = linalg.howell_form(coords, ring.p, ring.k, ncols=ring.n)
-    if linalg.span_log_size(h, ring.p, ring.k) != ring.k * ring.n:
+    span = _coordinate_span(ring, emb, basis)
+    if linalg.span_log_size(span.h, ring.p, ring.k) != ring.k * ring.n:
         raise InvariantViolation("principal kernel did not yield a monogenic presentation")
-    rel = _base_coords(o, ring, coords, pows[rank], rank)
+    rel = span.solve(pows[rank])[0].reshape(rank, o.ring.n)
     acc = np.zeros(ring.n, dtype=np.int64)
     for i in range(rank):
         acc = (acc + ring.mul(emb(rel[i]), pows[i])) % ring.char
@@ -450,17 +438,12 @@ def pinched_cubic(o: DvrModel, name: str | None = None):
     tx[nl : 2 * nl] = o.t(1)
     quot = quotient_ring(cube, Ideal(cube, tx.reshape(1, -1)), name=name or f"{o.ring.name}[x]/(x3,tx)")
     ring = quot.ring
-    kill = np.zeros((cube.n, nl), dtype=np.int64)
-    kill[:nl] = np.eye(nl, dtype=np.int64)
-    rows = np.zeros((ring.n, nl), dtype=np.int64)
-    for i in range(ring.n):
-        e = np.zeros(ring.n, dtype=np.int64)
-        e[i] = 1
-        lift = linalg.solve_left(quot.proj.matrix, e, ring.p, ring.k)
-        if lift is None:
-            raise InvariantViolation("quotient projection is not surjective")
-        rows[i] = (lift @ kill) % o.ring.char
-    pi = RingMap(ring, o.ring, rows, name="pi")
+    span = linalg.FactoredSpan.factor(quot.proj.matrix, ring.p, ring.k)
+    lifts, ok = span.solve(np.eye(ring.n, dtype=np.int64))
+    if not ok.all():
+        raise InvariantViolation("quotient projection is not surjective")
+    # pi keeps the base coordinates of a lift, which come first in the cube
+    pi = RingMap(ring, o.ring, lifts[:, :nl] % o.ring.char, name="pi")
     pi.check_hom()
     return ring, pi
 
@@ -562,28 +545,27 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
         H = product_ring(hring, lam.ring, name=f"H({label})")
         pr_h = RingMap(H, hring, np.vstack([np.eye(nh, dtype=np.int64), np.zeros((nl, nh), dtype=np.int64)]), name="pr1")
         pr_lam = RingMap(H, lam.ring, np.vstack([np.zeros((nh, nl), dtype=np.int64), np.eye(nl, dtype=np.int64)]), name="pr2")
-        emb_rows = np.hstack([emb_h.matrix, np.eye(nl, dtype=np.int64)])
     else:
         H, pr_h, pr_lam = fiber_product(aug, lam_quot.proj, name=f"H({label})")
-        stack = np.hstack([pr_h.matrix, pr_lam.matrix])
-        emb_rows = np.zeros((nl, H.n), dtype=np.int64)
-        for b in range(nl):
-            v = np.zeros(nl, dtype=np.int64)
-            v[b] = 1
-            sol = linalg.solve_left(stack, np.concatenate([emb_h(v), v]), H.p, H.k)
-            if sol is None:
-                raise InvariantViolation("base does not embed diagonally into the tower")
-            emb_rows[b] = sol
-    emb_H = RingMap(lam.ring, H, emb_rows, name="emb")
+    # one factorization of the (pr_h, pr_lam) coordinates serves the nl
+    # diagonal images of the base and the lift of (0, xi)
+    span = linalg.FactoredSpan.factor(np.hstack([pr_h.matrix, pr_lam.matrix]), H.p, H.k)
+    rhs = np.vstack([
+        np.hstack([emb_h.matrix, np.eye(nl, dtype=np.int64)]),
+        np.concatenate([np.zeros(nh, dtype=np.int64), xi]),
+    ])
+    sols, ok = span.solve(rhs)
+    if not ok[:nl].all():
+        raise InvariantViolation("base does not embed diagonally into the tower")
+    emb_H = RingMap(lam.ring, H, sols[:nl], name="emb")
     emb_H.check_hom()
     i_ideal = aug.kernel_ideal()
     ker_h = pr_h.kernel_ideal()
     script_i = pr_lam.kernel_ideal()
     i_h = pr_h.then(aug).kernel_ideal()
-    stack = np.hstack([pr_h.matrix, pr_lam.matrix])
-    t0 = linalg.solve_left(stack, np.concatenate([np.zeros(nh, dtype=np.int64), xi]), H.p, H.k)
-    if t0 is None:
+    if not ok[nl]:
         raise InvariantViolation("no tower element projects to (0, xi)")
+    t0 = sols[nl]
     if not linalg.span_equal(Ideal(H, t0.reshape(1, -1)).basis, ker_h.basis):
         raise InvariantViolation("ker(H -> h) is not generated by the xi-lift")
     tower = EisensteinTower(

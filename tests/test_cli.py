@@ -180,6 +180,51 @@ def test_missing_scenario_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _bundled_variant(tmp_path, name, edit):
+    doc = json.loads(json.dumps(scenarios.BUILTIN[name]))
+    edit(doc)
+    path = tmp_path / f"{name}-variant.json"
+    path.write_text(serialize.canonical_json(doc))
+    return str(path)
+
+
+def test_unsupported_modulus_is_input_error(tmp_path, capsys):
+    path = _bundled_variant(tmp_path, "diag-ordinary", lambda d: d["ring"].update(p=9))
+    assert cli.main(["pipeline", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "prime" in err and err.count("\n") == 1
+
+
+def test_missing_scenario_field_is_input_error(tmp_path, capsys):
+    path = _bundled_variant(tmp_path, "diag-ordinary", lambda d: d["kappa"].pop("value"))
+    assert cli.main(["pipeline", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing field 'kappa.value'" in err and err.count("\n") == 1
+
+
+def test_internal_key_error_is_not_an_input_error(monkeypatch):
+    def broken(st):
+        return {}["not-a-scenario-field"]
+
+    monkeypatch.setitem(scenarios._STAGES["psrep"], "validate", broken)
+    with pytest.raises(KeyError):
+        cli.main(["pipeline", "diag-ordinary"])
+
+
+def test_relabelled_plane_tower_keeps_the_rank_two_model():
+    doc = {
+        "name": "plane-relabel", "kind": "tower", "seed": 0, "budget": 200000,
+        "dvr": {"p": 3, "e": 1, "trunc": 12}, "r": 1,
+        "h": {"kind": "plane", "label": "axes-relabel"},
+        "stages": ["build", "criterion"],
+    }
+    rep = scenarios.run_scenario(doc)
+    assert rep.stages["build"]["label"] == "axes-relabel"
+    assert rep.stages["criterion"]["model"] == "rank2"
+    plain = dict(doc, h={"kind": "plane"})
+    assert rep.stages["criterion"] == scenarios.run_scenario(plain).stages["criterion"]
+
+
 def test_tower_only_commands_reject_psrep_scenarios(capsys):
     assert cli.main(["audit", "diag-ordinary"]) == 2
     assert "applies to tower scenarios" in capsys.readouterr().err

@@ -184,3 +184,93 @@ def test_howell_structure_properties(scale, rows):
     if h.shape[0]:
         v = (scale * h[0]) % 25
         assert linalg.span_contains(h, v, p, k)
+
+
+# ---- the factored span against per-vector references -----------------
+
+
+def _reduce_reference(h, vec, p, k):
+    """One vector reduced row by row against a Howell-form matrix."""
+    m = p**k
+    v = np.asarray(vec, dtype=np.int64).copy() % m
+    coeffs = np.zeros(h.shape[0], dtype=np.int64)
+    for i, row in enumerate(h):
+        nz = np.nonzero(row)[0]
+        if nz.size == 0:
+            continue
+        c = int(nz[0])
+        q = int(v[c]) // int(row[c])
+        if q:
+            v = (v - q * row) % m
+            coeffs[i] = q % m
+    return v, coeffs
+
+
+def _solve_reference(mat, rhs, p, k):
+    """One right-hand side, with a factorization of its own."""
+    h, u, done = linalg._engine(np.asarray(mat, dtype=np.int64), p, k, with_transform=True)
+    res, coeffs = _reduce_reference(h[:done], rhs, p, k)
+    return None if res.any() else (coeffs @ u[:done]) % p**k
+
+
+@st.composite
+def _span_and_batch(draw):
+    """Rows over Z/p^k (some scaled by p^j, so spans carry torsion) and a
+    batch of right-hand sides, half of them in the span."""
+    p, k = draw(st.sampled_from([3, 5])), draw(st.integers(1, 3))
+    m = p**k
+    nc = draw(st.integers(1, 3 if m**3 <= 20000 else 2))
+    nr = draw(st.integers(1, 4))
+    entry = st.integers(0, m - 1)
+    rows = [
+        [p ** draw(st.integers(0, k - 1)) * draw(entry) % m for _ in range(nc)]
+        for _ in range(nr)
+    ]
+    members = [
+        (np.array([draw(entry) for _ in range(nr)]) @ np.array(rows)) % m
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    others = [[draw(entry) for _ in range(nc)] for _ in range(draw(st.integers(1, 4)))]
+    return p, k, np.array(rows, dtype=np.int64), np.array(members + others, dtype=np.int64).reshape(-1, nc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_span_and_batch())
+def test_factored_span_batches_match_per_vector_references(case):
+    p, k, mat, batch = case
+    m = p**k
+    span = linalg.FactoredSpan.factor(mat, p, k)
+    assert np.array_equal(span.h, linalg.howell_form(mat, p, k))
+    assert not ((span.kernel @ mat) % m).any()
+    brute = span_bruteforce(mat, m)
+    res, coeffs = span.reduce(batch)
+    inside = span.contains(batch)
+    x, ok = span.solve(batch)
+    assert np.array_equal(ok, inside)
+    for i, v in enumerate(batch):
+        ref_res, ref_coeffs = _reduce_reference(span.h, v, p, k)
+        assert np.array_equal(res[i], ref_res) and np.array_equal(coeffs[i], ref_coeffs)
+        one_res, one_coeffs = span.reduce(v)
+        assert np.array_equal(one_res, ref_res) and np.array_equal(one_coeffs, ref_coeffs)
+        assert bool(inside[i]) == (tuple(int(c) for c in v) in brute)
+        ref_x = _solve_reference(mat, v, p, k)
+        assert (ref_x is not None) == bool(ok[i])
+        if ok[i]:
+            assert np.array_equal(x[i], ref_x)
+            assert np.array_equal((x[i] @ mat) % m, v % m)
+        # the one-vector forms give the same answers
+        one = linalg.solve_left(mat, v, p, k)
+        assert (one is None) if ref_x is None else np.array_equal(one, ref_x)
+        assert linalg.span_contains(span.h, v, p, k) == bool(inside[i])
+    # a wrapped Howell form reduces as the factored span does, in any batch shape
+    wrapped = linalg.FactoredSpan(span.h, p, k)
+    res2, coeffs2 = wrapped.reduce(batch.reshape(1, -1, batch.shape[1]))
+    assert np.array_equal(res2[0], res) and np.array_equal(coeffs2[0], coeffs)
+
+
+def test_factored_span_of_no_rows():
+    span = linalg.FactoredSpan.factor(np.zeros((0, 3), dtype=np.int64), 5, 1)
+    assert span.h.shape == (0, 3) and span.kernel.shape[0] == 0
+    x, ok = span.solve(np.array([[0, 0, 0], [1, 0, 0]]))
+    assert ok.tolist() == [True, False] and x.shape == (2, 0)
+    assert linalg.solve_left(np.zeros((0, 0), dtype=np.int64), [0, 0], 5, 1).shape == (0,)

@@ -542,3 +542,23 @@ def test_dvr_model_extension_field():
 def test_dvr_model_guards():
     with pytest.raises(InputError):
         rings.DvrModel(trunc=1)
+
+
+@pytest.mark.parametrize("h_spec", [{"kind": "plane"}, {"kind": "branch", "m": 2}])
+def test_fiber_product_table_matches_per_pair_solves(h_spec):
+    # plane-F5-r1 and branch-F5-m2-r1 of the tower corpus
+    from exalg import towers
+
+    t = towers.build_eisenstein_tower(rings.DvrModel(5, 1, 16), 1, h_spec)
+    a_ring, b_ring = t.aug.src, t.lam_quot.proj.src
+    ring, _, _ = rings.fiber_product(t.aug, t.lam_quot.proj)
+    assert ring.same_presentation(t.H)
+    basis, na = ring._embedding, a_ring.n
+    for i in range(ring.n):
+        for j in range(i, ring.n):
+            x, y = basis[i], basis[j]
+            prod = np.concatenate([a_ring.mul(x[:na], y[:na]), b_ring.mul(x[na:], y[na:])])
+            coeff = linalg.solve_left(basis, prod, 5, 1)
+            assert np.array_equal(ring.table[i, j], coeff) and np.array_equal(ring.table[j, i], coeff)
+    one = linalg.solve_left(basis, np.concatenate([a_ring.one, b_ring.one]), 5, 1)
+    assert np.array_equal(ring.one, one)
