@@ -80,22 +80,7 @@ class AssocAlgebra(FiniteRing):
                 self.mul(e, self.one), e
             ):
                 raise InvariantViolation(f"one fails on basis {i}")
-        t = self.table
-        if n <= full_limit:
-            left = np.einsum("ijx,xlm->ijlm", t, t) % self.char
-            right = np.einsum("jlx,ixm->ijlm", t, t) % self.char
-            if not np.array_equal(left, right):
-                raise InvariantViolation("associativity fails")
-        else:
-            import random
-
-            rng = random.Random(rng_seed)
-            for _ in range(200):
-                a, b, c = (self.random_element(rng) for _ in range(3))
-                if not np.array_equal(
-                    self.mul(self.mul(a, b), c), self.mul(a, self.mul(b, c))
-                ):
-                    raise InvariantViolation("associativity fails on sample")
+        self._check_associativity(rng_seed, full_limit)
         # base ring embeds as a central unital subring
         RingMap(self.base, self, self.base_embed, name="base").check_hom()
         for a in range(self.base.n):

@@ -156,11 +156,13 @@ class FactoredSpan:
         self.u = u
         self._kernel_gens = kernel_gens
         self.pivots = []  # (row, column, entry) of the first nonzero of each row
-        for i, row in enumerate(self.h.tolist()):
-            for c, x in enumerate(row):
-                if x:
-                    self.pivots.append((i, c, x))
-                    break
+        # Howell pivot columns strictly increase, so one walk finds them all
+        item, c = self.h.item, 0
+        for i in range(self.h.shape[0]):
+            while not (x := item(i, c)):
+                c += 1
+            self.pivots.append((i, c, x))
+            c += 1
 
     @classmethod
     def factor(cls, rows, p: int, k: int, ncols: int | None = None) -> "FactoredSpan":

@@ -424,8 +424,9 @@ def is_ordinary_psrep(psr: Pseudorep2, kappa: GroupChar, budget: int = 400000) -
             "checked": 0,
         }
     checked = 0
+    span = linalg.FactoredSpan.factor(connect, ch.algebra.p, ch_res.algebra.k)
     for target in cands:
-        e1 = _newton_lift(ch, ch_res, connect, target)
+        e1 = _newton_lift(ch, ch_res, connect, span, target)
         checked += 1
         ok, ctx, _ = _ordinary_for_idempotent(ch, kappa, e1)
         if ok:
@@ -447,10 +448,11 @@ def is_ordinary_psrep(psr: Pseudorep2, kappa: GroupChar, budget: int = 400000) -
     }
 
 
-def _newton_lift(ch: ChAlgebra, ch_res: ChAlgebra, connect, target, max_iter: int = 64):
+def _newton_lift(ch: ChAlgebra, ch_res: ChAlgebra, connect, span, target, max_iter: int = 64):
+    """Lift a residual idempotent; `span` is `connect` factored once by the caller."""
     al = ch.algebra
-    x = linalg.solve_left(connect, target, al.p, ch_res.algebra.k)
-    if x is None:
+    x, ok = span.solve(target)
+    if not ok:
         raise InvariantViolation("residual idempotent has no preimage")
     x = x % al.char
     iters = 0

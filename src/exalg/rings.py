@@ -123,6 +123,8 @@ class FiniteRing:
         n = self.n
         if self.table.shape != (n, n, n):
             raise InputError(f"structure constants must be ({n},{n},{n})")
+        if n * n * (self.char - 1) ** 3 >= 2**63:  # a product sums n^2 terms of three residues
+            raise InputError(f"dimension {n} over Z/{self.p}^{self.k} is past exact int64 arithmetic")
 
     # ---- basic data -------------------------------------------------
 
@@ -187,8 +189,7 @@ class FiniteRing:
 
     def mul_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """All products xs[a] * ys[b], shape (len(xs), len(ys), n)."""
-        left = np.tensordot(xs, self.table, axes=(1, 0)) % self.char
-        return np.matmul(ys, left) % self.char
+        return np.matmul(ys, self.mul_matrix(xs)) % self.char
 
     def pow_el(self, x, e: int) -> np.ndarray:
         r = self.one.copy()
@@ -201,10 +202,9 @@ class FiniteRing:
         return r
 
     def mul_matrix(self, x) -> np.ndarray:
-        """Matrix M with y @ M = x*y."""
-        if self.n == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.einsum("i,ijl->jl", x, self.table) % self.char
+        """Matrix M with y @ M = x*y; a stack of them for a stack of elements."""
+        n = self.n
+        return (x @ self.table.reshape(n, n * n)).reshape(np.shape(x)[:-1] + (n, n)) % self.char
 
     def is_unit(self, x) -> bool:
         if self.n == 0:
@@ -252,21 +252,24 @@ class FiniteRing:
                 raise InvariantViolation(f"one fails on basis {i}")
         if not np.array_equal(t, t.transpose(1, 0, 2)):
             raise InvariantViolation("structure constants are not commutative")
-        if n <= full_limit:
-            left = np.einsum("ijx,xlm->ijlm", t, t) % self.char
-            right = np.einsum("jlx,ixm->ijlm", t, t) % self.char
+        self._check_associativity(rng_seed, full_limit)
+
+    def _check_associativity(self, rng_seed: int, full_limit: int) -> None:
+        """(ab)c = a(bc) on all basis triples up to `full_limit`, else on 200 seeded triples."""
+        t, m = self.table, self.char
+        if self.n <= full_limit:
+            left = np.einsum("ijx,xlm->ijlm", t, t) % m
+            right = np.einsum("jlx,ixm->ijlm", t, t) % m
             if not np.array_equal(left, right):
                 raise InvariantViolation("associativity fails")
-        else:
-            import random
-
-            rng = random.Random(rng_seed)
-            for _ in range(200):
-                a, b, c = (self.random_element(rng) for _ in range(3))
-                if not np.array_equal(
-                    self.mul(self.mul(a, b), c), self.mul(a, self.mul(b, c))
-                ):
-                    raise InvariantViolation("associativity fails on sample")
+            return
+        a, b, c = np.random.default_rng(rng_seed).integers(0, m, size=(3, 200, self.n))
+        left_a = self.mul_matrix(a)  # y @ left_a[s] = a[s] * y
+        right_c = np.tensordot(c, t, axes=(1, 1)) % m  # x @ right_c[s] = x * c[s]
+        ab_c = _row_products(_row_products(b, left_a, m), right_c, m)
+        a_bc = _row_products(_row_products(b, right_c, m), left_a, m)
+        if not np.array_equal(ab_c, a_bc):
+            raise InvariantViolation("associativity fails on sample")
 
     # ---- local structure -------------------------------------------
 
@@ -281,27 +284,11 @@ class FiniteRing:
         while self.p**mm < n:
             mm += 1
         tp = self.table % self.p
-
-        def mulp(x, y):
-            return np.einsum("i,j,ijl->l", x, y, tp) % self.p
-
-        frob = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            e = np.zeros(n, dtype=np.int64)
-            e[i] = 1
-            acc = e
-            for _ in range(mm):
-                # x -> x^p by square and multiply
-                out = self.one % self.p
-                b = acc
-                ee = self.p
-                while ee:
-                    if ee & 1:
-                        out = mulp(out, b)
-                    b = mulp(b, b)
-                    ee >>= 1
-                acc = out
-            frob[i] = acc
+        # x -> x^p is F_p-linear mod p, so x -> x^(p^mm) is a matrix power
+        step = _frobenius_rows(self)
+        frob = np.eye(n, dtype=np.int64)
+        for _ in range(mm):
+            frob = (frob @ step) % self.p
         nil_modp = linalg.kernel(frob, self.p, 1)
         # lift to Z/p^k: radical = preimage of nil(R/p), contains p itself
         rows = [nil_modp % self.char] if nil_modp.shape[0] else []
@@ -317,11 +304,7 @@ class FiniteRing:
         q = quot.ring
         if q.n == 0:
             raise InvariantViolation("reduced quotient is zero for a nonzero ring")
-        frobq = np.zeros((q.n, q.n), dtype=np.int64)
-        for i in range(q.n):
-            e = np.zeros(q.n, dtype=np.int64)
-            e[i] = 1
-            frobq[i] = q.pow_el(e, q.p)
+        frobq = _frobenius_rows(q)
         fixed = linalg.kernel((frobq - np.eye(q.n, dtype=np.int64)) % q.p, q.p, 1)
         factors = fixed.shape[0]
         return {
@@ -374,6 +357,22 @@ class FiniteRing:
             if c > self.n * self.k + 2:
                 raise InvariantViolation("radical power chain does not terminate")
         return c
+
+
+def _row_products(xs: np.ndarray, mats: np.ndarray, m: int) -> np.ndarray:
+    """xs[s] @ mats[s] mod m for each row s: one ring product per row."""
+    return np.matmul(xs[:, None, :], mats)[:, 0] % m
+
+
+def _frobenius_rows(r: FiniteRing) -> np.ndarray:
+    """Rows e_i^p mod p for every basis vector e_i of r."""
+    out, b, e = np.tile(r.one, (r.n, 1)), np.eye(r.n, dtype=np.int64), r.p
+    while e:  # square and multiply, all basis vectors at once
+        left = r.mul_matrix(b)
+        if e & 1:
+            out = _row_products(out, left, r.char)
+        b, e = _row_products(b, left, r.char), e >> 1
+    return out % r.p
 
 
 class Ideal:
@@ -443,8 +442,7 @@ class Ideal:
         r = self.ring
         if self.is_zero() or other.is_zero():
             return Ideal(r, np.zeros((0, r.n), dtype=np.int64), _closed=True)
-        prods = np.einsum("ai,bj,ijl->abl", self.basis, other.basis, r.table)
-        return Ideal(r, prods.reshape(-1, r.n) % r.char, _closed=True)
+        return Ideal(r, r.mul_outer(self.basis, other.basis).reshape(-1, r.n), _closed=True)
 
     def power(self, e: int) -> "Ideal":
         if e < 1:

@@ -37,6 +37,7 @@ from . import gma as gma_mod
 from . import groups, ordinary, psrep, serialize, towers
 from .errors import InputError
 from .rings import DvrModel, RingMap, field_ring, truncated_poly_ring, zmod_ring
+from .serialize import int_field
 
 __all__ = [
     "BUILTIN",
@@ -88,21 +89,21 @@ class Report:
 def _build_ring(spec: dict):
     kind = spec.get("kind")
     if kind == "field":
-        return field_ring(int(spec["p"]), int(spec.get("e", 1)))
+        return field_ring(int_field(spec, "p"), int_field(spec, "e", 1))
     if kind == "zmod":
-        return zmod_ring(int(spec["p"]), int(spec.get("k", 1)))
+        return zmod_ring(int_field(spec, "p"), int_field(spec, "k", 1))
     if kind == "poly":
         base = _build_ring(spec["base"])
-        return truncated_poly_ring(base, int(spec["trunc"]))
+        return truncated_poly_ring(base, int_field(spec, "trunc"))
     raise InputError(f"unknown ring kind {kind!r}")
 
 
 def _build_group(spec: dict):
     kind = spec.get("kind")
     if kind == "cyclic":
-        grp = groups.cyclic_group(int(spec["n"]))
+        grp = groups.cyclic_group(int_field(spec, "n"))
     elif kind == "dihedral":
-        grp = groups.dihedral_group(int(spec["n"]))
+        grp = groups.dihedral_group(int_field(spec, "n"))
     elif kind == "sym3":
         grp = groups.symmetric_3()
     else:
@@ -117,8 +118,8 @@ def _build_char(spec, grp, ring, name="chi"):
     if kind == "trivial":
         return groups.trivial_char(grp, ring, name=name)
     if kind == "power":
-        value = ring.from_int(int(spec["value"]))
-        return groups.cyclic_char(grp, ring, int(spec.get("gen", 1)), value, name=name)
+        value = ring.from_int(int_field(spec, "value"))
+        return groups.cyclic_char(grp, ring, int_field(spec, "gen", 1), value, name=name)
     raise InputError(f"unknown character kind {kind!r}")
 
 
@@ -215,9 +216,9 @@ class _State:
     def _make_tower(self):
         body = self.sc.body
         d = body["dvr"]
-        lam = DvrModel(int(d["p"]), int(d.get("e", 1)), int(d["trunc"]))
+        lam = DvrModel(int_field(d, "p"), int_field(d, "e", 1), int_field(d, "trunc"))
         self.cache["lam"] = lam
-        return towers.build_eisenstein_tower(lam, int(body["r"]), body["h"])
+        return towers.build_eisenstein_tower(lam, int_field(body, "r"), body["h"])
 
 
 # ---- stages ----------------------------------------------------------

@@ -42,6 +42,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "SCENARIO_SCHEMA",
     "canonical_json",
+    "int_field",
     "parse_scenario_text",
     "render_text",
     "sha256_text",
@@ -82,6 +83,16 @@ class _Fields(dict):
 
     def __missing__(self, key):
         raise InputError(f"{self.where}: missing field {self.path + str(key)!r}")
+
+
+def int_field(obj: dict, key: str, default: int | None = None) -> int:
+    """obj[key] (or `default` when given and absent); a value that is not an
+    integer is an InputError naming the scenario and the field path."""
+    v = obj[key] if default is None else obj.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        where, path = getattr(obj, "where", "<scenario>"), getattr(obj, "path", "")
+        raise InputError(f"{where}: field {path + key!r} must be an integer, got {v!r}")
+    return v
 
 
 def _fields(x, where: str, path: str = ""):

@@ -62,6 +62,7 @@ from .rings import (
     quotient_ring,
     truncated_poly_ring,
 )
+from .serialize import int_field
 
 __all__ = [
     "AugmentedAlgebra",
@@ -498,11 +499,11 @@ def _h_level(lam: DvrModel, h_spec: dict) -> AugmentedAlgebra:
     if kind == "plane":
         return base_algebra(lam)
     if kind == "branch":
-        return branch_algebra(lam, int(h_spec["m"]))
+        return branch_algebra(lam, int_field(h_spec, "m"))
     if kind == "axes":
-        return axis_algebra(lam, int(h_spec["s"]))
+        return axis_algebra(lam, int_field(h_spec, "s"))
     if kind == "mod":
-        quot = lam.quotient_mod_t(int(h_spec["j"]))
+        quot = lam.quotient_mod_t(int_field(h_spec, "j"))
         # rejected here: the quotient is torsion as a base module
         _free_basis(lam, quot.ring, quot.proj)
         raise InvariantViolation("torsion quotient slipped past the freeness check")

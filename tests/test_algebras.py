@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exalg import algebras, groups, linalg, rings
 from exalg.errors import InputError, InvariantViolation
@@ -157,3 +159,32 @@ def test_scalar_action_matches_base():
         lhs = e.amul(F7.mul(a, b), x)
         rhs = e.amul(a, e.amul(b, x))
         assert np.array_equal(lhs, rhs)
+
+
+M5 = algebras.matrix_algebra(Z25, 5)  # dimension 25, past the full check limit of 24
+OFF_DIAGONAL = [i for i in range(25) if i % 6]  # E_ab with a != b leave the unit's rows alone
+
+
+@given(
+    i=st.sampled_from(OFF_DIAGONAL),
+    j=st.sampled_from(OFF_DIAGONAL),
+    l=st.integers(0, 24),
+    delta=st.integers(1, 24),
+)
+@settings(max_examples=20, deadline=None)
+def test_sampled_associativity_catches_one_corrupt_constant(i, j, l, delta):
+    table = M5.table.copy()
+    table[i, j, l] = (table[i, j, l] + delta) % 25
+    bad = algebras.AssocAlgebra(5, 2, table, M5.one, Z25, M5.base_embed)
+    try:
+        bad.check_algebra(full_limit=25)
+    except InvariantViolation as e:
+        assert str(e) == "associativity fails"
+    else:
+        return  # this corruption happens to keep the algebra associative
+    with pytest.raises(InvariantViolation, match="associativity fails on sample"):
+        bad.check_algebra(rng_seed=0)
+
+
+def test_sampled_associativity_accepts_an_algebra_past_the_full_limit():
+    M5.check_algebra(rng_seed=0)

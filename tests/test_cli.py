@@ -202,6 +202,21 @@ def test_missing_scenario_field_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "missing field 'kappa.value'" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "name,edit,field",
+    [
+        ("diag-ordinary", lambda d: d["ring"].update(p="five"), "'ring.p' must be an integer, got 'five'"),
+        ("diag-ordinary", lambda d: d["kappa"].update(gen=[1]), "'kappa.gen' must be an integer, got [1]"),
+        ("plane-tower-r2", lambda d: d["dvr"].update(trunc=None), "'dvr.trunc' must be an integer, got None"),
+    ],
+)
+def test_wrong_type_scenario_field_is_input_error(tmp_path, capsys, name, edit, field):
+    path = _bundled_variant(tmp_path, name, edit)
+    assert cli.main(["pipeline", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{name}: field {field}" in err and err.count("\n") == 1
+
+
 def test_internal_key_error_is_not_an_input_error(monkeypatch):
     def broken(st):
         return {}["not-a-scenario-field"]

@@ -6,10 +6,13 @@ double-annihilator computation and the Fitting machinery are checked against
 direct elementwise definitions built on that primitive.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exalg import linalg, modules, rings
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
@@ -250,3 +253,45 @@ def test_det_identity_and_budget():
         modules.ring_det(T3, np.zeros((7, 7, 3), dtype=np.int64))
     with pytest.raises(BudgetExceeded):
         modules.fitting_ideal(F5, np.zeros((30, 4, 1), dtype=np.int64), budget=10)
+
+
+# ---- the shared minor sweep against a permutation sum ----------------
+
+NONLOCAL = rings.product_ring(F5, F25, name="F5xF25")
+
+
+def permutation_det(r, mat):
+    """Determinant as the sum over permutations of signed ring products."""
+    acc = r.zero()
+    for perm in itertools.permutations(range(mat.shape[0])):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = r.one.copy()
+        for i, j in enumerate(perm):
+            term = r.mul(term, mat[i, j])
+        acc = r.add(acc, r.smul((-1) ** inversions, term))
+    return acc
+
+
+def _random_rows(data, r, rels, g):
+    entries = st.lists(st.integers(0, r.char - 1), min_size=rels * g * r.n, max_size=rels * g * r.n)
+    return np.array(data.draw(entries), dtype=np.int64).reshape(rels, g, r.n)
+
+
+@pytest.mark.parametrize("r", [T3, Z25, F25, NONLOCAL], ids=lambda r: r.name)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_ring_det_matches_permutation_sum(r, data):
+    g = data.draw(st.integers(0, 5))
+    mat = _random_rows(data, r, g, g)
+    assert np.array_equal(modules.ring_det(r, mat), permutation_det(r, mat))
+
+
+@pytest.mark.parametrize("r", [T3, Z25, F25, NONLOCAL], ids=lambda r: r.name)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_fitting_gens_are_the_minors_in_combinations_order(r, data):
+    g = data.draw(st.integers(1, 3))
+    rels = data.draw(st.integers(g, g + 3))
+    pres = _random_rows(data, r, rels, g)
+    want = [permutation_det(r, pres[list(c)]) for c in itertools.combinations(range(rels), g)]
+    assert np.array_equal(modules.fitting_ideal(r, pres).gens, np.array(want))

@@ -4,6 +4,8 @@ Every oracle here works by enumerating elements and multiplying them out,
 never through the Howell/Smith machinery under test.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -562,3 +564,112 @@ def test_fiber_product_table_matches_per_pair_solves(h_spec):
             assert np.array_equal(ring.table[i, j], coeff) and np.array_equal(ring.table[j, i], coeff)
     one = linalg.solve_left(basis, np.concatenate([a_ring.one, b_ring.one]), 5, 1)
     assert np.array_equal(ring.one, one)
+
+
+# ---- batched contractions against per-element products ---------------
+
+PRODUCT_RING = rings.product_ring(F5, F25, name="F5xF25")
+BATCH_RINGS = [T3, Z25, F25, F27, Z25Y, PRODUCT_RING]
+
+
+@pytest.mark.parametrize("r", BATCH_RINGS, ids=lambda r: r.name)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_mul_ideal_matches_per_pair_mul(r, data):
+    def ideal():
+        rows = data.draw(
+            st.lists(st.lists(st.integers(0, r.char - 1), min_size=r.n, max_size=r.n), max_size=3)
+        )
+        return rings.Ideal(r, np.array(rows, dtype=np.int64).reshape(-1, r.n))
+
+    a, b = ideal(), ideal()
+    prod = a.mul_ideal(b)
+    want = np.array([r.mul(x, y) for x in a.basis for y in b.basis], dtype=np.int64)
+    assert np.array_equal(prod.gens, want.reshape(-1, r.n))
+
+
+@pytest.mark.parametrize("r", BATCH_RINGS, ids=lambda r: r.name)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_frobenius_matrix_matches_per_vector_pow(r, data):
+    step = rings._frobenius_rows(r)
+    for i in range(r.n):
+        e = np.zeros(r.n, dtype=np.int64)
+        e[i] = 1
+        assert np.array_equal(step[i], r.pow_el(e, r.p) % r.p)
+    # x -> x^p is F_p-linear mod p, so its powers are matrix powers
+    x = np.array(data.draw(st.lists(st.integers(0, r.char - 1), min_size=r.n, max_size=r.n)))
+    mm = data.draw(st.integers(1, 3))
+    frob = np.eye(r.n, dtype=np.int64)
+    for _ in range(mm):
+        frob = (frob @ step) % r.p
+    assert np.array_equal((x @ frob) % r.p, r.pow_el(x, r.p**mm) % r.p)
+
+
+T21 = rings.truncated_poly_ring(Z25, 21, name="Z25[t]/t^21")
+
+
+@given(
+    i=st.integers(1, 20), j=st.integers(1, 20), l=st.integers(0, 20), delta=st.integers(1, 24)
+)
+@settings(max_examples=20, deadline=None)
+def test_sampled_associativity_catches_one_corrupt_constant(i, j, l, delta):
+    table = T21.table.copy()
+    table[i, j, l] = table[j, i, l] = (table[i, j, l] + delta) % 25  # still commutative
+    bad = rings.FiniteRing(5, 2, table, T21.one)
+    try:
+        bad.check_ring(full_limit=21)
+    except InvariantViolation as e:
+        assert str(e) == "associativity fails"
+    else:
+        return  # this corruption happens to keep the ring associative
+    with pytest.raises(InvariantViolation, match="associativity fails on sample"):
+        bad.check_ring(rng_seed=0)
+
+
+# ---- exactness guard ------------------------------------------------
+
+
+def _odd_prime_power(m):
+    """(p, k) with m = p^k for an odd prime p, else None."""
+    if m < 3 or m % 2 == 0:
+        return None
+    p = 3
+    while p * p <= m and m % p:
+        p += 2
+    if m % p:
+        p = m
+    k = 0
+    while m % p == 0:
+        m //= p
+        k += 1
+    return (p, k) if m == 1 else None
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_exactness_guard_boundary(n):
+    lo, hi = 0, 2**22  # n^2 d^3 < 2^63 holds at d = lo and fails at d = hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if n * n * mid**3 < 2**63 else (lo, mid)
+    top = lo + 1  # the largest modulus m with n^2 (m - 1)^3 < 2^63
+    accepted = next(_odd_prime_power(m) for m in range(top, 2, -1) if _odd_prime_power(m))
+    rejected = next(_odd_prime_power(m) for m in itertools.count(top + 1) if _odd_prime_power(m))
+    p, k = accepted
+    m = p**k
+    table = np.full((n, n, n), m - 1, dtype=np.int64)
+    one = np.zeros(n, dtype=np.int64)
+    one[0] = 1
+    r = rings.FiniteRing(p, k, table, one)
+    x = np.full(n, m - 1, dtype=np.int64)
+    want = [n * n * (m - 1) ** 3 % m] * n  # the Python-int product
+    assert r.mul(x, x).tolist() == want
+    assert r.mul_outer(x[None], x[None])[0, 0].tolist() == want
+    with pytest.raises(InputError, match="exact int64"):
+        rings.FiniteRing(rejected[0], rejected[1], table, one)
+
+
+@pytest.mark.parametrize("p,k", [(5, 20), (1000003, 2)])
+def test_exactness_guard_rejects_large_moduli(p, k):
+    with pytest.raises(InputError, match="exact int64"):
+        rings.zmod_ring(p, k)
