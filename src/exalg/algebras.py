@@ -9,13 +9,11 @@ Ideal class does not apply here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
 from .errors import InputError, InvariantViolation
-from .rings import FiniteRing, RingMap, _QuotientPresentation
+from .rings import FiniteRing, QuotientRing, RingMap, _smith_quotient
 
 __all__ = [
     "AssocAlgebra",
@@ -158,73 +156,43 @@ def two_sided_ideal_rows(alg: AssocAlgebra, gens) -> np.ndarray:
     rows = np.asarray(gens, dtype=np.int64).reshape(-1, n) % alg.char
     if n == 0 or rows.shape[0] == 0:
         return np.zeros((0, n), dtype=np.int64)
-    h = linalg.howell_form(rows, alg.p, alg.k, ncols=n)
-    while h.shape[0]:
+
+    def left_and_right(h):
         left = np.einsum("ri,ail->ral", h, alg.table).reshape(-1, n) % alg.char
-        right = np.einsum("ri,ial->ral", h, alg.table).reshape(-1, n) % alg.char
-        h2 = linalg.howell_form(np.vstack([h, left, right]), alg.p, alg.k, ncols=n)
-        if linalg.span_equal(h, h2):
-            return h
-        h = h2
-    return h
+        return np.vstack([left, alg.orbit(h)])
+
+    return linalg.howell_closure(rows, alg.p, alg.k, n, left_and_right)
 
 
 def subalgebra_closure(alg: AssocAlgebra, gens, with_one: bool = True) -> np.ndarray:
     """Howell basis of the unital subalgebra spanned by `gens`."""
-    n = alg.n
     rows = [np.asarray(g, dtype=np.int64) % alg.char for g in gens]
     if with_one:
         rows = [alg.one.copy()] + rows
-    h = linalg.howell_form(np.array(rows), alg.p, alg.k, ncols=n)
-    while True:
-        prods = np.einsum("ai,bj,ijl->abl", h, h, alg.table).reshape(-1, n) % alg.char
-        h2 = linalg.howell_form(np.vstack([h, prods]), alg.p, alg.k, ncols=n)
-        if linalg.span_equal(h, h2):
-            return h
-        h = h2
+    return linalg.howell_closure(
+        np.array(rows), alg.p, alg.k, alg.n, lambda h: alg.mul_outer(h, h).reshape(-1, alg.n)
+    )
 
 
 # ---- quotients -------------------------------------------------------
 
 
-@dataclass(eq=False)
-class AlgebraQuotient:
-    algebra: AssocAlgebra
-    pres: _QuotientPresentation
-    proj_matrix: np.ndarray
+class AlgebraQuotient(QuotientRing):
+    """The `QuotientRing` bundle of an algebra quotient; `algebra` is its ring."""
 
-    def proj(self, x) -> np.ndarray:
-        return self.pres.proj(x)
-
-    def lift(self, c) -> np.ndarray:
-        return self.pres.lift(c)
+    @property
+    def algebra(self) -> AssocAlgebra:
+        return self.ring
 
 
 def quotient_algebra(alg: AssocAlgebra, ideal_rows, name: str | None = None) -> AlgebraQuotient:
     """Quotient by a two-sided ideal given as (already closed) Howell rows."""
     rows = np.asarray(ideal_rows, dtype=np.int64).reshape(-1, alg.n) % alg.char
-    pres = _QuotientPresentation.build(
-        alg.p, alg.k, alg.table, alg.one, rows, name=name or f"{alg.name}/J"
-    )
-    proj_mat = pres.proj_matrix(alg.n)
-    embed = (alg.base_embed @ proj_mat) % pres.ring.char
-    out = AssocAlgebra(
-        pres.ring.p,
-        pres.ring.k,
-        pres.ring.table,
-        pres.ring.one,
-        alg.base,
-        embed,
-        labels=None,
-        name=pres.ring.name,
-    )
+    new_k, table, one, proj, lift = _smith_quotient(alg.p, alg.k, alg.table, alg.one, rows)
+    embed = (alg.base_embed @ proj) % alg.p**new_k
+    out = AssocAlgebra(alg.p, new_k, table, one, alg.base, embed, name=name or f"{alg.name}/J")
     out.check_algebra()
-    quot = AlgebraQuotient(out, pres, proj_mat)
+    quot = AlgebraQuotient(out, RingMap(alg, out, proj, name="proj"), lift)
     # the projection must be multiplicative: two-sidedness of the input rows
-    if alg.n and out.n:
-        lhs = np.einsum("ijx,xl->ijl", alg.table, proj_mat) % out.char
-        imgs = proj_mat
-        rhs = np.einsum("ix,jy,xyl->ijl", imgs, imgs, out.table) % out.char
-        if not np.array_equal(lhs, rhs):
-            raise InvariantViolation("quotient projection is not multiplicative")
+    quot.proj.check_hom()
     return quot

@@ -33,7 +33,15 @@ from . import linalg
 from .algebras import AlgebraQuotient, AssocAlgebra, quotient_algebra, two_sided_ideal_rows
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .groups import GroupChar
-from .psrep import ExtendedPsrep, Pseudorep2, _min_generating_set, psrep_base_change, residual_split
+from .psrep import (
+    ExtendedPsrep,
+    Pseudorep2,
+    _character_split,
+    _min_generating_set,
+    _trace_radical,
+    psrep_base_change,
+    residual_split,
+)
 from .rings import FiniteRing, Ideal, RingMap, quotient_ring
 
 __all__ = [
@@ -103,19 +111,7 @@ class ChAlgebra:
 
     def kernel_rows(self) -> np.ndarray:
         """Radical of the trace pairing; the determinant law must die on it."""
-        al = self.algebra
-        if al.n == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        eye = np.eye(al.n, dtype=np.int64)
-        cols = [(al.right_mul_matrix(e) @ self.t_matrix) % al.char for e in eye]
-        rows = linalg.kernel(np.hstack(cols), al.p, al.k)
-        for i, u in enumerate(rows):
-            if self.d_el(u).any():
-                raise InvariantViolation("determinant law survives on the trace radical")
-            for v in rows[i:]:
-                if self.b_d(u, v).any():
-                    raise InvariantViolation("polarized determinant survives on the trace radical")
-        return rows
+        return _trace_radical(self.algebra, self.t_matrix)
 
     def verify(self, rng_seed: int = 0, samples: int = 100) -> None:
         """Identity on basis pairs (bilinearity covers the rest) plus random spot checks."""
@@ -161,29 +157,33 @@ def ch_quotient(psr: Pseudorep2, name: str | None = None) -> ChAlgebra:
     if rows.shape[0] and ((rows @ ext.t_matrix) % a.char).any():
         raise InvariantViolation("trace does not vanish on the Cayley-Hamilton ideal")
     quot = quotient_algebra(E, rows, name=name or f"CH({psr.name})")
-    ebar = quot.algebra
-    if ebar.char != E.char:
+    if quot.algebra.char != E.char:
         # t(1) = 2 is a unit, so the image of 1 keeps full additive order;
         # a characteristic drop would contradict the vanishing check above
         raise InvariantViolation("Cayley-Hamilton quotient dropped the characteristic")
+    return _ch_algebra(psr, E, ext.t_matrix, quot)
+
+
+def _ch_algebra(psr: Pseudorep2, E: AssocAlgebra, t_e: np.ndarray, quot: AlgebraQuotient) -> ChAlgebra:
+    """The ChAlgebra on `quot`, a quotient of E = A[G] on which the trace
+    t_e of E vanishes; t_e descends along the lift, the group images are
+    the projections of the group elements, and both are verified."""
+    ebar, a = quot.algebra, psr.ring
     if ebar.n and linalg.kernel(ebar.base_embed, ebar.p, ebar.k).shape[0]:
         raise InvariantViolation("base does not embed into the quotient")
-    tbar = np.zeros((ebar.n, a.n), dtype=np.int64)
-    eyebar = np.eye(ebar.n, dtype=np.int64)
-    for i in range(ebar.n):
-        tbar[i] = ext.t_el(quot.lift(eyebar[i]))
-    m = psr.group.m
-    rho = np.zeros((m, ebar.n), dtype=np.int64)
-    for g in range(m):
-        vec = np.zeros(E.n, dtype=np.int64)
-        vec[g * a.n : (g + 1) * a.n] = a.one
-        rho[g] = quot.proj(vec)
-    ch = ChAlgebra(psr, a, E, ebar, quot, tbar, rho)
+    rho = (a.one @ quot.proj.matrix.reshape(psr.group.m, a.n, ebar.n)) % ebar.char
+    ch = ChAlgebra(psr, a, E, ebar, quot, (quot.lift_matrix @ t_e) % a.char, rho)
     ch.verify()
-    for g in range(m):
-        if not np.array_equal(ch.t_el(rho[g]), psr.t[g]):
-            raise InvariantViolation("trace of a group image changed in the quotient")
+    if not np.array_equal((rho @ ch.t_matrix) % a.char, psr.t):
+        raise InvariantViolation("trace of a group image changed in the quotient")
     return ch
+
+
+def _pushforward(ch: ChAlgebra, f: RingMap, quot: AlgebraQuotient) -> np.ndarray:
+    """Matrix taking coordinates of ch to those of `quot`, a quotient of
+    f.dst[G]: lift to A[G], apply f coefficientwise, project."""
+    lifted = ch.quot.lift_matrix.reshape(ch.nbar, ch.psr.group.m, ch.base.n) @ f.matrix
+    return (lifted.reshape(ch.nbar, -1) % f.dst.char @ quot.proj.matrix) % quot.algebra.char
 
 
 def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None):
@@ -196,25 +196,10 @@ def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None):
     if f.src is not ch.base:
         raise InputError("base change map must start at the coefficient ring")
     down = ch_quotient(psrep_base_change(ch.psr, f), name=name)
-    a, b = ch.base, f.dst
-    m = ch.psr.group.m
-    connect = np.zeros((ch.nbar, down.nbar), dtype=np.int64)
-    eye = np.eye(ch.nbar, dtype=np.int64)
-    for i in range(ch.nbar):
-        blocks = ch.quot.lift(eye[i]).reshape(m, a.n)
-        mapped = np.array([f(blk) for blk in blocks]).reshape(m * b.n)
-        connect[i] = down.quot.proj(mapped)
-    dal = down.algebra
-    if ch.nbar and not np.array_equal((ch.algebra.one @ connect) % dal.char, dal.one):
-        raise InvariantViolation("base change does not preserve 1")
-    for i in range(ch.nbar):
-        for j in range(ch.nbar):
-            lhs = (ch.algebra.mul(eye[i], eye[j]) @ connect) % dal.char
-            if not np.array_equal(lhs, dal.mul(connect[i], connect[j])):
-                raise InvariantViolation("base change is not multiplicative")
-    for g in range(m):
-        if not np.array_equal((ch.rho_mat[g] @ connect) % dal.char, down.rho_mat[g]):
-            raise InvariantViolation("base change does not intertwine the group images")
+    connect = _pushforward(ch, f, down.quot)
+    RingMap(ch.algebra, down.algebra, connect, name="connect").check_hom()
+    if not np.array_equal((ch.rho_mat @ connect) % down.algebra.char, down.rho_mat):
+        raise InvariantViolation("base change does not intertwine the group images")
     return down, connect
 
 
@@ -222,6 +207,7 @@ def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None):
 
 
 def _trace_one_idempotents(ch: ChAlgebra, budget: int) -> list[np.ndarray]:
+    """Every trace-1 idempotent, sorted; none is 0 (trace 0) or 1 (trace 2)."""
     al = ch.algebra
     out = [
         x
@@ -293,11 +279,7 @@ def lift_idempotents(
             raise InvariantViolation("no residual idempotent matches the split characters")
     else:
         source = "matrix-residual"
-        cands = [
-            e
-            for e in _trace_one_idempotents(ch_res, budget)
-            if e.any() and not np.array_equal(e, ch_res.algebra.one)
-        ]
+        cands = _trace_one_idempotents(ch_res, budget)
         if not cands:
             return {
                 "supported": False,
@@ -307,22 +289,9 @@ def lift_idempotents(
                 "residual": split,
             }
         target = cands[0]
-    al = ch.algebra
-    x = linalg.solve_left(connect, target, al.p, ch_res.algebra.k)
-    if x is None:
-        raise InvariantViolation("residual idempotent has no preimage")
-    x = x % al.char
-    iters = 0
-    while not np.array_equal(al.mul(x, x), x):
-        x2 = al.mul(x, x)
-        x = al.sub(al.smul(3, x2), al.smul(2, al.mul(x2, x)))
-        iters += 1
-        if iters > max_iter:
-            raise InvariantViolation("idempotent iteration failed to converge")
-    e1 = x
-    e2 = al.sub(al.one, e1)
-    if not np.array_equal((e1 @ connect) % ch_res.algebra.char, target):
-        raise InvariantViolation("lifted idempotent drifted from its residual class")
+    span = linalg.FactoredSpan.factor(connect, ch.algebra.p, ch_res.algebra.k)
+    e1, iters = _newton_lift(ch, ch_res, connect, span, target, max_iter)
+    e2 = ch.algebra.sub(ch.algebra.one, e1)
     if not np.array_equal(ch.t_el(e1), a.one) or not np.array_equal(ch.t_el(e2), a.one):
         raise InvariantViolation("lifted idempotents do not have unit trace")
     return {
@@ -334,6 +303,27 @@ def lift_idempotents(
         "iterations": iters,
         "residual": split,
     }
+
+
+def _newton_lift(ch: ChAlgebra, ch_res: ChAlgebra, connect, span, target, max_iter: int = 64):
+    """(e, iterations): a preimage of the residual idempotent `target` under
+    `connect` (factored once as `span`), refined by e <- 3e^2 - 2e^3 until
+    idempotent and checked to stay in the class of `target`."""
+    al = ch.algebra
+    x, ok = span.solve(target)
+    if not ok:
+        raise InvariantViolation("residual idempotent has no preimage")
+    x = x % al.char
+    iters = 0
+    while not np.array_equal(al.mul(x, x), x):
+        x2 = al.mul(x, x)
+        x = al.sub(al.smul(3, x2), al.smul(2, al.mul(x2, x)))
+        iters += 1
+        if iters > max_iter:
+            raise InvariantViolation("idempotent iteration failed to converge")
+    if not np.array_equal((x @ connect) % ch_res.algebra.char, target):
+        raise InvariantViolation("lifted idempotent drifted from its residual class")
+    return x, iters
 
 
 # ---- generalized matrix algebra coordinates -------------------------
@@ -572,54 +562,8 @@ def split_as_characters(psr: Pseudorep2, budget: int = 200000) -> dict:
         cost *= len(roots)
         if cost > budget:
             raise BudgetExceeded(f"{cost} root combinations exceed the budget")
-    found: list[tuple] = []
-    for combo in itertools.product(*per_gen):
-        assign = dict(zip(gens, combo))
-        chi = {grp.identity: r.one.copy()}
-        frontier = [grp.identity]
-        ok = True
-        while frontier and ok:
-            nxt = []
-            for aidx in frontier:
-                for g in gens:
-                    c = grp.mul(aidx, g)
-                    val = r.mul(chi[aidx], assign[g])
-                    if c in chi:
-                        if not np.array_equal(chi[c], val):
-                            ok = False
-                            break
-                    else:
-                        chi[c] = val
-                        nxt.append(c)
-                if not ok:
-                    break
-            frontier = nxt
-        if not ok:
-            continue
-        good = all(
-            r.is_unit(chi[g])
-            and not r.sub(psr.t[g], r.add(chi[g], r.mul(psr.d[g], r.inv(chi[g])))).any()
-            for g in grp.elements()
-        )
-        if not good:
-            continue
-        chi2 = {g: r.mul(psr.d[g], r.inv(chi[g])) for g in grp.elements()}
-        key1 = tuple(int(c) for g in grp.elements() for c in chi[g])
-        key2 = tuple(int(c) for g in grp.elements() for c in chi2[g])
-        pair = (min(key1, key2), max(key1, key2))
-        if pair not in found:
-            found.append(pair)
-    if not found:
-        return {"split": False, "trivial": False, "chars": None, "pairs_found": 0}
-    best = sorted(found)[0]
-    n = r.n
-    chars = []
-    for key in best:
-        vals = {g: np.array(key[g * n : (g + 1) * n], dtype=np.int64) for g in grp.elements()}
-        c = GroupChar(grp, r, vals, name="chi")
-        c.check()
-        chars.append(c)
-    return {"split": True, "trivial": False, "chars": tuple(chars), "pairs_found": len(found)}
+    chars, count = _character_split(psr, gens, per_gen)
+    return {"split": chars is not None, "trivial": False, "chars": chars, "pairs_found": count}
 
 
 def reducibility_ideal(gma: GmaAlgebra) -> dict:

@@ -36,6 +36,9 @@ class MarkedGroup:
         self.names = list(names) if names is not None else [f"g{i}" for i in range(m)]
         if len(self.names) != m:
             raise InputError("need one name per element")
+        for label, marks in (("dp", dp), ("ip", ip)):
+            if marks is not None and not set(marks) <= set(range(m)):
+                raise InputError(f"marks {label} must be group elements in range({m}), got {sorted(set(marks))}")
         self.dp = tuple(sorted(set(dp))) if dp is not None else None
         self.ip = tuple(sorted(set(ip))) if ip is not None else None
         self.check_group()

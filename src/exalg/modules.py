@@ -35,7 +35,12 @@ def _right_kernel_rows(rows: np.ndarray, p: int, k: int) -> np.ndarray:
 
 
 class FinModule:
-    """R^g modulo an R-stable additive relation span."""
+    """R^g modulo an R-stable additive relation span.
+
+    With `check` the relation rows are Howell-reduced and their span is
+    verified R-stable; without it they must already be the Howell basis
+    of an R-stable span, as the builders below hand over.
+    """
 
     def __init__(self, ring: FiniteRing, gens_count: int, relations, check: bool = True):
         self.ring = ring
@@ -45,18 +50,15 @@ class FinModule:
             rows = np.zeros((0, 0), dtype=np.int64)
         else:
             rows = np.asarray(relations, dtype=np.int64).reshape(-1, width) % ring.char
-        self.relations = linalg.howell_form(rows, ring.p, ring.k, ncols=width)
+        self.relations = linalg.howell_form(rows, ring.p, ring.k, ncols=width) if check else rows
         if check and self.relations.shape[0] and ring.n:
             self._check_stable()
 
     def _check_stable(self):
         r = self.ring
-        blocks = self.relations.reshape(-1, self.g, r.n)
         # one pass of the full ring action must stay inside the span
-        prods = np.einsum("rgi,ijl->jrgl", blocks, r.table) % r.char
-        prods = prods.reshape(-1, self.g * r.n)
         combined = linalg.howell_form(
-            np.vstack([self.relations, prods]), r.p, r.k, ncols=self.g * r.n
+            np.vstack([self.relations, r.orbit(self.relations, self.g)]), r.p, r.k, ncols=self.g * r.n
         )
         if not linalg.span_equal(combined, self.relations):
             raise InvariantViolation("relation span is not stable under the ring action")
@@ -70,16 +72,7 @@ class FinModule:
         rels, g, n = pres.shape
         rows = pres.reshape(rels, g * n) % ring.char
         # close the additive span under the ring action
-        h = linalg.howell_form(rows, ring.p, ring.k, ncols=g * n)
-        while h.shape[0]:
-            blocks = h.reshape(-1, g, n)
-            prods = np.einsum("rgi,ijl->jrgl", blocks, ring.table) % ring.char
-            h2 = linalg.howell_form(
-                np.vstack([h, prods.reshape(-1, g * n)]), ring.p, ring.k, ncols=g * n
-            )
-            if linalg.span_equal(h, h2):
-                break
-            h = h2
+        h = linalg.howell_closure(rows, ring.p, ring.k, g * n, lambda h: ring.orbit(h, g))
         return FinModule(ring, g, h, check=False)
 
     # ---- size and length --------------------------------------------
@@ -152,7 +145,7 @@ def module_from_ideal_quotient(r: FiniteRing, top: Ideal, bottom: Ideal) -> FinM
     m = gens.shape[0]
     if m == 0:
         return FinModule(r, 0, np.zeros((0, 0), dtype=np.int64), check=False)
-    big = np.vstack([r.mul_matrix(b) for b in gens])  # (m*n, n): x -> sum x_i b_i
+    big = r.mul_matrix(gens).reshape(m * r.n, r.n)  # x -> sum x_i b_i
     rk = _right_kernel_rows(bottom.basis, r.p, r.k) if bottom.basis.shape[0] else np.eye(
         r.n, dtype=np.int64
     )

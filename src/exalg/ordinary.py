@@ -30,12 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebras import group_algebra, quotient_algebra, two_sided_ideal_rows
+from .algebras import quotient_algebra, two_sided_ideal_rows
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .gma import (
     ChAlgebra,
     GmaAlgebra,
+    _ch_algebra,
     _chars_equal,
+    _newton_lift,
+    _pushforward,
     _trace_one_idempotents,
     ch_base_change,
     ch_quotient,
@@ -45,7 +48,6 @@ from .gma import (
 )
 from .groups import GroupChar
 from .psrep import (
-    ExtendedPsrep,
     Pseudorep2,
     psrep_base_change,
     residual_split,
@@ -202,14 +204,6 @@ class OrdinaryQuotient:
         return f"<OrdinaryQuotient {tail}>"
 
 
-def _push_vector(ch: ChAlgebra, base_quot: QuotientRing, down: ChAlgebra, v) -> np.ndarray:
-    """Image of v in the quotient built over base_quot, through A[G] lifts."""
-    grp = ch.psr.group
-    lift = ch.quot.lift(v).reshape(grp.m, ch.base.n)
-    mapped = np.stack([base_quot.proj(b) for b in lift]) if grp.m else lift
-    return down.quot.proj(mapped.reshape(-1))
-
-
 def _quotient_by_pushed(
     ch: ChAlgebra, base_quot: QuotientRing, extra_rows, name: str | None = None
 ):
@@ -222,47 +216,23 @@ def _quotient_by_pushed(
     """
     down = ch_quotient(psrep_base_change(ch.psr, base_quot.proj), name=name)
     abar = base_quot.ring
-    pushed = [_push_vector(ch, base_quot, down, r) for r in np.atleast_2d(extra_rows)] if len(extra_rows) else []
-    rows2 = two_sided_ideal_rows(down.algebra, np.asarray(pushed, dtype=np.int64).reshape(-1, down.algebra.n))
+    pushed = np.reshape(extra_rows, (-1, ch.nbar)) @ _pushforward(ch, base_quot.proj, down.quot)
+    rows2 = two_sided_ideal_rows(down.algebra, pushed % down.algebra.char)
     if rows2.shape[0] and ((rows2 @ down.t_matrix) % abar.char).any():
         raise InvariantViolation("trace survives on the imposed ideal")
     quot2 = quotient_algebra(down.algebra, rows2, name=name)
     if quot2.algebra.char != down.algebra.char and quot2.algebra.n:
         raise InvariantViolation("imposed ideal changes the characteristic")
     # canonical presentation straight from E = Abar[G]
-    p_full = (down.quot.proj_matrix @ quot2.proj_matrix) % max(quot2.algebra.char, 1)
+    p_full = (down.quot.proj.matrix @ quot2.proj.matrix) % max(quot2.algebra.char, 1)
     ker = linalg.kernel(p_full, down.E.p, down.E.k)
     quot_full = quotient_algebra(down.E, ker, name=name)
     if quot_full.algebra.n != quot2.algebra.n:
         raise InvariantViolation("quotient presentations disagree on dimension")
-    if quot_full.algebra.n and linalg.kernel(
-        quot_full.algebra.base_embed, quot_full.algebra.p, quot_full.algebra.k
-    ).shape[0]:
-        raise InvariantViolation("base does not embed into the imposed quotient")
-    nord = quot_full.algebra.n
-    ext = ExtendedPsrep(down.psr, down.E)
-    tmat = np.zeros((nord, abar.n), dtype=np.int64)
-    for i in range(nord):
-        tmat[i] = ext.t_el(quot_full.lift(np.eye(nord, dtype=np.int64)[i]))
-    grp = ch.psr.group
-    rho = np.zeros((grp.m, nord), dtype=np.int64)
-    for g in range(grp.m):
-        u = np.zeros(down.E.n, dtype=np.int64)
-        u[g * abar.n : (g + 1) * abar.n] = abar.one
-        rho[g] = quot_full.proj(u)
-    out = ChAlgebra(down.psr, abar, down.E, quot_full.algebra, quot_full, tmat, rho)
-    out.verify()
-    proj_mat = np.zeros((ch.nbar, nord), dtype=np.int64)
-    for i in range(ch.nbar):
-        proj_mat[i] = _map_through(ch, base_quot, quot_full, i)
-    return down, out, proj_mat
-
-
-def _map_through(ch: ChAlgebra, base_quot: QuotientRing, quot_full, i: int) -> np.ndarray:
-    grp = ch.psr.group
-    lift = ch.quot.lift(np.eye(ch.nbar, dtype=np.int64)[i]).reshape(grp.m, ch.base.n)
-    mapped = np.stack([base_quot.proj(b) for b in lift])
-    return quot_full.proj(mapped.reshape(-1))
+    # the trace of E, read through the Cayley-Hamilton quotient it descends to
+    t_e = (down.quot.proj.matrix @ down.t_matrix) % abar.char
+    out = _ch_algebra(down.psr, down.E, t_e, quot_full)
+    return down, out, _pushforward(ch, base_quot.proj, quot_full)
 
 
 def _star_generators(ctx: OrdinaryContext):
@@ -411,11 +381,7 @@ def is_ordinary_psrep(psr: Pseudorep2, kappa: GroupChar, budget: int = 400000) -
         }
     # matrix residual over the base field: search all residual corners
     ch_res, connect = ch_base_change(ch, resq.proj)
-    cands = [
-        e
-        for e in _trace_one_idempotents(ch_res, budget)
-        if e.any() and not np.array_equal(e, ch_res.algebra.one)
-    ]
+    cands = _trace_one_idempotents(ch_res, budget)
     if not cands:
         return {
             "supported": False,
@@ -426,7 +392,7 @@ def is_ordinary_psrep(psr: Pseudorep2, kappa: GroupChar, budget: int = 400000) -
     checked = 0
     span = linalg.FactoredSpan.factor(connect, ch.algebra.p, ch_res.algebra.k)
     for target in cands:
-        e1 = _newton_lift(ch, ch_res, connect, span, target)
+        e1, _ = _newton_lift(ch, ch_res, connect, span, target)
         checked += 1
         ok, ctx, _ = _ordinary_for_idempotent(ch, kappa, e1)
         if ok:
@@ -446,25 +412,6 @@ def is_ordinary_psrep(psr: Pseudorep2, kappa: GroupChar, budget: int = 400000) -
         "reason": "ordinary base ideal is nonzero for every residual corner",
         "checked": checked,
     }
-
-
-def _newton_lift(ch: ChAlgebra, ch_res: ChAlgebra, connect, span, target, max_iter: int = 64):
-    """Lift a residual idempotent; `span` is `connect` factored once by the caller."""
-    al = ch.algebra
-    x, ok = span.solve(target)
-    if not ok:
-        raise InvariantViolation("residual idempotent has no preimage")
-    x = x % al.char
-    iters = 0
-    while not np.array_equal(al.mul(x, x), x):
-        x2 = al.mul(x, x)
-        x = al.sub(al.smul(3, x2), al.smul(2, al.mul(x2, x)))
-        iters += 1
-        if iters > max_iter:
-            raise InvariantViolation("idempotent iteration failed to converge")
-    if not np.array_equal((x @ connect) % ch_res.algebra.char, target):
-        raise InvariantViolation("lifted idempotent drifted from its residual class")
-    return x
 
 
 # ---- the reducible ordinary quotient --------------------------------
@@ -514,7 +461,7 @@ def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -
         # E_red must be E_ord with the reducibility ideal extended, nothing more
         eo = oq.e_ord
         abar = oq.base_quot.ring
-        jd_bar = Ideal(abar, np.stack([oq.base_quot.proj(r) for r in jd.basis]) if jd.basis.shape[0] else np.zeros((0, abar.n), dtype=np.int64))
+        jd_bar = Ideal(abar, oq.base_quot.proj(jd.basis))
         scaled = [eo.algebra.amul(c, e) for c in jd_bar.basis for e in np.eye(eo.nbar, dtype=np.int64)]
         rows = two_sided_ideal_rows(eo.algebra, np.asarray(scaled, dtype=np.int64).reshape(-1, eo.nbar))
         q = quotient_algebra(eo.algebra, rows)

@@ -20,6 +20,7 @@ InvariantViolation means the input pair was not a pseudorepresentation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,26 +187,13 @@ class MatrixRep2:
     @staticmethod
     def from_generators(group: MarkedGroup, ring: FiniteRing, gen_images: dict, name="rho"):
         """Fill the whole group by products, checking consistency along the way."""
-        images = {group.identity: MatrixRep2._eye(ring)}
-        for g, mat in gen_images.items():
-            images[int(g)] = np.asarray(mat, dtype=np.int64).reshape(2, 2, ring.n) % ring.char
+        gens = {int(g): np.asarray(mat, dtype=np.int64).reshape(2, 2, ring.n) % ring.char
+                for g, mat in gen_images.items()}
         rep = MatrixRep2(group, ring, np.zeros((group.m, 2, 2, ring.n)), name=name)
-        frontier = sorted(images)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in sorted(gen_images):
-                    c = group.mul(a, int(b))
-                    prod = rep.matmul(images[a], images[int(b)])
-                    if c in images:
-                        if not np.array_equal(images[c], prod):
-                            raise InvariantViolation(
-                                f"inconsistent generator images at element {c}"
-                            )
-                    else:
-                        images[c] = prod
-                        nxt.append(c)
-            frontier = nxt
+        order = sorted(gens)
+        images = _multiplicative_fill(group, order, [gens[g] for g in order], MatrixRep2._eye(ring), rep.matmul)
+        if images is None:
+            raise InvariantViolation("inconsistent generator images")
         if len(images) != group.m:
             raise InputError("generator images do not generate the group")
         rep.images = np.array([images[g] for g in range(group.m)])
@@ -293,30 +281,34 @@ class ExtendedPsrep:
 
     def kernel_rows(self) -> np.ndarray:
         """Howell basis of {x : t(x e) = 0 for all e}, verified to kill d~."""
-        E, a = self.E, self.base
-        cols = []
-        for i in range(E.n):
-            e = np.zeros(E.n, dtype=np.int64)
-            e[i] = 1
-            cols.append((E.right_mul_matrix(e) @ self.t_matrix) % a.char)
-        big = np.hstack(cols)
-        rows = linalg.kernel(big, a.p, a.k)
-        # the determinant law must vanish identically on the radical
-        for i, u in enumerate(rows):
-            if self.d_el(u).any():
-                raise InvariantViolation("determinant law does not vanish on the trace radical")
-            for v in rows[i + 1 :]:
-                if self.b_d(u, v).any():
-                    raise InvariantViolation("polarized determinant form survives on the radical")
-        # and the radical is a two-sided ideal
-        for u in rows:
-            for i in range(E.n):
-                e = np.zeros(E.n, dtype=np.int64)
-                e[i] = 1
-                for prod in (E.mul(u, e), E.mul(e, u)):
-                    if not linalg.span_contains(rows, prod, a.p, a.k):
-                        raise InvariantViolation("trace radical is not an ideal")
-        return rows
+        return _trace_radical(self.E, self.t_matrix)
+
+
+def _trace_radical(alg: AssocAlgebra, t_matrix: np.ndarray) -> np.ndarray:
+    """Howell basis of the radical {x : t(x e) = 0 for all e} of the trace
+    t = x @ t_matrix on `alg`.
+
+    The determinant law must vanish on it: d~(u) = 0 and b_d(u, v) = 0 for
+    every pair of basis rows, u = v included; and it must be a two-sided
+    ideal.  Any failure raises InvariantViolation.
+    """
+    a = alg.base
+    if alg.n == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    eye = np.eye(alg.n, dtype=np.int64)
+    cols = [(alg.right_mul_matrix(e) @ t_matrix) % a.char for e in eye]
+    rows = linalg.kernel(np.hstack(cols), alg.p, alg.k)
+    tr = (rows @ t_matrix) % a.char
+    # b_d(u, v) = t(u) t(v) - t(uv) on all pairs of rows, and d~(u) = b_d(u, u) / 2
+    b_d = (a.mul_outer(tr, tr) - alg.mul_outer(rows, rows) @ t_matrix) % a.char
+    if np.diagonal(b_d).any():
+        raise InvariantViolation("determinant law does not vanish on the trace radical")
+    if b_d.any():
+        raise InvariantViolation("polarized determinant form survives on the trace radical")
+    span = linalg.FactoredSpan(rows, alg.p, alg.k)
+    if not (span.contains(alg.mul_outer(rows, eye)).all() and span.contains(alg.mul_outer(eye, rows)).all()):
+        raise InvariantViolation("trace radical is not an ideal")
+    return rows
 
 
 # ---- residual splitting ---------------------------------------------
@@ -342,6 +334,55 @@ def _min_generating_set(grp: MarkedGroup) -> list[int]:
     if len(closure) != grp.m:
         raise InvariantViolation("failed to generate the group")
     return gens
+
+
+def _multiplicative_fill(grp: MarkedGroup, gens: list[int], values, one, mul) -> dict | None:
+    """{g: value} on the subgroup generated by `gens`, extended from `values`
+    at the generators by products `mul`; None when two products disagree."""
+    out = {grp.identity: one}
+    frontier = [grp.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g, x in zip(gens, values):
+                c, val = grp.mul(a, g), mul(out[a], x)
+                if c not in out:
+                    out[c] = val
+                    nxt.append(c)
+                elif not np.array_equal(out[c], val):
+                    return None
+        frontier = nxt
+    return out
+
+
+def _character_split(psr: Pseudorep2, gens: list[int], per_gen: list) -> tuple:
+    """(chars, pairs found): write (t, d) as chi1 + chi2 with chi1 chi2 = d.
+
+    Every choice of chi1 values at the generators `gens`, one from each list
+    of `per_gen`, is filled multiplicatively over the group (a clash drops
+    it) and kept when chi1 is unit-valued and t = chi1 + d / chi1.  `chars`
+    is the lexicographically first pair as checked characters, or None
+    when no choice is kept.
+    """
+    grp, r = psr.group, psr.ring
+    found = set()
+    for values in itertools.product(*per_gen):
+        chi = _multiplicative_fill(grp, gens, values, r.one.copy(), r.mul)
+        if chi is None or not all(r.is_unit(chi[g]) for g in grp.elements()):
+            continue
+        chi2 = {g: r.mul(psr.d[g], r.inv(chi[g])) for g in grp.elements()}
+        if all(np.array_equal(r.add(chi[g], chi2[g]), psr.t[g]) for g in grp.elements()):
+            keys = [tuple(int(c) for g in grp.elements() for c in x[g]) for x in (chi, chi2)]
+            found.add((min(keys), max(keys)))
+    if not found:
+        return None, 0
+    n, chars = r.n, []
+    for key in min(found):
+        vals = {g: np.array(key[g * n : (g + 1) * n], dtype=np.int64) for g in grp.elements()}
+        chi = GroupChar(grp, r, vals, name="chi")
+        chi.check()
+        chars.append(chi)
+    return tuple(chars), len(found)
 
 
 def residual_split(psr: Pseudorep2) -> dict:
@@ -371,61 +412,12 @@ def residual_split(psr: Pseudorep2) -> dict:
         roots.append([(inv2 * (psr.t[g] + s)) % f.char for s in sq])
     # backtracking over a minimal generating set
     gens = _min_generating_set(grp)
-    found: list[tuple[tuple, tuple]] = []
-
-    def words_fill(assign: dict) -> dict | None:
-        """Extend chi multiplicatively from generator values; None on clash."""
-        chi = {grp.identity: f.one.copy()}
-        frontier = [grp.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    c = grp.mul(a, g)
-                    val = f.mul(chi[a], assign[g])
-                    if c in chi:
-                        if not np.array_equal(chi[c], val):
-                            return None
-                    else:
-                        chi[c] = val
-                        nxt.append(c)
-            frontier = nxt
-        return chi
-
-    import itertools
-
-    for combo in itertools.product(*[range(len(roots[g])) for g in gens]):
-        assign = {g: roots[g][i] for g, i in zip(gens, combo)}
-        chi = words_fill(assign)
-        if chi is None:
-            continue
-        # partner character from the determinant
-        chi2 = {g: f.mul(psr.d[g], f.inv(chi[g])) for g in grp.elements()}
-        ok = all(
-            np.array_equal(f.add(chi[g], chi2[g]), psr.t[g]) for g in grp.elements()
-        )
-        if not ok:
-            continue
-        key1 = tuple(int(c) for g in grp.elements() for c in chi[g])
-        key2 = tuple(int(c) for g in grp.elements() for c in chi2[g])
-        pair = (min(key1, key2), max(key1, key2))
-        if pair not in found:
-            found.append(pair)
-    if not found:
+    chars, _ = _character_split(psr, gens, [roots[g] for g in gens])
+    if chars is None:
         return {
             "split": False,
             "unsupported": True,
             "reason": "splits pointwise but admits no multiplicative assignment",
             "chars": None,
         }
-    pair = sorted(found)[0]
-    n = f.n
-    chars = []
-    for key in pair:
-        vals = {
-            g: np.array(key[g * n : (g + 1) * n], dtype=np.int64) for g in grp.elements()
-        }
-        chi = GroupChar(grp, f, vals, name="chi")
-        chi.check()
-        chars.append(chi)
-    return {"split": True, "unsupported": False, "reason": "", "chars": tuple(chars)}
+    return {"split": True, "unsupported": False, "reason": "", "chars": chars}

@@ -206,6 +206,12 @@ class FiniteRing:
         n = self.n
         return (x @ self.table.reshape(n, n * n)).reshape(np.shape(x)[:-1] + (n, n)) % self.char
 
+    def orbit(self, rows, g: int = 1) -> np.ndarray:
+        """Rows v * e_j for each row v of R^g (g blocks of n coordinates) and
+        each basis element e_j; they span the submodule the rows generate."""
+        blocks = np.asarray(rows, dtype=np.int64).reshape(-1, g, self.n)
+        return (np.einsum("rgi,ijl->jrgl", blocks, self.table) % self.char).reshape(-1, g * self.n)
+
     def is_unit(self, x) -> bool:
         if self.n == 0:
             return True  # zero ring: 0 = 1 is invertible
@@ -300,8 +306,7 @@ class FiniteRing:
             else np.zeros((0, n), dtype=np.int64)
         )
         # reduced quotient mod p, then count local factors by Frobenius fixed space
-        quot = _QuotientPresentation.build(self.p, 1, tp, self.one % self.p, nil_modp)
-        q = quot.ring
+        q = FiniteRing(self.p, *_smith_quotient(self.p, 1, tp, self.one % self.p, nil_modp)[:3])
         if q.n == 0:
             raise InvariantViolation("reduced quotient is zero for a nonzero ring")
         frobq = _frobenius_rows(q)
@@ -385,21 +390,7 @@ class Ideal:
         if _closed:
             self.basis = linalg.howell_form(rows, ring.p, ring.k, ncols=ring.n)
         else:
-            self.basis = self._close(rows)
-
-    def _close(self, rows: np.ndarray) -> np.ndarray:
-        r = self.ring
-        if r.n == 0 or rows.shape[0] == 0:
-            return np.zeros((0, r.n), dtype=np.int64)
-        h = linalg.howell_form(rows, r.p, r.k, ncols=r.n)
-        while True:
-            if h.shape[0] == 0:
-                return h
-            prods = np.einsum("ri,ijl->rjl", h, r.table).reshape(-1, r.n) % r.char
-            h2 = linalg.howell_form(np.vstack([h, prods]), r.p, r.k, ncols=r.n)
-            if linalg.span_equal(h, h2):
-                return h
-            h = h2
+            self.basis = linalg.howell_closure(rows, ring.p, ring.k, ring.n, ring.orbit)
 
     # ---- predicates -------------------------------------------------
 
@@ -459,9 +450,7 @@ class Ideal:
             return Ideal(r, np.zeros((0, 0), dtype=np.int64), _closed=True)
         if self.is_zero():
             return Ideal(r, np.eye(r.n, dtype=np.int64), _closed=True)
-        mats = [r.mul_matrix(b) for b in self.basis]
-        stacked = np.hstack(mats)
-        kern = linalg.kernel(stacked, r.p, r.k)
+        kern = linalg.kernel(np.hstack(r.mul_matrix(self.basis)), r.p, r.k)
         return Ideal(r, kern, _closed=True)
 
     def __repr__(self):
@@ -529,96 +518,57 @@ class RingMap:
         return RingMap(r, r, np.eye(r.n, dtype=np.int64), name="id")
 
 
-class _QuotientPresentation:
-    """Coordinates for R/I via a Smith basis of the relation span."""
-
-    def __init__(self, p, k, exps, w, winv, surviving, new_k, ring):
-        self.p, self.k = p, k
-        self.exps, self.w, self.winv = exps, w, winv
-        self.surviving = surviving
-        self.new_k = new_k
-        self.ring = ring
-
-    @staticmethod
-    def build(p, k, table, one, rel_rows, name="quot"):
-        n = one.shape[0]
-        h = linalg.howell_form(rel_rows, p, k, ncols=n)
-        exps, w, winv = smith_form(h, p, k, n)
-        nonzero = sorted({int(e) for e in exps if e > 0})
-        if len(nonzero) > 1:
-            raise NonFreeQuotientError(
-                f"quotient has mixed additive torsion, exponents {sorted(set(map(int, exps)))}"
-            )
-        surviving = [c for c in range(n) if exps[c] > 0]
-        new_k = nonzero[0] if nonzero else 1
-        mq = p**new_k
-        nn = len(surviving)
-
-        def proj_vec(x):
-            y = (np.asarray(x, dtype=np.int64) @ w) % (p**k)
-            return y[surviving] % mq
-
-        def lift_vec(c):
-            y = np.zeros(n, dtype=np.int64)
-            y[surviving] = np.asarray(c, dtype=np.int64) % mq
-            return (y @ winv) % (p**k)
-
-        lifts = np.array([lift_vec(row) for row in np.eye(nn, dtype=np.int64)]) if nn else np.zeros((0, n), dtype=np.int64)
-        if nn:
-            prods = np.einsum("ai,bj,ijl->abl", lifts, lifts, table) % (p**k)
-            new_table = np.zeros((nn, nn, nn), dtype=np.int64)
-            for a in range(nn):
-                for b in range(nn):
-                    new_table[a, b] = proj_vec(prods[a, b])
-            new_one = proj_vec(one)
-        else:
-            new_table = np.zeros((0, 0, 0), dtype=np.int64)
-            new_one = np.zeros(0, dtype=np.int64)
-        ring = FiniteRing(p, new_k, new_table, new_one, name=name)
-        pres = _QuotientPresentation(p, k, exps, w, winv, surviving, new_k, ring)
-        pres._proj_vec = proj_vec
-        pres._lift_vec = lift_vec
-        pres.lifts = lifts
-        return pres
-
-    def proj(self, x):
-        return self._proj_vec(x)
-
-    def lift(self, c):
-        return self._lift_vec(c)
-
-    def proj_matrix(self, n):
-        return np.array([self.proj(row) for row in np.eye(n, dtype=np.int64)]) if n else np.zeros((0, len(self.surviving)), dtype=np.int64)
-
-
 @dataclass(eq=False)
 class QuotientRing:
-    """Result bundle for quotient_ring."""
+    """R/I with its projection and a section of it: lift(c) = c @ lift_matrix.
+
+    `quotient_algebra` returns the same bundle for algebras.
+    """
 
     ring: FiniteRing
     proj: RingMap
-    pres: _QuotientPresentation
+    lift_matrix: np.ndarray
 
-    def lift(self, x) -> np.ndarray:
-        return self.pres.lift(x)
+    def lift(self, c) -> np.ndarray:
+        c = np.asarray(c, dtype=np.int64) % self.ring.char
+        return (c @ self.lift_matrix) % self.proj.src.char
+
+
+def _smith_quotient(p, k, table, one, rel_rows):
+    """(k', table', one', proj, lift) of R/I, R given by (p, k, table, one)
+    and I the span of `rel_rows`.
+
+    Coordinates come from a Smith basis of the relation span: R/I is free
+    over Z/p^k' on the Smith coordinates with a nonzero exponent, `proj`
+    (n, n') keeps those coordinates and `lift` (n', n) puts them back.
+    """
+    n = one.shape[0]
+    exps, w, winv = smith_form(linalg.howell_form(rel_rows, p, k, ncols=n), p, k, n)
+    nonzero = sorted({int(e) for e in exps if e > 0})
+    if len(nonzero) > 1:
+        raise NonFreeQuotientError(
+            f"quotient has mixed additive torsion, exponents {sorted(set(map(int, exps)))}"
+        )
+    new_k = nonzero[0] if nonzero else 1
+    keep = exps > 0
+    proj, lift = w[:, keep] % p**new_k, winv[keep] % p**k
+    prods = np.einsum("ai,bj,ijl->abl", lift, lift, table) % p**k
+    return new_k, (prods @ proj) % p**new_k, (one @ proj) % p**new_k, proj, lift
 
 
 def quotient_ring(r: FiniteRing, ideal: Ideal, name: str | None = None) -> QuotientRing:
     """R/I with projection; raises NonFreeQuotientError on mixed torsion."""
     if ideal.ring is not r:
         raise InputError("ideal belongs to a different ring")
-    label = name or f"{r.name}/I"
-    pres = _QuotientPresentation.build(r.p, r.k, r.table, r.one, ideal.basis, name=label)
-    proj = RingMap(r, pres.ring, pres.proj_matrix(r.n), name="proj")
-    proj.check_hom()
-    pres.ring.check_ring()
+    new_k, table, one, proj, lift = _smith_quotient(r.p, r.k, r.table, r.one, ideal.basis)
+    ring = FiniteRing(r.p, new_k, table, one, name=name or f"{r.name}/I")
+    quot = QuotientRing(ring, RingMap(r, ring, proj, name="proj"), lift)
+    quot.proj.check_hom()
+    ring.check_ring()
     # lifting then projecting is the identity on the quotient
-    for i in range(pres.ring.n):
-        e = np.zeros(pres.ring.n, dtype=np.int64)
-        e[i] = 1
-        if not np.array_equal(pres.proj(pres.lift(e)), e):
-            raise InvariantViolation("quotient lift/proj mismatch")
-    return QuotientRing(pres.ring, proj, pres)
+    if not np.array_equal((lift @ proj) % ring.char, np.eye(ring.n, dtype=np.int64)):
+        raise InvariantViolation("quotient lift/proj mismatch")
+    return quot
 
 
 def fiber_product(f: RingMap, g: RingMap, name: str | None = None):

@@ -37,7 +37,7 @@ from . import gma as gma_mod
 from . import groups, ordinary, psrep, serialize, towers
 from .errors import InputError
 from .rings import DvrModel, RingMap, field_ring, truncated_poly_ring, zmod_ring
-from .serialize import int_field
+from .serialize import int_field, int_list_field, object_field
 
 __all__ = [
     "BUILTIN",
@@ -93,7 +93,7 @@ def _build_ring(spec: dict):
     if kind == "zmod":
         return zmod_ring(int_field(spec, "p"), int_field(spec, "k", 1))
     if kind == "poly":
-        base = _build_ring(spec["base"])
+        base = _build_ring(object_field(spec, "base"))
         return truncated_poly_ring(base, int_field(spec, "trunc"))
     raise InputError(f"unknown ring kind {kind!r}")
 
@@ -108,7 +108,7 @@ def _build_group(spec: dict):
         grp = groups.symmetric_3()
     else:
         raise InputError(f"unknown group kind {kind!r}")
-    return grp.mark(dp=tuple(spec["dp"]), ip=tuple(spec["ip"]))
+    return grp.mark(dp=tuple(int_list_field(spec, "dp")), ip=tuple(int_list_field(spec, "ip")))
 
 
 def _build_char(spec, grp, ring, name="chi"):
@@ -148,12 +148,12 @@ def _unipotent_conjugate(rep: psrep.MatrixRep2) -> psrep.MatrixRep2:
 def _build_psrep(spec: dict, grp, ring):
     kind = spec.get("kind")
     if kind == "char_pair":
-        chi1 = _build_char(spec["chi1"], grp, ring, name="chi1")
-        chi2 = _build_char(spec["chi2"], grp, ring, name="chi2")
+        chi1 = _build_char(object_field(spec, "chi1"), grp, ring, name="chi1")
+        chi2 = _build_char(object_field(spec, "chi2"), grp, ring, name="chi2")
         return psrep.psrep_from_chars(chi1, chi2)
     if kind == "triangular":
-        chi1 = _build_char(spec["chi1"], grp, ring, name="chi1")
-        chi2 = _build_char(spec["chi2"], grp, ring, name="chi2")
+        chi1 = _build_char(object_field(spec, "chi1"), grp, ring, name="chi1")
+        chi2 = _build_char(object_field(spec, "chi2"), grp, ring, name="chi2")
         rep = _unipotent_conjugate(psrep.rep_from_chars(chi1, chi2))
         return psrep.psi_of_rep(rep, name="tri")
     if kind == "s3_standard":
@@ -179,14 +179,15 @@ class _State:
     # psrep chain
     def _make_psr(self):
         body = self.sc.body
-        ring = _build_ring(body["ring"])
-        grp = _build_group(body["group"])
+        ring = _build_ring(object_field(body, "ring"))
+        grp = _build_group(object_field(body, "group"))
         self.cache["ring"], self.cache["grp"] = ring, grp
-        return _build_psrep(body["psrep"], grp, ring)
+        return _build_psrep(object_field(body, "psrep"), grp, ring)
 
     def _make_kappa(self):
         psr = self.get("psr")
-        return _build_char(self.sc.body.get("kappa"), self.cache["grp"], self.cache["ring"], name="kappa")
+        kappa = object_field(self.sc.body, "kappa", nullable=True)
+        return _build_char(kappa, self.cache["grp"], self.cache["ring"], name="kappa")
 
     def _make_ch(self):
         return gma_mod.ch_quotient(self.get("psr"))
@@ -215,10 +216,10 @@ class _State:
     # tower chain
     def _make_tower(self):
         body = self.sc.body
-        d = body["dvr"]
+        d = object_field(body, "dvr")
         lam = DvrModel(int_field(d, "p"), int_field(d, "e", 1), int_field(d, "trunc"))
         self.cache["lam"] = lam
-        return towers.build_eisenstein_tower(lam, int_field(body, "r"), body["h"])
+        return towers.build_eisenstein_tower(lam, int_field(body, "r"), object_field(body, "h"))
 
 
 # ---- stages ----------------------------------------------------------

@@ -43,6 +43,8 @@ __all__ = [
     "SCENARIO_SCHEMA",
     "canonical_json",
     "int_field",
+    "int_list_field",
+    "object_field",
     "parse_scenario_text",
     "render_text",
     "sha256_text",
@@ -85,14 +87,38 @@ class _Fields(dict):
         raise InputError(f"{self.where}: missing field {self.path + str(key)!r}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _checked(obj: dict, key: str, v, ok: bool, what: str):
+    """v, read from obj[key], when ok; otherwise an InputError naming the
+    scenario, the field path and what the field must be."""
+    if not ok:
+        where, path = getattr(obj, "where", "<scenario>"), getattr(obj, "path", "")
+        raise InputError(f"{where}: field {path + key!r} must be {what}, got {v!r}")
+    return v
+
+
 def int_field(obj: dict, key: str, default: int | None = None) -> int:
     """obj[key] (or `default` when given and absent); a value that is not an
     integer is an InputError naming the scenario and the field path."""
     v = obj[key] if default is None else obj.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        where, path = getattr(obj, "where", "<scenario>"), getattr(obj, "path", "")
-        raise InputError(f"{where}: field {path + key!r} must be an integer, got {v!r}")
-    return v
+    return _checked(obj, key, v, _is_int(v), "an integer")
+
+
+def int_list_field(obj: dict, key: str) -> list:
+    """obj[key], which must be a list of integers; read like `int_field`."""
+    v = obj[key]
+    return _checked(obj, key, v, isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+
+
+def object_field(obj: dict, key: str, nullable: bool = False):
+    """obj[key], which must be a JSON object; read like `int_field`.  With
+    `nullable`, null or an absent field gives None."""
+    v = obj.get(key) if nullable else obj[key]
+    ok = isinstance(v, dict) or (nullable and v is None)
+    return _checked(obj, key, v, ok, "an object or null" if nullable else "an object")
 
 
 def _fields(x, where: str, path: str = ""):
@@ -122,6 +148,8 @@ def parse_scenario_text(text: str, where: str = "<scenario>") -> dict:
     for field, kind in (("name", str), ("kind", str), ("seed", int), ("budget", int), ("stages", list)):
         if not isinstance(doc.get(field), kind):
             raise InputError(f"{where}: field {field!r} must be a {kind.__name__}")
+    if not all(isinstance(s, str) for s in doc["stages"]):
+        raise InputError(f"{where}: field 'stages' must be a list of strings")
     if doc["budget"] <= 0:
         raise InputError(f"{where}: field 'budget' must be positive")
     if doc["kind"] not in ("psrep", "tower"):

@@ -94,8 +94,7 @@ def _scalar_rows(ring: FiniteRing, emb: RingMap, rows: np.ndarray) -> np.ndarray
     """Howell basis of the base-scalar span of the given rows."""
     if rows.shape[0] == 0:
         return np.zeros((0, ring.n), dtype=np.int64)
-    mats = np.stack([ring.mul_matrix(v) for v in emb.matrix])
-    orb = np.einsum("rn,bnm->brm", rows % ring.char, mats).reshape(-1, ring.n)
+    orb = np.einsum("rn,bnm->brm", rows % ring.char, ring.mul_matrix(emb.matrix)).reshape(-1, ring.n)
     return linalg.howell_form(orb % ring.char, ring.p, ring.k, ncols=ring.n)
 
 
@@ -128,8 +127,7 @@ def _free_basis(o: DvrModel, ring: FiniteRing, emb: RingMap, basis=None) -> np.n
 
 def _coordinate_span(ring: FiniteRing, emb: RingMap, basis: np.ndarray) -> linalg.FactoredSpan:
     """Factored rows indexed (basis element, base coordinate), for coefficient solves."""
-    mats = np.stack([ring.mul_matrix(v) for v in emb.matrix])
-    rows = np.einsum("in,bnm->ibm", basis % ring.char, mats)
+    rows = np.einsum("in,bnm->ibm", basis % ring.char, ring.mul_matrix(emb.matrix))
     return linalg.FactoredSpan.factor(rows.reshape(-1, ring.n) % ring.char, ring.p, ring.k)
 
 
@@ -223,40 +221,34 @@ def cotangent_length(ring: FiniteRing, wp: Ideal, o: DvrModel) -> int:
 # ---- minimal generators and the principal-ideal route ----------------
 
 
-def _ideal_min_gens(ring: FiniteRing, ideal: Ideal):
-    """(minimal generator count, a single generator when principal)."""
-    if ideal.is_zero():
-        return 0, None
+def _min_module_rows(ring: FiniteRing, rows: np.ndarray, g: int) -> np.ndarray:
+    """Minimal generators of the submodule of ring^g spanned by the rows,
+    picked from their Howell basis by Nakayama; for g = 1 and an ideal's
+    basis, a minimal generating set of the ideal (a generator first, when
+    it is principal)."""
+    width = g * ring.n
+    full = linalg.howell_form(rows, ring.p, ring.k, ncols=width)
+    if full.shape[0] == 0:
+        return np.zeros((0, width), dtype=np.int64)
     m = ring.maximal_ideal()
-    mod = module_from_ideal_quotient(ring, ideal, m.mul_ideal(ideal))
-    count = mod.length()
-    gen = None
-    if count == 1:
-        target = ideal.log_size()
-        for row in ideal.basis:
-            if Ideal(ring, row.reshape(1, -1)).log_size() == target:
-                gen = row.copy()
-                break
-        if gen is None:
-            raise InvariantViolation("principal ideal without a generating basis row")
-    return count, gen
-
-
-def _min_ideal_gen_rows(ring: FiniteRing, ideal: Ideal) -> np.ndarray:
-    """A minimal generating set, picked from the Howell basis by Nakayama."""
-    if ideal.is_zero():
-        return np.zeros((0, ring.n), dtype=np.int64)
-    m_i = ring.maximal_ideal().mul_ideal(ideal)
+    if m.basis.shape[0]:
+        blocks = full.reshape(-1, g, ring.n)
+        mk = np.einsum("rgi,bij->brgj", blocks, ring.mul_matrix(m.basis)).reshape(-1, width) % ring.char
+        mk = linalg.howell_form(mk, ring.p, ring.k, ncols=width)
+    else:
+        mk = np.zeros((0, width), dtype=np.int64)
     sel: list[np.ndarray] = []
-    cur = m_i.basis
-    for row in ideal.basis:
+    cur = mk
+    for row in full:
         if not linalg.span_contains(cur, row, ring.p, ring.k):
             sel.append(row)
-            cur = Ideal(ring, np.array(sel, dtype=np.int64)).add_ideal(m_i).basis
-    gens = np.array(sel, dtype=np.int64)
-    if not linalg.span_equal(Ideal(ring, gens).basis, ideal.basis):
-        raise InvariantViolation("selected rows fail to generate the ideal")
-    return gens
+            orb = ring.orbit(np.array(sel, dtype=np.int64), g)
+            cur = linalg.howell_form(np.vstack([orb, mk]), ring.p, ring.k, ncols=width)
+    picked = np.array(sel, dtype=np.int64)
+    span = linalg.howell_form(ring.orbit(picked, g), ring.p, ring.k, ncols=width)
+    if not linalg.span_equal(span, full):
+        raise InvariantViolation("selected rows fail to generate the relation module")
+    return picked
 
 
 def _mult_matrix_over_base(o: DvrModel, ring: FiniteRing, emb: RingMap, basis: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -300,14 +292,14 @@ def complete_intersection_route(t: AugmentedAlgebra):
     whole algebra over the base; no other complete intersection test is
     attempted.
     """
-    count, gen = _ideal_min_gens(t.ring, t.wp)
-    if count == 0:
+    gens = _min_module_rows(t.ring, t.wp.basis, 1)
+    if gens.shape[0] == 0:
         if t.rank != 1:
             raise InvariantViolation("trivial augmentation kernel on a higher-rank algebra")
         return {"degree": 1, "generator": None, "relation": None}
-    if count != 1:
+    if gens.shape[0] != 1:
         return None
-    return _monogenic_presentation(t.o, t.ring, t.emb, gen, t.rank)
+    return _monogenic_presentation(t.o, t.ring, t.emb, gens[0], t.rank)
 
 
 # ---- the numerical criterion ---------------------------------------
@@ -683,11 +675,11 @@ def theorem_audit(t: EisensteinTower) -> dict:
     lam = t.lam
     fib_h = quotient_ring(t.h, Ideal(t.h, t.emb_h(lam.t(1)).reshape(1, -1)), name="h/t")
     out["regular_base"] = bool(fib_h.ring.maximal_ideal().is_zero() or t.h_basis.shape[0] == 1)
-    count, gen = _ideal_min_gens(t.h, t.I)
+    gens = _min_module_rows(t.h, t.I.basis, 1)
+    count = gens.shape[0]
     out["eisenstein_generators"] = count
-    out["principal_nzd"] = count == 1 and _nzd_by_determinant(lam, t.h, t.emb_h, t.h_basis, gen)
-    count_full, _ = _ideal_min_gens(t.H, t.script_I)
-    out["both_principal"] = count == 1 and count_full == 1
+    out["principal_nzd"] = count == 1 and _nzd_by_determinant(lam, t.h, t.emb_h, t.h_basis, gens[0])
+    out["both_principal"] = count == 1 and _min_module_rows(t.H, t.script_I.basis, 1).shape[0] == 1
     out["embdim"] = embedding_dimension(t.H)
     out["embdim_two"] = out["embdim"] == 2
     out["gorenstein_h"] = gorenstein_test(fib_h.ring)
@@ -705,7 +697,7 @@ def theorem_audit(t: EisensteinTower) -> dict:
         raise InvariantViolation(f"equivalent conditions disagree on {t.label}")
     out["consistent"] = True
     if out["principal_nzd"]:
-        pres = _monogenic_presentation(lam, t.h, t.emb_h, gen, t.h_basis.shape[0])
+        pres = _monogenic_presentation(lam, t.h, t.emb_h, gens[0], t.h_basis.shape[0])
         out["complete_intersection"] = True
         out["presentation_degree"] = pres["degree"]
     else:
@@ -721,42 +713,6 @@ def audit_table(towers) -> list[dict]:
 # ---- Fitting-ideal replay of the cotangent bound ---------------------
 
 
-def _module_orbit(ring: FiniteRing, rows: np.ndarray, g: int) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return np.zeros((0, g * ring.n), dtype=np.int64)
-    blocks = rows.reshape(-1, g, ring.n)
-    orb = np.einsum("rgi,ijl->jrgl", blocks, ring.table) % ring.char
-    return orb.reshape(-1, g * ring.n)
-
-
-def _min_module_rows(ring: FiniteRing, rows: np.ndarray, g: int) -> np.ndarray:
-    """Minimal generators of the submodule of ring^g spanned by the rows."""
-    width = g * ring.n
-    full = linalg.howell_form(rows, ring.p, ring.k, ncols=width)
-    if full.shape[0] == 0:
-        return np.zeros((0, width), dtype=np.int64)
-    m = ring.maximal_ideal()
-    if m.basis.shape[0]:
-        mats = np.stack([ring.mul_matrix(v) for v in m.basis])
-        blocks = full.reshape(-1, g, ring.n)
-        mk = np.einsum("rgi,bij->brgj", blocks, mats).reshape(-1, width) % ring.char
-        mk = linalg.howell_form(mk, ring.p, ring.k, ncols=width)
-    else:
-        mk = np.zeros((0, width), dtype=np.int64)
-    sel: list[np.ndarray] = []
-    cur = mk
-    for row in full:
-        if not linalg.span_contains(cur, row, ring.p, ring.k):
-            sel.append(row)
-            orb = _module_orbit(ring, np.array(sel, dtype=np.int64), g)
-            cur = linalg.howell_form(np.vstack([orb, mk]), ring.p, ring.k, ncols=width)
-    picked = np.array(sel, dtype=np.int64)
-    span = linalg.howell_form(_module_orbit(ring, picked, g), ring.p, ring.k, ncols=width)
-    if not linalg.span_equal(span, full):
-        raise InvariantViolation("selected rows fail to generate the relation module")
-    return picked
-
-
 def fitting_replay(t: EisensteinTower) -> dict:
     """Independent replay of the cotangent lower bound on the h-level.
 
@@ -768,10 +724,10 @@ def fitting_replay(t: EisensteinTower) -> dict:
     lam, h = t.lam, t.h
     tail = Ideal(h, t.emb_h(lam.t(lam.trunc - t.glue)).reshape(1, -1))
     ann_ok = tail.contains_ideal(t.I.annihilator())
-    gens = _min_ideal_gen_rows(h, t.I)
+    gens = _min_module_rows(h, t.I.basis, 1)
     d = gens.shape[0]
     if d:
-        stacked = np.vstack([h.mul_matrix(g) for g in gens])
+        stacked = h.mul_matrix(gens).reshape(d * h.n, h.n)
         rel = _min_module_rows(h, linalg.kernel(stacked, h.p, h.k), d)
         fitt = fitting_ideal(h, rel.reshape(-1, d, h.n), budget=20000)
     else:

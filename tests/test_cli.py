@@ -7,10 +7,16 @@ plane tower passes the structural audit and the numerical criterion.
 Certificates quoted in the reports are re-verified here from scratch.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from exalg import cli, gma, scenarios, serialize, towers
 from exalg.errors import InvariantViolation
@@ -208,6 +214,10 @@ def test_missing_scenario_field_is_input_error(tmp_path, capsys):
         ("diag-ordinary", lambda d: d["ring"].update(p="five"), "'ring.p' must be an integer, got 'five'"),
         ("diag-ordinary", lambda d: d["kappa"].update(gen=[1]), "'kappa.gen' must be an integer, got [1]"),
         ("plane-tower-r2", lambda d: d["dvr"].update(trunc=None), "'dvr.trunc' must be an integer, got None"),
+        ("diag-ordinary", lambda d: d["group"].update(dp=5), "'group.dp' must be a list of integers, got 5"),
+        ("diag-ordinary", lambda d: d.update(ring=[1]), "'ring' must be an object, got [1]"),
+        ("diag-ordinary", lambda d: d.update(kappa="x"), "'kappa' must be an object or null, got 'x'"),
+        ("diag-ordinary", lambda d: d["psrep"].update(chi1=None), "'psrep.chi1' must be an object, got None"),
     ],
 )
 def test_wrong_type_scenario_field_is_input_error(tmp_path, capsys, name, edit, field):
@@ -215,6 +225,63 @@ def test_wrong_type_scenario_field_is_input_error(tmp_path, capsys, name, edit, 
     assert cli.main(["pipeline", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{name}: field {field}" in err and err.count("\n") == 1
+
+
+def test_out_of_range_marks_are_input_error(tmp_path, capsys):
+    path = _bundled_variant(tmp_path, "diag-ordinary", lambda d: d["group"].update(dp=[0, 9]))
+    assert cli.main(["pipeline", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "marks dp must be group elements in range(4), got [0, 9]" in err
+
+
+# one value of each JSON type; a field is only ever replaced by a value of
+# another type, so no mutation changes a magnitude or builds a large ring
+_JSON_VALUES = {"string": "x", "number": 1, "list": [], "object": {}, "null": None, "bool": True}
+
+
+def _json_type(v) -> str:
+    if isinstance(v, bool):
+        return "bool"
+    if isinstance(v, int):
+        return "number"
+    return {str: "string", list: "list", dict: "object"}.get(type(v), "null")
+
+
+def _field_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _field_paths(val, prefix + (key,))
+
+
+_BUNDLED_FIELDS = [(name, path) for name in sorted(scenarios.BUILTIN) for path in _field_paths(scenarios.BUILTIN[name])]
+_EXIT_PREFIX = {1: "invariant failure:", 2: "error:", 3: "budget exceeded:"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_BUNDLED_FIELDS), st.sampled_from(sorted(_JSON_VALUES)))
+def test_type_mutated_bundled_scenario_exits_cleanly(field, kind):
+    name, path = field
+    doc = json.loads(json.dumps(scenarios.BUILTIN[name]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    assume(_json_type(parent[path[-1]]) != kind)
+    parent[path[-1]] = _JSON_VALUES[kind]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        scenario = Path(d) / f"{name}.json"
+        scenario.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["pipeline", str(scenario)])
+    text = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert text == ""
+    else:
+        # exit 1 only from an InvariantViolation, whose handler prints this prefix
+        assert text.startswith(_EXIT_PREFIX[code]) and text.count("\n") == 1 and text.endswith("\n")
 
 
 def test_internal_key_error_is_not_an_input_error(monkeypatch):
