@@ -14,18 +14,23 @@ trace laws do force that (the identity-element instances close the gap,
 since 2 is a unit here), but the construction re-checks it anyway and
 refuses loudly rather than silently producing a traceless quotient.
 
-With distinct residual characters (or a matrix residual) a pair of
-complementary trace-1 idempotents lifts from the residual quotient by
-Newton iteration, and the Peirce pieces turn the algebra into a 2x2
-generalized matrix algebra over the base: two scalar corners, two pairing
-modules B and C, and the reducibility ideal generated by the pairing
-values.
+The residual point of a quotient over a local base is derived once per
+algebra, on first use (`ChAlgebra.residual`): the residue field, the
+residual quotient with its verified connecting map, and the residual
+split, whose case (irreducible, coincident, split or matrix residual)
+every consumer reads.  With distinct residual characters (or a matrix
+residual) a pair of complementary trace-1 idempotents lifts from the
+residual quotient by Newton iteration, and the Peirce pieces turn the
+algebra into a 2x2 generalized matrix algebra over the base: two scalar
+corners, two pairing modules B and C, and the reducibility ideal
+generated by the pairing values.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,13 +41,14 @@ from .groups import GroupChar
 from .psrep import (
     ExtendedPsrep,
     Pseudorep2,
+    TraceForms,
     _character_split,
+    _chars_equal,
     _min_generating_set,
-    _trace_radical,
     psrep_base_change,
     residual_split,
 )
-from .rings import FiniteRing, Ideal, RingMap, quotient_ring
+from .rings import FiniteRing, Ideal, QuotientRing, RingMap, quotient_ring
 
 __all__ = [
     "ChAlgebra",
@@ -61,7 +67,7 @@ __all__ = [
 
 
 @dataclass(eq=False)
-class ChAlgebra:
+class ChAlgebra(TraceForms):
     """A[G] modulo the Cayley-Hamilton ideal, with the descended trace."""
 
     psr: Pseudorep2
@@ -72,9 +78,6 @@ class ChAlgebra:
     t_matrix: np.ndarray  # (nbar, base.n)
     rho_mat: np.ndarray  # (m, nbar), group images in the quotient
 
-    def __post_init__(self):
-        self._inv2 = pow(2, -1, self.base.char)
-
     @property
     def nbar(self) -> int:
         return self.algebra.n
@@ -82,36 +85,13 @@ class ChAlgebra:
     def rho(self, g: int) -> np.ndarray:
         return self.rho_mat[g]
 
-    def t_el(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=np.int64) @ self.t_matrix) % self.base.char
-
-    def d_el(self, x) -> np.ndarray:
-        a = self.base
-        tx = self.t_el(x)
-        tx2 = self.t_el(self.algebra.mul(x, x))
-        return (self._inv2 * (a.mul(tx, tx) - tx2)) % a.char
-
-    def b_d(self, x, y) -> np.ndarray:
-        a = self.base
-        return (a.mul(self.t_el(x), self.t_el(y)) - self.t_el(self.algebra.mul(x, y))) % a.char
-
-    def ch_el(self, x, y) -> np.ndarray:
-        """Polarized Cayley-Hamilton element; zero in this algebra by construction."""
-        al = self.algebra
-        out = al.add(al.mul(x, y), al.mul(y, x))
-        out = al.sub(out, al.amul(self.t_el(x), y))
-        out = al.sub(out, al.amul(self.t_el(y), x))
-        return al.add(out, al.scalar(self.b_d(x, y)))
-
-    def ch_at(self, x) -> np.ndarray:
-        """x^2 - t(x) x + d(x) 1, the unpolarized identity."""
-        al = self.algebra
-        out = al.sub(al.mul(x, x), al.amul(self.t_el(x), x))
-        return al.add(out, al.scalar(self.d_el(x)))
-
-    def kernel_rows(self) -> np.ndarray:
-        """Radical of the trace pairing; the determinant law must die on it."""
-        return _trace_radical(self.algebra, self.t_matrix)
+    @cached_property
+    def residual(self) -> "Residual":
+        """This algebra at the residue field of its local base, built on first use."""
+        field = self.base.residue_field()
+        down, connect = ch_base_change(self, field.proj, name=f"{self.algebra.name} res")
+        span = linalg.FactoredSpan.factor(connect, self.algebra.p, down.algebra.k)
+        return Residual(field, down, connect, span, residual_split(down.psr))
 
     def verify(self, rng_seed: int = 0, samples: int = 100) -> None:
         """Identity on basis pairs (bilinearity covers the rest) plus random spot checks."""
@@ -142,16 +122,8 @@ class ChAlgebra:
 def ch_quotient(psr: Pseudorep2, name: str | None = None) -> ChAlgebra:
     ext = ExtendedPsrep(psr)
     E, a = ext.E, psr.ring
-    n = E.n
-
-    def ch_in_e(x, y):
-        out = E.add(E.mul(x, y), E.mul(y, x))
-        out = E.sub(out, E.amul(ext.t_el(x), y))
-        out = E.sub(out, E.amul(ext.t_el(y), x))
-        return E.add(out, E.scalar(ext.b_d(x, y)))
-
-    eye = np.eye(n, dtype=np.int64)
-    gens = [ch_in_e(eye[i], eye[j]) for i in range(n) for j in range(i, n)]
+    eye = np.eye(E.n, dtype=np.int64)
+    gens = [ext.ch_el(eye[i], eye[j]) for i in range(E.n) for j in range(i, E.n)]
     rows = two_sided_ideal_rows(E, np.array(gens))
     # the trace must vanish on the full ideal, or it cannot descend
     if rows.shape[0] and ((rows @ ext.t_matrix) % a.char).any():
@@ -203,7 +175,25 @@ def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None):
     return down, connect
 
 
-# ---- idempotent lifting ---------------------------------------------
+# ---- the residual point and idempotent lifting ----------------------
+
+
+@dataclass(eq=False)
+class Residual:
+    """A ChAlgebra at the residue field of its local base.
+
+    `field` is the residue-field quotient of the base, `ch` the residual
+    ChAlgebra that `ch_base_change` builds with its verified `connect` map,
+    `span` that map factored once for every Newton lift, and `split` the
+    `residual_split` report of the residual trace, whose `case` is what
+    every consumer branches on.
+    """
+
+    field: QuotientRing
+    ch: ChAlgebra
+    connect: np.ndarray
+    span: linalg.FactoredSpan
+    split: dict
 
 
 def _trace_one_idempotents(ch: ChAlgebra, budget: int) -> list[np.ndarray]:
@@ -217,8 +207,31 @@ def _trace_one_idempotents(ch: ChAlgebra, budget: int) -> list[np.ndarray]:
     return sorted(out, key=lambda v: tuple(map(int, v)))
 
 
-def _chars_equal(c1: GroupChar, c2: GroupChar) -> bool:
-    return set(c1.domain) == set(c2.domain) and all(np.array_equal(c1(g), c2(g)) for g in c1.domain)
+def _residual_targets(res: Residual, chis, budget: int) -> tuple[list, str]:
+    """(targets, reason): the residual trace-1 idempotents to lift, in order.
+
+    Coincident residual characters leave nothing to separate.  Two distinct
+    characters give, for each residual character in `chis`, the first
+    idempotent whose corner 1 sees the group images through it.  Any other
+    residual is a matrix residual and gives every trace-1 idempotent.
+    `reason` says why there is nothing to lift, and is "" otherwise.
+    """
+    case = res.split["case"]
+    if case == "coincident":
+        return [], "residual characters coincide; no idempotent separates them"
+    idems = _trace_one_idempotents(res.ch, budget)
+    if case != "split":
+        return idems, "" if idems else "residual algebra has no nontrivial trace-1 idempotent"
+    al, rho = res.ch.algebra, res.ch.rho_mat
+
+    def sees(e, chi) -> bool:  # corner 1 sees every group image through chi
+        values = al.scalar(np.array([chi(g) for g in range(len(rho))]))
+        return np.array_equal(al.mul_rows(al.mul_rows(e, rho), e), al.mul_rows(values, e))
+
+    targets = [next((e for e in idems if sees(e, chi)), None) for chi in chis]
+    if any(e is None for e in targets):
+        raise InvariantViolation("no residual idempotent matches the split characters")
+    return targets, ""
 
 
 def lift_idempotents(
@@ -241,56 +254,24 @@ def lift_idempotents(
         raise InputError("idempotent lifting expects a local base")
     if ch.nbar == 0:
         return {"supported": False, "reason": "algebra collapsed to zero", "e1": None, "e2": None}
-    res_field = a.residue_field()
-    ch_res, connect = ch_base_change(ch, res_field.proj, name=f"{ch.algebra.name} res")
-    split = residual_split(psrep_base_change(ch.psr, res_field.proj))
-    if split["split"]:
-        chi1, chi2 = split["chars"]
-        if _chars_equal(chi1, chi2):
-            return {
-                "supported": False,
-                "reason": "residual characters coincide; no idempotent separates them",
-                "e1": None,
-                "e2": None,
-                "residual": split,
-            }
+    res = ch.residual
+    chis, source = None, "matrix-residual"
+    if res.split["case"] == "split":
+        chis, source = res.split["chars"][:1], "split-characters"
         if prefer_char is not None:
-            others = [c for c in (chi1, chi2) if not _chars_equal(c, prefer_char)]
-            if len(others) != 1:
+            if sum(not _chars_equal(c, prefer_char) for c in res.split["chars"]) != 1:
                 raise InputError("preferred character does not match either residual character")
-            chi1 = prefer_char
-            source = "split-characters-aligned"
-        else:
-            source = "split-characters"
-        target = None
-        for e in _trace_one_idempotents(ch_res, budget):
-            # corner 1 must see the group images through chi1
-            ok = all(
-                np.array_equal(
-                    ch_res.algebra.mul(ch_res.algebra.mul(e, ch_res.rho_mat[g]), e),
-                    ch_res.algebra.amul(chi1(g), e),
-                )
-                for g in ch.psr.group.elements()
-            )
-            if ok:
-                target = e
-                break
-        if target is None:
-            raise InvariantViolation("no residual idempotent matches the split characters")
-    else:
-        source = "matrix-residual"
-        cands = _trace_one_idempotents(ch_res, budget)
-        if not cands:
-            return {
-                "supported": False,
-                "reason": "residual algebra has no nontrivial trace-1 idempotent",
-                "e1": None,
-                "e2": None,
-                "residual": split,
-            }
-        target = cands[0]
-    span = linalg.FactoredSpan.factor(connect, ch.algebra.p, ch_res.algebra.k)
-    e1, iters = _newton_lift(ch, ch_res, connect, span, target, max_iter)
+            chis, source = [prefer_char], "split-characters-aligned"
+    targets, reason = _residual_targets(res, chis, budget)
+    if reason:
+        return {
+            "supported": False,
+            "reason": reason,
+            "e1": None,
+            "e2": None,
+            "residual": res.split,
+        }
+    e1, iters = _newton_lift(ch, targets[0], max_iter)
     e2 = ch.algebra.sub(ch.algebra.one, e1)
     if not np.array_equal(ch.t_el(e1), a.one) or not np.array_equal(ch.t_el(e2), a.one):
         raise InvariantViolation("lifted idempotents do not have unit trace")
@@ -301,16 +282,16 @@ def lift_idempotents(
         "e2": e2,
         "source": source,
         "iterations": iters,
-        "residual": split,
+        "residual": res.split,
     }
 
 
-def _newton_lift(ch: ChAlgebra, ch_res: ChAlgebra, connect, span, target, max_iter: int = 64):
+def _newton_lift(ch: ChAlgebra, target, max_iter: int = 64):
     """(e, iterations): a preimage of the residual idempotent `target` under
-    `connect` (factored once as `span`), refined by e <- 3e^2 - 2e^3 until
+    the residual `connect` map, refined by e <- 3e^2 - 2e^3 until
     idempotent and checked to stay in the class of `target`."""
-    al = ch.algebra
-    x, ok = span.solve(target)
+    al, res = ch.algebra, ch.residual
+    x, ok = res.span.solve(target)
     if not ok:
         raise InvariantViolation("residual idempotent has no preimage")
     x = x % al.char
@@ -321,7 +302,7 @@ def _newton_lift(ch: ChAlgebra, ch_res: ChAlgebra, connect, span, target, max_it
         iters += 1
         if iters > max_iter:
             raise InvariantViolation("idempotent iteration failed to converge")
-    if not np.array_equal((x @ connect) % ch_res.algebra.char, target):
+    if not np.array_equal((x @ res.connect) % res.ch.algebra.char, target):
         raise InvariantViolation("lifted idempotent drifted from its residual class")
     return x, iters
 
@@ -363,8 +344,9 @@ class GmaAlgebra:
         return (self.phi1_of(x) + self.phi2_of(x)) % self.base.char
 
     def pairing(self, b_vec, c_vec) -> np.ndarray:
-        """m(b, c) in the base, for b in the span of B and c in the span of C."""
-        return self.phi1_of(self.algebra.mul(b_vec, c_vec))
+        """m(b, c) in the base, for b in the span of B and c in the span of C;
+        row by row for stacks."""
+        return self.phi1_of(self.algebra.mul_rows(b_vec, c_vec))
 
     def __repr__(self):
         a = self.base
@@ -476,6 +458,23 @@ def abstract_gma(base: FiniteRing, mu, name: str | None = None) -> GmaAlgebra:
     return _gma_structure(alg, None, e1)
 
 
+def _raise_first(checks) -> None:
+    """Raise at the first row where one of `checks`, (ok-per-row, message)
+    pairs, fails, with the message of the first check failing there; a
+    message may name the row with "{}"."""
+    bad = ~np.logical_and.reduce([ok for ok, _ in checks])
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvariantViolation(next(msg for ok, msg in checks if not ok[row]).format(row))
+
+
+def _reassembles(gma: GmaAlgebra, xs, x11, x12, x21, x22) -> np.ndarray:
+    """Per row: x11 e1 + x12 + x21 + x22 e2 == xs, corners as base scalars."""
+    al = gma.algebra
+    corners = al.mul_rows(al.scalar(x11), gma.e1) + al.mul_rows(al.scalar(x22), gma.e2)
+    return ((corners + x12 + x21) % al.char == xs).all(axis=1)
+
+
 def _verify_gma(gma: GmaAlgebra) -> None:
     al, a = gma.algebra, gma.base
     logs = (
@@ -485,23 +484,20 @@ def _verify_gma(gma: GmaAlgebra) -> None:
     )
     if al.k * al.n != logs:
         raise InvariantViolation("Peirce pieces do not fill the algebra")
-    inv2 = pow(2, -1, a.char)
+    # every basis vector at once; each check below holds row by row
     eye = np.eye(al.n, dtype=np.int64)
-    for i in range(al.n):
-        x = eye[i]
-        x12 = (x @ gma.p12) % al.char
-        x21 = (x @ gma.p21) % al.char
-        parts = (al.amul(gma.phi1_of(x), gma.e1) + x12 + x21 + al.amul(gma.phi2_of(x), gma.e2)) % al.char
-        if not np.array_equal(parts, x):
-            raise InvariantViolation("Peirce reassembly fails")
-        # trace from corner coordinates is central and induces the determinant
-        tx, tx2 = gma.trace_of(x), gma.trace_of(al.mul(x, x))
-        want = (inv2 * (a.mul(tx, tx) - tx2)) % a.char
-        got = (a.mul(gma.phi1_of(x), gma.phi2_of(x)) - gma.pairing(x12, x21)) % a.char
-        if not np.array_equal(got, want):
-            raise InvariantViolation("determinant does not match its corner formula")
-        if gma.ch is not None and not np.array_equal(want, gma.ch.d_el(x)):
-            raise InvariantViolation("corner determinant disagrees with the descended one")
+    phi1, phi2, x12, x21 = gma.phi1, gma.phi2, gma.p12, gma.p21
+    # trace from corner coordinates is central and induces the determinant
+    tx, tx2 = gma.trace_of(eye), gma.trace_of(al.mul_rows(eye, eye))
+    want = (pow(2, -1, a.char) * (a.mul_rows(tx, tx) - tx2)) % a.char
+    got = (a.mul_rows(phi1, phi2) - gma.pairing(x12, x21)) % a.char
+    checks = [
+        (_reassembles(gma, eye, phi1, x12, x21, phi2), "Peirce reassembly fails"),
+        ((got == want).all(axis=1), "determinant does not match its corner formula"),
+    ]
+    if gma.ch is not None:
+        checks.append(((want == gma.ch.d_el(eye)).all(axis=1), "corner determinant disagrees with the descended one"))
+    _raise_first(checks)
 
 
 def coordinate_maps(gma: GmaAlgebra) -> dict:
@@ -513,24 +509,14 @@ def coordinate_maps(gma: GmaAlgebra) -> dict:
     if gma.ch is None:
         raise InputError("coordinate maps need a pseudorep-backed instance")
     ch, al, a = gma.ch, gma.algebra, gma.base
-    m = ch.psr.group.m
-    rho11 = np.zeros((m, a.n), dtype=np.int64)
-    rho22 = np.zeros((m, a.n), dtype=np.int64)
-    rho12 = np.zeros((m, al.n), dtype=np.int64)
-    rho21 = np.zeros((m, al.n), dtype=np.int64)
-    for g in range(m):
-        x = ch.rho_mat[g]
-        rho11[g] = gma.phi1_of(x)
-        rho22[g] = gma.phi2_of(x)
-        rho12[g] = (x @ gma.p12) % al.char
-        rho21[g] = (x @ gma.p21) % al.char
-        back = (al.amul(rho11[g], gma.e1) + rho12[g] + rho21[g] + al.amul(rho22[g], gma.e2)) % al.char
-        if not np.array_equal(back, x):
-            raise InvariantViolation(f"coordinates do not reassemble the image of {g}")
-        if not linalg.span_contains(gma.b_basis, rho12[g], a.p, a.k):
-            raise InvariantViolation("off-diagonal coordinate escapes the B span")
-        if not linalg.span_contains(gma.c_basis, rho21[g], a.p, a.k):
-            raise InvariantViolation("off-diagonal coordinate escapes the C span")
+    x = ch.rho_mat
+    rho11, rho22 = gma.phi1_of(x), gma.phi2_of(x)
+    rho12, rho21 = (x @ gma.p12) % al.char, (x @ gma.p21) % al.char
+    _raise_first([
+        (_reassembles(gma, x, rho11, rho12, rho21, rho22), "coordinates do not reassemble the image of {}"),
+        (linalg.FactoredSpan(gma.b_basis, a.p, a.k).contains(rho12), "off-diagonal coordinate escapes the B span"),
+        (linalg.FactoredSpan(gma.c_basis, a.p, a.k).contains(rho21), "off-diagonal coordinate escapes the C span"),
+    ])
     return {"rho11": rho11, "rho12": rho12, "rho21": rho21, "rho22": rho22}
 
 

@@ -11,8 +11,11 @@ J_R of trace values they force, and the quotient algebra
 
 which again carries a Cayley-Hamilton structure.  A pseudorepresentation is
 then ordinary precisely when J_R = 0 for some kappa-compatible choice of
-idempotent, and that is what `is_ordinary_psrep` decides (searching over
-residual idempotents in the matrix-residual case).
+idempotent, and that is what `is_ordinary_ch` decides (searching over
+residual idempotents in the matrix-residual case).  It reads the residual
+the algebra derived once, as do the corner alignment of every context and
+the idempotent lift; "kappa^-1 on the inertia marks" is one test,
+`_kappa_inverse_on_inertia`.
 
 J_R is generated by the traces of J* alone: J* is two-sided, so t(j y) is
 again a trace of J* and every determinant value d(j) = (t(j)^2 - t(j^2))/2
@@ -35,24 +38,17 @@ from .errors import BudgetExceeded, InputError, InvariantViolation
 from .gma import (
     ChAlgebra,
     GmaAlgebra,
+    Residual,
     _ch_algebra,
-    _chars_equal,
     _newton_lift,
     _pushforward,
-    _trace_one_idempotents,
-    ch_base_change,
+    _residual_targets,
     ch_quotient,
     gma_decompose,
-    lift_idempotents,
     split_as_characters,
 )
 from .groups import GroupChar
-from .psrep import (
-    Pseudorep2,
-    psrep_base_change,
-    residual_split,
-    validate_pseudorep,
-)
+from .psrep import Pseudorep2, psrep_base_change, validate_pseudorep
 from .rings import FiniteRing, Ideal, QuotientRing, quotient_ring
 
 __all__ = [
@@ -62,6 +58,7 @@ __all__ = [
     "OrdinaryQuotient",
     "ordinary_quotient",
     "is_ordinary_psrep",
+    "is_ordinary_ch",
     "reducible_ordinary_quotient",
     "ordinary_tangent_count",
     "ordinary_factorization_check",
@@ -99,26 +96,25 @@ class OrdinaryContext:
         )
 
 
-def _residual_corner_alignment(gma: GmaAlgebra, kappa: GroupChar, ip) -> str:
+def _kappa_inverse_on_inertia(res: Residual, kappa: GroupChar, chi) -> bool:
+    """Is `chi`, a map g -> residue-field value, kappa^-1 on the inertia marks?"""
+    proj = res.field.proj
+    return all(np.array_equal(chi(g), proj(kappa.inv_value(g))) for g in res.ch.psr.group.ip)
+
+
+def _residual_corner_alignment(gma: GmaAlgebra, kappa: GroupChar) -> str:
     ch = gma.ch
-    a = ch.base
-    if not a.is_local:
+    if not ch.base.is_local:
         return "unknown"
-    resq = a.residue_field()
-    split = residual_split(psrep_base_change(ch.psr, resq.proj))
-    if split.get("unsupported"):
-        return "nonsplit"
-    if not split["split"]:
-        return "nonsplit"
-    chi1, chi2 = split["chars"]
-    if _chars_equal(chi1, chi2):
-        return "coincident"
+    res = ch.residual
+    case = res.split["case"]
+    if case != "split":
+        return "coincident" if case == "coincident" else "nonsplit"
     # residual corner characters: phi_i(rho(g)) mod the maximal ideal
-    kbar = [resq.proj(kappa.inv_value(g)) for g in ip]
-    c1 = [resq.proj(gma.phi1_of(ch.rho(g))) for g in ip]
-    c2 = [resq.proj(gma.phi2_of(ch.rho(g))) for g in ip]
-    hit1 = all(np.array_equal(x, y) for x, y in zip(c1, kbar))
-    hit2 = all(np.array_equal(x, y) for x, y in zip(c2, kbar))
+    hit1, hit2 = (
+        _kappa_inverse_on_inertia(res, kappa, lambda g, phi=phi: res.field.proj(phi(ch.rho(g))))
+        for phi in (gma.phi1_of, gma.phi2_of)
+    )
     if hit1 and hit2:
         return "both"
     if hit1:
@@ -139,7 +135,7 @@ def ordinary_context(gma: GmaAlgebra, kappa: GroupChar) -> OrdinaryContext:
     if not set(grp.dp) <= set(kappa.domain):
         raise InputError("kappa must be defined on the decomposition subgroup")
     kappa.check()
-    alignment = _residual_corner_alignment(gma, kappa, grp.ip)
+    alignment = _residual_corner_alignment(gma, kappa)
     return OrdinaryContext(gma, kappa, grp.dp, grp.ip, alignment)
 
 
@@ -308,14 +304,20 @@ def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> Ordinary
 # ---- deciding ordinarity for a pseudorepresentation ------------------
 
 
-def _ordinary_for_idempotent(ch: ChAlgebra, kappa: GroupChar, e1) -> tuple:
-    g = gma_decompose(ch, e1)
-    ctx = ordinary_context(g, kappa)
-    oq = ordinary_quotient(ctx)
-    return oq.j_r.is_zero(), ctx, oq
+def _require_decidable(psr: Pseudorep2) -> None:
+    if psr.group.dp is None or psr.group.ip is None:
+        raise InputError("group carries no decomposition/inertia marks")
+    if not psr.ring.is_local or psr.ring.n == 0:
+        raise InputError("ordinarity decision expects a local base")
 
 
 def is_ordinary_psrep(psr: Pseudorep2, kappa: GroupChar, budget: int = 400000) -> dict:
+    """`is_ordinary_ch` on the Cayley-Hamilton quotient of `psr`."""
+    _require_decidable(psr)
+    return is_ordinary_ch(ch_quotient(psr), kappa, budget)
+
+
+def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dict:
     """Does the Cayley-Hamilton quotient admit an ordinary GMA structure?
 
     True iff J_R = 0 for some choice of trace-1 idempotent whose corner is
@@ -326,91 +328,53 @@ def is_ordinary_psrep(psr: Pseudorep2, kappa: GroupChar, budget: int = 400000) -
     field extension and are reported unsupported, as are coincident
     residual characters.
     """
-    grp = psr.group
-    if grp.dp is None or grp.ip is None:
-        raise InputError("group carries no decomposition/inertia marks")
-    a = psr.ring
-    if not a.is_local or a.n == 0:
-        raise InputError("ordinarity decision expects a local base")
-    ch = ch_quotient(psr)
-    resq = a.residue_field()
-    split = residual_split(psrep_base_change(psr, resq.proj))
-    if split.get("unsupported") and split["chars"] is None and "irreducible" in split["reason"]:
-        return {"supported": False, "ordinary": None, "reason": split["reason"], "checked": 0}
-    if split["split"]:
-        chi1, chi2 = split["chars"]
-        if _chars_equal(chi1, chi2):
-            return {
-                "supported": False,
-                "ordinary": None,
-                "reason": "residual characters coincide; no idempotent separates them",
-                "checked": 0,
-            }
-        kbar = {g: resq.proj(kappa.inv_value(g)) for g in grp.ip}
-        cands = [
-            chi
-            for chi in (chi1, chi2)
-            if all(np.array_equal(chi(g), kbar[g]) for g in grp.ip)
-        ]
-        if not cands:
+    _require_decidable(ch.psr)
+    res = ch.residual
+    case = res.split["case"]
+    if case == "irreducible":
+        return {"supported": False, "ordinary": None, "reason": res.split["reason"], "checked": 0}
+    chis = None
+    if case == "split":
+        chis = [chi for chi in res.split["chars"] if _kappa_inverse_on_inertia(res, kappa, chi)]
+        if not chis:
             return {
                 "supported": True,
                 "ordinary": False,
                 "reason": "no residual character matches kappa^-1 on inertia",
                 "checked": 0,
             }
-        for chi in cands:
-            lifted = lift_idempotents(ch, prefer_char=chi, budget=budget)
-            ok, ctx, oq = _ordinary_for_idempotent(ch, kappa, lifted["e1"])
-            if ok:
-                return {
-                    "supported": True,
-                    "ordinary": True,
-                    "reason": "",
-                    "checked": len(cands),
-                    "witness": {
-                        "e1": [int(c) for c in lifted["e1"]],
-                        "alignment": ctx.kappa_alignment,
-                    },
-                }
-        return {
-            "supported": True,
-            "ordinary": False,
-            "reason": "ordinary base ideal is nonzero for every aligned corner",
-            "checked": len(cands),
-        }
-    # matrix residual over the base field: search all residual corners
-    ch_res, connect = ch_base_change(ch, resq.proj)
-    cands = _trace_one_idempotents(ch_res, budget)
-    if not cands:
+    targets, reason = _residual_targets(res, chis, budget)
+    if reason:
         return {
             "supported": False,
             "ordinary": None,
-            "reason": "residual algebra has no nontrivial trace-1 idempotent",
+            "reason": reason,
             "checked": 0,
         }
-    checked = 0
-    span = linalg.FactoredSpan.factor(connect, ch.algebra.p, ch_res.algebra.k)
-    for target in cands:
-        e1, _ = _newton_lift(ch, ch_res, connect, span, target)
-        checked += 1
-        ok, ctx, _ = _ordinary_for_idempotent(ch, kappa, e1)
-        if ok:
+    for tried, target in enumerate(targets, 1):
+        e1, _ = _newton_lift(ch, target)
+        ctx = ordinary_context(gma_decompose(ch, e1), kappa)
+        if ordinary_quotient(ctx).j_r.is_zero():
             return {
                 "supported": True,
                 "ordinary": True,
                 "reason": "",
-                "checked": checked,
+                # a split residual counts its aligned characters, tried or not
+                "checked": tried if chis is None else len(targets),
                 "witness": {
                     "e1": [int(c) for c in e1],
                     "alignment": ctx.kappa_alignment,
                 },
             }
+    if chis is None:
+        reason = "ordinary base ideal is nonzero for every residual corner"
+    else:
+        reason = "ordinary base ideal is nonzero for every aligned corner"
     return {
         "supported": True,
         "ordinary": False,
-        "reason": "ordinary base ideal is nonzero for every residual corner",
-        "checked": checked,
+        "reason": reason,
+        "checked": len(targets),
     }
 
 

@@ -242,7 +242,46 @@ def rep_from_chars(chi1: GroupChar, chi2: GroupChar, name: str = "diag") -> Matr
 # ---- extension to the group algebra ---------------------------------
 
 
-class ExtendedPsrep:
+class TraceForms:
+    """The forms of a trace t(x) = x @ t_matrix on `algebra` over `base`.
+
+    d~(x) = (t(x)^2 - t(x^2)) / 2 is the determinant, b_d its polarization
+    and ch_el, ch_at the Cayley-Hamilton elements.  `t_el`, `d_el` and
+    `b_d` take one element or equal-length stacks of them.
+    """
+
+    def t_el(self, x) -> np.ndarray:
+        return (np.asarray(x, dtype=np.int64) @ self.t_matrix) % self.base.char
+
+    def d_el(self, x) -> np.ndarray:
+        """d~(x) = (t(x)^2 - t(x^2)) / 2."""
+        return (pow(2, -1, self.base.char) * self.b_d(x, x)) % self.base.char
+
+    def b_d(self, x, y) -> np.ndarray:
+        """Polarization of d~: t(x)t(y) - t(xy)."""
+        a = self.base
+        return (a.mul_rows(self.t_el(x), self.t_el(y)) - self.t_el(self.algebra.mul_rows(x, y))) % a.char
+
+    def ch_el(self, x, y) -> np.ndarray:
+        """Polarized Cayley-Hamilton element xy + yx - t(x) y - t(y) x + b_d(x, y)."""
+        al = self.algebra
+        out = al.add(al.mul(x, y), al.mul(y, x))
+        out = al.sub(out, al.amul(self.t_el(x), y))
+        out = al.sub(out, al.amul(self.t_el(y), x))
+        return al.add(out, al.scalar(self.b_d(x, y)))
+
+    def ch_at(self, x) -> np.ndarray:
+        """x^2 - t(x) x + d(x) 1, the unpolarized identity."""
+        al = self.algebra
+        out = al.sub(al.mul(x, x), al.amul(self.t_el(x), x))
+        return al.add(out, al.scalar(self.d_el(x)))
+
+    def kernel_rows(self) -> np.ndarray:
+        """Howell basis of {x : t(x e) = 0 for all e}, verified to kill d~."""
+        return _trace_radical(self.algebra, self.t_matrix)
+
+
+class ExtendedPsrep(TraceForms):
     """(t, d) spread over E = A[G], with the trace-form radical."""
 
     def __init__(self, psr: Pseudorep2, algebra: AssocAlgebra | None = None):
@@ -255,33 +294,11 @@ class ExtendedPsrep:
         if self.E.n != m * e:
             raise InputError("algebra does not look like the group algebra")
         # t as a Z/p^k-linear map E -> A: basis (g, a_j) -> a_j * t(g)
-        tm = np.zeros((self.E.n, a.n), dtype=np.int64)
-        for g in range(m):
-            for j in range(e):
-                basis = np.zeros(e, dtype=np.int64)
-                basis[j] = 1
-                tm[g * e + j] = a.mul(basis, psr.t[g])
-        self.t_matrix = tm
-        self._inv2 = pow(2, -1, a.char)
+        self.t_matrix = a.mul_matrix(psr.t).reshape(m * e, a.n)
 
-    def t_el(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=np.int64) @ self.t_matrix) % self.base.char
-
-    def d_el(self, x) -> np.ndarray:
-        """d~(x) = (t(x)^2 - t(x^2)) / 2."""
-        a = self.base
-        tx = self.t_el(x)
-        tx2 = self.t_el(self.E.mul(x, x))
-        return (self._inv2 * (a.mul(tx, tx) - tx2)) % a.char
-
-    def b_d(self, x, y) -> np.ndarray:
-        """Polarization of d~: t(x)t(y) - t(xy)."""
-        a = self.base
-        return (a.mul(self.t_el(x), self.t_el(y)) - self.t_el(self.E.mul(x, y))) % a.char
-
-    def kernel_rows(self) -> np.ndarray:
-        """Howell basis of {x : t(x e) = 0 for all e}, verified to kill d~."""
-        return _trace_radical(self.E, self.t_matrix)
+    @property
+    def algebra(self) -> AssocAlgebra:
+        return self.E
 
 
 def _trace_radical(alg: AssocAlgebra, t_matrix: np.ndarray) -> np.ndarray:
@@ -385,12 +402,18 @@ def _character_split(psr: Pseudorep2, gens: list[int], per_gen: list) -> tuple:
     return tuple(chars), len(found)
 
 
+def _chars_equal(c1: GroupChar, c2: GroupChar) -> bool:
+    return set(c1.domain) == set(c2.domain) and all(np.array_equal(c1(g), c2(g)) for g in c1.domain)
+
+
 def residual_split(psr: Pseudorep2) -> dict:
     """Try to write (t, d) over a field as chi1 + chi2 and chi1 * chi2.
 
     Returns a report dict.  `unsupported` is set both when some element has
     an irreducible characteristic polynomial and when every element splits
-    pointwise but no globally multiplicative assignment exists.
+    pointwise but no globally multiplicative assignment exists.  `case`
+    names the residual: "irreducible", "matrix" (pointwise split with no
+    multiplicative assignment), "coincident" (chi1 = chi2) or "split".
     """
     grp, f = psr.group, psr.ring
     if f.k != 1 or not f.is_local or not f.maximal_ideal().is_zero():
@@ -408,6 +431,7 @@ def residual_split(psr: Pseudorep2) -> dict:
                 "unsupported": True,
                 "reason": f"irreducible characteristic polynomial at element {g}",
                 "chars": None,
+                "case": "irreducible",
             }
         roots.append([(inv2 * (psr.t[g] + s)) % f.char for s in sq])
     # backtracking over a minimal generating set
@@ -419,5 +443,7 @@ def residual_split(psr: Pseudorep2) -> dict:
             "unsupported": True,
             "reason": "splits pointwise but admits no multiplicative assignment",
             "chars": None,
+            "case": "matrix",
         }
-    return {"split": True, "unsupported": False, "reason": "", "chars": chars}
+    case = "coincident" if _chars_equal(*chars) else "split"
+    return {"split": True, "unsupported": False, "reason": "", "chars": chars, "case": case}

@@ -191,6 +191,11 @@ class FiniteRing:
         """All products xs[a] * ys[b], shape (len(xs), len(ys), n)."""
         return np.matmul(ys, self.mul_matrix(xs)) % self.char
 
+    def mul_rows(self, xs, ys) -> np.ndarray:
+        """Products xs[s] * ys[s] of two equal-length stacks; one product
+        for two elements, and one element broadcasts against a stack."""
+        return np.einsum("...i,...j,ijl->...l", xs, ys, self.table) % self.char
+
     def pow_el(self, x, e: int) -> np.ndarray:
         r = self.one.copy()
         b = x.copy()

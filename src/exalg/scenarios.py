@@ -203,15 +203,11 @@ class _State:
         kappa = self.get("kappa")
         if kappa is None:
             return None
-        psr = self.get("psr")
-        resq = psr.ring.residue_field()
-        split = psrep.residual_split(psrep.psrep_base_change(psr, resq.proj))
-        if not split["split"] or split["chars"] is None:
+        res = self.get("ch").residual
+        if res.split["case"] != "split":
             return None
-        for c in split["chars"]:
-            if all(np.array_equal(c(g), resq.proj(kappa.inv_value(g))) for g in psr.group.ip):
-                return c
-        return split["chars"][0]
+        chars = res.split["chars"]
+        return next((c for c in chars if ordinary._kappa_inverse_on_inertia(res, kappa, c)), chars[0])
 
     # tower chain
     def _make_tower(self):
@@ -265,7 +261,7 @@ def _stage_ordinary(st: _State) -> dict:
         raise InputError("stage 'ordinary' needs a kappa character in the scenario")
     ctx = ordinary.ordinary_context(st.get("gma"), kappa)
     rep_check = ordinary.is_ordinary_rep(ctx)
-    psr_check = ordinary.is_ordinary_psrep(st.get("psr"), kappa, budget=st.sc.budget)
+    psr_check = ordinary.is_ordinary_ch(st.get("ch"), kappa, budget=st.sc.budget)
     oq = ordinary.ordinary_quotient(ctx)
     return {
         "alignment": ctx.kappa_alignment,

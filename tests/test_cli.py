@@ -10,6 +10,7 @@ Certificates quoted in the reports are re-verified here from scratch.
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exalg import cli, gma, scenarios, serialize, towers
+from exalg import cli, gma, ordinary, psrep, scenarios, serialize, towers
 from exalg.errors import InvariantViolation
 from exalg.rings import Ideal, zmod_ring
 
@@ -416,3 +417,39 @@ def test_generated_scenarios_actually_run(tmp_path):
     for path in sorted(tmp_path.glob("gen2-*.json")):
         rep = scenarios.run_scenario(path, stages=("validate",) if "tower" not in path.name else ("build",))
         assert rep.verdict == "ok", path.name
+
+
+# ---- one residual per algebra ---------------------------------------
+
+
+@pytest.mark.parametrize("name", ["diag-ordinary", "s3-irreducible"])
+def test_bundled_psrep_scenario_splits_its_residual_once(name, monkeypatch):
+    calls, original = [], psrep.residual_split
+
+    def counted(psr):
+        calls.append(psr.name)
+        return original(psr)
+
+    # every binding of residual_split in the package goes through the counter
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("exalg") and getattr(mod, "residual_split", None) is original:
+            monkeypatch.setattr(mod, "residual_split", counted)
+    scenarios.run_scenario(name)
+    assert len(calls) == 1
+
+
+def test_ordinary_stage_decision_matches_the_psrep_entry_point(tmp_path):
+    """The stage decides on the scenario's own ChAlgebra; a fresh decision
+    from the bare pseudorepresentation must agree."""
+    scenarios.generate_corpus(seed=1, count=16, out_dir=tmp_path)
+    decided = 0
+    for source in ["diag-ordinary", "s3-irreducible", *sorted(tmp_path.glob("gen1-*.json"))]:
+        sc = scenarios.load_scenario(source)
+        if sc.kind != "psrep":
+            continue
+        stage = scenarios.run_scenario(sc).stages["ordinary"]
+        st = scenarios._State(sc)
+        fresh = ordinary.is_ordinary_psrep(st.get("psr"), st.get("kappa"), budget=sc.budget)
+        assert (stage["psrep_supported"], stage["psrep_ordinary"]) == (fresh["supported"], fresh["ordinary"]), sc.name
+        decided += 1
+    assert decided == 10

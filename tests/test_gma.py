@@ -11,6 +11,8 @@ its pairing ideal worked out on paper, including the lattice of subideals
 under it.
 """
 
+import dataclasses
+import functools
 import itertools
 import random
 
@@ -713,3 +715,81 @@ def test_deformed_dihedral_family(a, b):
         assert red["ideal"].is_zero()
     else:
         assert red["ideal"] == Ideal(T2, np.array([[0, 1]]))
+
+
+# ---- batched Peirce checks against their per-row reference -----------
+
+
+def _loop_gma_failure(g):
+    """First failure of the `_verify_gma` checks, one basis vector at a time."""
+    al, a = g.algebra, g.base
+    inv2 = pow(2, -1, a.char)
+    for x in np.eye(al.n, dtype=np.int64):
+        x12, x21 = (x @ g.p12) % al.char, (x @ g.p21) % al.char
+        parts = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul(g.phi2_of(x), g.e2)) % al.char
+        if not np.array_equal(parts, x):
+            return "Peirce reassembly fails"
+        tx, tx2 = g.trace_of(x), g.trace_of(al.mul(x, x))
+        want = (inv2 * (a.mul(tx, tx) - tx2)) % a.char
+        got = (a.mul(g.phi1_of(x), g.phi2_of(x)) - g.phi1_of(al.mul(x12, x21))) % a.char
+        if not np.array_equal(got, want):
+            return "determinant does not match its corner formula"
+        if g.ch is not None and not np.array_equal(want, g.ch.d_el(x)):
+            return "corner determinant disagrees with the descended one"
+    return None
+
+
+def _loop_coordinate_failure(g):
+    """First failure of the `coordinate_maps` checks, one group element at a time."""
+    al, a = g.algebra, g.base
+    for i, x in enumerate(g.ch.rho_mat):
+        x12, x21 = (x @ g.p12) % al.char, (x @ g.p21) % al.char
+        back = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul(g.phi2_of(x), g.e2)) % al.char
+        if not np.array_equal(back, x):
+            return f"coordinates do not reassemble the image of {i}"
+        if not linalg.span_contains(g.b_basis, x12, a.p, a.k):
+            return "off-diagonal coordinate escapes the B span"
+        if not linalg.span_contains(g.c_basis, x21, a.p, a.k):
+            return "off-diagonal coordinate escapes the C span"
+    return None
+
+
+def _raised(fn, g):
+    try:
+        fn(g)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@functools.cache
+def _peirce_case(name):
+    if name == "pairing":
+        return gma.abstract_gma(T3, np.array([0, 1, 0]))
+    psr = {"d5t2": d5_t2_psrep, "s3f7": lambda: s3_irr_psrep(F7), "c4": c4_diag_psrep}[name]()
+    ch = gma.ch_quotient(psr)
+    return gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["d5t2", "s3f7", "c4", "pairing"]),
+    st.lists(
+        st.tuples(st.sampled_from(["phi1", "phi2", "p12", "p21"]), st.integers(0, 10**6), st.integers(1, 4)),
+        max_size=3,
+    ),
+)
+def test_batched_peirce_checks_match_the_per_row_reference(case, edits):
+    """Corrupted coordinates fail the batched checks with the message, and
+    the row, that the per-row loop meets first; intact ones pass both."""
+    g = _peirce_case(case)
+    fields = {name: getattr(g, name).copy() for name in ("phi1", "phi2", "p12", "p21")}
+    for name, where, delta in edits:
+        flat = fields[name].reshape(-1)
+        flat[where % flat.size] = (flat[where % flat.size] + delta) % g.algebra.char
+    bad = dataclasses.replace(g, **fields)
+    assert _raised(gma._verify_gma, bad) == _loop_gma_failure(bad)
+    if bad.ch is not None:
+        assert _raised(gma.coordinate_maps, bad) == _loop_coordinate_failure(bad)
+    if not edits:
+        assert _loop_gma_failure(bad) is None

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exalg import gma, groups, linalg, ordinary, psrep, rings
+from exalg import gma, groups, linalg, ordinary, psrep, rings, scenarios
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
 
 F5 = rings.zmod_ring(5, 1)
@@ -339,6 +339,27 @@ def test_decision_irreducible_polynomial_unsupported():
     out = ordinary.is_ordinary_psrep(psr, groups.trivial_char(c3, F5, domain=range(3)))
     assert not out["supported"]
     assert "irreducible" in out["reason"]
+
+
+def test_decision_branches_on_the_residual_case_not_its_wording(monkeypatch):
+    """The S3 standard trace over F7 splits pointwise with no multiplicative
+    assignment: the matrix-residual search runs even when the reason of the
+    residual split is reworded to mention irreducibility."""
+    doc = dict(scenarios.BUILTIN["s3-irreducible"], name="s3-f7", ring={"kind": "field", "p": 7, "e": 1})
+    st = scenarios._State(scenarios.load_scenario(doc))
+    psr, kappa = st.get("psr"), st.get("kappa")
+    original = psrep.residual_split
+    assert original(psr)["case"] == "matrix"
+
+    def reworded(p):
+        out = original(p)
+        return {**out, "reason": f"irreducible, reworded: {out['reason']}"}
+
+    for mod in (psrep, gma, ordinary):
+        if getattr(mod, "residual_split", None) is original:
+            monkeypatch.setattr(mod, "residual_split", reworded)
+    out = ordinary.is_ordinary_psrep(psr, kappa)
+    assert (out["supported"], out["ordinary"], out["checked"]) == (True, False, 56)
 
 
 def test_decision_matrix_residual_depends_on_kappa():
