@@ -226,7 +226,7 @@ def _residual_targets(res: Residual, chis, budget: int) -> tuple[list, str]:
 
     def sees(e, chi) -> bool:  # corner 1 sees every group image through chi
         values = al.scalar(np.array([chi(g) for g in range(len(rho))]))
-        return np.array_equal(al.mul_rows(al.mul_rows(e, rho), e), al.mul_rows(values, e))
+        return np.array_equal(al.mul(al.mul(e, rho), e), al.mul(values, e))
 
     targets = [next((e for e in idems if sees(e, chi)), None) for chi in chis]
     if any(e is None for e in targets):
@@ -346,7 +346,7 @@ class GmaAlgebra:
     def pairing(self, b_vec, c_vec) -> np.ndarray:
         """m(b, c) in the base, for b in the span of B and c in the span of C;
         row by row for stacks."""
-        return self.phi1_of(self.algebra.mul_rows(b_vec, c_vec))
+        return self.phi1_of(self.algebra.mul(b_vec, c_vec))
 
     def __repr__(self):
         a = self.base
@@ -373,8 +373,7 @@ def _gma_structure(algebra: AssocAlgebra, ch: ChAlgebra | None, e1: np.ndarray) 
     p22 = (lm2 @ rm2) % al.char
     # each scalar corner must be a free rank-1 copy of the base
     eye_a = np.eye(a.n, dtype=np.int64)
-    ae1 = np.array([al.amul(row, e1) for row in eye_a])
-    ae2 = np.array([al.amul(row, e2) for row in eye_a])
+    ae1, ae2 = al.amul(eye_a, e1), al.amul(eye_a, e2)
     # each corner factored once serves its phi projection and the pairing
     span1, span2 = (linalg.FactoredSpan.factor(mat, a.p, a.k, ncols=al.n) for mat in (ae1, ae2))
     for span, corner in ((span1, p11), (span2, p22)):
@@ -471,7 +470,7 @@ def _raise_first(checks) -> None:
 def _reassembles(gma: GmaAlgebra, xs, x11, x12, x21, x22) -> np.ndarray:
     """Per row: x11 e1 + x12 + x21 + x22 e2 == xs, corners as base scalars."""
     al = gma.algebra
-    corners = al.mul_rows(al.scalar(x11), gma.e1) + al.mul_rows(al.scalar(x22), gma.e2)
+    corners = al.mul(al.scalar(x11), gma.e1) + al.mul(al.scalar(x22), gma.e2)
     return ((corners + x12 + x21) % al.char == xs).all(axis=1)
 
 
@@ -488,9 +487,9 @@ def _verify_gma(gma: GmaAlgebra) -> None:
     eye = np.eye(al.n, dtype=np.int64)
     phi1, phi2, x12, x21 = gma.phi1, gma.phi2, gma.p12, gma.p21
     # trace from corner coordinates is central and induces the determinant
-    tx, tx2 = gma.trace_of(eye), gma.trace_of(al.mul_rows(eye, eye))
-    want = (pow(2, -1, a.char) * (a.mul_rows(tx, tx) - tx2)) % a.char
-    got = (a.mul_rows(phi1, phi2) - gma.pairing(x12, x21)) % a.char
+    tx, tx2 = gma.trace_of(eye), gma.trace_of(al.mul(eye, eye))
+    want = (pow(2, -1, a.char) * (a.mul(tx, tx) - tx2)) % a.char
+    got = (a.mul(phi1, phi2) - gma.pairing(x12, x21)) % a.char
     checks = [
         (_reassembles(gma, eye, phi1, x12, x21, phi2), "Peirce reassembly fails"),
         ((got == want).all(axis=1), "determinant does not match its corner formula"),

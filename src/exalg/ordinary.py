@@ -273,9 +273,9 @@ def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> Ordinary
         jr_prov.append({"kind": "determinant", "row": i, "value": [int(c) for c in dv]})
     j_r = Ideal(a, np.asarray(jr_rows, dtype=np.int64).reshape(-1, a.n))
     # J* + J_R E, for the record and for the quotient below
-    scaled = [al.amul(c, e) for c in j_r.basis for e in np.eye(al.n, dtype=np.int64)]
+    scaled = al.amul(j_r.basis[:, None], np.eye(al.n, dtype=np.int64)).reshape(-1, al.n)
     j_rows = linalg.howell_form(
-        np.vstack([j_star, np.asarray(scaled, dtype=np.int64).reshape(-1, al.n)]),
+        np.vstack([j_star, scaled]),
         al.p,
         al.k,
         ncols=al.n,
@@ -426,8 +426,8 @@ def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -
         eo = oq.e_ord
         abar = oq.base_quot.ring
         jd_bar = Ideal(abar, oq.base_quot.proj(jd.basis))
-        scaled = [eo.algebra.amul(c, e) for c in jd_bar.basis for e in np.eye(eo.nbar, dtype=np.int64)]
-        rows = two_sided_ideal_rows(eo.algebra, np.asarray(scaled, dtype=np.int64).reshape(-1, eo.nbar))
+        scaled = eo.algebra.amul(jd_bar.basis[:, None], np.eye(eo.nbar, dtype=np.int64))
+        rows = two_sided_ideal_rows(eo.algebra, scaled.reshape(-1, eo.nbar))
         q = quotient_algebra(eo.algebra, rows)
         lhs = q.algebra.k * q.algebra.n
         rhs = e_red.algebra.k * e_red.algebra.n
@@ -483,8 +483,7 @@ def ordinary_factorization_check(ctx: OrdinaryContext, budget: int = 200000) -> 
     seeds.extend(oq.j_rows)
     qualified = 0
     for ideal in base_ideals:
-        ie = [al.amul(c, e) for c in ideal.basis for e in eye]
-        ie = np.asarray(ie, dtype=np.int64).reshape(-1, al.n)
+        ie = al.amul(ideal.basis[:, None], eye).reshape(-1, al.n)
         for seed in seeds:
             k_rows = two_sided_ideal_rows(al, np.vstack([seed.reshape(1, -1), ie]))
             has_gens = all(

@@ -260,7 +260,7 @@ class TraceForms:
     def b_d(self, x, y) -> np.ndarray:
         """Polarization of d~: t(x)t(y) - t(xy)."""
         a = self.base
-        return (a.mul_rows(self.t_el(x), self.t_el(y)) - self.t_el(self.algebra.mul_rows(x, y))) % a.char
+        return (a.mul(self.t_el(x), self.t_el(y)) - self.t_el(self.algebra.mul(x, y))) % a.char
 
     def ch_el(self, x, y) -> np.ndarray:
         """Polarized Cayley-Hamilton element xy + yx - t(x) y - t(y) x + b_d(x, y)."""

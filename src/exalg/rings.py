@@ -183,18 +183,12 @@ class FiniteRing:
         return (int(c) * x) % self.char
 
     def mul(self, x, y) -> np.ndarray:
-        if self.n == 0:
-            return self.zero()
-        return np.einsum("i,j,ijl->l", x, y, self.table) % self.char
+        """x * y; for stacks, xs[s] * ys[s], and one element broadcasts against a stack."""
+        return np.einsum("...i,...j,ijl->...l", x, y, self.table) % self.char
 
     def mul_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """All products xs[a] * ys[b], shape (len(xs), len(ys), n)."""
         return np.matmul(ys, self.mul_matrix(xs)) % self.char
-
-    def mul_rows(self, xs, ys) -> np.ndarray:
-        """Products xs[s] * ys[s] of two equal-length stacks; one product
-        for two elements, and one element broadcasts against a stack."""
-        return np.einsum("...i,...j,ijl->...l", xs, ys, self.table) % self.char
 
     def pow_el(self, x, e: int) -> np.ndarray:
         r = self.one.copy()
