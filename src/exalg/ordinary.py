@@ -3,19 +3,19 @@
 A GMA structure on a Cayley-Hamilton quotient is *ordinary* for a character
 kappa when the group images are upper triangular along the decomposition
 subgroup (the 12-coordinate dies on Dp) and the 11-corner restricted to the
-inertia subgroup is kappa^-1.  `ordinary_quotient` imposes exactly those
-relations universally: the two-sided ideal J* they generate, the base ideal
-J_R of trace values they force, and the quotient algebra
+inertia subgroup is kappa^-1.  `_relations` walks those relations once
+for every consumer; `_base_ideal` turns them into the two-sided ideal J*
+they generate and the base ideal J_R of trace values they force, and
+`ordinary_quotient` adds the quotient algebra
 
     E_ord = E / (J* + J_R E)    over    A / J_R,
 
 which again carries a Cayley-Hamilton structure.  A pseudorepresentation is
 then ordinary precisely when J_R = 0 for some kappa-compatible choice of
 idempotent, and that is what `is_ordinary_ch` decides (searching over
-residual idempotents in the matrix-residual case).  It reads the residual
-the algebra derived once, as do the corner alignment of every context and
-the idempotent lift; "kappa^-1 on the inertia marks" is one test,
-`_kappa_inverse_on_inertia`.
+residual idempotents in the matrix-residual case).  It checks kappa once
+and reads J_R alone; it reads the residual the algebra derived once, as do
+the corner alignment and the idempotent lift.
 
 J_R is generated by the traces of J* alone: J* is two-sided, so t(j y) is
 again a trace of J* and every determinant value d(j) = (t(j)^2 - t(j^2))/2
@@ -81,8 +81,6 @@ class OrdinaryContext:
 
     gma: GmaAlgebra
     kappa: GroupChar
-    dp: tuple
-    ip: tuple
     kappa_alignment: str
 
     @property
@@ -90,10 +88,8 @@ class OrdinaryContext:
         return self.gma.ch
 
     def __repr__(self):
-        return (
-            f"<OrdinaryContext |Dp|={len(self.dp)} |Ip|={len(self.ip)} "
-            f"kappa on {self.kappa_alignment}>"
-        )
+        grp = self.ch.psr.group
+        return f"<OrdinaryContext |Dp|={len(grp.dp)} |Ip|={len(grp.ip)} kappa on {self.kappa_alignment}>"
 
 
 def _kappa_inverse_on_inertia(res: Residual, kappa: GroupChar, chi) -> bool:
@@ -124,55 +120,63 @@ def _residual_corner_alignment(gma: GmaAlgebra, kappa: GroupChar) -> str:
     return "neither"
 
 
-def ordinary_context(gma: GmaAlgebra, kappa: GroupChar) -> OrdinaryContext:
-    if gma.ch is None:
+def _check_kappa(ch: ChAlgebra | None, kappa: GroupChar) -> None:
+    """The group coordinates, marks and kappa that the ordinary relations read."""
+    if ch is None:
         raise InputError("ordinarity needs group coordinates")
-    grp = gma.ch.psr.group
+    grp = ch.psr.group
     if grp.dp is None or grp.ip is None:
         raise InputError("group carries no decomposition/inertia marks")
-    if kappa.ring is not gma.base:
+    if kappa.ring is not ch.base:
         raise InputError("kappa must take values in the base ring")
     if not set(grp.dp) <= set(kappa.domain):
         raise InputError("kappa must be defined on the decomposition subgroup")
     kappa.check()
-    alignment = _residual_corner_alignment(gma, kappa)
-    return OrdinaryContext(gma, kappa, grp.dp, grp.ip, alignment)
+
+
+def ordinary_context(gma: GmaAlgebra, kappa: GroupChar) -> OrdinaryContext:
+    _check_kappa(gma.ch, kappa)
+    return OrdinaryContext(gma, kappa, _residual_corner_alignment(gma, kappa))
+
+
+def _relations(gma: GmaAlgebra, kappa: GroupChar) -> list:
+    """The ordinary relations as (clause, element, J* generator), Dp first.
+
+    rho12(g) = 0 for g in Dp has the generator e1 rho(g) e2, and
+    rho11(g) = kappa^-1(g) for g in Ip has the generator a e1 with
+    a = phi1(rho(g)) - kappa^-1(g).  `_gma_structure` checks that corner 1
+    is free of rank one over the base, so a -> a e1 is injective and a e1
+    is zero exactly when a = 0: each relation holds exactly when its
+    generator is zero.
+    """
+    ch = gma.ch
+    al, a, grp = ch.algebra, ch.base, ch.psr.group
+    dp, ip = list(grp.dp), list(grp.ip)
+    off = (ch.rho_mat[dp] @ gma.p12) % al.char
+    kinv = np.array([kappa.inv_value(g) for g in ip], dtype=np.int64).reshape(len(ip), a.n)
+    corner = al.amul((gma.phi1_of(ch.rho_mat[ip]) - kinv) % a.char, gma.e1)
+    return [("rho12-on-dp", g, v) for g, v in zip(dp, off)] + [
+        ("rho11-minus-kappa-inv-on-ip", g, v) for g, v in zip(ip, corner)
+    ]
 
 
 def is_ordinary_rep(ctx: OrdinaryContext) -> dict:
     """Upper triangular on Dp and kappa^-1 on the 11-corner along Ip.
 
     Returns {"ordinary": bool, "witness": None | dict}; the witness names
-    the first element and coordinate where the condition fails.
+    the first relation of `_relations` whose generator is nonzero.
     """
-    gma, ch = ctx.gma, ctx.gma.ch
-    al = ch.algebra
-    grp = ch.psr.group
-    for g in ctx.dp:
-        v = (ch.rho(g) @ gma.p12) % al.char
-        if v.any():
-            return {
-                "ordinary": False,
-                "witness": {
-                    "element": int(g),
-                    "name": grp.names[g],
-                    "coordinate": "rho12",
-                    "value": [int(c) for c in v],
-                },
-            }
-    for g in ctx.ip:
-        diff = (gma.phi1_of(ch.rho(g)) - ctx.kappa.inv_value(g)) % ch.base.char
-        if diff.any():
-            return {
-                "ordinary": False,
-                "witness": {
-                    "element": int(g),
-                    "name": grp.names[g],
-                    "coordinate": "rho11",
-                    "value": [int(c) for c in gma.phi1_of(ch.rho(g))],
-                    "expected": [int(c) for c in ctx.kappa.inv_value(g)],
-                },
-            }
+    gma, kappa = ctx.gma, ctx.kappa
+    for clause, g, vec in _relations(gma, kappa):
+        if not vec.any():
+            continue
+        witness = {"element": int(g), "name": gma.ch.psr.group.names[g], "coordinate": clause.split("-")[0]}
+        if clause == "rho12-on-dp":
+            witness["value"] = [int(c) for c in vec]
+        else:
+            witness["value"] = [int(c) for c in gma.phi1_of(gma.ch.rho(g))]
+            witness["expected"] = [int(c) for c in kappa.inv_value(g)]
+        return {"ordinary": False, "witness": witness}
     return {"ordinary": True, "witness": None}
 
 
@@ -200,14 +204,12 @@ class OrdinaryQuotient:
         return f"<OrdinaryQuotient {tail}>"
 
 
-def _quotient_by_pushed(
-    ch: ChAlgebra, base_quot: QuotientRing, extra_rows, name: str | None = None
-):
-    """(down, ch_out, proj_mat): quotient of ch by extra_rows over base_quot.
+def _quotient_by_pushed(ch: ChAlgebra, base_quot: QuotientRing, extra_rows, name: str | None = None):
+    """(ch_out, proj_mat): quotient of ch by extra_rows over base_quot.
 
-    `down` is the Cayley-Hamilton quotient over the smaller base; `ch_out`
-    additionally kills the two-sided ideal generated by the images of
-    `extra_rows`.  The trace is required to die on that ideal, otherwise
+    `ch_out` is the Cayley-Hamilton quotient over the smaller base with the
+    two-sided ideal generated by the images of `extra_rows` killed as well.
+    The trace is required to die on that ideal, otherwise
     the base ideal was not saturated and the construction refuses.
     """
     down = ch_quotient(psrep_base_change(ch.psr, base_quot.proj), name=name)
@@ -228,60 +230,48 @@ def _quotient_by_pushed(
     # the trace of E, read through the Cayley-Hamilton quotient it descends to
     t_e = (down.quot.proj.matrix @ down.t_matrix) % abar.char
     out = _ch_algebra(down.psr, down.E, t_e, quot_full)
-    return down, out, _pushforward(ch, base_quot.proj, quot_full)
+    return out, _pushforward(ch, base_quot.proj, quot_full)
 
 
-def _star_generators(ctx: OrdinaryContext):
-    """Defining vectors of J* with per-element provenance."""
-    gma, ch = ctx.gma, ctx.gma.ch
+def _scaled_rows(al, basis) -> np.ndarray:
+    """Rows spanning I E, for the ideal I of the base with Howell basis `basis`."""
+    return al.amul(basis[:, None], np.eye(al.n, dtype=np.int64)).reshape(-1, al.n)
+
+
+def _base_ideal(gma: GmaAlgebra, kappa: GroupChar):
+    """(J* rows, J* provenance, J_R, J_R provenance) of the ordinary relations.
+
+    J* is the two-sided ideal the generators of `_relations` span, as a
+    Howell basis; J_R is generated by the trace and determinant of each
+    J* row, recorded in that order.
+    """
+    ch = gma.ch
     al, a = ch.algebra, ch.base
-    gens, star_prov = [], []
-    for g in ctx.dp:
-        v = (ch.rho(g) @ gma.p12) % al.char
-        star_prov.append(
-            {"clause": "rho12-on-dp", "element": int(g), "value": [int(c) for c in v]}
-        )
-        if v.any():
-            gens.append(v)
-    for g in ctx.ip:
-        diff = (gma.phi1_of(ch.rho(g)) - ctx.kappa.inv_value(g)) % a.char
-        vec = al.amul(diff, gma.e1)
-        star_prov.append(
-            {
-                "clause": "rho11-minus-kappa-inv-on-ip",
-                "element": int(g),
-                "value": [int(c) for c in vec],
-            }
-        )
-        if vec.any():
-            gens.append(vec)
-    return gens, star_prov
+    relations = _relations(gma, kappa)
+    star_prov = [
+        {"clause": clause, "element": int(g), "value": [int(c) for c in v]} for clause, g, v in relations
+    ]
+    gens = [v for _, _, v in relations if v.any()]
+    j_star = two_sided_ideal_rows(al, np.asarray(gens, dtype=np.int64).reshape(-1, al.n))
+    tv, dv = ch.t_el(j_star), ch.d_el(j_star)
+    jr_prov = [
+        {"kind": kind, "row": i, "value": [int(c) for c in v]}
+        for i in range(len(j_star))
+        for kind, v in (("trace", tv[i]), ("determinant", dv[i]))
+    ]
+    j_r = Ideal(a, np.stack([tv, dv], axis=1).reshape(-1, a.n))
+    return j_star, star_prov, j_r, jr_prov
 
 
 def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> OrdinaryQuotient:
-    ch = ctx.gma.ch
+    ch = ctx.ch
     al, a = ch.algebra, ch.base
-    gens, star_prov = _star_generators(ctx)
-    j_star = two_sided_ideal_rows(al, np.asarray(gens, dtype=np.int64).reshape(-1, al.n))
-    jr_rows, jr_prov = [], []
-    for i, r in enumerate(j_star):
-        tv = ch.t_el(r)
-        jr_rows.append(tv)
-        jr_prov.append({"kind": "trace", "row": i, "value": [int(c) for c in tv]})
-        dv = ch.d_el(r)
-        jr_rows.append(dv)
-        jr_prov.append({"kind": "determinant", "row": i, "value": [int(c) for c in dv]})
-    j_r = Ideal(a, np.asarray(jr_rows, dtype=np.int64).reshape(-1, a.n))
+    base = _base_ideal(ctx.gma, ctx.kappa)
+    j_star, _, j_r, jr_prov = base
     # J* + J_R E, for the record and for the quotient below
-    scaled = al.amul(j_r.basis[:, None], np.eye(al.n, dtype=np.int64)).reshape(-1, al.n)
-    j_rows = linalg.howell_form(
-        np.vstack([j_star, scaled]),
-        al.p,
-        al.k,
-        ncols=al.n,
-    )
+    j_rows = linalg.howell_form(np.vstack([j_star, _scaled_rows(al, j_r.basis)]), al.p, al.k, ncols=al.n)
     collapsed = j_r.is_unit_ideal()
-    collapse_step = None
+    e_ord = proj_mat = collapse_step = None
     if collapsed:
         hit = next((pr for pr in jr_prov if a.is_unit(np.asarray(pr["value"]))), None)
         collapse_step = {
@@ -289,24 +279,15 @@ def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> Ordinary
             "note": "" if hit else "unit arises only as a combination of generators",
         }
     base_quot = quotient_ring(a, j_r, name=f"{a.name}/JR")
-    if collapsed:
-        return OrdinaryQuotient(
-            ctx, j_star, star_prov, j_r, jr_prov, j_rows, base_quot, None, None, True, collapse_step
-        )
-    _, e_ord, proj_mat = _quotient_by_pushed(
-        ch, base_quot, j_star, name=name or f"{al.name} ord"
-    )
-    return OrdinaryQuotient(
-        ctx, j_star, star_prov, j_r, jr_prov, j_rows, base_quot, e_ord, proj_mat, False, None
-    )
+    if not collapsed:
+        e_ord, proj_mat = _quotient_by_pushed(ch, base_quot, j_star, name=name or f"{al.name} ord")
+    return OrdinaryQuotient(ctx, *base, j_rows, base_quot, e_ord, proj_mat, collapsed, collapse_step)
 
 
 # ---- deciding ordinarity for a pseudorepresentation ------------------
 
 
 def _require_decidable(psr: Pseudorep2) -> None:
-    if psr.group.dp is None or psr.group.ip is None:
-        raise InputError("group carries no decomposition/inertia marks")
     if not psr.ring.is_local or psr.ring.n == 0:
         raise InputError("ordinarity decision expects a local base")
 
@@ -326,9 +307,11 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
     a matrix residual every residual trace-1 idempotent is lifted and
     tried.  Irreducible residual characteristic polynomials would need a
     field extension and are reported unsupported, as are coincident
-    residual characters.
+    residual characters.  Kappa is checked once, before its first use; a
+    candidate is lifted, decomposed and given its J_R, nothing more.
     """
     _require_decidable(ch.psr)
+    _check_kappa(ch, kappa)
     res = ch.residual
     case = res.split["case"]
     if case == "irreducible":
@@ -337,24 +320,16 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
     if case == "split":
         chis = [chi for chi in res.split["chars"] if _kappa_inverse_on_inertia(res, kappa, chi)]
         if not chis:
-            return {
-                "supported": True,
-                "ordinary": False,
-                "reason": "no residual character matches kappa^-1 on inertia",
-                "checked": 0,
-            }
+            reason = "no residual character matches kappa^-1 on inertia"
+            return {"supported": True, "ordinary": False, "reason": reason, "checked": 0}
     targets, reason = _residual_targets(res, chis, budget)
     if reason:
-        return {
-            "supported": False,
-            "ordinary": None,
-            "reason": reason,
-            "checked": 0,
-        }
+        return {"supported": False, "ordinary": None, "reason": reason, "checked": 0}
     for tried, target in enumerate(targets, 1):
         e1, _ = _newton_lift(ch, target)
-        ctx = ordinary_context(gma_decompose(ch, e1), kappa)
-        if ordinary_quotient(ctx).j_r.is_zero():
+        gma = gma_decompose(ch, e1)
+        _, _, j_r, _ = _base_ideal(gma, kappa)
+        if j_r.is_zero():
             return {
                 "supported": True,
                 "ordinary": True,
@@ -363,19 +338,14 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
                 "checked": tried if chis is None else len(targets),
                 "witness": {
                     "e1": [int(c) for c in e1],
-                    "alignment": ctx.kappa_alignment,
+                    "alignment": _residual_corner_alignment(gma, kappa),
                 },
             }
     if chis is None:
         reason = "ordinary base ideal is nonzero for every residual corner"
     else:
         reason = "ordinary base ideal is nonzero for every aligned corner"
-    return {
-        "supported": True,
-        "ordinary": False,
-        "reason": reason,
-        "checked": len(targets),
-    }
+    return {"supported": True, "ordinary": False, "reason": reason, "checked": len(targets)}
 
 
 # ---- the reducible ordinary quotient --------------------------------
@@ -392,7 +362,6 @@ def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -
     """
     gma, ch = ctx.gma, ctx.gma.ch
     al, a = ch.algebra, ch.base
-    grp = ch.psr.group
     oq = ordinary_quotient(ctx)
     jd = Ideal(a, gma.m_table.reshape(-1, a.n))
     total = Ideal(a, np.vstack([oq.j_r.basis, jd.basis]))
@@ -413,21 +382,16 @@ def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -
     if not cert["split"]:
         raise InvariantViolation("trace fails to split modulo the reducibility ideal")
     # two-sided generators: J* plus the pairing products
-    prods = [
-        al.mul((ch.rho(g) @ gma.p12) % al.char, (ch.rho(h) @ gma.p21) % al.char)
-        for g in range(grp.m)
-        for h in range(grp.m)
-    ]
-    extra = np.vstack([oq.j_star_rows.reshape(-1, al.n), np.asarray(prods).reshape(-1, al.n)])
-    _, e_red, proj_mat = _quotient_by_pushed(ch, base_quot, extra, name=name or f"{al.name} red-ord")
+    prods = al.mul_outer((ch.rho_mat @ gma.p12) % al.char, (ch.rho_mat @ gma.p21) % al.char)
+    extra = np.vstack([oq.j_star_rows.reshape(-1, al.n), prods.reshape(-1, al.n)])
+    e_red, proj_mat = _quotient_by_pushed(ch, base_quot, extra, name=name or f"{al.name} red-ord")
     rank_match = True
     if oq.e_ord is not None:
         # E_red must be E_ord with the reducibility ideal extended, nothing more
         eo = oq.e_ord
         abar = oq.base_quot.ring
         jd_bar = Ideal(abar, oq.base_quot.proj(jd.basis))
-        scaled = eo.algebra.amul(jd_bar.basis[:, None], np.eye(eo.nbar, dtype=np.int64))
-        rows = two_sided_ideal_rows(eo.algebra, scaled.reshape(-1, eo.nbar))
+        rows = two_sided_ideal_rows(eo.algebra, _scaled_rows(eo.algebra, jd_bar.basis))
         q = quotient_algebra(eo.algebra, rows)
         lhs = q.algebra.k * q.algebra.n
         rhs = e_red.algebra.k * e_red.algebra.n
@@ -466,8 +430,8 @@ def ordinary_factorization_check(ctx: OrdinaryContext, budget: int = 200000) -> 
     if a.size > budget:
         raise BudgetExceeded(f"base has {a.size} elements, budget {budget}")
     oq = ordinary_quotient(ctx)
-    gens, _ = _star_generators(ctx)
-    eye = np.eye(al.n, dtype=np.int64)
+    # the J* generators of `_relations`, as `_base_ideal` recorded them
+    gens = np.array([pr["value"] for pr in oq.j_star_generators], dtype=np.int64).reshape(-1, al.n)
     base_ideals, seen = [], set()
     for x in a.elements(limit=budget):
         ideal = Ideal(a, x.reshape(1, -1))
@@ -477,38 +441,27 @@ def ordinary_factorization_check(ctx: OrdinaryContext, budget: int = 200000) -> 
             base_ideals.append(ideal)
     rng = random.Random(0)
     seeds = [np.zeros(al.n, dtype=np.int64)]
-    seeds.extend(eye)
+    seeds.extend(np.eye(al.n, dtype=np.int64))
     seeds.extend(al.random_element(rng) for _ in range(8))
     seeds.extend(oq.j_star_rows)
     seeds.extend(oq.j_rows)
     qualified = 0
     for ideal in base_ideals:
-        ie = al.amul(ideal.basis[:, None], eye).reshape(-1, al.n)
+        ie = _scaled_rows(al, ideal.basis)
         for seed in seeds:
-            k_rows = two_sided_ideal_rows(al, np.vstack([seed.reshape(1, -1), ie]))
-            has_gens = all(
-                linalg.span_contains(k_rows, g, al.p, al.k) for g in gens
-            )
-            traces_in = all(ideal.contains(ch.t_el(r)) for r in k_rows)
-            if not (has_gens and traces_in):
+            k_span = linalg.FactoredSpan(two_sided_ideal_rows(al, np.vstack([seed[None], ie])), al.p, al.k)
+            if not (k_span.contains(gens).all() and ideal.span.contains(ch.t_el(k_span.h)).all()):
                 continue
             qualified += 1
-            for r in oq.j_r.basis:
-                if not ideal.contains(r):
-                    raise InvariantViolation(
-                        "qualifying quotient misses the ordinary base ideal"
-                    )
-            for r in oq.j_rows:
-                if not linalg.span_contains(k_rows, r, al.p, al.k):
-                    raise InvariantViolation(
-                        "qualifying quotient misses the ordinary ideal"
-                    )
+            if not ideal.contains_ideal(oq.j_r):
+                raise InvariantViolation("qualifying quotient misses the ordinary base ideal")
+            if not k_span.contains(oq.j_rows).all():
+                raise InvariantViolation("qualifying quotient misses the ordinary ideal")
     # the canonical pair qualifies
-    if not all(linalg.span_contains(oq.j_rows, g, al.p, al.k) for g in gens):
+    if not linalg.FactoredSpan(oq.j_rows, al.p, al.k).contains(gens).all():
         raise InvariantViolation("ordinary ideal misses its own generators")
-    for r in oq.j_rows:
-        if not oq.j_r.contains(ch.t_el(r)):
-            raise InvariantViolation("ordinary trace values escape the base ideal")
+    if not oq.j_r.span.contains(ch.t_el(oq.j_rows)).all():
+        raise InvariantViolation("ordinary trace values escape the base ideal")
     return {"ok": True, "qualified": qualified, "base_ideals": len(base_ideals)}
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import gma as gma_mod
 from . import groups, ordinary, psrep, serialize, towers
-from .errors import InputError
+from .errors import BudgetExceeded, InputError, InvariantViolation
 from .rings import DvrModel, RingMap, field_ring, truncated_poly_ring, zmod_ring
 from .serialize import int_field, int_list_field, object_field
 
@@ -369,8 +369,9 @@ def load_scenario(source, seed=None, budget=None, stages=None) -> Scenario:
 def run_scenario(source, seed=None, budget=None, stages=None) -> Report:
     """Run the scenario's stages and assemble the report.
 
-    Hard invariant failures propagate as exceptions; a validation stage
-    that merely reports failures downgrades the verdict instead.
+    Hard invariant failures propagate as exceptions, their message led by
+    the scenario and the stage that raised them; a validation stage that
+    merely reports failures downgrades the verdict instead.
     """
     import time
 
@@ -381,7 +382,10 @@ def run_scenario(source, seed=None, budget=None, stages=None) -> Report:
     verdict = "ok"
     for stage in sc.stages:
         t0 = time.perf_counter()
-        payload = _STAGES[sc.kind][stage](st)
+        try:
+            payload = _STAGES[sc.kind][stage](st)
+        except (InputError, BudgetExceeded, InvariantViolation) as e:
+            raise type(e)(f"scenario {sc.name}, stage {stage}: {e}") from e
         timing[stage] = time.perf_counter() - t0
         out[stage] = payload
         if stage == "validate" and not payload["ok"]:

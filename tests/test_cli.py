@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exalg import cli, gma, ordinary, psrep, scenarios, serialize, towers
-from exalg.errors import InvariantViolation
+from exalg.errors import BudgetExceeded, InputError, InvariantViolation
 from exalg.rings import Ideal, zmod_ring
 
 BUNDLE_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "scenarios"
@@ -317,6 +317,17 @@ def test_tower_only_commands_reject_psrep_scenarios(capsys):
 def test_budget_exhaustion_exit_code(capsys):
     assert cli.main(["pipeline", "diag-ordinary", "--budget", "1"]) == 3
     assert "budget exceeded:" in capsys.readouterr().err
+
+
+def test_stage_errors_name_the_scenario_and_the_stage(capsys):
+    with pytest.raises(BudgetExceeded, match=r"^scenario diag-ordinary, stage gma: ring has 25 elements"):
+        scenarios.run_scenario("diag-ordinary", budget=1)
+    no_kappa = dict(scenarios.BUILTIN["diag-ordinary"], kappa=None)
+    with pytest.raises(InputError, match=r"^scenario diag-ordinary, stage ordinary: stage 'ordinary' needs"):
+        scenarios.run_scenario(no_kappa)
+    assert cli.main(["pipeline", "diag-ordinary", "--budget", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: scenario diag-ordinary, stage gma: ") and err.count("\n") == 1
 
 
 def test_invariant_failure_exit_code(monkeypatch, capsys):

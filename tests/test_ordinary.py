@@ -178,6 +178,23 @@ def test_offdiagonal_witness_comes_first():
     assert out["witness"]["element"] == 1
 
 
+def test_relation_walk_matches_the_per_element_relations():
+    """The stacked walk gives, relation by relation, the generator that a
+    per-element loop over Dp and then Ip computes."""
+    psr, kappa = c4_setup()
+    d5 = d5_t2_psrep((0, 6), (0,))
+    ctxs = [aligned_context(psr, kappa), aligned_context(psr, kappa, flip=True)]
+    ctxs.append(aligned_context(d5, groups.trivial_char(d5.group, T2, domain=(0, 6), name="k")))
+    for ctx in ctxs:
+        gm, ch, al = ctx.gma, ctx.ch, ctx.ch.algebra
+        expect = [("rho12-on-dp", g, (ch.rho(g) @ gm.p12) % al.char) for g in ch.psr.group.dp]
+        for g in ch.psr.group.ip:
+            diff = (gm.phi1_of(ch.rho(g)) - ctx.kappa.inv_value(g)) % ch.base.char
+            expect.append(("rho11-minus-kappa-inv-on-ip", g, al.amul(diff, gm.e1)))
+        got = ordinary._relations(ctx.gma, ctx.kappa)
+        assert [(c, g, v.tolist()) for c, g, v in got] == [(c, g, v.tolist()) for c, g, v in expect]
+
+
 def test_context_input_errors():
     psr, kappa = c4_setup()
     ag = gma.abstract_gma(F5, F5.one)
@@ -360,6 +377,36 @@ def test_decision_branches_on_the_residual_case_not_its_wording(monkeypatch):
             monkeypatch.setattr(mod, "residual_split", reworded)
     out = ordinary.is_ordinary_psrep(psr, kappa)
     assert (out["supported"], out["ordinary"], out["checked"]) == (True, False, 56)
+
+
+def test_decision_checks_kappa_before_reading_it():
+    """A kappa over F25 against a trace over F5 is an input error, raised
+    before the residual characters are compared with kappa^-1."""
+    psr, _ = c4_setup()
+    f25 = rings.field_ring(5, 2)
+    kappa = groups.trivial_char(psr.group, f25, domain=range(4), name="k25")
+    with pytest.raises(InputError, match="kappa must take values in the base ring"):
+        ordinary.is_ordinary_psrep(psr, kappa)
+
+
+def test_decision_builds_no_ordinary_quotient(monkeypatch):
+    """The decision reads J_R only: no E_ord is built for a candidate, and
+    a scenario builds at most the one its ordinary stage reports."""
+    calls, original = [], ordinary._quotient_by_pushed
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ordinary, "_quotient_by_pushed", counted)
+    psr, kappa = c4_setup()
+    assert ordinary.is_ordinary_psrep(psr, kappa)["ordinary"]
+    for dp, ip in [(tuple(range(5)), tuple(range(5))), ((0, 6), (0,))]:
+        d5 = d5_t2_psrep(dp, ip)
+        ordinary.is_ordinary_psrep(d5, groups.trivial_char(d5.group, T2, domain=dp, name="k"))
+    assert calls == []
+    scenarios.run_scenario("diag-ordinary")
+    assert len(calls) <= 1
 
 
 def test_decision_matrix_residual_depends_on_kappa():
