@@ -229,14 +229,19 @@ class GroupChar:
             raise InvariantViolation("character domain is not a subgroup")
         if not np.array_equal(self(grp.identity), r.one):
             raise InvariantViolation("character is not 1 at the identity")
-        for a in self.domain:
+        dom = np.array(self.domain, dtype=np.int64)
+        vals = np.zeros((grp.m, r.n), dtype=np.int64)
+        vals[dom] = [self.values[a] for a in self.domain]
+        ok = (r.mul_outer(vals[dom], vals[dom]) == vals[grp.table[np.ix_(dom, dom)]]).all(axis=2)
+        # chi(a) chi(a^-1) = chi(1) = 1 on a row that holds, so only the first
+        # failing row can hold a value that is not a unit
+        bad = ~ok.all(axis=1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            a, b = self.domain[row], self.domain[int(np.argmin(ok[row]))]
             if not r.is_unit(self.values[a]):
                 raise InvariantViolation(f"character value at {a} is not a unit")
-            for b in self.domain:
-                lhs = self(grp.mul(a, b))
-                rhs = r.mul(self(a), self(b))
-                if not np.array_equal(lhs, rhs):
-                    raise InvariantViolation(f"character fails at ({a},{b})")
+            raise InvariantViolation(f"character fails at ({a},{b})")
 
     def restrict(self, subset) -> "GroupChar":
         subset = set(int(x) for x in subset)

@@ -13,6 +13,12 @@ vectors in one pass over the pivots, and its left kernel is computed only
 on request; `solve_left`, `span_contains` and `reduce_by_howell` are their
 one-vector forms.
 
+The engine behind both Howell entry points updates only the rows that
+have a nonzero entry in the pivot column.  A tall input (more rows than
+columns) reduced without a transform also sheds its zero rows, on entry and
+as elimination makes them; the Howell form is canonical, so the output is
+the same as with every row kept.
+
 Rows are numpy int64 vectors with entries in [0, p^k).  All operations are
 exact; no floating point anywhere.
 """
@@ -83,15 +89,26 @@ def _engine(mat: np.ndarray, p: int, k: int, with_transform: bool):
     a = _as_matrix(mat) % m
     nr, nc = a.shape
     u = np.eye(nr, dtype=np.int64) % m if with_transform else None
+    # A tall input without a transform sheds its zero rows, which span
+    # nothing; the transform path keeps them, as they carry kernel relations.
+    shed = not with_transform and nr > nc
+    if shed:
+        a = a[a.any(axis=1)]
     done = 0
     for c in range(nc):
         col = a[done:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        vals = [_val(int(col[j]), p, k) for j in nz]
-        j = int(nz[int(np.argmin(vals))]) + done
-        v = _val(int(a[j, c]), p, k)
+        # the first row of least valuation v: nonzero mod p^(v+1)
+        v, least = 0, nz
+        if k > 1:
+            vals = col[nz]
+            for v in range(k):
+                least = nz[vals % p ** (v + 1) != 0]
+                if least.size:
+                    break
+        j = int(least[0]) + done
         if j != done:
             a[[done, j]] = a[[j, done]]
             if with_transform:
@@ -103,18 +120,27 @@ def _engine(mat: np.ndarray, p: int, k: int, with_transform: bool):
             a[done] = (a[done] * ui) % m
             if with_transform:
                 u[done] = (u[done] * ui) % m
-        below = a[done + 1 :, c]
-        if below.size and below.any():
-            mult = below // piv  # exact: the pivot has minimal valuation
-            a[done + 1 :] = (a[done + 1 :] - mult[:, None] * a[done]) % m
+        # nonzero rows below the pivot, from the scan: if the row at `done` was
+        # nonzero it took the pivot's old place, else that place is zero now
+        rel = j - done
+        rows = (nz[1:] if nz[0] in (0, rel) else nz[nz != rel]) + done
+        if rows.size:
+            mult = a[rows, c] // piv  # exact: the pivot has minimal valuation
+            a[rows] = (a[rows] - mult[:, None] * a[done]) % m
             if with_transform:
-                u[done + 1 :] = (u[done + 1 :] - mult[:, None] * u[done]) % m
-        if done > 0:
-            mult = a[:done, c] // piv
-            if mult.any():
-                a[:done] = (a[:done] - mult[:, None] * a[done]) % m
+                u[rows] = (u[rows] - mult[:, None] * u[done]) % m
+            if shed and a.shape[0] - done - 1 > nc - c - 1:
+                # while the rows below outnumber the columns left, drop those just zeroed
+                zeroed = rows[~a[rows, c + 1 :].any(axis=1)]
+                if zeroed.size:
+                    a = np.delete(a, zeroed, axis=0)
+        if done:
+            rows = np.flatnonzero(a[:done, c] // piv)
+            if rows.size:
+                mult = a[rows, c] // piv
+                a[rows] = (a[rows] - mult[:, None] * a[done]) % m
                 if with_transform:
-                    u[:done] = (u[:done] - mult[:, None] * u[done]) % m
+                    u[rows] = (u[rows] - mult[:, None] * u[done]) % m
         if v > 0:
             ann = (a[done] * p ** (k - v)) % m
             if ann.any() or with_transform:
@@ -131,7 +157,8 @@ def howell_form(rows, p: int, k: int, ncols: int | None = None) -> np.ndarray:
 
     Two row sets span the same submodule iff their Howell forms are equal
     elementwise.  Pivot entries are powers of p at strictly increasing
-    columns; entries above a pivot p^v are reduced mod p^v.
+    columns; entries above a pivot p^v are reduced mod p^v.  Tall inputs
+    shed their zero rows during the reduction; the output is unchanged.
     """
     a = _as_matrix(rows, ncols)
     if a.shape[0] == 0:

@@ -42,6 +42,10 @@ __all__ = [
     "DvrModel",
 ]
 
+# elements per stack in `FiniteRing.element_blocks`; a fixed size keeps the
+# memory of an enumeration independent of its budget
+_ELEMENT_BLOCK = 4096
+
 
 def smith_form(rows, p: int, k: int, ncols: int):
     """Diagonalize a relation matrix over Z/p^k by row and column operations.
@@ -233,12 +237,20 @@ class FiniteRing:
             power = (power @ mat) % self.p
         return not power.any()
 
-    def elements(self, limit: int | None = 2_000_000):
+    def element_blocks(self, limit: int | None = 2_000_000):
+        """Every element, as stacks of at most _ELEMENT_BLOCK rows in
+        `itertools.product` order, which is sorted order."""
         if limit is not None and self.size > limit:
             raise BudgetExceeded(f"ring has {self.size} elements, limit {limit}")
-        ranges = [range(self.char)] * self.n
-        for tup in itertools.product(*ranges):
-            yield np.array(tup, dtype=np.int64)
+        # element number i has the base-char digits of i as its coordinates
+        place = self.char ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        for start in range(0, self.size, _ELEMENT_BLOCK):
+            idx = np.arange(start, min(start + _ELEMENT_BLOCK, self.size), dtype=np.int64)
+            yield (idx[:, None] // place) % self.char
+
+    def elements(self, limit: int | None = 2_000_000):
+        for block in self.element_blocks(limit):
+            yield from block
 
     def random_element(self, rng) -> np.ndarray:
         return np.array([rng.randrange(self.char) for _ in range(self.n)], dtype=np.int64)
@@ -487,10 +499,8 @@ class RingMap:
             raise InvariantViolation("map does not preserve 1")
         if s.n == 0:
             return
-        imgs = self.matrix
-        lhs = np.einsum("ijx,xl->ijl", s.table, imgs) % d.char
-        rhs = np.einsum("ix,jy,xyl->ijl", imgs, imgs, d.table) % d.char
-        if not np.array_equal(lhs, rhs):
+        lhs = np.einsum("ijx,xl->ijl", s.table, self.matrix) % d.char
+        if not np.array_equal(lhs, d.mul_outer(self.matrix, self.matrix)):
             raise InvariantViolation("map is not multiplicative")
 
     def kernel_ideal(self) -> Ideal:
@@ -551,7 +561,9 @@ def _smith_quotient(p, k, table, one, rel_rows):
     new_k = nonzero[0] if nonzero else 1
     keep = exps > 0
     proj, lift = w[:, keep] % p**new_k, winv[keep] % p**k
-    prods = np.einsum("ai,bj,ijl->abl", lift, lift, table) % p**k
+    # lift_a * lift_b in two contractions: left multiplication by lift_a, then lift_b
+    left = (lift @ table.reshape(n, n * n)).reshape(lift.shape[0], n, n) % p**k
+    prods = (lift @ left) % p**k
     return new_k, (prods @ proj) % p**new_k, (one @ proj) % p**new_k, proj, lift
 
 

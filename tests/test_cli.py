@@ -228,6 +228,16 @@ def test_wrong_type_scenario_field_is_input_error(tmp_path, capsys, name, edit, 
     assert err.startswith("error:") and f"{name}: field {field}" in err and err.count("\n") == 1
 
 
+def test_field_errors_name_the_scenario_once(tmp_path, capsys):
+    """A field reader already puts the scenario name in front of its message;
+    the stage prefix then names the stage without repeating the scenario."""
+    path = _bundled_variant(tmp_path, "diag-ordinary", lambda d: d["ring"].update(p="five"))
+    assert cli.main(["pipeline", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: stage validate, scenario diag-ordinary: field 'ring.p' must be an integer, got 'five'\n"
+    assert err.count("diag-ordinary") == 1
+
+
 def test_out_of_range_marks_are_input_error(tmp_path, capsys):
     path = _bundled_variant(tmp_path, "diag-ordinary", lambda d: d["group"].update(dp=[0, 9]))
     assert cli.main(["pipeline", path]) == 2

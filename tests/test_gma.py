@@ -793,3 +793,85 @@ def test_batched_peirce_checks_match_the_per_row_reference(case, edits):
         assert _raised(gma.coordinate_maps, bad) == _loop_coordinate_failure(bad)
     if not edits:
         assert _loop_gma_failure(bad) is None
+
+
+# ---- stacked Cayley-Hamilton checks against their per-element reference --
+
+
+def _loop_verify_failure(ch, rng_seed=0, samples=100):
+    """First failure of `ChAlgebra.verify`, one basis pair, one sample and
+    one group pair at a time."""
+    al = ch.algebra
+    eye = np.eye(al.n, dtype=np.int64)
+    for i in range(al.n):
+        for j in range(i, al.n):
+            if ch.ch_el(eye[i], eye[j]).any():
+                return f"polarized identity fails on basis pair ({i},{j})"
+    rng = random.Random(rng_seed)
+    for _ in range(samples if al.n else 0):
+        if ch.ch_at(al.random_element(rng)).any():
+            return "characteristic polynomial fails on a sampled element"
+    grp = ch.psr.group
+    for g in grp.elements():
+        for h in grp.elements():
+            if not np.array_equal(al.mul(ch.rho_mat[g], ch.rho_mat[h]), ch.rho_mat[grp.mul(g, h)]):
+                return "group images fail to multiply in the quotient"
+    return None
+
+
+@functools.cache
+def _ch_case(name):
+    psr = {"s3f7": lambda: s3_irr_psrep(F7), "c4": c4_diag_psrep, "d5t2": d5_t2_psrep}[name]()
+    return gma.ch_quotient(psr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["s3f7", "c4", "d5t2"]),
+    st.lists(
+        st.tuples(st.sampled_from(["rho_mat", "t_matrix"]), st.integers(0, 10**6), st.integers(1, 6)),
+        max_size=3,
+    ),
+)
+def test_stacked_ch_verify_matches_the_per_element_reference(case, edits):
+    """Corrupted group images or trace matrices fail the stacked `verify`
+    with the message the per-element loops meet first; intact ones pass both."""
+    ch = _ch_case(case)
+    fields = {name: getattr(ch, name).copy() for name in ("rho_mat", "t_matrix")}
+    for name, where, delta in edits:
+        flat = fields[name].reshape(-1)
+        flat[where % flat.size] = (flat[where % flat.size] + delta) % ch.algebra.char
+    bad = dataclasses.replace(ch, **fields)
+    assert _raised(gma.ChAlgebra.verify, bad) == _loop_verify_failure(bad)
+    if not edits:
+        assert _loop_verify_failure(bad) is None
+
+
+def _loop_trace_one_idempotents(ch):
+    """Every trace-1 idempotent, one element at a time, sorted."""
+    al = ch.algebra
+    out = [
+        x
+        for x in (np.array(t, dtype=np.int64) for t in itertools.product(range(al.char), repeat=al.n))
+        if np.array_equal(al.mul(x, x), x) and np.array_equal(ch.t_el(x), ch.base.one)
+    ]
+    return sorted(out, key=lambda v: tuple(map(int, v)))
+
+
+@pytest.mark.parametrize("case", ["m2f5", "m2f7", "split-residual"])
+def test_stacked_trace_one_idempotents_match_the_per_element_reference(case):
+    if case == "split-residual":
+        ch = gma.ch_quotient(d5_t2_psrep()).residual
+        assert ch.split["case"] == "split"
+        ch = ch.ch
+    else:
+        ch = gma.ch_quotient(s3_irr_psrep({"m2f5": F5, "m2f7": F7}[case]))
+    got = gma._trace_one_idempotents(ch, budget=ch.algebra.size)
+    want = _loop_trace_one_idempotents(ch)
+    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    if case != "split-residual":
+        # rank-1 idempotents of M2(F_q): a line for the image, a complement for the kernel
+        q = ch.base.char
+        assert ch.algebra.n == 4 and len(got) == q * q + q
+    with pytest.raises(BudgetExceeded):
+        gma._trace_one_idempotents(ch, budget=ch.algebra.size - 1)

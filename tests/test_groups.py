@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exalg import groups, rings
 from exalg.errors import InputError, InvariantViolation
@@ -113,3 +115,46 @@ def test_character_multiplicativity_enforced():
     bad = groups.GroupChar(c2, F5, {0: F5.one, 1: np.array([2])})
     with pytest.raises(InvariantViolation):
         bad.check()  # 2*2 = 4 != 1
+
+
+def _loop_char_failure(chi):
+    """First failure of the unit and product checks of `GroupChar.check`,
+    one value and one pair at a time."""
+    grp, r = chi.group, chi.ring
+    for a in chi.domain:
+        if not r.is_unit(chi.values[a]):
+            return f"character value at {a} is not a unit"
+        for b in chi.domain:
+            if not np.array_equal(chi(grp.mul(a, b)), r.mul(chi(a), chi(b))):
+                return f"character fails at ({a},{b})"
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["c4", "d3-rotations", "c4-z25"]),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 24)), max_size=3),
+)
+def test_stacked_character_check_matches_the_per_pair_reference(case, edits):
+    """Corrupted values (zero ones included) fail the stacked check with the
+    message the per-value, per-pair loop meets first; intact ones pass both."""
+    if case == "c4":
+        chi = groups.cyclic_char(groups.cyclic_group(4), F5, 1, np.array([2]))
+    elif case == "d3-rotations":
+        theta = next(x for x in F25.elements() if np.array_equal(F25.mul(x, F25.mul(x, x)), F25.one) and x[1])
+        chi = groups.cyclic_char(groups.dihedral_group(3), F25, 1, theta)
+    else:
+        chi = groups.cyclic_char(groups.cyclic_group(4), rings.zmod_ring(5, 2), 1, np.array([7]))
+    values = {g: v.copy() for g, v in chi.values.items()}
+    for which, where, delta in edits:
+        g = chi.domain[which % len(chi.domain)]
+        if g == chi.group.identity:
+            continue  # the identity value is checked on its own, before the stacks
+        values[g][where % chi.ring.n] += delta
+    bad = groups.GroupChar(chi.group, chi.ring, values, name=chi.name)
+    try:
+        bad.check()
+        got = None
+    except InvariantViolation as exc:
+        got = str(exc)
+    assert got == _loop_char_failure(bad)

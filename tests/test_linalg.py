@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exalg import linalg
 
@@ -274,3 +274,62 @@ def test_factored_span_of_no_rows():
     x, ok = span.solve(np.array([[0, 0, 0], [1, 0, 0]]))
     assert ok.tolist() == [True, False] and x.shape == (2, 0)
     assert linalg.solve_left(np.zeros((0, 0), dtype=np.int64), [0, 0], 5, 1).shape == (0,)
+
+
+# ---- tall inputs: the engine sheds zero rows without changing the form --
+
+
+@st.composite
+def _tall_rows(draw):
+    """(p, k, rows): more rows than columns, drawn from a few sparse
+    generators (some scaled by p^j), so rows repeat and many are zero.  The shapes
+    include rows = cols + 1, an all-zero input and one nonzero row among
+    zeros."""
+    p, k = draw(st.sampled_from([3, 5])), draw(st.integers(1, 3))
+    m = p**k
+    nc = draw(st.integers(1, 5))
+    entry = st.integers(0, m - 1)
+    # sparse generators, so that rows zero in one column can be nonzero further on
+    sparse = st.one_of(st.just(0), entry)
+    gens = [
+        [p ** draw(st.integers(0, k - 1)) * draw(sparse) % m for _ in range(nc)]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    shape = draw(st.sampled_from(["mixed", "one-over", "all-zero", "single"]))
+    nr = nc + 1 if shape == "one-over" else draw(st.integers(nc + 1, 4 * nc + 8))
+    zero = [0] * nc
+    if shape == "all-zero":
+        rows = [zero] * nr
+    elif shape == "single":
+        rows = [zero] * nr
+        rows[draw(st.integers(0, nr - 1))] = draw(st.sampled_from(gens))
+    else:
+        # a generator, a zero row, or a small combination of generators
+        pick = st.one_of(
+            st.sampled_from(gens),
+            st.just(zero),
+            st.builds(lambda cs: [sum(c * g[j] for c, g in zip(cs, gens)) % m for j in range(nc)],
+                      st.lists(entry, min_size=len(gens), max_size=len(gens))),
+        )
+        rows = [draw(pick) for _ in range(nr)]
+    return p, k, np.array(rows, dtype=np.int64).reshape(nr, nc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tall_rows())
+@example((5, 1, np.zeros((4, 3), dtype=np.int64)))
+@example((3, 2, np.array([[0, 0], [0, 3], [0, 0]])))
+# elimination at column 0 zeroes column 1 of every row below, and the third
+# column of one of them is all that is left of it
+@example((5, 1, np.array([[1, 0, 0], [1, 0, 1], [1, 0, 0], [1, 0, 0], [1, 0, 0]])))
+def test_howell_form_of_tall_inputs_matches_the_transform_path(case):
+    """A tall input sheds its zero rows on the way; the transform path keeps
+    every row, and both must give the same Howell form."""
+    p, k, rows = case
+    m, nc = p**k, rows.shape[1]
+    h = linalg.howell_form(rows, p, k)
+    h_kept, u, _ = linalg.howell_with_transform(rows, p, k)
+    assert h.shape == h_kept.shape and np.array_equal(h, h_kept)
+    assert np.array_equal((u @ rows) % m, h)
+    if m**nc <= 729:
+        assert span_bruteforce(h, m, nc) == span_bruteforce(rows, m, nc)

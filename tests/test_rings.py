@@ -4,7 +4,9 @@ Every oracle here works by enumerating elements and multiplying them out,
 never through the Howell/Smith machinery under test.
 """
 
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -673,3 +675,37 @@ def test_exactness_guard_boundary(n):
 def test_exactness_guard_rejects_large_moduli(p, k):
     with pytest.raises(InputError, match="exact int64"):
         rings.zmod_ring(p, k)
+
+
+# ---- source rule: structure tables meet a three-operand einsum only in mul --
+
+
+def _three_operand_table_einsums():
+    """(file, enclosing class.function) of each `np.einsum` call in the
+    package with three operands, one of them a structure table."""
+    found = set()
+
+    def walk(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (
+                isinstance(child, ast.Call)
+                and ast.unparse(child.func) == "np.einsum"
+                and len(child.args) == 4
+                and any("table" in ast.unparse(arg) for arg in child.args[1:])
+            ):
+                found.add((path.name, inner))
+            walk(child, inner, path)
+
+    for path in sorted(pathlib.Path(rings.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), "", path)
+    return found
+
+
+def test_three_operand_table_einsum_only_in_finite_ring_mul():
+    """Any other product over a structure table goes through two-operand
+    contractions (`mul_matrix`, `mul_outer`): n^3 work per element and n^2
+    per pair, where the three-operand form does n^3 per pair."""
+    assert _three_operand_table_einsums() == {("rings.py", "FiniteRing.mul")}
