@@ -151,17 +151,19 @@ def matrix_algebra(base: FiniteRing, size: int, name: str | None = None) -> Asso
 
 
 def two_sided_ideal_rows(alg: AssocAlgebra, gens) -> np.ndarray:
-    """Howell basis of the two-sided ideal generated by `gens`."""
+    """Howell basis of the two-sided ideal generated by `gens`.
+
+    A G A = (A G) A, and both factors close in one step: the left ideal
+    A G is the span of the products e_a * g, and the right orbit of its
+    Howell basis spans (A G) A, which is already two-sided.
+    """
     n = alg.n
     rows = np.asarray(gens, dtype=np.int64).reshape(-1, n) % alg.char
     if n == 0 or rows.shape[0] == 0:
         return np.zeros((0, n), dtype=np.int64)
-
-    def left_and_right(h):
-        left = np.einsum("ri,ail->ral", h, alg.table).reshape(-1, n) % alg.char
-        return np.vstack([left, alg.orbit(h)])
-
-    return linalg.howell_closure(rows, alg.p, alg.k, n, left_and_right)
+    left = np.matmul(rows, alg.table) % alg.char  # left[a] = e_a * rows
+    h = linalg.howell_form(left.reshape(-1, n), alg.p, alg.k, ncols=n)
+    return linalg.howell_form(alg.orbit(h), alg.p, alg.k, ncols=n)
 
 
 def subalgebra_closure(alg: AssocAlgebra, gens, with_one: bool = True) -> np.ndarray:

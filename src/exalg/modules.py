@@ -8,6 +8,10 @@ and take it as a separate argument; all their maximal minors come from one
 column-by-column Laplace sweep that computes the minor of each row subset
 once and shares it with every larger subset, and `ring_det` is the
 one-minor case of that sweep.
+
+The library takes the length of a quotient of ideals I/J from sizes,
+log|I| - log|J|; `module_from_ideal_quotient`, the presentation of I/J
+as a module, now serves the tests as the oracle for that identity.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "FinModule",
     "fitting_ideal",
     "ring_det",
+    "maximal_multiples",
     "module_from_ideal_quotient",
 ]
 
@@ -65,14 +70,19 @@ class FinModule:
 
     @staticmethod
     def from_presentation(ring: FiniteRing, pres) -> "FinModule":
-        """Module of the (rels, g, n) array of ring-coefficient relation rows."""
+        """Module of the (rels, g, n) array of ring-coefficient relation rows.
+
+        The submodule of R^g the relations generate is the additive span of
+        the products v * e_j of each relation v with each basis element e_j,
+        so one orbit of their Howell basis closes it.
+        """
         pres = np.asarray(pres, dtype=np.int64)
         if pres.ndim != 3 or pres.shape[2] != ring.n:
             raise InputError("presentation must be (rels, gens, ring_dim)")
         rels, g, n = pres.shape
-        rows = pres.reshape(rels, g * n) % ring.char
-        # close the additive span under the ring action
-        h = linalg.howell_closure(rows, ring.p, ring.k, g * n, lambda h: ring.orbit(h, g))
+        h = linalg.howell_form(pres.reshape(rels, g * n) % ring.char, ring.p, ring.k, ncols=g * n)
+        if h.shape[0]:
+            h = linalg.howell_form(ring.orbit(h, g), ring.p, ring.k, ncols=g * n)
         return FinModule(ring, g, h, check=False)
 
     # ---- size and length --------------------------------------------
@@ -96,16 +106,10 @@ class FinModule:
     def minimal_generator_count(self) -> int:
         """dim of M/mM over the residue field."""
         r = self.ring
-        m = r.maximal_ideal()
         width = self.g * r.n
-        extra = []
-        for row in m.basis:
-            mat = r.mul_matrix(row)
-            for j in range(self.g):
-                blk = np.zeros((r.n, width), dtype=np.int64)
-                blk[:, j * r.n : (j + 1) * r.n] = mat
-                extra.append(blk)
-        rows = np.vstack([self.relations] + extra) if extra else self.relations
+        rows = self.relations
+        if width:  # M/mM is R^g modulo the relations and m*R^g
+            rows = np.vstack([rows, maximal_multiples(r, np.eye(width, dtype=np.int64), self.g)])
         h = linalg.howell_form(rows, r.p, r.k, ncols=width)
         ls = self.g * r.n * r.k - linalg.span_log_size(h, r.p, r.k)
         res = r.residue_log_size
@@ -135,6 +139,13 @@ class FinModule:
 
     def __repr__(self):
         return f"<FinModule over {self.ring.name}: {self.g} gens, log size {self.log_size()}>"
+
+
+def maximal_multiples(r: FiniteRing, rows, g: int) -> np.ndarray:
+    """Rows spanning m*M, for m the maximal ideal of the local ring r and M
+    the submodule of r^g the rows generate: each row times each basis row
+    of m."""
+    return r.orbit(rows, g, by=r.maximal_ideal().basis)
 
 
 def module_from_ideal_quotient(r: FiniteRing, top: Ideal, bottom: Ideal) -> FinModule:

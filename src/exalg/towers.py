@@ -48,7 +48,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, InvariantViolation
-from .modules import fitting_ideal, module_from_ideal_quotient, ring_det
+from .modules import fitting_ideal, maximal_multiples, ring_det
 from .rings import (
     DvrModel,
     FiniteRing,
@@ -208,14 +208,16 @@ def ideal_colength(o: DvrModel, ideal: Ideal) -> int:
 def cotangent_length(ring: FiniteRing, wp: Ideal, o: DvrModel) -> int:
     """Length of wp/wp^2 over the base.
 
+    wp^2 lies in wp, so log|wp/wp^2| = log|wp| - log|wp^2| exactly; no
+    presentation of the quotient module is needed.
+
     A value at or beyond the truncation order of the base is only a
     lower bound for the untruncated object; callers are expected to
     compare it against quantities that stay below that order.
     """
     if wp.ring is not ring:
         raise InputError("ideal does not live in the given ring")
-    mod = module_from_ideal_quotient(ring, wp, wp.mul_ideal(wp))
-    return _o_length(o, mod.log_size())
+    return _o_length(o, wp.log_size() - wp.mul_ideal(wp).log_size())
 
 
 # ---- minimal generators and the principal-ideal route ----------------
@@ -225,25 +227,27 @@ def _min_module_rows(ring: FiniteRing, rows: np.ndarray, g: int) -> np.ndarray:
     """Minimal generators of the submodule of ring^g spanned by the rows,
     picked from their Howell basis by Nakayama; for g = 1 and an ideal's
     basis, a minimal generating set of the ideal (a generator first, when
-    it is principal)."""
+    it is principal).
+
+    Each pick is the first remaining row outside the span of m*M and the
+    orbits of the rows picked so far; all remaining rows are tested in one
+    batch, and the span grows by the orbit of the new pick alone.
+    """
     width = g * ring.n
     full = linalg.howell_form(rows, ring.p, ring.k, ncols=width)
     if full.shape[0] == 0:
         return np.zeros((0, width), dtype=np.int64)
-    m = ring.maximal_ideal()
-    if m.basis.shape[0]:
-        blocks = full.reshape(-1, g, ring.n)
-        mk = np.einsum("rgi,bij->brgj", blocks, ring.mul_matrix(m.basis)).reshape(-1, width) % ring.char
-        mk = linalg.howell_form(mk, ring.p, ring.k, ncols=width)
-    else:
-        mk = np.zeros((0, width), dtype=np.int64)
+    cur = linalg.howell_form(maximal_multiples(ring, full, g), ring.p, ring.k, ncols=width)
     sel: list[np.ndarray] = []
-    cur = mk
-    for row in full:
-        if not linalg.span_contains(cur, row, ring.p, ring.k):
-            sel.append(row)
-            orb = ring.orbit(np.array(sel, dtype=np.int64), g)
-            cur = linalg.howell_form(np.vstack([orb, mk]), ring.p, ring.k, ncols=width)
+    start = 0
+    while start < full.shape[0]:
+        outside = np.flatnonzero(~linalg.FactoredSpan(cur, ring.p, ring.k).contains(full[start:]))
+        if outside.size == 0:
+            break
+        start += int(outside[0])
+        sel.append(full[start])
+        cur = linalg.howell_form(np.vstack([cur, ring.orbit(full[start], g)]), ring.p, ring.k, ncols=width)
+        start += 1
     picked = np.array(sel, dtype=np.int64)
     span = linalg.howell_form(ring.orbit(picked, g), ring.p, ring.k, ncols=width)
     if not linalg.span_equal(span, full):
@@ -717,8 +721,9 @@ def fitting_replay(t: EisensteinTower) -> dict:
     """Independent replay of the cotangent lower bound on the h-level.
 
     Ann_h(I) and Fitt_h(I) both vanish below the truncation tail, and
-    I/I^2 is at least as long as h/I.  Each quantity is computed on its
-    own; the implication (vanishing annihilator forces the vanishing
+    I/I^2 is at least as long as h/I; that length is log|I| - log|I^2|
+    (`cotangent_length`), since I^2 lies in I.  Each quantity is computed
+    on its own; the implication (vanishing annihilator forces the vanishing
     Fitting ideal and the bound) is enforced, not assumed.
     """
     lam, h = t.lam, t.h
@@ -733,8 +738,7 @@ def fitting_replay(t: EisensteinTower) -> dict:
     else:
         fitt = Ideal(h, np.eye(h.n, dtype=np.int64), _closed=True)
     fitt_ok = tail.contains_ideal(fitt)
-    mod = module_from_ideal_quotient(h, t.I, t.I.mul_ideal(t.I))
-    cot = _o_length(lam, mod.log_size())
+    cot = cotangent_length(h, t.I, lam)
     bound_ok = cot >= t.r
     if ann_ok and not (fitt_ok and bound_ok):
         raise InvariantViolation(f"cotangent bound replay failed on {t.label}")
