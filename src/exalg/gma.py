@@ -29,6 +29,7 @@ generated by the pairing values.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,7 +96,12 @@ class ChAlgebra(TraceForms):
 
     def verify(self, rng_seed: int = 0, samples: int = 100) -> None:
         """Identity on basis pairs (bilinearity covers the rest) plus random
-        spot checks; each check runs on one stack and names its first failure."""
+        spot checks; each check runs on one stack and names its first failure.
+
+        The spot checks are `samples` elements drawn as one stack from
+        `random.Random(rng_seed)`: the same integers, in the same order, as
+        `samples` single `random_element` calls.
+        """
         al = self.algebra
         if al.n == 0:
             return
@@ -105,10 +111,7 @@ class ChAlgebra(TraceForms):
         if bad.any():
             row = int(np.argmax(bad))
             raise InvariantViolation(f"polarized identity fails on basis pair ({left[row]},{right[row]})")
-        import random
-
-        rng = random.Random(rng_seed)
-        xs = np.array([al.random_element(rng) for _ in range(samples)], dtype=np.int64).reshape(-1, al.n)
+        xs = al.random_element(random.Random(rng_seed), samples)
         if self.ch_at(xs).any():
             raise InvariantViolation("characteristic polynomial fails on a sampled element")
         m = len(self.rho_mat)
@@ -124,8 +127,9 @@ def ch_quotient(psr: Pseudorep2, name: str | None = None) -> ChAlgebra:
     ext = ExtendedPsrep(psr)
     E, a = ext.E, psr.ring
     eye = np.eye(E.n, dtype=np.int64)
-    gens = [ext.ch_el(eye[i], eye[j]) for i in range(E.n) for j in range(i, E.n)]
-    rows = two_sided_ideal_rows(E, np.array(gens))
+    # ch(e_i, e_j) for i <= j, row-major, as one stack
+    left, right = np.triu_indices(E.n)
+    rows = two_sided_ideal_rows(E, ext.ch_el(eye[left], eye[right]))
     # the trace must vanish on the full ideal, or it cannot descend
     if rows.shape[0] and ((rows @ ext.t_matrix) % a.char).any():
         raise InvariantViolation("trace does not vanish on the Cayley-Hamilton ideal")

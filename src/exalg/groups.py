@@ -13,6 +13,16 @@ import numpy as np
 from .errors import InputError, InvariantViolation
 from .rings import FiniteRing
 
+# Largest group order accepted.  check_group builds an m^3 array, and the
+# group algebra over a ring of dimension n has an (m n)^3 table, so an
+# order is refused before any table is allocated.
+MAX_ORDER = 64
+
+
+def _require_order(m: int) -> None:
+    if m > MAX_ORDER:
+        raise InputError(f"group order {m} exceeds the supported maximum {MAX_ORDER}")
+
 __all__ = [
     "MarkedGroup",
     "GroupChar",
@@ -31,6 +41,7 @@ class MarkedGroup:
         m = self.table.shape[0]
         if self.table.shape != (m, m):
             raise InputError("group table must be square")
+        _require_order(m)
         self.identity = int(identity)
         self.name = name
         self.names = list(names) if names is not None else [f"g{i}" for i in range(m)]
@@ -156,6 +167,7 @@ class MarkedGroup:
 def cyclic_group(n: int, name: str | None = None) -> MarkedGroup:
     if n < 1:
         raise InputError("cyclic group order must be positive")
+    _require_order(n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     names = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
@@ -167,6 +179,7 @@ def dihedral_group(n: int, name: str | None = None) -> MarkedGroup:
     if n < 1:
         raise InputError("dihedral parameter must be positive")
     m = 2 * n
+    _require_order(m)
 
     def idx(i, j):
         return i % n + n * (j % 2)
@@ -190,6 +203,7 @@ def symmetric_3() -> MarkedGroup:
 
 def direct_product(a: MarkedGroup, b: MarkedGroup, name: str | None = None) -> MarkedGroup:
     ma, mb = a.m, b.m
+    _require_order(ma * mb)
     table = np.zeros((ma * mb, ma * mb), dtype=np.int64)
     for x1 in range(ma):
         for y1 in range(mb):
@@ -214,6 +228,7 @@ class GroupChar:
         self.name = name
         self.values = {int(g): np.asarray(v, dtype=np.int64) % ring.char for g, v in values.items()}
         self.domain = tuple(sorted(self.values))
+        self._inverses: dict = {}
 
     def __call__(self, g: int) -> np.ndarray:
         if g not in self.values:
@@ -221,7 +236,13 @@ class GroupChar:
         return self.values[g]
 
     def inv_value(self, g: int) -> np.ndarray:
-        return self.ring.inv(self(g))
+        """chi(g)^-1, inverted once per element and kept read-only, since a
+        character does not change after it is built."""
+        if g not in self._inverses:
+            inv = self.ring.inv(self(g))
+            inv.flags.writeable = False
+            self._inverses[g] = inv
+        return self._inverses[g]
 
     def check(self) -> None:
         grp, r = self.group, self.ring
@@ -264,6 +285,8 @@ def cyclic_char(
     group: MarkedGroup, ring: FiniteRing, gen: int, value, name: str = "chi"
 ) -> GroupChar:
     """Character on the cyclic subgroup generated by `gen`, sending gen to `value`."""
+    if not 0 <= gen < group.m:
+        raise InputError(f"character generator {gen} is not a group element in range({group.m})")
     value = np.asarray(value, dtype=np.int64) % ring.char
     order = group.order_of(gen)
     if not np.array_equal(ring.pow_el(value, order), ring.one):

@@ -61,6 +61,8 @@ def check_modulus(p: int, k: int) -> None:
         d += 2
     if not isinstance(k, int) or k < 1:
         raise InputError(f"exponent must be a positive integer, got {k}")
+    if k >= 64:  # p^k >= 3^64: past int64, and too large to compute
+        raise InputError(f"modulus {p}^{k} is past exact int64 arithmetic")
 
 
 def _val(x: int, p: int, k: int) -> int:

@@ -14,14 +14,22 @@ which again carries a Cayley-Hamilton structure.  A pseudorepresentation is
 then ordinary precisely when J_R = 0 for some kappa-compatible choice of
 idempotent, and that is what `is_ordinary_ch` decides (searching over
 residual idempotents in the matrix-residual case).  It checks kappa once
-and reads J_R alone; it reads the residual the algebra derived once, as do
-the corner alignment and the idempotent lift.
+and reads J_R = 0 off one contraction; it reads the residual the algebra
+derived once, as do the corner alignment and the idempotent lift.
 
-J_R is generated by the traces of J* alone: J* is two-sided, so t(j y) is
-again a trace of J* and every determinant value d(j) = (t(j)^2 - t(j^2))/2
-lands in the trace ideal automatically.  The determinant generators are
-still recorded, with provenance, because the quotient reports are easier
-to audit that way.
+J_R is generated by the traces of J* alone, and J_R = 0 exactly when
+t(g e_j) = 0 for every generator g of `_relations` and every basis
+element e_j:
+
+- t(ab) = t(ba) on the quotient, since it descends from the law
+  t(gh) = t(hg) on group elements.  J* = E G E, and t(x g y) = t(g (y x)),
+  so t(J*) = t(G E) as additive groups.
+- J_R is generated by t(J*) and d(J*), and 2 d(j) = t(j)^2 - t(j^2) with
+  j^2 in J* and 2 a unit, so d(J*) already lies in the ideal t(J*)
+  generates.
+
+The determinant generators are still recorded, with provenance, because
+the quotient reports are easier to audit that way.
 """
 
 from __future__ import annotations
@@ -94,8 +102,9 @@ class OrdinaryContext:
 
 def _kappa_inverse_on_inertia(res: Residual, kappa: GroupChar, chi) -> bool:
     """Is `chi`, a map g -> residue-field value, kappa^-1 on the inertia marks?"""
-    proj = res.field.proj
-    return all(np.array_equal(chi(g), proj(kappa.inv_value(g))) for g in res.ch.psr.group.ip)
+    ip = res.ch.psr.group.ip
+    want = res.field.proj(np.array([kappa.inv_value(g) for g in ip], dtype=np.int64).reshape(len(ip), -1))
+    return all(np.array_equal(chi(g), w) for g, w in zip(ip, want))
 
 
 def _residual_corner_alignment(gma: GmaAlgebra, kappa: GroupChar) -> str:
@@ -263,6 +272,16 @@ def _base_ideal(gma: GmaAlgebra, kappa: GroupChar):
     return j_star, star_prov, j_r, jr_prov
 
 
+def _j_r_is_zero(gma: GmaAlgebra, kappa: GroupChar) -> bool:
+    """`_base_ideal(gma, kappa)[2].is_zero()` without building J* or J_R:
+    t(g e_j) = 0 for every generator g of `_relations` and every basis
+    element e_j (the argument is in the module docstring)."""
+    ch = gma.ch
+    gens = np.array([v for _, _, v in _relations(gma, kappa)], dtype=np.int64).reshape(-1, ch.nbar)
+    # row j of mul_matrix(g) is g e_j
+    return not ((ch.algebra.mul_matrix(gens) @ ch.t_matrix) % ch.base.char).any()
+
+
 def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> OrdinaryQuotient:
     ch = ctx.ch
     al, a = ch.algebra, ch.base
@@ -308,7 +327,11 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
     tried.  Irreducible residual characteristic polynomials would need a
     field extension and are reported unsupported, as are coincident
     residual characters.  Kappa is checked once, before its first use; a
-    candidate is lifted, decomposed and given its J_R, nothing more.
+    candidate is lifted and decomposed with every structure check, and
+    then J_R = 0 is read as t(g e_j) = 0 for every generator g of
+    `_relations` and every basis element e_j, one contraction with no
+    ideal built (`_j_r_is_zero`): t(J*) = t(G E), and d(J*) lies in the
+    ideal t(J*) generates.
     """
     _require_decidable(ch.psr)
     _check_kappa(ch, kappa)
@@ -328,8 +351,7 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
     for tried, target in enumerate(targets, 1):
         e1, _ = _newton_lift(ch, target)
         gma = gma_decompose(ch, e1)
-        _, _, j_r, _ = _base_ideal(gma, kappa)
-        if j_r.is_zero():
+        if _j_r_is_zero(gma, kappa):
             return {
                 "supported": True,
                 "ordinary": True,
@@ -442,7 +464,7 @@ def ordinary_factorization_check(ctx: OrdinaryContext, budget: int = 200000) -> 
     rng = random.Random(0)
     seeds = [np.zeros(al.n, dtype=np.int64)]
     seeds.extend(np.eye(al.n, dtype=np.int64))
-    seeds.extend(al.random_element(rng) for _ in range(8))
+    seeds.extend(al.random_element(rng, 8))
     seeds.extend(oq.j_star_rows)
     seeds.extend(oq.j_rows)
     qualified = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 import itertools
+import math
 
 import numpy as np
 
@@ -45,6 +46,9 @@ __all__ = [
 # elements per stack in `FiniteRing.element_blocks`; a fixed size keeps the
 # memory of an enumeration independent of its budget
 _ELEMENT_BLOCK = 4096
+
+# largest dimension `truncated_poly_ring` builds: its table has n^3 entries
+MAX_POLY_DIM = 128
 
 
 def smith_form(rows, p: int, k: int, ncols: int):
@@ -172,7 +176,8 @@ class FiniteRing:
         return np.zeros(self.n, dtype=np.int64)
 
     def from_int(self, c: int) -> np.ndarray:
-        return (c * self.one) % self.char
+        # reduce as a Python int first, so a large c cannot overflow int64
+        return ((int(c) % self.char) * self.one) % self.char
 
     def add(self, x, y) -> np.ndarray:
         return (x + y) % self.char
@@ -258,8 +263,11 @@ class FiniteRing:
         for block in self.element_blocks(limit):
             yield from block
 
-    def random_element(self, rng) -> np.ndarray:
-        return np.array([rng.randrange(self.char) for _ in range(self.n)], dtype=np.int64)
+    def random_element(self, rng, count: int | None = None) -> np.ndarray:
+        """One element, or a (count, n) stack drawn from the same
+        `rng.randrange` stream as `count` single calls."""
+        shape = (self.n,) if count is None else (count, self.n)
+        return np.array([rng.randrange(self.char) for _ in range(math.prod(shape))], dtype=np.int64).reshape(shape)
 
     # ---- verification ----------------------------------------------
 
@@ -722,6 +730,9 @@ def _find_irreducible(p: int, e: int) -> list[int]:
 
 def field_ring(p: int, e: int = 1, name: str | None = None) -> FiniteRing:
     """F_{p^e} with power basis of a root of the first irreducible polynomial."""
+    if e < 1:
+        raise InputError(f"residue degree must be a positive integer, got {e}")
+    linalg.check_modulus(p, 1)
     if e == 1:
         return zmod_ring(p, 1, name=name or f"F{p}")
     poly = _find_irreducible(p, e)
@@ -745,8 +756,12 @@ def field_ring(p: int, e: int = 1, name: str | None = None) -> FiniteRing:
 
 def truncated_poly_ring(base: FiniteRing, trunc: int, name: str | None = None) -> FiniteRing:
     """base[t]/(t^trunc) with basis t^i * (base basis)."""
+    if trunc < 1:
+        raise InputError(f"truncation order must be a positive integer, got {trunc}")
     e = base.n
     n = trunc * e
+    if n > MAX_POLY_DIM:  # refused before the n^3 table is allocated
+        raise InputError(f"truncated ring of dimension {n} exceeds the supported maximum {MAX_POLY_DIM}")
     table = np.zeros((n, n, n), dtype=np.int64)
     for i1 in range(trunc):
         for j1 in range(e):

@@ -12,6 +12,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,88 @@ def test_type_mutated_bundled_scenario_exits_cleanly(field, kind):
     else:
         # exit 1 only from an InvariantViolation, whose handler prints this prefix
         assert text.startswith(_EXIT_PREFIX[code]) and text.count("\n") == 1 and text.endswith("\n")
+
+
+# integer values from sign errors to magnitudes past int64; every integer
+# field of every bundled scenario takes each of them in turn
+_INT_VALUES = (-2, -1, 0, 1, 2, 9, 10**30)
+
+
+def _int_field_paths(doc, prefix=()):
+    return [path for path in _field_paths(doc, prefix) if _json_type(_at(doc, path)) == "number"]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _run_quietly(doc) -> tuple:
+    """(exit code, stderr) of `exalg pipeline` on the scenario `doc`."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        scenario = Path(d) / f"{doc['name']}.json"
+        scenario.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["pipeline", str(scenario)])
+    return code, err.getvalue()
+
+
+def test_value_mutated_bundled_scenario_exits_cleanly():
+    """Every (integer field, value) mutation ends with exit 0-3 and at most
+    one line of stderr, never a traceback; the whole sweep stays under 10 s."""
+    start, bad = time.perf_counter(), []
+    for name in sorted(scenarios.BUILTIN):
+        for path in _int_field_paths(scenarios.BUILTIN[name]):
+            for value in _INT_VALUES:
+                doc = json.loads(json.dumps(scenarios.BUILTIN[name]))
+                _at(doc, path[:-1])[path[-1]] = value
+                try:
+                    code, text = _run_quietly(doc)
+                except Exception as e:  # a traceback at the command line
+                    bad.append((name, path, value, repr(e)))
+                    continue
+                clean = text == "" if code == 0 else (
+                    code in _EXIT_PREFIX and text.startswith(_EXIT_PREFIX[code]) and text.count("\n") == 1
+                )
+                if not clean:
+                    bad.append((name, path, value, code, text))
+    assert bad == []
+    assert time.perf_counter() - start <= 10
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        ("s3-irreducible", lambda d: d["ring"].update(e=0), "residue degree must be a positive integer, got 0"),
+        ("plane-tower-r2", lambda d: d["dvr"].update(e=-1), "residue degree must be a positive integer, got -1"),
+        (
+            "diag-ordinary",
+            lambda d: d.update(ring={"kind": "poly", "base": {"kind": "zmod", "p": 5}, "trunc": 0}),
+            "truncation order must be a positive integer, got 0",
+        ),
+        (
+            "diag-ordinary",
+            lambda d: d.update(ring={"kind": "poly", "base": {"kind": "zmod", "p": 5}, "trunc": -1}),
+            "truncation order must be a positive integer, got -1",
+        ),
+        ("diag-ordinary", lambda d: d["kappa"].update(gen=4), "character generator 4 is not a group element in range(4)"),
+        ("diag-ordinary", lambda d: d["kappa"].update(gen=-1), "character generator -1 is not a group element in range(4)"),
+        (
+            "diag-ordinary",
+            lambda d: d.update(group={"kind": "cyclic", "n": 1, "dp": [0], "ip": [0]}),
+            "character generator 1 is not a group element in range(1)",
+        ),
+        ("diag-ordinary", lambda d: d["kappa"].update(value=10**30), "value order does not divide the generator order"),
+        ("diag-ordinary", lambda d: d["group"].update(n=10**6), "group order 1000000 exceeds the supported maximum"),
+    ],
+)
+def test_out_of_range_scenario_values_are_input_errors(tmp_path, capsys, name, edit, message):
+    path = _bundled_variant(tmp_path, name, edit)
+    assert cli.main(["pipeline", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
 def test_internal_key_error_is_not_an_input_error(monkeypatch):

@@ -847,6 +847,32 @@ def test_stacked_ch_verify_matches_the_per_element_reference(case, edits):
         assert _loop_verify_failure(bad) is None
 
 
+@pytest.mark.parametrize("case", ["s3f7", "c4", "d5t2", "c2z25"])
+def test_stacked_ch_generators_and_samples_match_the_loops(case, monkeypatch):
+    """`ch_quotient` hands `two_sided_ideal_rows` the rows of the pair loop
+    over i <= j, in its order, and a stacked `random_element` draw is the
+    stream of single draws: both bit-identical."""
+    psr = {"s3f7": lambda: s3_irr_psrep(F7), "c4": c4_diag_psrep, "d5t2": d5_t2_psrep, "c2z25": c2_z25_psrep}[case]()
+    seen, original = [], gma.two_sided_ideal_rows
+
+    def capture(alg, gens):
+        seen.append(np.array(gens, copy=True))
+        return original(alg, gens)
+
+    monkeypatch.setattr(gma, "two_sided_ideal_rows", capture)
+    ch = gma.ch_quotient(psr)
+    ext = psrep.ExtendedPsrep(psr)
+    eye = np.eye(ext.E.n, dtype=np.int64)
+    want = np.array([ext.ch_el(eye[i], eye[j]) for i in range(ext.E.n) for j in range(i, ext.E.n)])
+    assert len(seen) == 1 and seen[0].dtype == want.dtype and np.array_equal(seen[0], want)
+    for al in (ch.algebra, ext.E):
+        for seed in (0, 1, 7):
+            rng = random.Random(seed)
+            singles = np.array([al.random_element(rng) for _ in range(100)], dtype=np.int64).reshape(-1, al.n)
+            stacked = al.random_element(random.Random(seed), 100)
+            assert stacked.dtype == singles.dtype and np.array_equal(stacked, singles)
+
+
 def _loop_trace_one_idempotents(ch):
     """Every trace-1 idempotent, one element at a time, sorted."""
     al = ch.algebra

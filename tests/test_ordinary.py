@@ -195,6 +195,57 @@ def test_relation_walk_matches_the_per_element_relations():
         assert [(c, g, v.tolist()) for c, g, v in got] == [(c, g, v.tolist()) for c, g, v in expect]
 
 
+def _every_candidate(ch):
+    """The lifted GMA of every residual trace-1 idempotent the decision could
+    try: both residual characters when the residual splits, every trace-1
+    idempotent of a matrix residual."""
+    res = ch.residual
+    case = res.split["case"]
+    if case in ("irreducible", "coincident"):
+        return []
+    chis = res.split["chars"] if case == "split" else None
+    targets, _ = gma._residual_targets(res, chis, 400000)
+    return [gma.gma_decompose(ch, gma._newton_lift(ch, target)[0]) for target in targets]
+
+
+def _jr_cases():
+    """(psr, kappas) over S3 (F5, F7), C4, D4 and D5 over T2, with several marks."""
+    rot = np.zeros((2, 2, 1), dtype=np.int64)
+    rot[0, 1], rot[1, 0], rot[1, 1] = 4, 1, 4
+    swap = np.zeros((2, 2, 1), dtype=np.int64)
+    swap[0, 1], swap[1, 0] = 1, 1
+    s3 = groups.symmetric_3().mark(dp=(0, 1, 2), ip=(0, 1, 2))
+    s3_f5 = psrep.psi_of_rep(psrep.MatrixRep2.from_generators(s3, F5, {1: rot, 3: swap}))
+    yield s3_f5, [groups.trivial_char(s3_f5.group, F5, domain=range(6), name="k")]
+    for dp, ip in [((0, 1, 2), (0, 1, 2)), ((0, 3), (0, 3)), ((0, 3), (0,))]:
+        psr = psrep.psi_of_rep(s3_rep(dp, ip))
+        kappas = [groups.trivial_char(psr.group, F7, domain=range(6), name="k")]
+        kappas.append(groups.cyclic_char(psr.group, F7, dp[1], F7.from_int(2 if dp[1] == 1 else 6), name="k2"))
+        yield psr, kappas
+    for ip in [(0, 2), (0, 1, 2, 3)]:
+        psr, kappa = c4_setup(ip)
+        yield psr, [kappa, groups.trivial_char(psr.group, F5, domain=range(4), name="k")]
+    d4 = psrep.psi_of_rep(d4_rep((0, 1, 2, 3), (0, 1, 2, 3)))
+    yield d4, [groups.cyclic_char(d4.group, F5, 1, F5.from_int(3), name="k3")]
+    for dp, ip in [(tuple(range(5)), tuple(range(5))), ((0, 6), (0,)), ((0, 5), (0, 5))]:
+        d5 = d5_t2_psrep(dp, ip)
+        yield d5, [groups.trivial_char(d5.group, T2, domain=dp, name="k")]
+
+
+def test_trace_contraction_decides_the_base_ideal():
+    """For every candidate GMA, J_R = 0 read off t(G E) agrees with the
+    J_R that `_base_ideal` builds as an ideal."""
+    seen = []
+    for psr, kappas in _jr_cases():
+        ch = gma.ch_quotient(psr)
+        for g in _every_candidate(ch):
+            for kappa in kappas:
+                want = ordinary._base_ideal(g, kappa)[2].is_zero()
+                assert ordinary._j_r_is_zero(g, kappa) == want
+                seen.append(want)
+    assert len(seen) > 300 and 0 < sum(seen) < len(seen)
+
+
 def test_context_input_errors():
     psr, kappa = c4_setup()
     ag = gma.abstract_gma(F5, F5.one)

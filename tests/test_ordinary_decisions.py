@@ -1,0 +1,117 @@
+"""The ordinarity decisions, locked by digest, and the work they may cost.
+
+The report digests do not cover `is_ordinary_psrep`'s `checked`, `reason`
+or witness `e1`.  `data/ordinary_decisions.json` holds one sha256 per
+psrep unit of the full decision result (or of the error it raises): the
+two bundled psrep scenarios and the psrep units of
+`generate_corpus(s, 48)` for s = 1, 2, 3.  Regenerate it only on purpose:
+
+    PYTHONPATH=src python tests/test_ordinary_decisions.py > tests/data/ordinary_decisions.json
+
+The guards below count calls with `monkeypatch`: the decision reads J_R = 0
+off one contraction, so it builds no two-sided ideal, while every
+candidate keeps its `gma_decompose` and its structure checks; and
+`validate_pseudorep` evaluates each law as one stack, so its ring
+products do not grow with |G|^2.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from exalg import algebras, gma, groups, ordinary, psrep, rings, scenarios
+from exalg.errors import BudgetExceeded, InputError, InvariantViolation
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "ordinary_decisions.json"
+
+
+def decision_units(out_dir) -> list:
+    """(unit name, scenario doc) for every psrep unit the digests cover."""
+    units = [(name, doc) for name, doc in sorted(scenarios.BUILTIN.items()) if doc["kind"] == "psrep"]
+    for seed in (1, 2, 3):
+        out = Path(out_dir) / f"seed{seed}"
+        scenarios.generate_corpus(seed=seed, count=48, out_dir=out)
+        for path in sorted(out.glob(f"gen{seed}-*.json")):
+            doc = json.loads(path.read_text())
+            if doc["kind"] == "psrep":
+                units.append((path.stem, doc))
+    return units
+
+
+def decision_digest(doc) -> str:
+    """sha256 of the canonical JSON of the unit's decision, or of its error."""
+    state = scenarios._State(scenarios.load_scenario(doc))
+    try:
+        out = ordinary.is_ordinary_psrep(state.get("psr"), state.get("kappa"), budget=state.sc.budget)
+    except (InputError, BudgetExceeded, InvariantViolation) as e:
+        out = {"raised": type(e).__name__, "message": str(e)}
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+def test_decisions_match_their_recorded_digests(tmp_path):
+    want = json.loads(DIGESTS.read_text())
+    got = {name: decision_digest(doc) for name, doc in decision_units(tmp_path)}
+    assert len(got) == 2 + 3 * 24
+    assert got == want
+
+
+def _s3_f7():
+    """The standard representation of S3 over F7: a matrix residual, whose
+    56 trace-1 idempotents all fail for the trivial kappa."""
+    grp = groups.symmetric_3().mark(dp=(0, 1, 2), ip=(0, 1, 2))
+    f7 = rings.zmod_ring(7, 1)
+    r = np.zeros((2, 2, 1), dtype=np.int64)
+    r[0, 1], r[1, 0], r[1, 1] = 6, 1, 6
+    s = np.zeros((2, 2, 1), dtype=np.int64)
+    s[0, 1], s[1, 0] = 1, 1
+    rep = psrep.MatrixRep2.from_generators(grp, f7, {1: r, 3: s})
+    return psrep.psi_of_rep(rep), groups.trivial_char(grp, f7, domain=range(6), name="k")
+
+
+def _counter(monkeypatch, owner, name, counts, key):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_decision_builds_no_ideal_and_decomposes_every_candidate(monkeypatch):
+    psr, kappa = _s3_f7()
+    ch = gma.ch_quotient(psr)
+    assert ch.residual.split["case"] == "matrix"
+    counts = {}
+    for owner in (algebras, gma, ordinary):
+        _counter(monkeypatch, owner, "two_sided_ideal_rows", counts, "two_sided_ideal_rows")
+    _counter(monkeypatch, ordinary, "gma_decompose", counts, "gma_decompose")
+    out = ordinary.is_ordinary_ch(ch, kappa)
+    assert out["supported"] and not out["ordinary"] and out["checked"] == 56
+    assert counts == {"gma_decompose": 56}
+
+
+def test_validate_pseudorep_products_do_not_grow_with_the_group(monkeypatch):
+    s3, _ = _s3_f7()
+    f7 = rings.zmod_ring(7, 1)
+    c12 = groups.cyclic_group(12)
+    chi = groups.cyclic_char(c12, f7, 1, f7.from_int(3))
+    c12_psr = psrep.psrep_from_chars(chi, groups.trivial_char(c12, f7))
+    calls = []
+    for psr in (s3, c12_psr):
+        counts = {}
+        with monkeypatch.context() as m:
+            _counter(m, rings.FiniteRing, "mul", counts, "mul")
+            assert psrep.validate_pseudorep(psr)["ok"]
+        calls.append(counts["mul"])
+    assert calls[0] == calls[1] <= 2
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as d:
+        digests = {name: decision_digest(doc) for name, doc in decision_units(d)}
+    sys.stdout.write(json.dumps(digests, indent=1, sort_keys=True) + "\n")

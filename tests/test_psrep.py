@@ -6,10 +6,13 @@ extension of (t, d) must agree with trace and determinant composed with
 the induced algebra map rho_hat(x) = sum x_g rho(g).
 """
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exalg import groups, linalg, psrep, rings
 from exalg.errors import InputError, InvariantViolation
@@ -84,6 +87,149 @@ def test_corrupted_det_is_witnessed():
     report = psrep.validate_pseudorep(psr)
     assert not report["ok"]
     assert any(f["law"] == "d unit-valued" for f in report["failures"])
+
+
+# ---- stacked checks against the per-element loops they replaced -------
+
+
+def _loop_validate(psr, max_failures=10):
+    """`validate_pseudorep` one element and one pair at a time."""
+    grp, r = psr.group, psr.ring
+    failures = []
+
+    def bad(law, where, lhs, rhs):
+        failures.append(
+            {
+                "law": law,
+                "at": where,
+                "lhs": [int(c) for c in np.atleast_1d(lhs)],
+                "rhs": [int(c) for c in np.atleast_1d(rhs)],
+            }
+        )
+
+    e = grp.identity
+    two = r.from_int(2)
+    if not np.array_equal(psr.t[e], two):
+        bad("t(1) = 2", (e,), psr.t[e], two)
+    if not np.array_equal(psr.d[e], r.one):
+        bad("d(1) = 1", (e,), psr.d[e], r.one)
+    inv2 = pow(2, -1, r.char) if r.n else 0
+    for g in grp.elements():
+        if len(failures) >= max_failures:
+            break
+        if not r.is_unit(psr.d[g]):
+            bad("d unit-valued", (g,), psr.d[g], r.one)
+        want = (inv2 * (r.mul(psr.t[g], psr.t[g]) - psr.t[grp.mul(g, g)])) % r.char
+        if not np.array_equal(psr.d[g], want):
+            bad("2 d(g) = t(g)^2 - t(g^2)", (g,), psr.d[g], want)
+    for g in grp.elements():
+        if len(failures) >= max_failures:
+            break
+        for h in grp.elements():
+            if not np.array_equal(psr.d[grp.mul(g, h)], r.mul(psr.d[g], psr.d[h])):
+                bad("d(gh) = d(g) d(h)", (g, h), psr.d[grp.mul(g, h)], r.mul(psr.d[g], psr.d[h]))
+            if not np.array_equal(psr.t[grp.mul(g, h)], psr.t[grp.mul(h, g)]):
+                bad("t(gh) = t(hg)", (g, h), psr.t[grp.mul(g, h)], psr.t[grp.mul(h, g)])
+            lhs = r.mul(psr.t[g], psr.t[h])
+            rhs = r.add(psr.t[grp.mul(g, h)], r.mul(psr.d[h], psr.t[grp.mul(g, grp.inv(h))]))
+            if not np.array_equal(lhs, rhs):
+                bad("t(g)t(h) = t(gh) + d(h) t(gh^-1)", (g, h), lhs, rhs)
+            if len(failures) >= max_failures:
+                break
+    return {"ok": not failures, "failures": failures}
+
+
+def _loop_check_failure(rep):
+    """First failure of `MatrixRep2.check`, one element and one pair at a time."""
+    grp = rep.group
+    if not np.array_equal(rep.images[grp.identity], rep._eye(rep.ring)):
+        return "identity image is not the identity matrix"
+    for g in grp.elements():
+        if not rep.ring.is_unit(rep.det(rep.images[g])):
+            return f"image of {g} is not invertible"
+        for h in grp.elements():
+            if not np.array_equal(rep.images[grp.mul(g, h)], rep.matmul(rep.images[g], rep.images[h])):
+                return f"multiplicativity fails at ({g},{h})"
+    return None
+
+
+def _c4_diag(ring, value):
+    c4 = groups.cyclic_group(4)
+    return psrep.rep_from_chars(groups.cyclic_char(c4, ring, 1, ring.from_int(value)), groups.trivial_char(c4, ring))
+
+
+@functools.cache
+def _rep_case(name):
+    """One honest representation from each psrep family."""
+    if name == "diag-field":
+        return _c4_diag(F5, 2)
+    if name == "diag-zmod":
+        return _c4_diag(Z25, 7)
+    if name == "triangular":
+        rep = _c4_diag(F5, 3)
+        unip = np.zeros((2, 2, 1), dtype=np.int64)
+        unip[0, 0] = unip[0, 1] = unip[1, 1] = 1
+        inv = unip.copy()
+        inv[0, 1] = 4
+        images = [rep.matmul(unip, rep.matmul(rep.of(g), inv)) for g in range(4)]
+        return psrep.MatrixRep2(rep.group, F5, images, name="tri")
+    if name == "dihedral":
+        d4 = groups.dihedral_group(4)
+        rot = np.zeros((2, 2, 1), dtype=np.int64)
+        rot[0, 1], rot[1, 0] = 4, 1
+        ref = np.zeros((2, 2, 1), dtype=np.int64)
+        ref[0, 0], ref[1, 1] = 1, 4
+        return psrep.MatrixRep2.from_generators(d4, F5, {1: rot, 4: ref}, name="d4std")
+    return s3_faithful_rep({"s3f5": F5, "s3f7": F7, "s3f25": F25}[name])
+
+
+_REP_CASES = ["diag-field", "diag-zmod", "triangular", "dihedral", "s3f5", "s3f7", "s3f25"]
+# (which array, flat position, delta; delta 0 zeroes the whole row or image)
+_EDITS = st.lists(st.tuples(st.sampled_from(["t", "d"]), st.integers(0, 10**6), st.integers(0, 6)), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_REP_CASES), _EDITS, st.sampled_from([1, 3, 10]))
+def test_stacked_validate_matches_the_per_element_loop(case, edits, max_failures):
+    """Corrupted traces and determinants give the loop's exact failure
+    list, order and truncation included; intact pairs pass both."""
+    psr = psrep.psi_of_rep(_rep_case(case))
+    arrays = {"t": psr.t.copy(), "d": psr.d.copy()}
+    for name, where, delta in edits:
+        arr = arrays[name]
+        if delta == 0:
+            arr[(where // arr.shape[1]) % arr.shape[0]] = 0
+        else:
+            flat = arr.reshape(-1)
+            flat[where % flat.size] = (flat[where % flat.size] + delta) % psr.ring.char
+    bad = psrep.Pseudorep2(psr.group, psr.ring, arrays["t"], arrays["d"], name="bad")
+    assert psrep.validate_pseudorep(bad, max_failures) == _loop_validate(bad, max_failures)
+    if not edits:
+        assert _loop_validate(bad)["ok"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_REP_CASES), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 6)), max_size=3))
+def test_stacked_rep_check_raises_the_loop_first_message(case, edits):
+    """Corrupted images fail `MatrixRep2.check` with the message the loop
+    meets first; a zeroed image is never invertible."""
+    rep = _rep_case(case)
+    images = rep.images.copy()
+    for where, delta in edits:
+        if delta == 0:
+            images[where % len(images)] = 0
+        else:
+            flat = images.reshape(-1)
+            flat[where % flat.size] = (flat[where % flat.size] + delta) % rep.ring.char
+    bad = psrep.MatrixRep2(rep.group, rep.ring, images, name="bad")
+    try:
+        bad.check()
+        got = None
+    except InvariantViolation as exc:
+        got = str(exc)
+    assert got == _loop_check_failure(bad)
+    if not edits:
+        assert got is None
 
 
 def test_char_poly_is_cayley_hamilton_for_reps():
