@@ -53,16 +53,19 @@ def check_modulus(p: int, k: int) -> None:
     """Reject moduli outside the supported range (odd prime power, 2 a unit)."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise InputError(f"base prime must be an odd prime, got {p}")
+    if not isinstance(k, int) or k < 1:
+        raise InputError(f"exponent must be a positive integer, got {k}")
+    # a product of three residues must fit int64 (FiniteRing refines this by
+    # dimension); k is bounded first so that p^k is cheap to form, and the
+    # size is checked before a trial division that grows with sqrt(p)
+    if k >= 64 or (p**k - 1) ** 3 >= 2**63:
+        raise InputError(f"modulus {p}^{k} is past exact int64 arithmetic")
     # small trial division is enough at desk scale
     d = 3
     while d * d <= p:
         if p % d == 0:
             raise InputError(f"base prime must be prime, got {p}")
         d += 2
-    if not isinstance(k, int) or k < 1:
-        raise InputError(f"exponent must be a positive integer, got {k}")
-    if k >= 64:  # p^k >= 3^64: past int64, and too large to compute
-        raise InputError(f"modulus {p}^{k} is past exact int64 arithmetic")
 
 
 def _val(x: int, p: int, k: int) -> int:

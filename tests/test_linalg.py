@@ -161,6 +161,15 @@ def test_modulus_guard():
     linalg.check_modulus(3, 1)
 
 
+def test_modulus_guard_refuses_oversized_moduli_before_the_trial_division():
+    """A modulus past exact int64 arithmetic is refused on its size, before
+    a trial division that grows with sqrt(p) or a power p^k too large to form."""
+    for p, k in [(1000000000039, 1), (5, 10**30), (3, 64), (2097169, 1)]:
+        with pytest.raises(ValueError, match="past exact int64 arithmetic"):
+            linalg.check_modulus(p, k)
+    linalg.check_modulus(2097143, 1)  # the largest prime with (p - 1)^3 < 2^63
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 5**2 - 1),
