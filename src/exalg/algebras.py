@@ -93,10 +93,18 @@ class AssocAlgebra(FiniteRing):
 # ---- constructors ----------------------------------------------------
 
 
+# largest dimension |G| * dim(base) of a group algebra: its (n, n, n) table
+# is built whole, and `ch_quotient` closes an ideal on its n(n+1)/2 pairs
+MAX_GROUP_ALGEBRA_DIM = 64
+
+
 def group_algebra(base: FiniteRing, group, name: str | None = None) -> AssocAlgebra:
-    """base[G] with basis g x (base basis)."""
+    """base[G] with basis g x (base basis), of dimension at most
+    MAX_GROUP_ALGEBRA_DIM."""
     m, e = group.m, base.n
     n = m * e
+    if n > MAX_GROUP_ALGEBRA_DIM:
+        raise InputError(f"group algebra of dimension {m} * {e} = {n} exceeds {MAX_GROUP_ALGEBRA_DIM}")
     table = np.zeros((n, n, n), dtype=np.int64)
     for g1 in range(m):
         for g2 in range(m):

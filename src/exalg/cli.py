@@ -116,7 +116,7 @@ def _run(args) -> int:
             seed=0 if args.seed is None else args.seed,
             count=args.count,
             out_dir=args.out,
-            budget=args.budget or 200000,
+            budget=200000 if args.budget is None else args.budget,
         )
         print(f"{manifest['count']} scenarios -> {args.out}  digest {manifest['digest'][:16]}")
         return 0

@@ -14,6 +14,13 @@ trace laws do force that (the identity-element instances close the gap,
 since 2 is a unit here), but the construction re-checks it anyway and
 refuses loudly rather than silently producing a traceless quotient.
 
+`ch_quotient` is the one builder of a `ChAlgebra`: it kills the
+Cayley-Hamilton generators together with any extra rows of A[G] it is
+given.  Since CH(psi (x) B) = CH(psi) (x) B, `ch_base_change` along
+f: A -> B is one `ch_quotient` of B[G], with the extra rows (coordinates
+of the old quotient) carried there by the lift and f; its `connect` map
+is verified.  The residual and the ordinary quotients are built that way.
+
 The residual point of a quotient over a local base is derived once per
 algebra, on first use (`ChAlgebra.residual`): the residue field, the
 residual quotient with its verified connecting map, and the residual
@@ -123,57 +130,66 @@ class ChAlgebra(TraceForms):
         return f"<ChAlgebra dim {self.nbar} over {self.base.name} for {self.psr.name}>"
 
 
-def ch_quotient(psr: Pseudorep2, name: str | None = None) -> ChAlgebra:
+def ch_quotient(psr: Pseudorep2, name: str | None = None, extra=None) -> ChAlgebra:
+    """A[G] modulo the Cayley-Hamilton ideal and, when given, the two-sided
+    ideal of the rows `extra` of A[G]: the one builder of every ChAlgebra.
+
+    The trace of A[G] descends along the lift, the group images are the
+    projections of the group elements, and both are verified.
+    """
     ext = ExtendedPsrep(psr)
     E, a = ext.E, psr.ring
     eye = np.eye(E.n, dtype=np.int64)
     # ch(e_i, e_j) for i <= j, row-major, as one stack
     left, right = np.triu_indices(E.n)
-    rows = two_sided_ideal_rows(E, ext.ch_el(eye[left], eye[right]))
+    gens = ext.ch_el(eye[left], eye[right])
+    if extra is not None:
+        gens = np.vstack([gens, np.reshape(extra, (-1, E.n))])
+    rows = two_sided_ideal_rows(E, gens)
     # the trace must vanish on the full ideal, or it cannot descend
     if rows.shape[0] and ((rows @ ext.t_matrix) % a.char).any():
-        raise InvariantViolation("trace does not vanish on the Cayley-Hamilton ideal")
+        what = "Cayley-Hamilton" if extra is None else "imposed"
+        raise InvariantViolation(f"trace does not vanish on the {what} ideal")
     quot = quotient_algebra(E, rows, name=name or f"CH({psr.name})")
-    if quot.algebra.char != E.char:
+    ebar = quot.algebra
+    if ebar.char != E.char:
         # t(1) = 2 is a unit, so the image of 1 keeps full additive order;
         # a characteristic drop would contradict the vanishing check above
         raise InvariantViolation("Cayley-Hamilton quotient dropped the characteristic")
-    return _ch_algebra(psr, E, ext.t_matrix, quot)
-
-
-def _ch_algebra(psr: Pseudorep2, E: AssocAlgebra, t_e: np.ndarray, quot: AlgebraQuotient) -> ChAlgebra:
-    """The ChAlgebra on `quot`, a quotient of E = A[G] on which the trace
-    t_e of E vanishes; t_e descends along the lift, the group images are
-    the projections of the group elements, and both are verified."""
-    ebar, a = quot.algebra, psr.ring
     if ebar.n and linalg.kernel(ebar.base_embed, ebar.p, ebar.k).shape[0]:
         raise InvariantViolation("base does not embed into the quotient")
     rho = (a.one @ quot.proj.matrix.reshape(psr.group.m, a.n, ebar.n)) % ebar.char
-    ch = ChAlgebra(psr, a, E, ebar, quot, (quot.lift_matrix @ t_e) % a.char, rho)
+    ch = ChAlgebra(psr, a, E, ebar, quot, (quot.lift_matrix @ ext.t_matrix) % a.char, rho)
     ch.verify()
     if not np.array_equal((rho @ ch.t_matrix) % a.char, psr.t):
         raise InvariantViolation("trace of a group image changed in the quotient")
     return ch
 
 
-def _pushforward(ch: ChAlgebra, f: RingMap, quot: AlgebraQuotient) -> np.ndarray:
-    """Matrix taking coordinates of ch to those of `quot`, a quotient of
-    f.dst[G]: lift to A[G], apply f coefficientwise, project."""
+def _pushforward(ch: ChAlgebra, f: RingMap) -> np.ndarray:
+    """Matrix taking coordinates of ch to those of f.dst[G]: lift to A[G]
+    and apply f coefficientwise."""
     lifted = ch.quot.lift_matrix.reshape(ch.nbar, ch.psr.group.m, ch.base.n) @ f.matrix
-    return (lifted.reshape(ch.nbar, -1) % f.dst.char @ quot.proj.matrix) % quot.algebra.char
+    return lifted.reshape(ch.nbar, -1) % f.dst.char
 
 
-def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None):
-    """Rebuild the quotient over the target of f.
+def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None, extra=None):
+    """Rebuild the quotient over the target of f, with the two-sided ideal
+    of the rows `extra` (coordinates of ch) killed as well.
 
-    Returns (ChAlgebra over f.dst, connect) where connect maps old quotient
-    coordinates to new ones and is verified unital, multiplicative, and
-    compatible with the group images.
+    CH(psi (x) B) = CH(psi) (x) B, so this is one `ch_quotient` of f.dst[G]
+    with the images of `extra` under the lift.  Returns (ChAlgebra over
+    f.dst, connect) where connect maps old quotient coordinates to new ones
+    and is verified unital, multiplicative, and compatible with the group
+    images.
     """
     if f.src is not ch.base:
         raise InputError("base change map must start at the coefficient ring")
-    down = ch_quotient(psrep_base_change(ch.psr, f), name=name)
-    connect = _pushforward(ch, f, down.quot)
+    lift = _pushforward(ch, f)
+    if extra is not None:
+        extra = (np.reshape(extra, (-1, ch.nbar)) @ lift) % f.dst.char
+    down = ch_quotient(psrep_base_change(ch.psr, f), name=name, extra=extra)
+    connect = (lift @ down.quot.proj.matrix) % down.algebra.char
     RingMap(ch.algebra, down.algebra, connect, name="connect").check_hom()
     if not np.array_equal((ch.rho_mat @ connect) % down.algebra.char, down.rho_mat):
         raise InvariantViolation("base change does not intertwine the group images")

@@ -14,10 +14,12 @@ on request; `solve_left`, `span_contains` and `reduce_by_howell` are their
 one-vector forms.
 
 The engine behind both Howell entry points updates only the rows that
-have a nonzero entry in the pivot column.  A tall input (more rows than
-columns) reduced without a transform also sheds its zero rows, on entry and
-as elimination makes them; the Howell form is canonical, so the output is
-the same as with every row kept.
+have a nonzero entry in the pivot column.  With a transform it reduces
+[rows | I] with pivots only in the columns of `rows`: the right block is
+then U, and its rows past the Howell rows span the left kernel.  A tall
+input (more rows than columns) reduced without a transform also sheds its
+zero rows, on entry and as elimination makes them; the Howell form is
+canonical, so the output is the same as with every row kept.
 
 Rows are numpy int64 vectors with entries in [0, p^k).  All operations are
 exact; no floating point anywhere.
@@ -90,13 +92,17 @@ def _as_matrix(rows, ncols: int | None = None) -> np.ndarray:
 
 
 def _engine(mat: np.ndarray, p: int, k: int, with_transform: bool):
+    """(a, u, done): the Howell form of `mat` in the first `done` rows of a;
+    with a transform, a and u are the two blocks of [mat | I] reduced with
+    pivots only in the columns of mat, so u @ mat = a row by row."""
     m = p**k
     a = _as_matrix(mat) % m
     nr, nc = a.shape
-    u = np.eye(nr, dtype=np.int64) % m if with_transform else None
-    # A tall input without a transform sheds its zero rows, which span
-    # nothing; the transform path keeps them, as they carry kernel relations.
-    shed = not with_transform and nr > nc
+    if with_transform:
+        a = np.hstack([a, np.eye(nr, dtype=np.int64)])
+    # A tall input sheds its zero rows, which span nothing.  [mat | I] is
+    # wider than tall, so it keeps every row and each kernel relation.
+    shed = nr > a.shape[1]
     if shed:
         a = a[a.any(axis=1)]
     done = 0
@@ -116,15 +122,10 @@ def _engine(mat: np.ndarray, p: int, k: int, with_transform: bool):
         j = int(least[0]) + done
         if j != done:
             a[[done, j]] = a[[j, done]]
-            if with_transform:
-                u[[done, j]] = u[[j, done]]
         piv = p**v
         unit = int(a[done, c]) // piv
         if unit != 1:
-            ui = pow(unit, -1, m)
-            a[done] = (a[done] * ui) % m
-            if with_transform:
-                u[done] = (u[done] * ui) % m
+            a[done] = (a[done] * pow(unit, -1, m)) % m
         # nonzero rows below the pivot, from the scan: if the row at `done` was
         # nonzero it took the pivot's old place, else that place is zero now
         rel = j - done
@@ -132,8 +133,6 @@ def _engine(mat: np.ndarray, p: int, k: int, with_transform: bool):
         if rows.size:
             mult = a[rows, c] // piv  # exact: the pivot has minimal valuation
             a[rows] = (a[rows] - mult[:, None] * a[done]) % m
-            if with_transform:
-                u[rows] = (u[rows] - mult[:, None] * u[done]) % m
             if shed and a.shape[0] - done - 1 > nc - c - 1:
                 # while the rows below outnumber the columns left, drop those just zeroed
                 zeroed = rows[~a[rows, c + 1 :].any(axis=1)]
@@ -144,17 +143,12 @@ def _engine(mat: np.ndarray, p: int, k: int, with_transform: bool):
             if rows.size:
                 mult = a[rows, c] // piv
                 a[rows] = (a[rows] - mult[:, None] * a[done]) % m
-                if with_transform:
-                    u[rows] = (u[rows] - mult[:, None] * u[done]) % m
         if v > 0:
-            ann = (a[done] * p ** (k - v)) % m
-            if ann.any() or with_transform:
-                # a vanishing annihilator row still carries a kernel relation
-                a = np.vstack([a, ann[None, :]])
-                if with_transform:
-                    u = np.vstack([u, (u[done] * p ** (k - v))[None, :] % m])
+            # the annihilator row, appended even when zero: a zero row still
+            # moves in the swaps, and so orders the rows that later tie
+            a = np.vstack([a, (a[done] * p ** (k - v))[None, :] % m])
         done += 1
-    return a, u, done
+    return (a[:, :nc], a[:, nc:], done) if with_transform else (a, None, done)
 
 
 def howell_form(rows, p: int, k: int, ncols: int | None = None) -> np.ndarray:

@@ -10,7 +10,11 @@ they generate and the base ideal J_R of trace values they force, and
 
     E_ord = E / (J* + J_R E)    over    A / J_R,
 
-which again carries a Cayley-Hamilton structure.  A pseudorepresentation is
+which again carries a Cayley-Hamilton structure: since CH(psi (x) B) =
+CH(psi) (x) B, it is the Cayley-Hamilton quotient of psi (x) A/J_R with
+the image of J* killed as well.  `_quotient_by_pushed` builds it, and the
+reducible E_red, with one `gma.ch_base_change`, whose verified `connect`
+map is the projection from E.  A pseudorepresentation is
 then ordinary precisely when J_R = 0 for some kappa-compatible choice of
 idempotent, and that is what `is_ordinary_ch` decides (searching over
 residual idempotents in the matrix-residual case).  It checks kappa once
@@ -47,10 +51,9 @@ from .gma import (
     ChAlgebra,
     GmaAlgebra,
     Residual,
-    _ch_algebra,
     _newton_lift,
-    _pushforward,
     _residual_targets,
+    ch_base_change,
     ch_quotient,
     gma_decompose,
     split_as_characters,
@@ -217,29 +220,12 @@ def _quotient_by_pushed(ch: ChAlgebra, base_quot: QuotientRing, extra_rows, name
     """(ch_out, proj_mat): quotient of ch by extra_rows over base_quot.
 
     `ch_out` is the Cayley-Hamilton quotient over the smaller base with the
-    two-sided ideal generated by the images of `extra_rows` killed as well.
-    The trace is required to die on that ideal, otherwise
-    the base ideal was not saturated and the construction refuses.
+    two-sided ideal generated by the images of `extra_rows` killed as well,
+    built by one `ch_base_change`; `proj_mat` is its verified `connect`.
+    The trace is required to die on that ideal, otherwise the base ideal
+    was not saturated and the construction refuses.
     """
-    down = ch_quotient(psrep_base_change(ch.psr, base_quot.proj), name=name)
-    abar = base_quot.ring
-    pushed = np.reshape(extra_rows, (-1, ch.nbar)) @ _pushforward(ch, base_quot.proj, down.quot)
-    rows2 = two_sided_ideal_rows(down.algebra, pushed % down.algebra.char)
-    if rows2.shape[0] and ((rows2 @ down.t_matrix) % abar.char).any():
-        raise InvariantViolation("trace survives on the imposed ideal")
-    quot2 = quotient_algebra(down.algebra, rows2, name=name)
-    if quot2.algebra.char != down.algebra.char and quot2.algebra.n:
-        raise InvariantViolation("imposed ideal changes the characteristic")
-    # canonical presentation straight from E = Abar[G]
-    p_full = (down.quot.proj.matrix @ quot2.proj.matrix) % max(quot2.algebra.char, 1)
-    ker = linalg.kernel(p_full, down.E.p, down.E.k)
-    quot_full = quotient_algebra(down.E, ker, name=name)
-    if quot_full.algebra.n != quot2.algebra.n:
-        raise InvariantViolation("quotient presentations disagree on dimension")
-    # the trace of E, read through the Cayley-Hamilton quotient it descends to
-    t_e = (down.quot.proj.matrix @ down.t_matrix) % abar.char
-    out = _ch_algebra(down.psr, down.E, t_e, quot_full)
-    return out, _pushforward(ch, base_quot.proj, quot_full)
+    return ch_base_change(ch, base_quot.proj, name, extra_rows)
 
 
 def _scaled_rows(al, basis) -> np.ndarray:

@@ -181,15 +181,8 @@ class MatrixRep2:
         return self.images[g]
 
     def matmul(self, a, b) -> np.ndarray:
-        r = self.ring
-        out = np.zeros((2, 2, r.n), dtype=np.int64)
-        for i in range(2):
-            for j in range(2):
-                acc = r.zero()
-                for l in range(2):
-                    acc = r.add(acc, r.mul(a[i, l], b[l, j]))
-                out[i, j] = acc
-        return out
+        # the products a[i, l] b[l, j] as one (i, l, j) stack, summed over l
+        return self.ring.mul(a[:, :, None], b[None]).sum(axis=1) % self.ring.char
 
     def trace(self, mat) -> np.ndarray:
         return self.ring.add(mat[0, 0], mat[1, 1])
@@ -338,8 +331,8 @@ def _trace_radical(alg: AssocAlgebra, t_matrix: np.ndarray) -> np.ndarray:
     if alg.n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     eye = np.eye(alg.n, dtype=np.int64)
-    cols = [(alg.right_mul_matrix(e) @ t_matrix) % a.char for e in eye]
-    rows = linalg.kernel(np.hstack(cols), alg.p, alg.k)
+    # column block i holds t(x e_i) for x running over the basis
+    rows = linalg.kernel((alg.table @ t_matrix).reshape(alg.n, -1) % a.char, alg.p, alg.k)
     tr = (rows @ t_matrix) % a.char
     # b_d(u, v) = t(u) t(v) - t(uv) on all pairs of rows, and d~(u) = b_d(u, u) / 2
     b_d = (a.mul_outer(tr, tr) - alg.mul_outer(rows, rows) @ t_matrix) % a.char

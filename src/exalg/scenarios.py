@@ -543,6 +543,8 @@ def generate_corpus(seed: int, count: int, out_dir, budget: int = 200000) -> dic
     """
     if count < 0:
         raise InputError("corpus count must be >= 0")
+    if budget < 1:
+        raise InputError(f"corpus budget must be positive, got {budget}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)

@@ -92,10 +92,7 @@ __all__ = [
 
 def _scalar_rows(ring: FiniteRing, emb: RingMap, rows: np.ndarray) -> np.ndarray:
     """Howell basis of the base-scalar span of the given rows."""
-    if rows.shape[0] == 0:
-        return np.zeros((0, ring.n), dtype=np.int64)
-    orb = np.einsum("rn,bnm->brm", rows % ring.char, ring.mul_matrix(emb.matrix)).reshape(-1, ring.n)
-    return linalg.howell_form(orb % ring.char, ring.p, ring.k, ncols=ring.n)
+    return linalg.howell_form(ring.orbit(rows, by=emb.matrix), ring.p, ring.k, ncols=ring.n)
 
 
 def _free_basis(o: DvrModel, ring: FiniteRing, emb: RingMap, basis=None) -> np.ndarray:
@@ -185,11 +182,7 @@ def base_algebra(o: DvrModel) -> AugmentedAlgebra:
 
 def eta_invariant(t: AugmentedAlgebra) -> Ideal:
     """pi(Ann(ker pi)): the congruence ideal of the augmentation."""
-    ann = t.wp.annihilator()
-    if ann.basis.shape[0] == 0:
-        return Ideal(t.o.ring, np.zeros((0, t.o.ring.n), dtype=np.int64), _closed=True)
-    rows = (ann.basis @ t.pi.matrix) % t.o.ring.char
-    return Ideal(t.o.ring, rows)
+    return Ideal(t.o.ring, (t.wp.annihilator().basis @ t.pi.matrix) % t.o.ring.char)
 
 
 def _o_length(o: DvrModel, log_size: int) -> int:
@@ -592,10 +585,7 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
 
 def tower_eta(t: EisensteinTower) -> Ideal:
     """Congruence ideal of the tower's augmentation onto the base."""
-    ann = t.script_I.annihilator()
-    if ann.basis.shape[0] == 0:
-        return Ideal(t.lam.ring, np.zeros((0, t.lam.ring.n), dtype=np.int64), _closed=True)
-    return Ideal(t.lam.ring, (ann.basis @ t.pr_lam.matrix) % t.lam.ring.char)
+    return Ideal(t.lam.ring, (t.script_I.annihilator().basis @ t.pr_lam.matrix) % t.lam.ring.char)
 
 
 def _verify_tower(t: EisensteinTower) -> None:

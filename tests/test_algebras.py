@@ -52,6 +52,15 @@ def test_group_algebra_over_extended_base():
     assert np.array_equal(e.mul(x, x), e.zero())  # t^2 = 0 upstairs too
 
 
+def test_group_algebra_refuses_dimension_past_the_bound_before_building():
+    """|G| * dim(base) = 65 is refused as an input error, before its
+    65^3 table is allocated; 64 still builds."""
+    t5 = rings.truncated_poly_ring(F5, 5)
+    assert algebras.group_algebra(F5, groups.cyclic_group(64)).n == algebras.MAX_GROUP_ALGEBRA_DIM == 64
+    with pytest.raises(InputError, match=r"group algebra of dimension 13 \* 5 = 65 exceeds 64"):
+        algebras.group_algebra(t5, groups.cyclic_group(13))
+
+
 def test_matrix_algebra_m2():
     m2 = algebras.matrix_algebra(F5, 2)
     m2.check_algebra()

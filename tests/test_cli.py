@@ -516,6 +516,35 @@ def test_corpus_cli_needs_out(capsys, tmp_path):
     assert "2 scenarios ->" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("budget", ["-3", "0"])
+def test_corpus_refuses_a_budget_below_one(tmp_path, capsys, budget):
+    """A budget the loader would refuse is refused before any file is written."""
+    out = tmp_path / "corpus"
+    assert cli.main(["corpus", "--count", "2", "--out", str(out), "--budget", budget]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: corpus budget must be positive, got {budget}\n"
+    assert not out.exists()
+    with pytest.raises(InputError, match="corpus budget must be positive"):
+        scenarios.generate_corpus(seed=0, count=1, out_dir=out, budget=int(budget))
+    assert cli.main(["corpus", "--count", "2", "--out", str(out), "--budget", "1"]) == 0
+    assert all(json.loads(f.read_text())["budget"] == 1 for f in out.glob("gen0-*.json"))
+
+
+def test_group_algebra_past_the_bound_exits_two(tmp_path, capsys):
+    """C13 over F5[x]/(x^5) has a group algebra of dimension 65, one past
+    the bound: the ch stage refuses it with exit 2 instead of building
+    its 65^3 table."""
+    path = _bundled_variant(tmp_path, "diag-ordinary", lambda d: d.update(
+        ring={"kind": "poly", "base": {"kind": "zmod", "p": 5}, "trunc": 5},
+        group={"kind": "cyclic", "n": 13, "dp": list(range(13)), "ip": [0]},
+        psrep={"kind": "char_pair", "chi1": {"kind": "trivial"}, "chi2": {"kind": "trivial"}},
+        kappa={"kind": "trivial"},
+    ))
+    assert cli.main(["pipeline", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario diag-ordinary, stage ch:") and "= 65 exceeds 64" in err
+
+
 def test_generated_scenarios_actually_run(tmp_path):
     scenarios.generate_corpus(seed=2, count=4, out_dir=tmp_path)
     for path in sorted(tmp_path.glob("gen2-*.json")):

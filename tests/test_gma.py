@@ -11,9 +11,11 @@ its pairing ideal worked out on paper, including the lattice of subideals
 under it.
 """
 
+import ast
 import dataclasses
 import functools
 import itertools
+import pathlib
 import random
 
 import numpy as np
@@ -901,3 +903,30 @@ def test_stacked_trace_one_idempotents_match_the_per_element_reference(case):
         assert ch.algebra.n == 4 and len(got) == q * q + q
     with pytest.raises(BudgetExceeded):
         gma._trace_one_idempotents(ch, budget=ch.algebra.size - 1)
+
+
+# ---- source rule: every ChAlgebra comes from ch_quotient ---------------
+
+
+def _ch_algebra_constructions():
+    """(file, enclosing class.function) of each `ChAlgebra(...)` call in the package."""
+    found = set()
+
+    def walk(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "ChAlgebra":
+                found.add((path.name, inner))
+            walk(child, inner, path)
+
+    for path in sorted(pathlib.Path(gma.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), "", path)
+    return found
+
+
+def test_ch_algebra_is_constructed_only_in_ch_quotient():
+    """One builder: a base change or a quotient by extra rows goes through
+    `ch_quotient`, and so through every check it makes."""
+    assert _ch_algebra_constructions() == {("gma.py", "ch_quotient")}

@@ -342,3 +342,104 @@ def test_howell_form_of_tall_inputs_matches_the_transform_path(case):
     assert np.array_equal((u @ rows) % m, h)
     if m**nc <= 729:
         assert span_bruteforce(h, m, nc) == span_bruteforce(rows, m, nc)
+
+
+# ---- the transform as the right block of [rows | I] ------------------
+
+
+def _two_block_engine(mat, p, k, with_transform):
+    """Reference: the Howell engine that updates the transform U in
+    parallel with the rows, one branch per row operation."""
+    m = p**k
+    a = np.asarray(mat, dtype=np.int64) % m
+    nr, nc = a.shape
+    u = np.eye(nr, dtype=np.int64) % m if with_transform else None
+    shed = not with_transform and nr > nc
+    if shed:
+        a = a[a.any(axis=1)]
+    done = 0
+    for c in range(nc):
+        col = a[done:, c]
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            continue
+        v, least = 0, nz
+        if k > 1:
+            vals = col[nz]
+            for v in range(k):
+                least = nz[vals % p ** (v + 1) != 0]
+                if least.size:
+                    break
+        j = int(least[0]) + done
+        if j != done:
+            a[[done, j]] = a[[j, done]]
+            if with_transform:
+                u[[done, j]] = u[[j, done]]
+        piv = p**v
+        unit = int(a[done, c]) // piv
+        if unit != 1:
+            ui = pow(unit, -1, m)
+            a[done] = (a[done] * ui) % m
+            if with_transform:
+                u[done] = (u[done] * ui) % m
+        rel = j - done
+        rows = (nz[1:] if nz[0] in (0, rel) else nz[nz != rel]) + done
+        if rows.size:
+            mult = a[rows, c] // piv
+            a[rows] = (a[rows] - mult[:, None] * a[done]) % m
+            if with_transform:
+                u[rows] = (u[rows] - mult[:, None] * u[done]) % m
+            if shed and a.shape[0] - done - 1 > nc - c - 1:
+                zeroed = rows[~a[rows, c + 1 :].any(axis=1)]
+                if zeroed.size:
+                    a = np.delete(a, zeroed, axis=0)
+        if done:
+            rows = np.flatnonzero(a[:done, c] // piv)
+            if rows.size:
+                mult = a[rows, c] // piv
+                a[rows] = (a[rows] - mult[:, None] * a[done]) % m
+                if with_transform:
+                    u[rows] = (u[rows] - mult[:, None] * u[done]) % m
+        if v > 0:
+            ann = (a[done] * p ** (k - v)) % m
+            if ann.any() or with_transform:
+                a = np.vstack([a, ann[None, :]])
+                if with_transform:
+                    u = np.vstack([u, (u[done] * p ** (k - v))[None, :] % m])
+        done += 1
+    return a, u, done
+
+
+@st.composite
+def _engine_inputs(draw):
+    """(p, k, rows): wide, square and tall matrices over Z/p^k whose rows
+    are scaled by powers of p, so that pivots of every valuation, their
+    annihilator rows and zero rows all occur."""
+    p, k = draw(st.sampled_from([3, 5])), draw(st.integers(1, 4))
+    m = p**k
+    nr, nc = draw(st.integers(0, 7)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(0, m - 1))
+    rows = [
+        [p ** draw(st.integers(0, k)) * draw(entry) % m for _ in range(nc)]
+        for _ in range(nr)
+    ]
+    return p, k, np.array(rows, dtype=np.int64).reshape(nr, nc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_engine_inputs())
+# a pivot of valuation 1 whose annihilator row is a pivot again, with a
+# zero annihilator of its own
+@example((3, 2, np.array([[3, 1]])))
+def test_engine_on_rows_and_identity_matches_the_two_block_engine(case):
+    """With a transform the engine returns both blocks of the reduced
+    [rows | I] exactly as the two-block reference returns a and U, rows
+    past `done` included; without one it gives the same Howell form."""
+    p, k, rows = case
+    a, u, done = linalg._engine(rows.copy(), p, k, with_transform=True)
+    a_ref, u_ref, done_ref = _two_block_engine(rows.copy(), p, k, True)
+    assert done == done_ref
+    assert np.array_equal(a, a_ref) and np.array_equal(u, u_ref)
+    h, _, done = linalg._engine(rows.copy(), p, k, with_transform=False)
+    h_ref, _, done_ref = _two_block_engine(rows.copy(), p, k, False)
+    assert done == done_ref and np.array_equal(h[:done], h_ref[:done])

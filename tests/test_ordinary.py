@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exalg import gma, groups, linalg, ordinary, psrep, rings, scenarios
+from exalg import algebras, gma, groups, linalg, ordinary, psrep, rings, scenarios
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
 
 F5 = rings.zmod_ring(5, 1)
@@ -619,6 +619,73 @@ def test_reducible_quotient_collapse():
     ctx = ordinary.ordinary_context(gma.gma_decompose(ch, res["e1"]), kappa)
     out = ordinary.reducible_ordinary_quotient(ctx)
     assert out["collapsed"] and out["e_red"] is None
+
+
+# ---- one base change against the three-quotient construction --------
+
+
+def _three_quotient_reference(ch, base_quot, extra_rows, name=None):
+    """(ch_out, proj_mat) built as three quotients: the Cayley-Hamilton
+    quotient over base_quot, that quotient by the pushed two-sided ideal,
+    and a second presentation of the result straight from Abar[G], taken
+    from the kernel of the composite projection."""
+
+    def pushforward(quot):
+        lifted = ch.quot.lift_matrix.reshape(ch.nbar, ch.psr.group.m, ch.base.n) @ base_quot.proj.matrix
+        return (lifted.reshape(ch.nbar, -1) % base_quot.ring.char @ quot.proj.matrix) % quot.algebra.char
+
+    down = gma.ch_quotient(psrep.psrep_base_change(ch.psr, base_quot.proj), name=name)
+    abar = base_quot.ring
+    pushed = np.reshape(extra_rows, (-1, ch.nbar)) @ pushforward(down.quot)
+    rows2 = algebras.two_sided_ideal_rows(down.algebra, pushed % down.algebra.char)
+    assert not (rows2.shape[0] and ((rows2 @ down.t_matrix) % abar.char).any())
+    quot2 = algebras.quotient_algebra(down.algebra, rows2, name=name)
+    p_full = (down.quot.proj.matrix @ quot2.proj.matrix) % max(quot2.algebra.char, 1)
+    quot_full = algebras.quotient_algebra(down.E, linalg.kernel(p_full, down.E.p, down.E.k), name=name)
+    assert quot_full.algebra.n == quot2.algebra.n
+    ebar = quot_full.algebra
+    t_e = (down.quot.proj.matrix @ down.t_matrix) % abar.char
+    rho = (abar.one @ quot_full.proj.matrix.reshape(ch.psr.group.m, abar.n, ebar.n)) % ebar.char
+    out = gma.ChAlgebra(down.psr, abar, down.E, ebar, quot_full, (quot_full.lift_matrix @ t_e) % abar.char, rho)
+    out.verify()
+    return out, pushforward(quot_full)
+
+
+def test_ordinary_quotients_match_the_three_quotient_construction(monkeypatch, tmp_path):
+    """E_ord and E_red of every psrep unit the decision digests cover (the
+    bundled scenarios and generate_corpus(s, 48), s = 1, 2, 3), and of two
+    deformed dihedral contexts, are the arrays the three-quotient
+    construction gives: table, one, projection and lift, trace matrix,
+    group images and the projection from ch."""
+    from test_ordinary_decisions import decision_units
+
+    built, original = [], ordinary._quotient_by_pushed
+
+    def recorded(ch, base_quot, extra_rows, name=None):
+        out = original(ch, base_quot, extra_rows, name=name)
+        built.append(((ch, base_quot, extra_rows, name), out))
+        return out
+
+    monkeypatch.setattr(ordinary, "_quotient_by_pushed", recorded)
+    contexts = []
+    for _, doc in decision_units(tmp_path):
+        state = scenarios._State(scenarios.load_scenario(doc))
+        contexts.append(ordinary.ordinary_context(state.get("gma"), state.get("kappa")))
+    # the deformed dihedral family, where J* is not inside J_R E
+    for dp, ip in [(tuple(range(5)), tuple(range(5))), ((0, 5), (0,))]:
+        psr = d5_t2_psrep(dp, ip)
+        contexts.append(aligned_context(psr, groups.trivial_char(psr.group, T2, domain=dp, name="k")))
+    kept = sum(not ordinary.reducible_ordinary_quotient(ctx)["quotient"].collapsed for ctx in contexts)
+    assert (len(contexts), kept, len(built)) == (76, 41, 82)
+    for args, (got, proj) in built:
+        want, want_proj = _three_quotient_reference(*args)
+        for field in ("table", "one"):
+            assert np.array_equal(getattr(got.algebra, field), getattr(want.algebra, field))
+        assert np.array_equal(got.quot.proj.matrix, want.quot.proj.matrix)
+        assert np.array_equal(got.quot.lift_matrix, want.quot.lift_matrix)
+        assert np.array_equal(got.t_matrix, want.t_matrix)
+        assert np.array_equal(got.rho_mat, want.rho_mat)
+        assert np.array_equal(proj, want_proj)
 
 
 # ---- tangent counting ------------------------------------------------

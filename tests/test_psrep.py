@@ -291,6 +291,21 @@ def test_diag_rep_from_chars():
     assert psr.d_of(1).tolist() == [1]  # 2 * 3
 
 
+def test_stacked_matmul_matches_the_per_entry_loop():
+    ring = rings.truncated_poly_ring(rings.zmod_ring(5, 2), 3)
+    rep = psrep.MatrixRep2(groups.cyclic_group(1), ring, np.zeros((1, 2, 2, ring.n)))
+    rng = random.Random(5)
+    for _ in range(50):
+        a, b = (np.array([[ring.random_element(rng) for _ in range(2)] for _ in range(2)]) for _ in range(2))
+        want = np.zeros((2, 2, ring.n), dtype=np.int64)
+        for i in range(2):
+            for j in range(2):
+                for l in range(2):
+                    want[i, j] = ring.add(want[i, j], ring.mul(a[i, l], b[l, j]))
+        got = rep.matmul(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 # ---- algebra extension ----------------------------------------------
 
 
@@ -356,6 +371,19 @@ def test_kernel_of_s3_irreducible_trace():
     assert linalg.span_contains(rows, avg, 5, 1)
     sgn = np.array([1, 1, 1, -1, -1, -1]) * pow(6, -1, 5) % 5
     assert linalg.span_contains(rows, sgn, 5, 1)
+
+
+def test_trace_radical_matches_the_per_basis_columns():
+    """One contraction of the table with the trace gives the radical the
+    per-basis `right_mul_matrix` columns give."""
+    c4 = groups.cyclic_group(4)
+    chi = groups.cyclic_char(c4, Z25, 1, np.array([7]))
+    for psr in (psrep.psi_of_rep(s3_faithful_rep(F5)), psrep.psrep_from_chars(chi, groups.trivial_char(c4, Z25))):
+        ext = psrep.ExtendedPsrep(psr)
+        alg, t = ext.E, ext.t_matrix
+        cols = [(alg.right_mul_matrix(e) @ t) % psr.ring.char for e in np.eye(alg.n, dtype=np.int64)]
+        want = linalg.kernel(np.hstack(cols), alg.p, alg.k)
+        assert np.array_equal(ext.kernel_rows(), want)
 
 
 def test_kernel_of_faithful_diag_pair_is_zero():
