@@ -3,7 +3,8 @@
 Subcommands take scenario paths or bundled names (diag-ordinary,
 s3-irreducible, plane-tower-r2); `audit` with no arguments runs the
 built-in tower collection and emits the condition table.  Reports are
-canonical JSON by default; --format text renders them for reading.
+canonical JSON by default; --format text renders them for reading and
+ends with the wall time of each stage, which never enters the JSON.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error,
 3 enumeration budget exceeded.
@@ -11,6 +12,7 @@ Exit codes: 0 success, 1 invariant failure, 2 input error,
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import scenarios, serialize, towers
@@ -51,13 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _corpus_audit_report(seed) -> scenarios.Report:
+    t0 = time.perf_counter()
     table = towers.audit_table(towers.tower_corpus())
     return scenarios.Report(
         scenario="tower-corpus",
         seed=0 if seed is None else seed,
         verdict="ok",
         stages={"audit": {"rows": table}},
-        timing={},
+        timing={"audit": time.perf_counter() - t0},
     )
 
 
@@ -94,9 +97,9 @@ def _render_condition_table(rows) -> str:
 def _emit(report: scenarios.Report, args) -> None:
     as_text = args.format == "text"
     if as_text and report.scenario == "tower-corpus":
-        body = _render_condition_table(report.stages["audit"]["rows"])
+        body = _render_condition_table(report.stages["audit"]["rows"]) + serialize.render_timing(report.timing)
     elif as_text:
-        body = serialize.render_text(report.as_dict())
+        body = serialize.render_text(report.as_dict(include_timing=True))
     else:
         body = report.canonical()
     if args.out is not None:

@@ -14,7 +14,12 @@ on request; `solve_left`, `span_contains` and `reduce_by_howell` are their
 one-vector forms.
 
 The engine behind both Howell entry points updates only the rows that
-have a nonzero entry in the pivot column.  With a transform it reduces
+have a nonzero entry in the pivot column, and in them only the columns
+from the pivot column c on (the column window).  Every row at or below
+the pivot row, the appended annihilator rows included, is zero left of c,
+so the pivot row is too, and subtracting its multiples changes nothing
+there; `FactoredSpan.reduce` windows each pivot's update the same way,
+since a Howell row is zero left of its pivot.  With a transform it reduces
 [rows | I] with pivots only in the columns of `rows`: the right block is
 then U, and its rows past the Howell rows span the left kernel.  A tall
 input (more rows than columns) reduced without a transform also sheds its
@@ -108,7 +113,7 @@ def _engine(mat: np.ndarray, p: int, k: int, with_transform: bool):
     done = 0
     for c in range(nc):
         col = a[done:, c]
-        nz = np.flatnonzero(col)
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         # the first row of least valuation v: nonzero mod p^(v+1)
@@ -121,28 +126,29 @@ def _engine(mat: np.ndarray, p: int, k: int, with_transform: bool):
                     break
         j = int(least[0]) + done
         if j != done:
-            a[[done, j]] = a[[j, done]]
+            a[[done, j], c:] = a[[j, done], c:]
         piv = p**v
         unit = int(a[done, c]) // piv
         if unit != 1:
-            a[done] = (a[done] * pow(unit, -1, m)) % m
+            a[done, c:] = (a[done, c:] * pow(unit, -1, m)) % m
+        pivot_row = a[done, c:]
         # nonzero rows below the pivot, from the scan: if the row at `done` was
         # nonzero it took the pivot's old place, else that place is zero now
         rel = j - done
         rows = (nz[1:] if nz[0] in (0, rel) else nz[nz != rel]) + done
         if rows.size:
             mult = a[rows, c] // piv  # exact: the pivot has minimal valuation
-            a[rows] = (a[rows] - mult[:, None] * a[done]) % m
+            a[rows, c:] = (a[rows, c:] - mult[:, None] * pivot_row) % m
             if shed and a.shape[0] - done - 1 > nc - c - 1:
                 # while the rows below outnumber the columns left, drop those just zeroed
                 zeroed = rows[~a[rows, c + 1 :].any(axis=1)]
                 if zeroed.size:
                     a = np.delete(a, zeroed, axis=0)
         if done:
-            rows = np.flatnonzero(a[:done, c] // piv)
+            rows = (a[:done, c] // piv).nonzero()[0]
             if rows.size:
                 mult = a[rows, c] // piv
-                a[rows] = (a[rows] - mult[:, None] * a[done]) % m
+                a[rows, c:] = (a[rows, c:] - mult[:, None] * pivot_row) % m
         if v > 0:
             # the annihilator row, appended even when zero: a zero row still
             # moves in the swaps, and so orders the rows that later tie
@@ -227,8 +233,8 @@ class FactoredSpan:
         coeffs = np.zeros((flat.shape[0], self.h.shape[0]), dtype=np.int64)
         for i, c, piv in self.pivots:
             q = flat[:, c] // piv
-            if np.count_nonzero(q):
-                flat = (flat - q[:, None] * self.h[i]) % m
+            if q.any():
+                flat[:, c:] = (flat[:, c:] - q[:, None] * self.h[i, c:]) % m
                 coeffs[:, i] = q
         return flat.reshape(shape), coeffs.reshape(shape[:-1] + (self.h.shape[0],))
 

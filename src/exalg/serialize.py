@@ -47,6 +47,7 @@ __all__ = [
     "object_field",
     "parse_scenario_text",
     "render_text",
+    "render_timing",
     "sha256_text",
     "to_jsonable",
 ]
@@ -161,8 +162,16 @@ def parse_scenario_text(text: str, where: str = "<scenario>") -> dict:
     return doc
 
 
+def render_timing(timing: dict) -> str:
+    """One line of the wall time of each stage, in run order."""
+    return "timing " + "  ".join(f"{stage} {sec:.3f}s" for stage, sec in timing.items()) + "\n"
+
+
 def render_text(report: dict) -> str:
-    """Human rendering of a report dict; not canonical, not parsed back."""
+    """Human rendering of a report dict; not canonical, not parsed back.
+
+    A report dict made with its timing ends with the `render_timing` line.
+    """
     lines = [f"scenario {report['scenario']}  verdict {report['verdict']}  seed {report['seed']}"]
     for stage in report["stages"]:
         payload = report["stages"][stage]
@@ -173,4 +182,4 @@ def render_text(report: dict) -> str:
             if len(text) > 100:
                 text = text[:97] + "..."
             lines.append(f"    {key}: {text}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + (render_timing(report["timing"]) if "timing" in report else "")

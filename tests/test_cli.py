@@ -586,3 +586,42 @@ def test_ordinary_stage_decision_matches_the_psrep_entry_point(tmp_path):
         assert (stage["psrep_supported"], stage["psrep_ordinary"]) == (fresh["supported"], fresh["ordinary"]), sc.name
         decided += 1
     assert decided == 10
+
+
+# ---- stage timing in the text format, never in the JSON ---------------
+
+
+def _golden_bodies(monkeypatch):
+    """The benchmark's body key and content digest helpers, and its golden
+    digests, recorded before the text format printed any timing."""
+    import importlib.util
+
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_cli", perfbench / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # its dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod, json.loads((perfbench / "data" / "goldens.json").read_text())["bodies"]
+
+
+def test_text_format_prints_stage_timing_and_json_bytes_stay_the_same(capsys, monkeypatch):
+    wl, bodies = _golden_bodies(monkeypatch)
+    for name, doc in sorted(scenarios.BUILTIN.items()):
+        assert cli.main(["pipeline", name]) == 0
+        raw = capsys.readouterr().out
+        assert "timing" not in json.loads(raw)
+        assert wl.content_digest(raw.encode()) == bodies[wl.body_key(doc)][0], name
+        assert cli.main(["pipeline", name, "--format", "text"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split()
+        assert last[0] == "timing" and last[1::2] == list(doc["stages"])
+        assert all(v.endswith("s") and float(v[:-1]) >= 0 for v in last[2::2])
+
+
+def test_corpus_condition_table_ends_with_audit_timing(capsys, monkeypatch):
+    small = [towers.build_eisenstein_tower(towers.DvrModel(5, 1, 8), 1, {"kind": "plane"})]
+    monkeypatch.setattr(towers, "tower_corpus", lambda: small)
+    assert cli.main(["audit", "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("label") and lines[-1].startswith("timing audit ")
+    assert cli.main(["audit"]) == 0
+    assert "timing" not in json.loads(capsys.readouterr().out)

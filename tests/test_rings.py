@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from exalg import linalg, rings
+from exalg import algebras, linalg, rings, towers
 from exalg.errors import InputError, InvariantViolation, NonFreeQuotientError
 
 # ---- oracles --------------------------------------------------------
@@ -648,7 +649,7 @@ def _odd_prime_power(m):
     return (p, k) if m == 1 else None
 
 
-@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
 def test_exactness_guard_boundary(n):
     lo, hi = 0, 2**22  # n^2 d^3 < 2^63 holds at d = lo and fails at d = hi
     while hi - lo > 1:
@@ -709,3 +710,83 @@ def test_three_operand_table_einsum_only_in_finite_ring_mul():
     contractions (`mul_matrix`, `mul_outer`): n^3 work per element and n^2
     per pair, where the three-operand form does n^3 per pair."""
     assert _three_operand_table_einsums() == {("rings.py", "FiniteRing.mul")}
+
+
+# ---- the sparse product kernel against the dense formula -------------
+
+
+def _dense_mul_matrix(r, x):
+    """y @ M = x * y by the dense contraction over the whole table."""
+    n = r.n
+    return (x @ r.table.reshape(n, n * n)).reshape(np.shape(x)[:-1] + (n, n)) % r.char
+
+
+def _dense_orbit(r, rows, g=1, by=None):
+    """Rows v * x, x-major, with the right multiplications read off the table."""
+    n = r.n
+    right = r.table.transpose(1, 0, 2)  # y @ right[x] = y * e_x
+    if by is not None:
+        right = (by @ right.reshape(n, n * n)).reshape(by.shape[0], n, n) % r.char
+    blocks = rows.reshape(rows.shape[0], g, n)
+    return (np.einsum("rgi,xil->xrgl", blocks, right) % r.char).reshape(right.shape[0] * rows.shape[0], g * n)
+
+
+def _ragged_table(p, n, seed):
+    """A table of random constants in a few cells only: most output cells,
+    and every output coordinate l >= n // 2, have no constant at all."""
+    rng = np.random.default_rng(seed)
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for _ in range(3 * n):
+        i, j, l = rng.integers(0, n), rng.integers(0, n), rng.integers(0, n // 2)
+        table[i, j, l] = rng.integers(1, p)
+    one = np.zeros(n, dtype=np.int64)
+    one[0] = 1
+    return rings.FiniteRing(p, 1, table, one, name=f"ragged{n}")
+
+
+# both sides of the dimension rule (dense below rings._SPARSE_DIM)
+KERNEL_RINGS = [
+    T3,
+    rings.truncated_poly_ring(F5, 14, name="F5[t]/t^14"),
+    rings.truncated_poly_ring(Z25, 12, name="Z25[t]/t^12"),
+    PRODUCT_RING,
+    rings.product_ring(rings.truncated_poly_ring(F5, 9), T4, name="F5[t]/t^9xT4"),
+    towers.build_eisenstein_tower(rings.DvrModel(5, 1, 8), 2, {"kind": "plane"}).H,
+    algebras.matrix_algebra(F5, 2),
+    algebras.matrix_algebra(T3, 2),
+    rings.zero_ring(5),
+    _ragged_table(5, 4, 0),
+    _ragged_table(7, 13, 1),
+]
+
+
+def _stack(r, shape):
+    return arrays(np.int64, tuple(shape) + (r.n,), elements=st.integers(0, r.char - 1))
+
+
+@pytest.mark.parametrize("r", KERNEL_RINGS, ids=lambda r: f"{r.name}-n{r.n}")
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_sparse_kernel_matches_dense_formula(r, data):
+    lead = data.draw(st.lists(st.integers(0, 3), max_size=3))
+    x = data.draw(_stack(r, lead))
+    assert np.array_equal(r.mul_matrix(x), _dense_mul_matrix(r, x))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "_GATHER_CELLS", 1)  # one row per gathered block
+        assert np.array_equal(r.mul_matrix(x), _dense_mul_matrix(r, x))
+    g = data.draw(st.integers(1, 3))
+    count = data.draw(st.integers(0, 4))
+    rows = data.draw(_stack(r, (count, g))).reshape(count, g * r.n)  # rows of R^g
+    assert np.array_equal(r.orbit(rows, g), _dense_orbit(r, rows, g))
+    by = data.draw(_stack(r, (data.draw(st.integers(0, 4)),)))
+    assert np.array_equal(r.orbit(rows, g, by=by), _dense_orbit(r, rows, g, by))
+    xs = data.draw(_stack(r, (data.draw(st.integers(0, 4)),)))
+    ys = data.draw(_stack(r, (data.draw(st.integers(0, 4)),)))
+    want = np.einsum("ai,bj,ijl->abl", xs, ys, r.table) % r.char
+    assert np.array_equal(r.mul_outer(xs, ys), want)
+
+
+def test_kernel_rings_cover_both_sides_of_the_dimension_rule():
+    dims = [r.n for r in KERNEL_RINGS]
+    assert min(dims) == 0 and any(0 < n < rings._SPARSE_DIM for n in dims)
+    assert sum(n >= rings._SPARSE_DIM for n in dims) >= 5
