@@ -13,18 +13,21 @@ vectors in one pass over the pivots, and its left kernel is computed only
 on request; `solve_left`, `span_contains` and `reduce_by_howell` are their
 one-vector forms.
 
-The engine behind both Howell entry points updates only the rows that
-have a nonzero entry in the pivot column, and in them only the columns
-from the pivot column c on (the column window).  Every row at or below
-the pivot row, the appended annihilator rows included, is zero left of c,
-so the pivot row is too, and subtracting its multiples changes nothing
-there; `FactoredSpan.reduce` windows each pivot's update the same way,
-since a Howell row is zero left of its pivot.  With a transform it reduces
+The engine behind both Howell entry points clears each pivot column with
+one update of every other row holding a multiple of the pivot there,
+above and below the pivot row together: rows below have valuation at
+least the pivot's in that column, so they clear, and rows above keep
+their residue mod the pivot.  The update covers only the columns from the
+pivot column c on (the column window).  Every row at or below the pivot
+row, the appended annihilator rows included, is zero left of c, so the
+pivot row is too, and subtracting its multiples changes nothing there;
+`FactoredSpan.reduce` windows each pivot's update the same way, since a
+Howell row is zero left of its pivot.  With a transform it reduces
 [rows | I] with pivots only in the columns of `rows`: the right block is
 then U, and its rows past the Howell rows span the left kernel.  A tall
-input (more rows than columns) reduced without a transform also sheds its
-zero rows, on entry and as elimination makes them; the Howell form is
-canonical, so the output is the same as with every row kept.
+input (more rows than columns) reduced without a transform sheds its zero
+rows once, on entry; the Howell form is canonical, so the output is the
+same as with every row kept.
 
 Rows are numpy int64 vectors with entries in [0, p^k).  All operations are
 exact; no floating point anywhere.
@@ -105,10 +108,9 @@ def _engine(mat: np.ndarray, p: int, k: int, with_transform: bool):
     nr, nc = a.shape
     if with_transform:
         a = np.hstack([a, np.eye(nr, dtype=np.int64)])
-    # A tall input sheds its zero rows, which span nothing.  [mat | I] is
-    # wider than tall, so it keeps every row and each kernel relation.
-    shed = nr > a.shape[1]
-    if shed:
+    elif nr > nc:
+        # a tall input sheds its zero rows once, on entry: they span nothing.
+        # [mat | I] keeps every row, and so each kernel relation.
         a = a[a.any(axis=1)]
     done = 0
     for c in range(nc):
@@ -131,24 +133,13 @@ def _engine(mat: np.ndarray, p: int, k: int, with_transform: bool):
         unit = int(a[done, c]) // piv
         if unit != 1:
             a[done, c:] = (a[done, c:] * pow(unit, -1, m)) % m
-        pivot_row = a[done, c:]
-        # nonzero rows below the pivot, from the scan: if the row at `done` was
-        # nonzero it took the pivot's old place, else that place is zero now
-        rel = j - done
-        rows = (nz[1:] if nz[0] in (0, rel) else nz[nz != rel]) + done
+        # one update of every other row with a multiple of the pivot in column c,
+        # above and below alike; the column is copied, as the update writes it
+        mult = a[:, c] // piv if v else a[:, c].copy()
+        mult[done] = 0
+        rows = mult.nonzero()[0]
         if rows.size:
-            mult = a[rows, c] // piv  # exact: the pivot has minimal valuation
-            a[rows, c:] = (a[rows, c:] - mult[:, None] * pivot_row) % m
-            if shed and a.shape[0] - done - 1 > nc - c - 1:
-                # while the rows below outnumber the columns left, drop those just zeroed
-                zeroed = rows[~a[rows, c + 1 :].any(axis=1)]
-                if zeroed.size:
-                    a = np.delete(a, zeroed, axis=0)
-        if done:
-            rows = (a[:done, c] // piv).nonzero()[0]
-            if rows.size:
-                mult = a[rows, c] // piv
-                a[rows, c:] = (a[rows, c:] - mult[:, None] * pivot_row) % m
+            a[rows, c:] = (a[rows, c:] - mult[rows, None] * a[done, c:]) % m
         if v > 0:
             # the annihilator row, appended even when zero: a zero row still
             # moves in the swaps, and so orders the rows that later tie
@@ -162,8 +153,9 @@ def howell_form(rows, p: int, k: int, ncols: int | None = None) -> np.ndarray:
 
     Two row sets span the same submodule iff their Howell forms are equal
     elementwise.  Pivot entries are powers of p at strictly increasing
-    columns; entries above a pivot p^v are reduced mod p^v.  Tall inputs
-    shed their zero rows during the reduction; the output is unchanged.
+    columns; entries above a pivot p^v are reduced mod p^v.  A tall input
+    sheds its zero rows once, on entry, and each pivot clears its column
+    with one row update; neither changes the output.
     """
     a = _as_matrix(rows, ncols)
     if a.shape[0] == 0:

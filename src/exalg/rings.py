@@ -487,7 +487,7 @@ class Ideal:
 
     def __init__(self, ring: FiniteRing, gens, _closed: bool = False):
         self.ring = ring
-        rows = np.asarray(gens, dtype=np.int64).reshape(-1, ring.n) % ring.char
+        rows = np.asarray(gens, dtype=np.int64).reshape(-1 if ring.n else 0, ring.n) % ring.char
         self.gens = rows
         h = linalg.howell_form(rows, ring.p, ring.k, ncols=ring.n)
         self.basis = h if _closed else linalg.howell_form(ring.orbit(h), ring.p, ring.k, ncols=ring.n)

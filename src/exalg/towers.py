@@ -222,27 +222,35 @@ def _min_module_rows(ring: FiniteRing, rows: np.ndarray, g: int) -> np.ndarray:
     basis, a minimal generating set of the ideal (a generator first, when
     it is principal).
 
-    Each pick is the first remaining row outside the span of m*M and the
-    orbits of the rows picked so far; all remaining rows are tested in one
-    batch, and the span grows by the orbit of the new pick alone.
+    By Nakayama d = log_p(|M| / |mM|) over the residue degree rows are
+    needed.  Each pick is the first remaining row outside the span of m*M
+    and the orbits of the picks so far, which grows by the orbit of each
+    new pick; the picks stop at d, so the span is neither tested nor grown
+    after the last.  Only the residuals of rows still outside are tested:
+    a residual is congruent to its row mod every later, larger span, so
+    the picks are the same.
     """
-    width = g * ring.n
-    full = linalg.howell_form(rows, ring.p, ring.k, ncols=width)
+    p, k, width = ring.p, ring.k, g * ring.n
+    full = linalg.howell_form(rows, p, k, ncols=width)
     if full.shape[0] == 0:
         return np.zeros((0, width), dtype=np.int64)
-    cur = linalg.howell_form(maximal_multiples(ring, full, g), ring.p, ring.k, ncols=width)
+    cur = linalg.howell_form(maximal_multiples(ring, full, g), p, k, ncols=width)
+    d, rest = divmod(linalg.span_log_size(full, p, k) - linalg.span_log_size(cur, p, k), ring.residue_log_size)
+    if rest:
+        raise InvariantViolation("|M/mM| is not a power of the residue field size")
     sel: list[np.ndarray] = []
-    start = 0
-    while start < full.shape[0]:
-        outside = np.flatnonzero(~linalg.FactoredSpan(cur, ring.p, ring.k).contains(full[start:]))
+    left, res = full, full  # the rows still outside the span, and their residuals
+    for _ in range(d):
+        if sel:
+            cur = linalg.howell_form(np.vstack([cur, ring.orbit(sel[-1], g)]), p, k, ncols=width)
+        res = linalg.FactoredSpan(cur, p, k).reduce(res)[0]
+        outside = np.flatnonzero(res.any(axis=1))
         if outside.size == 0:
             break
-        start += int(outside[0])
-        sel.append(full[start])
-        cur = linalg.howell_form(np.vstack([cur, ring.orbit(full[start], g)]), ring.p, ring.k, ncols=width)
-        start += 1
-    picked = np.array(sel, dtype=np.int64)
-    span = linalg.howell_form(ring.orbit(picked, g), ring.p, ring.k, ncols=width)
+        sel.append(left[outside[0]])
+        left, res = left[outside[1:]], res[outside[1:]]
+    picked = np.array(sel, dtype=np.int64).reshape(len(sel), width)
+    span = linalg.howell_form(ring.orbit(picked, g), p, k, ncols=width)
     if not linalg.span_equal(span, full):
         raise InvariantViolation("selected rows fail to generate the relation module")
     return picked

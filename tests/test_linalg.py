@@ -410,6 +410,19 @@ def _two_block_engine(mat, p, k, with_transform):
     return a, u, done
 
 
+@settings(max_examples=200, deadline=None)
+@given(_tall_rows())
+@example((5, 1, np.zeros((4, 3), dtype=np.int64)))
+@example((5, 1, np.array([[1, 0, 0], [1, 0, 1], [1, 0, 0], [1, 0, 0], [1, 0, 0]])))
+def test_howell_form_of_tall_inputs_matches_the_shedding_reference(case):
+    """howell_form sheds zero rows on entry only and clears each column with
+    one update; the reference drops the rows elimination zeroes as it goes
+    and updates the rows below and above the pivot apart."""
+    p, k, rows = case
+    h_ref, _, done = _two_block_engine(rows.copy(), p, k, False)
+    assert np.array_equal(linalg.howell_form(rows, p, k), h_ref[:done])
+
+
 @st.composite
 def _engine_inputs(draw):
     """(p, k, rows): wide, square and tall matrices over Z/p^k whose rows

@@ -8,6 +8,8 @@ and the per-basis-element `one` check.  The Howell form is canonical, so
 every comparison is bit-for-bit.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -271,6 +273,72 @@ def test_min_module_rows_picks_the_same_rows(corpus, monkeypatch):
     assert any(g > 1 for _, _, g in seen)
     for ring, rows, g in seen:
         assert np.array_equal(real(ring, rows, g), old_min_module_rows(ring, rows, g))
+
+
+# ---- Nakayama picks over a residue field of degree 2, k = 2 ------------
+
+
+def _galois_rings():
+    """Local rings with k = 2 and residue field F25: GR(25, 2), the table
+    of F25 read mod 25 (Z/25[x]/(f), f the lift of F25's polynomial), and
+    truncated polynomial rings over it."""
+    f25 = rings.field_ring(5, 2)
+    gr = rings.FiniteRing(5, 2, f25.table, f25.one, name="GR(25,2)")
+    gr_t2 = rings.truncated_poly_ring(gr, 2)
+    return [gr, gr_t2, rings.truncated_poly_ring(gr, 3), rings.truncated_poly_ring(gr_t2, 2)]
+
+
+GALOIS_RINGS = _galois_rings()
+
+
+def test_galois_rings_are_local_with_residue_degree_2():
+    for r in GALOIS_RINGS:
+        r.check_ring()
+        assert r.k == 2 and r.is_local and r.residue_log_size == 2, r.name
+
+
+def _picks_and_howell_calls(ring, rows, g):
+    """(picks, number of howell_form calls made by _min_module_rows itself)."""
+    calls = []
+    real = linalg.howell_form
+
+    def counted(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "howell_form", counted)
+        picks = towers._min_module_rows(ring, rows, g)
+    return picks, calls.count("_min_module_rows")
+
+
+@seed(8106)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_min_module_rows_over_galois_rings(data):
+    r = data.draw(st.sampled_from(GALOIS_RINGS))
+    g = data.draw(st.integers(1, 2))
+    gens = draw_rows(data, r, (1, 3), g * r.n)
+    # some generators scaled by p, so that modules with torsion occur
+    scale = data.draw(st.lists(st.integers(0, 1), min_size=len(gens), max_size=len(gens)))
+    rows = r.orbit((gens * r.p ** np.array(scale)[:, None]) % r.char, g)  # the module they generate
+    if data.draw(st.booleans()):
+        rows = modules.maximal_multiples(r, rows, g)  # m*M, which needs more generators
+    picks, calls = _picks_and_howell_calls(r, rows, g)
+    assert np.array_equal(picks, old_min_module_rows(r, rows, g))
+    # the full basis, m*M, one extension per pick after the first, the final check
+    assert calls == (picks.shape[0] + 2 if picks.size else 1)
+
+
+def test_principal_ideal_picks_without_extending_the_span():
+    r = GALOIS_RINGS[2]  # GR(25, 2)[t]/t^3
+    x = np.zeros(r.n, dtype=np.int64)
+    x[0], x[2] = 5, 1  # 5 + t
+    ideal = rings.Ideal(r, [x])
+    picks, calls = _picks_and_howell_calls(r, ideal.basis, 1)
+    assert picks.shape == (1, r.n) and rings.Ideal(r, picks) == ideal
+    assert calls == 3  # the basis, m*I and the final check: no span extension
+    assert np.array_equal(picks, old_min_module_rows(r, ideal.basis, 1))
 
 
 # ---- check_ring on corrupted tables ------------------------------------

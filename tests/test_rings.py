@@ -208,6 +208,22 @@ def test_zero_ring():
         rings.gorenstein_test(z)
 
 
+def test_zero_ring_ideals_are_the_zero_ideal():
+    z = rings.zero_ring(5)
+    ideals = [
+        z.radical_ideal(),
+        rings.Ideal(z, np.zeros((0, 0), dtype=np.int64), _closed=True),
+        rings.Ideal(z, []),
+    ]
+    ideals.append(ideals[1].annihilator())
+    for ideal in ideals:
+        assert ideal.basis.shape == (0, 0) and ideal.is_zero()
+        assert ideal == ideals[0] and ideal.log_size() == 0
+    # 0 = 1 in the zero ring, so its zero ideal is also the unit ideal
+    assert ideals[0].is_unit_ideal()
+    assert ideals[0].mul_ideal(ideals[1]).is_zero()
+
+
 # ---- local structure ------------------------------------------------
 
 
