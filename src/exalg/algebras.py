@@ -29,15 +29,12 @@ __all__ = [
 class AssocAlgebra(FiniteRing):
     """Finite associative algebra with a marked central coefficient ring."""
 
-    def __init__(self, p, k, table, one, base: FiniteRing, base_embed, labels=None, name="E"):
+    def __init__(self, p, k, table, one, base: FiniteRing, base_embed, name="E"):
         super().__init__(p, k, np.asarray(table), np.asarray(one), name)
         self.base = base
         self.base_embed = np.asarray(base_embed, dtype=np.int64) % self.char
         if self.base_embed.shape != (base.n, self.n):
             raise InputError("base embedding has the wrong shape")
-        self.labels = list(labels) if labels is not None else [f"b{i}" for i in range(self.n)]
-        if len(self.labels) != self.n:
-            raise InputError("need one label per basis element")
 
     # commutative-only inherited machinery is switched off
     @property
@@ -117,12 +114,7 @@ def group_algebra(base: FiniteRing, group, name: str | None = None) -> AssocAlge
     one[group.identity * e : (group.identity + 1) * e] = base.one
     embed = np.zeros((e, n), dtype=np.int64)
     embed[:, group.identity * e : (group.identity + 1) * e] = np.eye(e, dtype=np.int64)
-    labels = [
-        f"{group.names[g]}*{i}" if e > 1 else group.names[g] for g in range(m) for i in range(e)
-    ]
-    return AssocAlgebra(
-        base.p, base.k, table, one, base, embed, labels, name=name or f"{base.name}[{group.name}]"
-    )
+    return AssocAlgebra(base.p, base.k, table, one, base, embed, name=name or f"{base.name}[{group.name}]")
 
 
 def matrix_algebra(base: FiniteRing, size: int, name: str | None = None) -> AssocAlgebra:
@@ -150,9 +142,7 @@ def matrix_algebra(base: FiniteRing, size: int, name: str | None = None) -> Asso
     for a in range(e):
         for i in range(size):
             embed[a, idx(i, i, a)] = 1
-    labels = [f"E{i}{j}*{a}" if e > 1 else f"E{i}{j}" for i in range(size) for j in range(size) for a in range(e)]
-    alg = AssocAlgebra(base.p, base.k, table, one, base, embed, labels, name=name or f"M{size}({base.name})")
-    return alg
+    return AssocAlgebra(base.p, base.k, table, one, base, embed, name=name or f"M{size}({base.name})")
 
 
 # ---- ideals and subalgebras -----------------------------------------

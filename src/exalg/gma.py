@@ -50,11 +50,10 @@ from .psrep import (
     ExtendedPsrep,
     Pseudorep2,
     TraceForms,
-    _character_split,
     _chars_equal,
-    _min_generating_set,
     psrep_base_change,
     residual_split,
+    split_as_characters,
 )
 from .rings import FiniteRing, Ideal, QuotientRing, RingMap, quotient_ring
 
@@ -72,6 +71,13 @@ __all__ = [
     "maximal_subideals",
     "reducibility_minimality",
 ]
+
+# seed and size of the sampled spot checks in `ChAlgebra.verify`
+_VERIFY_SEED = 0
+_VERIFY_SAMPLES = 100
+
+# most Newton steps `_newton_lift` takes before it gives up
+_NEWTON_MAX_ITER = 64
 
 
 @dataclass(eq=False)
@@ -101,13 +107,13 @@ class ChAlgebra(TraceForms):
         span = linalg.FactoredSpan.factor(connect, self.algebra.p, down.algebra.k)
         return Residual(field, down, connect, span, residual_split(down.psr))
 
-    def verify(self, rng_seed: int = 0, samples: int = 100) -> None:
+    def verify(self) -> None:
         """Identity on basis pairs (bilinearity covers the rest) plus random
         spot checks; each check runs on one stack and names its first failure.
 
-        The spot checks are `samples` elements drawn as one stack from
-        `random.Random(rng_seed)`: the same integers, in the same order, as
-        `samples` single `random_element` calls.
+        The spot checks are _VERIFY_SAMPLES elements drawn as one stack from
+        `random.Random(_VERIFY_SEED)`: the same integers, in the same order,
+        as _VERIFY_SAMPLES single `random_element` calls.
         """
         al = self.algebra
         if al.n == 0:
@@ -118,7 +124,7 @@ class ChAlgebra(TraceForms):
         if bad.any():
             row = int(np.argmax(bad))
             raise InvariantViolation(f"polarized identity fails on basis pair ({left[row]},{right[row]})")
-        xs = al.random_element(random.Random(rng_seed), samples)
+        xs = al.random_element(random.Random(_VERIFY_SEED), _VERIFY_SAMPLES)
         if self.ch_at(xs).any():
             raise InvariantViolation("characteristic polynomial fails on a sampled element")
         m = len(self.rho_mat)
@@ -257,7 +263,6 @@ def lift_idempotents(
     ch: ChAlgebra,
     prefer_char: GroupChar | None = None,
     budget: int = 400000,
-    max_iter: int = 64,
 ) -> dict:
     """Complementary trace-1 idempotents e1, e2 = 1 - e1 of the quotient.
 
@@ -290,7 +295,7 @@ def lift_idempotents(
             "e2": None,
             "residual": res.split,
         }
-    e1, iters = _newton_lift(ch, targets[0], max_iter)
+    e1, iters = _newton_lift(ch, targets[0])
     e2 = ch.algebra.sub(ch.algebra.one, e1)
     if not np.array_equal(ch.t_el(e1), a.one) or not np.array_equal(ch.t_el(e2), a.one):
         raise InvariantViolation("lifted idempotents do not have unit trace")
@@ -305,7 +310,7 @@ def lift_idempotents(
     }
 
 
-def _newton_lift(ch: ChAlgebra, target, max_iter: int = 64):
+def _newton_lift(ch: ChAlgebra, target):
     """(e, iterations): a preimage of the residual idempotent `target` under
     the residual `connect` map, refined by e <- 3e^2 - 2e^3 until
     idempotent and checked to stay in the class of `target`."""
@@ -319,7 +324,7 @@ def _newton_lift(ch: ChAlgebra, target, max_iter: int = 64):
         x2 = al.mul(x, x)
         x = al.sub(al.smul(3, x2), al.smul(2, al.mul(x2, x)))
         iters += 1
-        if iters > max_iter:
+        if iters > _NEWTON_MAX_ITER:
             raise InvariantViolation("idempotent iteration failed to converge")
     if not np.array_equal((x @ res.connect) % res.ch.algebra.char, target):
         raise InvariantViolation("lifted idempotent drifted from its residual class")
@@ -538,36 +543,7 @@ def coordinate_maps(gma: GmaAlgebra) -> dict:
     return {"rho11": rho11, "rho12": rho12, "rho21": rho21, "rho22": rho22}
 
 
-# ---- splitting and reducibility -------------------------------------
-
-
-def split_as_characters(psr: Pseudorep2, budget: int = 200000) -> dict:
-    """Try to write (t, d) as chi1 + chi2 over any commutative coefficient ring.
-
-    Candidate chi1 values at each generator are the roots of x^2 - t x + d
-    there, extended multiplicatively over the group and then checked against
-    the full laws.  Over the zero ring the split is trivial.
-    """
-    grp, r = psr.group, psr.ring
-    if r.is_zero:
-        return {"split": True, "trivial": True, "chars": None, "pairs_found": 0}
-    gens = _min_generating_set(grp)
-    per_gen: list[list[np.ndarray]] = []
-    cost = 1
-    for g in gens:
-        roots = [
-            x
-            for x in r.elements(limit=budget)
-            if not r.add(r.sub(r.mul(x, x), r.mul(psr.t[g], x)), psr.d[g]).any()
-        ]
-        if not roots:
-            return {"split": False, "trivial": False, "chars": None, "pairs_found": 0}
-        per_gen.append(roots)
-        cost *= len(roots)
-        if cost > budget:
-            raise BudgetExceeded(f"{cost} root combinations exceed the budget")
-    chars, count = _character_split(psr, gens, per_gen)
-    return {"split": chars is not None, "trivial": False, "chars": chars, "pairs_found": count}
+# ---- reducibility ---------------------------------------------------
 
 
 def reducibility_ideal(gma: GmaAlgebra) -> dict:

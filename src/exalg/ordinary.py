@@ -31,9 +31,6 @@ element e_j:
 - J_R is generated by t(J*) and d(J*), and 2 d(j) = t(j)^2 - t(j^2) with
   j^2 in J* and 2 a unit, so d(J*) already lies in the ideal t(J*)
   generates.
-
-The determinant generators are still recorded, with provenance, because
-the quotient reports are easier to audit that way.
 """
 
 from __future__ import annotations
@@ -56,10 +53,9 @@ from .gma import (
     ch_base_change,
     ch_quotient,
     gma_decompose,
-    split_as_characters,
 )
 from .groups import GroupChar
-from .psrep import Pseudorep2, psrep_base_change, validate_pseudorep
+from .psrep import Pseudorep2, psrep_base_change, split_as_characters, validate_pseudorep
 from .rings import FiniteRing, Ideal, QuotientRing, quotient_ring
 
 __all__ = [
@@ -203,7 +199,6 @@ class OrdinaryQuotient:
     j_star_rows: np.ndarray  # Howell basis of J*, coordinates of ctx.ch.algebra
     j_star_generators: list
     j_r: Ideal
-    j_r_generators: list
     j_rows: np.ndarray  # Howell basis of J* + J_R E
     base_quot: QuotientRing
     e_ord: ChAlgebra | None
@@ -271,8 +266,7 @@ def _j_r_is_zero(gma: GmaAlgebra, kappa: GroupChar) -> bool:
 def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> OrdinaryQuotient:
     ch = ctx.ch
     al, a = ch.algebra, ch.base
-    base = _base_ideal(ctx.gma, ctx.kappa)
-    j_star, _, j_r, jr_prov = base
+    j_star, star_prov, j_r, jr_prov = _base_ideal(ctx.gma, ctx.kappa)
     # J* + J_R E, for the record and for the quotient below
     j_rows = linalg.howell_form(np.vstack([j_star, _scaled_rows(al, j_r.basis)]), al.p, al.k, ncols=al.n)
     collapsed = j_r.is_unit_ideal()
@@ -286,7 +280,7 @@ def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> Ordinary
     base_quot = quotient_ring(a, j_r, name=f"{a.name}/JR")
     if not collapsed:
         e_ord, proj_mat = _quotient_by_pushed(ch, base_quot, j_star, name=name or f"{al.name} ord")
-    return OrdinaryQuotient(ctx, *base, j_rows, base_quot, e_ord, proj_mat, collapsed, collapse_step)
+    return OrdinaryQuotient(ctx, j_star, star_prov, j_r, j_rows, base_quot, e_ord, proj_mat, collapsed, collapse_step)
 
 
 # ---- deciding ordinarity for a pseudorepresentation ------------------

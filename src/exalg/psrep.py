@@ -16,6 +16,16 @@ the whole kernel: cyclicity gives t(x g x h) = t(x * (g x h)) = 0 for any x
 in the radical, so the quadratic obstructions collapse.  The vanishing of
 d~ on the computed radical is still verified element by element and an
 InvariantViolation means the input pair was not a pseudorepresentation.
+
+This module is also the one home of the character splitter, which writes
+(t, d) as chi1 + chi2 with chi1 chi2 = d: `residual_split` over a field,
+classifying the residual, and `split_as_characters` over any coefficient
+ring.  Both take the roots of x^2 - t x + d from one stacked search
+(`_quadratic_roots`) and fill every choice of roots at the generators
+multiplicatively over the group (`_character_split`).  A fill with no
+clash agrees on every edge (a, g) of the Cayley graph, so it is a
+homomorphism of a finite group and hence unit-valued; then t = chi + d/chi
+says exactly chi (t - chi) = d, and chi2 = t - chi needs no inverse.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ __all__ = [
     "rep_from_chars",
     "ExtendedPsrep",
     "residual_split",
+    "split_as_characters",
 ]
 
 
@@ -346,14 +357,28 @@ def _trace_radical(alg: AssocAlgebra, t_matrix: np.ndarray) -> np.ndarray:
     return rows
 
 
-# ---- residual splitting ---------------------------------------------
+# ---- the character splitter ----------------------------------------
+
+# largest field `residual_split` searches for roots
+_ROOT_FIELD_LIMIT = 2500
 
 
-def _field_sqrts(f: FiniteRing, x) -> list[np.ndarray]:
-    """All square roots of x in a small field, by enumeration."""
-    if f.size > 2500:
-        raise BudgetExceeded("square-root search field too large")
-    return [y for y in f.elements() if np.array_equal(f.mul(y, y), x)]
+def _quadratic_roots(r: FiniteRing, t_rows, d_rows, limit: int | None) -> list[list[np.ndarray]]:
+    """For each row i, the roots of x^2 - t_i x + d_i in r, in element order.
+
+    The polynomials of all rows are evaluated together on one
+    `r.element_blocks(limit)` stack at a time; with no rows nothing is
+    enumerated.
+    """
+    roots: list[list[np.ndarray]] = [[] for _ in range(len(t_rows))]
+    if not roots:
+        return roots
+    for xs in r.element_blocks(limit):
+        # (row, x): x^2 - t_row x + d_row
+        vals = (r.mul(xs, xs)[None] - r.mul_outer(t_rows, xs) + d_rows[:, None]) % r.char
+        for out, hit in zip(roots, ~vals.any(axis=2)):
+            out.extend(xs[hit])
+    return roots
 
 
 def _min_generating_set(grp: MarkedGroup) -> list[int]:
@@ -395,33 +420,36 @@ def _character_split(psr: Pseudorep2, gens: list[int], per_gen: list) -> tuple:
 
     Every choice of chi1 values at the generators `gens`, one from each list
     of `per_gen`, is filled multiplicatively over the group (a clash drops
-    it) and kept when chi1 is unit-valued and t = chi1 + d / chi1.  `chars`
-    is the lexicographically first pair as checked characters, or None
-    when no choice is kept.
+    it) and kept when chi1 (t - chi1) = d, checked on one stack; chi2 is
+    t - chi1.  `chars` is the lexicographically first pair as checked
+    characters, or None when no choice is kept.
     """
     grp, r = psr.group, psr.ring
     found = set()
     for values in itertools.product(*per_gen):
-        chi = _multiplicative_fill(grp, gens, values, r.one.copy(), r.mul)
-        if chi is None or not all(r.is_unit(chi[g]) for g in grp.elements()):
+        fill = _multiplicative_fill(grp, gens, values, r.one.copy(), r.mul)
+        if fill is None:
             continue
-        chi2 = {g: r.mul(psr.d[g], r.inv(chi[g])) for g in grp.elements()}
-        if all(np.array_equal(r.add(chi[g], chi2[g]), psr.t[g]) for g in grp.elements()):
-            keys = [tuple(int(c) for g in grp.elements() for c in x[g]) for x in (chi, chi2)]
+        chi = np.array([fill[g] for g in grp.elements()])
+        chi2 = r.sub(psr.t, chi)
+        if np.array_equal(r.mul(chi, chi2), psr.d):
+            keys = [tuple(x.ravel().tolist()) for x in (chi, chi2)]
             found.add((min(keys), max(keys)))
     if not found:
         return None, 0
-    n, chars = r.n, []
-    for key in min(found):
-        vals = {g: np.array(key[g * n : (g + 1) * n], dtype=np.int64) for g in grp.elements()}
-        chi = GroupChar(grp, r, vals, name="chi")
+    shape = (grp.m, r.n)
+    chars = tuple(GroupChar(grp, r, dict(enumerate(np.reshape(key, shape))), name="chi") for key in min(found))
+    for chi in chars:
         chi.check()
-        chars.append(chi)
-    return tuple(chars), len(found)
+    return chars, len(found)
 
 
 def _chars_equal(c1: GroupChar, c2: GroupChar) -> bool:
     return set(c1.domain) == set(c2.domain) and all(np.array_equal(c1(g), c2(g)) for g in c1.domain)
+
+
+def _unsplit(reason: str, case: str) -> dict:
+    return {"split": False, "unsupported": True, "reason": reason, "chars": None, "case": case}
 
 
 def residual_split(psr: Pseudorep2) -> dict:
@@ -437,31 +465,40 @@ def residual_split(psr: Pseudorep2) -> dict:
     if f.k != 1 or not f.is_local or not f.maximal_ideal().is_zero():
         raise InputError("residual splitting expects coefficients in a field")
     psr.check()
+    if f.size > _ROOT_FIELD_LIMIT:
+        raise BudgetExceeded("square-root search field too large")
     # pointwise roots of x^2 - t x + d
-    roots: list[list[np.ndarray]] = []
-    inv2 = pow(2, -1, f.char)
-    for g in grp.elements():
-        disc = f.sub(f.mul(psr.t[g], psr.t[g]), f.smul(4, psr.d[g]))
-        sq = _field_sqrts(f, disc)
-        if not sq:
-            return {
-                "split": False,
-                "unsupported": True,
-                "reason": f"irreducible characteristic polynomial at element {g}",
-                "chars": None,
-                "case": "irreducible",
-            }
-        roots.append([(inv2 * (psr.t[g] + s)) % f.char for s in sq])
+    roots = _quadratic_roots(f, psr.t, psr.d, None)
+    bare = [g for g in grp.elements() if not roots[g]]
+    if bare:
+        return _unsplit(f"irreducible characteristic polynomial at element {bare[0]}", "irreducible")
     # backtracking over a minimal generating set
     gens = _min_generating_set(grp)
     chars, _ = _character_split(psr, gens, [roots[g] for g in gens])
     if chars is None:
-        return {
-            "split": False,
-            "unsupported": True,
-            "reason": "splits pointwise but admits no multiplicative assignment",
-            "chars": None,
-            "case": "matrix",
-        }
+        return _unsplit("splits pointwise but admits no multiplicative assignment", "matrix")
     case = "coincident" if _chars_equal(*chars) else "split"
     return {"split": True, "unsupported": False, "reason": "", "chars": chars, "case": case}
+
+
+def split_as_characters(psr: Pseudorep2, budget: int = 200000) -> dict:
+    """Try to write (t, d) as chi1 + chi2 over any commutative coefficient ring.
+
+    Candidate chi1 values at each generator are the roots of x^2 - t x + d
+    there, extended multiplicatively over the group and kept when
+    chi1 (t - chi1) = d.  Over the zero ring the split is trivial.
+    """
+    grp, r = psr.group, psr.ring
+    if r.is_zero:
+        return {"split": True, "trivial": True, "chars": None, "pairs_found": 0}
+    gens = _min_generating_set(grp)
+    per_gen = _quadratic_roots(r, psr.t[gens], psr.d[gens], budget)
+    cost = 1
+    for roots in per_gen:
+        if not roots:
+            return {"split": False, "trivial": False, "chars": None, "pairs_found": 0}
+        cost *= len(roots)
+        if cost > budget:
+            raise BudgetExceeded(f"{cost} root combinations exceed the budget")
+    chars, count = _character_split(psr, gens, per_gen)
+    return {"split": chars is not None, "trivial": False, "chars": chars, "pairs_found": count}
