@@ -222,8 +222,13 @@ class Residual:
     span: linalg.FactoredSpan
     split: dict
 
+    @cached_property
+    def idempotents(self) -> list[np.ndarray]:
+        """`_trace_one_idempotents` of `ch`, enumerated once; each caller checks its own budget."""
+        return _trace_one_idempotents(self.ch, None)
 
-def _trace_one_idempotents(ch: ChAlgebra, budget: int) -> list[np.ndarray]:
+
+def _trace_one_idempotents(ch: ChAlgebra, budget: int | None) -> list[np.ndarray]:
     """Every trace-1 idempotent, sorted; none is 0 (trace 0) or 1 (trace 2)."""
     al, one = ch.algebra, ch.base.one
     out = []
@@ -244,7 +249,9 @@ def _residual_targets(res: Residual, chis, budget: int) -> tuple[list, str]:
     case = res.split["case"]
     if case == "coincident":
         return [], "residual characters coincide; no idempotent separates them"
-    idems = _trace_one_idempotents(res.ch, budget)
+    if res.ch.algebra.size > budget:
+        raise BudgetExceeded(f"ring has {res.ch.algebra.size} elements, limit {budget}")
+    idems = res.idempotents
     if case != "split":
         return idems, "" if idems else "residual algebra has no nontrivial trace-1 idempotent"
     al, rho = res.ch.algebra, res.ch.rho_mat
@@ -310,25 +317,29 @@ def lift_idempotents(
     }
 
 
-def _newton_lift(ch: ChAlgebra, target):
-    """(e, iterations): a preimage of the residual idempotent `target` under
-    the residual `connect` map, refined by e <- 3e^2 - 2e^3 until
-    idempotent and checked to stay in the class of `target`."""
+def _newton_lift(ch: ChAlgebra, targets):
+    """(e, iterations): a preimage of each residual idempotent in `targets`
+    (one row, or a stack of rows) under the residual `connect` map, refined
+    by e <- 3e^2 - 2e^3 until idempotent and checked to stay in the class of
+    its target.  Only the rows not yet idempotent take a step, each with its
+    own count; a converged row is a fixed point of the step, so every row of
+    a stack ends bit-identical to its single lift."""
     al, res = ch.algebra, ch.residual
-    x, ok = res.span.solve(target)
-    if not ok:
+    want = np.atleast_2d(targets)
+    x, ok = res.span.solve(want)
+    if not ok.all():
         raise InvariantViolation("residual idempotent has no preimage")
     x = x % al.char
-    iters = 0
-    while not np.array_equal(al.mul(x, x), x):
-        x2 = al.mul(x, x)
-        x = al.sub(al.smul(3, x2), al.smul(2, al.mul(x2, x)))
-        iters += 1
-        if iters > _NEWTON_MAX_ITER:
+    iters = np.zeros(len(x), dtype=np.int64)
+    while (live := (al.mul(x, x) != x).any(axis=1)).any():
+        x2 = al.mul(x[live], x[live])
+        x[live] = al.sub(al.smul(3, x2), al.smul(2, al.mul(x2, x[live])))
+        iters += live
+        if iters.max() > _NEWTON_MAX_ITER:
             raise InvariantViolation("idempotent iteration failed to converge")
-    if not np.array_equal((x @ res.connect) % res.ch.algebra.char, target):
+    if not np.array_equal((x @ res.connect) % res.ch.algebra.char, want):
         raise InvariantViolation("lifted idempotent drifted from its residual class")
-    return x, iters
+    return (x[0], int(iters[0])) if np.ndim(targets) == 1 else (x, iters)
 
 
 # ---- generalized matrix algebra coordinates -------------------------
@@ -438,6 +449,45 @@ def gma_decompose(ch: ChAlgebra, e1: np.ndarray) -> GmaAlgebra:
     return gma
 
 
+def _check_gma_stack(ch: ChAlgebra, es) -> None:
+    """The structure checks of `gma_decompose` for every row e of `es` on
+    one stack, in spanning-set form with e1 = e, e2 = 1 - e and
+    phi_i(x) = t(e_i x e_i); each failure raises `gma_decompose`'s message,
+    at the first failing row.  Why each form is equivalent is argued in the
+    `ordinary` module docstring.
+    """
+    al, a, c = ch.algebra, ch.base, ch.algebra.char
+    e12 = np.stack([np.asarray(es, dtype=np.int64) % c, al.sub(al.one, es)], axis=1)  # (N, 2, n)
+    e1, e2, eye = e12[:, 0], e12[:, 1], np.eye(al.n, dtype=np.int64)
+    # y @ lm[:, i] = e_i y and y @ rm[:, j] = y e_j, so row x of peirce[:, i, j] is e_i x e_j
+    lm, rm = al.mul_matrix(e12), np.tensordot(e12, al.table, axes=(-1, 1)) % c
+    peirce = (lm[:, :, None] @ rm[:, None]) % c
+    corners = peirce[:, [0, 1], [0, 1]]
+    phi = (corners @ ch.t_matrix) % a.char  # (N, 2, n, base.n)
+    bs, cs = peirce[:, 0, 1], peirce[:, 1, 0]  # rows e1 x e2 spanning B, rows e2 y e1 spanning C
+    pair1 = ((cs[:, None] @ al.mul_matrix(bs)) % c @ phi[:, 0, None]) % a.char  # [x, y]: phi1(b_x c_y)
+    pair2 = ((bs[:, None] @ al.mul_matrix(cs)) % c @ phi[:, 1, None]) % a.char  # [y, x]: phi2(c_y b_x)
+    q = peirce.reshape(len(e12), 4, al.n, al.n)
+    compose = (q[:, :, None] @ q[:, None]) % c  # [i, j]: projector j after projector i
+    det = (a.mul(phi[:, 0], phi[:, 1]) - pair1[:, range(al.n), range(al.n)]) % a.char
+
+    def rows(ok):
+        return ok.reshape(len(e12), -1).all(axis=1)
+
+    _raise_first([
+        (rows(al.mul(e1, e1) == e1), "e1 is not idempotent", InputError),
+        (rows(ch.t_el(e12) == a.one), "corner idempotent must have unit trace"),
+        (rows((al.mul(e1, e2) == 0) & (al.mul(e2, e1) == 0)), "complementary idempotents are not orthogonal"),
+        (rows(corners == al.mul(al.scalar(phi), e12[:, :, None])), "corner does not reduce to base scalars"),
+        (rows(pair1 == pair2.transpose(0, 2, 1, 3)), "pairing is not symmetric across the corners"),
+        (rows(compose == np.eye(4, dtype=bool)[:, :, None, None] * q[:, :, None]) & rows(q.sum(axis=1) % c == eye),
+         "Peirce pieces do not fill the algebra"),
+        (rows(det == ch.d_el(eye)), "corner determinant disagrees with the descended one"),
+        (rows((phi[:, 0] + phi[:, 1]) % a.char == ch.t_matrix % a.char),
+         "trace does not split as the sum of the corners"),
+    ])
+
+
 def abstract_gma(base: FiniteRing, mu, name: str | None = None) -> GmaAlgebra:
     """Hand-built 2x2 pairing algebra with B = C = base and m(b, c) = mu*b*c.
 
@@ -484,11 +534,13 @@ def abstract_gma(base: FiniteRing, mu, name: str | None = None) -> GmaAlgebra:
 def _raise_first(checks) -> None:
     """Raise at the first row where one of `checks`, (ok-per-row, message)
     pairs, fails, with the message of the first check failing there; a
-    message may name the row with "{}"."""
-    bad = ~np.logical_and.reduce([ok for ok, _ in checks])
+    message may name the row with "{}", and a third entry replaces the
+    InvariantViolation raised."""
+    bad = ~np.logical_and.reduce([ok for ok, *_ in checks])
     if bad.any():
         row = int(np.argmax(bad))
-        raise InvariantViolation(next(msg for ok, msg in checks if not ok[row]).format(row))
+        _, msg, *error = next(check for check in checks if not check[0][row])
+        raise (error or [InvariantViolation])[0](msg.format(row))
 
 
 def _reassembles(gma: GmaAlgebra, xs, x11, x12, x21, x22) -> np.ndarray:

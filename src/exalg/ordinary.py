@@ -18,8 +18,28 @@ map is the projection from E.  A pseudorepresentation is
 then ordinary precisely when J_R = 0 for some kappa-compatible choice of
 idempotent, and that is what `is_ordinary_ch` decides (searching over
 residual idempotents in the matrix-residual case).  It checks kappa once
-and reads J_R = 0 off one contraction; it reads the residual the algebra
-derived once, as do the corner alignment and the idempotent lift.
+and reads the residual the algebra derived once, as do the corner
+alignment and the idempotent lift.
+
+The decision evaluates its N candidates on one stack: it lifts them
+together, builds their relations straight from e (`_relation_stack`),
+reads J_R = 0 off one contraction (`_j_r_zero`), and checks their
+structure with one `gma._check_gma_stack` instead of a `gma_decompose`
+each.  With e1 = e, e2 = 1 - e and phi_i(x) = t(e_i x e_i), that check
+is `gma_decompose`'s in spanning-set form:
+
+- e^2 = e, t(e1) = t(e2) = 1 and e1 e2 = e2 e1 = 0;
+- the corner rule e_i x e_i = phi_i(x) e_i on basis x, which says that
+  corner i is A e_i, free of rank one: t(a e_i) = a, so a -> a e_i is
+  injective with inverse phi_i.  So phi_i is `gma_decompose`'s, and the Ip
+  generator e1 rho(g) e1 - kappa^-1(g) e1 is a e1 with
+  a = phi1(rho(g)) - kappa^-1(g), zero exactly when the relation holds;
+- phi1(e1 x e2 y e1) = phi2(e2 y e1 x e2) on basis pairs, since the e1 x e2
+  span B, the e2 y e1 span C and the pairing is bilinear;
+- the projectors x -> e_i x e_j are idempotent, pairwise orthogonal and sum
+  to 1: E is the direct sum whose log size the fill check counts, and with
+  the corner rule the sum is the reassembly of x from its Peirce pieces;
+- phi1(x) phi2(x) - phi1(e1 x e2 x e1) = d(x) on basis x, and phi1 + phi2 = t.
 
 J_R is generated by the traces of J* alone, and J_R = 0 exactly when
 t(g e_j) = 0 for every generator g of `_relations` and every basis
@@ -48,6 +68,7 @@ from .gma import (
     ChAlgebra,
     GmaAlgebra,
     Residual,
+    _check_gma_stack,
     _newton_lift,
     _residual_targets,
     ch_base_change,
@@ -147,25 +168,27 @@ def ordinary_context(gma: GmaAlgebra, kappa: GroupChar) -> OrdinaryContext:
     return OrdinaryContext(gma, kappa, _residual_corner_alignment(gma, kappa))
 
 
-def _relations(gma: GmaAlgebra, kappa: GroupChar) -> list:
-    """The ordinary relations as (clause, element, J* generator), Dp first.
+def _relation_stack(ch: ChAlgebra, es, kappa: GroupChar) -> np.ndarray:
+    """(N, |Dp| + |Ip|, n): the J* generators of the ordinary relations for
+    each trace-1 idempotent row e of `es`, Dp first: e rho(g) (1 - e) for g
+    in Dp, then e rho(g) e - kappa^-1(g) e for g in Ip."""
+    al, grp = ch.algebra, ch.psr.group
+    es = np.asarray(es, dtype=np.int64)[:, None]
+    kinv = np.array([kappa.inv_value(g) for g in grp.ip], dtype=np.int64).reshape(len(grp.ip), ch.base.n)
+    off = al.mul(al.mul(es, ch.rho_mat[list(grp.dp)]), al.sub(al.one, es))
+    corner = al.sub(al.mul(al.mul(es, ch.rho_mat[list(grp.ip)]), es), al.mul(al.scalar(kinv), es))
+    return np.concatenate([off, corner], axis=1)
 
-    rho12(g) = 0 for g in Dp has the generator e1 rho(g) e2, and
-    rho11(g) = kappa^-1(g) for g in Ip has the generator a e1 with
-    a = phi1(rho(g)) - kappa^-1(g).  `_gma_structure` checks that corner 1
-    is free of rank one over the base, so a -> a e1 is injective and a e1
-    is zero exactly when a = 0: each relation holds exactly when its
-    generator is zero.
-    """
-    ch = gma.ch
-    al, a, grp = ch.algebra, ch.base, ch.psr.group
-    dp, ip = list(grp.dp), list(grp.ip)
-    off = (ch.rho_mat[dp] @ gma.p12) % al.char
-    kinv = np.array([kappa.inv_value(g) for g in ip], dtype=np.int64).reshape(len(ip), a.n)
-    corner = al.amul((gma.phi1_of(ch.rho_mat[ip]) - kinv) % a.char, gma.e1)
-    return [("rho12-on-dp", g, v) for g, v in zip(dp, off)] + [
-        ("rho11-minus-kappa-inv-on-ip", g, v) for g, v in zip(ip, corner)
-    ]
+
+def _relations(gma: GmaAlgebra, kappa: GroupChar) -> list:
+    """The ordinary relations as (clause, element, J* generator), Dp first:
+    the `_relation_stack` row of gma's e1.  rho12(g) = 0 for g in Dp has the
+    generator e1 rho(g) e2 and rho11(g) = kappa^-1(g) for g in Ip the
+    generator e1 rho(g) e1 - kappa^-1(g) e1; by the corner rule each
+    relation holds exactly when its generator is zero."""
+    grp = gma.ch.psr.group
+    clauses = [("rho12-on-dp", g) for g in grp.dp] + [("rho11-minus-kappa-inv-on-ip", g) for g in grp.ip]
+    return [(clause, g, v) for (clause, g), v in zip(clauses, _relation_stack(gma.ch, gma.e1[None], kappa)[0])]
 
 
 def is_ordinary_rep(ctx: OrdinaryContext) -> dict:
@@ -253,14 +276,17 @@ def _base_ideal(gma: GmaAlgebra, kappa: GroupChar):
     return j_star, star_prov, j_r, jr_prov
 
 
-def _j_r_is_zero(gma: GmaAlgebra, kappa: GroupChar) -> bool:
-    """`_base_ideal(gma, kappa)[2].is_zero()` without building J* or J_R:
-    t(g e_j) = 0 for every generator g of `_relations` and every basis
-    element e_j (the argument is in the module docstring)."""
-    ch = gma.ch
-    gens = np.array([v for _, _, v in _relations(gma, kappa)], dtype=np.int64).reshape(-1, ch.nbar)
+def _j_r_zero(ch: ChAlgebra, es, kappa: GroupChar) -> np.ndarray:
+    """Per trace-1 idempotent row of `es`: is J_R = 0, read as t(g e_j) = 0
+    for every generator g of `_relation_stack` and every basis element e_j
+    (module docstring), one contraction over the stack?"""
     # row j of mul_matrix(g) is g e_j
-    return not ((ch.algebra.mul_matrix(gens) @ ch.t_matrix) % ch.base.char).any()
+    return ~((ch.algebra.mul_matrix(_relation_stack(ch, es, kappa)) @ ch.t_matrix) % ch.base.char).any(axis=(1, 2, 3))
+
+
+def _j_r_is_zero(gma: GmaAlgebra, kappa: GroupChar) -> bool:
+    """`_base_ideal(gma, kappa)[2].is_zero()`: `_j_r_zero` of gma's e1."""
+    return bool(_j_r_zero(gma.ch, gma.e1[None], kappa)[0])
 
 
 def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> OrdinaryQuotient:
@@ -306,12 +332,16 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
     a matrix residual every residual trace-1 idempotent is lifted and
     tried.  Irreducible residual characteristic polynomials would need a
     field extension and are reported unsupported, as are coincident
-    residual characters.  Kappa is checked once, before its first use; a
-    candidate is lifted and decomposed with every structure check, and
-    then J_R = 0 is read as t(g e_j) = 0 for every generator g of
-    `_relations` and every basis element e_j, one contraction with no
-    ideal built (`_j_r_is_zero`): t(J*) = t(G E), and d(J*) lies in the
-    ideal t(J*) generates.
+    residual characters.  Kappa is checked once, before its first use.
+
+    All candidates are lifted as one stack and J_R = 0 is read for each
+    with one contraction, t(g e_j) = 0 for every generator g of
+    `_relation_stack` and basis element e_j (`_j_r_zero`).  The first row
+    with J_R = 0 wins, as in a loop over the candidates; every row up to it
+    passes one stacked structure check, the corner rule
+    e_i x e_i = t(e_i x e_i) e_i and the other spanning-set forms of the
+    module docstring, and `gma_decompose` runs once, on the winner, for its
+    witness.
     """
     _require_decidable(ch.psr)
     _check_kappa(ch, kappa)
@@ -328,21 +358,23 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
     targets, reason = _residual_targets(res, chis, budget)
     if reason:
         return {"supported": False, "ordinary": None, "reason": reason, "checked": 0}
-    for tried, target in enumerate(targets, 1):
-        e1, _ = _newton_lift(ch, target)
-        gma = gma_decompose(ch, e1)
-        if _j_r_is_zero(gma, kappa):
-            return {
-                "supported": True,
-                "ordinary": True,
-                "reason": "",
-                # a split residual counts its aligned characters, tried or not
-                "checked": tried if chis is None else len(targets),
-                "witness": {
-                    "e1": [int(c) for c in e1],
-                    "alignment": _residual_corner_alignment(gma, kappa),
-                },
-            }
+    es, _ = _newton_lift(ch, targets)
+    zero = _j_r_zero(ch, es, kappa)
+    # as in a loop over the candidates: the first row with J_R = 0 wins, and the rows up to it are checked
+    hit = int(np.argmax(zero)) if zero.any() else None
+    _check_gma_stack(ch, es if hit is None else es[: hit + 1])
+    if hit is not None:
+        return {
+            "supported": True,
+            "ordinary": True,
+            "reason": "",
+            # a split residual counts its aligned characters, tried or not
+            "checked": hit + 1 if chis is None else len(targets),
+            "witness": {
+                "e1": [int(c) for c in es[hit]],
+                "alignment": _residual_corner_alignment(gma_decompose(ch, es[hit]), kappa),
+            },
+        }
     if chis is None:
         reason = "ordinary base ideal is nonzero for every residual corner"
     else:

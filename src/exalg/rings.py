@@ -332,10 +332,25 @@ class FiniteRing:
             yield from block
 
     def random_element(self, rng, count: int | None = None) -> np.ndarray:
-        """One element, or a (count, n) stack drawn from the same
-        `rng.randrange` stream as `count` single calls."""
+        """One element, or a (count, n) stack: the values of `count` single
+        calls, each `rng.randrange(char)`, and the state of `rng` after them.
+
+        randrange keeps the first 32-bit word whose top char.bit_length() bits
+        are below char, and getrandbits(32 W) is the next W words, little
+        endian: one block is read, its kept words are the values in order,
+        and the state is rewound and advanced by the words they used."""
         shape = (self.n,) if count is None else (count, self.n)
-        return np.array([rng.randrange(self.char) for _ in range(math.prod(shape))], dtype=np.int64).reshape(shape)
+        need, state, width = math.prod(shape), rng.getstate(), math.prod(shape)
+        kept = words = np.zeros(0, dtype=np.int64)
+        while kept.size < need:
+            width = 2 * width + 32
+            rng.setstate(state)
+            words = np.frombuffer(rng.getrandbits(32 * width).to_bytes(4 * width, "little"), "<u4")
+            words = words.astype(np.int64) >> (32 - self.char.bit_length())
+            kept = np.flatnonzero(words < self.char)[:need]
+        rng.setstate(state)
+        rng.getrandbits(32 * (int(kept[-1]) + 1) if need else 0)
+        return words[kept].reshape(shape)
 
     # ---- verification ----------------------------------------------
 

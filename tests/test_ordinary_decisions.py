@@ -9,10 +9,12 @@ two bundled psrep scenarios and the psrep units of
     PYTHONPATH=src python tests/test_ordinary_decisions.py > tests/data/ordinary_decisions.json
 
 The guards below count calls with `monkeypatch`: the decision reads J_R = 0
-off one contraction, so it builds no two-sided ideal, while every
-candidate keeps its `gma_decompose` and its structure checks; and
-`validate_pseudorep` evaluates each law as one stack, so its ring
-products do not grow with |G|^2.
+off one contraction over all its candidates, so it builds no two-sided
+ideal; every candidate keeps its structure checks, made by one stacked
+`_check_gma_stack` over the whole candidate set, and `gma_decompose` runs
+only on a winning candidate, for its witness; and `validate_pseudorep`
+evaluates each law as one stack, so its ring products do not grow with
+|G|^2.
 """
 
 import hashlib
@@ -82,7 +84,7 @@ def _counter(monkeypatch, owner, name, counts, key):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_decision_builds_no_ideal_and_decomposes_every_candidate(monkeypatch):
+def test_decision_builds_no_ideal_and_checks_every_candidate_on_one_stack(monkeypatch):
     psr, kappa = _s3_f7()
     ch = gma.ch_quotient(psr)
     assert ch.residual.split["case"] == "matrix"
@@ -90,9 +92,17 @@ def test_decision_builds_no_ideal_and_decomposes_every_candidate(monkeypatch):
     for owner in (algebras, gma, ordinary):
         _counter(monkeypatch, owner, "two_sided_ideal_rows", counts, "two_sided_ideal_rows")
     _counter(monkeypatch, ordinary, "gma_decompose", counts, "gma_decompose")
+    stacks, check = [], ordinary._check_gma_stack
+
+    def recorded(ch, es):
+        stacks.append(len(es))
+        return check(ch, es)
+
+    monkeypatch.setattr(ordinary, "_check_gma_stack", recorded)
     out = ordinary.is_ordinary_ch(ch, kappa)
     assert out["supported"] and not out["ordinary"] and out["checked"] == 56
-    assert counts == {"gma_decompose": 56}
+    assert stacks == [56]
+    assert counts.get("gma_decompose", 0) == 0 and counts.get("two_sided_ideal_rows", 0) == 0
 
 
 def test_validate_pseudorep_products_do_not_grow_with_the_group(monkeypatch):
