@@ -31,6 +31,27 @@ residual quotient by Newton iteration, and the Peirce pieces turn the
 algebra into a 2x2 generalized matrix algebra over the base: two scalar
 corners, two pairing modules B and C, and the reducibility ideal
 generated by the pairing values.
+
+One stacked check, `_check_gma_stack`, is the GMA structure check: for
+one idempotent, or for every candidate of the ordinarity decision at once.
+`gma_decompose` reads a GmaAlgebra off one of its rows, for a ChAlgebra
+or for `abstract_gma`'s pairing algebra with its trace t = x11 + x22.  With e1 = e, e2 = 1 - e and
+phi_i(x) = t(e_i x e_i) it checks, in spanning-set form:
+
+- e^2 = e, t(e1) = t(e2) = 1 and e1 e2 = e2 e1 = 0;
+- the corner rule e_i x e_i = phi_i(x) e_i on basis x, which says that
+  corner i is A e_i, free of rank one: t(a e_i) = a, so a -> a e_i is
+  injective with inverse phi_i, the corner coordinate;
+- phi1(e1 x e2 y e1) = phi2(e2 y e1 x e2) on basis pairs: the e1 x e2
+  span B, the e2 y e1 span C and the pairing m(b, c) = phi1(b c) = t(b c)
+  is bilinear, so it is the same seen from either corner;
+- the projectors x -> e_i x e_j are idempotent, pairwise orthogonal and sum
+  to 1, so E is the direct sum of the four Peirce pieces, and with the
+  corner rule the sum is the reassembly x = phi1(x) e1 + x12 + x21 + phi2(x) e2;
+- phi1(x) phi2(x) - phi1(e1 x e2 x e1) = d(x) on basis x, the determinant
+  in corner coordinates, and phi1 + phi2 = t.
+
+B and C are the Howell forms of the rows e1 x e2 and e2 x e1.
 """
 
 from __future__ import annotations
@@ -150,7 +171,7 @@ def ch_quotient(psr: Pseudorep2, name: str | None = None, extra=None) -> ChAlgeb
     left, right = np.triu_indices(E.n)
     gens = ext.ch_el(eye[left], eye[right])
     if extra is not None:
-        gens = np.vstack([gens, np.reshape(extra, (-1, E.n))])
+        gens = np.vstack([gens, np.reshape(extra, (-1 if E.n else 0, E.n))])
     rows = two_sided_ideal_rows(E, gens)
     # the trace must vanish on the full ideal, or it cannot descend
     if rows.shape[0] and ((rows @ ext.t_matrix) % a.char).any():
@@ -176,7 +197,7 @@ def _pushforward(ch: ChAlgebra, f: RingMap) -> np.ndarray:
     """Matrix taking coordinates of ch to those of f.dst[G]: lift to A[G]
     and apply f coefficientwise."""
     lifted = ch.quot.lift_matrix.reshape(ch.nbar, ch.psr.group.m, ch.base.n) @ f.matrix
-    return lifted.reshape(ch.nbar, -1) % f.dst.char
+    return lifted.reshape(ch.nbar, ch.psr.group.m * f.dst.n) % f.dst.char
 
 
 def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None, extra=None):
@@ -193,7 +214,7 @@ def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None, extra=Non
         raise InputError("base change map must start at the coefficient ring")
     lift = _pushforward(ch, f)
     if extra is not None:
-        extra = (np.reshape(extra, (-1, ch.nbar)) @ lift) % f.dst.char
+        extra = (np.reshape(extra, (-1 if ch.nbar else 0, ch.nbar)) @ lift) % f.dst.char
     down = ch_quotient(psrep_base_change(ch.psr, f), name=name, extra=extra)
     connect = (lift @ down.quot.proj.matrix) % down.algebra.char
     RingMap(ch.algebra, down.algebra, connect, name="connect").check_hom()
@@ -390,80 +411,44 @@ class GmaAlgebra:
         return f"<GMA over {a.name}: B log size {nb}, C log size {nc}>"
 
 
-def _gma_structure(algebra: AssocAlgebra, ch: ChAlgebra | None, e1: np.ndarray) -> GmaAlgebra:
-    al, a = algebra, algebra.base
+def gma_decompose(ch: TraceForms, e1: np.ndarray) -> GmaAlgebra:
+    """The GMA structure for the idempotent e1 and e2 = 1 - e1, read off
+    one checked `_check_gma_stack` row: p12 and p21 are its Peirce
+    projectors, phi its corner coordinates, B and C the Howell forms of p12
+    and p21, and m(b, c) = t(b c).
+
+    `ch` is a ChAlgebra, or the trace forms of a hand-built pairing algebra
+    (`abstract_gma`), which carries no group and gives a GmaAlgebra whose
+    `ch` is None.
+    """
+    al, a = ch.algebra, ch.base
     if al.n == 0:
         raise InputError("cannot decompose the zero algebra")
-    e1 = np.asarray(e1, dtype=np.int64) % al.char
-    e2 = al.sub(al.one, e1)
-    if not np.array_equal(al.mul(e1, e1), e1):
-        raise InputError("e1 is not idempotent")
-    if al.mul(e1, e2).any() or al.mul(e2, e1).any():
-        raise InvariantViolation("complementary idempotents are not orthogonal")
-    lm1, rm1 = al.mul_matrix(e1), al.right_mul_matrix(e1)
-    lm2, rm2 = al.mul_matrix(e2), al.right_mul_matrix(e2)
-    p11 = (lm1 @ rm1) % al.char
-    p12 = (lm1 @ rm2) % al.char
-    p21 = (lm2 @ rm1) % al.char
-    p22 = (lm2 @ rm2) % al.char
-    # each scalar corner must be a free rank-1 copy of the base
-    eye_a = np.eye(a.n, dtype=np.int64)
-    ae1, ae2 = al.amul(eye_a, e1), al.amul(eye_a, e2)
-    # each corner factored once serves its phi projection and the pairing
-    span1, span2 = (linalg.FactoredSpan.factor(mat, a.p, a.k, ncols=al.n) for mat in (ae1, ae2))
-    for span, corner in ((span1, p11), (span2, p22)):
-        if span.kernel.shape[0]:
-            raise InvariantViolation("scalar corner is not free of rank one")
-        corner_span = linalg.howell_form(corner, a.p, a.k, ncols=al.n)
-        if not linalg.span_equal(corner_span, span.h):
-            raise InvariantViolation("corner does not reduce to base scalars")
-    phi1, ok1 = span1.solve(p11)
-    phi2, ok2 = span2.solve(p22)
-    if not (ok1.all() and ok2.all()):
-        raise InvariantViolation("corner projection escaped the scalar corner")
-    b_basis = linalg.howell_form(p12, a.p, a.k, ncols=al.n)
-    c_basis = linalg.howell_form(p21, a.p, a.k, ncols=al.n)
-    m_table, ok = span1.solve(al.mul_outer(b_basis, c_basis))
-    if not ok.all():
-        raise InvariantViolation("a B*C product escaped the first corner")
-    # the reversed product lands in the other corner with the same value
-    swap, ok = span2.solve(al.mul_outer(c_basis, b_basis).transpose(1, 0, 2))
-    if not ok.all() or not np.array_equal(swap, m_table):
-        raise InvariantViolation("pairing is not symmetric across the corners")
-    gma = GmaAlgebra(al, ch, e1, e2, phi1, phi2, b_basis, c_basis, m_table, p12, p21)
-    _verify_gma(gma)
-    return gma
+    e12, phi, peirce = _check_gma_stack(ch, [e1])
+    p12, p21 = peirce[0, 0, 1], peirce[0, 1, 0]
+    b_basis, c_basis = (linalg.howell_form(pp, a.p, a.k, ncols=al.n) for pp in (p12, p21))
+    m_table = ch.t_el(al.mul_outer(b_basis, c_basis))
+    return GmaAlgebra(al, ch if isinstance(ch, ChAlgebra) else None, *e12[0], *phi[0],
+                      b_basis, c_basis, m_table, p12, p21)
 
 
-def gma_decompose(ch: ChAlgebra, e1: np.ndarray) -> GmaAlgebra:
-    e1 = np.asarray(e1, dtype=np.int64) % ch.algebra.char
-    if not np.array_equal(ch.algebra.mul(e1, e1), e1):
-        raise InputError("e1 is not idempotent")
-    for e in (e1, ch.algebra.sub(ch.algebra.one, e1)):
-        if not np.array_equal(ch.t_el(e), ch.base.one):
-            raise InvariantViolation("corner idempotent must have unit trace")
-    gma = _gma_structure(ch.algebra, ch, e1)
-    # the descended trace splits as the sum of the corner coordinates, exactly
-    if not np.array_equal((gma.phi1 + gma.phi2) % ch.base.char, ch.t_matrix % ch.base.char):
-        raise InvariantViolation("trace does not split as the sum of the corners")
-    return gma
-
-
-def _check_gma_stack(ch: ChAlgebra, es) -> None:
-    """The structure checks of `gma_decompose` for every row e of `es` on
-    one stack, in spanning-set form with e1 = e, e2 = 1 - e and
-    phi_i(x) = t(e_i x e_i); each failure raises `gma_decompose`'s message,
-    at the first failing row.  Why each form is equivalent is argued in the
-    `ordinary` module docstring.
+def _check_gma_stack(forms: TraceForms, es):
+    """(e12, phi, peirce): the GMA structure checks for every row e of `es`
+    on one stack, with e1 = e, e2 = 1 - e and phi_i(x) = t(e_i x e_i),
+    raising at the first failing row; e12[:, i] is e_i, phi[:, i] the
+    (n, base.n) matrix of phi_i and row x of peirce[:, i, j] is e_i x e_j.
+    Why these spanning-set forms are the structure is argued in the module
+    docstring.
     """
-    al, a, c = ch.algebra, ch.base, ch.algebra.char
-    e12 = np.stack([np.asarray(es, dtype=np.int64) % c, al.sub(al.one, es)], axis=1)  # (N, 2, n)
+    al, a, c = forms.algebra, forms.base, forms.algebra.char
+    es = np.asarray(es, dtype=np.int64) % c
+    e12 = np.stack([es, al.sub(al.one, es)], axis=1)  # (N, 2, n)
     e1, e2, eye = e12[:, 0], e12[:, 1], np.eye(al.n, dtype=np.int64)
-    # y @ lm[:, i] = e_i y and y @ rm[:, j] = y e_j, so row x of peirce[:, i, j] is e_i x e_j
-    lm, rm = al.mul_matrix(e12), np.tensordot(e12, al.table, axes=(-1, 1)) % c
+    # y @ lm[:, i] = e_i y and y @ rm[:, j] = y e_j
+    lm, rm = al.mul_matrix(e12), al.right_mul_matrix(e12)
     peirce = (lm[:, :, None] @ rm[:, None]) % c
     corners = peirce[:, [0, 1], [0, 1]]
-    phi = (corners @ ch.t_matrix) % a.char  # (N, 2, n, base.n)
+    phi = (corners @ forms.t_matrix) % a.char  # (N, 2, n, base.n)
     bs, cs = peirce[:, 0, 1], peirce[:, 1, 0]  # rows e1 x e2 spanning B, rows e2 y e1 spanning C
     pair1 = ((cs[:, None] @ al.mul_matrix(bs)) % c @ phi[:, 0, None]) % a.char  # [x, y]: phi1(b_x c_y)
     pair2 = ((bs[:, None] @ al.mul_matrix(cs)) % c @ phi[:, 1, None]) % a.char  # [y, x]: phi2(c_y b_x)
@@ -476,16 +461,17 @@ def _check_gma_stack(ch: ChAlgebra, es) -> None:
 
     _raise_first([
         (rows(al.mul(e1, e1) == e1), "e1 is not idempotent", InputError),
-        (rows(ch.t_el(e12) == a.one), "corner idempotent must have unit trace"),
+        (rows(forms.t_el(e12) == a.one), "corner idempotent must have unit trace"),
         (rows((al.mul(e1, e2) == 0) & (al.mul(e2, e1) == 0)), "complementary idempotents are not orthogonal"),
         (rows(corners == al.mul(al.scalar(phi), e12[:, :, None])), "corner does not reduce to base scalars"),
         (rows(pair1 == pair2.transpose(0, 2, 1, 3)), "pairing is not symmetric across the corners"),
         (rows(compose == np.eye(4, dtype=bool)[:, :, None, None] * q[:, :, None]) & rows(q.sum(axis=1) % c == eye),
          "Peirce pieces do not fill the algebra"),
-        (rows(det == ch.d_el(eye)), "corner determinant disagrees with the descended one"),
-        (rows((phi[:, 0] + phi[:, 1]) % a.char == ch.t_matrix % a.char),
+        (rows(det == forms.d_el(eye)), "corner determinant disagrees with the descended one"),
+        (rows((phi[:, 0] + phi[:, 1]) % a.char == forms.t_matrix % a.char),
          "trace does not split as the sum of the corners"),
     ])
+    return e12, phi, peirce
 
 
 def abstract_gma(base: FiniteRing, mu, name: str | None = None) -> GmaAlgebra:
@@ -526,9 +512,12 @@ def abstract_gma(base: FiniteRing, mu, name: str | None = None) -> GmaAlgebra:
     embed[:, blk(1)] = np.eye(n, dtype=np.int64)
     alg = AssocAlgebra(p, k, table, one, a, embed, name=name or f"pair({a.name})")
     alg.check_algebra()
+    # its trace is t = x11 + x22, the transpose of the base embedding
+    forms = TraceForms()
+    forms.algebra, forms.base, forms.t_matrix = alg, a, alg.base_embed.T
     e1 = np.zeros(big, dtype=np.int64)
     e1[blk(0)] = a.one
-    return _gma_structure(alg, None, e1)
+    return gma_decompose(forms, e1)
 
 
 def _raise_first(checks) -> None:
@@ -548,31 +537,6 @@ def _reassembles(gma: GmaAlgebra, xs, x11, x12, x21, x22) -> np.ndarray:
     al = gma.algebra
     corners = al.mul(al.scalar(x11), gma.e1) + al.mul(al.scalar(x22), gma.e2)
     return ((corners + x12 + x21) % al.char == xs).all(axis=1)
-
-
-def _verify_gma(gma: GmaAlgebra) -> None:
-    al, a = gma.algebra, gma.base
-    logs = (
-        2 * a.k * a.n
-        + linalg.span_log_size(gma.b_basis, a.p, a.k)
-        + linalg.span_log_size(gma.c_basis, a.p, a.k)
-    )
-    if al.k * al.n != logs:
-        raise InvariantViolation("Peirce pieces do not fill the algebra")
-    # every basis vector at once; each check below holds row by row
-    eye = np.eye(al.n, dtype=np.int64)
-    phi1, phi2, x12, x21 = gma.phi1, gma.phi2, gma.p12, gma.p21
-    # trace from corner coordinates is central and induces the determinant
-    tx, tx2 = gma.trace_of(eye), gma.trace_of(al.mul(eye, eye))
-    want = (pow(2, -1, a.char) * (a.mul(tx, tx) - tx2)) % a.char
-    got = (a.mul(phi1, phi2) - gma.pairing(x12, x21)) % a.char
-    checks = [
-        (_reassembles(gma, eye, phi1, x12, x21, phi2), "Peirce reassembly fails"),
-        ((got == want).all(axis=1), "determinant does not match its corner formula"),
-    ]
-    if gma.ch is not None:
-        checks.append(((want == gma.ch.d_el(eye)).all(axis=1), "corner determinant disagrees with the descended one"))
-    _raise_first(checks)
 
 
 def coordinate_maps(gma: GmaAlgebra) -> dict:

@@ -24,22 +24,11 @@ alignment and the idempotent lift.
 The decision evaluates its N candidates on one stack: it lifts them
 together, builds their relations straight from e (`_relation_stack`),
 reads J_R = 0 off one contraction (`_j_r_zero`), and checks their
-structure with one `gma._check_gma_stack` instead of a `gma_decompose`
-each.  With e1 = e, e2 = 1 - e and phi_i(x) = t(e_i x e_i), that check
-is `gma_decompose`'s in spanning-set form:
-
-- e^2 = e, t(e1) = t(e2) = 1 and e1 e2 = e2 e1 = 0;
-- the corner rule e_i x e_i = phi_i(x) e_i on basis x, which says that
-  corner i is A e_i, free of rank one: t(a e_i) = a, so a -> a e_i is
-  injective with inverse phi_i.  So phi_i is `gma_decompose`'s, and the Ip
-  generator e1 rho(g) e1 - kappa^-1(g) e1 is a e1 with
-  a = phi1(rho(g)) - kappa^-1(g), zero exactly when the relation holds;
-- phi1(e1 x e2 y e1) = phi2(e2 y e1 x e2) on basis pairs, since the e1 x e2
-  span B, the e2 y e1 span C and the pairing is bilinear;
-- the projectors x -> e_i x e_j are idempotent, pairwise orthogonal and sum
-  to 1: E is the direct sum whose log size the fill check counts, and with
-  the corner rule the sum is the reassembly of x from its Peirce pieces;
-- phi1(x) phi2(x) - phi1(e1 x e2 x e1) = d(x) on basis x, and phi1 + phi2 = t.
+structure with one `gma._check_gma_stack`, the GMA structure check that
+`gma_decompose` also reads its one row off; why its spanning-set forms
+are the structure is argued in the `gma` module docstring.  By its corner
+rule the Ip generator e1 rho(g) e1 - kappa^-1(g) e1 is a e1 with
+a = phi1(rho(g)) - kappa^-1(g), zero exactly when the relation holds.
 
 J_R is generated by the traces of J* alone, and J_R = 0 exactly when
 t(g e_j) = 0 for every generator g of `_relations` and every basis
@@ -340,8 +329,8 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
     with J_R = 0 wins, as in a loop over the candidates; every row up to it
     passes one stacked structure check, the corner rule
     e_i x e_i = t(e_i x e_i) e_i and the other spanning-set forms of the
-    module docstring, and `gma_decompose` runs once, on the winner, for its
-    witness.
+    `gma` module docstring, and `gma_decompose` runs once, on the winner,
+    for its witness.
     """
     _require_decidable(ch.psr)
     _check_kappa(ch, kappa)

@@ -80,7 +80,7 @@ def smith_form(rows, p: int, k: int, ncols: int):
     ambient coordinate change: rowspan(rows) @ w = span{p^exps[c] * e_c}.
     """
     m = p**k
-    a = np.asarray(rows, dtype=np.int64).reshape(-1, ncols) % m
+    a = np.asarray(rows, dtype=np.int64).reshape(-1 if ncols else 0, ncols) % m
     nr = a.shape[0]
     w = np.eye(ncols, dtype=np.int64)
     winv = np.eye(ncols, dtype=np.int64)

@@ -155,6 +155,58 @@ def test_quotient_to_zero_algebra():
     assert q.algebra.is_zero
 
 
+def test_zero_algebra_ideals_and_quotient():
+    zero = algebras.matrix_algebra(F5, 2)
+    zero = algebras.quotient_algebra(zero, algebras.two_sided_ideal_rows(zero, [zero.one])).algebra
+    assert zero.n == 0
+    for gens in ([], np.zeros((3, 0), dtype=np.int64)):
+        assert algebras.two_sided_ideal_rows(zero, gens).shape == (0, 0)
+    assert algebras.quotient_algebra(zero, np.zeros((0, 0), dtype=np.int64)).algebra.n == 0
+
+
+def _loop_algebra_failure(alg):
+    """First unit or centrality failure, one basis element at a time."""
+    eye = np.eye(alg.n, dtype=np.int64)
+    for i, e in enumerate(eye):
+        if not (np.array_equal(alg.mul(alg.one, e), e) and np.array_equal(alg.mul(e, alg.one), e)):
+            return f"one fails on basis {i}"
+    for a, u in enumerate(alg.base_embed):
+        if any(not np.array_equal(alg.mul(u, e), alg.mul(e, u)) for e in eye):
+            return f"base image {a} is not central"
+    return None
+
+
+def _tampered(alg, one=None, embed=None):
+    """A copy of alg with its unit or base embedding replaced."""
+    one = alg.one if one is None else np.asarray(one) % alg.char
+    embed = alg.base_embed if embed is None else embed
+    return algebras.AssocAlgebra(alg.p, alg.k, alg.table, one, alg.base, embed, name="tampered")
+
+
+def test_stacked_algebra_checks_name_the_first_failure_of_the_loops():
+    m2 = algebras.matrix_algebra(F5, 2)  # basis E11, E12, E21, E22
+    m2t = algebras.matrix_algebra(T2, 2)  # basis E_ij x (1, t)
+    e21 = np.array([0, 0, 1, 0])
+    t_e11 = np.zeros((2, 8), dtype=np.int64)
+    t_e11[0], t_e11[1, 1] = m2t.base_embed[0], 1  # 1 -> 1, t -> t E11
+    cases = [
+        # one = E11: E12 * one = 0 fails at 1, before one * E21 = 0 at 2
+        (_tampered(m2, one=[1, 0, 0, 0]), "one fails on basis 1"),
+        # one = 1 + E21: one * E11 = E11 + E21 fails at 0, while E11 * one = E11
+        (_tampered(m2, one=m2.one + e21), "one fails on basis 0"),
+        (_tampered(m2t, embed=t_e11), "base image 1 is not central"),
+        (m2t, None),
+    ]
+    for alg, message in cases:
+        assert _loop_algebra_failure(alg) == message
+        if message is None:
+            alg.check_algebra()
+            continue
+        with pytest.raises(InvariantViolation) as err:
+            alg.check_algebra()
+        assert str(err.value) == message
+
+
 def test_scalar_action_matches_base():
     s3 = groups.symmetric_3()
     e = algebras.group_algebra(F7, s3)

@@ -6,11 +6,18 @@ their structure with one `gma._check_gma_stack`.  The reference below is
 the per-candidate loop it replaced, kept here: one Newton lift, one
 `gma_decompose` and one J_R contraction over the `p12`/`phi1` generators
 per candidate, in order.  Both must give the same result dict, or raise
-the same error with the same message.  The stacked structure check must
-pass where `gma_decompose` passes and fail where it fails, with its
-message; the stacked lift must give each row's single lift and iteration
-count; and the stacked `random_element` must give the values, and leave
-the state, of single `randrange` draws.
+the same error with the same message.
+
+`gma_decompose` and `abstract_gma` build their GmaAlgebra from one row of
+that stacked check.  `ref_gma_decompose` below is the Howell path they
+replaced, kept here: the two corners factored, phi and the pairing table
+solved for, B and C as Howell forms, then reassembly, the determinant
+formula and the log-size fill count.  The stacked check must pass where
+the reference passes and fail where it fails, with its message, and every
+GmaAlgebra field must equal the reference's.  The stacked lift must give
+each row's single lift and iteration count; and the stacked
+`random_element` must give the values, and leave the state, of single
+`randrange` draws.
 """
 
 import copy
@@ -24,12 +31,107 @@ from test_gma import s3_irr_psrep
 from test_ordinary import T2, _jr_cases, d4_rep, d5_t2_psrep
 from test_ordinary_decisions import _counter, _s3_f7, decision_units
 
-from exalg import algebras, gma, groups, ordinary, psrep, rings, scenarios
+from exalg import algebras, gma, groups, linalg, ordinary, psrep, rings, scenarios
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
 
 ERRORS = (InputError, BudgetExceeded, InvariantViolation)
 Z49 = rings.zmod_ring(7, 2)
 Z343 = rings.zmod_ring(7, 3)
+F5 = rings.zmod_ring(5, 1)
+T3 = rings.truncated_poly_ring(F5, 3, name="T3")
+
+# ---- the Howell-path GMA reference ---------------------------------
+
+
+def _ref_raise_first(checks):
+    """Raise at the first row where one of the (ok-per-row, message) checks
+    fails, with the message of the first check failing there."""
+    bad = ~np.logical_and.reduce([ok for ok, _ in checks])
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvariantViolation(next(msg for ok, msg in checks if not ok[row]))
+
+
+def _ref_reassembles(g, xs, x11, x12, x21, x22):
+    """Per row: x11 e1 + x12 + x21 + x22 e2 == xs, corners as base scalars."""
+    al = g.algebra
+    corners = al.mul(al.scalar(x11), g.e1) + al.mul(al.scalar(x22), g.e2)
+    return ((corners + x12 + x21) % al.char == xs).all(axis=1)
+
+
+def _ref_verify_gma(g):
+    """Log-size fill count, reassembly and the determinant formula on every basis vector."""
+    al, a = g.algebra, g.base
+    logs = 2 * a.k * a.n + linalg.span_log_size(g.b_basis, a.p, a.k) + linalg.span_log_size(g.c_basis, a.p, a.k)
+    if al.k * al.n != logs:
+        raise InvariantViolation("Peirce pieces do not fill the algebra")
+    eye = np.eye(al.n, dtype=np.int64)
+    phi1, phi2, x12, x21 = g.phi1, g.phi2, g.p12, g.p21
+    tx, tx2 = g.trace_of(eye), g.trace_of(al.mul(eye, eye))
+    want = (pow(2, -1, a.char) * (a.mul(tx, tx) - tx2)) % a.char
+    got = (a.mul(phi1, phi2) - g.pairing(x12, x21)) % a.char
+    checks = [
+        (_ref_reassembles(g, eye, phi1, x12, x21, phi2), "Peirce reassembly fails"),
+        ((got == want).all(axis=1), "determinant does not match its corner formula"),
+    ]
+    if g.ch is not None:
+        checks.append(((want == g.ch.d_el(eye)).all(axis=1), "corner determinant disagrees with the descended one"))
+    _ref_raise_first(checks)
+
+
+def ref_gma_structure(algebra, ch, e1):
+    """Peirce data of e1 from the two factored corners and Howell forms of B and C."""
+    al, a = algebra, algebra.base
+    if al.n == 0:
+        raise InputError("cannot decompose the zero algebra")
+    e1 = np.asarray(e1, dtype=np.int64) % al.char
+    e2 = al.sub(al.one, e1)
+    if not np.array_equal(al.mul(e1, e1), e1):
+        raise InputError("e1 is not idempotent")
+    if al.mul(e1, e2).any() or al.mul(e2, e1).any():
+        raise InvariantViolation("complementary idempotents are not orthogonal")
+    lm1, rm1 = al.mul_matrix(e1), al.right_mul_matrix(e1)
+    lm2, rm2 = al.mul_matrix(e2), al.right_mul_matrix(e2)
+    p11, p12 = (lm1 @ rm1) % al.char, (lm1 @ rm2) % al.char
+    p21, p22 = (lm2 @ rm1) % al.char, (lm2 @ rm2) % al.char
+    eye_a = np.eye(a.n, dtype=np.int64)
+    ae1, ae2 = al.amul(eye_a, e1), al.amul(eye_a, e2)
+    span1, span2 = (linalg.FactoredSpan.factor(mat, a.p, a.k, ncols=al.n) for mat in (ae1, ae2))
+    for span, corner in ((span1, p11), (span2, p22)):
+        if span.kernel.shape[0]:
+            raise InvariantViolation("scalar corner is not free of rank one")
+        if not linalg.span_equal(linalg.howell_form(corner, a.p, a.k, ncols=al.n), span.h):
+            raise InvariantViolation("corner does not reduce to base scalars")
+    phi1, ok1 = span1.solve(p11)
+    phi2, ok2 = span2.solve(p22)
+    if not (ok1.all() and ok2.all()):
+        raise InvariantViolation("corner projection escaped the scalar corner")
+    b_basis = linalg.howell_form(p12, a.p, a.k, ncols=al.n)
+    c_basis = linalg.howell_form(p21, a.p, a.k, ncols=al.n)
+    m_table, ok = span1.solve(al.mul_outer(b_basis, c_basis))
+    if not ok.all():
+        raise InvariantViolation("a B*C product escaped the first corner")
+    swap, ok = span2.solve(al.mul_outer(c_basis, b_basis).transpose(1, 0, 2))
+    if not ok.all() or not np.array_equal(swap, m_table):
+        raise InvariantViolation("pairing is not symmetric across the corners")
+    g = gma.GmaAlgebra(al, ch, e1, e2, phi1, phi2, b_basis, c_basis, m_table, p12, p21)
+    _ref_verify_gma(g)
+    return g
+
+
+def ref_gma_decompose(ch, e1):
+    """The Howell-path decomposition: unit traces, `ref_gma_structure`, trace split."""
+    e1 = np.asarray(e1, dtype=np.int64) % ch.algebra.char
+    if not np.array_equal(ch.algebra.mul(e1, e1), e1):
+        raise InputError("e1 is not idempotent")
+    for e in (e1, ch.algebra.sub(ch.algebra.one, e1)):
+        if not np.array_equal(ch.t_el(e), ch.base.one):
+            raise InvariantViolation("corner idempotent must have unit trace")
+    g = ref_gma_structure(ch.algebra, ch, e1)
+    if not np.array_equal((g.phi1 + g.phi2) % ch.base.char, ch.t_matrix % ch.base.char):
+        raise InvariantViolation("trace does not split as the sum of the corners")
+    return g
+
 
 # ---- the per-candidate reference ------------------------------------
 
@@ -85,7 +187,7 @@ def ref_is_ordinary_ch(ch, kappa, budget=400000):
         return {"supported": False, "ordinary": None, "reason": reason, "checked": 0}
     for tried, target in enumerate(targets, 1):
         e1, _ = ref_newton_lift(ch, target)
-        g = gma.gma_decompose(ch, e1)
+        g = ref_gma_decompose(ch, e1)
         if ref_j_r_is_zero(g, kappa):
             return {
                 "supported": True,
@@ -204,7 +306,7 @@ def test_stacked_check_passes_with_gma_decompose(tmp_path):
     for ch, _, _ in _quotients(cases):
         cands = _candidates(ch)
         for e in cands:
-            gma.gma_decompose(ch, e)
+            ref_gma_decompose(ch, e)
         if cands:
             gma._check_gma_stack(ch, np.array(cands))
             rows += len(cands)
@@ -215,7 +317,7 @@ def _s3_candidate():
     psr, _ = _s3_f7()
     ch = gma.ch_quotient(psr)
     e = gma._newton_lift(ch, ch.residual.idempotents[0])[0]
-    return ch, e, gma.gma_decompose(ch, e)
+    return ch, e, ref_gma_decompose(ch, e)
 
 
 def _with_one(ch, one):
@@ -252,7 +354,7 @@ def _unfilled_case():
 
 
 def _provocations():
-    """(message, ch, row) where `gma_decompose(ch, row)` must raise message."""
+    """(message, ch, row) where `ref_gma_decompose(ch, row)` must raise message."""
     ch, e, g = _s3_candidate()
     al, c = ch.algebra, ch.algebra.char
     yield "e1 is not idempotent", ch, al.smul(2, e)
@@ -281,7 +383,7 @@ def test_stacked_check_raises_each_message_with_gma_decompose(message):
     _, ch, row = next(p for p in _provocations() if p[0] == message)
     err = InputError if message == "e1 is not idempotent" else InvariantViolation
     with pytest.raises(err) as single:
-        gma.gma_decompose(ch, row)
+        ref_gma_decompose(ch, row)
     with pytest.raises(err) as stacked:
         gma._check_gma_stack(ch, np.array([row]))
     assert type(single.value) is type(stacked.value) is err
@@ -296,6 +398,51 @@ def test_stacked_check_raises_at_the_first_failing_row():
         gma._check_gma_stack(ch, np.array([e, al.one, al.smul(2, e)]))
     with pytest.raises(InputError, match="not idempotent"):
         gma._check_gma_stack(ch, np.array([e, al.smul(2, e), al.one]))
+
+
+# ---- one structure path against the Howell reference ------------------
+
+
+def _same_gma(got, want):
+    """Every GmaAlgebra field equal: the same algebra and ch, and equal arrays."""
+    for field in dataclasses.fields(gma.GmaAlgebra):
+        x, y = getattr(got, field.name), getattr(want, field.name)
+        if field.name in ("algebra", "ch"):
+            assert x is y, field.name
+        else:
+            assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), field.name
+
+
+def _matches_reference(ch, e):
+    """`gma_decompose(ch, e)` gives the reference's fields, or its error."""
+    got, want = outcome(gma.gma_decompose, ch, e), outcome(ref_gma_decompose, ch, e)
+    if isinstance(want, dict):
+        assert got == want
+    else:
+        _same_gma(got, want)
+
+
+def test_gma_decompose_matches_the_howell_reference(tmp_path):
+    cases = list(_unit_cases(tmp_path)) + [(psr, kappa, 400000) for psr, kappa in _named_cases()]
+    rows = 0
+    for ch, _, _ in _quotients(cases):
+        for e in _candidates(ch):
+            _matches_reference(ch, e)
+            rows += 1
+    assert rows > 1000
+    for message, ch, row in _provocations():
+        _matches_reference(ch, row)
+        assert outcome(gma.gma_decompose, ch, row)["message"] == message
+
+
+@pytest.mark.parametrize("base, mu", [(F5, F5.one), (T3, [0, 1, 0]), (rings.truncated_poly_ring(F5, 2), [0, 1])],
+                         ids=["f5", "t3", "f5-t2"])
+def test_abstract_gma_matches_the_howell_reference(base, mu):
+    g = gma.abstract_gma(base, np.array(mu))
+    e1 = np.zeros(4 * base.n, dtype=np.int64)
+    e1[: base.n] = base.one
+    assert g.ch is None
+    _same_gma(g, ref_gma_structure(g.algebra, None, e1))
 
 
 # ---- one enumeration of the residual idempotents ---------------------

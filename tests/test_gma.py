@@ -484,6 +484,20 @@ def test_split_over_zero_ring_is_trivial():
     assert out["split"] and out["trivial"]
 
 
+def test_zero_ring_quotient_is_the_zero_algebra_and_does_not_decompose():
+    zero = rings.zero_ring(5)
+    t = np.zeros((2, 0), dtype=np.int64)
+    psr = psrep.Pseudorep2(groups.cyclic_group(2), zero, t, t.copy(), name="z")
+    ch = gma.ch_quotient(psr)
+    assert ch.nbar == 0 and ch.t_matrix.shape == (0, 0) and ch.rho_mat.shape == (2, 0)
+    assert gma.ch_quotient(psr, extra=np.zeros((0, 0), dtype=np.int64)).nbar == 0
+    ident = rings.RingMap(zero, zero, np.zeros((0, 0), dtype=np.int64), name="id")
+    down, connect = gma.ch_base_change(ch, ident, extra=np.zeros((0, 0), dtype=np.int64))
+    assert down.nbar == 0 and connect.shape == (0, 0)
+    with pytest.raises(InputError, match="cannot decompose the zero algebra"):
+        gma.gma_decompose(ch, np.zeros(0, dtype=np.int64))
+
+
 def test_split_budget_guard():
     with pytest.raises(BudgetExceeded):
         gma.split_as_characters(c4_diag_psrep(), budget=1)
@@ -723,7 +737,8 @@ def test_deformed_dihedral_family(a, b):
 
 
 def _loop_gma_failure(g):
-    """First failure of the `_verify_gma` checks, one basis vector at a time."""
+    """First failure of Peirce reassembly and the corner determinant formula,
+    one basis vector at a time."""
     al, a = g.algebra, g.base
     inv2 = pow(2, -1, a.char)
     for x in np.eye(al.n, dtype=np.int64):
@@ -782,15 +797,15 @@ def _peirce_case(name):
     ),
 )
 def test_batched_peirce_checks_match_the_per_row_reference(case, edits):
-    """Corrupted coordinates fail the batched checks with the message, and
-    the row, that the per-row loop meets first; intact ones pass both."""
+    """Corrupted coordinates fail the batched `coordinate_maps` checks with
+    the message, and the row, that the per-row loop meets first; intact
+    ones also reassemble and meet the determinant formula row by row."""
     g = _peirce_case(case)
     fields = {name: getattr(g, name).copy() for name in ("phi1", "phi2", "p12", "p21")}
     for name, where, delta in edits:
         flat = fields[name].reshape(-1)
         flat[where % flat.size] = (flat[where % flat.size] + delta) % g.algebra.char
     bad = dataclasses.replace(g, **fields)
-    assert _raised(gma._verify_gma, bad) == _loop_gma_failure(bad)
     if bad.ch is not None:
         assert _raised(gma.coordinate_maps, bad) == _loop_coordinate_failure(bad)
     if not edits:
@@ -905,11 +920,11 @@ def test_stacked_trace_one_idempotents_match_the_per_element_reference(case):
         gma._trace_one_idempotents(ch, budget=ch.algebra.size - 1)
 
 
-# ---- source rule: every ChAlgebra comes from ch_quotient ---------------
+# ---- source rules: one builder each for ChAlgebra and GmaAlgebra -------
 
 
-def _ch_algebra_constructions():
-    """(file, enclosing class.function) of each `ChAlgebra(...)` call in the package."""
+def _constructions(cls):
+    """(file, enclosing class.function) of each `cls(...)` call in the package."""
     found = set()
 
     def walk(node, scope, path):
@@ -917,7 +932,7 @@ def _ch_algebra_constructions():
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "ChAlgebra":
+            if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == cls:
                 found.add((path.name, inner))
             walk(child, inner, path)
 
@@ -929,4 +944,29 @@ def _ch_algebra_constructions():
 def test_ch_algebra_is_constructed_only_in_ch_quotient():
     """One builder: a base change or a quotient by extra rows goes through
     `ch_quotient`, and so through every check it makes."""
-    assert _ch_algebra_constructions() == {("gma.py", "ch_quotient")}
+    assert _constructions("ChAlgebra") == {("gma.py", "ch_quotient")}
+
+
+def _gma_calls(name):
+    """Every call made by the `gma` function `name` and, transitively, by
+    the module functions it calls, as written (e.g. "linalg.howell_form")."""
+    tree = ast.parse(pathlib.Path(gma.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo, calls = set(), [name], set()
+    while todo:
+        fn = todo.pop()
+        if fn not in seen:
+            seen.add(fn)
+            calls |= {ast.unparse(n.func) for n in ast.walk(defs[fn]) if isinstance(n, ast.Call)}
+            todo += [c for c in calls if c in defs]
+    return calls
+
+
+def test_gma_algebra_comes_from_one_stacked_check():
+    """`gma_decompose` is the one builder of a GmaAlgebra, for `abstract_gma`
+    too, and reads it off one `_check_gma_stack` row with no factored corner."""
+    assert _constructions("GmaAlgebra") == {("gma.py", "gma_decompose")}
+    assert "gma_decompose" in _gma_calls("abstract_gma")
+    calls = _gma_calls("gma_decompose")
+    assert "_check_gma_stack" in calls
+    assert not [c for c in calls if "FactoredSpan" in c or "span_equal" in c]

@@ -224,6 +224,14 @@ def test_zero_ring_ideals_are_the_zero_ideal():
     assert ideals[0].mul_ideal(ideals[1]).is_zero()
 
 
+def test_zero_ring_quotient_is_the_zero_ring():
+    z = rings.zero_ring(5)
+    q = rings.quotient_ring(z, rings.Ideal(z, np.zeros((0, 0), dtype=np.int64)))
+    assert q.ring.n == 0 and q.ring.is_zero
+    exps, w, winv = rings.smith_form(np.zeros((0, 0), dtype=np.int64), 5, 1, 0)
+    assert exps.shape == (0,) and w.shape == winv.shape == (0, 0)
+
+
 # ---- local structure ------------------------------------------------
 
 
