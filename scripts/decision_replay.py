@@ -3,15 +3,17 @@
     python3 scripts/decision_replay.py PARENT_CHECKOUT --workload W [--seed 1] [--repeat 5]
 
 One pass of workload W (see perfbench/workloads.py, used read-only) runs
-on the `exalg` of this script's checkout with `ordinary.is_ordinary_ch`
-wrapped to record every input: the pseudorepresentation of its
-Cayley-Hamilton quotient, kappa and the budget, as plain arrays.  Each
-input is rebuilt in this checkout's `exalg` and in that of PARENT_CHECKOUT
-(another checkout of the repository, loaded under a separate package
-name); there its quotient and residual are derived untimed, and
-`is_ordinary_ch` decides it.  Any difference in the result, or in the type
-and message of an error, is printed and makes the exit status 1.  The
-best-of-N time of all decisions through each checkout is printed last.
+on the `exalg` of this script's checkout with `ordinary._decide`, the
+decision that `is_ordinary_ch` and a scenario's stages share, wrapped to
+record every input: the pseudorepresentation of its Cayley-Hamilton
+quotient, kappa and the budget, as plain arrays.  Each input is rebuilt
+in this checkout's `exalg` and in that of PARENT_CHECKOUT (another
+checkout of the repository, loaded under a separate package name); there
+its quotient and residual are derived untimed, and `is_ordinary_ch`
+decides it.  Any difference in the result, or in the type and message of
+an error, is printed and makes the exit status 1, as does a pass with
+psrep units that records no decision.  The best-of-N time of all
+decisions through each checkout is printed last.
 """
 
 from __future__ import annotations
@@ -67,28 +69,34 @@ def rebuild(pkg, rec):
     return ch, pkg.groups.GroupChar(grp, ring, values, kappa_name), rec["budget"]
 
 
-def capture(workload: str, seed: int) -> list[dict]:
-    """Every `is_ordinary_ch` input of one pass, in call order."""
+def capture(workload: str, seed: int) -> tuple[list[dict], int]:
+    """(every decision input of one pass in call order, the pass's psrep units)."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from exalg import ordinary
+    from exalg import ordinary, scenarios
     import workloads
 
     seen = []
-    original = ordinary.is_ordinary_ch
+    original = ordinary._decide
 
-    def record(ch, kappa, budget=400000):
+    def record(ch, kappa, budget):
         seen.append(plain(ch, kappa, budget))
         return original(ch, kappa, budget)
 
     with tempfile.TemporaryDirectory() as tmp:
         wl = workloads.setup(workload, seed, Path(tmp))
-        ordinary.is_ordinary_ch = record
+        units = wl.order()
+        ordinary._decide = record
         try:
-            for unit in wl.order():
+            for unit in units:
                 wl.run_unit(unit)
         finally:
-            ordinary.is_ordinary_ch = original
-    return seen
+            ordinary._decide = original
+    psrep_units = sum(
+        u.family in workloads.PSREP_FAMILIES
+        or (u.family == "bundled" and scenarios.BUILTIN[u.name]["kind"] == "psrep")
+        for u in units
+    )
+    return seen, psrep_units
 
 
 def decide(pkg, ch, kappa, budget):
@@ -123,7 +131,7 @@ def main(argv=None) -> int:
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args(argv)
 
-    records = capture(args.workload, args.seed)
+    records, psrep_units = capture(args.workload, args.seed)
     ours = importlib.import_module("exalg")
     theirs = load_package(args.parent.resolve(), "_replay_parent")
 
@@ -134,6 +142,9 @@ def main(argv=None) -> int:
             bad += 1
             print(f"input {i} ({rec['psr'][2]} over {rec['ring'][4]}): working tree {got} != parent {want}")
     print(f"{args.workload} seed {args.seed}: {len(records)} decisions, {bad} differ")
+    if psrep_units and not records:
+        print(f"{psrep_units} psrep units recorded no decision: the capture missed the decision's entry")
+        return 1
     parent_s, tree_s = best_times([theirs, ours], records, args.repeat)
     print(f"best of {args.repeat}: parent {parent_s:.3f} s, working tree {tree_s:.3f} s")
     return 1 if bad else 0

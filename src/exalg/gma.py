@@ -66,12 +66,10 @@ import numpy as np
 from . import linalg
 from .algebras import AlgebraQuotient, AssocAlgebra, quotient_algebra, two_sided_ideal_rows
 from .errors import BudgetExceeded, InputError, InvariantViolation
-from .groups import GroupChar
 from .psrep import (
     ExtendedPsrep,
     Pseudorep2,
     TraceForms,
-    _chars_equal,
     psrep_base_change,
     residual_split,
     split_as_characters,
@@ -287,17 +285,13 @@ def _residual_targets(res: Residual, chis, budget: int) -> tuple[list, str]:
     return targets, ""
 
 
-def lift_idempotents(
-    ch: ChAlgebra,
-    prefer_char: GroupChar | None = None,
-    budget: int = 400000,
-) -> dict:
+def lift_idempotents(ch: ChAlgebra, budget: int = 400000) -> dict:
     """Complementary trace-1 idempotents e1, e2 = 1 - e1 of the quotient.
 
     Works over a local base.  The residual algebra either splits as two
     characters or is a matrix residual; in both cases a trace-1 idempotent
-    is found there (aligned with `prefer_char`, a residual character, when
-    one is given) and lifted with the Newton step e <- 3e^2 - 2e^3.  The
+    is found there (the first residual character's, or the first of a
+    matrix residual) and lifted with the Newton step e <- 3e^2 - 2e^3.  The
     partner 1 - e1 is then idempotent and orthogonal for free.  Equal
     residual characters leave nothing to separate: unsupported flag.
     """
@@ -310,10 +304,6 @@ def lift_idempotents(
     chis, source = None, "matrix-residual"
     if res.split["case"] == "split":
         chis, source = res.split["chars"][:1], "split-characters"
-        if prefer_char is not None:
-            if sum(not _chars_equal(c, prefer_char) for c in res.split["chars"]) != 1:
-                raise InputError("preferred character does not match either residual character")
-            chis, source = [prefer_char], "split-characters-aligned"
     targets, reason = _residual_targets(res, chis, budget)
     if reason:
         return {

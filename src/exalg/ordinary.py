@@ -12,9 +12,9 @@ they generate and the base ideal J_R of trace values they force, and
 
 which again carries a Cayley-Hamilton structure: since CH(psi (x) B) =
 CH(psi) (x) B, it is the Cayley-Hamilton quotient of psi (x) A/J_R with
-the image of J* killed as well.  `_quotient_by_pushed` builds it, and the
-reducible E_red, with one `gma.ch_base_change`, whose verified `connect`
-map is the projection from E.  A pseudorepresentation is
+the image of J* killed as well.  One `gma.ch_base_change` builds it, and
+one the reducible E_red; its verified `connect` map is the projection
+from E.  A pseudorepresentation is
 then ordinary precisely when J_R = 0 for some kappa-compatible choice of
 idempotent, and that is what `is_ordinary_ch` decides (searching over
 residual idempotents in the matrix-residual case).  It checks kappa once
@@ -29,6 +29,9 @@ structure with one `gma._check_gma_stack`, the GMA structure check that
 are the structure is argued in the `gma` module docstring.  By its corner
 rule the Ip generator e1 rho(g) e1 - kappa^-1(g) e1 is a e1 with
 a = phi1(rho(g)) - kappa^-1(g), zero exactly when the relation holds.
+
+Its winner, else its first candidate, is a scenario's one idempotent
+(`_decide`), so a reported R^ord is built from the GMA the verdict found.
 
 J_R is generated by the traces of J* alone, and J_R = 0 exactly when
 t(g e_j) = 0 for every generator g of `_relations` and every basis
@@ -62,7 +65,6 @@ from .gma import (
     _residual_targets,
     ch_base_change,
     ch_quotient,
-    gma_decompose,
 )
 from .groups import GroupChar
 from .psrep import Pseudorep2, psrep_base_change, split_as_characters, validate_pseudorep
@@ -116,18 +118,17 @@ def _kappa_inverse_on_inertia(res: Residual, kappa: GroupChar, chi) -> bool:
     return all(np.array_equal(chi(g), w) for g, w in zip(ip, want))
 
 
-def _residual_corner_alignment(gma: GmaAlgebra, kappa: GroupChar) -> str:
-    ch = gma.ch
+def _residual_corner_alignment(ch: ChAlgebra, phi1, phi2, kappa: GroupChar) -> str:
     if not ch.base.is_local:
         return "unknown"
     res = ch.residual
     case = res.split["case"]
     if case != "split":
         return "coincident" if case == "coincident" else "nonsplit"
-    # residual corner characters: phi_i(rho(g)) mod the maximal ideal
+    # residual corner characters: phi_i(rho(g)) mod the maximal ideal, phi_i an (n, base.n) matrix
     hit1, hit2 = (
-        _kappa_inverse_on_inertia(res, kappa, lambda g, phi=phi: res.field.proj(phi(ch.rho(g))))
-        for phi in (gma.phi1_of, gma.phi2_of)
+        _kappa_inverse_on_inertia(res, kappa, lambda g, phi=phi: res.field.proj((ch.rho(g) @ phi) % ch.base.char))
+        for phi in (phi1, phi2)
     )
     if hit1 and hit2:
         return "both"
@@ -154,7 +155,7 @@ def _check_kappa(ch: ChAlgebra | None, kappa: GroupChar) -> None:
 
 def ordinary_context(gma: GmaAlgebra, kappa: GroupChar) -> OrdinaryContext:
     _check_kappa(gma.ch, kappa)
-    return OrdinaryContext(gma, kappa, _residual_corner_alignment(gma, kappa))
+    return OrdinaryContext(gma, kappa, _residual_corner_alignment(gma.ch, gma.phi1, gma.phi2, kappa))
 
 
 def _relation_stack(ch: ChAlgebra, es, kappa: GroupChar) -> np.ndarray:
@@ -223,18 +224,6 @@ class OrdinaryQuotient:
         return f"<OrdinaryQuotient {tail}>"
 
 
-def _quotient_by_pushed(ch: ChAlgebra, base_quot: QuotientRing, extra_rows, name: str | None = None):
-    """(ch_out, proj_mat): quotient of ch by extra_rows over base_quot.
-
-    `ch_out` is the Cayley-Hamilton quotient over the smaller base with the
-    two-sided ideal generated by the images of `extra_rows` killed as well,
-    built by one `ch_base_change`; `proj_mat` is its verified `connect`.
-    The trace is required to die on that ideal, otherwise the base ideal
-    was not saturated and the construction refuses.
-    """
-    return ch_base_change(ch, base_quot.proj, name, extra_rows)
-
-
 def _scaled_rows(al, basis) -> np.ndarray:
     """Rows spanning I E, for the ideal I of the base with Howell basis `basis`."""
     return al.amul(basis[:, None], np.eye(al.n, dtype=np.int64)).reshape(-1, al.n)
@@ -294,7 +283,8 @@ def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> Ordinary
         }
     base_quot = quotient_ring(a, j_r, name=f"{a.name}/JR")
     if not collapsed:
-        e_ord, proj_mat = _quotient_by_pushed(ch, base_quot, j_star, name=name or f"{al.name} ord")
+        # the trace must die on J*, or J_R was not saturated and the base change refuses
+        e_ord, proj_mat = ch_base_change(ch, base_quot.proj, name or f"{al.name} ord", j_star)
     return OrdinaryQuotient(ctx, j_star, star_prov, j_r, j_rows, base_quot, e_ord, proj_mat, collapsed, collapse_step)
 
 
@@ -329,29 +319,35 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
     with J_R = 0 wins, as in a loop over the candidates; every row up to it
     passes one stacked structure check, the corner rule
     e_i x e_i = t(e_i x e_i) e_i and the other spanning-set forms of the
-    `gma` module docstring, and `gma_decompose` runs once, on the winner,
-    for its witness.
+    `gma` module docstring, and the witness alignment is read off the
+    winner's corner coordinates there.  No GmaAlgebra is built.
     """
+    return _decide(ch, kappa, budget)[0]
+
+
+def _decide(ch: ChAlgebra, kappa: GroupChar, budget: int):
+    """(`is_ordinary_ch` result, e1): e1 is the winning candidate, else the
+    first candidate tried, and None when the decision lifts none."""
     _require_decidable(ch.psr)
     _check_kappa(ch, kappa)
     res = ch.residual
     case = res.split["case"]
     if case == "irreducible":
-        return {"supported": False, "ordinary": None, "reason": res.split["reason"], "checked": 0}
+        return {"supported": False, "ordinary": None, "reason": res.split["reason"], "checked": 0}, None
     chis = None
     if case == "split":
         chis = [chi for chi in res.split["chars"] if _kappa_inverse_on_inertia(res, kappa, chi)]
         if not chis:
             reason = "no residual character matches kappa^-1 on inertia"
-            return {"supported": True, "ordinary": False, "reason": reason, "checked": 0}
+            return {"supported": True, "ordinary": False, "reason": reason, "checked": 0}, None
     targets, reason = _residual_targets(res, chis, budget)
     if reason:
-        return {"supported": False, "ordinary": None, "reason": reason, "checked": 0}
+        return {"supported": False, "ordinary": None, "reason": reason, "checked": 0}, None
     es, _ = _newton_lift(ch, targets)
     zero = _j_r_zero(ch, es, kappa)
     # as in a loop over the candidates: the first row with J_R = 0 wins, and the rows up to it are checked
     hit = int(np.argmax(zero)) if zero.any() else None
-    _check_gma_stack(ch, es if hit is None else es[: hit + 1])
+    _, phi, _ = _check_gma_stack(ch, es if hit is None else es[: hit + 1])
     if hit is not None:
         return {
             "supported": True,
@@ -361,14 +357,14 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
             "checked": hit + 1 if chis is None else len(targets),
             "witness": {
                 "e1": [int(c) for c in es[hit]],
-                "alignment": _residual_corner_alignment(gma_decompose(ch, es[hit]), kappa),
+                "alignment": _residual_corner_alignment(ch, *phi[hit], kappa),
             },
-        }
+        }, es[hit]
     if chis is None:
         reason = "ordinary base ideal is nonzero for every residual corner"
     else:
         reason = "ordinary base ideal is nonzero for every aligned corner"
-    return {"supported": True, "ordinary": False, "reason": reason, "checked": len(targets)}
+    return {"supported": True, "ordinary": False, "reason": reason, "checked": len(targets)}, es[0]
 
 
 # ---- the reducible ordinary quotient --------------------------------
@@ -407,7 +403,7 @@ def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -
     # two-sided generators: J* plus the pairing products
     prods = al.mul_outer((ch.rho_mat @ gma.p12) % al.char, (ch.rho_mat @ gma.p21) % al.char)
     extra = np.vstack([oq.j_star_rows.reshape(-1, al.n), prods.reshape(-1, al.n)])
-    e_red, proj_mat = _quotient_by_pushed(ch, base_quot, extra, name=name or f"{al.name} red-ord")
+    e_red, proj_mat = ch_base_change(ch, base_quot.proj, name or f"{al.name} red-ord", extra)
     rank_match = True
     if oq.e_ord is not None:
         # E_red must be E_ord with the reducibility ideal extended, nothing more

@@ -14,7 +14,8 @@ never collide.
 Stage vocabulary, psrep scenarios:
     validate      pseudorepresentation axioms with witnesses on failure
     ch            Cayley-Hamilton quotient dimensions
-    gma           idempotent pair and Peirce block sizes
+    gma           idempotent pair and Peirce block sizes; with kappa, the
+                  ordinarity decision's winner (else its first candidate)
     reducibility  pairing ideal, its quotient, and the split certificate
     ordinary      rep-level and trace-level ordinarity plus the quotient
 
@@ -192,22 +193,19 @@ class _State:
     def _make_ch(self):
         return gma_mod.ch_quotient(self.get("psr"))
 
+    def _make_decision(self):
+        """(result, e1 or None) of the ordinarity decision for the scenario's kappa."""
+        return ordinary._decide(self.get("ch"), self.get("kappa"), self.sc.budget)
+
     def _make_gma(self):
         ch = self.get("ch")
-        res = gma_mod.lift_idempotents(ch, prefer_char=self._aligned_char(), budget=self.sc.budget)
-        if not res["supported"]:
-            raise InputError(f"idempotent lifting unsupported: {res['reason']}")
-        return gma_mod.gma_decompose(ch, res["e1"])
-
-    def _aligned_char(self):
-        kappa = self.get("kappa")
-        if kappa is None:
-            return None
-        res = self.get("ch").residual
-        if res.split["case"] != "split":
-            return None
-        chars = res.split["chars"]
-        return next((c for c in chars if ordinary._kappa_inverse_on_inertia(res, kappa, c)), chars[0])
+        e1 = None if self.get("kappa") is None else self.get("decision")[1]
+        if e1 is None:
+            res = gma_mod.lift_idempotents(ch, budget=self.sc.budget)
+            if not res["supported"]:
+                raise InputError(f"idempotent lifting unsupported: {res['reason']}")
+            e1 = res["e1"]
+        return gma_mod.gma_decompose(ch, e1)
 
     # tower chain
     def _make_tower(self):
@@ -261,7 +259,7 @@ def _stage_ordinary(st: _State) -> dict:
         raise InputError("stage 'ordinary' needs a kappa character in the scenario")
     ctx = ordinary.ordinary_context(st.get("gma"), kappa)
     rep_check = ordinary.is_ordinary_rep(ctx)
-    psr_check = ordinary.is_ordinary_ch(st.get("ch"), kappa, budget=st.sc.budget)
+    psr_check = st.get("decision")[0]
     oq = ordinary.ordinary_quotient(ctx)
     return {
         "alignment": ctx.kappa_alignment,

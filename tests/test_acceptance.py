@@ -335,8 +335,8 @@ def _aligned_context(psr, kappa):
             if all(np.array_equal(c(g), resq.proj(kappa.inv_value(g))) for g in psr.group.ip)
         ]
         target = match[0] if match else split["chars"][0]
-    res = gma.lift_idempotents(ch, prefer_char=target)
-    return ordinary.ordinary_context(gma.gma_decompose(ch, res["e1"]), kappa)
+    targets, _ = gma._residual_targets(ch.residual, None if target is None else [target], 400000)
+    return ordinary.ordinary_context(gma.gma_decompose(ch, gma._newton_lift(ch, targets[0])[0]), kappa)
 
 
 def test_criterion_05_ordinary_quotient_universality():

@@ -194,7 +194,10 @@ def ref_is_ordinary_ch(ch, kappa, budget=400000):
                 "ordinary": True,
                 "reason": "",
                 "checked": tried if chis is None else len(targets),
-                "witness": {"e1": [int(c) for c in e1], "alignment": ordinary._residual_corner_alignment(g, kappa)},
+                "witness": {
+                    "e1": [int(c) for c in e1],
+                    "alignment": ordinary._residual_corner_alignment(ch, g.phi1, g.phi2, kappa),
+                },
             }
     if chis is None:
         reason = "ordinary base ideal is nonzero for every residual corner"

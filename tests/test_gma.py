@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exalg import algebras, gma, groups, linalg, psrep, rings
+from exalg import algebras, gma, groups, linalg, psrep, rings, scenarios
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
 from exalg.rings import Ideal
 
@@ -244,26 +244,34 @@ def test_lift_on_character_sum_over_field():
     assert not al.mul(res["e1"], res["e2"]).any()
 
 
-def test_lift_aligns_with_preferred_character():
-    psr = c4_diag_psrep()
-    ch = gma.ch_quotient(psr)
-    c4 = psr.group
+def test_stage_gma_takes_the_corner_kappa_aligns():
+    """chi1 = 1, chi2 = 2 and kappa = 3 on the 4-cycle over F5: kappa^-1 is
+    chi2, so the scenario's GMA has rho11 = chi2, where the lift without
+    kappa takes the first residual character, chi1."""
+    doc = {
+        "name": "c4-kappa-chi2",
+        "kind": "psrep",
+        "seed": 0,
+        "budget": 200000,
+        "ring": {"kind": "zmod", "p": 5, "k": 1},
+        "group": {"kind": "cyclic", "n": 4, "dp": [0, 1, 2, 3], "ip": [0, 1, 2, 3]},
+        "psrep": {
+            "kind": "char_pair",
+            "chi1": {"kind": "trivial"},
+            "chi2": {"kind": "power", "gen": 1, "value": 2},
+        },
+        "kappa": {"kind": "power", "gen": 1, "value": 3},
+        "stages": ["gma"],
+    }
+    state = scenarios._State(scenarios.load_scenario(doc))
+    c4 = state.get("psr").group
+    chi1 = groups.trivial_char(c4, F5)
     chi2 = groups.cyclic_char(c4, F5, 1, np.array([2]))
-    res = gma.lift_idempotents(ch, prefer_char=chi2)
-    assert res["source"] == "split-characters-aligned"
-    # corner 1 now sees the group through chi2
-    g1 = gma.gma_decompose(ch, res["e1"])
-    cm = gma.coordinate_maps(g1)
-    for g in c4.elements():
-        assert np.array_equal(cm["rho11"][g], chi2(g))
-
-
-def test_lift_rejects_unmatched_preference():
-    ch = gma.ch_quotient(c4_diag_psrep())
-    c4 = ch.psr.group
-    other = groups.cyclic_char(c4, F5, 1, np.array([3]))
-    with pytest.raises(InputError):
-        gma.lift_idempotents(ch, prefer_char=other)
+    ch = state.get("ch")
+    unaligned = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    for g, chi in ((state.get("gma"), chi2), (unaligned, chi1)):
+        rho11 = gma.coordinate_maps(g)["rho11"]
+        assert all(np.array_equal(rho11[h], chi(h)) for h in c4.elements())
 
 
 def test_lift_over_z25_converges_within_radical_class():

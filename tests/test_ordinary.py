@@ -56,8 +56,8 @@ def aligned_context(psr, kappa, flip=False):
     target = match[0] if match else chars[0]
     if flip:
         target = next(c for c in chars if c is not target)
-    res = gma.lift_idempotents(ch, prefer_char=target)
-    return ordinary.ordinary_context(gma.gma_decompose(ch, res["e1"]), kappa)
+    targets, _ = gma._residual_targets(ch.residual, [target], 400000)
+    return ordinary.ordinary_context(gma.gma_decompose(ch, gma._newton_lift(ch, targets[0])[0]), kappa)
 
 
 def d5_t2_psrep(dp, ip):
@@ -443,13 +443,13 @@ def test_decision_checks_kappa_before_reading_it():
 def test_decision_builds_no_ordinary_quotient(monkeypatch):
     """The decision reads J_R only: no E_ord is built for a candidate, and
     a scenario builds at most the one its ordinary stage reports."""
-    calls, original = [], ordinary._quotient_by_pushed
+    calls, original = [], ordinary.ch_base_change
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ordinary, "_quotient_by_pushed", counted)
+    monkeypatch.setattr(ordinary, "ch_base_change", counted)
     psr, kappa = c4_setup()
     assert ordinary.is_ordinary_psrep(psr, kappa)["ordinary"]
     for dp, ip in [(tuple(range(5)), tuple(range(5))), ((0, 6), (0,))]:
@@ -624,18 +624,18 @@ def test_reducible_quotient_collapse():
 # ---- one base change against the three-quotient construction --------
 
 
-def _three_quotient_reference(ch, base_quot, extra_rows, name=None):
+def _three_quotient_reference(ch, f, extra_rows, name=None):
     """(ch_out, proj_mat) built as three quotients: the Cayley-Hamilton
-    quotient over base_quot, that quotient by the pushed two-sided ideal,
+    quotient over the target of f, that quotient by the pushed two-sided ideal,
     and a second presentation of the result straight from Abar[G], taken
     from the kernel of the composite projection."""
 
     def pushforward(quot):
-        lifted = ch.quot.lift_matrix.reshape(ch.nbar, ch.psr.group.m, ch.base.n) @ base_quot.proj.matrix
-        return (lifted.reshape(ch.nbar, -1) % base_quot.ring.char @ quot.proj.matrix) % quot.algebra.char
+        lifted = ch.quot.lift_matrix.reshape(ch.nbar, ch.psr.group.m, ch.base.n) @ f.matrix
+        return (lifted.reshape(ch.nbar, -1) % f.dst.char @ quot.proj.matrix) % quot.algebra.char
 
-    down = gma.ch_quotient(psrep.psrep_base_change(ch.psr, base_quot.proj), name=name)
-    abar = base_quot.ring
+    down = gma.ch_quotient(psrep.psrep_base_change(ch.psr, f), name=name)
+    abar = f.dst
     pushed = np.reshape(extra_rows, (-1, ch.nbar)) @ pushforward(down.quot)
     rows2 = algebras.two_sided_ideal_rows(down.algebra, pushed % down.algebra.char)
     assert not (rows2.shape[0] and ((rows2 @ down.t_matrix) % abar.char).any())
@@ -659,14 +659,14 @@ def test_ordinary_quotients_match_the_three_quotient_construction(monkeypatch, t
     group images and the projection from ch."""
     from test_ordinary_decisions import decision_units
 
-    built, original = [], ordinary._quotient_by_pushed
+    built, original = [], ordinary.ch_base_change
 
-    def recorded(ch, base_quot, extra_rows, name=None):
-        out = original(ch, base_quot, extra_rows, name=name)
-        built.append(((ch, base_quot, extra_rows, name), out))
+    def recorded(ch, f, name=None, extra=None):
+        out = original(ch, f, name, extra)
+        built.append(((ch, f, extra, name), out))
         return out
 
-    monkeypatch.setattr(ordinary, "_quotient_by_pushed", recorded)
+    monkeypatch.setattr(ordinary, "ch_base_change", recorded)
     contexts = []
     for _, doc in decision_units(tmp_path):
         state = scenarios._State(scenarios.load_scenario(doc))
