@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, InvariantViolation
-from .rings import FiniteRing, QuotientRing, RingMap, _smith_quotient
+from .rings import FiniteRing, QuotientRing, RingMap, _quotient_structure, _smith_coordinates
 
 __all__ = [
     "AssocAlgebra",
@@ -186,9 +186,16 @@ class AlgebraQuotient(QuotientRing):
 def quotient_algebra(alg: AssocAlgebra, ideal_rows, name: str | None = None) -> AlgebraQuotient:
     """Quotient by a two-sided ideal given as (already closed) Howell rows."""
     rows = np.asarray(ideal_rows, dtype=np.int64).reshape(-1 if alg.n else 0, alg.n) % alg.char
-    new_k, table, one, proj, lift = _smith_quotient(alg.p, alg.k, alg.table, alg.one, rows)
-    embed = (alg.base_embed @ proj) % alg.p**new_k
-    out = AssocAlgebra(alg.p, new_k, table, one, alg.base, embed, name=name or f"{alg.name}/J")
+    new_k, proj, lift = _smith_coordinates(alg.p, alg.k, alg.n, rows)
+    return _presented_quotient(alg, alg.base, alg.base_embed, new_k, proj, lift, name)
+
+
+def _presented_quotient(alg: AssocAlgebra, base: FiniteRing, base_rows, new_k: int, proj, lift, name=None) -> AlgebraQuotient:
+    """The quotient of `alg` onto (Z/p^new_k)^n' by `proj` (n, n'), `lift` a
+    section of it, over `base`, whose basis element a is the class of base_rows[a]."""
+    table, one = _quotient_structure(alg.p, alg.k, new_k, alg.table, alg.one, proj, lift)
+    embed = (np.asarray(base_rows, dtype=np.int64) @ proj) % alg.p**new_k
+    out = AssocAlgebra(alg.p, new_k, table, one, base, embed, name=name or f"{alg.name}/J")
     out.check_algebra()
     quot = AlgebraQuotient(out, RingMap(alg, out, proj, name="proj"), lift)
     # the projection must be multiplicative: two-sidedness of the input rows

@@ -14,16 +14,25 @@ trace laws do force that (the identity-element instances close the gap,
 since 2 is a unit here), but the construction re-checks it anyway and
 refuses loudly rather than silently producing a traceless quotient.
 
-`ch_quotient` is the one builder of a `ChAlgebra`: it kills the
-Cayley-Hamilton generators together with any extra rows of A[G] it is
-given.  Since CH(psi (x) B) = CH(psi) (x) B, `ch_base_change` along
-f: A -> B is one `ch_quotient` of B[G], with the extra rows (coordinates
-of the old quotient) carried there by the lift and f; its `connect` map
-is verified.  The residual and the ordinary quotients are built that way.
+`ch_quotient` kills the Cayley-Hamilton generators together with any
+extra rows of A[G] it is given.  `ch_base_change` along a surjective
+f: A -> B = A/I is a quotient of the algebra E already built, since
+CH(psi (x) B) = E/(I E): B[G] is A[G]/(I A[G]) and the trace of psi (x) B
+is t followed by f, so ch_B(x mod I, y mod I) is the image of ch(x, y).
+As ch is bilinear and the basis of A[G] spans B[G], the Cayley-Hamilton
+ideal of psi (x) B is the image of that of psi, and B[G] modulo it is
+A[G] modulo I A[G] plus that ideal, which is E/(I E).  The trace descends,
+as t(i x) = i t(x) lies in I; I E is the two-sided ideal of the central
+ker(f) 1, and extra rows add theirs.  The quotient keeps the coordinates
+`ch_quotient` would give it over B[G], the Smith coordinates of the
+kernel of (g, b) -> rho(g) b, so its coordinates, and the residual
+idempotents enumerated in them, do not depend on the algebra it was cut
+from.  The residual and the ordinary quotients are built that way, and
+every ChAlgebra goes through `_ch_algebra` and its checks.
 
 The residual point of a quotient over a local base is derived once per
 algebra, on first use (`ChAlgebra.residual`): the residue field, the
-residual quotient with its verified connecting map, and the residual
+residual quotient E/mE with its projection from E, and the residual
 split, whose case (irreducible, coincident, split or matrix residual)
 every consumer reads.  With distinct residual characters (or a matrix
 residual) a pair of complementary trace-1 idempotents lifts from the
@@ -64,7 +73,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .algebras import AlgebraQuotient, AssocAlgebra, quotient_algebra, two_sided_ideal_rows
+from .algebras import AlgebraQuotient, AssocAlgebra, _presented_quotient, quotient_algebra, two_sided_ideal_rows
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .psrep import (
     ExtendedPsrep,
@@ -74,7 +83,7 @@ from .psrep import (
     residual_split,
     split_as_characters,
 )
-from .rings import FiniteRing, Ideal, QuotientRing, RingMap, quotient_ring
+from .rings import FiniteRing, Ideal, QuotientRing, RingMap, _smith_coordinates, quotient_ring
 
 __all__ = [
     "ChAlgebra",
@@ -101,11 +110,11 @@ _NEWTON_MAX_ITER = 64
 
 @dataclass(eq=False)
 class ChAlgebra(TraceForms):
-    """A[G] modulo the Cayley-Hamilton ideal, with the descended trace."""
+    """A[G] modulo the Cayley-Hamilton ideal, with the descended trace; `quot`
+    projects onto it from A[G], or from the algebra `ch_base_change` cut it from."""
 
     psr: Pseudorep2
     base: FiniteRing
-    E: AssocAlgebra
     algebra: AssocAlgebra
     quot: AlgebraQuotient
     t_matrix: np.ndarray  # (nbar, base.n)
@@ -120,11 +129,12 @@ class ChAlgebra(TraceForms):
 
     @cached_property
     def residual(self) -> "Residual":
-        """This algebra at the residue field of its local base, built on first use."""
+        """This algebra at the residue field of its local base, built on first
+        use: `ch_base_change` along the residue map, so the residual algebra
+        is E/mE and its `quot` projects from this algebra."""
         field = self.base.residue_field()
-        down, connect = ch_base_change(self, field.proj, name=f"{self.algebra.name} res")
-        span = linalg.FactoredSpan.factor(connect, self.algebra.p, down.algebra.k)
-        return Residual(field, down, connect, span, residual_split(down.psr))
+        down, _ = ch_base_change(self, field.proj, name=f"{self.algebra.name} res")
+        return Residual(field, down, residual_split(down.psr))
 
     def verify(self) -> None:
         """Identity on basis pairs (bilinearity covers the rest) plus random
@@ -157,68 +167,82 @@ class ChAlgebra(TraceForms):
 
 def ch_quotient(psr: Pseudorep2, name: str | None = None, extra=None) -> ChAlgebra:
     """A[G] modulo the Cayley-Hamilton ideal and, when given, the two-sided
-    ideal of the rows `extra` of A[G]: the one builder of every ChAlgebra.
-
-    The trace of A[G] descends along the lift, the group images are the
-    projections of the group elements, and both are verified.
-    """
+    ideal of the rows `extra` of A[G]."""
     ext = ExtendedPsrep(psr)
-    E, a = ext.E, psr.ring
+    E = ext.E
     eye = np.eye(E.n, dtype=np.int64)
     # ch(e_i, e_j) for i <= j, row-major, as one stack
     left, right = np.triu_indices(E.n)
     gens = ext.ch_el(eye[left], eye[right])
     if extra is not None:
         gens = np.vstack([gens, np.reshape(extra, (-1 if E.n else 0, E.n))])
-    rows = two_sided_ideal_rows(E, gens)
-    # the trace must vanish on the full ideal, or it cannot descend
-    if rows.shape[0] and ((rows @ ext.t_matrix) % a.char).any():
-        what = "Cayley-Hamilton" if extra is None else "imposed"
-        raise InvariantViolation(f"trace does not vanish on the {what} ideal")
+    rows = _killed_rows(E, gens, ext.t_matrix, psr.ring, "Cayley-Hamilton" if extra is None else "imposed")
     quot = quotient_algebra(E, rows, name=name or f"CH({psr.name})")
-    ebar = quot.algebra
-    if ebar.char != E.char:
-        # t(1) = 2 is a unit, so the image of 1 keeps full additive order;
-        # a characteristic drop would contradict the vanishing check above
-        raise InvariantViolation("Cayley-Hamilton quotient dropped the characteristic")
-    if ebar.n and linalg.kernel(ebar.base_embed, ebar.p, ebar.k).shape[0]:
-        raise InvariantViolation("base does not embed into the quotient")
-    rho = (a.one @ quot.proj.matrix.reshape(psr.group.m, a.n, ebar.n)) % ebar.char
-    ch = ChAlgebra(psr, a, E, ebar, quot, (quot.lift_matrix @ ext.t_matrix) % a.char, rho)
-    ch.verify()
-    if not np.array_equal((rho @ ch.t_matrix) % a.char, psr.t):
-        raise InvariantViolation("trace of a group image changed in the quotient")
-    return ch
-
-
-def _pushforward(ch: ChAlgebra, f: RingMap) -> np.ndarray:
-    """Matrix taking coordinates of ch to those of f.dst[G]: lift to A[G]
-    and apply f coefficientwise."""
-    lifted = ch.quot.lift_matrix.reshape(ch.nbar, ch.psr.group.m, ch.base.n) @ f.matrix
-    return lifted.reshape(ch.nbar, ch.psr.group.m * f.dst.n) % f.dst.char
+    # group element g is the basis row (g, 1) of A[G]
+    return _ch_algebra(psr, quot, ext.t_matrix, np.kron(np.eye(psr.group.m, dtype=np.int64), psr.ring.one))
 
 
 def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None, extra=None):
-    """Rebuild the quotient over the target of f, with the two-sided ideal
-    of the rows `extra` (coordinates of ch) killed as well.
+    """(ChAlgebra over B, connect): ch modulo the two-sided ideal of ker(f) 1
+    and the rows `extra` (coordinates of ch), over the target B of a
+    surjective f, with connect the projection from ch (module docstring).
 
-    CH(psi (x) B) = CH(psi) (x) B, so this is one `ch_quotient` of f.dst[G]
-    with the images of `extra` under the lift.  Returns (ChAlgebra over
-    f.dst, connect) where connect maps old quotient coordinates to new ones
-    and is verified unital, multiplicative, and compatible with the group
-    images.
+    Base element b is the class of any preimage of b and the trace is t
+    followed by f.  The coordinates are the Smith coordinates of the kernel
+    of beta: B[G] -> ch, (g, b) -> rho(g) b, and the section of the
+    projection is its Howell solve.
     """
     if f.src is not ch.base:
         raise InputError("base change map must start at the coefficient ring")
-    lift = _pushforward(ch, f)
+    b, al = f.dst, ch.algebra
+    section, onto = linalg.FactoredSpan.factor(f.matrix, b.p, b.k, ncols=b.n).solve(np.eye(b.n, dtype=np.int64))
+    if not onto.all():
+        raise InputError("base change map must be surjective")
+    # ker(f) 1 is central, so its two-sided ideal is ker(f) E
+    gens = f.kernel_ideal().basis @ al.base_embed
     if extra is not None:
-        extra = (np.reshape(extra, (-1 if ch.nbar else 0, ch.nbar)) @ lift) % f.dst.char
-    down = ch_quotient(psrep_base_change(ch.psr, f), name=name, extra=extra)
-    connect = (lift @ down.quot.proj.matrix) % down.algebra.char
-    RingMap(ch.algebra, down.algebra, connect, name="connect").check_hom()
-    if not np.array_equal((ch.rho_mat @ connect) % down.algebra.char, down.rho_mat):
-        raise InvariantViolation("base change does not intertwine the group images")
-    return down, connect
+        gens = np.vstack([gens, np.reshape(extra, (-1 if al.n else 0, al.n))])
+    t_matrix = (ch.t_matrix @ f.matrix) % b.char
+    rows = _killed_rows(al, gens, t_matrix, b, "imposed")
+    base_rows, n_bg = (section @ al.base_embed) % al.char, ch.psr.group.m * b.n
+    beta = al.mul_outer(ch.rho_mat, base_rows).reshape(n_bg, al.n)
+    stack = linalg.FactoredSpan.factor(np.vstack([beta, rows]), al.p, al.k, ncols=al.n)
+    x, _ = stack.solve(np.eye(al.n, dtype=np.int64))  # beta spans al modulo rows
+    new_k, proj_bg, _ = _smith_coordinates(b.p, b.k, n_bg, stack.kernel[:, :n_bg] % b.char)
+    proj = (x[:, :n_bg] @ proj_bg) % b.p**new_k
+    eye = np.eye(proj.shape[1], dtype=np.int64)
+    lift, _ = linalg.FactoredSpan.factor(proj, b.p, new_k, ncols=len(eye)).solve(eye)
+    quot = _presented_quotient(al, b, base_rows, new_k, proj, lift, name or f"CH({ch.psr.name})")
+    return _ch_algebra(psrep_base_change(ch.psr, f), quot, t_matrix, ch.rho_mat), quot.proj.matrix
+
+
+def _killed_rows(al: AssocAlgebra, gens, t_matrix, b: FiniteRing, what: str) -> np.ndarray:
+    """Howell basis of the two-sided ideal of `gens`; the trace `t_matrix`
+    (read in b) must vanish on it, or it cannot descend."""
+    rows = two_sided_ideal_rows(al, gens)
+    if rows.shape[0] and ((rows @ t_matrix) % b.char).any():
+        raise InvariantViolation(f"trace does not vanish on the {what} ideal")
+    return rows
+
+
+def _ch_algebra(psr: Pseudorep2, quot: AlgebraQuotient, t_matrix, rho) -> ChAlgebra:
+    """The one builder of a ChAlgebra over psr.ring, from the quotient
+    `quot`, the trace `t_matrix` on its source and the group images `rho`
+    there: the characteristic and the base must survive, the quotient must
+    be Cayley-Hamilton (`verify`) and keep the traces of psr."""
+    b, ebar = psr.ring, quot.algebra
+    if ebar.char != b.char:
+        # t(1) = 2 is a unit, so the image of 1 keeps full additive order;
+        # a characteristic drop would contradict the vanishing check
+        raise InvariantViolation("Cayley-Hamilton quotient dropped the characteristic")
+    if ebar.n and linalg.kernel(ebar.base_embed, ebar.p, ebar.k).shape[0]:
+        raise InvariantViolation("base does not embed into the quotient")
+    rho = (rho @ quot.proj.matrix) % ebar.char
+    ch = ChAlgebra(psr, b, ebar, quot, (quot.lift_matrix @ t_matrix) % b.char, rho)
+    ch.verify()
+    if not np.array_equal((rho @ ch.t_matrix) % b.char, psr.t):
+        raise InvariantViolation("trace of a group image changed in the quotient")
+    return ch
 
 
 # ---- the residual point and idempotent lifting ----------------------
@@ -229,16 +253,14 @@ class Residual:
     """A ChAlgebra at the residue field of its local base.
 
     `field` is the residue-field quotient of the base, `ch` the residual
-    ChAlgebra that `ch_base_change` builds with its verified `connect` map,
-    `span` that map factored once for every Newton lift, and `split` the
+    ChAlgebra that `ch_base_change` builds, whose `quot` is the projection
+    from the algebra above and a section of it, and `split` the
     `residual_split` report of the residual trace, whose `case` is what
     every consumer branches on.
     """
 
     field: QuotientRing
     ch: ChAlgebra
-    connect: np.ndarray
-    span: linalg.FactoredSpan
     split: dict
 
     @cached_property
@@ -329,18 +351,17 @@ def lift_idempotents(ch: ChAlgebra, budget: int = 400000) -> dict:
 
 
 def _newton_lift(ch: ChAlgebra, targets):
-    """(e, iterations): a preimage of each residual idempotent in `targets`
-    (one row, or a stack of rows) under the residual `connect` map, refined
+    """(e, iterations): the section of the residual projection applied to
+    each residual idempotent in `targets` (one row, or a stack of rows), refined
     by e <- 3e^2 - 2e^3 until idempotent and checked to stay in the class of
     its target.  Only the rows not yet idempotent take a step, each with its
     own count; a converged row is a fixed point of the step, so every row of
     a stack ends bit-identical to its single lift."""
-    al, res = ch.algebra, ch.residual
+    al, down = ch.algebra, ch.residual.ch
     want = np.atleast_2d(targets)
-    x, ok = res.span.solve(want)
-    if not ok.all():
-        raise InvariantViolation("residual idempotent has no preimage")
-    x = x % al.char
+    # the section is the Howell solve of the projection over a field, so
+    # this is that solve's preimage of each target
+    x = (want @ down.quot.lift_matrix) % down.algebra.char
     iters = np.zeros(len(x), dtype=np.int64)
     while (live := (al.mul(x, x) != x).any(axis=1)).any():
         x2 = al.mul(x[live], x[live])
@@ -348,7 +369,7 @@ def _newton_lift(ch: ChAlgebra, targets):
         iters += live
         if iters.max() > _NEWTON_MAX_ITER:
             raise InvariantViolation("idempotent iteration failed to converge")
-    if not np.array_equal((x @ res.connect) % res.ch.algebra.char, want):
+    if not np.array_equal((x @ down.quot.proj.matrix) % down.algebra.char, want):
         raise InvariantViolation("lifted idempotent drifted from its residual class")
     return (x[0], int(iters[0])) if np.ndim(targets) == 1 else (x, iters)
 

@@ -10,14 +10,14 @@ they generate and the base ideal J_R of trace values they force, and
 
     E_ord = E / (J* + J_R E)    over    A / J_R,
 
-which again carries a Cayley-Hamilton structure: since CH(psi (x) B) =
-CH(psi) (x) B, it is the Cayley-Hamilton quotient of psi (x) A/J_R with
-the image of J* killed as well.  One `gma.ch_base_change` builds it, and
-one the reducible E_red; its verified `connect` map is the projection
-from E.  A pseudorepresentation is
-then ordinary precisely when J_R = 0 for some kappa-compatible choice of
-idempotent, and that is what `is_ordinary_ch` decides (searching over
-residual idempotents in the matrix-residual case).  It checks kappa once
+which again carries a Cayley-Hamilton structure: E/(J_R E) is the
+Cayley-Hamilton quotient of psi (x) A/J_R (`gma` module docstring), here
+with J* killed as well.  One `gma.ch_base_change` takes that quotient of
+E, and one the reducible E_red; its `connect` map is the projection from
+E.  A pseudorepresentation is then ordinary precisely when J_R = 0 for
+some kappa-compatible choice of idempotent, and that is what
+`is_ordinary_ch` decides (searching over residual idempotents in the
+matrix-residual case).  It checks kappa once
 and reads the residual the algebra derived once, as do the corner
 alignment and the idempotent lift.
 

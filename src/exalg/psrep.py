@@ -313,15 +313,13 @@ class TraceForms:
 class ExtendedPsrep(TraceForms):
     """(t, d) spread over E = A[G], with the trace-form radical."""
 
-    def __init__(self, psr: Pseudorep2, algebra: AssocAlgebra | None = None):
+    def __init__(self, psr: Pseudorep2):
         psr.check()
         self.psr = psr
         self.group, self.base = psr.group, psr.ring
-        self.E = algebra if algebra is not None else group_algebra(self.base, self.group)
+        self.E = group_algebra(self.base, self.group)
         a = self.base
         m, e = self.group.m, a.n
-        if self.E.n != m * e:
-            raise InputError("algebra does not look like the group algebra")
         # t as a Z/p^k-linear map E -> A: basis (g, a_j) -> a_j * t(g)
         self.t_matrix = a.mul_matrix(psr.t).reshape(m * e, a.n)
 

@@ -416,7 +416,8 @@ class FiniteRing:
             else np.zeros((0, n), dtype=np.int64)
         )
         # reduced quotient mod p, then count local factors by Frobenius fixed space
-        q = FiniteRing(self.p, *_smith_quotient(self.p, 1, tp, self.one % self.p, nil_modp)[:3])
+        new_k, proj, lift = _smith_coordinates(self.p, 1, n, nil_modp)
+        q = FiniteRing(self.p, new_k, *_quotient_structure(self.p, 1, new_k, tp, self.one % self.p, proj, lift))
         if q.n == 0:
             raise InvariantViolation("reduced quotient is zero for a nonzero ring")
         frobq = _frobenius_rows(q)
@@ -654,15 +655,13 @@ class QuotientRing:
         return (c @ self.lift_matrix) % self.proj.src.char
 
 
-def _smith_quotient(p, k, table, one, rel_rows):
-    """(k', table', one', proj, lift) of R/I, R given by (p, k, table, one)
-    and I the span of `rel_rows`.
+def _smith_coordinates(p, k, n, rel_rows):
+    """(k', proj, lift) of (Z/p^k)^n modulo the span of `rel_rows`.
 
-    Coordinates come from a Smith basis of the relation span: R/I is free
-    over Z/p^k' on the Smith coordinates with a nonzero exponent, `proj`
-    (n, n') keeps those coordinates and `lift` (n', n) puts them back.
+    Coordinates come from a Smith basis of the relation span: the quotient
+    is free over Z/p^k' on the Smith coordinates with a nonzero exponent,
+    `proj` (n, n') keeps those coordinates and `lift` (n', n) puts them back.
     """
-    n = one.shape[0]
     exps, w, winv = smith_form(linalg.howell_form(rel_rows, p, k, ncols=n), p, k, n)
     nonzero = sorted({int(e) for e in exps if e > 0})
     if len(nonzero) > 1:
@@ -671,18 +670,25 @@ def _smith_quotient(p, k, table, one, rel_rows):
         )
     new_k = nonzero[0] if nonzero else 1
     keep = exps > 0
-    proj, lift = w[:, keep] % p**new_k, winv[keep] % p**k
+    return new_k, w[:, keep] % p**new_k, winv[keep] % p**k
+
+
+def _quotient_structure(p, k, new_k, table, one, proj, lift):
+    """(table', one') of R/I in the coordinates of the projection `proj`
+    (n, n') and any section `lift` (n', n) of it."""
+    n = one.shape[0]
     # lift_a * lift_b in two contractions: left multiplication by lift_a, then lift_b
     left = (lift @ table.reshape(n, n * n)).reshape(lift.shape[0], n, n) % p**k
     prods = (lift @ left) % p**k
-    return new_k, (prods @ proj) % p**new_k, (one @ proj) % p**new_k, proj, lift
+    return (prods @ proj) % p**new_k, (one @ proj) % p**new_k
 
 
 def quotient_ring(r: FiniteRing, ideal: Ideal, name: str | None = None) -> QuotientRing:
     """R/I with projection; raises NonFreeQuotientError on mixed torsion."""
     if ideal.ring is not r:
         raise InputError("ideal belongs to a different ring")
-    new_k, table, one, proj, lift = _smith_quotient(r.p, r.k, r.table, r.one, ideal.basis)
+    new_k, proj, lift = _smith_coordinates(r.p, r.k, r.n, ideal.basis)
+    table, one = _quotient_structure(r.p, r.k, new_k, r.table, r.one, proj, lift)
     ring = FiniteRing(r.p, new_k, table, one, name=name or f"{r.name}/I")
     quot = QuotientRing(ring, RingMap(r, ring, proj, name="proj"), lift)
     quot.proj.check_hom()

@@ -137,9 +137,12 @@ def ref_gma_decompose(ch, e1):
 
 
 def ref_newton_lift(ch, target):
-    """One residual idempotent lifted on its own, as before the stack."""
-    al, res = ch.algebra, ch.residual
-    x, ok = res.span.solve(target)
+    """One residual idempotent lifted on its own, as before the stack, from
+    the Howell solve of the residual projection factored here, not from
+    the section the quotient keeps."""
+    al, down = ch.algebra, ch.residual.ch
+    proj = down.quot.proj.matrix
+    x, ok = linalg.FactoredSpan.factor(proj, al.p, down.algebra.k).solve(target)
     if not ok:
         raise InvariantViolation("residual idempotent has no preimage")
     x = x % al.char
@@ -150,7 +153,7 @@ def ref_newton_lift(ch, target):
         iters += 1
         if iters > gma._NEWTON_MAX_ITER:
             raise InvariantViolation("idempotent iteration failed to converge")
-    if not np.array_equal((x @ res.connect) % res.ch.algebra.char, target):
+    if not np.array_equal((x @ proj) % down.algebra.char, target):
         raise InvariantViolation("lifted idempotent drifted from its residual class")
     return x, iters
 

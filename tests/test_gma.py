@@ -145,7 +145,7 @@ def test_c2_quotient_keeps_whole_group_algebra():
     # 1 + sign already satisfies the 2-dimensional identity on A[C2]
     ch = gma.ch_quotient(c2_z25_psrep())
     assert ch.nbar == 2
-    assert ch.E.n == 2
+    assert ch.quot.proj.src.n == 2
 
 
 def test_equal_characters_collapse_to_scalars():
@@ -227,6 +227,16 @@ def test_base_change_rejects_wrong_source():
     ch = gma.ch_quotient(c4_diag_psrep())
     with pytest.raises(InputError):
         gma.ch_base_change(ch, Z25.residue_field().proj)
+
+
+def test_base_change_rejects_a_map_that_is_not_onto(monkeypatch):
+    """F5 -> F5[s]/(s^2) is injective, not onto: refused before any ideal is built."""
+    ch = gma.ch_quotient(c4_diag_psrep())
+    into = rings.RingMap(F5, T2, np.array([[1, 0]], dtype=np.int64), name="into")
+    into.check_hom()
+    monkeypatch.setattr(gma, "two_sided_ideal_rows", None)
+    with pytest.raises(InputError, match="surjective"):
+        gma.ch_base_change(ch, into)
 
 
 # ---- idempotent lifting ---------------------------------------------
@@ -621,7 +631,7 @@ def _passes_ch_membership(ch, krows, exhaustive):
     are differences of these, so membership for all x pulls the whole
     generating set inside).
     """
-    E, ext = ch.E, psrep.ExtendedPsrep(ch.psr)
+    E, ext = ch.quot.proj.src, psrep.ExtendedPsrep(ch.psr)
     a = ch.base
     if krows.shape[0] and ((krows @ ext.t_matrix) % a.char).any():
         return False
@@ -655,7 +665,7 @@ def test_every_ch_compatible_ideal_factors_through_quotient(psr, exhaustive):
     both are generated by the image of the group algebra.
     """
     ch = gma.ch_quotient(psr)
-    E = ch.E
+    E = ch.quot.proj.src
     # recover the quotient ideal as the kernel of the projection
     proj_cols = np.array([ch.quot.proj(e) for e in np.eye(E.n, dtype=np.int64)])
     jrows = linalg.kernel(proj_cols, E.p, E.k)
@@ -949,10 +959,10 @@ def _constructions(cls):
     return found
 
 
-def test_ch_algebra_is_constructed_only_in_ch_quotient():
-    """One builder: a base change or a quotient by extra rows goes through
-    `ch_quotient`, and so through every check it makes."""
-    assert _constructions("ChAlgebra") == {("gma.py", "ch_quotient")}
+def test_ch_algebra_is_constructed_in_one_function():
+    """One builder: `ch_quotient` and `ch_base_change` both go through
+    `_ch_algebra`, and so through every check it makes."""
+    assert _constructions("ChAlgebra") == {("gma.py", "_ch_algebra")}
 
 
 def _gma_calls(name):

@@ -624,6 +624,28 @@ def test_reducible_quotient_collapse():
 # ---- one base change against the three-quotient construction --------
 
 
+def _lift_to_group_algebra(ch, f):
+    """Matrix taking coordinates of ch to those of f.dst[G]: lift to A[G]
+    and apply f coefficientwise (ch must come from `ch_quotient`)."""
+    assert ch.quot.proj.src.name == f"{ch.base.name}[{ch.psr.group.name}]"
+    lifted = ch.quot.lift_matrix.reshape(ch.nbar, ch.psr.group.m, ch.base.n) @ f.matrix
+    return lifted.reshape(ch.nbar, ch.psr.group.m * f.dst.n) % f.dst.char
+
+
+def _rebuild_reference(ch, f, name=None, extra=None):
+    """(ch_out, connect) rebuilt from scratch over the target of f: the
+    Cayley-Hamilton quotient of f.dst[G] with the images of `extra` under
+    the lift killed as well, and connect = lift then project."""
+    lift = _lift_to_group_algebra(ch, f)
+    if extra is not None:
+        extra = (np.reshape(extra, (-1 if ch.nbar else 0, ch.nbar)) @ lift) % f.dst.char
+    down = gma.ch_quotient(psrep.psrep_base_change(ch.psr, f), name=name, extra=extra)
+    connect = (lift @ down.quot.proj.matrix) % down.algebra.char
+    rings.RingMap(ch.algebra, down.algebra, connect, name="connect").check_hom()
+    assert np.array_equal((ch.rho_mat @ connect) % down.algebra.char, down.rho_mat)
+    return down, connect
+
+
 def _three_quotient_reference(ch, f, extra_rows, name=None):
     """(ch_out, proj_mat) built as three quotients: the Cayley-Hamilton
     quotient over the target of f, that quotient by the pushed two-sided ideal,
@@ -631,42 +653,57 @@ def _three_quotient_reference(ch, f, extra_rows, name=None):
     from the kernel of the composite projection."""
 
     def pushforward(quot):
-        lifted = ch.quot.lift_matrix.reshape(ch.nbar, ch.psr.group.m, ch.base.n) @ f.matrix
-        return (lifted.reshape(ch.nbar, -1) % f.dst.char @ quot.proj.matrix) % quot.algebra.char
+        return (_lift_to_group_algebra(ch, f) @ quot.proj.matrix) % quot.algebra.char
 
     down = gma.ch_quotient(psrep.psrep_base_change(ch.psr, f), name=name)
-    abar = f.dst
+    abar, group_alg = f.dst, down.quot.proj.src
     pushed = np.reshape(extra_rows, (-1, ch.nbar)) @ pushforward(down.quot)
     rows2 = algebras.two_sided_ideal_rows(down.algebra, pushed % down.algebra.char)
     assert not (rows2.shape[0] and ((rows2 @ down.t_matrix) % abar.char).any())
     quot2 = algebras.quotient_algebra(down.algebra, rows2, name=name)
     p_full = (down.quot.proj.matrix @ quot2.proj.matrix) % max(quot2.algebra.char, 1)
-    quot_full = algebras.quotient_algebra(down.E, linalg.kernel(p_full, down.E.p, down.E.k), name=name)
+    quot_full = algebras.quotient_algebra(group_alg, linalg.kernel(p_full, group_alg.p, group_alg.k), name=name)
     assert quot_full.algebra.n == quot2.algebra.n
     ebar = quot_full.algebra
     t_e = (down.quot.proj.matrix @ down.t_matrix) % abar.char
     rho = (abar.one @ quot_full.proj.matrix.reshape(ch.psr.group.m, abar.n, ebar.n)) % ebar.char
-    out = gma.ChAlgebra(down.psr, abar, down.E, ebar, quot_full, (quot_full.lift_matrix @ t_e) % abar.char, rho)
+    out = gma.ChAlgebra(down.psr, abar, ebar, quot_full, (quot_full.lift_matrix @ t_e) % abar.char, rho)
     out.verify()
     return out, pushforward(quot_full)
 
 
+def _same_base_change(got, want):
+    """Equal arrays: table, one, k, base embedding, trace, group images, connect."""
+    (g, g_connect), (w, w_connect) = got, want
+    assert g.algebra.k == w.algebra.k
+    for field in ("table", "one", "base_embed"):
+        assert np.array_equal(getattr(g.algebra, field), getattr(w.algebra, field))
+    assert np.array_equal(g.t_matrix, w.t_matrix)
+    assert np.array_equal(g.rho_mat, w.rho_mat)
+    assert np.array_equal(g_connect, w_connect)
+
+
 def test_ordinary_quotients_match_the_three_quotient_construction(monkeypatch, tmp_path):
-    """E_ord and E_red of every psrep unit the decision digests cover (the
-    bundled scenarios and generate_corpus(s, 48), s = 1, 2, 3), and of two
-    deformed dihedral contexts, are the arrays the three-quotient
-    construction gives: table, one, projection and lift, trace matrix,
-    group images and the projection from ch."""
+    """Every base change of the psrep units the decision digests cover (the
+    bundled scenarios and generate_corpus(s, 48), s = 1, 2, 3), of two
+    deformed dihedral contexts, of S3 over Z/25 and of the zero ring, the
+    residuals through `gma` and E_ord, E_red through `ordinary`, gives the
+    arrays of the rebuild from f.dst[G]; E_ord and E_red also those of the
+    three-quotient construction."""
     from test_ordinary_decisions import decision_units
 
-    built, original = [], ordinary.ch_base_change
+    built, original = [], gma.ch_base_change
 
-    def recorded(ch, f, name=None, extra=None):
-        out = original(ch, f, name, extra)
-        built.append(((ch, f, extra, name), out))
-        return out
+    def recorder(where):
+        def recorded(ch, f, name=None, extra=None):
+            out = original(ch, f, name, extra)
+            built.append((where, (ch, f, name, extra), out))
+            return out
 
-    monkeypatch.setattr(ordinary, "ch_base_change", recorded)
+        return recorded
+
+    monkeypatch.setattr(gma, "ch_base_change", recorder("gma"))
+    monkeypatch.setattr(ordinary, "ch_base_change", recorder("ordinary"))
     contexts = []
     for _, doc in decision_units(tmp_path):
         state = scenarios._State(scenarios.load_scenario(doc))
@@ -676,16 +713,20 @@ def test_ordinary_quotients_match_the_three_quotient_construction(monkeypatch, t
         psr = d5_t2_psrep(dp, ip)
         contexts.append(aligned_context(psr, groups.trivial_char(psr.group, T2, domain=dp, name="k")))
     kept = sum(not ordinary.reducible_ordinary_quotient(ctx)["quotient"].collapsed for ctx in contexts)
-    assert (len(contexts), kept, len(built)) == (76, 41, 82)
-    for args, (got, proj) in built:
-        want, want_proj = _three_quotient_reference(*args)
-        for field in ("table", "one"):
-            assert np.array_equal(getattr(got.algebra, field), getattr(want.algebra, field))
-        assert np.array_equal(got.quot.proj.matrix, want.quot.proj.matrix)
-        assert np.array_equal(got.quot.lift_matrix, want.quot.lift_matrix)
-        assert np.array_equal(got.t_matrix, want.t_matrix)
-        assert np.array_equal(got.rho_mat, want.rho_mat)
-        assert np.array_equal(proj, want_proj)
+    from test_gma import s3_irr_psrep
+
+    gma.ch_quotient(s3_irr_psrep(Z25)).residual
+    zero = rings.zero_ring(5)
+    t = np.zeros((2, 0), dtype=np.int64)
+    zero_ch = gma.ch_quotient(psrep.Pseudorep2(groups.cyclic_group(2), zero, t, t.copy(), name="z"))
+    ident = rings.RingMap(zero, zero, np.zeros((0, 0), dtype=np.int64), name="id")
+    gma.ch_base_change(zero_ch, ident, extra=np.zeros((0, 0), dtype=np.int64))
+    counts = {where: sum(w == where for w, _, _ in built) for where in ("gma", "ordinary")}
+    assert (len(contexts), kept, counts) == (76, 41, {"gma": 78, "ordinary": 82})
+    for where, (ch, f, name, extra), got in built:
+        _same_base_change(got, _rebuild_reference(ch, f, name, extra))
+        if where == "ordinary":
+            _same_base_change(got, _three_quotient_reference(ch, f, extra, name))
 
 
 # ---- tangent counting ------------------------------------------------
