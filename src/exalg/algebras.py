@@ -20,7 +20,6 @@ __all__ = [
     "group_algebra",
     "matrix_algebra",
     "two_sided_ideal_rows",
-    "subalgebra_closure",
     "AlgebraQuotient",
     "quotient_algebra",
 ]
@@ -28,6 +27,8 @@ __all__ = [
 
 class AssocAlgebra(FiniteRing):
     """Finite associative algebra with a marked central coefficient ring."""
+
+    FULL_CHECK_DIM = 24  # `FiniteRing.FULL_CHECK_DIM` for `check_algebra`
 
     def __init__(self, p, k, table, one, base: FiniteRing, base_embed, name="E"):
         super().__init__(p, k, np.asarray(table), np.asarray(one), name)
@@ -41,7 +42,7 @@ class AssocAlgebra(FiniteRing):
     def _local_data(self):
         raise InputError("local-ring analysis is for commutative rings only")
 
-    def check_ring(self, rng_seed: int = 0, full_limit: int = 20) -> None:
+    def check_ring(self) -> None:
         raise InputError("use check_algebra for associative algebras")
 
     def scalar(self, a) -> np.ndarray:
@@ -62,7 +63,7 @@ class AssocAlgebra(FiniteRing):
     def commutator(self, x, y) -> np.ndarray:
         return self.sub(self.mul(x, y), self.mul(y, x))
 
-    def check_algebra(self, rng_seed: int = 0, full_limit: int = 24) -> None:
+    def check_algebra(self) -> None:
         """The unit on every basis element, associativity, and the base as a
         central unital subring; the unit and centrality each on one stack,
         naming the first failing index."""
@@ -74,7 +75,7 @@ class AssocAlgebra(FiniteRing):
         bad = np.flatnonzero(((left != eye) | (right != eye)).any(axis=1))
         if bad.size:
             raise InvariantViolation(f"one fails on basis {bad[0]}")
-        self._check_associativity(rng_seed, full_limit)
+        self._check_associativity(0, self.FULL_CHECK_DIM)
         RingMap(self.base, self, self.base_embed, name="base").check_hom()
         embed = self.base_embed  # row a is the image of base basis element a
         bad = np.flatnonzero((self.mul_matrix(embed) != self.right_mul_matrix(embed)).any(axis=(1, 2)))
@@ -143,7 +144,7 @@ def matrix_algebra(base: FiniteRing, size: int, name: str | None = None) -> Asso
     return AssocAlgebra(base.p, base.k, table, one, base, embed, name=name or f"M{size}({base.name})")
 
 
-# ---- ideals and subalgebras -----------------------------------------
+# ---- ideals ---------------------------------------------------------
 
 
 def two_sided_ideal_rows(alg: AssocAlgebra, gens) -> np.ndarray:
@@ -160,16 +161,6 @@ def two_sided_ideal_rows(alg: AssocAlgebra, gens) -> np.ndarray:
     left = np.matmul(rows, alg.table) % alg.char  # left[a] = e_a * rows
     h = linalg.howell_form(left.reshape(-1, n), alg.p, alg.k, ncols=n)
     return linalg.howell_form(alg.orbit(h), alg.p, alg.k, ncols=n)
-
-
-def subalgebra_closure(alg: AssocAlgebra, gens, with_one: bool = True) -> np.ndarray:
-    """Howell basis of the unital subalgebra spanned by `gens`."""
-    rows = [np.asarray(g, dtype=np.int64) % alg.char for g in gens]
-    if with_one:
-        rows = [alg.one.copy()] + rows
-    return linalg.howell_closure(
-        np.array(rows), alg.p, alg.k, alg.n, lambda h: alg.mul_outer(h, h).reshape(-1, alg.n)
-    )
 
 
 # ---- quotients -------------------------------------------------------

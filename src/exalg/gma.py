@@ -65,7 +65,6 @@ B and C are the Howell forms of the rows e1 x e2 and e2 x e1.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,11 +92,8 @@ __all__ = [
     "GmaAlgebra",
     "gma_decompose",
     "abstract_gma",
-    "coordinate_maps",
     "split_as_characters",
     "reducibility_ideal",
-    "maximal_subideals",
-    "reducibility_minimality",
 ]
 
 # seed and size of the sampled spot checks in `ChAlgebra.verify`
@@ -543,33 +539,6 @@ def _raise_first(checks) -> None:
         raise (error or [InvariantViolation])[0](msg.format(row))
 
 
-def _reassembles(gma: GmaAlgebra, xs, x11, x12, x21, x22) -> np.ndarray:
-    """Per row: x11 e1 + x12 + x21 + x22 e2 == xs, corners as base scalars."""
-    al = gma.algebra
-    corners = al.mul(al.scalar(x11), gma.e1) + al.mul(al.scalar(x22), gma.e2)
-    return ((corners + x12 + x21) % al.char == xs).all(axis=1)
-
-
-def coordinate_maps(gma: GmaAlgebra) -> dict:
-    """Group images in Peirce coordinates, with exact reassembly.
-
-    rho11 and rho22 are base scalars; rho12 and rho21 keep algebra
-    coordinates inside the B and C spans.
-    """
-    if gma.ch is None:
-        raise InputError("coordinate maps need a pseudorep-backed instance")
-    ch, al, a = gma.ch, gma.algebra, gma.base
-    x = ch.rho_mat
-    rho11, rho22 = gma.phi1_of(x), gma.phi2_of(x)
-    rho12, rho21 = (x @ gma.p12) % al.char, (x @ gma.p21) % al.char
-    _raise_first([
-        (_reassembles(gma, x, rho11, rho12, rho21, rho22), "coordinates do not reassemble the image of {}"),
-        (linalg.FactoredSpan(gma.b_basis, a.p, a.k).contains(rho12), "off-diagonal coordinate escapes the B span"),
-        (linalg.FactoredSpan(gma.c_basis, a.p, a.k).contains(rho21), "off-diagonal coordinate escapes the C span"),
-    ])
-    return {"rho11": rho11, "rho12": rho12, "rho21": rho21, "rho22": rho22}
-
-
 # ---- reducibility ---------------------------------------------------
 
 
@@ -601,93 +570,3 @@ def reducibility_ideal(gma: GmaAlgebra) -> dict:
         "quotient": q,
         "certificate": cert,
     }
-
-
-def _ideal_elements(a: FiniteRing, ideal: Ideal, budget: int):
-    """Every element of the ideal span, one coefficient range per Howell row."""
-    rows = ideal.basis
-    if rows.shape[0] == 0:
-        yield a.zero()
-        return
-    info = linalg.pivot_info(rows, a.p, a.k)
-    spans = [a.p ** (a.k - info[int(np.nonzero(row)[0][0])]) for row in rows]
-    total = 1
-    for s in spans:
-        total *= s
-    if total > budget:
-        raise BudgetExceeded(f"ideal has {total} elements, budget {budget}")
-    for combo in itertools.product(*(range(s) for s in spans)):
-        vec = np.zeros(a.n, dtype=np.int64)
-        for c, row in zip(combo, rows):
-            vec = vec + c * row
-        yield vec % a.char
-
-
-def maximal_subideals(ideal: Ideal, budget: int = 100000) -> list[Ideal]:
-    """Maximal proper subideals of a nonzero ideal in a local ring.
-
-    Every maximal subideal contains m*J, so the candidates live in the
-    semisimple quotient J / mJ.  Its submodules are the sums of lines (mJ
-    plus one element); a sum is maximal exactly when its index in J is the
-    residue field size.
-    """
-    a = ideal.ring
-    if not a.is_local:
-        raise InputError("subideal enumeration expects a local ring")
-    if ideal.is_zero():
-        return []
-    m = a.maximal_ideal()
-    mj = ideal.mul_ideal(m)
-    target_log = ideal.log_size() - a.residue_log_size
-    lines: list[Ideal] = []
-    seen = set()
-    for x in _ideal_elements(a, ideal, budget):
-        if mj.contains(x):
-            continue
-        line = mj.add_ideal(Ideal(a, x.reshape(1, -1)))
-        if line not in seen:
-            seen.add(line)
-            lines.append(line)
-    lattice = {mj}
-    frontier = [mj]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for line in lines:
-                if cur.contains_ideal(line):
-                    continue
-                new = cur.add_ideal(line)
-                if new not in lattice:
-                    lattice.add(new)
-                    nxt.append(new)
-        frontier = nxt
-        if len(lattice) > budget:
-            raise BudgetExceeded("subideal lattice exceeds the budget")
-    return sorted(
-        (j for j in lattice if j.log_size() == target_log),
-        key=lambda j: j.basis.tobytes(),
-    )
-
-
-def reducibility_minimality(gma: GmaAlgebra, budget: int = 100000) -> dict:
-    """Check that no maximal proper subideal already splits the trace."""
-    if gma.ch is None:
-        raise InputError("minimality needs a pseudorep-backed instance")
-    red = reducibility_ideal(gma)
-    ideal = red["ideal"]
-    if ideal.is_zero():
-        return {"minimal": True, "checked": 0, "witness": None, "note": "zero ideal, nothing below"}
-    a = gma.base
-    checked = 0
-    for sub in maximal_subideals(ideal, budget=budget):
-        q = quotient_ring(a, sub)
-        cert = split_as_characters(psrep_base_change(gma.ch.psr, q.proj), budget=budget)
-        checked += 1
-        if cert["split"]:
-            return {
-                "minimal": False,
-                "checked": checked,
-                "witness": sub,
-                "note": "a proper subideal already splits the trace",
-            }
-    return {"minimal": True, "checked": checked, "witness": None, "note": ""}

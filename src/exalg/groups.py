@@ -29,7 +29,6 @@ __all__ = [
     "cyclic_group",
     "dihedral_group",
     "symmetric_3",
-    "direct_product",
     "trivial_char",
     "cyclic_char",
 ]
@@ -199,21 +198,6 @@ def dihedral_group(n: int, name: str | None = None) -> MarkedGroup:
 def symmetric_3() -> MarkedGroup:
     g = dihedral_group(3, name="S3")
     return g
-
-
-def direct_product(a: MarkedGroup, b: MarkedGroup, name: str | None = None) -> MarkedGroup:
-    ma, mb = a.m, b.m
-    _require_order(ma * mb)
-    table = np.zeros((ma * mb, ma * mb), dtype=np.int64)
-    for x1 in range(ma):
-        for y1 in range(mb):
-            for x2 in range(ma):
-                for y2 in range(mb):
-                    table[x1 * mb + y1, x2 * mb + y2] = a.mul(x1, x2) * mb + b.mul(y1, y2)
-    names = [f"({a.names[x]},{b.names[y]})" for x in range(ma) for y in range(mb)]
-    return MarkedGroup(
-        table, a.identity * mb + b.identity, names, name=name or f"{a.name}x{b.name}"
-    )
 
 
 # ---- characters ------------------------------------------------------

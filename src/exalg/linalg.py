@@ -45,7 +45,6 @@ from .errors import InputError
 __all__ = [
     "FactoredSpan",
     "check_modulus",
-    "howell_closure",
     "howell_form",
     "howell_with_transform",
     "kernel",
@@ -162,18 +161,6 @@ def howell_form(rows, p: int, k: int, ncols: int | None = None) -> np.ndarray:
         return a
     h, _, done = _engine(a, p, k, with_transform=False)
     return h[:done].copy()
-
-
-def howell_closure(rows, p: int, k: int, ncols: int, step) -> np.ndarray:
-    """Howell form of the least span that contains `rows` and is closed
-    under `step`, which maps a Howell basis to rows the span must contain."""
-    h = howell_form(rows, p, k, ncols=ncols)
-    while h.shape[0]:
-        h2 = howell_form(np.vstack([h, step(h)]), p, k, ncols=ncols)
-        if span_equal(h, h2):
-            break
-        h = h2
-    return h
 
 
 class FactoredSpan:

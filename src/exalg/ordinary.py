@@ -47,15 +47,13 @@ element e_j:
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .algebras import quotient_algebra, two_sided_ideal_rows
-from .errors import BudgetExceeded, InputError, InvariantViolation
+from .errors import InputError, InvariantViolation
 from .gma import (
     ChAlgebra,
     GmaAlgebra,
@@ -67,8 +65,8 @@ from .gma import (
     ch_quotient,
 )
 from .groups import GroupChar
-from .psrep import Pseudorep2, psrep_base_change, split_as_characters, validate_pseudorep
-from .rings import FiniteRing, Ideal, QuotientRing, quotient_ring
+from .psrep import Pseudorep2, psrep_base_change, split_as_characters
+from .rings import Ideal, QuotientRing, quotient_ring
 
 __all__ = [
     "OrdinaryContext",
@@ -79,8 +77,6 @@ __all__ = [
     "is_ordinary_psrep",
     "is_ordinary_ch",
     "reducible_ordinary_quotient",
-    "ordinary_tangent_count",
-    "ordinary_factorization_check",
 ]
 
 
@@ -210,7 +206,6 @@ class OrdinaryQuotient:
 
     ctx: OrdinaryContext
     j_star_rows: np.ndarray  # Howell basis of J*, coordinates of ctx.ch.algebra
-    j_star_generators: list
     j_r: Ideal
     j_rows: np.ndarray  # Howell basis of J* + J_R E
     base_quot: QuotientRing
@@ -230,19 +225,15 @@ def _scaled_rows(al, basis) -> np.ndarray:
 
 
 def _base_ideal(gma: GmaAlgebra, kappa: GroupChar):
-    """(J* rows, J* provenance, J_R, J_R provenance) of the ordinary relations.
+    """(J* rows, J_R provenance, J_R) of the ordinary relations.
 
     J* is the two-sided ideal the generators of `_relations` span, as a
     Howell basis; J_R is generated by the trace and determinant of each
-    J* row, recorded in that order.
+    J* row, recorded in that order as its provenance.
     """
     ch = gma.ch
     al, a = ch.algebra, ch.base
-    relations = _relations(gma, kappa)
-    star_prov = [
-        {"clause": clause, "element": int(g), "value": [int(c) for c in v]} for clause, g, v in relations
-    ]
-    gens = [v for _, _, v in relations if v.any()]
+    gens = [v for _, _, v in _relations(gma, kappa) if v.any()]
     j_star = two_sided_ideal_rows(al, np.asarray(gens, dtype=np.int64).reshape(-1, al.n))
     tv, dv = ch.t_el(j_star), ch.d_el(j_star)
     jr_prov = [
@@ -251,7 +242,7 @@ def _base_ideal(gma: GmaAlgebra, kappa: GroupChar):
         for kind, v in (("trace", tv[i]), ("determinant", dv[i]))
     ]
     j_r = Ideal(a, np.stack([tv, dv], axis=1).reshape(-1, a.n))
-    return j_star, star_prov, j_r, jr_prov
+    return j_star, jr_prov, j_r
 
 
 def _j_r_zero(ch: ChAlgebra, es, kappa: GroupChar) -> np.ndarray:
@@ -262,15 +253,10 @@ def _j_r_zero(ch: ChAlgebra, es, kappa: GroupChar) -> np.ndarray:
     return ~((ch.algebra.mul_matrix(_relation_stack(ch, es, kappa)) @ ch.t_matrix) % ch.base.char).any(axis=(1, 2, 3))
 
 
-def _j_r_is_zero(gma: GmaAlgebra, kappa: GroupChar) -> bool:
-    """`_base_ideal(gma, kappa)[2].is_zero()`: `_j_r_zero` of gma's e1."""
-    return bool(_j_r_zero(gma.ch, gma.e1[None], kappa)[0])
-
-
 def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> OrdinaryQuotient:
     ch = ctx.ch
     al, a = ch.algebra, ch.base
-    j_star, star_prov, j_r, jr_prov = _base_ideal(ctx.gma, ctx.kappa)
+    j_star, jr_prov, j_r = _base_ideal(ctx.gma, ctx.kappa)
     # J* + J_R E, for the record and for the quotient below
     j_rows = linalg.howell_form(np.vstack([j_star, _scaled_rows(al, j_r.basis)]), al.p, al.k, ncols=al.n)
     collapsed = j_r.is_unit_ideal()
@@ -285,7 +271,7 @@ def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> Ordinary
     if not collapsed:
         # the trace must die on J*, or J_R was not saturated and the base change refuses
         e_ord, proj_mat = ch_base_change(ch, base_quot.proj, name or f"{al.name} ord", j_star)
-    return OrdinaryQuotient(ctx, j_star, star_prov, j_r, j_rows, base_quot, e_ord, proj_mat, collapsed, collapse_step)
+    return OrdinaryQuotient(ctx, j_star, j_r, j_rows, base_quot, e_ord, proj_mat, collapsed, collapse_step)
 
 
 # ---- deciding ordinarity for a pseudorepresentation ------------------
@@ -427,211 +413,4 @@ def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -
         "certificate": cert,
         "collapsed": False,
         "rank_match": rank_match,
-    }
-
-
-# ---- universality of the ordinary quotient ---------------------------
-
-
-def ordinary_factorization_check(ctx: OrdinaryContext, budget: int = 200000) -> dict:
-    """The universal property of E_ord, verified by enumeration.
-
-    A quotient pair (I, K) -- I an ideal of the base, K a two-sided ideal
-    of the Cayley-Hamilton algebra with I E <= K -- carries the ordinary
-    relations exactly when the J* generators land in K and the trace maps
-    K into I.  Every qualifying pair must contain (J_R, J* + J_R E), and
-    that pair itself qualifies; both directions are checked over every
-    cyclic base ideal and the two-sided closures of a spanning family of
-    seed vectors.  Raises on any violation.
-    """
-    ch = ctx.gma.ch
-    al, a = ch.algebra, ch.base
-    if a.size > budget:
-        raise BudgetExceeded(f"base has {a.size} elements, budget {budget}")
-    oq = ordinary_quotient(ctx)
-    # the J* generators of `_relations`, as `_base_ideal` recorded them
-    gens = np.array([pr["value"] for pr in oq.j_star_generators], dtype=np.int64).reshape(-1, al.n)
-    base_ideals, seen = [], set()
-    for x in a.elements(limit=budget):
-        ideal = Ideal(a, x.reshape(1, -1))
-        key = ideal.basis.tobytes()
-        if key not in seen:
-            seen.add(key)
-            base_ideals.append(ideal)
-    rng = random.Random(0)
-    seeds = [np.zeros(al.n, dtype=np.int64)]
-    seeds.extend(np.eye(al.n, dtype=np.int64))
-    seeds.extend(al.random_element(rng, 8))
-    seeds.extend(oq.j_star_rows)
-    seeds.extend(oq.j_rows)
-    qualified = 0
-    for ideal in base_ideals:
-        ie = _scaled_rows(al, ideal.basis)
-        for seed in seeds:
-            k_span = linalg.FactoredSpan(two_sided_ideal_rows(al, np.vstack([seed[None], ie])), al.p, al.k)
-            if not (k_span.contains(gens).all() and ideal.span.contains(ch.t_el(k_span.h)).all()):
-                continue
-            qualified += 1
-            if not ideal.contains_ideal(oq.j_r):
-                raise InvariantViolation("qualifying quotient misses the ordinary base ideal")
-            if not k_span.contains(oq.j_rows).all():
-                raise InvariantViolation("qualifying quotient misses the ordinary ideal")
-    # the canonical pair qualifies
-    if not linalg.FactoredSpan(oq.j_rows, al.p, al.k).contains(gens).all():
-        raise InvariantViolation("ordinary ideal misses its own generators")
-    if not oq.j_r.span.contains(ch.t_el(oq.j_rows)).all():
-        raise InvariantViolation("ordinary trace values escape the base ideal")
-    return {"ok": True, "qualified": qualified, "base_ideals": len(base_ideals)}
-
-
-# ---- tangent counting over dual numbers ------------------------------
-
-
-def _dual_numbers(f: FiniteRing):
-    from .rings import truncated_poly_ring
-
-    return truncated_poly_ring(f, 2, name=f"{f.name}[eps]")
-
-
-def ordinary_tangent_count(
-    psr: Pseudorep2, kappa: GroupChar | None = None, constraint: str = "all",
-    budget: int = 200000,
-) -> dict:
-    """Dimension of the space of first-order trace deformations.
-
-    Works over a field F with |F| <= 9 and |G| <= 16.  A deformation is a
-    delta: G -> F with t + eps delta (and the determinant it forces) again
-    a pseudorepresentation over F[eps]; those deltas are exactly the
-    kernel of the linearized laws, which is solved as one linear system.
-    The solutions are then enumerated and filtered by the requested
-    constraint ("all", "ordinary", "reducible-ordinary"), the filtered set
-    is checked to be closed under addition, and its F-dimension returned.
-    """
-    grp, f = psr.group, psr.ring
-    if f.k != 1 or not f.is_local or not f.maximal_ideal().is_zero():
-        raise InputError("tangent counting expects a field base")
-    if f.p**f.n > 9:
-        raise InputError("field too large for tangent enumeration")
-    if grp.m > 16:
-        raise InputError("group too large for tangent enumeration")
-    if constraint not in ("all", "ordinary", "reducible-ordinary"):
-        raise InputError(f"unknown constraint {constraint!r}")
-    if constraint != "all":
-        if kappa is None:
-            raise InputError("ordinary constraints need kappa")
-        if grp.dp is None or grp.ip is None:
-            raise InputError("group carries no decomposition/inertia marks")
-    psr.check()
-    m, nf, p = grp.m, f.n, f.p
-    dim_amb = m * nf
-    inv2 = pow(2, -1, p)
-
-    def block(g: int, mat=None) -> np.ndarray:
-        out = np.zeros((dim_amb, nf), dtype=np.int64)
-        out[g * nf : (g + 1) * nf] = np.eye(nf, dtype=np.int64) if mat is None else mat
-        return out
-
-    def dd_row(g: int) -> np.ndarray:
-        # delta d(g) = inv2 (2 t(g) delta(g) - delta(g^2))
-        g2 = grp.mul(g, g)
-        r = block(g, f.mul_matrix(f.smul(2, psr.t[g]))) - block(g2)
-        return (inv2 * r) % p
-
-    eqs = [block(grp.identity), dd_row(grp.identity)]
-    for g in range(m):
-        for h in range(m):
-            gh, hg = grp.mul(g, h), grp.mul(h, g)
-            if g < h and gh != hg:
-                eqs.append((block(gh) - block(hg)) % p)
-            ghi = grp.mul(g, grp.inv(h))
-            row = (
-                block(h, f.mul_matrix(psr.t[g]))
-                + block(g, f.mul_matrix(psr.t[h]))
-                - block(gh)
-                - block(ghi, f.mul_matrix(psr.d[h]))
-                - (dd_row(h) @ f.mul_matrix(psr.t[ghi]))
-            ) % p
-            eqs.append(row)
-            row = (
-                dd_row(gh)
-                - dd_row(h) @ f.mul_matrix(psr.d[g])
-                - dd_row(g) @ f.mul_matrix(psr.d[h])
-            ) % p
-            eqs.append(row)
-    sol = linalg.kernel(np.hstack(eqs) % p, p, 1)
-    fp_dim = sol.shape[0]
-    if p**fp_dim > budget:
-        raise BudgetExceeded(f"tangent space has {p}^{fp_dim} points, budget {budget}")
-    reps = _dual_numbers(f)
-    kappa2 = None
-    if kappa is not None:
-        pad = {g: np.concatenate([kappa(g), np.zeros(nf, dtype=np.int64)]) for g in kappa.domain}
-        kappa2 = GroupChar(grp, reps, pad, name=f"{kappa.name}[eps]")
-
-    def as_psrep(delta: np.ndarray) -> Pseudorep2:
-        dm = delta.reshape(m, nf)
-        t2 = np.zeros((m, reps.n), dtype=np.int64)
-        d2 = np.zeros((m, reps.n), dtype=np.int64)
-        for g in range(m):
-            t2[g] = np.concatenate([psr.t[g], dm[g]])
-            dd = (inv2 * (2 * f.mul(psr.t[g], dm[g]) - dm[grp.mul(g, g)])) % p
-            d2[g] = np.concatenate([psr.d[g], dd])
-        return Pseudorep2(grp, reps, t2, d2, name=f"{psr.name} deform")
-
-    kept = set()
-    for coeffs in itertools.product(range(p), repeat=fp_dim):
-        delta = (np.asarray(coeffs, dtype=np.int64) @ sol) % p if fp_dim else np.zeros(dim_amb, dtype=np.int64)
-        cand = as_psrep(delta)
-        rep = validate_pseudorep(cand)
-        if not rep["ok"]:
-            raise InvariantViolation("linearized solution fails the exact laws")
-        if constraint != "all":
-            dec = is_ordinary_psrep(cand, kappa2, budget=budget)
-            if not dec["supported"]:
-                return {
-                    "supported": False,
-                    "constraint": constraint,
-                    "reason": f"ordinarity undecidable on a deformation: {dec['reason']}",
-                }
-            if not dec["ordinary"]:
-                continue
-            if constraint == "reducible-ordinary" and not split_as_characters(cand)["split"]:
-                continue
-        kept.add(tuple(int(c) for c in delta))
-    if not kept:
-        return {
-            "supported": True,
-            "constraint": constraint,
-            "count": 0,
-            "dimension": None,
-            "fp_dimension": None,
-            "closed_under_addition": True,
-            "ambient_fp_dimension": fp_dim,
-        }
-    if len(kept) <= 128:
-        pairs = itertools.combinations_with_replacement(sorted(kept), 2)
-    else:
-        rng = random.Random(0)
-        pool = sorted(kept)
-        pairs = ((rng.choice(pool), rng.choice(pool)) for _ in range(500))
-    for x, y in pairs:
-        s = tuple((a + b) % p for a, b in zip(x, y))
-        if s not in kept:
-            raise InvariantViolation("constrained deformations are not closed under addition")
-    count = len(kept)
-    fp_kept = 0
-    while p ** (fp_kept + 1) <= count:
-        fp_kept += 1
-    if p**fp_kept != count:
-        raise InvariantViolation("constrained deformation count is not a power of p")
-    if fp_kept % nf:
-        raise InvariantViolation("constrained deformations are not an F-subspace")
-    return {
-        "supported": True,
-        "constraint": constraint,
-        "count": count,
-        "dimension": fp_kept // nf,
-        "fp_dimension": fp_kept,
-        "closed_under_addition": True,
-        "ambient_fp_dimension": fp_dim,
     }

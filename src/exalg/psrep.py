@@ -44,7 +44,6 @@ from .rings import FiniteRing, RingMap
 __all__ = [
     "Pseudorep2",
     "validate_pseudorep",
-    "char_poly_at",
     "psrep_from_chars",
     "psrep_base_change",
     "MatrixRep2",
@@ -150,12 +149,6 @@ def validate_pseudorep(psr: Pseudorep2, max_failures: int = 10) -> dict:
         if len(failures) >= max_failures:
             break
     return {"ok": not failures, "failures": failures}
-
-
-def char_poly_at(psr: Pseudorep2, g: int) -> list[np.ndarray]:
-    """Coefficients [c0, c1, c2] of x^2 + c1 x + c0 at g, so c1 = -t, c0 = d."""
-    r = psr.ring
-    return [psr.d[g].copy(), (-psr.t[g]) % r.char, r.one.copy()]
 
 
 def psrep_from_chars(chi1: GroupChar, chi2: GroupChar, name: str = "psr") -> Pseudorep2:

@@ -27,7 +27,7 @@ associativity check of large tables sums over the same view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import itertools
 import math
@@ -53,8 +53,6 @@ __all__ = [
     "embedding_dimension",
     "gorenstein_test",
     "smith_form",
-    "monogenic_generator",
-    "all_ring_maps",
     "DvrModel",
 ]
 
@@ -158,6 +156,10 @@ class FiniteRing:
     table: np.ndarray
     one: np.ndarray
     name: str = "R"
+
+    # largest dimension whose associativity is checked on every basis
+    # triple; past it, on 200 triples drawn with seed 0
+    FULL_CHECK_DIM = 20
 
     def __post_init__(self):
         linalg.check_modulus(self.p, self.k)
@@ -354,7 +356,7 @@ class FiniteRing:
 
     # ---- verification ----------------------------------------------
 
-    def check_ring(self, rng_seed: int = 0, full_limit: int = 20) -> None:
+    def check_ring(self) -> None:
         n = self.n
         if n == 0:
             return
@@ -365,7 +367,7 @@ class FiniteRing:
             raise InvariantViolation(f"one fails on basis {bad[0]}")
         if not np.array_equal(t, t.transpose(1, 0, 2)):
             raise InvariantViolation("structure constants are not commutative")
-        self._check_associativity(rng_seed, full_limit)
+        self._check_associativity(0, self.FULL_CHECK_DIM)
 
     def _check_associativity(self, rng_seed: int, full_limit: int) -> None:
         """(ab)c = a(bc) on all basis triples up to `full_limit`, else on 200 seeded triples."""
@@ -865,74 +867,6 @@ def product_ring(a: FiniteRing, b: FiniteRing, name: str | None = None) -> Finit
     table[a.n :, a.n :, a.n :] = b.table
     one = np.concatenate([a.one, b.one])
     return FiniteRing(a.p, a.k, table, one, name=name or f"{a.name}x{b.name}")
-
-
-# ---- hom enumeration (monogenic sources) ----------------------------
-
-
-def monogenic_generator(r: FiniteRing):
-    """A basis-spanning power generator (theta, minpoly) or None."""
-    singles = [(i,) for i in range(r.n)]
-    pairs = [(i, j) for i in range(r.n) for j in range(i + 1, r.n)]
-    for support in singles + pairs:
-        g = np.zeros(r.n, dtype=np.int64)
-        for i in support:
-            g[i] = 1
-        powers = [r.one.copy()]
-        for _ in range(r.n):
-            powers.append(r.mul(powers[-1], g))
-        span = linalg.howell_form(np.array(powers[: r.n]), r.p, r.k, ncols=r.n)
-        if linalg.span_log_size(span, r.p, r.k) == r.k * r.n:
-            # first monic relation among the powers
-            for d in range(1, r.n + 1):
-                sol = linalg.solve_left(np.array(powers[:d]), (-powers[d]) % r.char, r.p, r.k)
-                if sol is not None:
-                    return g, list(map(int, sol)) + [1]
-    return None
-
-
-def all_ring_maps(src: FiniteRing, dst: FiniteRing, limit: int = 20000) -> list[RingMap]:
-    """All unital ring maps src -> dst, via a monogenic presentation of src."""
-    if dst.p != src.p or dst.k > src.k:
-        return []
-    mono = monogenic_generator(src)
-    if mono is None:
-        raise BudgetExceeded("source ring is not monogenic; hom enumeration unsupported")
-    g, minpoly = mono
-    if dst.size > limit:
-        raise BudgetExceeded(f"target has {dst.size} elements, limit {limit}")
-    powers_src = [src.one.copy()]
-    for _ in range(src.n - 1):
-        powers_src.append(src.mul(powers_src[-1], g))
-    basis_in_powers = np.array(powers_src)
-    # express each src basis vector through the power basis once, up front
-    span = linalg.FactoredSpan.factor(basis_in_powers, src.p, src.k)
-    coeffs, ok = span.solve(np.eye(src.n, dtype=np.int64))
-    if not ok.all():
-        raise InvariantViolation("power basis fails to express a basis vector")
-    out = []
-    for cand in dst.elements(limit=limit):
-        acc = dst.one.copy()
-        val = dst.zero()
-        for c in minpoly:
-            val = dst.add(val, dst.smul(c, acc))
-            acc = dst.mul(acc, cand)
-        if val.any():
-            continue
-        powers_dst = [dst.one.copy()]
-        for _ in range(src.n - 1):
-            powers_dst.append(dst.mul(powers_dst[-1], cand))
-        mat = np.array(
-            [sum((int(c) * powers_dst[j] for j, c in enumerate(row)), dst.zero()) % dst.char for row in coeffs]
-        )
-        m = RingMap(src, dst, mat)
-        try:
-            m.check_hom()
-        except InvariantViolation:
-            continue
-        if not any(np.array_equal(m.matrix, o.matrix) for o in out):
-            out.append(m)
-    return out
 
 
 # ---- truncated discrete valuation model ----------------------------

@@ -80,7 +80,6 @@ __all__ = [
     "ideal_colength",
     "lenstra_check",
     "pinched_cubic",
-    "square_zero_algebra",
     "theorem_audit",
     "tower_corpus",
     "tower_eta",
@@ -383,13 +382,6 @@ def branch_algebra(o: DvrModel, m: int, name: str | None = None) -> AugmentedAlg
     if m < 1:
         raise InputError("branch meeting order must be >= 1")
     ring, emb, pi, _, basis = _adjoin_x(o, o.t(m), name or f"{o.ring.name}[x]/(x2-t{m}x)")
-    return augmented_algebra(o, ring, pi, emb, basis)
-
-
-def square_zero_algebra(o: DvrModel, name: str | None = None) -> AugmentedAlgebra:
-    """base[x]/(x^2), killing x."""
-    zero = np.zeros(o.ring.n, dtype=np.int64)
-    ring, emb, pi, _, basis = _adjoin_x(o, zero, name or f"{o.ring.name}[x]/(x2)")
     return augmented_algebra(o, ring, pi, emb, basis)
 
 

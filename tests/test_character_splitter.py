@@ -13,6 +13,7 @@ must agree on the root sets, the characters, `pairs_found`, `case`,
 import itertools
 
 import numpy as np
+import oracles
 import pytest
 from test_gma import T2, d4_irr_psrep, d5_t2_psrep, s3_irr_psrep
 from test_ordinary_decisions import _counter, _s3_f7, decision_units
@@ -167,7 +168,7 @@ F25 = rings.field_ring(5, 2)
 Z25 = rings.zmod_ring(5, 2)
 Z125 = rings.zmod_ring(5, 3)
 C4 = groups.cyclic_group(4)
-V4 = groups.direct_product(groups.cyclic_group(2), groups.cyclic_group(2))
+V4 = oracles.direct_product(groups.cyclic_group(2), groups.cyclic_group(2))
 
 
 def _fourth_roots_of_unity(r):

