@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 invariant failure, 2 input error,
 """
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -33,6 +34,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", type=Path, default=None, help="write reports into this directory")
 
 
+@functools.cache  # built once per process; parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="exalg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -29,6 +29,27 @@ input (more rows than columns) reduced without a transform sheds its zero
 rows once, on entry; the Howell form is canonical, so the output is the
 same as with every row kept.
 
+`howell_form` (without a transform) first splits off the singleton rows
+whose one nonzero entry is a unit.  Such a row at column c puts e_c in the
+span, so the span S is the direct sum of span{e_c : c in C}, C the set of
+those columns, and the span S' of the other rows with their C entries
+cleared (clearing subtracts multiples of the e_c, so S is unchanged).  S'
+lies in the coordinates off C, and the engine reduces only its rows,
+restricted to those coordinates.  The unit rows merged with the Howell
+form H' of S' in pivot order are the Howell form of S:
+- echelon: pivot columns are distinct, since H' has none in C;
+- reduced: a column c in C holds only the 1 of e_c, and a pivot column of
+  H' is zero in every e_c and reduced within H';
+- Howell property: an x in S that vanishes left of column j is
+  sum a_c e_c + y with a_c = x_c and y in S' equal to x off C, so a_c = 0
+  for c < j and y vanishes left of j; y is a combination of the rows of H'
+  with pivots at or past j, as H' is a Howell form.
+The Howell form is unique for its span (Howell 1986; Storjohann 2000), so
+this is the engine's output on all the rows, byte for byte.  A singleton
+p^v u with v > 0 is an ordinary row for the engine.  Most rows of the
+tower closures are unit singletons; inputs with fewer than _SPLIT_MIN
+rows or columns skip the split, whose overhead they would not repay.
+
 Rows are numpy int64 vectors with entries in [0, p^k).  All operations are
 exact; no floating point anywhere.
 """
@@ -75,6 +96,11 @@ def check_modulus(p: int, k: int) -> None:
         if p % d == 0:
             raise InputError(f"base prime must be prime, got {p}")
         d += 2
+
+
+# least row and column count at which `howell_form` splits off the unit
+# singleton rows; on smaller inputs the split costs more than it saves
+_SPLIT_MIN = 8
 
 
 def _val(x: int, p: int, k: int) -> int:
@@ -152,15 +178,42 @@ def howell_form(rows, p: int, k: int, ncols: int | None = None) -> np.ndarray:
 
     Two row sets span the same submodule iff their Howell forms are equal
     elementwise.  Pivot entries are powers of p at strictly increasing
-    columns; entries above a pivot p^v are reduced mod p^v.  A tall input
-    sheds its zero rows once, on entry, and each pivot clears its column
-    with one row update; neither changes the output.
+    columns; entries above a pivot p^v are reduced mod p^v.  From
+    _SPLIT_MIN rows and columns on, the unit singleton rows are split off
+    before the engine runs (module docstring); a tall input sheds its zero
+    rows once, on entry, and each pivot clears its column with one row
+    update.  None of these changes the output.
     """
     a = _as_matrix(rows, ncols)
     if a.shape[0] == 0:
         return a
+    if min(a.shape) >= _SPLIT_MIN:
+        a = a % p**k
+        single = np.flatnonzero(np.count_nonzero(a, axis=1) == 1)
+        cols = (a[single] != 0).argmax(axis=1) if single.size else single
+        cols = cols[a[single, cols] % p != 0]
+        if cols.size:
+            return _with_unit_rows(a, cols, p, k)
     h, _, done = _engine(a, p, k, with_transform=False)
     return h[:done].copy()
+
+
+def _with_unit_rows(a: np.ndarray, cols: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Howell form of the reduced rows `a`, which hold a unit singleton in
+    each column of `cols`: the unit rows e_c merged in pivot order with the
+    engine's Howell form of the rows on the other columns."""
+    unit = np.zeros(a.shape[1], dtype=bool)
+    unit[cols] = True
+    free = np.flatnonzero(~unit)
+    rest = a[:, free]
+    h, _, done = _engine(rest[rest.any(axis=1)], p, k, with_transform=False)
+    lead = (h[:done] != 0).argmax(axis=1) if done else free[:0]
+    pivots = np.concatenate([np.flatnonzero(unit), free[lead]])
+    out = np.zeros((pivots.size, a.shape[1]), dtype=np.int64)
+    nu = pivots.size - done
+    out[np.arange(nu), pivots[:nu]] = 1
+    out[nu:, free] = h[:done]
+    return out[np.argsort(pivots)]
 
 
 class FactoredSpan:

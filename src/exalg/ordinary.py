@@ -225,24 +225,19 @@ def _scaled_rows(al, basis) -> np.ndarray:
 
 
 def _base_ideal(gma: GmaAlgebra, kappa: GroupChar):
-    """(J* rows, J_R provenance, J_R) of the ordinary relations.
+    """(J* rows, J_R generators, J_R) of the ordinary relations.
 
     J* is the two-sided ideal the generators of `_relations` span, as a
     Howell basis; J_R is generated by the trace and determinant of each
-    J* row, recorded in that order as its provenance.
+    J* row, stacked in that order: generator g is the trace of row g // 2
+    when g is even, else its determinant.
     """
     ch = gma.ch
     al, a = ch.algebra, ch.base
     gens = [v for _, _, v in _relations(gma, kappa) if v.any()]
     j_star = two_sided_ideal_rows(al, np.asarray(gens, dtype=np.int64).reshape(-1, al.n))
-    tv, dv = ch.t_el(j_star), ch.d_el(j_star)
-    jr_prov = [
-        {"kind": kind, "row": i, "value": [int(c) for c in v]}
-        for i in range(len(j_star))
-        for kind, v in (("trace", tv[i]), ("determinant", dv[i]))
-    ]
-    j_r = Ideal(a, np.stack([tv, dv], axis=1).reshape(-1, a.n))
-    return j_star, jr_prov, j_r
+    jr_gens = np.stack([ch.t_el(j_star), ch.d_el(j_star)], axis=1).reshape(-1, a.n)
+    return j_star, jr_gens, Ideal(a, jr_gens)
 
 
 def _j_r_zero(ch: ChAlgebra, es, kappa: GroupChar) -> np.ndarray:
@@ -256,16 +251,19 @@ def _j_r_zero(ch: ChAlgebra, es, kappa: GroupChar) -> np.ndarray:
 def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> OrdinaryQuotient:
     ch = ctx.ch
     al, a = ch.algebra, ch.base
-    j_star, jr_prov, j_r = _base_ideal(ctx.gma, ctx.kappa)
+    j_star, jr_gens, j_r = _base_ideal(ctx.gma, ctx.kappa)
     # J* + J_R E, for the record and for the quotient below
     j_rows = linalg.howell_form(np.vstack([j_star, _scaled_rows(al, j_r.basis)]), al.p, al.k, ncols=al.n)
     collapsed = j_r.is_unit_ideal()
     e_ord = proj_mat = collapse_step = None
     if collapsed:
-        hit = next((pr for pr in jr_prov if a.is_unit(np.asarray(pr["value"]))), None)
+        hit = next((g for g, v in enumerate(jr_gens) if a.is_unit(v)), None)
+        generator = None if hit is None else {
+            "kind": ("trace", "determinant")[hit % 2], "row": hit // 2, "value": [int(c) for c in jr_gens[hit]]
+        }
         collapse_step = {
-            "generator": hit,
-            "note": "" if hit else "unit arises only as a combination of generators",
+            "generator": generator,
+            "note": "" if generator else "unit arises only as a combination of generators",
         }
     base_quot = quotient_ring(a, j_r, name=f"{a.name}/JR")
     if not collapsed:

@@ -21,8 +21,37 @@ Below that dimension it keeps the dense contraction.  The rule reads only
 the table's dimension.  On the `mul_matrix` and `orbit` inputs of one pass
 of each benchmark workload (2 cores, numpy 2.4), dense is 3.5x faster at
 n <= 6 and 1.4x at n = 8, the two tie at n = 10-12, and sparse is 1.5x
-faster at n = 16, 3x at n = 21-24 and 4-9x at n = 29-47.  The sampled
-associativity check of large tables sums over the same view.
+faster at n = 16, 3x at n = 21-24 and 4-9x at n = 29-47.
+
+The associativity check compares (e_i e_j) e_l = sum_x t[i,j,x] t[x,l,m]
+with e_i (e_j e_l) = sum_x t[j,l,x] t[i,x,m] on every basis triple.  From
+_SPARSE_DIM on it forms only the products of two nonzero constants: the
+left side joins the nonzero list of the table with itself, the third
+index of the first constant against the first index of the second, the
+right side the third index against the second index.  Each product is
+keyed by (i, j, l, m) and summed per key mod p^k, and the two sides must
+agree key by key; a key missing on one side sums to zero there.  The
+joins of the benchmark rings have at most 13,358 terms.  The term count
+is read off the per-index counts of the nonzero list before joining, and
+past _ASSOC_TERMS (admissible tables such as F125[t]/t^42 reach 0.7-1.6
+million) the check falls back to (ab)c = a(bc) on 200 triples drawn with
+seed 0, summed over the sparse view.  Below _SPARSE_DIM the dense n^4
+contraction is faster.
+
+`smith_form` takes the Howell form H of its rows first.  When every pivot
+of H is 1, H is a reduced echelon form whose pivot columns c_0 < ... <
+c_{r-1} are unit vectors, and the pivoting loop (`_smith_loop`) has a
+closed form.  By induction on t, step t picks the 1 at (t, c_t): a column
+only moves to a larger position, so columns left of c_t are the original
+ones, where row t is zero, and pivot columns not yet used sit where they
+started.  The loop swaps column t with column c_t, clears nothing below
+(column c_t is e_t), and clears row t by column operations that change no
+other row of the matrix.  So exps is 0 on the first r positions and k on
+the rest; winv holds the rows of H, then e_c for each non-pivot column c
+in its final position; and w holds e_{c_t} at position t, then e_c -
+sum_t H[t, c] e_{c_t} for each non-pivot column c.  The final positions
+are the loop's r swaps, replayed on a list.  A pivot p^v with v > 0
+keeps the loop.
 """
 
 from __future__ import annotations
@@ -68,6 +97,9 @@ MAX_POLY_DIM = 128
 _SPARSE_DIM = 12
 # products gathered at once by the sparse `mul_matrix`, in entries
 _GATHER_CELLS = 1 << 16
+# most terms the associativity check joins from dimension _SPARSE_DIM on;
+# past it the check samples triples
+_ASSOC_TERMS = 1 << 18
 
 
 def smith_form(rows, p: int, k: int, ncols: int):
@@ -76,7 +108,34 @@ def smith_form(rows, p: int, k: int, ncols: int):
     Returns (exps, w, winv) where exps[c] is the valuation of the diagonal
     relation at new coordinate c (k when there is no relation), and w is the
     ambient coordinate change: rowspan(rows) @ w = span{p^exps[c] * e_c}.
+    The rows are first put in Howell form, and a form whose pivots are all
+    1 gets the loop's output in closed form (module docstring).
     """
+    h = linalg.howell_form(
+        np.asarray(rows, dtype=np.int64).reshape(-1 if ncols else 0, ncols), p, k, ncols=ncols
+    )
+    r, m = h.shape[0], p**k
+    cols = (h != 0).argmax(axis=1) if r else np.zeros(0, dtype=np.int64)
+    if (h[np.arange(r), cols] != 1).any():
+        return _smith_loop(h, p, k, ncols)
+    order = list(range(ncols))  # the loop's column swaps, replayed
+    for t, c in enumerate(cols.tolist()):
+        order[t], order[c] = order[c], order[t]
+    free, rest = np.array(order[r:], dtype=np.int64), np.arange(r, ncols)
+    exps = np.zeros(ncols, dtype=np.int64)
+    exps[r:] = k
+    w = np.zeros((ncols, ncols), dtype=np.int64)
+    w[cols, np.arange(r)] = 1
+    w[free, rest] = 1
+    w[np.ix_(cols, rest)] = -h[:, free] % m
+    winv = np.zeros((ncols, ncols), dtype=np.int64)
+    winv[:r] = h
+    winv[rest, free] = 1
+    return exps, w, winv
+
+
+def _smith_loop(rows, p: int, k: int, ncols: int):
+    """`smith_form` by pivoting on a least-valuation entry, for any rows."""
     m = p**k
     a = np.asarray(rows, dtype=np.int64).reshape(-1 if ncols else 0, ncols) % m
     nr = a.shape[0]
@@ -156,10 +215,6 @@ class FiniteRing:
     table: np.ndarray
     one: np.ndarray
     name: str = "R"
-
-    # largest dimension whose associativity is checked on every basis
-    # triple; past it, on 200 triples drawn with seed 0
-    FULL_CHECK_DIM = 20
 
     def __post_init__(self):
         linalg.check_modulus(self.p, self.k)
@@ -367,18 +422,34 @@ class FiniteRing:
             raise InvariantViolation(f"one fails on basis {bad[0]}")
         if not np.array_equal(t, t.transpose(1, 0, 2)):
             raise InvariantViolation("structure constants are not commutative")
-        self._check_associativity(0, self.FULL_CHECK_DIM)
+        self._check_associativity()
 
-    def _check_associativity(self, rng_seed: int, full_limit: int) -> None:
-        """(ab)c = a(bc) on all basis triples up to `full_limit`, else on 200 seeded triples."""
+    def _check_associativity(self) -> None:
+        """(e_i e_j) e_l = e_i (e_j e_l) on every basis triple: densely below
+        _SPARSE_DIM, else over the nonzero constants (module docstring); past
+        _ASSOC_TERMS joined terms, (ab)c = a(bc) on 200 triples drawn with seed 0."""
         t, m, n = self.table, self.char, self.n
-        if n <= full_limit:
+        if n < _SPARSE_DIM:
             left = np.einsum("ijx,xlm->ijlm", t, t) % m
             right = np.einsum("jlx,ixm->ijlm", t, t) % m
             if not np.array_equal(left, right):
                 raise InvariantViolation("associativity fails")
             return
-        a, b, c = np.random.default_rng(rng_seed).integers(0, m, size=(3, 200, n))
+        i, j, l = t.nonzero()  # sorted by i
+        val = t[i, j, l]
+        count_i, count_j = np.bincount(i, minlength=n), np.bincount(j, minlength=n)
+        if count_i[l].sum() + count_j[l].sum() <= _ASSOC_TERMS:
+            # (e_i e_j) e_l: t[i, j, x] t[x, l, m], the second factor found by its first index
+            a, b = _join(l, count_i, np.cumsum(count_i) - count_i)
+            left = _summed(((i[a] * n + j[a]) * n + j[b]) * n + l[b], val[a] * val[b], m)
+            # e_i (e_j e_l): t[j, l, x] t[i, x, m], the second factor found by its second index
+            a, b = _join(l, count_j, np.cumsum(count_j) - count_j)
+            b = np.argsort(j, kind="stable")[b]
+            right = _summed(((i[b] * n + i[a]) * n + j[a]) * n + l[b], val[a] * val[b], m)
+            if not all(map(np.array_equal, left, right)):
+                raise InvariantViolation("associativity fails")
+            return
+        a, b, c = np.random.default_rng(0).integers(0, m, size=(3, 200, n))
         sp = self._sparse
 
         def mul(xs, ys):  # x*y summed over the nonzero constants only
@@ -476,6 +547,25 @@ class FiniteRing:
             if c > self.n * self.k + 2:
                 raise InvariantViolation("radical power chain does not terminate")
         return c
+
+
+def _join(x: np.ndarray, count: np.ndarray, start: np.ndarray):
+    """(a, b): every pair of a constant a and a constant b in the run of
+    x[a], where run c holds count[c] constants from start[c] on."""
+    reps = count[x]
+    a = np.repeat(np.arange(x.size), reps)
+    b = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps - start[x], reps)
+    return a, b
+
+
+def _summed(keys: np.ndarray, terms: np.ndarray, m: int):
+    """(keys, sums): the terms summed per key mod m, sorted by key, zero sums dropped."""
+    order = np.argsort(keys)
+    keys, terms = keys[order], terms[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(terms, starts) % m
+    nonzero = sums != 0
+    return keys[starts][nonzero], sums[nonzero]
 
 
 def _row_products(xs: np.ndarray, mats: np.ndarray, m: int) -> np.ndarray:
@@ -664,7 +754,7 @@ def _smith_coordinates(p, k, n, rel_rows):
     is free over Z/p^k' on the Smith coordinates with a nonzero exponent,
     `proj` (n, n') keeps those coordinates and `lift` (n', n) puts them back.
     """
-    exps, w, winv = smith_form(linalg.howell_form(rel_rows, p, k, ncols=n), p, k, n)
+    exps, w, winv = smith_form(rel_rows, p, k, n)
     nonzero = sorted({int(e) for e in exps if e > 0})
     if len(nonzero) > 1:
         raise NonFreeQuotientError(

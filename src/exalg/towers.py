@@ -50,6 +50,7 @@ from . import linalg
 from .errors import InputError, InvariantViolation
 from .modules import fitting_ideal, maximal_multiples, ring_det
 from .rings import (
+    MAX_POLY_DIM,
     DvrModel,
     FiniteRing,
     Ideal,
@@ -84,6 +85,13 @@ __all__ = [
     "tower_corpus",
     "tower_eta",
 ]
+
+
+# largest dimension s * dim(base) of an axes algebra: its (n, n, n) table is
+# built whole, and past it the replay spends seconds before its minor-count
+# budget refuses the tower (axes3 at s = 11, dimension 88: 13 s); the golden
+# axes towers have dimension at most 32
+MAX_AXES_DIM = 64
 
 
 # ---- base-module linear algebra ------------------------------------
@@ -355,6 +363,8 @@ def _adjoin_x(o: DvrModel, square: np.ndarray, name: str):
     """base[x] with x^2 = square * x, square a base element."""
     nl = o.ring.n
     n = 2 * nl
+    if n > MAX_POLY_DIM:  # refused before the n^3 table is allocated
+        raise InputError(f"{name} of dimension 2 * {nl} = {n} exceeds the supported maximum {MAX_POLY_DIM}")
     base = o.ring.table
     table = np.zeros((n, n, n), dtype=np.int64)
     table[:nl, :nl, :nl] = base
@@ -391,6 +401,8 @@ def axis_algebra(o: DvrModel, s: int, name: str | None = None) -> AugmentedAlgeb
         raise InputError("axis count must be >= 2")
     nl = o.ring.n
     n = s * nl
+    if n > MAX_AXES_DIM:  # refused before the n^3 table is allocated
+        raise InputError(f"axes algebra of dimension h.s * {nl} = {s} * {nl} = {n} exceeds {MAX_AXES_DIM}")
     base = o.ring.table
     t1 = o.ring.mul_matrix(o.t(1))
     table = np.zeros((n, n, n), dtype=np.int64)

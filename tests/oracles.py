@@ -31,7 +31,7 @@ from exalg.ordinary import (
     ordinary_quotient,
 )
 from exalg.psrep import Pseudorep2, psrep_base_change, split_as_characters, validate_pseudorep
-from exalg.rings import DvrModel, FiniteRing, Ideal, RingMap, quotient_ring, truncated_poly_ring
+from exalg.rings import DvrModel, FiniteRing, Ideal, RingMap, _smith_loop, quotient_ring, truncated_poly_ring
 from exalg.towers import AugmentedAlgebra, _adjoin_x, augmented_algebra
 
 
@@ -63,6 +63,38 @@ def subalgebra_closure(alg: AssocAlgebra, gens, with_one: bool = True) -> np.nda
     return howell_closure(
         np.array(rows), alg.p, alg.k, alg.n, lambda h: alg.mul_outer(h, h).reshape(-1, alg.n)
     )
+
+
+# ---- canonical forms and the associativity check -----------------
+
+
+# Oracle for `linalg.howell_form`: the engine alone on every row, without
+# the unit-singleton split.
+def engine_howell_form(rows, p: int, k: int, ncols: int | None = None) -> np.ndarray:
+    a = linalg._as_matrix(rows, ncols)
+    if a.shape[0] == 0:
+        return a
+    h, _, done = linalg._engine(a, p, k, with_transform=False)
+    return h[:done].copy()
+
+
+# Oracle for `rings.smith_form`: the pivoting loop, which the closed form of
+# a unit-pivot Howell form replaces, on the engine's Howell form of the rows.
+def loop_smith_form(rows, p: int, k: int, ncols: int):
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1 if ncols else 0, ncols)
+    return _smith_loop(engine_howell_form(rows, p, k, ncols), p, k, ncols)
+
+
+# Oracles for `FiniteRing._check_associativity`: the dense check on every
+# basis triple, and (ab)c = a(bc) on the 200 triples drawn with seed 0.
+def dense_associativity(r: FiniteRing) -> bool:
+    t, m = r.table, r.char
+    return np.array_equal(np.einsum("ijx,xlm->ijlm", t, t) % m, np.einsum("jlx,ixm->ijlm", t, t) % m)
+
+
+def sampled_associativity(r: FiniteRing) -> bool:
+    a, b, c = np.random.default_rng(0).integers(0, r.char, size=(3, 200, r.n))
+    return np.array_equal(r.mul(r.mul(a, b), c), r.mul(a, r.mul(b, c)))
 
 
 # ---- hom enumeration (monogenic sources) --------------------------

@@ -223,7 +223,7 @@ def test_scalar_action_matches_base():
         assert np.array_equal(lhs, rhs)
 
 
-M5 = algebras.matrix_algebra(Z25, 5)  # dimension 25, past the full check limit of 24
+M5 = algebras.matrix_algebra(Z25, 5)  # dimension 25: sampled when the term bound is 0
 OFF_DIAGONAL = [i for i in range(25) if i % 6]  # E_ab with a != b leave the unit's rows alone
 
 
@@ -239,16 +239,17 @@ def test_sampled_associativity_catches_one_corrupt_constant(i, j, l, delta):
     table[i, j, l] = (table[i, j, l] + delta) % 25
     bad = algebras.AssocAlgebra(5, 2, table, M5.one, Z25, M5.base_embed)
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(algebras.AssocAlgebra, "FULL_CHECK_DIM", 25)
-            bad.check_algebra()
+        bad.check_algebra()
     except InvariantViolation as e:
         assert str(e) == "associativity fails"
     else:
         return  # this corruption happens to keep the algebra associative
-    with pytest.raises(InvariantViolation, match="associativity fails on sample"):
-        bad.check_algebra()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "_ASSOC_TERMS", 0)
+        with pytest.raises(InvariantViolation, match="associativity fails on sample"):
+            bad.check_algebra()
 
 
-def test_sampled_associativity_accepts_an_algebra_past_the_full_limit():
+def test_sampled_associativity_accepts_an_algebra_past_the_full_limit(monkeypatch):
+    monkeypatch.setattr(rings, "_ASSOC_TERMS", 0)
     M5.check_algebra()

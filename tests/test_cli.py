@@ -10,6 +10,7 @@ Certificates quoted in the reports are re-verified here from scratch.
 import contextlib
 import io
 import json
+import random
 import sys
 import tempfile
 import time
@@ -543,6 +544,42 @@ def test_group_algebra_past_the_bound_exits_two(tmp_path, capsys):
     assert cli.main(["pipeline", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: scenario diag-ordinary, stage ch:") and "= 65 exceeds 64" in err
+
+
+def _axes_body(family: str, s: int) -> dict:
+    body = scenarios._tower_body(random.Random(0), family)
+    body["h"]["s"] = s
+    return {"schema": serialize.SCENARIO_SCHEMA, "name": f"{family}-s", "seed": 0, "budget": 200000, **body}
+
+
+@pytest.mark.parametrize("family", ["tower-axes2", "tower-axes3"])
+@pytest.mark.parametrize("s", [11, 25, 10**30])
+def test_oversized_axes_towers_exit_two_before_allocating(family, s):
+    """h.s past the axes bound is refused before the s*dim table exists."""
+    start = time.perf_counter()
+    code, err = _run_quietly(_axes_body(family, s))
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: scenario") and "h.s" in err and "exceeds" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_oversized_branch_algebra_exits_two(tmp_path, capsys):
+    """A branch tower over t^65 would need a 130-dimensional algebra."""
+    path = _bundled_variant(tmp_path, "plane-tower-r2", lambda d: (
+        d["dvr"].update(trunc=65), d.update(h={"kind": "branch", "m": 2})
+    ))
+    assert cli.main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "= 130 exceeds the supported maximum 128" in err
+
+
+def test_two_in_process_runs_give_the_same_bytes(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    outs = []
+    for _ in range(2):
+        assert cli.main(["pipeline", "diag-ordinary", "plane-tower-r2"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0]
 
 
 def test_generated_scenarios_actually_run(tmp_path):

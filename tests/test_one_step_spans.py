@@ -364,12 +364,19 @@ def test_check_ring_raises_as_before(which, idx, delta, symmetric):
     if symmetric:
         table[j, i, l] = table[i, j, l]
     bad = rings.FiniteRing(5, 2, table, base.one)
-    assert outcome(bad.check_ring) == outcome(old_check_ring, bad)
-    # the sampled branch alone, commutative or not
-    assert outcome(bad._check_associativity, 0, 20) == outcome(old_check_associativity, bad, 0, 20)
+    assert outcome(bad.check_ring) == outcome(old_check_ring, bad, 0, bad.n)
+    # every corruption the old sample rejected is still rejected
+    if outcome(old_check_ring, bad) is not None:
+        assert outcome(bad.check_ring) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "_ASSOC_TERMS", 0)
+        assert outcome(bad.check_ring) == outcome(old_check_ring, bad)
+        # the sampled branch alone, commutative or not
+        assert outcome(bad._check_associativity) == outcome(old_check_associativity, bad, 0, 20)
 
 
-def test_check_ring_corruptions_reach_every_message():
+def test_check_ring_corruptions_reach_every_message(monkeypatch):
+    monkeypatch.setattr(rings, "_ASSOC_TERMS", 0)
     big = CHECKED[1]
     messages = set()
     for (i, j, l) in [(0, 3, 4), (0, 3, 3), (2, 3, 9), (5, 7, 1)]:

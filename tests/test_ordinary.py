@@ -312,6 +312,37 @@ def test_irreducible_input_collapses():
     assert oq.collapse_step["generator"]["kind"] == "trace"
 
 
+def _old_collapse_step(ctx, j_star):
+    """The collapse record as built from the full J_R provenance list."""
+    ch = ctx.ch
+    tv, dv = ch.t_el(j_star), ch.d_el(j_star)
+    prov = [
+        {"kind": kind, "row": i, "value": [int(c) for c in v]}
+        for i in range(len(j_star))
+        for kind, v in (("trace", tv[i]), ("determinant", dv[i]))
+    ]
+    hit = next((pr for pr in prov if ch.base.is_unit(np.asarray(pr["value"]))), None)
+    return {"generator": hit, "note": "" if hit else "unit arises only as a combination of generators"}
+
+
+def test_collapse_step_matches_the_provenance_list():
+    psr, kappa = c4_setup()
+    rep = d4_rep(tuple(range(8)), tuple(range(8)))
+    d4 = psrep.psi_of_rep(rep)
+    ch = gma.ch_quotient(d4)
+    contexts = [
+        aligned_context(psr, kappa, flip=True),
+        ordinary.ordinary_context(
+            gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"]),
+            groups.trivial_char(d4.group, F5, domain=range(8), name="k"),
+        ),
+    ]
+    for ctx in contexts:
+        oq = ordinary.ordinary_quotient(ctx)
+        assert oq.collapsed
+        assert oq.collapse_step == _old_collapse_step(ctx, oq.j_star_rows)
+
+
 def test_deformed_dihedral_base_ideal_is_s():
     psr = d5_t2_psrep(tuple(range(5)), tuple(range(5)))
     kappa = groups.trivial_char(psr.group, T2, domain=range(5), name="k")

@@ -646,15 +646,15 @@ def test_sampled_associativity_catches_one_corrupt_constant(i, j, l, delta):
     table[i, j, l] = table[j, i, l] = (table[i, j, l] + delta) % 25  # still commutative
     bad = rings.FiniteRing(5, 2, table, T21.one)
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rings.FiniteRing, "FULL_CHECK_DIM", 21)
-            bad.check_ring()
+        bad.check_ring()
     except InvariantViolation as e:
         assert str(e) == "associativity fails"
     else:
         return  # this corruption happens to keep the ring associative
-    with pytest.raises(InvariantViolation, match="associativity fails on sample"):
-        bad.check_ring()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "_ASSOC_TERMS", 0)
+        with pytest.raises(InvariantViolation, match="associativity fails on sample"):
+            bad.check_ring()
 
 
 # ---- exactness guard ------------------------------------------------
