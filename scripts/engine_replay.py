@@ -1,4 +1,4 @@
-"""Replay the Howell and Smith inputs of one benchmark pass through two checkouts.
+"""Replay the Howell, Smith and ring-product inputs of one benchmark pass through two checkouts.
 
     python3 scripts/engine_replay.py PARENT_CHECKOUT --workload W [--seed 1] [--repeat 7]
 
@@ -17,9 +17,17 @@ separate package name):
   parent's `smith_form` of the parent's Howell form of the rows, which
   is what the parent's callers passed it: any difference in exps, w or
   winv.
-Each difference is printed and makes the exit status 1.  The best-of-N
-time of replaying each kind of input through each checkout is printed
-last.
+A second pass wraps `FiniteRing.mul_outer`, `FiniteRing.orbit` (the
+calls with `by`) and `RingMap.check_hom`.  Each call is repeated at once
+on the parent's rings with the same presentations (too many large tables
+pass through a pass to keep them all): any difference in the products,
+or in the verdict of `check_hom` (passing, or the type and message of
+what it raised), is printed.  A call made inside another wrapped call is
+part of that call's input and is not repeated on its own.
+Each difference makes the exit status 1.  The best-of-N time of
+replaying each kind of Howell and Smith input through each checkout is
+printed after its count, and the summed time of each kind of ring
+product, timed once per call, after its count.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import sys
 import tempfile
 import time
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -53,15 +62,28 @@ def load_parent(checkout: Path):
     return out[1:]
 
 
-def capture(workload: str, seed: int) -> dict[str, list[tuple]]:
-    """The arguments of every engine, `howell_form` and `smith_form` call in one pass."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from exalg import linalg, rings
+def run_pass(workload: str, seed: int, wrappers: dict) -> None:
+    """One pass of the workload with each (owner, name) replaced by wrappers[owner, name]."""
     import workloads
 
+    originals = {key: getattr(*key) for key in wrappers}
+    with tempfile.TemporaryDirectory() as tmp:
+        wl = workloads.setup(workload, seed, Path(tmp))
+        for (owner, name), fn in wrappers.items():
+            setattr(owner, name, fn)
+        try:
+            for unit in wl.order():
+                wl.run_unit(unit)
+        finally:
+            for (owner, name), fn in originals.items():
+                setattr(owner, name, fn)
+
+
+def capture(workload: str, seed: int) -> dict[str, list[tuple]]:
+    """The arguments of every engine, `howell_form` and `smith_form` call in one pass."""
+    from exalg import linalg, rings
+
     seen = {"engine": [], "howell_form": [], "smith_form": []}
-    wrapped = [(linalg, "_engine"), (linalg, "howell_form"), (rings, "smith_form")]
-    originals = [getattr(mod, name) for mod, name in wrapped]
 
     def recorder(kind, fn):
         def record(mat, *args, **kwargs):
@@ -70,17 +92,98 @@ def capture(workload: str, seed: int) -> dict[str, list[tuple]]:
 
         return record
 
-    with tempfile.TemporaryDirectory() as tmp:
-        wl = workloads.setup(workload, seed, Path(tmp))
-        for (mod, name), fn in zip(wrapped, originals):
-            setattr(mod, name, recorder(name.lstrip("_"), fn))
-        try:
-            for unit in wl.order():
-                wl.run_unit(unit)
-        finally:
-            for (mod, name), fn in zip(wrapped, originals):
-                setattr(mod, name, fn)
+    targets = [(linalg, "_engine"), (linalg, "howell_form"), (rings, "smith_form")]
+    run_pass(workload, seed, {(mod, name): recorder(name.lstrip("_"), getattr(mod, name)) for mod, name in targets})
     return seen
+
+
+def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
+    """Per kind of ring product: calls, differences, and the summed time of
+    each checkout, every call of one pass repeated at once on the parent's rings."""
+    from exalg import rings
+
+    stats = {kind: {"calls": 0, "differ": 0, "parent_s": 0.0, "tree_s": 0.0} for kind in ("mul_outer", "orbit", "check_hom")}
+    twins = weakref.WeakKeyDictionary()  # our ring -> the parent's ring with its presentation
+    depth = [0]
+
+    def twin(ring):
+        if ring not in twins:
+            other = their_rings.FiniteRing(ring.p, ring.k, ring.table.copy(), ring.one.copy(), name=ring.name)
+            if other.n >= their_rings._SPARSE_DIM:
+                other._sparse  # built outside the timed calls, as ours was by check_ring
+            twins[ring] = other
+        return twins[ring]
+
+    def compared(kind, ours, prepare, describe, differences):
+        """`ours` wrapped: each outermost call is repeated by the parent's
+        call that `prepare` returns for the same arguments."""
+        def call(*args):
+            if depth[0]:
+                return ours(*args)
+            depth[0] += 1
+            try:
+                t0 = time.perf_counter()
+                out = ours(*args)
+                t1 = time.perf_counter()
+                theirs = prepare(*args)
+                t2 = time.perf_counter()
+                other = theirs()
+                t3 = time.perf_counter()
+            finally:
+                depth[0] -= 1
+            entry = stats[kind]
+            entry["calls"] += 1
+            entry["tree_s"] += t1 - t0
+            entry["parent_s"] += t3 - t2
+            diff = differences(out, other)
+            if diff:
+                entry["differ"] += 1
+                print(f"{kind} call {entry['calls']} ({describe(*args)}): {'; '.join(diff)}")
+            return out
+
+        return call
+
+    def products(x, y):
+        return array_differences(["products"], np.asarray(x), np.asarray(y))
+
+    def verdict(fn, *args):
+        """None when fn(*args) passes, else what it raised."""
+        try:
+            fn(*args)
+        except Exception as e:
+            return e
+        return None
+
+    def same_verdict(x, y):
+        x, y = [None if e is None else (type(e).__name__, str(e)) for e in (x, y)]
+        return [] if x == y else [f"verdict {x} != {y}"]
+
+    mul_outer, orbit, check_hom = rings.FiniteRing.mul_outer, rings.FiniteRing.orbit, rings.RingMap.check_hom
+    outer_call = compared(
+        "mul_outer", mul_outer, lambda r, xs, ys: lambda: twin(r).mul_outer(xs, ys),
+        lambda r, xs, ys: f"dim {r.n}, {len(xs)} x {len(ys)}", products)
+    orbit_by = compared(
+        "orbit", orbit, lambda r, rows, g, by: lambda: twin(r).orbit(rows, g, by=by),
+        lambda r, rows, g, by: f"dim {r.n}, {np.shape(rows)} by {np.shape(by)}", products)
+    hom_verdict = compared(
+        "check_hom", lambda f: verdict(check_hom, f),
+        lambda f: lambda: verdict(their_rings.RingMap(twin(f.src), twin(f.dst), f.matrix, name=f.name).check_hom),
+        lambda f: f"dim {f.src.n} -> {f.dst.n}", same_verdict)
+
+    def orbit_call(ring, rows, g=1, by=None):
+        return orbit(ring, rows, g) if by is None else orbit_by(ring, rows, g, by)
+
+    def check_call(f):
+        failure = hom_verdict(f)
+        if failure is not None:
+            raise failure
+
+    run_pass(workload, seed, {
+        (rings.FiniteRing, "mul_outer"): outer_call,
+        (rings.FiniteRing, "orbit"): orbit_call,
+        (rings.RingMap, "check_hom"): check_call,
+    })
+    return stats
 
 
 def engine_differences(ours, theirs) -> list[str]:
@@ -125,6 +228,7 @@ def main(argv=None) -> int:
     ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args(argv)
 
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     their_linalg, their_rings = load_parent(args.parent.resolve())
     inputs = capture(args.workload, args.seed)
     from exalg import linalg, rings
@@ -150,6 +254,10 @@ def main(argv=None) -> int:
         parent_s, tree_s = best_times([theirs, ours], inputs[kind], args.repeat)
         print(f"{args.workload} seed {args.seed}: {len(inputs[kind])} {kind} inputs, {differ} differ; "
               f"best of {args.repeat}: parent {parent_s:.3f} s, working tree {tree_s:.3f} s")
+    for kind, entry in compare_products(args.workload, args.seed, their_rings).items():
+        bad += entry["differ"]
+        print(f"{args.workload} seed {args.seed}: {entry['calls']} {kind} calls, {entry['differ']} differ; "
+              f"summed: parent {entry['parent_s']:.3f} s, working tree {entry['tree_s']:.3f} s")
     return 1 if bad else 0
 
 

@@ -10,18 +10,46 @@ radical of the mod-p fibre is the kernel of a high Frobenius power, which is
 F_p-linear in characteristic p, and the number of local factors is read off
 the Frobenius fixed space of the reduced quotient.
 
-`orbit`, `mul_outer`, `Ideal.mul_ideal` and `Ideal.annihilator` are built
-on `FiniteRing.mul_matrix`, the left multiplication matrices.  The tables of
-the glued tower rings (dimension 29-47) have 0.6-3 % nonzero constants, so
-from dimension _SPARSE_DIM = 12 on `mul_matrix` reads a cached sparse view
-of the table (`FiniteRing._sparse`: the nonzero t[i, j, l] in runs of one
-output cell j*n + l) and sums each cell over its own constants only: one
-gather, one multiply, one `np.add.reduceat` and one scatter, in int64.
-Below that dimension it keeps the dense contraction.  The rule reads only
-the table's dimension.  On the `mul_matrix` and `orbit` inputs of one pass
-of each benchmark workload (2 cores, numpy 2.4), dense is 3.5x faster at
-n <= 6 and 1.4x at n = 8, the two tie at n = 10-12, and sparse is 1.5x
-faster at n = 16, 3x at n = 21-24 and 4-9x at n = 29-47.
+`mul_matrix`, the left multiplication matrices, and the products built
+on the table read the nonzero constants only from dimension _SPARSE_DIM
+= 12 on; below it the dense contractions stay.  The tables of the glued
+tower rings (dimension 29-47) have 0.6-3 % nonzero constants.  One sparse
+view is cached per ring (`FiniteRing._sparse`): the nonzero t[i, j, l]
+in runs of one output cell j*n + l, and the permutation `first` that
+lists them by first index.  `mul_matrix` sums each cell over its own
+constants: one gather, one multiply, one `np.add.reduceat` and one
+scatter.  On the `mul_matrix` and `orbit` inputs of one pass of each
+benchmark workload (2 cores, numpy 2.4), dense is 3.5x faster at n <= 6
+and 1.4x at n = 8, the two tie at n = 10-12, and sparse is 1.5x faster
+at n = 16, 3x at n = 21-24 and 4-9x at n = 29-47.
+
+Three contractions skip the zeros of both factors.  `mul_outer` (and
+`orbit` with `by`, `Ideal.mul_ideal` and `modules.maximal_multiples`
+through it) joins each nonzero x[a, i] of the left operand with the
+constants of first index i (`_join`), keys each term x[a, i] t[i, j, l]
+by (a, l) and sums ys[:, j] times it per key (`_add_products`).
+`RingMap.check_hom` forms f(e_i e_j) = sum_x t[i, j, x] f(e_x) over the
+nonzero constants of the source, and `fiber_product` applies its Smith
+matrix w through the nonzero entries of w.  The joined paths form no
+dense left multiplication matrix.  A density gate keeps the dense
+contraction whenever the join is not at least _SPARSE_GAIN = 4 times
+smaller than it: the join's size is read off the nonzero positions of
+the input and the per-index counts of the view, never its values, before
+anything is joined.  On a dimension-47 tower ring, full rows (a join
+0.29 times the dense size) multiply 1.5x faster densely, and rows 30 %
+nonzero (0.07) 1.4x faster joined; no product of a benchmark pass fails
+the gate, which also bounds each index array of a join by a quarter of
+the n^2 entries per row that the dense contraction's left matrices hold.
+Gathers go in blocks of about _GATHER_CELLS entries, so a join holds one
+block of products at a time; each block adds its sums per key to the
+residues already in the output and reduces them.  The sums are exact in
+int64: a product key of `mul_outer` sums at most n^2 products of three
+residues, x[a, i] t[i, j, l] ys[b, j], and n^2 (char - 1)^3 < 2^63 is
+what `FiniteRing.__post_init__` enforces (a key split over two blocks
+sums fewer raw products in each, plus one residue); the keys of
+`check_hom` and of the fibre coordinates sum at most n products of two
+residues.  The rings of `psrep-corpus` (n <= 8) stay below _SPARSE_DIM
+and keep the dense contractions.
 
 The associativity check compares (e_i e_j) e_l = sum_x t[i,j,x] t[x,l,m]
 with e_i (e_j e_l) = sum_x t[j,l,x] t[i,x,m] on every basis triple.  From
@@ -92,11 +120,14 @@ _ELEMENT_BLOCK = 4096
 # largest dimension `truncated_poly_ring` builds: its table has n^3 entries
 MAX_POLY_DIM = 128
 
-# least dimension at which `FiniteRing.mul_matrix` sums over the nonzero
-# structure constants; below it the dense contraction is faster
+# least dimension at which `mul_matrix` and the ring products sum over the
+# nonzero structure constants; below it the dense contractions are faster
 _SPARSE_DIM = 12
-# products gathered at once by the sparse `mul_matrix`, in entries
+# products gathered at once by the sparse contractions, in entries
 _GATHER_CELLS = 1 << 16
+# a contraction over nonzero entries runs when its terms are at least this
+# many times fewer than the dense contraction's
+_SPARSE_GAIN = 4
 # most terms the associativity check joins from dimension _SPARSE_DIM on;
 # past it the check samples triples
 _ASSOC_TERMS = 1 << 18
@@ -195,15 +226,21 @@ def _smith_loop(rows, p: int, k: int, ncols: int):
 class _SparseTable(NamedTuple):
     """The nonzero structure constants t[i, j, l] of a ring, sorted by
     (l, j, i): a run of one output cell j*n + l of `mul_matrix` is a run of
-    one output coordinate l of a product, cut finer."""
+    one output coordinate l of a product, cut finer.  `first` lists them by
+    (i, j, l), the order of `table.nonzero()`: the constants of first index
+    i are first[first_start[i] : first_start[i] + first_count[i]]."""
 
     i: np.ndarray
     j: np.ndarray
+    l: np.ndarray
     val: np.ndarray  # t[i, j, l]
     cells: np.ndarray  # j*n + l of each cell run
     cell_starts: np.ndarray
-    l: np.ndarray  # l of each coordinate run
+    l_runs: np.ndarray  # l of each coordinate run
     l_starts: np.ndarray
+    first: np.ndarray
+    first_start: np.ndarray
+    first_count: np.ndarray
 
 
 @dataclass(eq=False)
@@ -288,8 +325,25 @@ class FiniteRing:
         return np.einsum("...i,...j,ijl->...l", x, y, self.table) % self.char
 
     def mul_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """All products xs[a] * ys[b], shape (len(xs), len(ys), n)."""
-        return np.matmul(ys, self.mul_matrix(xs)) % self.char
+        """All products xs[a] * ys[b], shape (len(xs), len(ys), n).
+
+        From dimension _SPARSE_DIM on, and when the join passes the density
+        gate, product (a, b, l) sums x[a, i] t[i, j, l] ys[b, j] over the
+        nonzero x[a, i] joined with the constants of first index i
+        (module docstring).
+        """
+        n, m = self.n, self.char
+        if n >= _SPARSE_DIM:
+            xs, ys, sp = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64), self._sparse
+            a, i = xs.nonzero()
+            na, nb = xs.shape[0], ys.shape[0]
+            if _SPARSE_GAIN * int(sp.first_count[i].sum()) <= na * n * n:
+                u, v = _join(i, sp.first_count, sp.first_start)
+                a, i, f = a[u], i[u], sp.first[v]
+                out = np.zeros((na * n, nb), dtype=np.int64)  # row a*n + l: coordinate l of xs[a] * ys
+                _add_products(out, a * n + sp.l[f], sp.j[f], xs[a, i] * sp.val[f], ys.T, m)
+                return out.reshape(na, n, nb).transpose(0, 2, 1)
+        return np.matmul(ys, self.mul_matrix(xs)) % m
 
     def pow_el(self, x, e: int) -> np.ndarray:
         r = self.one.copy()
@@ -335,7 +389,10 @@ class FiniteRing:
         cell = j * n + l
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
         l_starts = np.flatnonzero(np.diff(l, prepend=-1))
-        return _SparseTable(i, j, self.table[i, j, l], cell[starts], starts, l[l_starts], l_starts)
+        first = np.argsort((i * n + j) * n + l)
+        count = np.bincount(i, minlength=n)
+        return _SparseTable(i, j, l, self.table[i, j, l], cell[starts], starts, l[l_starts], l_starts,
+                            first, np.cumsum(count) - count, count)
 
     def orbit(self, rows, g: int = 1, by=None) -> np.ndarray:
         """Rows v * x for each row v of R^g (g blocks of n coordinates) and
@@ -345,10 +402,11 @@ class FiniteRing:
         n = self.n
         rows = np.asarray(rows, dtype=np.int64)
         nrows = math.prod(rows.shape[:-1])  # not -1 in the reshapes: n may be 0
-        left = self.mul_matrix(rows.reshape(nrows, g, n))  # left[r, g, x] = v * e_x
-        if by is not None:
-            left = np.matmul(np.asarray(by, dtype=np.int64), left)  # v * x = x @ mul_matrix(v)
-            left %= self.char
+        if by is None:
+            left = self.mul_matrix(rows.reshape(nrows, g, n))  # left[r, g, x] = v * e_x
+        else:
+            by = np.asarray(by, dtype=np.int64)
+            left = self.mul_outer(rows.reshape(nrows * g, n), by).reshape(nrows, g, by.shape[0], n)
         return left.transpose(2, 0, 1, 3).reshape(left.shape[2] * nrows, g * n)
 
     def is_unit(self, x) -> bool:
@@ -435,12 +493,13 @@ class FiniteRing:
             if not np.array_equal(left, right):
                 raise InvariantViolation("associativity fails")
             return
-        i, j, l = t.nonzero()  # sorted by i
-        val = t[i, j, l]
-        count_i, count_j = np.bincount(i, minlength=n), np.bincount(j, minlength=n)
+        sp = self._sparse
+        f = sp.first  # sorted by i
+        i, j, l, val = sp.i[f], sp.j[f], sp.l[f], sp.val[f]
+        count_i, count_j = sp.first_count, np.bincount(j, minlength=n)
         if count_i[l].sum() + count_j[l].sum() <= _ASSOC_TERMS:
             # (e_i e_j) e_l: t[i, j, x] t[x, l, m], the second factor found by its first index
-            a, b = _join(l, count_i, np.cumsum(count_i) - count_i)
+            a, b = _join(l, count_i, sp.first_start)
             left = _summed(((i[a] * n + j[a]) * n + j[b]) * n + l[b], val[a] * val[b], m)
             # e_i (e_j e_l): t[j, l, x] t[i, x, m], the second factor found by its second index
             a, b = _join(l, count_j, np.cumsum(count_j) - count_j)
@@ -450,11 +509,10 @@ class FiniteRing:
                 raise InvariantViolation("associativity fails")
             return
         a, b, c = np.random.default_rng(0).integers(0, m, size=(3, 200, n))
-        sp = self._sparse
 
         def mul(xs, ys):  # x*y summed over the nonzero constants only
             out = np.zeros_like(xs)
-            out[:, sp.l] = np.add.reduceat(xs[:, sp.i] * ys[:, sp.j] * sp.val, sp.l_starts, axis=1) % m
+            out[:, sp.l_runs] = np.add.reduceat(xs[:, sp.i] * ys[:, sp.j] * sp.val, sp.l_starts, axis=1) % m
             return out
 
         if not np.array_equal(mul(mul(a, b), c), mul(a, mul(b, c))):
@@ -558,6 +616,34 @@ def _join(x: np.ndarray, count: np.ndarray, start: np.ndarray):
     return a, b
 
 
+def _add_products(out: np.ndarray, keys, cols, coefs, dense: np.ndarray, m: int) -> None:
+    """out[key] = out[key] + the sum of coef * dense[col] over the terms
+    (key, col, coef) of that key, mod m, in blocks of about _GATHER_CELLS
+    gathered entries; rows of `out` that no key names are left as they are.
+    The caller bounds the terms of a key (module docstring)."""
+    order = np.argsort(keys)
+    keys, cols, coefs = keys[order], cols[order], coefs[order]
+    step = max(1, _GATHER_CELLS // max(dense.shape[1], 1))
+    for s in range(0, keys.size, step):
+        k = keys[s : s + step]
+        starts = np.flatnonzero(np.diff(k, prepend=-1))
+        prods = dense[cols[s : s + step]]
+        prods *= coefs[s : s + step, None]
+        rows = k[starts]
+        out[rows] = (out[rows] + np.add.reduceat(prods, starts, axis=0)) % m
+
+
+def _apply_sparse(x: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """x @ w mod m; from _SPARSE_DIM columns on, and when w passes the
+    density gate, summed over the nonzero entries of w only."""
+    r, c = w.nonzero()
+    if w.shape[0] < _SPARSE_DIM or _SPARSE_GAIN * r.size > w.size:
+        return (x @ w) % m
+    out = np.zeros((w.shape[1], x.shape[0]), dtype=np.int64)  # out[c] = column c of x @ w
+    _add_products(out, c, r, w[r, c], x.T, m)
+    return out.T
+
+
 def _summed(keys: np.ndarray, terms: np.ndarray, m: int):
     """(keys, sums): the terms summed per key mod m, sorted by key, zero sums dropped."""
     order = np.argsort(keys)
@@ -652,7 +738,12 @@ class Ideal:
         return out
 
     def annihilator(self) -> "Ideal":
-        """{r : r * x = 0 for all x in the ideal}.
+        """{r : r * x = 0 for all x in the ideal}, computed once per ideal."""
+        return self._annihilator
+
+    @cached_property
+    def _annihilator(self) -> "Ideal":
+        """The annihilator, kept on this ideal and never on its ring.
 
         r * b = r @ mul_matrix(b) vanishes exactly when r is orthogonal to
         every row of mul_matrix(b)^T, so the annihilator is the right kernel
@@ -703,9 +794,22 @@ class RingMap:
             raise InvariantViolation("map does not preserve 1")
         if s.n == 0:
             return
-        lhs = np.einsum("ijx,xl->ijl", s.table, self.matrix) % d.char
-        if not np.array_equal(lhs, d.mul_outer(self.matrix, self.matrix)):
+        if not np.array_equal(self._image_products(), d.mul_outer(self.matrix, self.matrix)):
             raise InvariantViolation("map is not multiplicative")
+
+    def _image_products(self) -> np.ndarray:
+        """f(e_i e_j) for every basis pair, shape (n, n, dst.n); from
+        dimension _SPARSE_DIM on, and when the source's table passes the
+        density gate, sum_x t[i, j, x] f(e_x) over its nonzero constants."""
+        s, mat, m = self.src, self.matrix, self.dst.char
+        n = s.n
+        if n >= _SPARSE_DIM and _SPARSE_GAIN * s._sparse.val.size <= n**3:
+            sp = s._sparse
+            f = sp.first
+            out = np.zeros((n * n, mat.shape[1]), dtype=np.int64)
+            _add_products(out, sp.i[f] * n + sp.j[f], sp.l[f], sp.val[f], mat, m)
+            return out.reshape(n, n, -1)
+        return np.einsum("ijx,xl->ijl", s.table, mat) % m
 
     def kernel_ideal(self) -> Ideal:
         rows = linalg.kernel_mod(self.matrix, self.src.p, self.src.k, self.dst.k)
@@ -818,7 +922,7 @@ def fiber_product(f: RingMap, g: RingMap, name: str | None = None):
     # basis = winv[sel] and w = winv^-1, so (x @ w)[sel] are the coordinates
     # of x in the basis, and x is in its span iff (x @ w)[~sel] vanishes
     prods = np.concatenate([a_ring.mul_outer(ba, ba), b_ring.mul_outer(bb, bb)], axis=2)
-    coords = (prods.reshape(nn * nn, na + nb) @ w) % (p**k)
+    coords = _apply_sparse(prods.reshape(nn * nn, na + nb), w, p**k)
     if coords[:, ~sel].any():
         raise InvariantViolation("fiber product basis is not multiplicatively closed")
     table = coords[:, sel].reshape(nn, nn, nn)

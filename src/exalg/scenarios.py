@@ -298,7 +298,7 @@ def _stage_criterion(st: _State) -> dict:
         model = towers.branch_algebra(lam, t.r) if t.r else towers.base_algebra(lam)
         tag = "rank2"
     else:
-        model = towers._h_level(lam, st.sc.body["h"])
+        model = t.hlevel
         tag = "h-level"
     rep = towers.lenstra_check(model.ring, RingMap.identity(model.ring), model)
     rep["model"] = tag

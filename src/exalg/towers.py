@@ -40,9 +40,22 @@ by a non-zero divisor, both kernels principal, embedding dimension two,
 Gorenstein special fibers.  The audit refuses to let decided conditions
 disagree, and certifies a complete intersection presentation whenever
 the principal route applies.
+
+A unit (one tower built, audited, put through the criterion and
+replayed) derives each object once, and keeps it on the object that
+owns its input: the tower keeps the AugmentedAlgebra its h-level was
+built as (`hlevel`, which the criterion stage reads instead of building
+it again) and the minimal generators of I (`i_gens`, shared by
+theorem_audit and fitting_replay), and each Ideal keeps its annihilator
+(`Ideal.annihilator`).  Nothing a ring holds points back at an ideal of
+it: an ideal refers to its ring, so a ring that cached one of its ideals
+(its radical, say) would close a reference cycle, which only the cyclic
+garbage collector frees, and the rings of finished units would stay in
+memory until it ran.  No memo outlives the objects of its unit.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -378,10 +391,9 @@ def _adjoin_x(o: DvrModel, square: np.ndarray, name: str):
     ring.check_ring()
     eye = np.eye(nl, dtype=np.int64)
     zero = np.zeros((nl, nl), dtype=np.int64)
+    # both maps are checked by `augmented_algebra`, which every caller runs
     emb = RingMap(o.ring, ring, np.hstack([eye, zero]), name="emb")
     pi = RingMap(ring, o.ring, np.vstack([eye, zero]), name="pi")
-    emb.check_hom()
-    pi.check_hom()
     x = np.zeros(n, dtype=np.int64)
     x[nl:] = o.ring.one
     return ring, emb, pi, x, np.vstack([one, x])
@@ -419,8 +431,6 @@ def axis_algebra(o: DvrModel, s: int, name: str | None = None) -> AugmentedAlgeb
     eye = np.eye(nl, dtype=np.int64)
     emb = RingMap(o.ring, ring, np.hstack([eye] + [np.zeros((nl, nl), dtype=np.int64)] * (s - 1)), name="emb")
     pi = RingMap(ring, o.ring, np.vstack([eye] + [np.zeros((nl, nl), dtype=np.int64)] * (s - 1)), name="pi")
-    emb.check_hom()
-    pi.check_hom()
     basis = np.zeros((s, n), dtype=np.int64)
     basis[0] = one
     for a in range(1, s):
@@ -457,6 +467,8 @@ def pinched_cubic(o: DvrModel, name: str | None = None):
 class EisensteinTower:
     """h glued against the base over base/(t^r), with all the kernels named.
 
+    hlevel is the augmented h-level algebra the tower was glued from: h is
+    its ring, emb_h its structure map and h_basis its base-module basis.
     I lives in h, I_H and script_I in H; T0 generates ker(H -> h) and
     maps to xi = t^r on the base side.  glue is the width of the
     truncation tail used for annihilator comparisons.
@@ -471,8 +483,7 @@ class EisensteinTower:
     r: int
     xi: np.ndarray
     label: str
-    h: FiniteRing
-    emb_h: RingMap
+    hlevel: AugmentedAlgebra
     aug: RingMap
     lam_quot: QuotientRing
     H: FiniteRing
@@ -484,12 +495,28 @@ class EisensteinTower:
     script_I: Ideal
     ker_h: Ideal
     T0: np.ndarray
-    h_basis: np.ndarray
     degenerate: bool
+
+    @property
+    def h(self) -> FiniteRing:
+        return self.hlevel.ring
+
+    @property
+    def emb_h(self) -> RingMap:
+        return self.hlevel.emb
+
+    @property
+    def h_basis(self) -> np.ndarray:
+        return self.hlevel.lam_basis
 
     @property
     def glue(self) -> int:
         return 2 * self.r
+
+    @cached_property
+    def i_gens(self) -> np.ndarray:
+        """Minimal generators of I, a generator first when I is principal."""
+        return _min_module_rows(self.h, self.I.basis, 1)
 
     def __repr__(self):
         return f"<EisensteinTower {self.label}: dim {self.H.n}, r={self.r}>"
@@ -575,8 +602,7 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
         r=r,
         xi=xi,
         label=label,
-        h=hring,
-        emb_h=emb_h,
+        hlevel=hlevel,
         aug=aug,
         lam_quot=lam_quot,
         H=H,
@@ -588,7 +614,6 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
         script_I=script_i,
         ker_h=ker_h,
         T0=t0,
-        h_basis=hlevel.lam_basis,
         degenerate=r == 0,
     )
     _verify_tower(tower)
@@ -681,7 +706,7 @@ def theorem_audit(t: EisensteinTower) -> dict:
     lam = t.lam
     fib_h = quotient_ring(t.h, Ideal(t.h, t.emb_h(lam.t(1)).reshape(1, -1)), name="h/t")
     out["regular_base"] = bool(fib_h.ring.maximal_ideal().is_zero() or t.h_basis.shape[0] == 1)
-    gens = _min_module_rows(t.h, t.I.basis, 1)
+    gens = t.i_gens
     count = gens.shape[0]
     out["eisenstein_generators"] = count
     out["principal_nzd"] = count == 1 and _nzd_by_determinant(lam, t.h, t.emb_h, t.h_basis, gens[0])
@@ -731,7 +756,7 @@ def fitting_replay(t: EisensteinTower) -> dict:
     lam, h = t.lam, t.h
     tail = Ideal(h, t.emb_h(lam.t(lam.trunc - t.glue)).reshape(1, -1))
     ann_ok = tail.contains_ideal(t.I.annihilator())
-    gens = _min_module_rows(h, t.I.basis, 1)
+    gens = t.i_gens
     d = gens.shape[0]
     if d:
         stacked = h.mul_matrix(gens).reshape(d * h.n, h.n)

@@ -97,6 +97,45 @@ def sampled_associativity(r: FiniteRing) -> bool:
     return np.array_equal(r.mul(r.mul(a, b), c), r.mul(a, r.mul(b, c)))
 
 
+# ---- ring products over every structure constant ----------------
+
+
+# Oracles for the contractions that skip zeros: `FiniteRing.mul_outer`,
+# `FiniteRing.orbit` with `by`, both sides of `RingMap.check_hom` and the
+# fibre coordinates of `fiber_product`, each over the whole dense table.
+def dense_mul_matrix(r: FiniteRing, x) -> np.ndarray:
+    """y @ M = x * y by the dense contraction over the whole table."""
+    n = r.n
+    return (x @ r.table.reshape(n, n * n)).reshape(np.shape(x)[:-1] + (n, n)) % r.char
+
+
+def dense_mul_outer(r: FiniteRing, xs, ys) -> np.ndarray:
+    """All products xs[a] * ys[b], shape (len(xs), len(ys), n)."""
+    xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+    return np.matmul(ys, dense_mul_matrix(r, xs)) % r.char
+
+
+def dense_orbit(r: FiniteRing, rows, g: int = 1, by=None) -> np.ndarray:
+    """Rows v * x, x-major, with the right multiplications read off the table."""
+    n = r.n
+    right = r.table.transpose(1, 0, 2)  # y @ right[x] = y * e_x
+    if by is not None:
+        right = (by @ right.reshape(n, n * n)).reshape(by.shape[0], n, n) % r.char
+    blocks = rows.reshape(rows.shape[0], g, n)
+    return (np.einsum("rgi,xil->xrgl", blocks, right) % r.char).reshape(right.shape[0] * rows.shape[0], g * n)
+
+
+def dense_hom_sides(f: RingMap) -> tuple[np.ndarray, np.ndarray]:
+    """(f(e_i e_j), f(e_i) f(e_j)) for every basis pair of the source."""
+    lhs = np.einsum("ijx,xl->ijl", f.src.table, f.matrix) % f.dst.char
+    return lhs, dense_mul_outer(f.dst, f.matrix, f.matrix)
+
+
+def dense_fiber_coordinates(x, w, m: int) -> np.ndarray:
+    """x @ w mod m over every entry of w."""
+    return (np.asarray(x, dtype=np.int64) @ w) % m
+
+
 # ---- hom enumeration (monogenic sources) --------------------------
 
 

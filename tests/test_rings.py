@@ -742,22 +742,6 @@ def test_three_operand_table_einsum_only_in_finite_ring_mul():
 # ---- the sparse product kernel against the dense formula -------------
 
 
-def _dense_mul_matrix(r, x):
-    """y @ M = x * y by the dense contraction over the whole table."""
-    n = r.n
-    return (x @ r.table.reshape(n, n * n)).reshape(np.shape(x)[:-1] + (n, n)) % r.char
-
-
-def _dense_orbit(r, rows, g=1, by=None):
-    """Rows v * x, x-major, with the right multiplications read off the table."""
-    n = r.n
-    right = r.table.transpose(1, 0, 2)  # y @ right[x] = y * e_x
-    if by is not None:
-        right = (by @ right.reshape(n, n * n)).reshape(by.shape[0], n, n) % r.char
-    blocks = rows.reshape(rows.shape[0], g, n)
-    return (np.einsum("rgi,xil->xrgl", blocks, right) % r.char).reshape(right.shape[0] * rows.shape[0], g * n)
-
-
 def _ragged_table(p, n, seed):
     """A table of random constants in a few cells only: most output cells,
     and every output coordinate l >= n // 2, have no constant at all."""
@@ -797,16 +781,16 @@ def _stack(r, shape):
 def test_sparse_kernel_matches_dense_formula(r, data):
     lead = data.draw(st.lists(st.integers(0, 3), max_size=3))
     x = data.draw(_stack(r, lead))
-    assert np.array_equal(r.mul_matrix(x), _dense_mul_matrix(r, x))
+    assert np.array_equal(r.mul_matrix(x), oracles.dense_mul_matrix(r, x))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rings, "_GATHER_CELLS", 1)  # one row per gathered block
-        assert np.array_equal(r.mul_matrix(x), _dense_mul_matrix(r, x))
+        assert np.array_equal(r.mul_matrix(x), oracles.dense_mul_matrix(r, x))
     g = data.draw(st.integers(1, 3))
     count = data.draw(st.integers(0, 4))
     rows = data.draw(_stack(r, (count, g))).reshape(count, g * r.n)  # rows of R^g
-    assert np.array_equal(r.orbit(rows, g), _dense_orbit(r, rows, g))
+    assert np.array_equal(r.orbit(rows, g), oracles.dense_orbit(r, rows, g))
     by = data.draw(_stack(r, (data.draw(st.integers(0, 4)),)))
-    assert np.array_equal(r.orbit(rows, g, by=by), _dense_orbit(r, rows, g, by))
+    assert np.array_equal(r.orbit(rows, g, by=by), oracles.dense_orbit(r, rows, g, by))
     xs = data.draw(_stack(r, (data.draw(st.integers(0, 4)),)))
     ys = data.draw(_stack(r, (data.draw(st.integers(0, 4)),)))
     want = np.einsum("ai,bj,ijl->abl", xs, ys, r.table) % r.char

@@ -15,13 +15,17 @@ and only up to a truncation tail in the other; one test pins the tail
 as genuinely nonempty so the window in the verifier is not decorative.
 """
 
+import functools
+import gc
+import weakref
+
 import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exalg import linalg, towers
+from exalg import linalg, rings, scenarios, towers
 from exalg.errors import InputError, InvariantViolation
 from exalg.rings import DvrModel, Ideal, RingMap
 
@@ -374,3 +378,62 @@ def test_tower_repr_and_labels(corpus):
     t = corpus[0]
     assert t.label in repr(t)
     assert repr(t).startswith("<EisensteinTower")
+
+
+# ---- each derived object once per unit, and no memo cycles -----------
+
+BRANCH_UNIT = {
+    "name": "branch-memo",
+    "kind": "tower",
+    "seed": 0,
+    "budget": 200000,
+    "dvr": {"p": 5, "e": 1, "trunc": 12},
+    "r": 2,
+    "h": {"kind": "branch", "m": 3},
+    "stages": ["build", "audit", "criterion", "replay"],
+}
+
+
+def _keep_tower(monkeypatch) -> list:
+    """Record the tower that a scenario builds."""
+    built, build = [], towers.build_eisenstein_tower
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(towers, "build_eisenstein_tower", keep)
+    return built
+
+
+def test_a_tower_unit_leaves_no_reference_cycle(monkeypatch):
+    """No memo points back at the object that holds it: once the unit is
+    done, its rings are freed by reference counting alone."""
+    built = _keep_tower(monkeypatch)
+    gc.disable()
+    try:
+        report = scenarios.run_scenario(BRANCH_UNIT)
+        assert report.verdict == "ok"
+        t = built.pop()
+        refs = [weakref.ref(t.H), weakref.ref(t.h)]
+        del t, report
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_tower_unit_derives_each_object_once(monkeypatch):
+    built = _keep_tower(monkeypatch)
+    h_levels, gens, annihilated = [], [], []
+    h_level, min_rows = towers._h_level, towers._min_module_rows
+    monkeypatch.setattr(towers, "_h_level", lambda *a: h_levels.append(a) or h_level(*a))
+    monkeypatch.setattr(towers, "_min_module_rows", lambda *a: gens.append(a) or min_rows(*a))
+    ann = rings.Ideal.__dict__["_annihilator"].func
+    counted = functools.cached_property(lambda ideal: annihilated.append(ideal) or ann(ideal))
+    counted.__set_name__(rings.Ideal, "_annihilator")
+    monkeypatch.setattr(rings.Ideal, "_annihilator", counted)
+    assert scenarios.run_scenario(BRANCH_UNIT).verdict == "ok"
+    t = built[0]
+    assert len(h_levels) == 1
+    assert sum(ring is t.h and g == 1 and np.array_equal(rows, t.I.basis) for ring, rows, g in gens) == 1
+    assert sum(ideal is t.script_I for ideal in annihilated) == 1
