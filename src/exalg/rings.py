@@ -15,13 +15,13 @@ on the table read the nonzero constants only from dimension _SPARSE_DIM
 = 12 on; below it the dense contractions stay.  The tables of the glued
 tower rings (dimension 29-47) have 0.6-3 % nonzero constants.  One sparse
 view is cached per ring (`FiniteRing._sparse`): the nonzero t[i, j, l]
-in runs of one output cell j*n + l, and the permutation `first` that
-lists them by first index.  `mul_matrix` sums each cell over its own
-constants: one gather, one multiply, one `np.add.reduceat` and one
-scatter.  On the `mul_matrix` and `orbit` inputs of one pass of each
-benchmark workload (2 cores, numpy 2.4), dense is 3.5x faster at n <= 6
-and 1.4x at n = 8, the two tie at n = 10-12, and sparse is 1.5x faster
-at n = 16, 3x at n = 21-24 and 4-9x at n = 29-47.
+in runs of one output cell j*n + l, and again in runs of one first index
+i.  `mul_matrix` sums each cell over its own constants: one gather, one
+multiply, one `np.add.reduceat` and one scatter.  On the `mul_matrix`
+and `orbit` inputs of one pass of each benchmark workload (2 cores,
+numpy 2.4), dense is 3.5x faster at n <= 6 and 1.4x at n = 8, the two
+tie at n = 10-12, and sparse is 1.5x faster at n = 16, 3x at n = 21-24
+and 4-9x at n = 29-47.
 
 Three contractions skip the zeros of both factors.  `mul_outer` (and
 `orbit` with `by`, `Ideal.mul_ideal` and `modules.maximal_multiples`
@@ -31,25 +31,26 @@ by (a, l) and sums ys[:, j] times it per key (`_add_products`).
 `RingMap.check_hom` forms f(e_i e_j) = sum_x t[i, j, x] f(e_x) over the
 nonzero constants of the source, and `fiber_product` applies its Smith
 matrix w through the nonzero entries of w.  The joined paths form no
-dense left multiplication matrix.  A density gate keeps the dense
-contraction whenever the join is not at least _SPARSE_GAIN = 4 times
-smaller than it: the join's size is read off the nonzero positions of
-the input and the per-index counts of the view, never its values, before
-anything is joined.  On a dimension-47 tower ring, full rows (a join
-0.29 times the dense size) multiply 1.5x faster densely, and rows 30 %
-nonzero (0.07) 1.4x faster joined; no product of a benchmark pass fails
-the gate, which also bounds each index array of a join by a quarter of
-the n^2 entries per row that the dense contraction's left matrices hold.
-Gathers go in blocks of about _GATHER_CELLS entries, so a join holds one
-block of products at a time; each block adds its sums per key to the
-residues already in the output and reduces them.  The sums are exact in
-int64: a product key of `mul_outer` sums at most n^2 products of three
-residues, x[a, i] t[i, j, l] ys[b, j], and n^2 (char - 1)^3 < 2^63 is
-what `FiniteRing.__post_init__` enforces (a key split over two blocks
-sums fewer raw products in each, plus one residue); the keys of
-`check_hom` and of the fibre coordinates sum at most n products of two
-residues.  The rings of `psrep-corpus` (n <= 8) stay below _SPARSE_DIM
-and keep the dense contractions.
+dense left multiplication matrix.  Gathers go in blocks of about
+_GATHER_CELLS entries, so a join holds one block of products at a time;
+each block adds its sums per key to the residues already in the output
+and reduces them.  The terms of `check_hom` are the constants of the
+source and those of the fibre coordinates the entries of w, so neither
+outgrows the dense operand.  The terms of `mul_outer` grow with the
+left operand's nonzero entries times the constants of their first
+index, which on a dense table is up to n times the dense left matrices;
+so `mul_outer` keeps the dense contraction when the join would hold
+more than 1/_JOIN_BOUND = 1/4 of their n^2 entries per row.  That bound
+reads only the nonzero positions of the input and the per-index counts
+of the view.  It is a memory bound only: in a pass of each benchmark
+workload, every `mul_outer` call on a ring past _SPARSE_DIM joins.  The
+sums are exact in int64: a product key of `mul_outer` sums at most n^2
+products of three residues, x[a, i] t[i, j, l] ys[b, j], and n^2 (char -
+1)^3 < 2^63 is what `FiniteRing.__post_init__` enforces (a key split
+over two blocks sums fewer raw products in each, plus one residue); the
+keys of `check_hom` and of the fibre coordinates sum at most n products
+of two residues.  The rings of `psrep-corpus` (n <= 8) stay below
+_SPARSE_DIM and keep the dense contractions.
 
 The associativity check compares (e_i e_j) e_l = sum_x t[i,j,x] t[x,l,m]
 with e_i (e_j e_l) = sum_x t[j,l,x] t[i,x,m] on every basis triple.  From
@@ -125,9 +126,10 @@ MAX_POLY_DIM = 128
 _SPARSE_DIM = 12
 # products gathered at once by the sparse contractions, in entries
 _GATHER_CELLS = 1 << 16
-# a contraction over nonzero entries runs when its terms are at least this
-# many times fewer than the dense contraction's
-_SPARSE_GAIN = 4
+# `mul_outer` joins only while its terms number at most 1/_JOIN_BOUND of the
+# n^2 entries per row of the dense left multiplication matrices, so the
+# join's few index arrays hold about what the dense contraction holds
+_JOIN_BOUND = 4
 # most terms the associativity check joins from dimension _SPARSE_DIM on;
 # past it the check samples triples
 _ASSOC_TERMS = 1 << 18
@@ -224,23 +226,24 @@ def _smith_loop(rows, p: int, k: int, ncols: int):
 
 
 class _SparseTable(NamedTuple):
-    """The nonzero structure constants t[i, j, l] of a ring, sorted by
-    (l, j, i): a run of one output cell j*n + l of `mul_matrix` is a run of
-    one output coordinate l of a product, cut finer.  `first` lists them by
-    (i, j, l), the order of `table.nonzero()`: the constants of first index
-    i are first[first_start[i] : first_start[i] + first_count[i]]."""
+    """The nonzero structure constants t[i, j, l] of a ring, in two orders.
+    In i, j and val they are sorted by (l, j, i): a run of one output cell
+    j*n + l of `mul_matrix` is a run of one output coordinate l of a
+    product, cut finer.  In fj, fl and fval they are sorted by (i, j, l),
+    the order of `table.nonzero()`: count[i] constants of first index i,
+    then those of i + 1, as `_join` reads them."""
 
     i: np.ndarray
     j: np.ndarray
-    l: np.ndarray
     val: np.ndarray  # t[i, j, l]
     cells: np.ndarray  # j*n + l of each cell run
     cell_starts: np.ndarray
-    l_runs: np.ndarray  # l of each coordinate run
+    l: np.ndarray  # l of each coordinate run
     l_starts: np.ndarray
-    first: np.ndarray
-    first_start: np.ndarray
-    first_count: np.ndarray
+    fj: np.ndarray
+    fl: np.ndarray
+    fval: np.ndarray
+    count: np.ndarray  # constants of each first index
 
 
 @dataclass(eq=False)
@@ -327,9 +330,9 @@ class FiniteRing:
     def mul_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """All products xs[a] * ys[b], shape (len(xs), len(ys), n).
 
-        From dimension _SPARSE_DIM on, and when the join passes the density
-        gate, product (a, b, l) sums x[a, i] t[i, j, l] ys[b, j] over the
-        nonzero x[a, i] joined with the constants of first index i
+        From dimension _SPARSE_DIM on, and while the join stays within
+        _JOIN_BOUND, product (a, b, l) sums x[a, i] t[i, j, l] ys[b, j] over
+        the nonzero x[a, i] joined with the constants of first index i
         (module docstring).
         """
         n, m = self.n, self.char
@@ -337,11 +340,11 @@ class FiniteRing:
             xs, ys, sp = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64), self._sparse
             a, i = xs.nonzero()
             na, nb = xs.shape[0], ys.shape[0]
-            if _SPARSE_GAIN * int(sp.first_count[i].sum()) <= na * n * n:
-                u, v = _join(i, sp.first_count, sp.first_start)
-                a, i, f = a[u], i[u], sp.first[v]
+            if _JOIN_BOUND * int(sp.count[i].sum()) <= na * n * n:
+                u, v = _join(i, sp.count)
+                a, i = a[u], i[u]
                 out = np.zeros((na * n, nb), dtype=np.int64)  # row a*n + l: coordinate l of xs[a] * ys
-                _add_products(out, a * n + sp.l[f], sp.j[f], xs[a, i] * sp.val[f], ys.T, m)
+                _add_products(out, a * n + sp.fl[v], sp.fj[v], xs[a, i] * sp.fval[v], ys.T, m)
                 return out.reshape(na, n, nb).transpose(0, 2, 1)
         return np.matmul(ys, self.mul_matrix(xs)) % m
 
@@ -389,10 +392,9 @@ class FiniteRing:
         cell = j * n + l
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
         l_starts = np.flatnonzero(np.diff(l, prepend=-1))
-        first = np.argsort((i * n + j) * n + l)
-        count = np.bincount(i, minlength=n)
-        return _SparseTable(i, j, l, self.table[i, j, l], cell[starts], starts, l[l_starts], l_starts,
-                            first, np.cumsum(count) - count, count)
+        fi, fj, fl = self.table.nonzero()  # sorted by (i, j, l)
+        return _SparseTable(i, j, self.table[i, j, l], cell[starts], starts, l[l_starts], l_starts,
+                            fj, fl, self.table[fi, fj, fl], np.bincount(fi, minlength=n))
 
     def orbit(self, rows, g: int = 1, by=None) -> np.ndarray:
         """Rows v * x for each row v of R^g (g blocks of n coordinates) and
@@ -494,15 +496,15 @@ class FiniteRing:
                 raise InvariantViolation("associativity fails")
             return
         sp = self._sparse
-        f = sp.first  # sorted by i
-        i, j, l, val = sp.i[f], sp.j[f], sp.l[f], sp.val[f]
-        count_i, count_j = sp.first_count, np.bincount(j, minlength=n)
+        count_i, j, l, val = sp.count, sp.fj, sp.fl, sp.fval  # sorted by i
+        i = np.repeat(np.arange(n), count_i)
+        count_j = np.bincount(j, minlength=n)
         if count_i[l].sum() + count_j[l].sum() <= _ASSOC_TERMS:
             # (e_i e_j) e_l: t[i, j, x] t[x, l, m], the second factor found by its first index
-            a, b = _join(l, count_i, sp.first_start)
+            a, b = _join(l, count_i)
             left = _summed(((i[a] * n + j[a]) * n + j[b]) * n + l[b], val[a] * val[b], m)
             # e_i (e_j e_l): t[j, l, x] t[i, x, m], the second factor found by its second index
-            a, b = _join(l, count_j, np.cumsum(count_j) - count_j)
+            a, b = _join(l, count_j)
             b = np.argsort(j, kind="stable")[b]
             right = _summed(((i[b] * n + i[a]) * n + j[a]) * n + l[b], val[a] * val[b], m)
             if not all(map(np.array_equal, left, right)):
@@ -512,7 +514,7 @@ class FiniteRing:
 
         def mul(xs, ys):  # x*y summed over the nonzero constants only
             out = np.zeros_like(xs)
-            out[:, sp.l_runs] = np.add.reduceat(xs[:, sp.i] * ys[:, sp.j] * sp.val, sp.l_starts, axis=1) % m
+            out[:, sp.l] = np.add.reduceat(xs[:, sp.i] * ys[:, sp.j] * sp.val, sp.l_starts, axis=1) % m
             return out
 
         if not np.array_equal(mul(mul(a, b), c), mul(a, mul(b, c))):
@@ -607,9 +609,10 @@ class FiniteRing:
         return c
 
 
-def _join(x: np.ndarray, count: np.ndarray, start: np.ndarray):
-    """(a, b): every pair of a constant a and a constant b in the run of
-    x[a], where run c holds count[c] constants from start[c] on."""
+def _join(x: np.ndarray, count: np.ndarray):
+    """(a, b): every pair of an entry a and a constant b in the run of
+    x[a], where the runs hold count[0], count[1], ... constants in turn."""
+    start = np.cumsum(count) - count
     reps = count[x]
     a = np.repeat(np.arange(x.size), reps)
     b = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps - start[x], reps)
@@ -634,11 +637,13 @@ def _add_products(out: np.ndarray, keys, cols, coefs, dense: np.ndarray, m: int)
 
 
 def _apply_sparse(x: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
-    """x @ w mod m; from _SPARSE_DIM columns on, and when w passes the
-    density gate, summed over the nonzero entries of w only."""
-    r, c = w.nonzero()
-    if w.shape[0] < _SPARSE_DIM or _SPARSE_GAIN * r.size > w.size:
+    """x @ w mod m; from _SPARSE_DIM rows of w on, summed over the nonzero
+    entries of w only.  The Smith matrices of the tower fibre products
+    (n = 32-48) have n + 1 to n + 3 nonzero entries; over the 23 of a
+    seed-1 tower-corpus pass this takes 0.021 s where x @ w takes 0.039 s."""
+    if w.shape[0] < _SPARSE_DIM:
         return (x @ w) % m
+    r, c = w.nonzero()
     out = np.zeros((w.shape[1], x.shape[0]), dtype=np.int64)  # out[c] = column c of x @ w
     _add_products(out, c, r, w[r, c], x.T, m)
     return out.T
@@ -799,15 +804,14 @@ class RingMap:
 
     def _image_products(self) -> np.ndarray:
         """f(e_i e_j) for every basis pair, shape (n, n, dst.n); from
-        dimension _SPARSE_DIM on, and when the source's table passes the
-        density gate, sum_x t[i, j, x] f(e_x) over its nonzero constants."""
+        dimension _SPARSE_DIM on, sum_x t[i, j, x] f(e_x) over the nonzero
+        constants of the source."""
         s, mat, m = self.src, self.matrix, self.dst.char
         n = s.n
-        if n >= _SPARSE_DIM and _SPARSE_GAIN * s._sparse.val.size <= n**3:
+        if n >= _SPARSE_DIM:
             sp = s._sparse
-            f = sp.first
             out = np.zeros((n * n, mat.shape[1]), dtype=np.int64)
-            _add_products(out, sp.i[f] * n + sp.j[f], sp.l[f], sp.val[f], mat, m)
+            _add_products(out, np.repeat(np.arange(n) * n, sp.count) + sp.fj, sp.fl, sp.fval, mat, m)
             return out.reshape(n, n, -1)
         return np.einsum("ijx,xl->ijl", s.table, mat) % m
 

@@ -6,8 +6,8 @@ constants, `RingMap.check_hom` forms f(e_i e_j) from the nonzero
 constants of the source, and `fiber_product` applies its Smith matrix
 through the nonzero entries.  Each must give what the dense contraction
 in `tests/oracles.py` gives, bit for bit, on both sides of the dimension
-rule and of the density gate, with the gathers cut into blocks of one
-entry as well as whole.
+rule and, for `mul_outer`, of the join bound, with the gathers cut into
+blocks of one entry as well as whole.
 """
 
 import numpy as np
@@ -130,9 +130,9 @@ def test_genuine_maps_between_sparse_rings_pass():
 
 
 @pytest.mark.parametrize("r", SPARSE_RINGS[:-1], ids=lambda r: f"{r.name}-n{r.n}")
-def test_inputs_reach_both_sides_of_the_density_gate(r, monkeypatch):
-    """A few nonzero coordinates take the join; full rows, and the dense
-    relation rows `fitting_replay` hands to `orbit`, take the dense contraction."""
+def test_inputs_reach_both_sides_of_the_join_bound(r, monkeypatch):
+    """A few nonzero coordinates take the join; full rows take the dense
+    contraction, as no product of a benchmark pass does."""
     paths = []
     add, mul_matrix = rings._add_products, rings.FiniteRing.mul_matrix
     monkeypatch.setattr(rings, "_add_products", lambda *a: paths.append("join") or add(*a))
