@@ -18,16 +18,20 @@ separate package name):
   is what the parent's callers passed it: any difference in exps, w or
   winv.
 A second pass wraps `FiniteRing.mul_outer`, `FiniteRing.orbit` (the
-calls with `by`) and `RingMap.check_hom`.  Each call is repeated at once
-on the parent's rings with the same presentations (too many large tables
-pass through a pass to keep them all): any difference in the products,
-or in the verdict of `check_hom` (passing, or the type and message of
-what it raised), is printed.  A call made inside another wrapped call is
-part of that call's input and is not repeated on its own.
+calls with `by`), `RingMap.check_hom` and `modules.maximal_multiples`
+(as `towers` calls it).  Each call is repeated at once on the parent's
+rings with the same presentations (too many large tables pass through a
+pass to keep them all): any difference in the products, in the verdict
+of `check_hom` (passing, or the type and message of what it raised), or
+between the Howell form of the rows of `maximal_multiples` and that of
+the parent's full-basis multiples (every row times every basis row of
+the maximal ideal) is printed.  A call made inside another wrapped call
+is part of that call's input and is not repeated on its own.
 Each difference makes the exit status 1.  The best-of-N time of
 replaying each kind of Howell and Smith input through each checkout is
 printed after its count, and the summed time of each kind of ring
-product, timed once per call, after its count.
+product, timed once per call, after its count; for `maximal_multiples`
+also the rows each checkout returned.
 """
 
 from __future__ import annotations
@@ -100,9 +104,11 @@ def capture(workload: str, seed: int) -> dict[str, list[tuple]]:
 def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
     """Per kind of ring product: calls, differences, and the summed time of
     each checkout, every call of one pass repeated at once on the parent's rings."""
-    from exalg import rings
+    from exalg import linalg, rings, towers
 
-    stats = {kind: {"calls": 0, "differ": 0, "parent_s": 0.0, "tree_s": 0.0} for kind in ("mul_outer", "orbit", "check_hom")}
+    kinds = ("mul_outer", "orbit", "check_hom", "maximal_multiples")
+    stats = {kind: {"calls": 0, "differ": 0, "parent_s": 0.0, "tree_s": 0.0} for kind in kinds}
+    stats["maximal_multiples"].update(parent_rows=0, tree_rows=0)
     twins = weakref.WeakKeyDictionary()  # our ring -> the parent's ring with its presentation
     depth = [0]
 
@@ -116,7 +122,8 @@ def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
 
     def compared(kind, ours, prepare, describe, differences):
         """`ours` wrapped: each outermost call is repeated by the parent's
-        call that `prepare` returns for the same arguments."""
+        call that `prepare` returns for the same arguments, and
+        `differences` compares the two results given those arguments."""
         def call(*args):
             if depth[0]:
                 return ours(*args)
@@ -135,7 +142,7 @@ def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
             entry["calls"] += 1
             entry["tree_s"] += t1 - t0
             entry["parent_s"] += t3 - t2
-            diff = differences(out, other)
+            diff = differences(out, other, *args)
             if diff:
                 entry["differ"] += 1
                 print(f"{kind} call {entry['calls']} ({describe(*args)}): {'; '.join(diff)}")
@@ -143,7 +150,7 @@ def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
 
         return call
 
-    def products(x, y):
+    def products(x, y, *args):
         return array_differences(["products"], np.asarray(x), np.asarray(y))
 
     def verdict(fn, *args):
@@ -154,7 +161,7 @@ def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
             return e
         return None
 
-    def same_verdict(x, y):
+    def same_verdict(x, y, *args):
         x, y = [None if e is None else (type(e).__name__, str(e)) for e in (x, y)]
         return [] if x == y else [f"verdict {x} != {y}"]
 
@@ -170,6 +177,23 @@ def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
         lambda f: lambda: verdict(their_rings.RingMap(twin(f.src), twin(f.dst), f.matrix, name=f.name).check_hom),
         lambda f: f"dim {f.src.n} -> {f.dst.n}", same_verdict)
 
+    def full_basis_multiples(r, rows, g):
+        """The parent's m*M: each row times each basis row of m."""
+        other = twin(r)
+        other._local_data  # the radical, which the parent's pass had already computed
+        return lambda: other.orbit(rows, g, by=other.maximal_ideal().basis)
+
+    def same_span(ours, theirs, r, rows, g):
+        entry = stats["maximal_multiples"]
+        entry["tree_rows"] += len(ours)
+        entry["parent_rows"] += len(theirs)
+        h = [linalg.howell_form(x, r.p, r.k, ncols=g * r.n) for x in (ours, theirs)]
+        return array_differences(["Howell span"], *h)
+
+    multiples = compared(
+        "maximal_multiples", towers.maximal_multiples, full_basis_multiples,
+        lambda r, rows, g: f"dim {r.n}, {np.shape(rows)}, g={g}", same_span)
+
     def orbit_call(ring, rows, g=1, by=None):
         return orbit(ring, rows, g) if by is None else orbit_by(ring, rows, g, by)
 
@@ -182,6 +206,7 @@ def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
         (rings.FiniteRing, "mul_outer"): outer_call,
         (rings.FiniteRing, "orbit"): orbit_call,
         (rings.RingMap, "check_hom"): check_call,
+        (towers, "maximal_multiples"): multiples,
     })
     return stats
 
@@ -256,8 +281,9 @@ def main(argv=None) -> int:
               f"best of {args.repeat}: parent {parent_s:.3f} s, working tree {tree_s:.3f} s")
     for kind, entry in compare_products(args.workload, args.seed, their_rings).items():
         bad += entry["differ"]
+        rows = f"; rows: parent {entry['parent_rows']}, working tree {entry['tree_rows']}" if "tree_rows" in entry else ""
         print(f"{args.workload} seed {args.seed}: {entry['calls']} {kind} calls, {entry['differ']} differ; "
-              f"summed: parent {entry['parent_s']:.3f} s, working tree {entry['tree_s']:.3f} s")
+              f"summed: parent {entry['parent_s']:.3f} s, working tree {entry['tree_s']:.3f} s{rows}")
     return 1 if bad else 0
 
 

@@ -65,7 +65,6 @@ B and C are the Howell forms of the rows e1 x e2 and e2 x e1.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,10 +94,6 @@ __all__ = [
     "split_as_characters",
     "reducibility_ideal",
 ]
-
-# seed and size of the sampled spot checks in `ChAlgebra.verify`
-_VERIFY_SEED = 0
-_VERIFY_SAMPLES = 100
 
 # most Newton steps `_newton_lift` takes before it gives up
 _NEWTON_MAX_ITER = 64
@@ -133,12 +128,13 @@ class ChAlgebra(TraceForms):
         return Residual(field, down, residual_split(down.psr))
 
     def verify(self) -> None:
-        """Identity on basis pairs (bilinearity covers the rest) plus random
-        spot checks; each check runs on one stack and names its first failure.
+        """The Cayley-Hamilton identity on basis pairs and the group law on
+        the images; each check runs on one stack and names its first failure.
 
-        The spot checks are _VERIFY_SAMPLES elements drawn as one stack from
-        `random.Random(_VERIFY_SEED)`: the same integers, in the same order,
-        as _VERIFY_SAMPLES single `random_element` calls.
+        The pairs cover every element.  ch_el is bilinear and symmetric, and
+        ch_el(x, x) = 2 ch_at(x), where 2 is a unit (`check_modulus` refuses
+        p = 2).  So ch_at(sum a_i e_i) = 1/2 sum_{i,j} a_i a_j ch_el(e_i, e_j)
+        vanishes once ch_el vanishes on every pair i <= j.
         """
         al = self.algebra
         if al.n == 0:
@@ -149,9 +145,6 @@ class ChAlgebra(TraceForms):
         if bad.any():
             row = int(np.argmax(bad))
             raise InvariantViolation(f"polarized identity fails on basis pair ({left[row]},{right[row]})")
-        xs = al.random_element(random.Random(_VERIFY_SEED), _VERIFY_SAMPLES)
-        if self.ch_at(xs).any():
-            raise InvariantViolation("characteristic polynomial fails on a sampled element")
         m = len(self.rho_mat)
         prods = al.mul_outer(self.rho_mat, self.rho_mat).reshape(m * m, al.n)
         if not np.array_equal(prods, self.rho_mat[self.psr.group.table.reshape(-1)]):

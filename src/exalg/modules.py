@@ -5,7 +5,14 @@ a (rels, g, n) array.  All maximal minors of a presentation come from one
 column-by-column Laplace sweep that computes the minor of each row subset
 once and shares it with every larger subset, and `ring_det` is the
 one-minor case of that sweep.  `maximal_multiples` spans m*M, from
-which `towers` picks minimal generators by Nakayama.
+which `towers` picks minimal generators by Nakayama.  It multiplies the
+rows by the generators of m as an ideal (`FiniteRing.maximal_generators`),
+not by every basis row of m: for an R-submodule M spanned additively by
+rows y, m*M = sum_s s*R*M = sum_s s*M is the span of the products s*y, so
+its cost grows with the embedding dimension, not with dim m.  That needs
+M to be an R-submodule; every caller passes the basis of an ideal or the
+kernel of a syzygy map, and an arbitrary row set would lose the products
+by the other rows of m.
 
 The library takes the length of a quotient of ideals I/J from sizes,
 log|I| - log|J|.  The tests check that identity, the Fitting ideals and
@@ -32,9 +39,9 @@ __all__ = [
 
 def maximal_multiples(r: FiniteRing, rows, g: int) -> np.ndarray:
     """Rows spanning m*M, for m the maximal ideal of the local ring r and M
-    the submodule of r^g the rows generate: each row times each basis row
-    of m."""
-    return r.orbit(rows, g, by=r.maximal_ideal().basis)
+    the additive span of the rows in r^g, which must be an R-submodule:
+    each row times each generator of m (module docstring)."""
+    return r.orbit(rows, g, by=r.maximal_generators)
 
 
 # ---- Fitting ideals --------------------------------------------------

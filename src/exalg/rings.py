@@ -67,6 +67,17 @@ million) the check falls back to (ab)c = a(bc) on 200 triples drawn with
 seed 0, summed over the sparse view.  Below _SPARSE_DIM the dense n^4
 contraction is faster.
 
+`maximal_generators` generates the maximal ideal m of a local ring with
+the rows of its Howell basis whose pivot, column and entry p^v, is not
+also a pivot of the Howell basis of m^2.  A dropped row minus the row of
+m^2 with the same pivot lies in m and is zero up to and at that column,
+so by the Howell property it is in the span of the later rows of m.  By
+downward induction on the rows, the kept rows and m^2 span m; so the
+ideal J they generate has J + m*m = m, and J = m by Nakayama (m is
+nilpotent).  Over F_p the kept rows number dim m/m^2.  For an R-submodule
+M spanned by rows y, m*M is then the Z/p^k-span of the products s*y over
+the generators s, which `modules.maximal_multiples` forms.
+
 `smith_form` takes the Howell form H of its rows first.  When every pivot
 of H is 1, H is a reduced echelon form whose pivot columns c_0 < ... <
 c_{r-1} are unit vectors, and the pivoting loop (`_smith_loop`) has a
@@ -317,9 +328,6 @@ class FiniteRing:
     def sub(self, x, y) -> np.ndarray:
         return (x - y) % self.char
 
-    def neg(self, x) -> np.ndarray:
-        return (-x) % self.char
-
     def smul(self, c: int, x) -> np.ndarray:
         return (int(c) * x) % self.char
 
@@ -448,27 +456,6 @@ class FiniteRing:
         for block in self.element_blocks(limit):
             yield from block
 
-    def random_element(self, rng, count: int | None = None) -> np.ndarray:
-        """One element, or a (count, n) stack: the values of `count` single
-        calls, each `rng.randrange(char)`, and the state of `rng` after them.
-
-        randrange keeps the first 32-bit word whose top char.bit_length() bits
-        are below char, and getrandbits(32 W) is the next W words, little
-        endian: one block is read, its kept words are the values in order,
-        and the state is rewound and advanced by the words they used."""
-        shape = (self.n,) if count is None else (count, self.n)
-        need, state, width = math.prod(shape), rng.getstate(), math.prod(shape)
-        kept = words = np.zeros(0, dtype=np.int64)
-        while kept.size < need:
-            width = 2 * width + 32
-            rng.setstate(state)
-            words = np.frombuffer(rng.getrandbits(32 * width).to_bytes(4 * width, "little"), "<u4")
-            words = words.astype(np.int64) >> (32 - self.char.bit_length())
-            kept = np.flatnonzero(words < self.char)[:need]
-        rng.setstate(state)
-        rng.getrandbits(32 * (int(kept[-1]) + 1) if need else 0)
-        return words[kept].reshape(shape)
-
     # ---- verification ----------------------------------------------
 
     def check_ring(self) -> None:
@@ -583,6 +570,16 @@ class FiniteRing:
             raise InputError("ring is not local")
         return self.radical_ideal()
 
+    @cached_property
+    def maximal_generators(self) -> np.ndarray:
+        """Rows that generate the maximal ideal m as an ideal: the rows of
+        the Howell basis of m whose pivot, column and entry p^v, is not a
+        pivot of the Howell basis of m^2 (module docstring).  An array, so
+        the ring holds no ideal of its own."""
+        m = self.maximal_ideal()
+        m2 = m.mul_ideal(m).basis
+        return m.basis[~np.isin(_pivot_keys(m.basis, self.char), _pivot_keys(m2, self.char))]
+
     @property
     def residue_log_size(self) -> int:
         """log_p of the residue field size (local rings only)."""
@@ -607,6 +604,12 @@ class FiniteRing:
             if c > self.n * self.k + 2:
                 raise InvariantViolation("radical power chain does not terminate")
         return c
+
+
+def _pivot_keys(h: np.ndarray, m: int) -> np.ndarray:
+    """column * m + entry of the pivot of each row of a Howell basis over Z/m."""
+    cols = (h != 0).argmax(axis=1)
+    return cols * m + h[np.arange(h.shape[0]), cols]
 
 
 def _join(x: np.ndarray, count: np.ndarray):
@@ -940,7 +943,6 @@ def fiber_product(f: RingMap, g: RingMap, name: str | None = None):
     proj_b = RingMap(ring, b_ring, bb, name="pr2")
     proj_a.check_hom()
     proj_b.check_hom()
-    ring._embedding = basis  # rows: images in A x B coordinates
     return ring, proj_a, proj_b
 
 

@@ -56,11 +56,12 @@ memory until it ran.  No memo outlives the objects of its unit.
 
 from dataclasses import dataclass
 from functools import cached_property
+import math
 
 import numpy as np
 
 from . import linalg
-from .errors import InputError, InvariantViolation
+from .errors import BudgetExceeded, InputError, InvariantViolation
 from .modules import fitting_ideal, maximal_multiples, ring_det
 from .rings import (
     MAX_POLY_DIM,
@@ -105,6 +106,10 @@ __all__ = [
 # budget refuses the tower (axes3 at s = 11, dimension 88: 13 s); the golden
 # axes towers have dimension at most 32
 MAX_AXES_DIM = 64
+
+# most maximal minors the Fitting replay computes; `_min_module_rows`
+# refuses a module whose minimal relations would exceed it before picking
+_MINOR_BUDGET = 20000
 
 
 # ---- base-module linear algebra ------------------------------------
@@ -249,6 +254,10 @@ def _min_module_rows(ring: FiniteRing, rows: np.ndarray, g: int) -> np.ndarray:
     after the last.  Only the residuals of rows still outside are tested:
     a residual is congruent to its row mod every later, larger span, so
     the picks are the same.
+
+    As the relations of a module on g generators, the d picks have C(d, g)
+    maximal minors; past _MINOR_BUDGET, the most the Fitting replay takes,
+    the module is refused once d is known, before any pick runs.
     """
     p, k, width = ring.p, ring.k, g * ring.n
     full = linalg.howell_form(rows, p, k, ncols=width)
@@ -258,6 +267,8 @@ def _min_module_rows(ring: FiniteRing, rows: np.ndarray, g: int) -> np.ndarray:
     d, rest = divmod(linalg.span_log_size(full, p, k) - linalg.span_log_size(cur, p, k), ring.residue_log_size)
     if rest:
         raise InvariantViolation("|M/mM| is not a power of the residue field size")
+    if math.comb(d, g) > _MINOR_BUDGET:
+        raise BudgetExceeded(f"minor count {math.comb(d, g)} exceeds budget {_MINOR_BUDGET}")
     sel: list[np.ndarray] = []
     left, res = full, full  # the rows still outside the span, and their residuals
     for _ in range(d):
@@ -761,7 +772,7 @@ def fitting_replay(t: EisensteinTower) -> dict:
     if d:
         stacked = h.mul_matrix(gens).reshape(d * h.n, h.n)
         rel = _min_module_rows(h, linalg.kernel(stacked, h.p, h.k), d)
-        fitt = fitting_ideal(h, rel.reshape(-1, d, h.n), budget=20000)
+        fitt = fitting_ideal(h, rel.reshape(-1, d, h.n), budget=_MINOR_BUDGET)
     else:
         fitt = Ideal(h, np.eye(h.n, dtype=np.int64), _closed=True)
     fitt_ok = tail.contains_ideal(fitt)

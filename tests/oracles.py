@@ -11,6 +11,7 @@ only builds test inputs.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -21,7 +22,6 @@ from exalg.errors import BudgetExceeded, InputError, InvariantViolation
 from exalg.gma import GmaAlgebra, _raise_first, reducibility_ideal
 from exalg.groups import GroupChar, MarkedGroup, _require_order
 from exalg.linalg import howell_form, span_equal
-from exalg.modules import maximal_multiples
 from exalg.ordinary import (
     OrdinaryContext,
     _j_r_zero,
@@ -287,8 +287,8 @@ class FinModule:
         r = self.ring
         width = self.g * r.n
         rows = self.relations
-        if width:  # M/mM is R^g modulo the relations and m*R^g
-            rows = np.vstack([rows, maximal_multiples(r, np.eye(width, dtype=np.int64), self.g)])
+        if width:  # M/mM is R^g modulo the relations and m*R^g, by every basis row of m
+            rows = np.vstack([rows, r.orbit(np.eye(width, dtype=np.int64), self.g, by=r.maximal_ideal().basis)])
         h = linalg.howell_form(rows, r.p, r.k, ncols=width)
         ls = self.g * r.n * r.k - linalg.span_log_size(h, r.p, r.k)
         res = r.residue_log_size
@@ -356,6 +356,30 @@ def direct_product(a: MarkedGroup, b: MarkedGroup, name: str | None = None) -> M
     return MarkedGroup(
         table, a.identity * mb + b.identity, names, name=name or f"{a.name}x{b.name}"
     )
+
+
+# Fixture: ring elements with the values of single `randrange` draws, for
+# the sampled identity and membership tests.
+def random_element(r: FiniteRing, rng, count: int | None = None) -> np.ndarray:
+    """One element of r, or a (count, n) stack: the values of `count` single
+    calls, each `rng.randrange(char)`, and the state of `rng` after them.
+
+    randrange keeps the first 32-bit word whose top char.bit_length() bits
+    are below char, and getrandbits(32 W) is the next W words, little
+    endian: one block is read, its kept words are the values in order,
+    and the state is rewound and advanced by the words they used."""
+    shape = (r.n,) if count is None else (count, r.n)
+    need, state, width = math.prod(shape), rng.getstate(), math.prod(shape)
+    kept = words = np.zeros(0, dtype=np.int64)
+    while kept.size < need:
+        width = 2 * width + 32
+        rng.setstate(state)
+        words = np.frombuffer(rng.getrandbits(32 * width).to_bytes(4 * width, "little"), "<u4")
+        words = words.astype(np.int64) >> (32 - r.char.bit_length())
+        kept = np.flatnonzero(words < r.char)[:need]
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(kept[-1]) + 1) if need else 0)
+    return words[kept].reshape(shape)
 
 
 # Fixture: the characteristic polynomial x^2 - t(g) x + d(g) at one group
@@ -540,7 +564,7 @@ def ordinary_factorization_check(ctx: OrdinaryContext, budget: int = 200000) -> 
     rng = random.Random(0)
     seeds = [np.zeros(al.n, dtype=np.int64)]
     seeds.extend(np.eye(al.n, dtype=np.int64))
-    seeds.extend(al.random_element(rng, 8))
+    seeds.extend(random_element(al, rng, 8))
     seeds.extend(oq.j_star_rows)
     seeds.extend(oq.j_rows)
     qualified = 0

@@ -272,7 +272,7 @@ def test_criterion_03_quotient_identity_reproduction_and_lifting():
                 assert not ch.ch_at(np.array(x)).any(), psr.name
         else:
             for _ in range(100):
-                x = ch.algebra.random_element(rng)
+                x = oracles.random_element(ch.algebra, rng)
                 assert not ch.ch_at(x).any(), psr.name
         res = gma.lift_idempotents(ch)
         assert res["supported"], (psr.name, res["reason"])

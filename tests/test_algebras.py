@@ -215,9 +215,9 @@ def test_scalar_action_matches_base():
 
     rng = random.Random(1)
     for _ in range(10):
-        a = F7.random_element(rng)
-        b = F7.random_element(rng)
-        x = e.random_element(rng)
+        a = oracles.random_element(F7, rng)
+        b = oracles.random_element(F7, rng)
+        x = oracles.random_element(e, rng)
         lhs = e.amul(F7.mul(a, b), x)
         rhs = e.amul(a, e.amul(b, x))
         assert np.array_equal(lhs, rhs)

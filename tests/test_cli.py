@@ -563,6 +563,14 @@ def test_oversized_axes_towers_exit_two_before_allocating(family, s):
     assert time.perf_counter() - start < 2
 
 
+def test_axes_tower_past_the_minor_budget_exits_three():
+    """h.s = 5 over F5 at trunc 12 passes the axes bound, and the replay
+    refuses its relation module by minor count: exit 3, one stderr line."""
+    code, err = _run_quietly(_axes_body("tower-axes2", 5))
+    assert code == 3
+    assert err == "budget exceeded: scenario tower-axes2-s, stage replay: minor count 20349 exceeds budget 20000\n"
+
+
 def test_oversized_branch_algebra_exits_two(tmp_path, capsys):
     """A branch tower over t^65 would need a 130-dimensional algebra."""
     path = _bundled_variant(tmp_path, "plane-tower-r2", lambda d: (

@@ -16,8 +16,8 @@ formula and the log-size fill count.  The stacked check must pass where
 the reference passes and fail where it fails, with its message, and every
 GmaAlgebra field must equal the reference's.  The stacked lift must give
 each row's single lift and iteration count; and the stacked
-`random_element` must give the values, and leave the state, of single
-`randrange` draws.
+`oracles.random_element` must give the values, and leave the state, of
+single `randrange` draws.
 """
 
 import copy
@@ -26,6 +26,7 @@ import random
 from types import SimpleNamespace
 
 import numpy as np
+import oracles
 import pytest
 from test_gma import s3_irr_psrep
 from test_ordinary import T2, _jr_cases, d4_rep, d5_t2_psrep
@@ -484,7 +485,7 @@ def test_random_element_reads_the_randrange_stream(char):
         ring = rings.zmod_ring(p, {p ** k: k for k in range(1, 20)}[char])
     for count in (None, 0, 1, 5, 700):
         ours, singles = random.Random(char), random.Random(char)
-        got = rings.FiniteRing.random_element(ring, ours, count)
+        got = oracles.random_element(ring, ours, count)
         shape = (ring.n,) if count is None else (count, ring.n)
         want = np.array([singles.randrange(char) for _ in range(int(np.prod(shape)))], dtype=np.int64)
         assert got.dtype == np.int64 and np.array_equal(got, want.reshape(shape))

@@ -182,7 +182,7 @@ def test_identity_holds_on_samples_large_cases():
     for psr in [s3_irr_psrep(F7), d5_t2_psrep()]:
         ch = gma.ch_quotient(psr)
         for _ in range(200):
-            x = ch.algebra.random_element(rng)
+            x = oracles.random_element(ch.algebra, rng)
             assert not ch.ch_at(x).any()
 
 
@@ -647,7 +647,7 @@ def _passes_ch_membership(ch, krows, exhaustive):
     else:
         rng = random.Random(5)
         xs = itertools.chain(
-            np.eye(E.n, dtype=np.int64), (E.random_element(rng) for _ in range(150))
+            np.eye(E.n, dtype=np.int64), (oracles.random_element(E, rng) for _ in range(150))
         )
     return all(linalg.span_contains(h, unpol(x), E.p, E.k) for x in xs)
 
@@ -673,7 +673,7 @@ def test_every_ch_compatible_ideal_factors_through_quotient(psr, exhaustive):
     rng = random.Random(7)
     cands = [np.zeros(E.n, dtype=np.int64)]
     cands.extend(np.eye(E.n, dtype=np.int64))
-    cands.extend(E.random_element(rng) for _ in range(60 if exhaustive else 40))
+    cands.extend(oracles.random_element(E, rng) for _ in range(60 if exhaustive else 40))
     # every element of the quotient ideal itself, when that stays small:
     # some of them generate the whole ideal and must pass
     if jrows.shape[0] and E.char ** jrows.shape[0] <= 700:
@@ -836,7 +836,8 @@ def test_batched_peirce_checks_match_the_per_row_reference(case, edits):
 
 def _loop_verify_failure(ch, rng_seed=0, samples=100):
     """First failure of `ChAlgebra.verify`, one basis pair, one sample and
-    one group pair at a time."""
+    one group pair at a time.  `verify` no longer samples: a sample can
+    fail only after a basis pair has, so the messages still agree."""
     al = ch.algebra
     eye = np.eye(al.n, dtype=np.int64)
     for i in range(al.n):
@@ -845,7 +846,7 @@ def _loop_verify_failure(ch, rng_seed=0, samples=100):
                 return f"polarized identity fails on basis pair ({i},{j})"
     rng = random.Random(rng_seed)
     for _ in range(samples if al.n else 0):
-        if ch.ch_at(al.random_element(rng)).any():
+        if ch.ch_at(oracles.random_element(al, rng)).any():
             return "characteristic polynomial fails on a sampled element"
     grp = ch.psr.group
     for g in grp.elements():
@@ -904,9 +905,36 @@ def test_stacked_ch_generators_and_samples_match_the_loops(case, monkeypatch):
     for al in (ch.algebra, ext.E):
         for seed in (0, 1, 7):
             rng = random.Random(seed)
-            singles = np.array([al.random_element(rng) for _ in range(100)], dtype=np.int64).reshape(-1, al.n)
-            stacked = al.random_element(random.Random(seed), 100)
+            singles = np.array([oracles.random_element(al, rng) for _ in range(100)], dtype=np.int64).reshape(-1, al.n)
+            stacked = oracles.random_element(al, random.Random(seed), 100)
             assert stacked.dtype == singles.dtype and np.array_equal(stacked, singles)
+
+
+def _samples_fail(ch, rng_seed=0, samples=100) -> bool:
+    """The sampled check `ChAlgebra.verify` made before its basis pairs
+    were shown to cover every element: ch_at on `samples` random elements."""
+    return bool(ch.ch_at(oracles.random_element(ch.algebra, random.Random(rng_seed), samples)).any())
+
+
+@pytest.mark.parametrize("case", ["s3f7", "c4", "d5t2"])
+def test_basis_pairs_catch_every_corruption_the_samples_caught(case):
+    """ch_el is bilinear and symmetric with ch_el(x, x) = 2 ch_at(x), so a
+    failing sample means a failing basis pair, whatever the constants:
+    corrupted structure constants and trace matrices, one entry each."""
+    ch = _ch_case(case)
+    al, rng = ch.algebra, random.Random(case)
+    caught = 0
+    for trial in range(60):
+        table, t_matrix = al.table.copy(), ch.t_matrix.copy()
+        flat = (table if trial % 2 else t_matrix).reshape(-1)
+        where = rng.randrange(flat.size)
+        flat[where] = (flat[where] + rng.randrange(1, al.char)) % al.char
+        bad_al = algebras.AssocAlgebra(al.p, al.k, table, al.one, al.base, al.base_embed, name=al.name)
+        bad = dataclasses.replace(ch, algebra=bad_al, t_matrix=t_matrix)
+        if _samples_fail(bad):
+            caught += 1
+            assert _raised(gma.ChAlgebra.verify, bad).startswith("polarized identity fails on basis pair")
+    assert caught >= 20
 
 
 def _loop_trace_one_idempotents(ch):

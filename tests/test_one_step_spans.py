@@ -396,10 +396,11 @@ def test_check_ring_corruptions_reach_every_message(monkeypatch):
 # Rows reaching `linalg._engine` over build, audit and replay of the
 # plane-F5-r1 tower: 9,681 over 134 calls with iterated closures, 5,792
 # over 122 calls with the one-step spans, 500 over 119 calls once
-# `howell_form` splits off the unit singleton rows, and 469 over 111 calls
+# `howell_form` splits off the unit singleton rows, 469 over 111 calls
 # once the generators of I and each annihilator are computed once per
-# tower.  Counts repeat exactly, so the ceiling is the count itself.
-ENGINE_ROWS = 469
+# tower, and 455 over 112 calls once m*M is formed from the generators of
+# m.  Counts repeat exactly, so the ceiling is the count itself.
+ENGINE_ROWS = 455
 
 
 def test_engine_rows_of_one_tower(monkeypatch):

@@ -17,6 +17,7 @@ as genuinely nonempty so the window in the verifier is not decorative.
 
 import functools
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exalg import linalg, rings, scenarios, towers
-from exalg.errors import InputError, InvariantViolation
+from exalg.errors import BudgetExceeded, InputError, InvariantViolation
 from exalg.rings import DvrModel, Ideal, RingMap
 
 O5 = DvrModel(5, 1, 16)
@@ -437,3 +438,24 @@ def test_a_tower_unit_derives_each_object_once(monkeypatch):
     assert len(h_levels) == 1
     assert sum(ring is t.h and g == 1 and np.array_equal(rows, t.I.basis) for ring, rows, g in gens) == 1
     assert sum(ideal is t.script_I for ideal in annihilated) == 1
+
+
+def test_replay_refuses_by_minor_count_before_picking(monkeypatch):
+    """The h.s = 5 axes tower over F5 at trunc 12 has a relation module
+    whose minimal presentation would have 20,349 maximal minors: the
+    replay refuses it once d = dim M/mM is known, before any pick runs."""
+    picks, reduce = [], linalg.FactoredSpan.reduce
+
+    def counted(span, vecs):  # the residuals each pick of `_min_module_rows` tests
+        if sys._getframe(1).f_code.co_name == "_min_module_rows":
+            picks.append(len(vecs))
+        return reduce(span, vecs)
+
+    within, past = (towers.build_eisenstein_tower(DvrModel(5, 1, 12), 1, {"kind": "axes", "s": s}) for s in (2, 5))
+    within.i_gens, past.i_gens  # the generators of I, picked before the relation module
+    monkeypatch.setattr(linalg.FactoredSpan, "reduce", counted)
+    assert towers.fitting_replay(within)["bound_met"] and picks  # the counter sees the picks
+    picks.clear()
+    with pytest.raises(BudgetExceeded, match=r"^minor count 20349 exceeds budget 20000$"):
+        towers.fitting_replay(past)
+    assert picks == []
