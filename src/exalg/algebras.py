@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, InvariantViolation
-from .rings import FiniteRing, QuotientRing, RingMap, _quotient_structure, _smith_coordinates
+from .rings import FiniteRing, QuotientRing, RingMap, _projection, _quotient_structure, _smith_coordinates
 
 __all__ = [
     "AssocAlgebra",
@@ -181,12 +181,16 @@ def quotient_algebra(alg: AssocAlgebra, ideal_rows, name: str | None = None) -> 
 
 def _presented_quotient(alg: AssocAlgebra, base: FiniteRing, base_rows, new_k: int, proj, lift, name=None) -> AlgebraQuotient:
     """The quotient of `alg` onto (Z/p^new_k)^n' by `proj` (n, n'), `lift` a
-    section of it, over `base`, whose basis element a is the class of base_rows[a]."""
+    section of it, over `base`, whose basis element a is the class of base_rows[a].
+
+    The quotient is not checked as an algebra: `proj` is a checked unital
+    homomorphism onto it (`rings._projection`, which fails when the killed
+    rows are not two-sided), so it inherits associativity and the unit
+    from the algebra `alg`, and the image of the central base is central.
+    The base map is that of `alg` followed by `proj`, or in
+    `ch_base_change` the one argued for in the `gma` module docstring.
+    """
     table, one = _quotient_structure(alg.p, alg.k, new_k, alg.table, alg.one, proj, lift)
     embed = (np.asarray(base_rows, dtype=np.int64) @ proj) % alg.p**new_k
     out = AssocAlgebra(alg.p, new_k, table, one, base, embed, name=name or f"{alg.name}/J")
-    out.check_algebra()
-    quot = AlgebraQuotient(out, RingMap(alg, out, proj, name="proj"), lift)
-    # the projection must be multiplicative: two-sidedness of the input rows
-    quot.proj.check_hom()
-    return quot
+    return AlgebraQuotient(out, _projection(alg, out, proj, lift), lift)

@@ -577,8 +577,14 @@ class FiniteRing:
         pivot of the Howell basis of m^2 (module docstring).  An array, so
         the ring holds no ideal of its own."""
         m = self.maximal_ideal()
-        m2 = m.mul_ideal(m).basis
-        return m.basis[~np.isin(_pivot_keys(m.basis, self.char), _pivot_keys(m2, self.char))]
+        return m.basis[~np.isin(_pivot_keys(m.basis, self.char), _pivot_keys(self._maximal_square, self.char))]
+
+    @cached_property
+    def _maximal_square(self) -> np.ndarray:
+        """Howell basis of m^2, formed once per ring for `maximal_generators`
+        and `embedding_dimension`; an array, so the ring holds no ideal."""
+        m = self.maximal_ideal()
+        return m.mul_ideal(m).basis
 
     @property
     def residue_log_size(self) -> int:
@@ -690,7 +696,6 @@ class Ideal:
     def __init__(self, ring: FiniteRing, gens, _closed: bool = False):
         self.ring = ring
         rows = np.asarray(gens, dtype=np.int64).reshape(-1 if ring.n else 0, ring.n) % ring.char
-        self.gens = rows
         h = linalg.howell_form(rows, ring.p, ring.k, ncols=ring.n)
         self.basis = h if _closed else linalg.howell_form(ring.orbit(h), ring.p, ring.k, ncols=ring.n)
 
@@ -886,20 +891,29 @@ def _quotient_structure(p, k, new_k, table, one, proj, lift):
     return (prods @ proj) % p**new_k, (one @ proj) % p**new_k
 
 
+def _projection(src: FiniteRing, dst: FiniteRing, proj, lift) -> RingMap:
+    """The map src -> dst by `proj`, checked as a unital homomorphism, and
+    `lift` checked as a section of it (lift @ proj = 1), so it is onto."""
+    f = RingMap(src, dst, proj, name="proj")
+    f.check_hom()
+    if not np.array_equal((lift @ proj) % dst.char, np.eye(dst.n, dtype=np.int64)):
+        raise InvariantViolation("quotient lift/proj mismatch")
+    return f
+
+
 def quotient_ring(r: FiniteRing, ideal: Ideal, name: str | None = None) -> QuotientRing:
-    """R/I with projection; raises NonFreeQuotientError on mixed torsion."""
+    """R/I with projection; raises NonFreeQuotientError on mixed torsion.
+
+    R/I is not checked as a ring: its projection from the ring R is a
+    checked unital homomorphism onto it (`_projection`), so R/I inherits
+    commutativity, associativity and the unit.
+    """
     if ideal.ring is not r:
         raise InputError("ideal belongs to a different ring")
     new_k, proj, lift = _smith_coordinates(r.p, r.k, r.n, ideal.basis)
     table, one = _quotient_structure(r.p, r.k, new_k, r.table, r.one, proj, lift)
     ring = FiniteRing(r.p, new_k, table, one, name=name or f"{r.name}/I")
-    quot = QuotientRing(ring, RingMap(r, ring, proj, name="proj"), lift)
-    quot.proj.check_hom()
-    ring.check_ring()
-    # lifting then projecting is the identity on the quotient
-    if not np.array_equal((lift @ proj) % ring.char, np.eye(ring.n, dtype=np.int64)):
-        raise InvariantViolation("quotient lift/proj mismatch")
-    return quot
+    return QuotientRing(ring, _projection(r, ring, proj, lift), lift)
 
 
 def fiber_product(f: RingMap, g: RingMap, name: str | None = None):
@@ -907,6 +921,13 @@ def fiber_product(f: RingMap, g: RingMap, name: str | None = None):
 
     Returns (ring, proj_a, proj_b).  The underlying module is the kernel of
     (a, b) -> f(a) - g(b); it must be free over Z/p^k to be representable.
+
+    Neither the ring nor its projections are checked again.  The closure
+    check compares the products of the basis rows, formed in A and in B,
+    with table @ basis, and the unit check finds (1, 1) in their span: so
+    e_i -> basis_i, injective as its rows are rows of the invertible winv,
+    is a unital multiplicative map into A x B, and H is a subring of it
+    for rings A and B, with both projections homomorphisms.
     """
     a_ring, b_ring, c_ring = f.src, g.src, f.dst
     if g.dst is not c_ring:
@@ -938,12 +959,7 @@ def fiber_product(f: RingMap, g: RingMap, name: str | None = None):
         raise InvariantViolation("fiber product does not contain 1")
     one = one_c[sel]
     ring = FiniteRing(p, k, table, one, name=name or f"{a_ring.name}x{b_ring.name}")
-    ring.check_ring()
-    proj_a = RingMap(ring, a_ring, ba, name="pr1")
-    proj_b = RingMap(ring, b_ring, bb, name="pr2")
-    proj_a.check_hom()
-    proj_b.check_hom()
-    return ring, proj_a, proj_b
+    return ring, RingMap(ring, a_ring, ba, name="pr1"), RingMap(ring, b_ring, bb, name="pr2")
 
 
 # ---- derived ring invariants ---------------------------------------
@@ -951,9 +967,7 @@ def fiber_product(f: RingMap, g: RingMap, name: str | None = None):
 
 def embedding_dimension(r: FiniteRing) -> int:
     """dim of m/m^2 over the residue field, for local r."""
-    m = r.maximal_ideal()
-    m2 = m.mul_ideal(m)
-    dlog = m.log_size() - m2.log_size()
+    dlog = r.maximal_ideal().log_size() - linalg.span_log_size(r._maximal_square, r.p, r.k)
     res = r.residue_log_size
     if dlog % res:
         raise InvariantViolation("m/m^2 size is not a residue field power")

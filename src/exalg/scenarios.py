@@ -194,18 +194,19 @@ class _State:
         return gma_mod.ch_quotient(self.get("psr"))
 
     def _make_decision(self):
-        """(result, e1 or None) of the ordinarity decision for the scenario's kappa."""
+        """(result, GmaAlgebra or None) of the ordinarity decision for the scenario's kappa."""
         return ordinary._decide(self.get("ch"), self.get("kappa"), self.sc.budget)
 
     def _make_gma(self):
+        """The decision's GmaAlgebra, already checked; else that of the lifted idempotent."""
         ch = self.get("ch")
-        e1 = None if self.get("kappa") is None else self.get("decision")[1]
-        if e1 is None:
+        gma = None if self.get("kappa") is None else self.get("decision")[1]
+        if gma is None:
             res = gma_mod.lift_idempotents(ch, budget=self.sc.budget)
             if not res["supported"]:
                 raise InputError(f"idempotent lifting unsupported: {res['reason']}")
-            e1 = res["e1"]
-        return gma_mod.gma_decompose(ch, e1)
+            gma = gma_mod.gma_decompose(ch, res["e1"])
+        return gma
 
     # tower chain
     def _make_tower(self):

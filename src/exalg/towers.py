@@ -565,8 +565,12 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
     h_spec kinds: "plane" (h is the base), "branch" (two copies meeting
     to order m), "axes" (s copies glued at the origin), "mod" (torsion
     quotient, always rejected).  r = 0 is the degenerate gluing over the
-    zero ring and comes back flagged.  Every structural invariant of
-    the tower is verified before it is returned.
+    zero ring and comes back flagged.  The paper's claims on the tower
+    are verified before it is returned (`_verify_tower`).
+
+    emb_H is not checked as a homomorphism: the exact solve gives
+    (pr_h, pr_lam) emb_H = (emb_h, id), where (pr_h, pr_lam) is injective,
+    unital and multiplicative and `augmented_algebra` checked emb_h.
     """
     if r < 0:
         raise InputError("gluing exponent must be >= 0")
@@ -598,7 +602,6 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
     if not ok[:nl].all():
         raise InvariantViolation("base does not embed diagonally into the tower")
     emb_H = RingMap(lam.ring, H, sols[:nl], name="emb")
-    emb_H.check_hom()
     i_ideal = aug.kernel_ideal()
     ker_h = pr_h.kernel_ideal()
     script_i = pr_lam.kernel_ideal()
@@ -637,15 +640,16 @@ def tower_eta(t: EisensteinTower) -> Ideal:
 
 
 def _verify_tower(t: EisensteinTower) -> None:
+    """H is local, the colengths, ker(H -> base) against I, mutual
+    annihilation and eta = (xi).  What the solve for emb_H and T0 in
+    `build_eisenstein_tower` gives (emb_H followed by pr_h and by pr_lam,
+    T0 projecting to (0, xi)) is not checked again, nor is h local, which
+    `augmented_algebra` checked."""
     lam, H = t.lam, t.H
     p, k = H.p, H.k
     res = lam.ring.residue_log_size
-    if not t.degenerate and (not t.h.is_local or not H.is_local):
+    if not t.degenerate and not H.is_local:
         raise InvariantViolation("tower levels must be local")
-    if not np.array_equal(t.emb_H.then(t.pr_lam).matrix % lam.ring.char, np.eye(lam.ring.n, dtype=np.int64)):
-        raise InvariantViolation("base does not split the tower augmentation")
-    if not np.array_equal(t.emb_H.then(t.pr_h).matrix % t.h.char, t.emb_h.matrix % t.h.char):
-        raise InvariantViolation("tower embedding disagrees with the h-level embedding")
     if ideal_colength(lam, t.I) != t.r:
         raise InvariantViolation("h/I is not the expected base quotient")
     if (H.k * H.n - t.I_H.log_size()) != t.r * res:
@@ -654,9 +658,6 @@ def _verify_tower(t: EisensteinTower) -> None:
     img = linalg.howell_form((t.script_I.basis @ t.pr_h.matrix) % t.h.char, p, k, ncols=t.h.n)
     if not linalg.span_equal(img, t.I.basis) or t.script_I.log_size() != t.I.log_size():
         raise InvariantViolation("ker(H -> base) does not match the Eisenstein ideal")
-    # T0 bookkeeping
-    if not np.array_equal(t.pr_lam(t.T0), t.xi) or t.pr_h(t.T0).any():
-        raise InvariantViolation("T0 does not project to (0, xi)")
     # mutual annihilation: exact containments, equality inside the window
     ann_script = t.script_I.annihilator()
     ann_ker = t.ker_h.annihilator()

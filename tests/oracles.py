@@ -402,6 +402,33 @@ def square_zero_algebra(o: DvrModel, name: str | None = None) -> AugmentedAlgebr
 # ---- GMA coordinates and the reducibility ideal -------------------
 
 
+# Check that `gma._ch_algebra` leaves out, as the descent argument in the
+# `gma` module docstring implies it; `conftest.py` runs it on every ChAlgebra.
+def verify_ch(ch) -> None:
+    """The Cayley-Hamilton identity on basis pairs and the group law on
+    the images of a ChAlgebra; each check runs on one stack and names its
+    first failure.
+
+    The pairs cover every element.  ch_el is bilinear and symmetric, and
+    ch_el(x, x) = 2 ch_at(x), where 2 is a unit (`check_modulus` refuses
+    p = 2).  So ch_at(sum a_i e_i) = 1/2 sum_{i,j} a_i a_j ch_el(e_i, e_j)
+    vanishes once ch_el vanishes on every pair i <= j.
+    """
+    al = ch.algebra
+    if al.n == 0:
+        return
+    eye = np.eye(al.n, dtype=np.int64)
+    left, right = np.triu_indices(al.n)
+    bad = ch.ch_el(eye[left], eye[right]).any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvariantViolation(f"polarized identity fails on basis pair ({left[row]},{right[row]})")
+    m = len(ch.rho_mat)
+    prods = al.mul_outer(ch.rho_mat, ch.rho_mat).reshape(m * m, al.n)
+    if not np.array_equal(prods, ch.rho_mat[ch.psr.group.table.reshape(-1)]):
+        raise InvariantViolation("group images fail to multiply in the quotient")
+
+
 def _reassembles(gma: GmaAlgebra, xs, x11, x12, x21, x22) -> np.ndarray:
     """Per row: x11 e1 + x12 + x21 + x22 e2 == xs, corners as base scalars."""
     al = gma.algebra

@@ -10,7 +10,9 @@ Certificates quoted in the reports are re-verified here from scratch.
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -569,6 +571,61 @@ def test_axes_tower_past_the_minor_budget_exits_three():
     code, err = _run_quietly(_axes_body("tower-axes2", 5))
     assert code == 3
     assert err == "budget exceeded: scenario tower-axes2-s, stage replay: minor count 20349 exceeds budget 20000\n"
+
+
+# One child process runs the whole sweep below with its address space
+# capped, so a run that would exhaust memory raises there, not in pytest.
+_SWEEP_CHILD = """
+import contextlib, io, json, random, resource, sys, tempfile, time
+from pathlib import Path
+
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from exalg import cli, scenarios, serialize
+
+runs = []
+for family in ("tower-plane", "tower-branch", "tower-axes2", "tower-axes3"):
+    body = scenarios._tower_body(random.Random(0), family)
+    fields = [("dvr", "trunc"), ("dvr", "p"), ("dvr", "e"), (None, "r")] + [("h", f) for f in ("m", "s") if f in body["h"]]
+    for where, field in fields:
+        for value in (0, 1, 5, 8, 11, 25, 10**30):
+            doc = {"schema": serialize.SCENARIO_SCHEMA, "name": family, "seed": 0, "budget": 200000,
+                   **json.loads(json.dumps(body))}
+            (doc[where] if where else doc)[field] = value
+            err, start = io.StringIO(), time.perf_counter()
+            with tempfile.TemporaryDirectory() as d:
+                path = Path(d) / f"{family}.json"
+                path.write_text(json.dumps(doc))
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                        code = cli.main(["pipeline", str(path)])
+                except Exception as e:  # a traceback at the command line, MemoryError included
+                    code, err = None, io.StringIO(repr(e))
+            runs.append([family, f"{where}.{field}" if where else field, str(value), code, err.getvalue(),
+                         time.perf_counter() - start])
+print(json.dumps(runs))
+"""
+
+
+def test_tower_field_sweep_exits_cleanly_under_a_memory_cap():
+    """dvr.trunc, dvr.p, dvr.e, r and h.m or h.s of each generated tower
+    family, set in turn to each of (0, 1, 5, 8, 11, 25, 10**30): 133
+    pipeline runs in a child capped at 3 GB of address space.  Each ends in
+    exit 0 with a silent stderr, or in exit 2 or 3 with one stderr line,
+    within 2 s; none raises."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_CHILD], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    runs = json.loads(proc.stdout)
+
+    def clean(code, err, seconds) -> bool:
+        if code == 0:
+            return err == "" and seconds < 2
+        return code in (2, 3) and err.startswith(_EXIT_PREFIX[code]) and err.count("\n") == 1 and seconds < 2
+
+    assert len(runs) == 133
+    assert [run for run in runs if not clean(*run[3:])] == []
+    assert {run[3] for run in runs} == {0, 2, 3}
 
 
 def test_oversized_branch_algebra_exits_two(tmp_path, capsys):

@@ -835,8 +835,8 @@ def test_batched_peirce_checks_match_the_per_row_reference(case, edits):
 
 
 def _loop_verify_failure(ch, rng_seed=0, samples=100):
-    """First failure of `ChAlgebra.verify`, one basis pair, one sample and
-    one group pair at a time.  `verify` no longer samples: a sample can
+    """First failure of `oracles.verify_ch`, one basis pair, one sample and
+    one group pair at a time.  `verify_ch` does not sample: a sample can
     fail only after a basis pair has, so the messages still agree."""
     al = ch.algebra
     eye = np.eye(al.n, dtype=np.int64)
@@ -871,7 +871,7 @@ def _ch_case(name):
     ),
 )
 def test_stacked_ch_verify_matches_the_per_element_reference(case, edits):
-    """Corrupted group images or trace matrices fail the stacked `verify`
+    """Corrupted group images or trace matrices fail the stacked `verify_ch`
     with the message the per-element loops meet first; intact ones pass both."""
     ch = _ch_case(case)
     fields = {name: getattr(ch, name).copy() for name in ("rho_mat", "t_matrix")}
@@ -879,7 +879,7 @@ def test_stacked_ch_verify_matches_the_per_element_reference(case, edits):
         flat = fields[name].reshape(-1)
         flat[where % flat.size] = (flat[where % flat.size] + delta) % ch.algebra.char
     bad = dataclasses.replace(ch, **fields)
-    assert _raised(gma.ChAlgebra.verify, bad) == _loop_verify_failure(bad)
+    assert _raised(oracles.verify_ch, bad) == _loop_verify_failure(bad)
     if not edits:
         assert _loop_verify_failure(bad) is None
 
@@ -911,7 +911,7 @@ def test_stacked_ch_generators_and_samples_match_the_loops(case, monkeypatch):
 
 
 def _samples_fail(ch, rng_seed=0, samples=100) -> bool:
-    """The sampled check `ChAlgebra.verify` made before its basis pairs
+    """The sampled check that the Cayley-Hamilton check made before its basis pairs
     were shown to cover every element: ch_at on `samples` random elements."""
     return bool(ch.ch_at(oracles.random_element(ch.algebra, random.Random(rng_seed), samples)).any())
 
@@ -933,7 +933,7 @@ def test_basis_pairs_catch_every_corruption_the_samples_caught(case):
         bad = dataclasses.replace(ch, algebra=bad_al, t_matrix=t_matrix)
         if _samples_fail(bad):
             caught += 1
-            assert _raised(gma.ChAlgebra.verify, bad).startswith("polarized identity fails on basis pair")
+            assert _raised(oracles.verify_ch, bad).startswith("polarized identity fails on basis pair")
     assert caught >= 20
 
 
@@ -1010,10 +1010,20 @@ def _gma_calls(name):
 
 
 def test_gma_algebra_comes_from_one_stacked_check():
-    """`gma_decompose` is the one builder of a GmaAlgebra, for `abstract_gma`
-    too, and reads it off one `_check_gma_stack` row with no factored corner."""
-    assert _constructions("GmaAlgebra") == {("gma.py", "gma_decompose")}
+    """`_read_gma` is the one builder of a GmaAlgebra, and reads it off one
+    `_check_gma_stack` row with no factored corner.  Each function that
+    calls it runs that check first: `gma_decompose`, for `abstract_gma`
+    too, and `ordinary._decide`, on the row its verdict found."""
+    assert _constructions("GmaAlgebra") == {("gma.py", "_read_gma")}
     assert "gma_decompose" in _gma_calls("abstract_gma")
+    callers = {}
+    for path in sorted(pathlib.Path(gma.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name != "_read_gma":
+                calls = [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
+                if "_read_gma" in calls:
+                    callers[(path.name, node.name)] = calls
+    assert set(callers) == {("gma.py", "gma_decompose"), ("ordinary.py", "_decide")}
+    assert all("_check_gma_stack" in calls for calls in callers.values())
     calls = _gma_calls("gma_decompose")
-    assert "_check_gma_stack" in calls
     assert not [c for c in calls if "FactoredSpan" in c or "span_equal" in c]

@@ -9,6 +9,7 @@ basis row of m.  The Howell form is canonical, so each comparison is
 bit for bit.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,30 @@ def test_maximal_multiples_span_m_times_the_module(data):
 
 
 # ---- work and memory guards on the tower path --------------------------
+
+
+def test_m_squared_is_formed_once_per_ring(monkeypatch):
+    """`maximal_generators` and `embedding_dimension` read one cached m^2 of
+    their ring: over build, audit and replay of the corpus towers, `rings`
+    forms m*m once per ring.  (`towers.cotangent_length` squares its own
+    ideal, which is m on the plane r = 1 towers; that product is not m^2
+    read by these two, and is not counted.)"""
+    formed, kept = {}, []
+    mul_ideal = rings.Ideal.mul_ideal
+
+    def counted(ideal, other):
+        r = ideal.ring
+        caller = sys._getframe(1).f_globals["__name__"]
+        if caller == "exalg.rings" and ideal is other and r.is_local and np.array_equal(ideal.basis, r.radical_rows()):
+            kept.append(r)  # alive to the end, so no id is reused
+            formed[id(r)] = formed.get(id(r), 0) + 1
+        return mul_ideal(ideal, other)
+
+    monkeypatch.setattr(rings.Ideal, "mul_ideal", counted)
+    for t in towers.tower_corpus():
+        towers.theorem_audit(t)
+        towers.fitting_replay(t)
+    assert set(formed.values()) == {1} and len(formed) >= len(towers._CORPUS_SPECS)
 
 # Rows `maximal_multiples` returns over build, audit and replay of the
 # axes-F3-s4-r1 tower, over its two calls: 3,968 as every row of M times

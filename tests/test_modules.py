@@ -295,4 +295,4 @@ def test_fitting_gens_are_the_minors_in_combinations_order(r, data):
     rels = data.draw(st.integers(g, g + 3))
     pres = _random_rows(data, r, rels, g)
     want = [permutation_det(r, pres[list(c)]) for c in itertools.combinations(range(rels), g)]
-    assert np.array_equal(modules.fitting_ideal(r, pres).gens, np.array(want))
+    assert np.array_equal(modules._maximal_minors(r, pres), np.array(want))

@@ -700,7 +700,7 @@ def _three_quotient_reference(ch, f, extra_rows, name=None):
     t_e = (down.quot.proj.matrix @ down.t_matrix) % abar.char
     rho = (abar.one @ quot_full.proj.matrix.reshape(ch.psr.group.m, abar.n, ebar.n)) % ebar.char
     out = gma.ChAlgebra(down.psr, abar, ebar, quot_full, (quot_full.lift_matrix @ t_e) % abar.char, rho)
-    out.verify()
+    oracles.verify_ch(out)
     return out, pushforward(quot_full)
 
 
