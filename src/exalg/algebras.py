@@ -20,7 +20,6 @@ __all__ = [
     "group_algebra",
     "matrix_algebra",
     "two_sided_ideal_rows",
-    "AlgebraQuotient",
     "quotient_algebra",
 ]
 
@@ -57,9 +56,6 @@ class AssocAlgebra(FiniteRing):
 
     def is_central(self, x) -> bool:
         return np.array_equal(self.mul_matrix(x), self.right_mul_matrix(x))
-
-    def commutator(self, x, y) -> np.ndarray:
-        return self.sub(self.mul(x, y), self.mul(y, x))
 
     def check_algebra(self) -> None:
         """The unit on every basis element, associativity, and the base as a
@@ -164,22 +160,14 @@ def two_sided_ideal_rows(alg: AssocAlgebra, gens) -> np.ndarray:
 # ---- quotients -------------------------------------------------------
 
 
-class AlgebraQuotient(QuotientRing):
-    """The `QuotientRing` bundle of an algebra quotient; `algebra` is its ring."""
-
-    @property
-    def algebra(self) -> AssocAlgebra:
-        return self.ring
-
-
-def quotient_algebra(alg: AssocAlgebra, ideal_rows, name: str | None = None) -> AlgebraQuotient:
-    """Quotient by a two-sided ideal given as (already closed) Howell rows."""
-    rows = np.asarray(ideal_rows, dtype=np.int64).reshape(-1 if alg.n else 0, alg.n) % alg.char
-    new_k, proj, lift = _smith_coordinates(alg.p, alg.k, alg.n, rows)
+def quotient_algebra(alg: AssocAlgebra, ideal_h: np.ndarray, name: str | None = None) -> QuotientRing:
+    """Quotient by a two-sided ideal given by its Howell basis, taken as
+    given (`rings` module docstring), as from `two_sided_ideal_rows`."""
+    new_k, proj, lift = _smith_coordinates(alg.p, alg.k, alg.n, ideal_h)
     return _presented_quotient(alg, alg.base, alg.base_embed, new_k, proj, lift, name)
 
 
-def _presented_quotient(alg: AssocAlgebra, base: FiniteRing, base_rows, new_k: int, proj, lift, name=None) -> AlgebraQuotient:
+def _presented_quotient(alg: AssocAlgebra, base: FiniteRing, base_rows, new_k: int, proj, lift, name=None) -> QuotientRing:
     """The quotient of `alg` onto (Z/p^new_k)^n' by `proj` (n, n'), `lift` a
     section of it, over `base`, whose basis element a is the class of base_rows[a].
 
@@ -193,4 +181,4 @@ def _presented_quotient(alg: AssocAlgebra, base: FiniteRing, base_rows, new_k: i
     table, one = _quotient_structure(alg.p, alg.k, new_k, alg.table, alg.one, proj, lift)
     embed = (np.asarray(base_rows, dtype=np.int64) @ proj) % alg.p**new_k
     out = AssocAlgebra(alg.p, new_k, table, one, base, embed, name=name or f"{alg.name}/J")
-    return AlgebraQuotient(out, _projection(alg, out, proj, lift), lift)
+    return QuotientRing(out, _projection(alg, out, proj, lift), lift)

@@ -86,7 +86,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .algebras import AlgebraQuotient, AssocAlgebra, _presented_quotient, quotient_algebra, two_sided_ideal_rows
+from .algebras import AssocAlgebra, _presented_quotient, quotient_algebra, two_sided_ideal_rows
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .psrep import (
     ExtendedPsrep,
@@ -122,7 +122,7 @@ class ChAlgebra(TraceForms):
     psr: Pseudorep2
     base: FiniteRing
     algebra: AssocAlgebra
-    quot: AlgebraQuotient
+    quot: QuotientRing
     t_matrix: np.ndarray  # (nbar, base.n)
     rho_mat: np.ndarray  # (m, nbar), group images in the quotient
 
@@ -189,7 +189,9 @@ def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None, extra=Non
     beta = al.mul_outer(ch.rho_mat, base_rows).reshape(n_bg, al.n)
     stack = linalg.FactoredSpan.factor(np.vstack([beta, rows]), al.p, al.k, ncols=al.n)
     x, _ = stack.solve(np.eye(al.n, dtype=np.int64))  # beta spans al modulo rows
-    new_k, proj_bg, _ = _smith_coordinates(b.p, b.k, n_bg, stack.kernel[:, :n_bg] % b.char)
+    # the B[G] columns of the kernel span its relations, but are no Howell basis
+    rel = linalg.howell_form(stack.kernel[:, :n_bg] % b.char, b.p, b.k, ncols=n_bg)
+    new_k, proj_bg, _ = _smith_coordinates(b.p, b.k, n_bg, rel)
     proj = (x[:, :n_bg] @ proj_bg) % b.p**new_k
     eye = np.eye(proj.shape[1], dtype=np.int64)
     lift, _ = linalg.FactoredSpan.factor(proj, b.p, new_k, ncols=len(eye)).solve(eye)
@@ -206,14 +208,14 @@ def _killed_rows(al: AssocAlgebra, gens, t_matrix, b: FiniteRing, what: str) -> 
     return rows
 
 
-def _ch_algebra(psr: Pseudorep2, quot: AlgebraQuotient, t_matrix, rho) -> ChAlgebra:
+def _ch_algebra(psr: Pseudorep2, quot: QuotientRing, t_matrix, rho) -> ChAlgebra:
     """The one builder of a ChAlgebra over psr.ring, from the quotient
     `quot`, the trace `t_matrix` on its source and the group images `rho`
     there: the characteristic and the base must survive, and the quotient
     must keep the traces of psr.  The Cayley-Hamilton identity and the
     group law are not checked again: they descend along the checked
     projection (module docstring)."""
-    b, ebar = psr.ring, quot.algebra
+    b, ebar = psr.ring, quot.ring
     if ebar.char != b.char:
         # t(1) = 2 is a unit, so the image of 1 keeps full additive order;
         # a characteristic drop would contradict the vanishing check
@@ -388,14 +390,6 @@ class GmaAlgebra:
 
     def phi2_of(self, x) -> np.ndarray:
         return (np.asarray(x) @ self.phi2) % self.base.char
-
-    def trace_of(self, x) -> np.ndarray:
-        return (self.phi1_of(x) + self.phi2_of(x)) % self.base.char
-
-    def pairing(self, b_vec, c_vec) -> np.ndarray:
-        """m(b, c) in the base, for b in the span of B and c in the span of C;
-        row by row for stacks."""
-        return self.phi1_of(self.algebra.mul(b_vec, c_vec))
 
     def __repr__(self):
         a = self.base

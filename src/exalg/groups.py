@@ -248,14 +248,6 @@ class GroupChar:
                 raise InvariantViolation(f"character value at {a} is not a unit")
             raise InvariantViolation(f"character fails at ({a},{b})")
 
-    def restrict(self, subset) -> "GroupChar":
-        subset = set(int(x) for x in subset)
-        if not subset <= set(self.domain):
-            raise InputError("restriction target exceeds the domain")
-        return GroupChar(
-            self.group, self.ring, {g: self.values[g] for g in subset}, name=self.name
-        )
-
     def __repr__(self):
         return f"<{self.name}: {len(self.domain)} of {self.group.m} elements, values in {self.ring.name}>"
 

@@ -50,6 +50,11 @@ p^v u with v > 0 is an ordinary row for the engine.  Most rows of the
 tower closures are unit singletons; inputs with fewer than _SPLIT_MIN
 rows or columns skip the split, whose overhead they would not repay.
 
+A span is put in Howell form once, by the code that forms its rows; a
+function that takes a span takes its Howell basis H as given, as
+`FactoredSpan(h, p, k)` does.  Reducing H again could only return H: H
+spans the span it is the Howell form of, and that form is unique.
+
 Rows are numpy int64 vectors with entries in [0, p^k).  All operations are
 exact; no floating point anywhere.
 """

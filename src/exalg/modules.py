@@ -93,10 +93,10 @@ def fitting_ideal(r: FiniteRing, pres, budget: int = 5000) -> Ideal:
     if pres.ndim != 3 or pres.shape[2] != r.n:
         raise InputError("presentation must be (rels, gens, ring_dim)")
     rels, g, _ = pres.shape
-    if g == 0:
-        return Ideal(r, np.eye(r.n, dtype=np.int64), _closed=True)
+    if g == 0:  # the unit ideal, whose Howell basis is the identity
+        return Ideal.from_basis(r, np.eye(r.n, dtype=np.int64))
     if rels < g:
-        return Ideal(r, np.zeros((0, r.n), dtype=np.int64), _closed=True)
+        return Ideal.from_basis(r, np.zeros((0, r.n), dtype=np.int64))
     if math.comb(rels, g) > budget:
         raise BudgetExceeded(f"minor count {math.comb(rels, g)} exceeds budget {budget}")
     return Ideal(r, _maximal_minors(r, pres))

@@ -30,10 +30,11 @@ are the structure is argued in the `gma` module docstring.  By its corner
 rule the Ip generator e1 rho(g) e1 - kappa^-1(g) e1 is a e1 with
 a = phi1(rho(g)) - kappa^-1(g), zero exactly when the relation holds.
 
-Its winner, else its first candidate, is a scenario's one idempotent
-(`_decide`), and the GmaAlgebra read off its checked row (`gma._read_gma`)
-is the scenario's GMA, so a reported R^ord is built from the GMA the
-verdict found, and that row is checked once.
+Its winner, else its first candidate, is a scenario's one idempotent:
+`_decide` returns its checked row with the verdict, and the scenario's
+GMA is read off that row (`gma._read_gma`), so a reported R^ord is built
+from the GMA the verdict found, and that row is checked once.
+`is_ordinary_ch` reads no GMA off it.
 
 J_R is generated by the traces of J* alone, and J_R = 0 exactly when
 t(g e_j) = 0 for every generator g of `_relations` and every basis
@@ -62,7 +63,6 @@ from .gma import (
     Residual,
     _check_gma_stack,
     _newton_lift,
-    _read_gma,
     _residual_targets,
     ch_base_change,
     ch_quotient,
@@ -307,16 +307,16 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
     passes one stacked structure check, the corner rule
     e_i x e_i = t(e_i x e_i) e_i and the other spanning-set forms of the
     `gma` module docstring, and the witness alignment is read off the
-    winner's corner coordinates there.  One GmaAlgebra is read off the
-    row `_decide` returns with the verdict.
+    winner's corner coordinates there.
     """
     return _decide(ch, kappa, budget)[0]
 
 
 def _decide(ch: ChAlgebra, kappa: GroupChar, budget: int):
-    """(`is_ordinary_ch` result, GmaAlgebra): the GMA of the winning
-    candidate, else of the first candidate tried, read off its row of the
-    stacked check; None when the decision lifts no candidate."""
+    """(`is_ordinary_ch` result, row): the row (e12, phi, peirce) of the
+    stacked check for the winning candidate, else for the first candidate
+    tried, from which `gma._read_gma` reads its GmaAlgebra; None when the
+    decision lifts no candidate."""
     _require_decidable(ch.psr)
     _check_kappa(ch, kappa)
     res = ch.residual
@@ -337,8 +337,8 @@ def _decide(ch: ChAlgebra, kappa: GroupChar, budget: int):
     # as in a loop over the candidates: the first row with J_R = 0 wins, and the rows up to it are checked
     hit = int(np.argmax(zero)) if zero.any() else None
     e12, phi, peirce = _check_gma_stack(ch, es if hit is None else es[: hit + 1])
-    row = 0 if hit is None else hit
-    gma = _read_gma(ch, e12[row], phi[row], peirce[row])
+    i = 0 if hit is None else hit
+    row = e12[i], phi[i], peirce[i]
     if hit is not None:
         return {
             "supported": True,
@@ -350,12 +350,12 @@ def _decide(ch: ChAlgebra, kappa: GroupChar, budget: int):
                 "e1": [int(c) for c in es[hit]],
                 "alignment": _residual_corner_alignment(ch, *phi[hit], kappa),
             },
-        }, gma
+        }, row
     if chis is None:
         reason = "ordinary base ideal is nonzero for every residual corner"
     else:
         reason = "ordinary base ideal is nonzero for every aligned corner"
-    return {"supported": True, "ordinary": False, "reason": reason, "checked": len(targets)}, gma
+    return {"supported": True, "ordinary": False, "reason": reason, "checked": len(targets)}, row
 
 
 # ---- the reducible ordinary quotient --------------------------------
@@ -403,7 +403,7 @@ def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -
         jd_bar = Ideal(abar, oq.base_quot.proj(jd.basis))
         rows = two_sided_ideal_rows(eo.algebra, _scaled_rows(eo.algebra, jd_bar.basis))
         q = quotient_algebra(eo.algebra, rows)
-        lhs = q.algebra.k * q.algebra.n
+        lhs = q.ring.k * q.ring.n
         rhs = e_red.algebra.k * e_red.algebra.n
         rank_match = lhs == rhs
         if not rank_match:

@@ -70,12 +70,6 @@ class Pseudorep2:
         self.t = np.asarray(self.t, dtype=np.int64).reshape(m, n) % self.ring.char
         self.d = np.asarray(self.d, dtype=np.int64).reshape(m, n) % self.ring.char
 
-    def t_of(self, g: int) -> np.ndarray:
-        return self.t[g]
-
-    def d_of(self, g: int) -> np.ndarray:
-        return self.d[g]
-
     def check(self) -> None:
         report = validate_pseudorep(self)
         if not report["ok"]:

@@ -78,7 +78,16 @@ nilpotent).  Over F_p the kept rows number dim m/m^2.  For an R-submodule
 M spanned by rows y, m*M is then the Z/p^k-span of the products s*y over
 the generators s, which `modules.maximal_multiples` forms.
 
-`smith_form` takes the Howell form H of its rows first.  When every pivot
+A span goes into Howell form once, where its rows are formed: a function
+that takes a span (`Ideal.from_basis`, `smith_form`, `_smith_coordinates`,
+`quotient_ring` through the ideal it is given) takes its Howell basis as
+given and reduces nothing.  Reducing again would change nothing, as the
+Howell form H of a span is unique for it (Howell 1986; Storjohann 2000)
+and H spans that span, so H is its own Howell form.  Raw rows handed to
+such a function would give a wrong span silently; the tests check the
+precondition on every call they make (`tests/conftest.py`).
+
+`smith_form` takes the Howell form H of a relation span.  When every pivot
 of H is 1, H is a reduced echelon form whose pivot columns c_0 < ... <
 c_{r-1} are unit vectors, and the pivoting loop (`_smith_loop`) has a
 closed form.  By induction on t, step t picks the 1 at (t, c_t): a column
@@ -146,18 +155,16 @@ _JOIN_BOUND = 4
 _ASSOC_TERMS = 1 << 18
 
 
-def smith_form(rows, p: int, k: int, ncols: int):
+def smith_form(h: np.ndarray, p: int, k: int, ncols: int):
     """Diagonalize a relation matrix over Z/p^k by row and column operations.
 
     Returns (exps, w, winv) where exps[c] is the valuation of the diagonal
     relation at new coordinate c (k when there is no relation), and w is the
-    ambient coordinate change: rowspan(rows) @ w = span{p^exps[c] * e_c}.
-    The rows are first put in Howell form, and a form whose pivots are all
-    1 gets the loop's output in closed form (module docstring).
+    ambient coordinate change: rowspan(h) @ w = span{p^exps[c] * e_c}.
+    `h` is the Howell basis of the relation span, taken as given (module
+    docstring); a basis whose pivots are all 1 gets the loop's output in
+    closed form.
     """
-    h = linalg.howell_form(
-        np.asarray(rows, dtype=np.int64).reshape(-1 if ncols else 0, ncols), p, k, ncols=ncols
-    )
     r, m = h.shape[0], p**k
     cols = (h != 0).argmax(axis=1) if r else np.zeros(0, dtype=np.int64)
     if (h[np.arange(r), cols] != 1).any():
@@ -563,7 +570,7 @@ class FiniteRing:
 
     def radical_ideal(self) -> "Ideal":
         # the rows are the Howell basis of the preimage of nil(R/p), an ideal
-        return Ideal(self, self.radical_rows(), _closed=True)
+        return Ideal.from_basis(self, self.radical_rows())
 
     def maximal_ideal(self) -> "Ideal":
         if not self.is_local:
@@ -689,15 +696,23 @@ class Ideal:
 
     The ideal generated by G is R*G, the additive span of the products
     e_j * g of each basis element with each generator, so one orbit of the
-    Howell basis of G closes it: no second pass can add a row.  With
-    `_closed` the rows already span an ideal and are only Howell-reduced.
+    Howell basis of G closes it: no second pass can add a row.  An ideal
+    whose Howell basis is already at hand is built by `from_basis`.
     """
 
-    def __init__(self, ring: FiniteRing, gens, _closed: bool = False):
+    def __init__(self, ring: FiniteRing, gens):
         self.ring = ring
         rows = np.asarray(gens, dtype=np.int64).reshape(-1 if ring.n else 0, ring.n) % ring.char
         h = linalg.howell_form(rows, ring.p, ring.k, ncols=ring.n)
-        self.basis = h if _closed else linalg.howell_form(ring.orbit(h), ring.p, ring.k, ncols=ring.n)
+        self.basis = linalg.howell_form(ring.orbit(h), ring.p, ring.k, ncols=ring.n)
+
+    @classmethod
+    def from_basis(cls, ring: FiniteRing, basis: np.ndarray) -> "Ideal":
+        """The ideal whose Howell basis is `basis`, an (r, n) array, taken
+        as given: its span must be an ideal (module docstring)."""
+        ideal = cls.__new__(cls)
+        ideal.ring, ideal.basis = ring, basis
+        return ideal
 
     # ---- predicates -------------------------------------------------
 
@@ -733,14 +748,15 @@ class Ideal:
     # ---- arithmetic -------------------------------------------------
 
     def add_ideal(self, other: "Ideal") -> "Ideal":
-        rows = np.vstack([self.basis, other.basis]) if self.basis.size or other.basis.size else self.basis
-        return Ideal(self.ring, rows, _closed=True)
+        r = self.ring
+        return Ideal.from_basis(r, linalg.howell_form(np.vstack([self.basis, other.basis]), r.p, r.k, ncols=r.n))
 
     def mul_ideal(self, other: "Ideal") -> "Ideal":
         r = self.ring
         if self.is_zero() or other.is_zero():
-            return Ideal(r, np.zeros((0, r.n), dtype=np.int64), _closed=True)
-        return Ideal(r, r.mul_outer(self.basis, other.basis).reshape(-1, r.n), _closed=True)
+            return Ideal.from_basis(r, np.zeros((0, r.n), dtype=np.int64))
+        prods = r.mul_outer(self.basis, other.basis).reshape(-1, r.n)
+        return Ideal.from_basis(r, linalg.howell_form(prods, r.p, r.k, ncols=r.n))
 
     def power(self, e: int) -> "Ideal":
         if e < 1:
@@ -767,10 +783,10 @@ class Ideal:
         """
         r = self.ring
         if r.n == 0:
-            return Ideal(r, np.zeros((0, 0), dtype=np.int64), _closed=True)
+            return Ideal.from_basis(r, np.zeros((0, 0), dtype=np.int64))
         cols = r.mul_matrix(self.basis).transpose(0, 2, 1).reshape(-1, r.n)
         h = linalg.howell_form(cols, r.p, r.k, ncols=r.n)
-        return Ideal(r, linalg.kernel(h.T.copy(), r.p, r.k), _closed=True)
+        return Ideal.from_basis(r, linalg.kernel(h.T.copy(), r.p, r.k))
 
     def __repr__(self):
         return f"<Ideal of {self.ring.name}, log size {self.log_size()}>"
@@ -824,8 +840,7 @@ class RingMap:
         return np.einsum("ijx,xl->ijl", s.table, mat) % m
 
     def kernel_ideal(self) -> Ideal:
-        rows = linalg.kernel_mod(self.matrix, self.src.p, self.src.k, self.dst.k)
-        return Ideal(self.src, rows, _closed=True)
+        return Ideal.from_basis(self.src, linalg.kernel_mod(self.matrix, self.src.p, self.src.k, self.dst.k))
 
     def is_injective(self) -> bool:
         return self.kernel_ideal().is_zero()
@@ -863,14 +878,14 @@ class QuotientRing:
         return (c @ self.lift_matrix) % self.proj.src.char
 
 
-def _smith_coordinates(p, k, n, rel_rows):
-    """(k', proj, lift) of (Z/p^k)^n modulo the span of `rel_rows`.
+def _smith_coordinates(p, k, n, rel_h):
+    """(k', proj, lift) of (Z/p^k)^n modulo the span of the Howell basis `rel_h`.
 
     Coordinates come from a Smith basis of the relation span: the quotient
     is free over Z/p^k' on the Smith coordinates with a nonzero exponent,
     `proj` (n, n') keeps those coordinates and `lift` (n', n) puts them back.
     """
-    exps, w, winv = smith_form(rel_rows, p, k, n)
+    exps, w, winv = smith_form(rel_h, p, k, n)
     nonzero = sorted({int(e) for e in exps if e > 0})
     if len(nonzero) > 1:
         raise NonFreeQuotientError(
@@ -1110,20 +1125,6 @@ class DvrModel:
         if power < self.trunc:
             x[power * self.e] = 1
         return x
-
-    def from_poly(self, coeffs) -> np.ndarray:
-        """Element from a list of residue-field elements (t-adic coefficients)."""
-        x = np.zeros(self.ring.n, dtype=np.int64)
-        for i, c in enumerate(coeffs[: self.trunc]):
-            block = np.asarray(c if not np.isscalar(c) else [c] + [0] * (self.e - 1))
-            x[i * self.e : (i + 1) * self.e] = block % self.p
-        return x
-
-    def valuation(self, x) -> int:
-        for i in range(self.trunc):
-            if x[i * self.e : (i + 1) * self.e].any():
-                return i
-        return self.trunc
 
     def t_ideal(self, power: int) -> Ideal:
         return Ideal(self.ring, self.t(power).reshape(1, -1))

@@ -194,19 +194,19 @@ class _State:
         return gma_mod.ch_quotient(self.get("psr"))
 
     def _make_decision(self):
-        """(result, GmaAlgebra or None) of the ordinarity decision for the scenario's kappa."""
+        """(result, checked stack row or None) of the ordinarity decision for the scenario's kappa."""
         return ordinary._decide(self.get("ch"), self.get("kappa"), self.sc.budget)
 
     def _make_gma(self):
-        """The decision's GmaAlgebra, already checked; else that of the lifted idempotent."""
+        """The GmaAlgebra of the decision's row, already checked; else that of the lifted idempotent."""
         ch = self.get("ch")
-        gma = None if self.get("kappa") is None else self.get("decision")[1]
-        if gma is None:
-            res = gma_mod.lift_idempotents(ch, budget=self.sc.budget)
-            if not res["supported"]:
-                raise InputError(f"idempotent lifting unsupported: {res['reason']}")
-            gma = gma_mod.gma_decompose(ch, res["e1"])
-        return gma
+        row = None if self.get("kappa") is None else self.get("decision")[1]
+        if row is not None:
+            return gma_mod._read_gma(ch, *row)
+        res = gma_mod.lift_idempotents(ch, budget=self.sc.budget)
+        if not res["supported"]:
+            raise InputError(f"idempotent lifting unsupported: {res['reason']}")
+        return gma_mod.gma_decompose(ch, res["e1"])
 
     # tower chain
     def _make_tower(self):

@@ -241,11 +241,11 @@ def cotangent_length(ring: FiniteRing, wp: Ideal, o: DvrModel) -> int:
 # ---- minimal generators and the principal-ideal route ----------------
 
 
-def _min_module_rows(ring: FiniteRing, rows: np.ndarray, g: int) -> np.ndarray:
-    """Minimal generators of the submodule of ring^g spanned by the rows,
-    picked from their Howell basis by Nakayama; for g = 1 and an ideal's
-    basis, a minimal generating set of the ideal (a generator first, when
-    it is principal).
+def _min_module_rows(ring: FiniteRing, full: np.ndarray, g: int) -> np.ndarray:
+    """Minimal generators of the submodule of ring^g with the Howell basis
+    `full`, taken as given (`rings` module docstring), picked from its rows
+    by Nakayama; for g = 1 and an ideal's basis, a minimal generating set
+    of the ideal (a generator first, when it is principal).
 
     By Nakayama d = log_p(|M| / |mM|) over the residue degree rows are
     needed.  Each pick is the first remaining row outside the span of m*M
@@ -260,7 +260,6 @@ def _min_module_rows(ring: FiniteRing, rows: np.ndarray, g: int) -> np.ndarray:
     the module is refused once d is known, before any pick runs.
     """
     p, k, width = ring.p, ring.k, g * ring.n
-    full = linalg.howell_form(rows, p, k, ncols=width)
     if full.shape[0] == 0:
         return np.zeros((0, width), dtype=np.int64)
     cur = linalg.howell_form(maximal_multiples(ring, full, g), p, k, ncols=width)
@@ -460,15 +459,11 @@ def pinched_cubic(o: DvrModel, name: str | None = None):
     tx = np.zeros(cube.n, dtype=np.int64)
     tx[nl : 2 * nl] = o.t(1)
     quot = quotient_ring(cube, Ideal(cube, tx.reshape(1, -1)), name=name or f"{o.ring.name}[x]/(x3,tx)")
-    ring = quot.ring
-    span = linalg.FactoredSpan.factor(quot.proj.matrix, ring.p, ring.k)
-    lifts, ok = span.solve(np.eye(ring.n, dtype=np.int64))
-    if not ok.all():
-        raise InvariantViolation("quotient projection is not surjective")
-    # pi keeps the base coordinates of a lift, which come first in the cube
-    pi = RingMap(ring, o.ring, lifts[:, :nl] % o.ring.char, name="pi")
+    # pi keeps the base coordinates of a lift, which come first in the cube;
+    # every multiple of tx is zero there, so any section gives the same pi
+    pi = RingMap(quot.ring, o.ring, quot.lift_matrix[:, :nl] % o.ring.char, name="pi")
     pi.check_hom()
-    return ring, pi
+    return quot.ring, pi
 
 
 # ---- Eisenstein towers ----------------------------------------------
@@ -775,7 +770,7 @@ def fitting_replay(t: EisensteinTower) -> dict:
         rel = _min_module_rows(h, linalg.kernel(stacked, h.p, h.k), d)
         fitt = fitting_ideal(h, rel.reshape(-1, d, h.n), budget=_MINOR_BUDGET)
     else:
-        fitt = Ideal(h, np.eye(h.n, dtype=np.int64), _closed=True)
+        fitt = Ideal.from_basis(h, np.eye(h.n, dtype=np.int64))
     fitt_ok = tail.contains_ideal(fitt)
     cot = cotangent_length(h, t.I, lam)
     bound_ok = cot >= t.r

@@ -302,19 +302,19 @@ class FinModule:
         """{r in R : r * M = 0}, via membership as linear conditions."""
         r = self.ring
         if r.n == 0 or self.g == 0:
-            return Ideal(r, np.eye(r.n, dtype=np.int64), _closed=True)
+            return Ideal.from_basis(r, np.eye(r.n, dtype=np.int64))
         rk = _right_kernel_rows(self.relations, r.p, r.k) if self.relations.shape[0] else np.eye(
             self.g * r.n, dtype=np.int64
         )
         if rk.shape[0] == 0:
             # relations fill the ambient module: M = 0
-            return Ideal(r, np.eye(r.n, dtype=np.int64), _closed=True)
+            return Ideal.from_basis(r, np.eye(r.n, dtype=np.int64))
         # x kills M iff x (placed in block j) is orthogonal to the right
         # kernel of the relation span, for every generator slot j
         cons = [rk[:, j * r.n : (j + 1) * r.n].T for j in range(self.g)]
         big = np.hstack(cons)
         ann_rows = linalg.kernel(big, r.p, r.k)
-        return Ideal(r, ann_rows, _closed=True)
+        return Ideal.from_basis(r, ann_rows)
 
     def __repr__(self):
         return f"<FinModule over {self.ring.name}: {self.g} gens, log size {self.log_size()}>"

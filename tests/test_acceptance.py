@@ -194,7 +194,7 @@ def _induced_trace_radical(psr, rows):
 
     ext = ExtendedPsrep(psr)
     quot = quotient_algebra(ext.E, rows)
-    ebar = quot.algebra
+    ebar = quot.ring
     if ebar.n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     a = psr.ring
@@ -285,7 +285,7 @@ def test_criterion_03_quotient_identity_reproduction_and_lifting():
             assert np.array_equal(tsum, psr.t[gi]), psr.name
             x12 = (x @ g.p12) % al.char
             x21 = (x @ g.p21) % al.char
-            det = (a.mul(g.phi1_of(x), g.phi2_of(x)) - g.pairing(x12, x21)) % a.char
+            det = (a.mul(g.phi1_of(x), g.phi2_of(x)) - g.phi1_of(al.mul(x12, x21))) % a.char
             assert np.array_equal(det, psr.d[gi]), psr.name
     _finish(3, t0, 60)
 
@@ -533,7 +533,7 @@ def test_criterion_08_tower_collection_conditions_agree():
 # ---- criterion 9 -----------------------------------------------------
 
 
-def _closed_relations(ring, rows, g):
+def _r_span_relations(ring, rows, g):
     """R-span of seed rows: additive span of all basis multiples."""
     blocks = np.asarray(rows, dtype=np.int64).reshape(-1, g, ring.n) % ring.char
     prods = np.einsum("rgi,ijl->jrgl", blocks, ring.table) % ring.char
@@ -552,7 +552,7 @@ def test_criterion_09_fitting_bounds_annihilator_and_cotangent():
         seed = np.array(
             [[rng.randrange(ring.char) for _ in range(g * ring.n)] for _ in range(rels)]
         )
-        closed = _closed_relations(ring, seed, g)
+        closed = _r_span_relations(ring, seed, g)
         mod = oracles.FinModule(ring, g, closed)
         fitt = modules.fitting_ideal(ring, closed.reshape(-1, g, ring.n))
         ann = mod.annihilator()

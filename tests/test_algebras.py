@@ -36,7 +36,6 @@ def test_group_algebra_noncommutative():
     s = np.zeros(6, dtype=np.int64)
     s[3] = 1
     assert not np.array_equal(e.mul(r, s), e.mul(s, r))
-    assert e.commutator(r, s).any()
     assert not e.is_central(r)
     # the base stays central
     assert e.is_central(e.scalar(F7.el([3])))
@@ -131,12 +130,12 @@ def test_quotient_algebra_group_to_scalar():
     gen = np.array([-1, 1], dtype=np.int64) % 5
     rows = algebras.two_sided_ideal_rows(e, [gen])
     q = algebras.quotient_algebra(e, rows)
-    assert q.algebra.n == 1
+    assert q.ring.n == 1
     assert np.array_equal(q.proj(np.array([0, 1])), q.proj(np.array([1, 0])))
     # the other character: F5[C2] / (g + 1) = F5 with g -> -1
     rows2 = algebras.two_sided_ideal_rows(e, [np.array([1, 1])])
     q2 = algebras.quotient_algebra(e, rows2)
-    assert q2.algebra.n == 1
+    assert q2.ring.n == 1
     assert np.array_equal(q2.proj(np.array([0, 1])), (-q2.proj(np.array([1, 0]))) % 5)
 
 
@@ -145,24 +144,24 @@ def test_quotient_algebra_char_drop():
     e = algebras.group_algebra(Z25, c2)
     rows = algebras.two_sided_ideal_rows(e, [5 * e.one % 25])
     q = algebras.quotient_algebra(e, rows)
-    assert q.algebra.k == 1 and q.algebra.n == 2
-    assert q.algebra.base is Z25
+    assert q.ring.k == 1 and q.ring.n == 2
+    assert q.ring.base is Z25
 
 
 def test_quotient_to_zero_algebra():
     m2 = algebras.matrix_algebra(F5, 2)
     rows = algebras.two_sided_ideal_rows(m2, [m2.one])
     q = algebras.quotient_algebra(m2, rows)
-    assert q.algebra.is_zero
+    assert q.ring.is_zero
 
 
 def test_zero_algebra_ideals_and_quotient():
     zero = algebras.matrix_algebra(F5, 2)
-    zero = algebras.quotient_algebra(zero, algebras.two_sided_ideal_rows(zero, [zero.one])).algebra
+    zero = algebras.quotient_algebra(zero, algebras.two_sided_ideal_rows(zero, [zero.one])).ring
     assert zero.n == 0
     for gens in ([], np.zeros((3, 0), dtype=np.int64)):
         assert algebras.two_sided_ideal_rows(zero, gens).shape == (0, 0)
-    assert algebras.quotient_algebra(zero, np.zeros((0, 0), dtype=np.int64)).algebra.n == 0
+    assert algebras.quotient_algebra(zero, np.zeros((0, 0), dtype=np.int64)).ring.n == 0
 
 
 def _loop_algebra_failure(alg):

@@ -1,15 +1,20 @@
-"""The audit hook of `conftest.py` reaches every constructor it wraps.
+"""The audit hook of `conftest.py` reaches every function it wraps.
 
 Five constructors skip checks that their own checks imply, and the hook
-runs those checks on everything the tests build.  One tower unit and one
-psrep unit must pass through all five, and no `exalg` module may keep a
-binding to an unwrapped constructor, or what it builds would go unaudited.
+runs those checks on everything the tests build; three functions take a
+Howell basis as given, and the hook checks that precondition on every
+call.  One tower unit and one psrep unit must pass through all eight, and
+no `exalg` module may keep a binding to an unwrapped function, or what it
+builds would go unaudited.
 """
 
+import sys
+
 import conftest
+import numpy as np
 
 import exalg
-from exalg import scenarios
+from exalg import linalg, rings, scenarios, towers
 
 
 def test_one_tower_and_one_psrep_unit_reach_every_audited_constructor():
@@ -18,13 +23,15 @@ def test_one_tower_and_one_psrep_unit_reach_every_audited_constructor():
         assert scenarios.run_scenario(name).verdict == "ok"
     names = {name for _, name in conftest.CHECKS}
     assert names == {"quotient_ring", "fiber_product", "_presented_quotient", "_ch_algebra", "build_eisenstein_tower"}
-    assert all(conftest.AUDITED[name] > before.get(name, 0) for name in names), dict(conftest.AUDITED)
+    takers = {name for _, name in conftest.PRECONDITIONS}
+    assert takers == {"from_basis", "smith_form", "_min_module_rows"}
+    assert all(conftest.AUDITED[name] > before.get(name, 0) for name in names | takers), dict(conftest.AUDITED)
 
 
 def test_every_binding_of_an_audited_constructor_is_wrapped():
     modules = {name: getattr(exalg, name) for name in exalg.__all__ if name.islower()}
     seen = set()
-    for home, name in conftest.CHECKS:
+    for home, name in [*conftest.CHECKS, *conftest.PRECONDITIONS]:
         wrapper = getattr(home, name)
         for module_name, module in modules.items():
             for attr, value in vars(module).items():
@@ -34,3 +41,36 @@ def test_every_binding_of_an_audited_constructor_is_wrapped():
     # the modules that call each constructor by a name of their own
     assert {("towers", "quotient_ring"), ("towers", "fiber_product"), ("ordinary", "quotient_ring"),
             ("gma", "quotient_ring"), ("gma", "_presented_quotient")} <= seen
+
+
+# functions that take a span as its Howell basis, or hold one at hand and
+# build an ideal from it: none may hand howell_form a basis to reduce again
+TAKES_A_BASIS = {"radical_ideal", "kernel_ideal", "_annihilator", "add_ideal", "mul_ideal",
+                 "smith_form", "_smith_coordinates", "_min_module_rows"}
+
+
+def test_no_howell_basis_is_reduced_again_on_a_tower_unit(monkeypatch):
+    """Build, audit and replay of one plane and one axes corpus tower: no
+    function of TAKES_A_BASIS hands `howell_form` its own Howell form, and
+    the Smith form reduces nothing.  A call from the ideal constructor is
+    counted for the function that built the ideal."""
+    real, calls = linalg.howell_form, []
+
+    def counted(rows, p, k, ncols=None):
+        out = real(rows, p, k, ncols)
+        frame = sys._getframe(1)
+        if frame.f_code is rings.Ideal.__init__.__code__:
+            frame = frame.f_back
+        rows = linalg._as_matrix(rows, ncols) % p**k
+        if frame.f_code.co_name in TAKES_A_BASIS and rows.shape[0]:
+            calls.append((frame.f_code.co_name, rows.shape == out.shape and np.array_equal(rows, out)))
+        return out
+
+    monkeypatch.setattr(linalg, "howell_form", counted)
+    for p, e, trunc, r, spec in (towers._CORPUS_SPECS[1], towers._CORPUS_SPECS[11]):
+        t = towers.build_eisenstein_tower(rings.DvrModel(p, e, trunc), r, dict(spec))
+        towers.theorem_audit(t)
+        towers.fitting_replay(t)
+    assert {"mul_ideal", "add_ideal", "_annihilator", "_min_module_rows"} <= {name for name, _ in calls}
+    assert not [name for name, same in calls if same]
+    assert not {"smith_form", "_smith_coordinates"} & {name for name, _ in calls}

@@ -374,8 +374,8 @@ def test_decompose_deformed_dihedral_modules():
     # free rank 1 over T2: multiplying the generator by s stays inside and is nonzero
     sb = al.amul(s, g.b_basis[0])
     assert sb.any() and linalg.span_contains(g.b_basis, sb, 5, 1)
-    assert np.array_equal(g.pairing(g.b_basis[0], g.c_basis[0]), np.array([0, 4]))
-    assert not g.pairing(sb, g.c_basis[0]).any()
+    assert np.array_equal(g.phi1_of(al.mul(g.b_basis[0], g.c_basis[0])), np.array([0, 4]))
+    assert not g.phi1_of(al.mul(sb, g.c_basis[0])).any()
 
 
 def test_decompose_reproduces_trace_and_determinant():
@@ -389,7 +389,7 @@ def test_decompose_reproduces_trace_and_determinant():
             assert np.array_equal(tsum, ch.t_el(eye[i]))
             x12 = (eye[i] @ g.p12) % ch.algebra.char
             x21 = (eye[i] @ g.p21) % ch.algebra.char
-            det = (ch.base.mul(g.phi1_of(eye[i]), g.phi2_of(eye[i])) - g.pairing(x12, x21)) % ch.base.char
+            det = (ch.base.mul(g.phi1_of(eye[i]), g.phi2_of(eye[i])) - g.phi1_of(ch.algebra.mul(x12, x21))) % ch.base.char
             assert np.array_equal(det, ch.d_el(eye[i]))
 
 
@@ -765,7 +765,7 @@ def _loop_gma_failure(g):
         parts = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul(g.phi2_of(x), g.e2)) % al.char
         if not np.array_equal(parts, x):
             return "Peirce reassembly fails"
-        tx, tx2 = g.trace_of(x), g.trace_of(al.mul(x, x))
+        tx, tx2 = ((g.phi1_of(y) + g.phi2_of(y)) % a.char for y in (x, al.mul(x, x)))
         want = (inv2 * (a.mul(tx, tx) - tx2)) % a.char
         got = (a.mul(g.phi1_of(x), g.phi2_of(x)) - g.phi1_of(al.mul(x12, x21))) % a.char
         if not np.array_equal(got, want):
@@ -1011,19 +1011,23 @@ def _gma_calls(name):
 
 def test_gma_algebra_comes_from_one_stacked_check():
     """`_read_gma` is the one builder of a GmaAlgebra, and reads it off one
-    `_check_gma_stack` row with no factored corner.  Each function that
-    calls it runs that check first: `gma_decompose`, for `abstract_gma`
-    too, and `ordinary._decide`, on the row its verdict found."""
+    `_check_gma_stack` row with no factored corner.  Each row it reads was
+    checked first: `gma_decompose`, for `abstract_gma` too, runs the check,
+    and the scenario's `_make_gma` reads the row that `ordinary._decide`
+    checked and returned with its verdict."""
     assert _constructions("GmaAlgebra") == {("gma.py", "_read_gma")}
     assert "gma_decompose" in _gma_calls("abstract_gma")
-    callers = {}
-    for path in sorted(pathlib.Path(gma.__file__).parent.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and node.name != "_read_gma":
-                calls = [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
-                if "_read_gma" in calls:
-                    callers[(path.name, node.name)] = calls
-    assert set(callers) == {("gma.py", "gma_decompose"), ("ordinary.py", "_decide")}
-    assert all("_check_gma_stack" in calls for calls in callers.values())
+    calls = {
+        (path.name, node.name): [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
+        for path in sorted(pathlib.Path(gma.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    readers = {key for key, called in calls.items() if any(c.split(".")[-1] == "_read_gma" for c in called)}
+    assert readers == {("gma.py", "gma_decompose"), ("scenarios.py", "_make_gma")}
+    assert "_check_gma_stack" in calls[("gma.py", "gma_decompose")]
+    # the row `_make_gma` reads is the decision's, which `_decide` checked
+    assert "ordinary._decide" in calls[("scenarios.py", "_make_decision")]
+    assert "_check_gma_stack" in calls[("ordinary.py", "_decide")]
     calls = _gma_calls("gma_decompose")
     assert not [c for c in calls if "FactoredSpan" in c or "span_equal" in c]

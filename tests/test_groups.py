@@ -107,8 +107,6 @@ def test_character_on_subgroup_only():
     assert chi.domain == rot
     with pytest.raises(InputError):
         chi(3)
-    sub = chi.restrict((0,))
-    assert sub.domain == (0,)
 
 
 def test_character_multiplicativity_enforced():

@@ -685,7 +685,7 @@ def _three_quotient_reference(ch, f, extra_rows, name=None):
     from the kernel of the composite projection."""
 
     def pushforward(quot):
-        return (_lift_to_group_algebra(ch, f) @ quot.proj.matrix) % quot.algebra.char
+        return (_lift_to_group_algebra(ch, f) @ quot.proj.matrix) % quot.ring.char
 
     down = gma.ch_quotient(psrep.psrep_base_change(ch.psr, f), name=name)
     abar, group_alg = f.dst, down.quot.proj.src
@@ -693,10 +693,10 @@ def _three_quotient_reference(ch, f, extra_rows, name=None):
     rows2 = algebras.two_sided_ideal_rows(down.algebra, pushed % down.algebra.char)
     assert not (rows2.shape[0] and ((rows2 @ down.t_matrix) % abar.char).any())
     quot2 = algebras.quotient_algebra(down.algebra, rows2, name=name)
-    p_full = (down.quot.proj.matrix @ quot2.proj.matrix) % max(quot2.algebra.char, 1)
+    p_full = (down.quot.proj.matrix @ quot2.proj.matrix) % max(quot2.ring.char, 1)
     quot_full = algebras.quotient_algebra(group_alg, linalg.kernel(p_full, group_alg.p, group_alg.k), name=name)
-    assert quot_full.algebra.n == quot2.algebra.n
-    ebar = quot_full.algebra
+    assert quot_full.ring.n == quot2.ring.n
+    ebar = quot_full.ring
     t_e = (down.quot.proj.matrix @ down.t_matrix) % abar.char
     rho = (abar.one @ quot_full.proj.matrix.reshape(ch.psr.group.m, abar.n, ebar.n)) % ebar.char
     out = gma.ChAlgebra(down.psr, abar, ebar, quot_full, (quot_full.lift_matrix @ t_e) % abar.char, rho)

@@ -62,8 +62,8 @@ def test_sum_of_characters_validates():
     chi2 = groups.trivial_char(c4, F5)
     psr = psrep.psrep_from_chars(chi1, chi2)
     psr.check()
-    assert psr.t_of(1).tolist() == [3]
-    assert psr.d_of(1).tolist() == [2]
+    assert psr.t[1].tolist() == [3]
+    assert psr.d[1].tolist() == [2]
 
 
 def test_corrupted_trace_is_witnessed():
@@ -257,7 +257,7 @@ def test_base_change():
     red = rings.RingMap(Z25, F5, np.array([[1]]), name="mod5")
     down = psrep.psrep_base_change(psr, red)
     down.check()
-    assert down.t_of(1).tolist() == [(7 + 1) % 5]
+    assert down.t[1].tolist() == [(7 + 1) % 5]
 
 
 # ---- matrix representation plumbing ---------------------------------
@@ -288,8 +288,8 @@ def test_diag_rep_from_chars():
     rep = psrep.rep_from_chars(chi1, chi2)
     psr = psrep.psi_of_rep(rep)
     psr.check()
-    assert psr.t_of(1).tolist() == [0]  # 2 + 3
-    assert psr.d_of(1).tolist() == [1]  # 2 * 3
+    assert psr.t[1].tolist() == [0]  # 2 + 3
+    assert psr.d[1].tolist() == [1]  # 2 * 3
 
 
 def test_stacked_matmul_matches_the_per_entry_loop():
@@ -444,7 +444,7 @@ def test_residual_split_after_extension():
     assert out["split"]
     chi1, chi2 = out["chars"]
     for g in range(3):
-        assert np.array_equal(F25.mul(chi1(g), chi2(g)), psrep.psi_of_rep(rep25).d_of(g))
+        assert np.array_equal(F25.mul(chi1(g), chi2(g)), psrep.psi_of_rep(rep25).d[g])
 
 
 def test_residual_split_rejects_nonfield():
