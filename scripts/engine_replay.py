@@ -26,17 +26,26 @@ of `check_hom` (passing, or the type and message of what it raised), or
 between the Howell form of the rows of `maximal_multiples` and that of
 the parent's full-basis multiples (every row times every basis row of
 the maximal ideal) is printed.  A call made inside another wrapped call
-is part of that call's input and is not repeated on its own.
+is part of that call's input and is not repeated on its own.  The same
+pass also repeats, wherever it is called from, every
+`towers._min_module_rows` call through the parent's `_min_module_rows`
+(any difference in the picks), and every `FiniteRing._local_data` of a
+ring that carries a residue map through the parent's Frobenius
+computation on a ring with the same presentation (any difference in the
+radical, in whether the ring is local, or in its residue degree; the
+parent's ring must have one local factor).
 Each difference makes the exit status 1.  The best-of-N time of
 replaying each kind of Howell and Smith input through each checkout is
 printed after its count, and the summed time of each kind of ring
-product, timed once per call, after its count; for `maximal_multiples`
-also the rows each checkout returned.
+product, pick and local structure, timed once per call, after its count
+(this checkout's local structure with its radical formed at once); for
+`maximal_multiples` also the rows each checkout returned.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import sys
 import tempfile
@@ -51,19 +60,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_parent(checkout: Path):
-    """The linalg and rings modules of the checkout, loaded apart from `exalg`."""
+    """The linalg, rings and towers modules of the checkout, loaded apart from `exalg`."""
     src = checkout / "src" / "exalg"
     pkg = types.ModuleType("_replay_parent")
     pkg.__path__ = [str(src)]
     sys.modules[pkg.__name__] = pkg
-    out = []
-    for name in ("errors", "linalg", "rings"):
+    out = {}
+    for name in ("errors", "linalg", "rings", "modules", "serialize", "towers"):
         spec = importlib.util.spec_from_file_location(f"{pkg.__name__}.{name}", src / f"{name}.py")
         mod = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = mod
         spec.loader.exec_module(mod)
-        out.append(mod)
-    return out[1:]
+        out[name] = mod
+    return out["linalg"], out["rings"], out["towers"]
 
 
 def run_pass(workload: str, seed: int, wrappers: dict) -> None:
@@ -101,34 +110,41 @@ def capture(workload: str, seed: int) -> dict[str, list[tuple]]:
     return seen
 
 
-def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
-    """Per kind of ring product: calls, differences, and the summed time of
-    each checkout, every call of one pass repeated at once on the parent's rings."""
+def compare_products(workload: str, seed: int, their_rings, their_towers) -> dict[str, dict]:
+    """Per kind of ring product, pick and local structure: calls,
+    differences, and the summed time of each checkout, every call of one
+    pass repeated at once on the parent's rings."""
     from exalg import linalg, rings, towers
 
-    kinds = ("mul_outer", "orbit", "check_hom", "maximal_multiples")
+    kinds = ("mul_outer", "orbit", "check_hom", "maximal_multiples", "_min_module_rows", "carried _local_data")
     stats = {kind: {"calls": 0, "differ": 0, "parent_s": 0.0, "tree_s": 0.0} for kind in kinds}
     stats["maximal_multiples"].update(parent_rows=0, tree_rows=0)
     twins = weakref.WeakKeyDictionary()  # our ring -> the parent's ring with its presentation
     depth = [0]
+    replaying = [0.0]  # seconds spent so far after our own calls: preparing, the parent's calls, comparing
 
-    def twin(ring):
-        if ring not in twins:
+    def twin(ring, fresh=False):
+        if fresh or ring not in twins:
             other = their_rings.FiniteRing(ring.p, ring.k, ring.table.copy(), ring.one.copy(), name=ring.name)
             if other.n >= their_rings._SPARSE_DIM:
                 other._sparse  # built outside the timed calls, as ours was by check_ring
-            twins[ring] = other
+            twins.setdefault(ring, other)
+            return other
         return twins[ring]
 
-    def compared(kind, ours, prepare, describe, differences):
+    def compared(kind, ours, prepare, describe, differences, nested=False):
         """`ours` wrapped: each outermost call is repeated by the parent's
         call that `prepare` returns for the same arguments, and
-        `differences` compares the two results given those arguments."""
+        `differences` compares the two results given those arguments.
+        A `nested` kind is compared inside the other wrappers' calls too,
+        and they compare the calls inside its own; the replays made inside
+        a call are not timed as its own."""
         def call(*args):
-            if depth[0]:
+            if depth[0] and not nested:
                 return ours(*args)
-            depth[0] += 1
+            depth[0] += not nested
             try:
+                before = replaying[0]
                 t0 = time.perf_counter()
                 out = ours(*args)
                 t1 = time.perf_counter()
@@ -137,15 +153,16 @@ def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
                 other = theirs()
                 t3 = time.perf_counter()
             finally:
-                depth[0] -= 1
+                depth[0] -= not nested
             entry = stats[kind]
             entry["calls"] += 1
-            entry["tree_s"] += t1 - t0
+            entry["tree_s"] += t1 - t0 - (replaying[0] - before)  # less the replays inside ours
             entry["parent_s"] += t3 - t2
             diff = differences(out, other, *args)
             if diff:
                 entry["differ"] += 1
                 print(f"{kind} call {entry['calls']} ({describe(*args)}): {'; '.join(diff)}")
+            replaying[0] += time.perf_counter() - t1
             return out
 
         return call
@@ -194,6 +211,42 @@ def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
         "maximal_multiples", towers.maximal_multiples, full_basis_multiples,
         lambda r, rows, g: f"dim {r.n}, {np.shape(rows)}, g={g}", same_span)
 
+    def parent_picks(ring, full, g):
+        other = twin(ring)
+        other._local_data, other.maximal_generators  # as the parent's pass had them at hand
+        return lambda: their_towers._min_module_rows(other, full, g)
+
+    picks = compared(
+        "_min_module_rows", towers._min_module_rows, parent_picks,
+        lambda r, full, g: f"dim {r.n}, {np.shape(full)}, g={g}",
+        lambda x, y, *args: array_differences(["picks"], x, y), nested=True)
+
+    local_data = rings.FiniteRing.__dict__["_local_data"]
+
+    def ours_local(ring):
+        """Our local structure with the radical formed at once."""
+        out = ring.__dict__["_local_data"] = local_data.func(ring)
+        ring.radical_rows()
+        return out
+
+    def parent_local(ring):
+        other = twin(ring, fresh=True)  # its Frobenius computation, not a cached one
+        return lambda: other._local_data
+
+    def same_local(ours, theirs, ring):
+        out = array_differences(["radical"], ours["radical"], theirs["radical"])
+        out += [f"{key} {ours[key]} != {theirs[key]}" for key in ("local", "residue_log") if ours[key] != theirs[key]]
+        return out + ([] if theirs["factors"] == 1 else [f"parent counts {theirs['factors']} local factors"])
+
+    carried = compared(
+        "carried _local_data", ours_local, parent_local, lambda r: f"{r.name}, dim {r.n}", same_local, nested=True)
+
+    def read_local(ring):
+        return local_data.func(ring) if ring._residue_map is None else carried(ring)
+
+    counted_local = functools.cached_property(read_local)
+    counted_local.__set_name__(rings.FiniteRing, "_local_data")
+
     def orbit_call(ring, rows, g=1, by=None):
         return orbit(ring, rows, g) if by is None else orbit_by(ring, rows, g, by)
 
@@ -207,6 +260,8 @@ def compare_products(workload: str, seed: int, their_rings) -> dict[str, dict]:
         (rings.FiniteRing, "orbit"): orbit_call,
         (rings.RingMap, "check_hom"): check_call,
         (towers, "maximal_multiples"): multiples,
+        (towers, "_min_module_rows"): picks,
+        (rings.FiniteRing, "_local_data"): counted_local,
     })
     return stats
 
@@ -254,7 +309,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    their_linalg, their_rings = load_parent(args.parent.resolve())
+    their_linalg, their_rings, their_towers = load_parent(args.parent.resolve())
     inputs = capture(args.workload, args.seed)
     from exalg import linalg, rings
 
@@ -279,7 +334,7 @@ def main(argv=None) -> int:
         parent_s, tree_s = best_times([theirs, ours], inputs[kind], args.repeat)
         print(f"{args.workload} seed {args.seed}: {len(inputs[kind])} {kind} inputs, {differ} differ; "
               f"best of {args.repeat}: parent {parent_s:.3f} s, working tree {tree_s:.3f} s")
-    for kind, entry in compare_products(args.workload, args.seed, their_rings).items():
+    for kind, entry in compare_products(args.workload, args.seed, their_rings, their_towers).items():
         bad += entry["differ"]
         rows = f"; rows: parent {entry['parent_rows']}, working tree {entry['tree_rows']}" if "tree_rows" in entry else ""
         print(f"{args.workload} seed {args.seed}: {entry['calls']} {kind} calls, {entry['differ']} differ; "

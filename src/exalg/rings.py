@@ -5,10 +5,23 @@ structure constants.  Elements are int64 coefficient vectors.  The odd-p
 restriction keeps 2 invertible, which the degree-2 trace/determinant
 machinery upstream relies on.
 
-Local structure (radical, residue field) is derived, not declared: the
-radical of the mod-p fibre is the kernel of a high Frobenius power, which is
-F_p-linear in characteristic p, and the number of local factors is read off
-the Frobenius fixed space of the reduced quotient.
+Local structure (radical, residue field) is derived, not declared.  A ring
+with no residue map finds it by Frobenius: the radical of the mod-p fibre
+is the kernel of a high Frobenius power, which is F_p-linear in
+characteristic p, and the local factors are counted in the Frobenius
+fixed space of the reduced quotient.  A local ring then keeps its residue
+map rho: R -> k, an (n, e) array over F_p with m = ker rho (the projection
+onto the reduced quotient, a field), and the rings derived from it carry
+their own rho; m is formed as ker rho, one `kernel_mod`, when first read:
+- R/I for R local and R/I != 0: I is proper, so it lies in m and
+  rho_{R/I} = lift . rho_R, whose kernel m/I is nilpotent with a field
+  as quotient.
+- P = A x_C B for A and B local and C != 0: both projections of P are
+  onto, so rad(P) = (m_A x m_B) meet P.  f(m_A) = m_C = g(m_B) puts a in
+  m_A exactly when b is in m_B, for (a, b) in P, so rad(P) = ker(P -> A
+  -> k) and rho_P = pr_A . rho_A.  A local alone is not enough: with
+  B = C x D, P is A x D.
+- `DvrModel`: rho keeps the first e coordinates, the constant term.
 
 `mul_matrix`, the left multiplication matrices, and the products built
 on the table read the nonzero constants only from dimension _SPARSE_DIM
@@ -283,6 +296,7 @@ class FiniteRing:
             raise InputError(f"structure constants must be ({n},{n},{n})")
         if n * n * (self.char - 1) ** 3 >= 2**63:  # a product sums n^2 terms of three residues
             raise InputError(f"dimension {n} over Z/{self.p}^{self.k} is past exact int64 arithmetic")
+        self._residue_map = None  # rho of a local ring, once known (module docstring)
 
     # ---- basic data -------------------------------------------------
 
@@ -438,16 +452,6 @@ class FiniteRing:
             raise InputError("element is not a unit")
         return y
 
-    def is_nilpotent(self, x) -> bool:
-        if self.n == 0:
-            return True
-        y = x % self.p
-        mat = np.einsum("i,ijl->jl", y, self.table) % self.p
-        power = np.eye(self.n, dtype=np.int64)
-        for _ in range(self.n):
-            power = (power @ mat) % self.p
-        return not power.any()
-
     def element_blocks(self, limit: int | None = 2_000_000):
         """Every element, as stacks of at most _ELEMENT_BLOCK rows in
         `itertools.product` order, which is sorted order."""
@@ -517,56 +521,28 @@ class FiniteRing:
     # ---- local structure -------------------------------------------
 
     @cached_property
-    def _local_data(self):
-        n = self.n
-        if n == 0:
-            return {"radical": np.zeros((0, 0), dtype=np.int64), "local": False,
-                    "residue_log": 0, "factors": 0}
-        # Frobenius power with p^m >= n kills exactly the nilpotents mod p
-        mm = 1
-        while self.p**mm < n:
-            mm += 1
-        tp = self.table % self.p
-        # x -> x^p is F_p-linear mod p, so x -> x^(p^mm) is a matrix power
-        step = _frobenius_rows(self)
-        frob = np.eye(n, dtype=np.int64)
-        for _ in range(mm):
-            frob = (frob @ step) % self.p
-        nil_modp = linalg.kernel(frob, self.p, 1)
-        # lift to Z/p^k: radical = preimage of nil(R/p), contains p itself
-        rows = [nil_modp % self.char] if nil_modp.shape[0] else []
-        if self.k > 1:
-            rows.append(self.p * np.eye(n, dtype=np.int64))
-        rad = (
-            linalg.howell_form(np.vstack(rows), self.p, self.k, ncols=n)
-            if rows
-            else np.zeros((0, n), dtype=np.int64)
-        )
-        # reduced quotient mod p, then count local factors by Frobenius fixed space
-        new_k, proj, lift = _smith_coordinates(self.p, 1, n, nil_modp)
-        q = FiniteRing(self.p, new_k, *_quotient_structure(self.p, 1, new_k, tp, self.one % self.p, proj, lift))
-        if q.n == 0:
-            raise InvariantViolation("reduced quotient is zero for a nonzero ring")
-        frobq = _frobenius_rows(q)
-        fixed = linalg.kernel((frobq - np.eye(q.n, dtype=np.int64)) % q.p, q.p, 1)
-        factors = fixed.shape[0]
-        return {
-            "radical": rad,
-            "local": factors == 1,
-            "residue_log": q.n if factors == 1 else 0,
-            "factors": factors,
-        }
+    def _local_data(self) -> dict:
+        """"local" and "residue_log" off the residue map, else by Frobenius,
+        which also gives "radical" and keeps rho (module docstring)."""
+        if self.n == 0:
+            return {"radical": np.zeros((0, 0), dtype=np.int64), "local": False, "residue_log": 0}
+        if self._residue_map is None:
+            rad, proj, factors = _frobenius_local_data(self)
+            if factors != 1:
+                return {"radical": rad, "local": False, "residue_log": 0}
+            self._residue_map = proj
+            return {"radical": rad, "local": True, "residue_log": proj.shape[1]}
+        return {"local": True, "residue_log": self._residue_map.shape[1]}
 
     @property
     def is_local(self) -> bool:
         return self._local_data["local"]
 
-    @property
-    def local_factor_count(self) -> int:
-        return self._local_data["factors"]
-
     def radical_rows(self) -> np.ndarray:
-        return self._local_data["radical"]
+        data = self._local_data
+        if "radical" not in data:  # m = ker rho, formed on the first read
+            data["radical"] = linalg.kernel_mod(self._residue_map, self.p, self.k, 1)
+        return data["radical"]
 
     def radical_ideal(self) -> "Ideal":
         # the rows are the Howell basis of the preimage of nil(R/p), an ideal
@@ -605,18 +581,6 @@ class FiniteRing:
         if not self.is_local:
             raise InputError("ring is not local")
         return quotient_ring(self, self.maximal_ideal())
-
-    def radical_nilpotency_class(self) -> int:
-        """Least c with rad^c = 0."""
-        rad = self.radical_ideal()
-        cur = rad
-        c = 1
-        while not cur.is_zero():
-            cur = cur.mul_ideal(rad)
-            c += 1
-            if c > self.n * self.k + 2:
-                raise InvariantViolation("radical power chain does not terminate")
-        return c
 
 
 def _pivot_keys(h: np.ndarray, m: int) -> np.ndarray:
@@ -689,6 +653,35 @@ def _frobenius_rows(r: FiniteRing) -> np.ndarray:
             out = _row_products(out, left, r.char)
         b, e = _row_products(b, left, r.char), e >> 1
     return out % r.p
+
+
+def _frobenius_local_data(r: FiniteRing):
+    """(radical, proj, factors) of a nonzero ring by Frobenius: the Howell
+    basis of its radical, the projection (n, n') mod p onto its reduced
+    quotient and the number of local factors."""
+    n, p = r.n, r.p
+    # Frobenius power with p^m >= n kills exactly the nilpotents mod p
+    mm = 1
+    while p**mm < n:
+        mm += 1
+    # x -> x^p is F_p-linear mod p, so x -> x^(p^mm) is a matrix power
+    step = _frobenius_rows(r)
+    frob = np.eye(n, dtype=np.int64)
+    for _ in range(mm):
+        frob = (frob @ step) % p
+    nil_modp = linalg.kernel(frob, p, 1)
+    # lift to Z/p^k: radical = preimage of nil(R/p), contains p itself; at
+    # k = 1 the kernel is that radical's Howell basis already
+    rad = nil_modp
+    if r.k > 1:
+        rad = linalg.howell_form(np.vstack([nil_modp, p * np.eye(n, dtype=np.int64)]), p, r.k, ncols=n)
+    # reduced quotient mod p, then count local factors by Frobenius fixed space
+    new_k, proj, lift = _smith_coordinates(p, 1, n, nil_modp)
+    q = FiniteRing(p, new_k, *_quotient_structure(p, 1, new_k, r.table % p, r.one % p, proj, lift))
+    if q.n == 0:
+        raise InvariantViolation("reduced quotient is zero for a nonzero ring")
+    fixed = linalg.kernel((_frobenius_rows(q) - np.eye(q.n, dtype=np.int64)) % p, p, 1)
+    return rad, proj, fixed.shape[0]
 
 
 class Ideal:
@@ -928,6 +921,8 @@ def quotient_ring(r: FiniteRing, ideal: Ideal, name: str | None = None) -> Quoti
     new_k, proj, lift = _smith_coordinates(r.p, r.k, r.n, ideal.basis)
     table, one = _quotient_structure(r.p, r.k, new_k, r.table, r.one, proj, lift)
     ring = FiniteRing(r.p, new_k, table, one, name=name or f"{r.name}/I")
+    if r._residue_map is not None and ring.n:  # I lies in m (module docstring)
+        ring._residue_map = (lift @ r._residue_map) % r.p
     return QuotientRing(ring, _projection(r, ring, proj, lift), lift)
 
 
@@ -974,6 +969,8 @@ def fiber_product(f: RingMap, g: RingMap, name: str | None = None):
         raise InvariantViolation("fiber product does not contain 1")
     one = one_c[sel]
     ring = FiniteRing(p, k, table, one, name=name or f"{a_ring.name}x{b_ring.name}")
+    if a_ring._residue_map is not None and b_ring._residue_map is not None and c_ring.n:
+        ring._residue_map = (ba @ a_ring._residue_map) % p  # A and B local, C != 0 (module docstring)
     return ring, RingMap(ring, a_ring, ba, name="pr1"), RingMap(ring, b_ring, bb, name="pr2")
 
 
@@ -1115,6 +1112,7 @@ class DvrModel:
         self.residue = field_ring(p, e)
         self.ring = truncated_poly_ring(self.residue, trunc, name=f"F{p**e}[t]/t^{trunc}")
         self.ring.check_ring()
+        self.ring._residue_map = np.eye(self.ring.n, e, dtype=np.int64)  # the constant term
 
     @property
     def q(self) -> int:

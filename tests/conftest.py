@@ -6,14 +6,25 @@ skipped check, unchanged, on every object the tests build through that
 constructor, so a construction bug that the argument misses still fails
 a test:
 
-- `rings.quotient_ring`: `check_ring` on the quotient;
-- `rings.fiber_product`: `check_ring` on the ring and `check_hom` on both
-  projections;
+- `rings.quotient_ring`: `check_ring` on the quotient, and the local
+  structure read off its residue map against Frobenius when it has one;
+- `rings.fiber_product`: `check_ring` on the ring, `check_hom` on both
+  projections, and the local structure as for a quotient;
 - `algebras._presented_quotient`: `check_algebra` on the quotient;
 - `gma._ch_algebra`: the Cayley-Hamilton identity and the group law
   (`oracles.verify_ch`);
 - `towers.build_eisenstein_tower`: `check_hom` on emb_H, emb_H followed
-  by each projection, T0 projecting to (0, xi), and h local.
+  by each projection, T0 projecting to (0, xi), h local, and the tower
+  claims the construction implies (`towers` module docstring): the
+  colengths of h/I and H/I_H, ker(H -> base) against I, the two kernels
+  annihilating each other, and Ann(ker(H -> h)) against ker(H -> base)
+  beyond the tail;
+- `towers._min_module_rows`: the picks against one pick at a time
+  (`oracles.loop_min_module_rows`).
+
+The local structure is compared with `oracles.frobenius_local_data`,
+which does its F_p linear algebra apart from `linalg`, so on rings over
+F_p the comparison adds no rows to the engine's work counts.
 
 The functions that take a span take its Howell basis as given and do not
 reduce it again (`rings` module docstring); raw rows handed to one would
@@ -44,14 +55,32 @@ from exalg.errors import InvariantViolation
 AUDITED = collections.Counter()  # objects and calls audited so far, by function name
 
 
-def _check_fiber_product(out) -> None:
+def _check_local_data(ring) -> None:
+    """The local structure a carried residue map gives, against Frobenius."""
+    if ring._residue_map is None:
+        return
+    import oracles  # after the wrappers are in place: oracles imports constructors by name
+
+    want = oracles.frobenius_local_data(ring)
+    if not (want["local"] and ring.is_local and ring.residue_log_size == want["residue_log"]
+            and np.array_equal(ring.radical_rows(), want["radical"])):
+        raise InvariantViolation(f"carried local structure of {ring.name} differs from Frobenius")
+
+
+def _check_quotient(quot, *_, **__) -> None:
+    quot.ring.check_ring()
+    _check_local_data(quot.ring)
+
+
+def _check_fiber_product(out, *_, **__) -> None:
     ring, proj_a, proj_b = out
     ring.check_ring()
     proj_a.check_hom()
     proj_b.check_hom()
+    _check_local_data(ring)
 
 
-def _check_tower(t) -> None:
+def _check_tower(t, *_, **__) -> None:
     t.emb_H.check_hom()
     if not t.degenerate and not t.h.is_local:
         raise InvariantViolation("tower levels must be local")
@@ -62,20 +91,48 @@ def _check_tower(t) -> None:
         raise InvariantViolation("tower embedding disagrees with the h-level embedding")
     if not np.array_equal(t.pr_lam(t.T0), t.xi) or t.pr_h(t.T0).any():
         raise InvariantViolation("T0 does not project to (0, xi)")
+    H = t.H
+    p, k = H.p, H.k
+    res = lam.ring.residue_log_size
+    if towers.ideal_colength(lam, t.I) != t.r:
+        raise InvariantViolation("h/I is not the expected base quotient")
+    if (H.k * H.n - t.I_H.log_size()) != t.r * res:
+        raise InvariantViolation("H/I_H is not the expected base quotient")
+    # ker(H -> base) is I in disguise
+    img = linalg.howell_form((t.script_I.basis @ t.pr_h.matrix) % t.h.char, p, k, ncols=t.h.n)
+    if not linalg.span_equal(img, t.I.basis) or t.script_I.log_size() != t.I.log_size():
+        raise InvariantViolation("ker(H -> base) does not match the Eisenstein ideal")
+    # mutual annihilation: exact containments, and Ann(ker(H -> h)) inside the window
+    ann_ker = t.ker_h.annihilator()
+    if not t.script_I.annihilator().contains_ideal(t.ker_h):
+        raise InvariantViolation("ker(H -> h) fails to annihilate ker(H -> base)")
+    if not ann_ker.contains_ideal(t.script_I):
+        raise InvariantViolation("ker(H -> base) fails to annihilate ker(H -> h)")
+    tail = rings.Ideal(H, t.emb_H(lam.t(lam.trunc - t.glue)).reshape(1, -1))
+    if not linalg.span_equal(ann_ker.add_ideal(tail).basis, t.script_I.add_ideal(tail).basis):
+        raise InvariantViolation("Ann(ker(H -> h)) exceeds its partner beyond the truncation tail")
 
 
-def _check_ch(ch) -> None:
-    import oracles  # after the wrappers are in place: oracles imports constructors by name
+def _check_picks(picked, ring, full, g) -> None:
+    import oracles
+
+    if not np.array_equal(picked, oracles.loop_min_module_rows(ring, full, g)):
+        raise InvariantViolation("Nakayama picks differ from one pick at a time")
+
+
+def _check_ch(ch, *_, **__) -> None:
+    import oracles
 
     oracles.verify_ch(ch)
 
 
 CHECKS = {
-    (rings, "quotient_ring"): lambda quot: quot.ring.check_ring(),
+    (rings, "quotient_ring"): _check_quotient,
     (rings, "fiber_product"): _check_fiber_product,
-    (algebras, "_presented_quotient"): lambda quot: quot.ring.check_algebra(),
+    (algebras, "_presented_quotient"): lambda quot, *_, **__: quot.ring.check_algebra(),
     (gma, "_ch_algebra"): _check_ch,
     (towers, "build_eisenstein_tower"): _check_tower,
+    (towers, "_min_module_rows"): _check_picks,
 }
 
 
@@ -92,32 +149,26 @@ PRECONDITIONS = {
 }
 
 
-def _audited(name, build, check):
-    @functools.wraps(build)
+def _audited(name, call, require, check):
+    """`call` with its precondition checked before it runs and its output
+    checked, given the arguments, after."""
+    @functools.wraps(call)
     def wrapper(*args, **kwargs):
-        out = build(*args, **kwargs)
-        check(out)
+        require(*args, **kwargs)
+        out = call(*args, **kwargs)
+        check(out, *args, **kwargs)
         AUDITED[name] += 1
         return out
 
     return wrapper
 
 
-def _preconditioned(name, call, require):
-    @functools.wraps(call)
-    def wrapper(*args, **kwargs):
-        require(*args, **kwargs)
-        AUDITED[name] += 1
-        return call(*args, **kwargs)
-
-    return wrapper
-
-
 def _install() -> None:
     modules = [getattr(exalg, name) for name in exalg.__all__ if name.islower()]
-    wrapped = [(home, name, _audited(name, getattr(home, name), check)) for (home, name), check in CHECKS.items()]
-    wrapped += [(home, name, _preconditioned(name, getattr(home, name), require))
-                for (home, name), require in PRECONDITIONS.items()]
+    skip = lambda *_, **__: None  # noqa: E731
+    wrapped = [(home, name, _audited(name, getattr(home, name), PRECONDITIONS.get((home, name), skip),
+                                     CHECKS.get((home, name), skip)))
+               for home, name in dict.fromkeys([*CHECKS, *PRECONDITIONS])]
     for home, name, wrapper in wrapped:
         if isinstance(home, type):  # a classmethod: the wrapper calls it bound
             setattr(home, name, staticmethod(wrapper))

@@ -22,6 +22,7 @@ from exalg.errors import BudgetExceeded, InputError, InvariantViolation
 from exalg.gma import GmaAlgebra, _raise_first, reducibility_ideal
 from exalg.groups import GroupChar, MarkedGroup, _require_order
 from exalg.linalg import howell_form, span_equal
+from exalg.modules import maximal_multiples
 from exalg.ordinary import (
     OrdinaryContext,
     _j_r_zero,
@@ -134,6 +135,111 @@ def dense_hom_sides(f: RingMap) -> tuple[np.ndarray, np.ndarray]:
 def dense_fiber_coordinates(x, w, m: int) -> np.ndarray:
     """x @ w mod m over every entry of w."""
     return (np.asarray(x, dtype=np.int64) @ w) % m
+
+
+# ---- local structure -----------------------------------------------
+
+
+def _rref_mod_p(a, p: int) -> np.ndarray:
+    """Reduced row echelon form over F_p of the rows of `a`, zero rows
+    dropped, by Gaussian elimination alone: the Howell form over a field."""
+    a = np.array(a, dtype=np.int64) % p
+    done = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[done:, c])
+        if nz.size == 0:
+            continue
+        j = done + int(nz[0])
+        a[[done, j]] = a[[j, done]]
+        a[done] = a[done] * pow(int(a[done, c]), -1, p) % p
+        col = a[:, c].copy()
+        col[done] = 0
+        a = (a - col[:, None] * a[done]) % p
+        done += 1
+        if done == a.shape[0]:
+            break
+    return a[:done]
+
+
+def _left_kernel_mod_p(a, p: int) -> np.ndarray:
+    """RREF basis of {x : x @ a = 0 mod p}, read off the RREF of a^T."""
+    a = np.asarray(a, dtype=np.int64)
+    h = _rref_mod_p(a.T, p)
+    pivots = [int(np.flatnonzero(row)[0]) for row in h]
+    free = [c for c in range(a.shape[0]) if c not in pivots]
+    out = np.zeros((len(free), a.shape[0]), dtype=np.int64)
+    for i, c in enumerate(free):
+        out[i, c] = 1
+        out[i, pivots] = -h[:, c]
+    return _rref_mod_p(out, p).reshape(-1, a.shape[0])
+
+
+# Oracle for the residue maps that `rings.quotient_ring`, `rings.fiber_product`
+# and `DvrModel` carry, which `FiniteRing._local_data` reads in place of
+# Frobenius: the local structure from scratch, with x^p taken by `pow_el`
+# and the F_p linear algebra by elimination, apart from `linalg`.
+def frobenius_local_data(r: FiniteRing) -> dict:
+    """{"radical", "local", "residue_log", "factors"} of a nonzero ring."""
+    n, p = r.n, r.p
+    step = np.array([r.pow_el(e, p) for e in np.eye(n, dtype=np.int64)]) % p
+    frob = np.eye(n, dtype=np.int64)
+    for _ in range(n):  # a power past the nilpotency index of the radical mod p
+        frob = (frob @ step) % p
+    nil = _left_kernel_mod_p(frob, p)
+    rad = nil if r.k == 1 else howell_form(np.vstack([nil, p * np.eye(n, dtype=np.int64)]), p, r.k, ncols=n)
+    # x + nil is fixed by Frobenius iff x^p - x lies in nil; the fixed
+    # points of the reduced ring are F_p to the number of its local factors
+    fixed = _left_kernel_mod_p(np.vstack([(step - np.eye(n, dtype=np.int64)) % p, nil]), p)
+    factors = fixed.shape[0] - nil.shape[0]
+    return {"radical": rad, "local": factors == 1, "residue_log": n - nil.shape[0] if factors == 1 else 0,
+            "factors": factors}
+
+
+# Oracle for `FiniteRing._local_data`'s local test: the local factor count by Frobenius.
+def local_factor_count(r: FiniteRing) -> int:
+    return frobenius_local_data(r)["factors"] if r.n else 0
+
+
+# Oracle for `FiniteRing.radical_rows`: nilpotency by a power of the
+# multiplication matrix mod p.
+def is_nilpotent(r: FiniteRing, x) -> bool:
+    if r.n == 0:
+        return True
+    mat = np.einsum("i,ijl->jl", x % r.p, r.table) % r.p
+    power = np.eye(r.n, dtype=np.int64)
+    for _ in range(r.n):
+        power = (power @ mat) % r.p
+    return not power.any()
+
+
+# Fixture: the least c with rad^c = 0, which bounds the Newton iterations
+# the idempotent lifts of `gma` take.
+def radical_nilpotency_class(r: FiniteRing) -> int:
+    rad = r.radical_ideal()
+    cur, c = rad, 1
+    while not cur.is_zero():
+        cur = cur.mul_ideal(rad)
+        c += 1
+        if c > r.n * r.k + 2:
+            raise InvariantViolation("radical power chain does not terminate")
+    return c
+
+
+# ---- Nakayama picks -----------------------------------------------
+
+
+# Oracle for `towers._min_module_rows`: one pick at a time, each the first
+# row outside the span of m*M and the orbits of the picks so far, the span
+# grown by the orbit of each new pick.
+def loop_min_module_rows(ring: FiniteRing, full: np.ndarray, g: int) -> np.ndarray:
+    p, k, width = ring.p, ring.k, g * ring.n
+    cur = howell_form(maximal_multiples(ring, full, g), p, k, ncols=width)
+    sel: list[np.ndarray] = []
+    for row in full:
+        if not linalg.span_contains(cur, row, p, k):
+            sel.append(row)
+            cur = howell_form(np.vstack([cur, ring.orbit(row, g)]), p, k, ncols=width)
+    return np.array(sel, dtype=np.int64).reshape(len(sel), width)
 
 
 # ---- hom enumeration (monogenic sources) --------------------------

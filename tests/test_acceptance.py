@@ -276,7 +276,7 @@ def test_criterion_03_quotient_identity_reproduction_and_lifting():
                 assert not ch.ch_at(x).any(), psr.name
         res = gma.lift_idempotents(ch)
         assert res["supported"], (psr.name, res["reason"])
-        assert res["iterations"] <= psr.ring.radical_nilpotency_class(), psr.name
+        assert res["iterations"] <= oracles.radical_nilpotency_class(psr.ring), psr.name
         g = gma.gma_decompose(ch, res["e1"])
         a, al = ch.base, ch.algebra
         for gi in psr.group.elements():

@@ -1,9 +1,10 @@
 """The audit hook of `conftest.py` reaches every function it wraps.
 
 Five constructors skip checks that their own checks imply, and the hook
-runs those checks on everything the tests build; three functions take a
-Howell basis as given, and the hook checks that precondition on every
-call.  One tower unit and one psrep unit must pass through all eight, and
+runs those checks on everything the tests build, and the Nakayama picks
+against one pick at a time; three functions take a Howell basis as
+given, and the hook checks that precondition on every call.  One tower
+unit and one psrep unit must pass through all eight functions, and
 no `exalg` module may keep a binding to an unwrapped function, or what it
 builds would go unaudited.
 """
@@ -22,7 +23,8 @@ def test_one_tower_and_one_psrep_unit_reach_every_audited_constructor():
     for name in ("plane-tower-r2", "diag-ordinary"):
         assert scenarios.run_scenario(name).verdict == "ok"
     names = {name for _, name in conftest.CHECKS}
-    assert names == {"quotient_ring", "fiber_product", "_presented_quotient", "_ch_algebra", "build_eisenstein_tower"}
+    assert names == {"quotient_ring", "fiber_product", "_presented_quotient", "_ch_algebra", "build_eisenstein_tower",
+                     "_min_module_rows"}
     takers = {name for _, name in conftest.PRECONDITIONS}
     assert takers == {"from_basis", "smith_form", "_min_module_rows"}
     assert all(conftest.AUDITED[name] > before.get(name, 0) for name in names | takers), dict(conftest.AUDITED)

@@ -289,7 +289,7 @@ def test_lift_over_z25_converges_within_radical_class():
     ch = gma.ch_quotient(c2_z25_psrep())
     res = gma.lift_idempotents(ch)
     assert res["supported"]
-    assert res["iterations"] <= Z25.radical_nilpotency_class()
+    assert res["iterations"] <= oracles.radical_nilpotency_class(Z25)
     # (1 + g) / 2 with 1/2 = 13 mod 25
     assert res["e1"].tolist() == [13, 13]
 
@@ -300,7 +300,7 @@ def test_lift_matrix_residual_cases():
         res = gma.lift_idempotents(ch)
         assert res["supported"]
         assert res["source"] == "matrix-residual"
-        assert res["iterations"] <= base.radical_nilpotency_class()
+        assert res["iterations"] <= oracles.radical_nilpotency_class(base)
         assert np.array_equal(ch.t_el(res["e1"]), base.one)
 
 
@@ -309,7 +309,7 @@ def test_lift_on_deformed_dihedral():
     res = gma.lift_idempotents(ch)
     assert res["supported"]
     assert res["source"] == "split-characters"
-    assert res["iterations"] <= T2.radical_nilpotency_class()
+    assert res["iterations"] <= oracles.radical_nilpotency_class(T2)
 
 
 def test_lift_refuses_equal_characters():

@@ -325,11 +325,15 @@ def test_min_module_rows_over_galois_rings(data):
     rows = r.orbit((gens * r.p ** np.array(scale)[:, None]) % r.char, g)  # the module they generate
     if data.draw(st.booleans()):
         rows = modules.maximal_multiples(r, rows, g)  # m*M, which needs more generators
-    picks, calls = _picks_and_howell_calls(r, linalg.howell_form(rows, r.p, r.k, ncols=g * r.n), g)
+    full = linalg.howell_form(rows, r.p, r.k, ncols=g * r.n)
+    picks, calls = _picks_and_howell_calls(r, full, g)
     assert np.array_equal(picks, old_min_module_rows(r, rows, g))
-    # m*M, one extension per pick after the first, the final check; the
-    # Howell basis of M is taken as given
-    assert calls == (picks.shape[0] + 1 if picks.size else 0)
+    # m*M and the final check, and the residue lifts and the relations U
+    # unless the rows outside m*M are the picks; no extension per pick, and
+    # the Howell basis of M is taken as given
+    mm = linalg.howell_form(modules.maximal_multiples(r, full, g), r.p, r.k, ncols=g * r.n)
+    outside = np.count_nonzero(linalg.FactoredSpan(mm, r.p, r.k).reduce(full)[0].any(axis=1))
+    assert calls == ((2 if outside == picks.shape[0] else 4) if picks.size else 0)
 
 
 def test_principal_ideal_picks_without_extending_the_span():
@@ -339,7 +343,7 @@ def test_principal_ideal_picks_without_extending_the_span():
     ideal = rings.Ideal(r, [x])
     picks, calls = _picks_and_howell_calls(r, ideal.basis, 1)
     assert picks.shape == (1, r.n) and rings.Ideal(r, picks) == ideal
-    assert calls == 2  # m*I and the final check: no span extension
+    assert calls == 4  # m*I, the residue lifts, the relations U and the final check: no span extension
     assert np.array_equal(picks, old_min_module_rows(r, ideal.basis, 1))
 
 

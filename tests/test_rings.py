@@ -197,7 +197,7 @@ def test_units_and_inverses_vs_bruteforce(r):
 @pytest.mark.parametrize("r", [F25, Z25, Z27, T3], ids=lambda r: r.name)
 def test_nilpotents_vs_bruteforce(r):
     for x in r.elements():
-        assert r.is_nilpotent(x) == brute_nilpotent(r, x)
+        assert oracles.is_nilpotent(r, x) == brute_nilpotent(r, x)
 
 
 def test_zero_ring():
@@ -239,7 +239,7 @@ def test_zero_ring_quotient_is_the_zero_ring():
 @pytest.mark.parametrize("r", SMALL_LOCALS, ids=lambda r: r.name)
 def test_local_rings_detected(r):
     assert r.is_local
-    assert r.local_factor_count == 1
+    assert oracles.local_factor_count(r) == 1
 
 
 def test_products_are_not_local():
@@ -247,7 +247,7 @@ def test_products_are_not_local():
         pr = rings.product_ring(a, b)
         pr.check_ring()
         assert not pr.is_local
-        assert pr.local_factor_count == 2
+        assert oracles.local_factor_count(pr) == 2
         with pytest.raises(InputError):
             pr.maximal_ideal()
 
@@ -280,11 +280,11 @@ def test_residue_field_sizes():
 
 
 def test_radical_nilpotency_class():
-    assert F5.radical_nilpotency_class() == 1
-    assert Z25.radical_nilpotency_class() == 2
-    assert T3.radical_nilpotency_class() == 3
-    assert Z27.radical_nilpotency_class() == 3
-    assert Z25Y.radical_nilpotency_class() == 3  # (5, y)^3 = 0, (5, y)^2 = (5y) != 0
+    assert oracles.radical_nilpotency_class(F5) == 1
+    assert oracles.radical_nilpotency_class(Z25) == 2
+    assert oracles.radical_nilpotency_class(T3) == 3
+    assert oracles.radical_nilpotency_class(Z27) == 3
+    assert oracles.radical_nilpotency_class(Z25Y) == 3  # (5, y)^3 = 0, (5, y)^2 = (5y) != 0
 
 
 # ---- ideals ---------------------------------------------------------
@@ -381,7 +381,7 @@ def test_quotient_t3_by_t2():
     assert q.ring.n == 2 and q.ring.char == 5
     assert 5 ** ideal.log_size() * q.ring.size == T3.size
     assert q.proj.kernel_ideal() == ideal
-    assert q.ring.is_local and q.ring.radical_nilpotency_class() == 2
+    assert q.ring.is_local and oracles.radical_nilpotency_class(q.ring) == 2
 
 
 def test_quotient_char_drop():
@@ -457,6 +457,40 @@ def test_fiber_product_t4_over_t2():
     imgs = (elems @ red.matrix) % 5
     _, counts = np.unique(imgs, axis=0, return_counts=True)
     assert int((counts**2).sum()) == h.size
+
+
+def test_fiber_product_over_a_non_local_factor_carries_no_residue_map():
+    """A x_C (C x D) is A x D, with two local factors: A local and C != 0
+    do not make the fibre product local, so no residue map is carried."""
+    a, c, d = T2, F5, F25
+    b = rings.product_ring(c, d)
+    assert a.is_local and not b.is_local  # A has its residue map, B has none
+    f = rings.RingMap(a, c, np.array([[1], [0]]), name="aug")
+    g = rings.RingMap(b, c, np.array([[1], [0], [0]]), name="pr_C")
+    h, _, _ = rings.fiber_product(f, g)
+    assert h.n == a.n + d.n and h._residue_map is None
+    assert not h.is_local and oracles.local_factor_count(h) == 2
+
+
+def test_fiber_product_of_local_rings_carries_the_residue_map():
+    mat = np.zeros((4, 2), dtype=np.int64)
+    mat[0, 0] = mat[1, 1] = 1
+    red = rings.RingMap(T4, T2, mat, name="red")
+    assert T4.is_local
+    h, pa, _ = rings.fiber_product(red, red)
+    assert np.array_equal(h._residue_map, (pa.matrix @ T4._residue_map) % 5)
+    want = oracles.frobenius_local_data(h)
+    assert h.is_local and want["factors"] == 1 and h.residue_log_size == want["residue_log"]
+    assert np.array_equal(h.radical_rows(), want["radical"])
+
+
+@pytest.mark.parametrize("p, e, trunc", [(5, 1, 6), (3, 1, 8), (5, 2, 4), (3, 3, 3)])
+def test_dvr_model_residue_map_matches_frobenius(p, e, trunc):
+    ring = rings.DvrModel(p, e, trunc).ring
+    want = oracles.frobenius_local_data(ring)
+    assert ring._residue_map.shape == (ring.n, e)
+    assert ring.is_local and want["local"] and ring.residue_log_size == want["residue_log"] == e
+    assert np.array_equal(ring.radical_rows(), want["radical"])
 
 
 def test_fiber_product_requires_surjections():

@@ -440,6 +440,25 @@ def test_a_tower_unit_derives_each_object_once(monkeypatch):
     assert sum(ideal is t.script_I for ideal in annihilated) == 1
 
 
+@pytest.mark.parametrize("spec", [towers._CORPUS_SPECS[0], towers._CORPUS_SPECS[10]], ids=["plane", "axes"])
+def test_frobenius_runs_only_on_entry_rings(spec, monkeypatch):
+    """Build, audit and replay of one corpus tower run Frobenius only on
+    the rings no residue map reaches: none for a plane tower, whose h is
+    the base with its formula, and for an axes tower its h-level ring and
+    that ring's reduced quotient, the residue field.  Every quotient and
+    fibre product after them reads its residue map instead."""
+    seen, frobenius = [], rings._frobenius_rows
+    monkeypatch.setattr(rings, "_frobenius_rows", lambda r: seen.append(r) or frobenius(r))
+    p, e, trunc, r, h_spec = spec
+    t = towers.build_eisenstein_tower(DvrModel(p, e, trunc), r, dict(h_spec))
+    towers.theorem_audit(t)
+    towers.fitting_replay(t)
+    if h_spec["kind"] == "plane":
+        assert seen == []
+    else:
+        assert len(seen) == 2 and seen[0] is t.h and seen[1].n == t.h.residue_log_size == 1
+
+
 def test_replay_refuses_by_minor_count_before_picking(monkeypatch):
     """The h.s = 5 axes tower over F5 at trunc 12 has a relation module
     whose minimal presentation would have 20,349 maximal minors: the
