@@ -32,9 +32,12 @@ pass also repeats, wherever it is called from, every
 (any difference in the picks), and every `FiniteRing._local_data` of a
 ring that carries a residue map through the parent's Frobenius
 computation on a ring with the same presentation (any difference in the
-radical, in whether the ring is local, or in its residue degree; the
-parent's ring must have one local factor).
-Each difference makes the exit status 1.  The best-of-N time of
+radical, in whether the ring is local, that is has one local factor, or
+in its residue degree).
+Each difference makes the exit status 1.  A unit that raises in either
+pass is named, with the workload and the exception, and the exit status
+is 1; the first pass raising ends the script before any comparison.
+The best-of-N time of
 replaying each kind of Howell and Smith input through each checkout is
 printed after its count, and the summed time of each kind of ring
 product, pick and local structure, timed once per call, after its count
@@ -75,8 +78,13 @@ def load_parent(checkout: Path):
     return out["linalg"], out["rings"], out["towers"]
 
 
+class PassFailed(Exception):
+    """A unit of a pass raised; the message names the workload, the unit and the exception."""
+
+
 def run_pass(workload: str, seed: int, wrappers: dict) -> None:
-    """One pass of the workload with each (owner, name) replaced by wrappers[owner, name]."""
+    """One pass of the workload with each (owner, name) replaced by
+    wrappers[owner, name]; PassFailed when a unit raises."""
     import workloads
 
     originals = {key: getattr(*key) for key in wrappers}
@@ -86,7 +94,10 @@ def run_pass(workload: str, seed: int, wrappers: dict) -> None:
             setattr(owner, name, fn)
         try:
             for unit in wl.order():
-                wl.run_unit(unit)
+                try:
+                    wl.run_unit(unit)
+                except Exception as e:
+                    raise PassFailed(f"{workload} seed {seed}, unit {unit.name}: {type(e).__name__}: {e}") from e
         finally:
             for (owner, name), fn in originals.items():
                 setattr(owner, name, fn)
@@ -235,8 +246,7 @@ def compare_products(workload: str, seed: int, their_rings, their_towers) -> dic
 
     def same_local(ours, theirs, ring):
         out = array_differences(["radical"], ours["radical"], theirs["radical"])
-        out += [f"{key} {ours[key]} != {theirs[key]}" for key in ("local", "residue_log") if ours[key] != theirs[key]]
-        return out + ([] if theirs["factors"] == 1 else [f"parent counts {theirs['factors']} local factors"])
+        return out + [f"{key} {ours[key]} != {theirs[key]}" for key in ("local", "residue_log") if ours[key] != theirs[key]]
 
     carried = compared(
         "carried _local_data", ours_local, parent_local, lambda r: f"{r.name}, dim {r.n}", same_local, nested=True)
@@ -310,7 +320,11 @@ def main(argv=None) -> int:
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     their_linalg, their_rings, their_towers = load_parent(args.parent.resolve())
-    inputs = capture(args.workload, args.seed)
+    try:
+        inputs = capture(args.workload, args.seed)
+    except PassFailed as e:
+        print(f"the working tree's pass raised, nothing compared: {e}")
+        return 1
     from exalg import linalg, rings
 
     def their_smith(rows, p, k, ncols):
@@ -334,7 +348,12 @@ def main(argv=None) -> int:
         parent_s, tree_s = best_times([theirs, ours], inputs[kind], args.repeat)
         print(f"{args.workload} seed {args.seed}: {len(inputs[kind])} {kind} inputs, {differ} differ; "
               f"best of {args.repeat}: parent {parent_s:.3f} s, working tree {tree_s:.3f} s")
-    for kind, entry in compare_products(args.workload, args.seed, their_rings, their_towers).items():
+    try:
+        products = compare_products(args.workload, args.seed, their_rings, their_towers)
+    except PassFailed as e:
+        print(f"the ring product pass raised: {e}")
+        return 1
+    for kind, entry in products.items():
         bad += entry["differ"]
         rows = f"; rows: parent {entry['parent_rows']}, working tree {entry['tree_rows']}" if "tree_rows" in entry else ""
         print(f"{args.workload} seed {args.seed}: {entry['calls']} {kind} calls, {entry['differ']} differ; "

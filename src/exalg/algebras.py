@@ -54,9 +54,6 @@ class AssocAlgebra(FiniteRing):
         """Matrix M with y @ M = y * x; a stack of them for a stack of elements."""
         return np.tensordot(np.asarray(x, dtype=np.int64), self.table, axes=(-1, 1)) % self.char
 
-    def is_central(self, x) -> bool:
-        return np.array_equal(self.mul_matrix(x), self.right_mul_matrix(x))
-
     def check_algebra(self) -> None:
         """The unit on every basis element, associativity, and the base as a
         central unital subring; the unit and centrality each on one stack,

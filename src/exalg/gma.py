@@ -59,8 +59,8 @@ generated by the pairing values.
 One stacked check, `_check_gma_stack`, is the GMA structure check: for
 one idempotent, or for every candidate of the ordinarity decision at once.
 `gma_decompose` reads a GmaAlgebra off one of its rows, for a ChAlgebra
-or for `abstract_gma`'s pairing algebra with its trace t = x11 + x22.  With e1 = e, e2 = 1 - e and
-phi_i(x) = t(e_i x e_i) it checks, in spanning-set form:
+or for the trace forms of any algebra with a trace.  With e1 = e,
+e2 = 1 - e and phi_i(x) = t(e_i x e_i) it checks, in spanning-set form:
 
 - e^2 = e, t(e1) = t(e2) = 1 and e1 e2 = e2 e1 = 0;
 - the corner rule e_i x e_i = phi_i(x) e_i on basis x, which says that
@@ -89,9 +89,9 @@ from . import linalg
 from .algebras import AssocAlgebra, _presented_quotient, quotient_algebra, two_sided_ideal_rows
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .psrep import (
-    ExtendedPsrep,
     Pseudorep2,
     TraceForms,
+    extended_forms,
     psrep_base_change,
     residual_split,
     split_as_characters,
@@ -105,7 +105,6 @@ __all__ = [
     "lift_idempotents",
     "GmaAlgebra",
     "gma_decompose",
-    "abstract_gma",
     "split_as_characters",
     "reducibility_ideal",
 ]
@@ -116,14 +115,12 @@ _NEWTON_MAX_ITER = 64
 
 @dataclass(eq=False)
 class ChAlgebra(TraceForms):
-    """A[G] modulo the Cayley-Hamilton ideal, with the descended trace; `quot`
-    projects onto it from A[G], or from the algebra `ch_base_change` cut it from."""
+    """A[G] modulo the Cayley-Hamilton ideal, with the descended trace over
+    psr.ring; `quot` projects onto it from A[G], or from the algebra
+    `ch_base_change` cut it from."""
 
     psr: Pseudorep2
-    base: FiniteRing
-    algebra: AssocAlgebra
     quot: QuotientRing
-    t_matrix: np.ndarray  # (nbar, base.n)
     rho_mat: np.ndarray  # (m, nbar), group images in the quotient
 
     @property
@@ -149,18 +146,18 @@ class ChAlgebra(TraceForms):
 def ch_quotient(psr: Pseudorep2, name: str | None = None, extra=None) -> ChAlgebra:
     """A[G] modulo the Cayley-Hamilton ideal and, when given, the two-sided
     ideal of the rows `extra` of A[G]."""
-    ext = ExtendedPsrep(psr)
-    E = ext.E
+    forms = extended_forms(psr)
+    E = forms.algebra
     eye = np.eye(E.n, dtype=np.int64)
     # ch(e_i, e_j) for i <= j, row-major, as one stack
     left, right = np.triu_indices(E.n)
-    gens = ext.ch_el(eye[left], eye[right])
+    gens = forms.ch_el(eye[left], eye[right])
     if extra is not None:
         gens = np.vstack([gens, np.reshape(extra, (-1 if E.n else 0, E.n))])
-    rows = _killed_rows(E, gens, ext.t_matrix, psr.ring, "Cayley-Hamilton" if extra is None else "imposed")
+    rows = _killed_rows(E, gens, forms.t_matrix, psr.ring, "Cayley-Hamilton" if extra is None else "imposed")
     quot = quotient_algebra(E, rows, name=name or f"CH({psr.name})")
     # group element g is the basis row (g, 1) of A[G]
-    return _ch_algebra(psr, quot, ext.t_matrix, np.kron(np.eye(psr.group.m, dtype=np.int64), psr.ring.one))
+    return _ch_algebra(psr, quot, forms.t_matrix, np.kron(np.eye(psr.group.m, dtype=np.int64), psr.ring.one))
 
 
 def ch_base_change(ch: ChAlgebra, f: RingMap, name: str | None = None, extra=None):
@@ -223,7 +220,8 @@ def _ch_algebra(psr: Pseudorep2, quot: QuotientRing, t_matrix, rho) -> ChAlgebra
     if ebar.n and linalg.kernel(ebar.base_embed, ebar.p, ebar.k).shape[0]:
         raise InvariantViolation("base does not embed into the quotient")
     rho = (rho @ quot.proj.matrix) % ebar.char
-    ch = ChAlgebra(psr, b, ebar, quot, (quot.lift_matrix @ t_matrix) % b.char, rho)
+    ch = ChAlgebra(algebra=ebar, base=b, t_matrix=(quot.lift_matrix @ t_matrix) % b.char, psr=psr, quot=quot,
+                   rho_mat=rho)
     if not np.array_equal((rho @ ch.t_matrix) % b.char, psr.t):
         raise InvariantViolation("trace of a group image changed in the quotient")
     return ch
@@ -250,14 +248,14 @@ class Residual:
     @cached_property
     def idempotents(self) -> list[np.ndarray]:
         """`_trace_one_idempotents` of `ch`, enumerated once; each caller checks its own budget."""
-        return _trace_one_idempotents(self.ch, None)
+        return _trace_one_idempotents(self.ch)
 
 
-def _trace_one_idempotents(ch: ChAlgebra, budget: int | None) -> list[np.ndarray]:
+def _trace_one_idempotents(ch: ChAlgebra) -> list[np.ndarray]:
     """Every trace-1 idempotent, sorted; none is 0 (trace 0) or 1 (trace 2)."""
     al, one = ch.algebra, ch.base.one
     out = []
-    for xs in al.element_blocks(limit=budget):
+    for xs in al.element_blocks(limit=None):
         out.extend(xs[(al.mul(xs, xs) == xs).all(axis=1) & (ch.t_el(xs) == one).all(axis=1)])
     return out
 
@@ -388,9 +386,6 @@ class GmaAlgebra:
     def phi1_of(self, x) -> np.ndarray:
         return (np.asarray(x) @ self.phi1) % self.base.char
 
-    def phi2_of(self, x) -> np.ndarray:
-        return (np.asarray(x) @ self.phi2) % self.base.char
-
     def __repr__(self):
         a = self.base
         nb = linalg.span_log_size(self.b_basis, a.p, a.k)
@@ -404,9 +399,9 @@ def gma_decompose(ch: TraceForms, e1: np.ndarray) -> GmaAlgebra:
     projectors, phi its corner coordinates, B and C the Howell forms of p12
     and p21, and m(b, c) = t(b c).
 
-    `ch` is a ChAlgebra, or the trace forms of a hand-built pairing algebra
-    (`abstract_gma`), which carries no group and gives a GmaAlgebra whose
-    `ch` is None.
+    `ch` is a ChAlgebra, or the trace forms of an algebra that carries no
+    group, such as a hand-built pairing algebra, which give a GmaAlgebra
+    whose `ch` is None.
     """
     if ch.algebra.n == 0:
         raise InputError("cannot decompose the zero algebra")
@@ -464,52 +459,6 @@ def _check_gma_stack(forms: TraceForms, es):
          "trace does not split as the sum of the corners"),
     ])
     return e12, phi, peirce
-
-
-def abstract_gma(base: FiniteRing, mu, name: str | None = None) -> GmaAlgebra:
-    """Hand-built 2x2 pairing algebra with B = C = base and m(b, c) = mu*b*c.
-
-    Basis blocks: scalar corner 1, scalar corner 2, B, C.  Useful for
-    exercising pairing-side operations without a pseudorepresentation.
-    """
-    a = base
-    mu = np.asarray(mu, dtype=np.int64) % a.char
-    n, p, k = a.n, a.p, a.k
-    big = 4 * n
-    table = np.zeros((big, big, big), dtype=np.int64)
-
-    def blk(b):
-        return slice(b * n, (b + 1) * n)
-
-    mm = a.mul_matrix(mu)
-    pair = np.einsum("ijm,ml->ijl", a.table, mm) % a.char  # (x y mu) on basis pairs
-    # block products: 1*1->1, 2*2->2, 1*B->B, B*2->B, 2*C->C, C*1->C,
-    # B*C->1 and C*B->2 through the pairing; everything else is zero
-    for bi, bj, bl, vals in (
-        (0, 0, 0, a.table),
-        (1, 1, 1, a.table),
-        (0, 2, 2, a.table),
-        (2, 1, 2, a.table),
-        (1, 3, 3, a.table),
-        (3, 0, 3, a.table),
-        (2, 3, 0, pair),
-        (3, 2, 1, pair),
-    ):
-        table[blk(bi), blk(bj), blk(bl)] = vals
-    one = np.zeros(big, dtype=np.int64)
-    one[blk(0)] = a.one
-    one[blk(1)] = a.one
-    embed = np.zeros((n, big), dtype=np.int64)
-    embed[:, blk(0)] = np.eye(n, dtype=np.int64)
-    embed[:, blk(1)] = np.eye(n, dtype=np.int64)
-    alg = AssocAlgebra(p, k, table, one, a, embed, name=name or f"pair({a.name})")
-    alg.check_algebra()
-    # its trace is t = x11 + x22, the transpose of the base embedding
-    forms = TraceForms()
-    forms.algebra, forms.base, forms.t_matrix = alg, a, alg.base_embed.T
-    e1 = np.zeros(big, dtype=np.int64)
-    e1[blk(0)] = a.one
-    return gma_decompose(forms, e1)
 
 
 def _raise_first(checks) -> None:

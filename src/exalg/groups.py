@@ -142,12 +142,6 @@ class MarkedGroup:
             return False
         return all(self.mul(a, b) in s for a in s for b in s)
 
-    def is_normal(self, subset) -> bool:
-        s = set(int(x) for x in subset)
-        return all(
-            self.mul(self.mul(g, h), self.inv(g)) in s for g in range(self.m) for h in s
-        )
-
     def mark(self, dp, ip) -> "MarkedGroup":
         return MarkedGroup(
             self.table, self.identity, self.names, dp=dp, ip=ip, name=self.name

@@ -13,11 +13,10 @@ they generate and the base ideal J_R of trace values they force, and
 which again carries a Cayley-Hamilton structure: E/(J_R E) is the
 Cayley-Hamilton quotient of psi (x) A/J_R (`gma` module docstring), here
 with J* killed as well.  One `gma.ch_base_change` takes that quotient of
-E, and one the reducible E_red; its `connect` map is the projection from
-E.  A pseudorepresentation is then ordinary precisely when J_R = 0 for
-some kappa-compatible choice of idempotent, and that is what
-`is_ordinary_ch` decides (searching over residual idempotents in the
-matrix-residual case).  It checks kappa once
+E; its `connect` map is the projection from E.  A pseudorepresentation
+is then ordinary precisely when J_R = 0 for some kappa-compatible choice
+of idempotent, and that is what `is_ordinary_ch` decides (searching over
+residual idempotents in the matrix-residual case).  It checks kappa once
 and reads the residual the algebra derived once, as do the corner
 alignment and the idempotent lift.
 
@@ -55,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebras import quotient_algebra, two_sided_ideal_rows
-from .errors import InputError, InvariantViolation
+from .algebras import two_sided_ideal_rows
+from .errors import InputError
 from .gma import (
     ChAlgebra,
     GmaAlgebra,
@@ -68,7 +67,7 @@ from .gma import (
     ch_quotient,
 )
 from .groups import GroupChar
-from .psrep import Pseudorep2, psrep_base_change, split_as_characters
+from .psrep import Pseudorep2
 from .rings import Ideal, QuotientRing, quotient_ring
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "ordinary_quotient",
     "is_ordinary_psrep",
     "is_ordinary_ch",
-    "reducible_ordinary_quotient",
 ]
 
 
@@ -356,66 +354,3 @@ def _decide(ch: ChAlgebra, kappa: GroupChar, budget: int):
     else:
         reason = "ordinary base ideal is nonzero for every aligned corner"
     return {"supported": True, "ordinary": False, "reason": reason, "checked": len(targets)}, row
-
-
-# ---- the reducible ordinary quotient --------------------------------
-
-
-def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> dict:
-    """Quotient by the ordinary relations plus the reducibility ideal.
-
-    On top of J* this kills every pairing product rho12(g) rho21(h), so the
-    base drops to A/(J_R + J_red) and the trace must split there as a pair
-    of characters; the split is computed and returned as the certificate.
-    The result is the same algebra as E_ord/(J_red E_ord), which is checked
-    by comparing log sizes.
-    """
-    gma, ch = ctx.gma, ctx.gma.ch
-    al, a = ch.algebra, ch.base
-    oq = ordinary_quotient(ctx)
-    jd = Ideal(a, gma.m_table.reshape(-1, a.n))
-    total = Ideal(a, np.vstack([oq.j_r.basis, jd.basis]))
-    base_quot = quotient_ring(a, total, name=f"{a.name}/JRred")
-    collapsed = total.is_unit_ideal()
-    if collapsed:
-        return {
-            "quotient": oq,
-            "reducibility_ideal": jd,
-            "total_ideal": total,
-            "base_quot": base_quot,
-            "e_red": None,
-            "certificate": None,
-            "collapsed": True,
-            "rank_match": True,
-        }
-    cert = split_as_characters(psrep_base_change(ch.psr, base_quot.proj))
-    if not cert["split"]:
-        raise InvariantViolation("trace fails to split modulo the reducibility ideal")
-    # two-sided generators: J* plus the pairing products
-    prods = al.mul_outer((ch.rho_mat @ gma.p12) % al.char, (ch.rho_mat @ gma.p21) % al.char)
-    extra = np.vstack([oq.j_star_rows.reshape(-1, al.n), prods.reshape(-1, al.n)])
-    e_red, proj_mat = ch_base_change(ch, base_quot.proj, name or f"{al.name} red-ord", extra)
-    rank_match = True
-    if oq.e_ord is not None:
-        # E_red must be E_ord with the reducibility ideal extended, nothing more
-        eo = oq.e_ord
-        abar = oq.base_quot.ring
-        jd_bar = Ideal(abar, oq.base_quot.proj(jd.basis))
-        rows = two_sided_ideal_rows(eo.algebra, _scaled_rows(eo.algebra, jd_bar.basis))
-        q = quotient_algebra(eo.algebra, rows)
-        lhs = q.ring.k * q.ring.n
-        rhs = e_red.algebra.k * e_red.algebra.n
-        rank_match = lhs == rhs
-        if not rank_match:
-            raise InvariantViolation("reducible ordinary quotient has the wrong size")
-    return {
-        "quotient": oq,
-        "reducibility_ideal": jd,
-        "total_ideal": total,
-        "base_quot": base_quot,
-        "e_red": e_red,
-        "red_proj": proj_mat,
-        "certificate": cert,
-        "collapsed": False,
-        "rank_match": rank_match,
-    }

@@ -10,13 +10,6 @@ The pair extends to the group algebra E = A[G]: t linearly, and the
 determinant as the quadratic map d~(x) = (t(x)^2 - t(x^2)) / 2, which is
 where the odd-characteristic restriction earns its keep.
 
-The kernel of the extended determinant law is computed as the radical of
-the trace pairing {x : t(x e) = 0 for all e}.  For a central trace this is
-the whole kernel: cyclicity gives t(x g x h) = t(x * (g x h)) = 0 for any x
-in the radical, so the quadratic obstructions collapse.  The vanishing of
-d~ on the computed radical is still verified element by element and an
-InvariantViolation means the input pair was not a pseudorepresentation.
-
 This module is also the one home of the character splitter, which writes
 (t, d) as chi1 + chi2 with chi1 chi2 = d: `residual_split` over a field,
 classifying the residual, and `split_as_characters` over any coefficient
@@ -35,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .algebras import AssocAlgebra, group_algebra
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .groups import GroupChar, MarkedGroup
@@ -49,7 +41,7 @@ __all__ = [
     "MatrixRep2",
     "psi_of_rep",
     "rep_from_chars",
-    "ExtendedPsrep",
+    "extended_forms",
     "residual_split",
     "split_as_characters",
 ]
@@ -258,13 +250,18 @@ def rep_from_chars(chi1: GroupChar, chi2: GroupChar, name: str = "diag") -> Matr
 # ---- extension to the group algebra ---------------------------------
 
 
+@dataclass(eq=False)
 class TraceForms:
     """The forms of a trace t(x) = x @ t_matrix on `algebra` over `base`.
 
     d~(x) = (t(x)^2 - t(x^2)) / 2 is the determinant, b_d its polarization
-    and ch_el, ch_at the Cayley-Hamilton elements.  `t_el`, `d_el` and
+    and ch_el the polarized Cayley-Hamilton element.  `t_el`, `d_el` and
     `b_d` take one element or equal-length stacks of them.
     """
+
+    algebra: AssocAlgebra
+    base: FiniteRing
+    t_matrix: np.ndarray  # (algebra.n, base.n)
 
     def t_el(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=np.int64) @ self.t_matrix) % self.base.char
@@ -286,60 +283,13 @@ class TraceForms:
         out = al.sub(out, al.amul(self.t_el(y), x))
         return al.add(out, al.scalar(self.b_d(x, y)))
 
-    def ch_at(self, x) -> np.ndarray:
-        """x^2 - t(x) x + d(x) 1, the unpolarized identity."""
-        al = self.algebra
-        out = al.sub(al.mul(x, x), al.amul(self.t_el(x), x))
-        return al.add(out, al.scalar(self.d_el(x)))
 
-    def kernel_rows(self) -> np.ndarray:
-        """Howell basis of {x : t(x e) = 0 for all e}, verified to kill d~."""
-        return _trace_radical(self.algebra, self.t_matrix)
-
-
-class ExtendedPsrep(TraceForms):
-    """(t, d) spread over E = A[G], with the trace-form radical."""
-
-    def __init__(self, psr: Pseudorep2):
-        psr.check()
-        self.psr = psr
-        self.group, self.base = psr.group, psr.ring
-        self.E = group_algebra(self.base, self.group)
-        a = self.base
-        m, e = self.group.m, a.n
-        # t as a Z/p^k-linear map E -> A: basis (g, a_j) -> a_j * t(g)
-        self.t_matrix = a.mul_matrix(psr.t).reshape(m * e, a.n)
-
-    @property
-    def algebra(self) -> AssocAlgebra:
-        return self.E
-
-
-def _trace_radical(alg: AssocAlgebra, t_matrix: np.ndarray) -> np.ndarray:
-    """Howell basis of the radical {x : t(x e) = 0 for all e} of the trace
-    t = x @ t_matrix on `alg`.
-
-    The determinant law must vanish on it: d~(u) = 0 and b_d(u, v) = 0 for
-    every pair of basis rows, u = v included; and it must be a two-sided
-    ideal.  Any failure raises InvariantViolation.
-    """
-    a = alg.base
-    if alg.n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    eye = np.eye(alg.n, dtype=np.int64)
-    # column block i holds t(x e_i) for x running over the basis
-    rows = linalg.kernel((alg.table @ t_matrix).reshape(alg.n, -1) % a.char, alg.p, alg.k)
-    tr = (rows @ t_matrix) % a.char
-    # b_d(u, v) = t(u) t(v) - t(uv) on all pairs of rows, and d~(u) = b_d(u, u) / 2
-    b_d = (a.mul_outer(tr, tr) - alg.mul_outer(rows, rows) @ t_matrix) % a.char
-    if np.diagonal(b_d).any():
-        raise InvariantViolation("determinant law does not vanish on the trace radical")
-    if b_d.any():
-        raise InvariantViolation("polarized determinant form survives on the trace radical")
-    span = linalg.FactoredSpan(rows, alg.p, alg.k)
-    if not (span.contains(alg.mul_outer(rows, eye)).all() and span.contains(alg.mul_outer(eye, rows)).all()):
-        raise InvariantViolation("trace radical is not an ideal")
-    return rows
+def extended_forms(psr: Pseudorep2) -> TraceForms:
+    """(t, d) spread over E = A[G], once `psr` passes its check."""
+    psr.check()
+    a, m = psr.ring, psr.group.m
+    # t as a Z/p^k-linear map E -> A: basis (g, a_j) -> a_j * t(g)
+    return TraceForms(group_algebra(a, psr.group), a, a.mul_matrix(psr.t).reshape(m * a.n, a.n))
 
 
 # ---- the character splitter ----------------------------------------

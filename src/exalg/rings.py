@@ -138,7 +138,6 @@ __all__ = [
     "field_ring",
     "truncated_poly_ring",
     "product_ring",
-    "zero_ring",
     "quotient_ring",
     "fiber_product",
     "embedding_dimension",
@@ -319,22 +318,7 @@ class FiniteRing:
     def __repr__(self):
         return f"<{self.name}: dim {self.n} over Z/{self.p}^{self.k}>"
 
-    def same_presentation(self, other: "FiniteRing") -> bool:
-        return (
-            self.p == other.p
-            and self.k == other.k
-            and self.n == other.n
-            and np.array_equal(self.table, other.table)
-            and np.array_equal(self.one, other.one)
-        )
-
     # ---- element arithmetic ----------------------------------------
-
-    def el(self, coeffs) -> np.ndarray:
-        v = np.asarray(coeffs, dtype=np.int64) % self.char
-        if v.shape != (self.n,):
-            raise InputError(f"element must have {self.n} coordinates")
-        return v
 
     def zero(self) -> np.ndarray:
         return np.zeros(self.n, dtype=np.int64)
@@ -462,10 +446,6 @@ class FiniteRing:
         for start in range(0, self.size, _ELEMENT_BLOCK):
             idx = np.arange(start, min(start + _ELEMENT_BLOCK, self.size), dtype=np.int64)
             yield (idx[:, None] // place) % self.char
-
-    def elements(self, limit: int | None = 2_000_000):
-        for block in self.element_blocks(limit):
-            yield from block
 
     # ---- verification ----------------------------------------------
 
@@ -1007,10 +987,6 @@ def gorenstein_test(r: FiniteRing) -> bool:
 def zmod_ring(p: int, k: int, name: str | None = None) -> FiniteRing:
     table = np.ones((1, 1, 1), dtype=np.int64)
     return FiniteRing(p, k, table, np.array([1]), name=name or f"Z{p}^{k}")
-
-
-def zero_ring(p: int, k: int = 1) -> FiniteRing:
-    return FiniteRing(p, k, np.zeros((0, 0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), name="0")
 
 
 def _find_irreducible(p: int, e: int) -> list[int]:

@@ -2,9 +2,11 @@
 
 A scenario names its objects through a small builder vocabulary (rings,
 marked groups, characters, pseudorepresentations, towers) and lists the
-stages to run.  Stages resolve lazily: asking for the reducibility
-stage alone still builds the quotient chain it needs, but only the
-requested stages appear in the report.
+stages to run.  Stages resolve lazily: each object a stage reads is an
+attribute of the scenario's `_State` (ring, grp, psr, kappa, ch,
+decision and gma; lam and tower), built on first read and kept, so
+asking for the reducibility stage alone still builds the quotient chain
+it needs, but only the requested stages appear in the report.
 
 Everything here is deterministic.  The only randomness in the module is
 the corpus generator, which owns a seeded Random instance and bakes the
@@ -30,6 +32,7 @@ Tower scenarios:
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -168,39 +171,47 @@ def _build_psrep(spec: dict, grp, ring):
 
 
 class _State:
+    """The objects of one scenario, each built on first read and kept.  An
+    invalid scenario raises the error of the first object it fails to
+    build, in the order ring, grp, psr, then kappa; lam, then tower."""
+
     def __init__(self, sc: Scenario):
         self.sc = sc
-        self.cache: dict = {}
-
-    def get(self, key):
-        if key not in self.cache:
-            self.cache[key] = getattr(self, f"_make_{key}")()
-        return self.cache[key]
 
     # psrep chain
-    def _make_psr(self):
-        body = self.sc.body
-        ring = _build_ring(object_field(body, "ring"))
-        grp = _build_group(object_field(body, "group"))
-        self.cache["ring"], self.cache["grp"] = ring, grp
-        return _build_psrep(object_field(body, "psrep"), grp, ring)
+    @cached_property
+    def ring(self):
+        return _build_ring(object_field(self.sc.body, "ring"))
 
-    def _make_kappa(self):
-        psr = self.get("psr")
+    @cached_property
+    def grp(self):
+        return _build_group(object_field(self.sc.body, "group"))
+
+    @cached_property
+    def psr(self):
+        ring, grp = self.ring, self.grp
+        return _build_psrep(object_field(self.sc.body, "psrep"), grp, ring)
+
+    @cached_property
+    def kappa(self):
+        self.psr  # built first, so an invalid psrep raises before kappa is read
         kappa = object_field(self.sc.body, "kappa", nullable=True)
-        return _build_char(kappa, self.cache["grp"], self.cache["ring"], name="kappa")
+        return _build_char(kappa, self.grp, self.ring, name="kappa")
 
-    def _make_ch(self):
-        return gma_mod.ch_quotient(self.get("psr"))
+    @cached_property
+    def ch(self):
+        return gma_mod.ch_quotient(self.psr)
 
-    def _make_decision(self):
+    @cached_property
+    def decision(self):
         """(result, checked stack row or None) of the ordinarity decision for the scenario's kappa."""
-        return ordinary._decide(self.get("ch"), self.get("kappa"), self.sc.budget)
+        return ordinary._decide(self.ch, self.kappa, self.sc.budget)
 
-    def _make_gma(self):
+    @cached_property
+    def gma(self):
         """The GmaAlgebra of the decision's row, already checked; else that of the lifted idempotent."""
-        ch = self.get("ch")
-        row = None if self.get("kappa") is None else self.get("decision")[1]
+        ch = self.ch
+        row = None if self.kappa is None else self.decision[1]
         if row is not None:
             return gma_mod._read_gma(ch, *row)
         res = gma_mod.lift_idempotents(ch, budget=self.sc.budget)
@@ -209,29 +220,32 @@ class _State:
         return gma_mod.gma_decompose(ch, res["e1"])
 
     # tower chain
-    def _make_tower(self):
-        body = self.sc.body
-        d = object_field(body, "dvr")
-        lam = DvrModel(int_field(d, "p"), int_field(d, "e", 1), int_field(d, "trunc"))
-        self.cache["lam"] = lam
-        return towers.build_eisenstein_tower(lam, int_field(body, "r"), object_field(body, "h"))
+    @cached_property
+    def lam(self):
+        d = object_field(self.sc.body, "dvr")
+        return DvrModel(int_field(d, "p"), int_field(d, "e", 1), int_field(d, "trunc"))
+
+    @cached_property
+    def tower(self):
+        lam = self.lam
+        return towers.build_eisenstein_tower(lam, int_field(self.sc.body, "r"), object_field(self.sc.body, "h"))
 
 
 # ---- stages ----------------------------------------------------------
 
 
 def _stage_validate(st: _State) -> dict:
-    res = psrep.validate_pseudorep(st.get("psr"))
-    return {"ok": res["ok"], "failures": res["failures"], "group_order": st.get("psr").group.m}
+    res = psrep.validate_pseudorep(st.psr)
+    return {"ok": res["ok"], "failures": res["failures"], "group_order": st.psr.group.m}
 
 
 def _stage_ch(st: _State) -> dict:
-    ch = st.get("ch")
+    ch = st.ch
     return {"dim": ch.nbar, "group_order": ch.psr.group.m, "base": ch.base.name}
 
 
 def _stage_gma(st: _State) -> dict:
-    g = st.get("gma")
+    g = st.gma
     a = g.base
     return {
         "e1": g.e1,
@@ -242,7 +256,7 @@ def _stage_gma(st: _State) -> dict:
 
 
 def _stage_reducibility(st: _State) -> dict:
-    red = gma_mod.reducibility_ideal(st.get("gma"))
+    red = gma_mod.reducibility_ideal(st.gma)
     ideal = red["ideal"]
     cert = red["certificate"]
     return {
@@ -255,12 +269,12 @@ def _stage_reducibility(st: _State) -> dict:
 
 
 def _stage_ordinary(st: _State) -> dict:
-    kappa = st.get("kappa")
+    kappa = st.kappa
     if kappa is None:
         raise InputError("stage 'ordinary' needs a kappa character in the scenario")
-    ctx = ordinary.ordinary_context(st.get("gma"), kappa)
+    ctx = ordinary.ordinary_context(st.gma, kappa)
     rep_check = ordinary.is_ordinary_rep(ctx)
-    psr_check = st.get("decision")[0]
+    psr_check = st.decision[0]
     oq = ordinary.ordinary_quotient(ctx)
     return {
         "alignment": ctx.kappa_alignment,
@@ -276,7 +290,7 @@ def _stage_ordinary(st: _State) -> dict:
 
 
 def _stage_build(st: _State) -> dict:
-    t = st.get("tower")
+    t = st.tower
     return {
         "label": t.label,
         "r": t.r,
@@ -289,12 +303,12 @@ def _stage_build(st: _State) -> dict:
 
 
 def _stage_audit(st: _State) -> dict:
-    return towers.theorem_audit(st.get("tower"))
+    return towers.theorem_audit(st.tower)
 
 
 def _stage_criterion(st: _State) -> dict:
-    t = st.get("tower")
-    lam = st.cache["lam"]
+    t = st.tower
+    lam = st.lam
     if st.sc.body["h"]["kind"] == "plane":
         model = towers.branch_algebra(lam, t.r) if t.r else towers.base_algebra(lam)
         tag = "rank2"
@@ -307,7 +321,7 @@ def _stage_criterion(st: _State) -> dict:
 
 
 def _stage_replay(st: _State) -> dict:
-    return towers.fitting_replay(st.get("tower"))
+    return towers.fitting_replay(st.tower)
 
 
 _STAGES = {

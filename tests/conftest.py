@@ -20,7 +20,8 @@ a test:
   annihilating each other, and Ann(ker(H -> h)) against ker(H -> base)
   beyond the tail;
 - `towers._min_module_rows`: the picks against one pick at a time
-  (`oracles.loop_min_module_rows`).
+  (`oracles.loop_min_module_rows`), and their count against d and their
+  span against M.
 
 The local structure is compared with `oracles.frobenius_local_data`,
 which does its F_p linear algebra apart from `linalg`, so on rings over
@@ -49,7 +50,7 @@ import functools
 import numpy as np
 
 import exalg
-from exalg import algebras, gma, linalg, rings, towers
+from exalg import algebras, gma, linalg, modules, rings, towers
 from exalg.errors import InvariantViolation
 
 AUDITED = collections.Counter()  # objects and calls audited so far, by function name
@@ -118,6 +119,15 @@ def _check_picks(picked, ring, full, g) -> None:
 
     if not np.array_equal(picked, oracles.loop_min_module_rows(ring, full, g)):
         raise InvariantViolation("Nakayama picks differ from one pick at a time")
+    if full.shape[0] == 0:
+        return
+    # d picks that generate M, which Nakayama implies (`towers` module docstring)
+    p, k, width = ring.p, ring.k, g * ring.n
+    mm = linalg.howell_form(modules.maximal_multiples(ring, full, g), p, k, ncols=width)
+    d = (linalg.span_log_size(full, p, k) - linalg.span_log_size(mm, p, k)) // ring.residue_log_size
+    span = linalg.howell_form(ring.orbit(picked, g), p, k, ncols=width)
+    if len(picked) != d or not linalg.span_equal(span, full):
+        raise InvariantViolation("selected rows fail to generate the relation module")
 
 
 def _check_ch(ch, *_, **__) -> None:

@@ -3,7 +3,7 @@
 The rule: oracles may import `exalg`, and `exalg` never imports them.
 What only the tests reach lives here; `test_library_reach.py` checks
 that the package imports nothing from the tests and that a command, a
-stage table, a script or the benchmark reaches every name it exports.
+stage table, a script or the benchmark reaches every definition in it.
 The comment above each oracle names the fast path it checks; a fixture
 only builds test inputs.
 """
@@ -16,10 +16,10 @@ import random
 
 import numpy as np
 
-from exalg import linalg
-from exalg.algebras import AssocAlgebra, two_sided_ideal_rows
+from exalg import linalg, ordinary
+from exalg.algebras import AssocAlgebra, quotient_algebra, two_sided_ideal_rows
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
-from exalg.gma import GmaAlgebra, _raise_first, reducibility_ideal
+from exalg.gma import GmaAlgebra, _raise_first, gma_decompose, reducibility_ideal
 from exalg.groups import GroupChar, MarkedGroup, _require_order
 from exalg.linalg import howell_form, span_equal
 from exalg.modules import maximal_multiples
@@ -31,7 +31,7 @@ from exalg.ordinary import (
     is_ordinary_psrep,
     ordinary_quotient,
 )
-from exalg.psrep import Pseudorep2, psrep_base_change, split_as_characters, validate_pseudorep
+from exalg.psrep import Pseudorep2, TraceForms, psrep_base_change, split_as_characters, validate_pseudorep
 from exalg.rings import DvrModel, FiniteRing, Ideal, RingMap, _smith_loop, quotient_ring, truncated_poly_ring
 from exalg.towers import AugmentedAlgebra, _adjoin_x, augmented_algebra
 
@@ -200,16 +200,16 @@ def local_factor_count(r: FiniteRing) -> int:
     return frobenius_local_data(r)["factors"] if r.n else 0
 
 
-# Oracle for `FiniteRing.radical_rows`: nilpotency by a power of the
-# multiplication matrix mod p.
-def is_nilpotent(r: FiniteRing, x) -> bool:
-    if r.n == 0:
-        return True
-    mat = np.einsum("i,ijl->jl", x % r.p, r.table) % r.p
-    power = np.eye(r.n, dtype=np.int64)
-    for _ in range(r.n):
-        power = (power @ mat) % r.p
-    return not power.any()
+# Fixture: every element of a ring, one at a time, in sorted order.
+def elements(r: FiniteRing, limit: int | None = 2_000_000):
+    for block in r.element_blocks(limit):
+        yield from block
+
+
+# Fixture: the zero ring, a supported input whose quotients and
+# Cayley-Hamilton algebra the tests build.
+def zero_ring(p: int, k: int = 1) -> FiniteRing:
+    return FiniteRing(p, k, np.zeros((0, 0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), name="0")
 
 
 # Fixture: the least c with rad^c = 0, which bounds the Newton iterations
@@ -289,7 +289,7 @@ def all_ring_maps(src: FiniteRing, dst: FiniteRing, limit: int = 20000) -> list[
     if not ok.all():
         raise InvariantViolation("power basis fails to express a basis vector")
     out = []
-    for cand in dst.elements(limit=limit):
+    for cand in elements(dst, limit=limit):
         acc = dst.one.copy()
         val = dst.zero()
         for c in minpoly:
@@ -505,7 +505,106 @@ def square_zero_algebra(o: DvrModel, name: str | None = None) -> AugmentedAlgebr
     return augmented_algebra(o, ring, pi, emb, basis)
 
 
+# ---- trace forms --------------------------------------------------
+
+
+# Oracle for `gma.ch_quotient`: the unpolarized Cayley-Hamilton identity,
+# evaluated element by element.
+def ch_at(forms: TraceForms, x) -> np.ndarray:
+    """x^2 - t(x) x + d(x) 1, the unpolarized identity."""
+    al = forms.algebra
+    out = al.sub(al.mul(x, x), al.amul(forms.t_el(x), x))
+    return al.add(out, al.scalar(forms.d_el(x)))
+
+
+# Oracle for the trace forms of `psrep.extended_forms` and `gma.ch_quotient`:
+# the kernel of the extended determinant law, computed as the radical of the
+# trace pairing {x : t(x e) = 0 for all e}.  For a central trace this is
+# the whole kernel: cyclicity gives t(x g x h) = t(x * (g x h)) = 0 for any x
+# in the radical, so the quadratic obstructions collapse.  The vanishing of
+# d~ on the computed radical is still verified element by element and an
+# InvariantViolation means the input pair was not a pseudorepresentation.
+def kernel_rows(forms: TraceForms) -> np.ndarray:
+    """Howell basis of {x : t(x e) = 0 for all e}, verified to kill d~."""
+    return _trace_radical(forms.algebra, forms.t_matrix)
+
+
+def _trace_radical(alg: AssocAlgebra, t_matrix: np.ndarray) -> np.ndarray:
+    """Howell basis of the radical {x : t(x e) = 0 for all e} of the trace
+    t = x @ t_matrix on `alg`.
+
+    The determinant law must vanish on it: d~(u) = 0 and b_d(u, v) = 0 for
+    every pair of basis rows, u = v included; and it must be a two-sided
+    ideal.  Any failure raises InvariantViolation.
+    """
+    a = alg.base
+    if alg.n == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    eye = np.eye(alg.n, dtype=np.int64)
+    # column block i holds t(x e_i) for x running over the basis
+    rows = linalg.kernel((alg.table @ t_matrix).reshape(alg.n, -1) % a.char, alg.p, alg.k)
+    tr = (rows @ t_matrix) % a.char
+    # b_d(u, v) = t(u) t(v) - t(uv) on all pairs of rows, and d~(u) = b_d(u, u) / 2
+    b_d = (a.mul_outer(tr, tr) - alg.mul_outer(rows, rows) @ t_matrix) % a.char
+    if np.diagonal(b_d).any():
+        raise InvariantViolation("determinant law does not vanish on the trace radical")
+    if b_d.any():
+        raise InvariantViolation("polarized determinant form survives on the trace radical")
+    span = linalg.FactoredSpan(rows, alg.p, alg.k)
+    if not (span.contains(alg.mul_outer(rows, eye)).all() and span.contains(alg.mul_outer(eye, rows)).all()):
+        raise InvariantViolation("trace radical is not an ideal")
+    return rows
+
+
 # ---- GMA coordinates and the reducibility ideal -------------------
+
+
+# Fixture: the GMA built from pairing data alone, with no group, for the
+# pairing-side tests of `gma.gma_decompose` and `gma.reducibility_ideal`.
+def abstract_gma(base: FiniteRing, mu, name: str | None = None) -> GmaAlgebra:
+    """Hand-built 2x2 pairing algebra with B = C = base and m(b, c) = mu*b*c.
+
+    Basis blocks: scalar corner 1, scalar corner 2, B, C.  Useful for
+    exercising pairing-side operations without a pseudorepresentation.
+    """
+    a = base
+    mu = np.asarray(mu, dtype=np.int64) % a.char
+    n, p, k = a.n, a.p, a.k
+    big = 4 * n
+    table = np.zeros((big, big, big), dtype=np.int64)
+
+    def blk(b):
+        return slice(b * n, (b + 1) * n)
+
+    mm = a.mul_matrix(mu)
+    pair = np.einsum("ijm,ml->ijl", a.table, mm) % a.char  # (x y mu) on basis pairs
+    # block products: 1*1->1, 2*2->2, 1*B->B, B*2->B, 2*C->C, C*1->C,
+    # B*C->1 and C*B->2 through the pairing; everything else is zero
+    for bi, bj, bl, vals in (
+        (0, 0, 0, a.table),
+        (1, 1, 1, a.table),
+        (0, 2, 2, a.table),
+        (2, 1, 2, a.table),
+        (1, 3, 3, a.table),
+        (3, 0, 3, a.table),
+        (2, 3, 0, pair),
+        (3, 2, 1, pair),
+    ):
+        table[blk(bi), blk(bj), blk(bl)] = vals
+    one = np.zeros(big, dtype=np.int64)
+    one[blk(0)] = a.one
+    one[blk(1)] = a.one
+    embed = np.zeros((n, big), dtype=np.int64)
+    embed[:, blk(0)] = np.eye(n, dtype=np.int64)
+    embed[:, blk(1)] = np.eye(n, dtype=np.int64)
+    alg = AssocAlgebra(p, k, table, one, a, embed, name=name or f"pair({a.name})")
+    alg.check_algebra()
+    # its trace is t = x11 + x22, the transpose of the base embedding
+    forms = TraceForms(alg, a, alg.base_embed.T)
+    e1 = np.zeros(big, dtype=np.int64)
+    e1[blk(0)] = a.one
+    return gma_decompose(forms, e1)
+
 
 
 # Check that `gma._ch_algebra` leaves out, as the descent argument in the
@@ -554,7 +653,7 @@ def coordinate_maps(gma: GmaAlgebra) -> dict:
         raise InputError("coordinate maps need a pseudorep-backed instance")
     ch, al, a = gma.ch, gma.algebra, gma.base
     x = ch.rho_mat
-    rho11, rho22 = gma.phi1_of(x), gma.phi2_of(x)
+    rho11, rho22 = gma.phi1_of(x), (x @ gma.phi2) % gma.base.char
     rho12, rho21 = (x @ gma.p12) % al.char, (x @ gma.p21) % al.char
     _raise_first([
         (_reassembles(gma, x, rho11, rho12, rho21, rho22), "coordinates do not reassemble the image of {}"),
@@ -688,7 +787,7 @@ def ordinary_factorization_check(ctx: OrdinaryContext, budget: int = 200000) -> 
     # the J* generators of `_relations`, zero rows included
     gens = np.array([v for _, _, v in _relations(ctx.gma, ctx.kappa)], dtype=np.int64).reshape(-1, al.n)
     base_ideals, seen = [], set()
-    for x in a.elements(limit=budget):
+    for x in elements(a, limit=budget):
         ideal = Ideal(a, x.reshape(1, -1))
         key = ideal.basis.tobytes()
         if key not in seen:
@@ -867,4 +966,68 @@ def ordinary_tangent_count(
         "fp_dimension": fp_kept,
         "closed_under_addition": True,
         "ambient_fp_dimension": fp_dim,
+    }
+
+
+# Oracle for the paper's E_red, which no stage computes: the ordinary
+# quotient with the reducibility ideal killed too, built by one base change
+# and checked against E_ord/(J_red E_ord).  Its base change goes through the
+# `ordinary` module, so a test that counts the base changes there counts it.
+def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> dict:
+    """Quotient by the ordinary relations plus the reducibility ideal.
+
+    On top of J* this kills every pairing product rho12(g) rho21(h), so the
+    base drops to A/(J_R + J_red) and the trace must split there as a pair
+    of characters; the split is computed and returned as the certificate.
+    The result is the same algebra as E_ord/(J_red E_ord), which is checked
+    by comparing log sizes.
+    """
+    gma, ch = ctx.gma, ctx.gma.ch
+    al, a = ch.algebra, ch.base
+    oq = ordinary_quotient(ctx)
+    jd = Ideal(a, gma.m_table.reshape(-1, a.n))
+    total = Ideal(a, np.vstack([oq.j_r.basis, jd.basis]))
+    base_quot = quotient_ring(a, total, name=f"{a.name}/JRred")
+    collapsed = total.is_unit_ideal()
+    if collapsed:
+        return {
+            "quotient": oq,
+            "reducibility_ideal": jd,
+            "total_ideal": total,
+            "base_quot": base_quot,
+            "e_red": None,
+            "certificate": None,
+            "collapsed": True,
+            "rank_match": True,
+        }
+    cert = split_as_characters(psrep_base_change(ch.psr, base_quot.proj))
+    if not cert["split"]:
+        raise InvariantViolation("trace fails to split modulo the reducibility ideal")
+    # two-sided generators: J* plus the pairing products
+    prods = al.mul_outer((ch.rho_mat @ gma.p12) % al.char, (ch.rho_mat @ gma.p21) % al.char)
+    extra = np.vstack([oq.j_star_rows.reshape(-1, al.n), prods.reshape(-1, al.n)])
+    e_red, proj_mat = ordinary.ch_base_change(ch, base_quot.proj, name or f"{al.name} red-ord", extra)
+    rank_match = True
+    if oq.e_ord is not None:
+        # E_red must be E_ord with the reducibility ideal extended, nothing more
+        eo = oq.e_ord
+        abar = oq.base_quot.ring
+        jd_bar = Ideal(abar, oq.base_quot.proj(jd.basis))
+        rows = two_sided_ideal_rows(eo.algebra, _scaled_rows(eo.algebra, jd_bar.basis))
+        q = quotient_algebra(eo.algebra, rows)
+        lhs = q.ring.k * q.ring.n
+        rhs = e_red.algebra.k * e_red.algebra.n
+        rank_match = lhs == rhs
+        if not rank_match:
+            raise InvariantViolation("reducible ordinary quotient has the wrong size")
+    return {
+        "quotient": oq,
+        "reducibility_ideal": jd,
+        "total_ideal": total,
+        "base_quot": base_quot,
+        "e_red": e_red,
+        "red_proj": proj_mat,
+        "certificate": cert,
+        "collapsed": False,
+        "rank_match": rank_match,
     }

@@ -18,7 +18,7 @@ import oracles
 import pytest
 
 from exalg import gma, groups, linalg, modules, ordinary, psrep, scenarios, towers
-from exalg.psrep import ExtendedPsrep
+from exalg.psrep import extended_forms
 from exalg.rings import DvrModel, RingMap, field_ring, truncated_poly_ring, zmod_ring
 
 F3 = zmod_ring(3, 1)
@@ -41,7 +41,7 @@ def _finish(num: int, t0: float, limit: float) -> None:
 def _nth_roots(ring, n, cap=40):
     """Unit solutions of x^n = 1, the valid order-n character values."""
     roots = []
-    for x in ring.elements():
+    for x in oracles.elements(ring):
         if not ring.is_unit(x):
             continue
         y = ring.one
@@ -192,8 +192,8 @@ def _induced_trace_radical(psr, rows):
     """Radical of the pairing that t induces on the quotient by `rows`."""
     from exalg.algebras import quotient_algebra
 
-    ext = ExtendedPsrep(psr)
-    quot = quotient_algebra(ext.E, rows)
+    ext = extended_forms(psr)
+    quot = quotient_algebra(ext.algebra, rows)
     ebar = quot.ring
     if ebar.n == 0:
         return np.zeros((0, 0), dtype=np.int64)
@@ -242,8 +242,8 @@ def test_criterion_02_group_algebra_kernels_match_brute_force():
                 pairs.append((lambda g, c=chi: c(g), lambda g, c=chi: c(g)))
         for f1, f2 in pairs:
             psr = _psr_from_values(grp, ring, f1, f2)
-            ext = ExtendedPsrep(psr)
-            rows = ext.kernel_rows()  # verifies the ideal and vanishing laws
+            ext = extended_forms(psr)
+            rows = oracles.kernel_rows(ext)  # verifies the ideal and vanishing laws
             assert _induced_trace_radical(psr, rows).shape[0] == 0
             brute = _brute_char_kernel(psr, f1, f2)
             assert linalg.span_equal(rows, brute), (grp.name, ring.name)
@@ -251,7 +251,7 @@ def test_criterion_02_group_algebra_kernels_match_brute_force():
     # irreducible instances exercise the induced law away from the split case
     for ring in (F5, F7):
         psr = psrep.psi_of_rep(_s3_rep((0, 1, 2), (0, 1, 2), ring))
-        rows = ExtendedPsrep(psr).kernel_rows()
+        rows = oracles.kernel_rows(extended_forms(psr))
         assert _induced_trace_radical(psr, rows).shape[0] == 0
         checked += 1
     assert checked >= 72
@@ -268,12 +268,12 @@ def test_criterion_03_quotient_identity_reproduction_and_lifting():
         ch = gma.ch_quotient(psr)
         size = ch.algebra.char ** ch.nbar
         if size <= 5**6:
-            for x in ch.algebra.elements():
-                assert not ch.ch_at(np.array(x)).any(), psr.name
+            for x in oracles.elements(ch.algebra):
+                assert not oracles.ch_at(ch, np.array(x)).any(), psr.name
         else:
             for _ in range(100):
                 x = oracles.random_element(ch.algebra, rng)
-                assert not ch.ch_at(x).any(), psr.name
+                assert not oracles.ch_at(ch, x).any(), psr.name
         res = gma.lift_idempotents(ch)
         assert res["supported"], (psr.name, res["reason"])
         assert res["iterations"] <= oracles.radical_nilpotency_class(psr.ring), psr.name
@@ -281,11 +281,11 @@ def test_criterion_03_quotient_identity_reproduction_and_lifting():
         a, al = ch.base, ch.algebra
         for gi in psr.group.elements():
             x = ch.rho(gi)
-            tsum = (g.phi1_of(x) + g.phi2_of(x)) % a.char
+            tsum = (g.phi1_of(x) + (x @ g.phi2) % g.base.char) % a.char
             assert np.array_equal(tsum, psr.t[gi]), psr.name
             x12 = (x @ g.p12) % al.char
             x21 = (x @ g.p21) % al.char
-            det = (a.mul(g.phi1_of(x), g.phi2_of(x)) - g.phi1_of(al.mul(x12, x21))) % a.char
+            det = (a.mul(g.phi1_of(x), (x @ g.phi2) % g.base.char) - g.phi1_of(al.mul(x12, x21))) % a.char
             assert np.array_equal(det, psr.d[gi]), psr.name
     _finish(3, t0, 60)
 
@@ -393,7 +393,7 @@ def test_criterion_05_ordinary_quotient_universality():
 def _rep_ordinary_oracle(rep, kappa):
     """Enumerate ordered eigen-line pairs over the projective line."""
     f, grp = rep.ring, rep.group
-    lines = [np.stack([f.one, x]) for x in f.elements()] + [np.stack([f.zero(), f.one])]
+    lines = [np.stack([f.one, x]) for x in oracles.elements(f)] + [np.stack([f.zero(), f.one])]
 
     def act(g, v):
         mat = rep.of(g)

@@ -29,7 +29,7 @@ ERRORS = (InputError, BudgetExceeded, InvariantViolation)
 def ref_field_sqrts(f, x):
     if f.size > 2500:
         raise BudgetExceeded("square-root search field too large")
-    return [y for y in f.elements() if np.array_equal(f.mul(y, y), x)]
+    return [y for y in oracles.elements(f) if np.array_equal(f.mul(y, y), x)]
 
 
 def ref_pointwise_roots(psr, g):
@@ -42,7 +42,7 @@ def ref_generator_roots(psr, g, budget):
     r = psr.ring
     return [
         x
-        for x in r.elements(limit=budget)
+        for x in oracles.elements(r, limit=budget)
         if not r.add(r.sub(r.mul(x, x), r.mul(psr.t[g], x)), psr.d[g]).any()
     ]
 
@@ -172,7 +172,7 @@ V4 = oracles.direct_product(groups.cyclic_group(2), groups.cyclic_group(2))
 
 
 def _fourth_roots_of_unity(r):
-    return [x for x in r.elements() if np.array_equal(r.pow_el(x, 4), r.one)]
+    return [x for x in oracles.elements(r) if np.array_equal(r.pow_el(x, 4), r.one)]
 
 
 def character_pairs(r):
@@ -247,7 +247,7 @@ def test_every_decision_split_as_before(tmp_path, monkeypatch):
     for _, doc in units:
         state = scenarios._State(scenarios.load_scenario(doc))
         try:
-            ordinary.is_ordinary_psrep(state.get("psr"), state.get("kappa"), budget=state.sc.budget)
+            ordinary.is_ordinary_psrep(state.psr, state.kappa, budget=state.sc.budget)
         except ERRORS:
             pass
     monkeypatch.undo()

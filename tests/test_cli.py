@@ -114,7 +114,7 @@ def test_plane_tower_report(reports):
 def test_quoted_idempotent_re_verifies(reports):
     body = scenarios.BUILTIN["diag-ordinary"]
     st = scenarios._State(scenarios.load_scenario("diag-ordinary"))
-    ch = st.get("ch")
+    ch = st.ch
     e1 = np.asarray(reports["diag-ordinary"].stages["gma"]["e1"])
     assert np.array_equal(ch.algebra.mul(e1, e1), e1)
     assert np.array_equal(ch.t_el(e1), ch.base.one)
@@ -123,7 +123,7 @@ def test_quoted_idempotent_re_verifies(reports):
 
 def test_quoted_witness_re_verifies(reports):
     st = scenarios._State(scenarios.load_scenario("s3-irreducible"))
-    ch = st.get("ch")
+    ch = st.ch
     rep = reports["s3-irreducible"].stages
     g = gma.gma_decompose(ch, np.asarray(rep["gma"]["e1"]))
     w = rep["ordinary"]["witness"]
@@ -137,9 +137,9 @@ def test_quoted_witness_re_verifies(reports):
 def test_quoted_tower_certificate_re_verifies(reports):
     sc = scenarios.load_scenario("plane-tower-r2")
     st = scenarios._State(sc)
-    t = st.get("tower")
+    t = st.tower
     assert np.array_equal(t.T0, np.asarray(reports["plane-tower-r2"].stages["build"]["T0"]))
-    assert towers.ideal_colength(st.cache["lam"], towers.tower_eta(t)) == 2
+    assert towers.ideal_colength(st.lam, towers.tower_eta(t)) == 2
 
 
 # ---- determinism -----------------------------------------------------
@@ -684,7 +684,7 @@ def test_ordinary_stage_decision_matches_the_psrep_entry_point(tmp_path):
             continue
         stage = scenarios.run_scenario(sc).stages["ordinary"]
         st = scenarios._State(sc)
-        fresh = ordinary.is_ordinary_psrep(st.get("psr"), st.get("kappa"), budget=sc.budget)
+        fresh = ordinary.is_ordinary_psrep(st.psr, st.kappa, budget=sc.budget)
         assert (stage["psrep_supported"], stage["psrep_ordinary"]) == (fresh["supported"], fresh["ordinary"]), sc.name
         decided += 1
     assert decided == 10

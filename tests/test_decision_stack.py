@@ -8,8 +8,8 @@ the per-candidate loop it replaced, kept here: one Newton lift, one
 per candidate, in order.  Both must give the same result dict, or raise
 the same error with the same message.
 
-`gma_decompose` and `abstract_gma` build their GmaAlgebra from one row of
-that stacked check.  `ref_gma_decompose` below is the Howell path they
+`gma_decompose`, and `oracles.abstract_gma` through it, build their
+GmaAlgebra from one row of that stacked check.  `ref_gma_decompose` below is the Howell path they
 replaced, kept here: the two corners factored, phi and the pairing table
 solved for, B and C as Howell forms, then reassembly, the determinant
 formula and the log-size fill count.  The stacked check must pass where
@@ -68,7 +68,7 @@ def _ref_verify_gma(g):
         raise InvariantViolation("Peirce pieces do not fill the algebra")
     eye = np.eye(al.n, dtype=np.int64)
     phi1, phi2, x12, x21 = g.phi1, g.phi2, g.p12, g.p21
-    tx, tx2 = ((g.phi1_of(y) + g.phi2_of(y)) % a.char for y in (eye, al.mul(eye, eye)))
+    tx, tx2 = ((g.phi1_of(y) + (y @ g.phi2) % g.base.char) % a.char for y in (eye, al.mul(eye, eye)))
     want = (pow(2, -1, a.char) * (a.mul(tx, tx) - tx2)) % a.char
     got = (a.mul(phi1, phi2) - g.phi1_of(al.mul(x12, x21))) % a.char
     checks = [
@@ -249,7 +249,7 @@ def _unit_cases(tmp_path):
     for _, doc in decision_units(tmp_path):
         state = scenarios._State(scenarios.load_scenario(doc))
         try:
-            yield state.get("psr"), state.get("kappa"), state.sc.budget
+            yield state.psr, state.kappa, state.sc.budget
         except ERRORS:
             continue
 
@@ -445,7 +445,7 @@ def test_gma_decompose_matches_the_howell_reference(tmp_path):
 @pytest.mark.parametrize("base, mu", [(F5, F5.one), (T3, [0, 1, 0]), (rings.truncated_poly_ring(F5, 2), [0, 1])],
                          ids=["f5", "t3", "f5-t2"])
 def test_abstract_gma_matches_the_howell_reference(base, mu):
-    g = gma.abstract_gma(base, np.array(mu))
+    g = oracles.abstract_gma(base, np.array(mu))
     e1 = np.zeros(4 * base.n, dtype=np.int64)
     e1[: base.n] = base.one
     assert g.ch is None

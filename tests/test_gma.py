@@ -173,8 +173,8 @@ def test_quotient_preserves_group_traces():
 def test_identity_holds_for_every_element_small_cases():
     for psr in [c4_diag_psrep(), c2_z25_psrep()]:
         ch = gma.ch_quotient(psr)
-        for x in ch.algebra.elements():
-            assert not ch.ch_at(np.array(x)).any()
+        for x in oracles.elements(ch.algebra):
+            assert not oracles.ch_at(ch, np.array(x)).any()
 
 
 def test_identity_holds_on_samples_large_cases():
@@ -183,7 +183,7 @@ def test_identity_holds_on_samples_large_cases():
         ch = gma.ch_quotient(psr)
         for _ in range(200):
             x = oracles.random_element(ch.algebra, rng)
-            assert not ch.ch_at(x).any()
+            assert not oracles.ch_at(ch, x).any()
 
 
 def test_invalid_trace_rejected():
@@ -199,8 +199,8 @@ def test_invalid_trace_rejected():
 def test_trace_radical_frozen_sizes():
     # full matrix algebra: nondegenerate pairing; the deformed dihedral case
     # keeps s times each pairing module in the radical
-    assert gma.ch_quotient(s3_irr_psrep(F7)).kernel_rows().shape[0] == 0
-    assert gma.ch_quotient(d5_t2_psrep()).kernel_rows().shape[0] == 2
+    assert oracles.kernel_rows(gma.ch_quotient(s3_irr_psrep(F7))).shape[0] == 0
+    assert oracles.kernel_rows(gma.ch_quotient(d5_t2_psrep())).shape[0] == 2
 
 
 def test_base_embeds_into_quotient():
@@ -275,12 +275,12 @@ def test_stage_gma_takes_the_corner_kappa_aligns():
         "stages": ["gma"],
     }
     state = scenarios._State(scenarios.load_scenario(doc))
-    c4 = state.get("psr").group
+    c4 = state.psr.group
     chi1 = groups.trivial_char(c4, F5)
     chi2 = groups.cyclic_char(c4, F5, 1, np.array([2]))
-    ch = state.get("ch")
+    ch = state.ch
     unaligned = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
-    for g, chi in ((state.get("gma"), chi2), (unaligned, chi1)):
+    for g, chi in ((state.gma, chi2), (unaligned, chi1)):
         rho11 = oracles.coordinate_maps(g)["rho11"]
         assert all(np.array_equal(rho11[h], chi(h)) for h in c4.elements())
 
@@ -385,11 +385,11 @@ def test_decompose_reproduces_trace_and_determinant():
         g = gma.gma_decompose(ch, res["e1"])
         eye = np.eye(ch.nbar, dtype=np.int64)
         for i in range(ch.nbar):
-            tsum = (g.phi1_of(eye[i]) + g.phi2_of(eye[i])) % ch.base.char
+            tsum = (g.phi1_of(eye[i]) + (eye[i] @ g.phi2) % g.base.char) % ch.base.char
             assert np.array_equal(tsum, ch.t_el(eye[i]))
             x12 = (eye[i] @ g.p12) % ch.algebra.char
             x21 = (eye[i] @ g.p21) % ch.algebra.char
-            det = (ch.base.mul(g.phi1_of(eye[i]), g.phi2_of(eye[i])) - g.phi1_of(ch.algebra.mul(x12, x21))) % ch.base.char
+            det = (ch.base.mul(g.phi1_of(eye[i]), (eye[i] @ g.phi2) % g.base.char) - g.phi1_of(ch.algebra.mul(x12, x21))) % ch.base.char
             assert np.array_equal(det, ch.d_el(eye[i]))
 
 
@@ -431,7 +431,7 @@ def test_coordinate_maps_frozen_dihedral_values():
 
 
 def test_abstract_pairing_algebra_with_unit_pairing_is_matrix_algebra():
-    g = gma.abstract_gma(F5, F5.one)
+    g = oracles.abstract_gma(F5, F5.one)
     mat = algebras.matrix_algebra(F5, 2)
     # block order (corner1, corner2, B, C) against (E11, E12, E21, E22)
     perm = [0, 3, 1, 2]
@@ -443,7 +443,7 @@ def test_abstract_pairing_algebra_with_unit_pairing_is_matrix_algebra():
 
 def test_abstract_pairing_algebra_truncated_cubic():
     tvec = np.array([0, 1, 0])
-    g = gma.abstract_gma(T3, tvec)
+    g = oracles.abstract_gma(T3, tvec)
     assert g.algebra.n == 12
     red = gma.reducibility_ideal(g)
     assert red["ideal"] == Ideal(T3, tvec.reshape(1, -1))
@@ -454,7 +454,7 @@ def test_abstract_pairing_algebra_truncated_cubic():
 
 
 def test_abstract_pairing_algebra_has_no_group_coordinates():
-    g = gma.abstract_gma(F5, F5.one)
+    g = oracles.abstract_gma(F5, F5.one)
     with pytest.raises(InputError):
         oracles.coordinate_maps(g)
     with pytest.raises(InputError):
@@ -495,7 +495,7 @@ def test_split_succeeds_residually_for_deformed_dihedral():
 
 
 def test_split_over_zero_ring_is_trivial():
-    zero = rings.zero_ring(5)
+    zero = oracles.zero_ring(5)
     c2 = groups.cyclic_group(2)
     t = np.zeros((2, 0), dtype=np.int64)
     psr = psrep.Pseudorep2(c2, zero, t, t.copy(), name="z")
@@ -504,7 +504,7 @@ def test_split_over_zero_ring_is_trivial():
 
 
 def test_zero_ring_quotient_is_the_zero_algebra_and_does_not_decompose():
-    zero = rings.zero_ring(5)
+    zero = oracles.zero_ring(5)
     t = np.zeros((2, 0), dtype=np.int64)
     psr = psrep.Pseudorep2(groups.cyclic_group(2), zero, t, t.copy(), name="z")
     ch = gma.ch_quotient(psr)
@@ -632,7 +632,7 @@ def _passes_ch_membership(ch, krows, exhaustive):
     are differences of these, so membership for all x pulls the whole
     generating set inside).
     """
-    E, ext = ch.quot.proj.src, psrep.ExtendedPsrep(ch.psr)
+    E, ext = ch.quot.proj.src, psrep.extended_forms(ch.psr)
     a = ch.base
     if krows.shape[0] and ((krows @ ext.t_matrix) % a.char).any():
         return False
@@ -643,7 +643,7 @@ def _passes_ch_membership(ch, krows, exhaustive):
         return E.add(out, E.scalar(ext.d_el(x)))
 
     if exhaustive:
-        xs = (np.array(x) for x in E.elements())
+        xs = (np.array(x) for x in oracles.elements(E))
     else:
         rng = random.Random(5)
         xs = itertools.chain(
@@ -762,12 +762,12 @@ def _loop_gma_failure(g):
     inv2 = pow(2, -1, a.char)
     for x in np.eye(al.n, dtype=np.int64):
         x12, x21 = (x @ g.p12) % al.char, (x @ g.p21) % al.char
-        parts = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul(g.phi2_of(x), g.e2)) % al.char
+        parts = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul((x @ g.phi2) % g.base.char, g.e2)) % al.char
         if not np.array_equal(parts, x):
             return "Peirce reassembly fails"
-        tx, tx2 = ((g.phi1_of(y) + g.phi2_of(y)) % a.char for y in (x, al.mul(x, x)))
+        tx, tx2 = ((g.phi1_of(y) + (y @ g.phi2) % g.base.char) % a.char for y in (x, al.mul(x, x)))
         want = (inv2 * (a.mul(tx, tx) - tx2)) % a.char
-        got = (a.mul(g.phi1_of(x), g.phi2_of(x)) - g.phi1_of(al.mul(x12, x21))) % a.char
+        got = (a.mul(g.phi1_of(x), (x @ g.phi2) % g.base.char) - g.phi1_of(al.mul(x12, x21))) % a.char
         if not np.array_equal(got, want):
             return "determinant does not match its corner formula"
         if g.ch is not None and not np.array_equal(want, g.ch.d_el(x)):
@@ -780,7 +780,7 @@ def _loop_coordinate_failure(g):
     al, a = g.algebra, g.base
     for i, x in enumerate(g.ch.rho_mat):
         x12, x21 = (x @ g.p12) % al.char, (x @ g.p21) % al.char
-        back = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul(g.phi2_of(x), g.e2)) % al.char
+        back = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul((x @ g.phi2) % g.base.char, g.e2)) % al.char
         if not np.array_equal(back, x):
             return f"coordinates do not reassemble the image of {i}"
         if not linalg.span_contains(g.b_basis, x12, a.p, a.k):
@@ -801,7 +801,7 @@ def _raised(fn, g):
 @functools.cache
 def _peirce_case(name):
     if name == "pairing":
-        return gma.abstract_gma(T3, np.array([0, 1, 0]))
+        return oracles.abstract_gma(T3, np.array([0, 1, 0]))
     psr = {"d5t2": d5_t2_psrep, "s3f7": lambda: s3_irr_psrep(F7), "c4": c4_diag_psrep}[name]()
     ch = gma.ch_quotient(psr)
     return gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
@@ -846,7 +846,7 @@ def _loop_verify_failure(ch, rng_seed=0, samples=100):
                 return f"polarized identity fails on basis pair ({i},{j})"
     rng = random.Random(rng_seed)
     for _ in range(samples if al.n else 0):
-        if ch.ch_at(oracles.random_element(al, rng)).any():
+        if oracles.ch_at(ch, oracles.random_element(al, rng)).any():
             return "characteristic polynomial fails on a sampled element"
     grp = ch.psr.group
     for g in grp.elements():
@@ -898,11 +898,11 @@ def test_stacked_ch_generators_and_samples_match_the_loops(case, monkeypatch):
 
     monkeypatch.setattr(gma, "two_sided_ideal_rows", capture)
     ch = gma.ch_quotient(psr)
-    ext = psrep.ExtendedPsrep(psr)
-    eye = np.eye(ext.E.n, dtype=np.int64)
-    want = np.array([ext.ch_el(eye[i], eye[j]) for i in range(ext.E.n) for j in range(i, ext.E.n)])
+    ext = psrep.extended_forms(psr)
+    eye = np.eye(ext.algebra.n, dtype=np.int64)
+    want = np.array([ext.ch_el(eye[i], eye[j]) for i in range(ext.algebra.n) for j in range(i, ext.algebra.n)])
     assert len(seen) == 1 and seen[0].dtype == want.dtype and np.array_equal(seen[0], want)
-    for al in (ch.algebra, ext.E):
+    for al in (ch.algebra, ext.algebra):
         for seed in (0, 1, 7):
             rng = random.Random(seed)
             singles = np.array([oracles.random_element(al, rng) for _ in range(100)], dtype=np.int64).reshape(-1, al.n)
@@ -913,7 +913,7 @@ def test_stacked_ch_generators_and_samples_match_the_loops(case, monkeypatch):
 def _samples_fail(ch, rng_seed=0, samples=100) -> bool:
     """The sampled check that the Cayley-Hamilton check made before its basis pairs
     were shown to cover every element: ch_at on `samples` random elements."""
-    return bool(ch.ch_at(oracles.random_element(ch.algebra, random.Random(rng_seed), samples)).any())
+    return bool(oracles.ch_at(ch, oracles.random_element(ch.algebra, random.Random(rng_seed), samples)).any())
 
 
 @pytest.mark.parametrize("case", ["s3f7", "c4", "d5t2"])
@@ -956,15 +956,17 @@ def test_stacked_trace_one_idempotents_match_the_per_element_reference(case):
         ch = ch.ch
     else:
         ch = gma.ch_quotient(s3_irr_psrep({"m2f5": F5, "m2f7": F7}[case]))
-    got = gma._trace_one_idempotents(ch, budget=ch.algebra.size)
+    got = gma._trace_one_idempotents(ch)
     want = _loop_trace_one_idempotents(ch)
     assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
     if case != "split-residual":
         # rank-1 idempotents of M2(F_q): a line for the image, a complement for the kernel
         q = ch.base.char
         assert ch.algebra.n == 4 and len(got) == q * q + q
+    # the budget is its caller's: past it the residual is refused before it is enumerated
+    res = ch.residual
     with pytest.raises(BudgetExceeded):
-        gma._trace_one_idempotents(ch, budget=ch.algebra.size - 1)
+        gma._residual_targets(res, None, res.ch.algebra.size - 1)
 
 
 # ---- source rules: one builder each for ChAlgebra and GmaAlgebra -------
@@ -994,10 +996,10 @@ def test_ch_algebra_is_constructed_in_one_function():
     assert _constructions("ChAlgebra") == {("gma.py", "_ch_algebra")}
 
 
-def _gma_calls(name):
-    """Every call made by the `gma` function `name` and, transitively, by
+def _gma_calls(name, module=gma):
+    """Every call made by the `module` function `name` and, transitively, by
     the module functions it calls, as written (e.g. "linalg.howell_form")."""
-    tree = ast.parse(pathlib.Path(gma.__file__).read_text())
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     seen, todo, calls = set(), [name], set()
     while todo:
@@ -1012,11 +1014,11 @@ def _gma_calls(name):
 def test_gma_algebra_comes_from_one_stacked_check():
     """`_read_gma` is the one builder of a GmaAlgebra, and reads it off one
     `_check_gma_stack` row with no factored corner.  Each row it reads was
-    checked first: `gma_decompose`, for `abstract_gma` too, runs the check,
-    and the scenario's `_make_gma` reads the row that `ordinary._decide`
-    checked and returned with its verdict."""
+    checked first: `gma_decompose`, for the tests' `oracles.abstract_gma`
+    too, runs the check, and the scenario's `_State.gma` reads the row that
+    `ordinary._decide` checked and returned with its verdict."""
     assert _constructions("GmaAlgebra") == {("gma.py", "_read_gma")}
-    assert "gma_decompose" in _gma_calls("abstract_gma")
+    assert "gma_decompose" in _gma_calls("abstract_gma", oracles)
     calls = {
         (path.name, node.name): [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
         for path in sorted(pathlib.Path(gma.__file__).parent.glob("*.py"))
@@ -1024,10 +1026,10 @@ def test_gma_algebra_comes_from_one_stacked_check():
         if isinstance(node, ast.FunctionDef)
     }
     readers = {key for key, called in calls.items() if any(c.split(".")[-1] == "_read_gma" for c in called)}
-    assert readers == {("gma.py", "gma_decompose"), ("scenarios.py", "_make_gma")}
+    assert readers == {("gma.py", "gma_decompose"), ("scenarios.py", "gma")}
     assert "_check_gma_stack" in calls[("gma.py", "gma_decompose")]
-    # the row `_make_gma` reads is the decision's, which `_decide` checked
-    assert "ordinary._decide" in calls[("scenarios.py", "_make_decision")]
+    # the row `_State.gma` reads is the decision's, which `_decide` checked
+    assert "ordinary._decide" in calls[("scenarios.py", "decision")]
     assert "_check_gma_stack" in calls[("ordinary.py", "_decide")]
     calls = _gma_calls("gma_decompose")
     assert not [c for c in calls if "FactoredSpan" in c or "span_equal" in c]

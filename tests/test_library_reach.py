@@ -1,8 +1,9 @@
 """Source rule: the library ships only what a stage, a script or the
 benchmark reaches, and it never imports the tests.
 
-Every name in the `__all__` of an `exalg` module must be reached from a
-root:
+Every definition under `src/exalg/` must be reached from a root: each
+module-level function and class, each method and property, and each
+private helper.  The roots are:
 
 - `cli.main`;
 - a module-level statement of the package, such as the stage table
@@ -12,9 +13,11 @@ root:
   labels such as "linalg.solve_left".
 
 A name is reached when a root names it, or when the body of a reached
-package function or class does; a submodule is reached when one of its
-definitions is.  Names match by their last component, so any attribute
-`.f` reaches every package definition named f.  The rule over-approximates
+definition does.  The body of a class is its bases, decorators and
+class-level statements, and its dunder methods, which Python calls for
+it; every other method or property is a definition of its own, reached
+by its name.  Names match by their last component, so any attribute `.f`
+reaches every package definition named f.  The rule over-approximates
 reach: it can miss dead code, but it never flags code a root runs.
 Brute-force oracles and fixtures that only the tests need live in
 `tests/oracles.py`.
@@ -27,22 +30,18 @@ import textwrap
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "exalg"
 
-# exported on purpose although no root reaches them
-EXCEPTIONS = {
-    "zero_ring": "the zero ring is a supported input, and its quotients and Cayley-Hamilton algebra are tested to build",
-    "abstract_gma": "the GMA built from pairing data alone; test_gma_algebra_comes_from_one_stacked_check parses it in gma.py",
-    "reducible_ordinary_quotient": "builds the paper's E_red; a test counts its ch_base_change calls through the ordinary binding",
-}
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
-def _names(tree) -> set:
-    """Every bare name and attribute name under a node."""
+def _names(*trees) -> set:
+    """Every bare name and attribute name under the nodes."""
     out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
     return out
 
 
@@ -57,47 +56,67 @@ def _names_with_code_strings(tree) -> set:
     return out
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _body(node) -> list:
+    """What reaching `node` runs: a function whole, a class without the
+    methods and nested classes that are definitions of their own."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    own = [stmt for stmt in node.body if not isinstance(stmt, DEFINITIONS) or _is_dunder(stmt.name)]
+    return [*node.decorator_list, *node.bases, *node.keywords, *own]
+
+
+def _definitions(path, nodes, prefix=""):
+    """(qualified name, node) of every definition in `nodes`, methods and
+    nested classes included; dunder methods belong to their class."""
+    for node in nodes:
+        if isinstance(node, DEFINITIONS) and not _is_dunder(node.name):
+            yield f"{path.stem}.{prefix}{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(path, node.body, f"{prefix}{node.name}.")
+
+
 def _package():
-    """(definitions by name, definitions by module, exports by module, root names)."""
-    defs, by_module, exports, roots = {}, {}, {}, set()
+    """(definitions by qualified name, root names)."""
+    defs, roots = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        by_module[path.stem] = set()
+        defs.update(_definitions(path, tree.body))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(node)
-                by_module[path.stem].add(node.name)
-                if path.stem == "cli" and node.name == "main":
-                    roots |= _names(node)
-            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
-                exports[path.stem] = ast.literal_eval(node.value)
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            if path.stem == "cli" and getattr(node, "name", None) == "main":
                 roots |= _names(node)
-    return defs, by_module, exports, roots
-
-
-def _reached(defs, by_module, roots) -> set:
+            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                continue
+            elif not isinstance(node, (*DEFINITIONS, ast.Import, ast.ImportFrom)):
+                roots |= _names(node)
     for folder in ("scripts", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             roots |= _names_with_code_strings(ast.parse(path.read_text()))
+    return defs, roots
+
+
+def _reached(defs, roots) -> set:
+    """The last components reached from `roots`."""
+    by_name = {}
+    for qualname, node in defs.items():
+        by_name.setdefault(qualname.rsplit(".", 1)[1], []).append(node)
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            for node in defs.get(name, ()):
-                todo.extend(_names(node))
-    return reached | {mod for mod, names in by_module.items() if names & reached}
+            for node in by_name.get(name, ()):
+                todo.extend(_names(*_body(node)))
+    return reached
 
 
 def test_library_ships_only_what_a_root_reaches():
-    defs, by_module, exports, roots = _package()
-    reached = _reached(defs, by_module, roots)
-    exported = {name for names in exports.values() for name in names}
-    unreached = [f"{mod}.{name}" for mod, names in exports.items() for name in names if name not in reached]
-    assert [name for name in unreached if name.split(".")[1] not in EXCEPTIONS] == []
-    # each exception is exported and still unreached, or it has no reason to be listed
-    assert set(EXCEPTIONS) <= exported and not set(EXCEPTIONS) & reached
+    defs, roots = _package()
+    reached = _reached(defs, roots)
+    assert [name for name in defs if name.rsplit(".", 1)[1] not in reached] == []
     # the package never imports the tests
     test_modules = {"tests", "conftest"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
     for path in sorted(SRC.rglob("*.py")):

@@ -28,7 +28,7 @@ T4 = rings.truncated_poly_ring(F5, 4, name="F5[t]/t^4")
 def brute_annihilator_set(mod):
     r = mod.ring
     out = set()
-    for x in r.elements():
+    for x in oracles.elements(r):
         ok = True
         for j in range(mod.g):
             vec = np.zeros(mod.g * r.n, dtype=np.int64)

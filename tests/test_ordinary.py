@@ -116,7 +116,7 @@ def rep_ordinary_oracle(rep, kappa):
     equal kappa^-1 along inertia.
     """
     f, grp = rep.ring, rep.group
-    lines = [np.stack([f.one, x]) for x in f.elements()] + [
+    lines = [np.stack([f.one, x]) for x in oracles.elements(f)] + [
         np.stack([f.zero(), f.one])
     ]
 
@@ -249,7 +249,7 @@ def test_trace_contraction_decides_the_base_ideal():
 
 def test_context_input_errors():
     psr, kappa = c4_setup()
-    ag = gma.abstract_gma(F5, F5.one)
+    ag = oracles.abstract_gma(F5, F5.one)
     with pytest.raises(InputError):
         ordinary.ordinary_context(ag, kappa)
     bare = groups.cyclic_group(4)
@@ -447,7 +447,7 @@ def test_decision_branches_on_the_residual_case_not_its_wording(monkeypatch):
     residual split is reworded to mention irreducibility."""
     doc = dict(scenarios.BUILTIN["s3-irreducible"], name="s3-f7", ring={"kind": "field", "p": 7, "e": 1})
     st = scenarios._State(scenarios.load_scenario(doc))
-    psr, kappa = st.get("psr"), st.get("kappa")
+    psr, kappa = st.psr, st.kappa
     original = psrep.residual_split
     assert original(psr)["case"] == "matrix"
 
@@ -619,7 +619,7 @@ def test_factorization_universality():
 def test_reducible_quotient_diagonal():
     psr, kappa = c4_setup()
     ctx = aligned_context(psr, kappa)
-    out = ordinary.reducible_ordinary_quotient(ctx)
+    out = oracles.reducible_ordinary_quotient(ctx)
     assert not out["collapsed"] and out["rank_match"]
     assert out["e_red"].nbar == 2
     cert = out["certificate"]
@@ -634,7 +634,7 @@ def test_reducible_quotient_deformed_dihedral():
     psr = d5_t2_psrep(tuple(range(5)), tuple(range(5)))
     kappa = groups.trivial_char(psr.group, T2, domain=range(5), name="k")
     ctx = aligned_context(psr, kappa)
-    out = ordinary.reducible_ordinary_quotient(ctx)
+    out = oracles.reducible_ordinary_quotient(ctx)
     assert not out["collapsed"] and out["rank_match"]
     assert out["e_red"].nbar == 3
     assert out["base_quot"].ring.n == 1
@@ -649,7 +649,7 @@ def test_reducible_quotient_collapse():
     res = gma.lift_idempotents(ch)
     kappa = groups.trivial_char(psr.group, F5, domain=range(8), name="k")
     ctx = ordinary.ordinary_context(gma.gma_decompose(ch, res["e1"]), kappa)
-    out = ordinary.reducible_ordinary_quotient(ctx)
+    out = oracles.reducible_ordinary_quotient(ctx)
     assert out["collapsed"] and out["e_red"] is None
 
 
@@ -699,7 +699,8 @@ def _three_quotient_reference(ch, f, extra_rows, name=None):
     ebar = quot_full.ring
     t_e = (down.quot.proj.matrix @ down.t_matrix) % abar.char
     rho = (abar.one @ quot_full.proj.matrix.reshape(ch.psr.group.m, abar.n, ebar.n)) % ebar.char
-    out = gma.ChAlgebra(down.psr, abar, ebar, quot_full, (quot_full.lift_matrix @ t_e) % abar.char, rho)
+    out = gma.ChAlgebra(algebra=ebar, base=abar, t_matrix=(quot_full.lift_matrix @ t_e) % abar.char, psr=down.psr,
+                        quot=quot_full, rho_mat=rho)
     oracles.verify_ch(out)
     return out, pushforward(quot_full)
 
@@ -739,16 +740,16 @@ def test_ordinary_quotients_match_the_three_quotient_construction(monkeypatch, t
     contexts = []
     for _, doc in decision_units(tmp_path):
         state = scenarios._State(scenarios.load_scenario(doc))
-        contexts.append(ordinary.ordinary_context(state.get("gma"), state.get("kappa")))
+        contexts.append(ordinary.ordinary_context(state.gma, state.kappa))
     # the deformed dihedral family, where J* is not inside J_R E
     for dp, ip in [(tuple(range(5)), tuple(range(5))), ((0, 5), (0,))]:
         psr = d5_t2_psrep(dp, ip)
         contexts.append(aligned_context(psr, groups.trivial_char(psr.group, T2, domain=dp, name="k")))
-    kept = sum(not ordinary.reducible_ordinary_quotient(ctx)["quotient"].collapsed for ctx in contexts)
+    kept = sum(not oracles.reducible_ordinary_quotient(ctx)["quotient"].collapsed for ctx in contexts)
     from test_gma import s3_irr_psrep
 
     gma.ch_quotient(s3_irr_psrep(Z25)).residual
-    zero = rings.zero_ring(5)
+    zero = oracles.zero_ring(5)
     t = np.zeros((2, 0), dtype=np.int64)
     zero_ch = gma.ch_quotient(psrep.Pseudorep2(groups.cyclic_group(2), zero, t, t.copy(), name="z"))
     ident = rings.RingMap(zero, zero, np.zeros((0, 0), dtype=np.int64), name="id")

@@ -55,7 +55,7 @@ def decision_digest(doc) -> str:
     """sha256 of the canonical JSON of the unit's decision, or of its error."""
     state = scenarios._State(scenarios.load_scenario(doc))
     try:
-        out = ordinary.is_ordinary_psrep(state.get("psr"), state.get("kappa"), budget=state.sc.budget)
+        out = ordinary.is_ordinary_psrep(state.psr, state.kappa, budget=state.sc.budget)
     except (InputError, BudgetExceeded, InvariantViolation) as e:
         out = {"raised": type(e).__name__, "message": str(e)}
     return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
@@ -166,7 +166,7 @@ def test_ordinary_verdicts_report_their_own_idempotent(tmp_path):
             continue
         ordinary_units += 1
         st = scenarios._State(sc)
-        witness = ordinary.is_ordinary_psrep(st.get("psr"), st.get("kappa"), budget=sc.budget)["witness"]
+        witness = ordinary.is_ordinary_psrep(st.psr, st.kappa, budget=sc.budget)["witness"]
         assert report.stages["gma"]["e1"].tolist() == witness["e1"], sc.name
         assert stage["j_r_basis"].size == 0, sc.name
     assert ordinary_units == 41

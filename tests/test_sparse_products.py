@@ -172,6 +172,7 @@ def test_fiber_product_is_the_one_with_dense_coordinates(p, r, spec, monkeypatch
     monkeypatch.setattr(rings, "_apply_sparse", dense_fiber_coordinates)
     dense = towers.build_eisenstein_tower(lam, r, spec)
     assert fast.H.n >= rings._SPARSE_DIM
-    assert fast.H.same_presentation(dense.H)
+    assert (fast.H.p, fast.H.k) == (dense.H.p, dense.H.k)
+    assert np.array_equal(fast.H.table, dense.H.table) and np.array_equal(fast.H.one, dense.H.one)
     assert np.array_equal(fast.pr_h.matrix, dense.pr_h.matrix)
     assert np.array_equal(fast.pr_lam.matrix, dense.pr_lam.matrix)

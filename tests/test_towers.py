@@ -47,7 +47,7 @@ def corpus():
 
 
 def brute_annihilator(ring, ideal):
-    rows = [v for v in ring.elements() if not ((ideal.basis @ ring.mul_matrix(v)) % ring.char).any()]
+    rows = [v for v in oracles.elements(ring) if not ((ideal.basis @ ring.mul_matrix(v)) % ring.char).any()]
     return linalg.howell_form(np.array(rows, dtype=np.int64), ring.p, ring.k, ncols=ring.n)
 
 
@@ -66,7 +66,7 @@ def test_eta_matches_enumeration():
 
 def test_cotangent_matches_enumeration():
     t = towers.branch_algebra(O3S, 2)
-    kernel_rows = np.array([v for v in t.ring.elements() if not t.pi(v).any()], dtype=np.int64)
+    kernel_rows = np.array([v for v in oracles.elements(t.ring) if not t.pi(v).any()], dtype=np.int64)
     wp = linalg.howell_form(kernel_rows, 3, 1, ncols=t.ring.n)
     prods = np.array([t.ring.mul(a, b) for a in wp for b in wp], dtype=np.int64)
     wp2 = linalg.howell_form(prods, 3, 1, ncols=t.ring.n)
