@@ -49,9 +49,10 @@ The residual point of a quotient over a local base is derived once per
 algebra, on first use (`ChAlgebra.residual`): the residue field, the
 residual quotient E/mE with its projection from E, and the residual
 split, whose case (irreducible, coincident, split or matrix residual)
-every consumer reads.  With distinct residual characters (or a matrix
-residual) a pair of complementary trace-1 idempotents lifts from the
-residual quotient by Newton iteration, and the Peirce pieces turn the
+every consumer reads; over a field base it is E itself (`Residual`).
+With distinct residual characters (or a matrix residual) a pair of
+complementary trace-1 idempotents lifts from the residual quotient by
+Newton iteration, and the Peirce pieces turn the
 algebra into a 2x2 generalized matrix algebra over the base: two scalar
 corners, two pairing modules B and C, and the reducibility ideal
 generated by the pairing values.
@@ -134,9 +135,15 @@ class ChAlgebra(TraceForms):
     def residual(self) -> "Residual":
         """This algebra at the residue field of its local base, built on first
         use: `ch_base_change` along the residue map, so the residual algebra
-        is E/mE and its `quot` projects from this algebra."""
-        field = self.base.residue_field()
-        down, _ = ch_base_change(self, field.proj, name=f"{self.algebra.name} res")
+        is E/mE and its `quot` projects from this algebra; over a field, E
+        itself through identity quotients (`Residual`)."""
+        if self.base.maximal_ideal().is_zero():
+            field = QuotientRing(self.base, RingMap.identity(self.base), np.eye(self.base.n, dtype=np.int64))
+            same = QuotientRing(self.algebra, RingMap.identity(self.algebra), np.eye(self.nbar, dtype=np.int64))
+            down = _ch_algebra(self.psr, same, self.t_matrix, self.rho_mat)
+        else:
+            field = self.base.residue_field()
+            down, _ = ch_base_change(self, field.proj, name=f"{self.algebra.name} res")
         return Residual(field, down, residual_split(down.psr))
 
     def __repr__(self):
@@ -239,6 +246,12 @@ class Residual:
     from the algebra above and a section of it, and `split` the
     `residual_split` report of the residual trace, whose `case` is what
     every consumer branches on.
+
+    Over a field k, E (x) k = E (Bellaiche and Chenevier, Asterisque 324,
+    1.4): `field` and `ch.quot` are identity quotients and `ch` keeps E's
+    arrays, which `ch_base_change` along the identity also gives, as its
+    relations have a canonical Howell basis and `_smith_coordinates` is
+    deterministic (checked on every test-built one, `tests/conftest.py`).
     """
 
     field: QuotientRing

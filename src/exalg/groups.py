@@ -46,13 +46,17 @@ class MarkedGroup:
         self.names = list(names) if names is not None else [f"g{i}" for i in range(m)]
         if len(self.names) != m:
             raise InputError("need one name per element")
+        self.check_group()
+        self._inv = self._build_inverses()
+        self._set_marks(dp, ip)
+
+    def _set_marks(self, dp, ip) -> None:
+        m = self.m
         for label, marks in (("dp", dp), ("ip", ip)):
             if marks is not None and not set(marks) <= set(range(m)):
                 raise InputError(f"marks {label} must be group elements in range({m}), got {sorted(set(marks))}")
         self.dp = tuple(sorted(set(dp))) if dp is not None else None
         self.ip = tuple(sorted(set(ip))) if ip is not None else None
-        self.check_group()
-        self._inv = self._build_inverses()
         if self.dp is not None and not self.is_subgroup(self.dp):
             raise InputError("decomposition marks are not a subgroup")
         if self.ip is not None:
@@ -143,9 +147,11 @@ class MarkedGroup:
         return all(self.mul(a, b) in s for a in s for b in s)
 
     def mark(self, dp, ip) -> "MarkedGroup":
-        return MarkedGroup(
-            self.table, self.identity, self.names, dp=dp, ip=ip, name=self.name
-        )
+        """This group with dp and ip checked and marked; its checked table and inverses are shared."""
+        out = MarkedGroup.__new__(MarkedGroup)
+        vars(out).update(vars(self))
+        out._set_marks(dp, ip)
+        return out
 
     def __repr__(self):
         marks = ""
@@ -205,8 +211,11 @@ class GroupChar:
         self.ring = ring
         self.name = name
         self.values = {int(g): np.asarray(v, dtype=np.int64) % ring.char for g, v in values.items()}
+        for v in self.values.values():
+            v.flags.writeable = False  # so a passed `check` stays passed
         self.domain = tuple(sorted(self.values))
         self._inverses: dict = {}
+        self._checked = False
 
     def __call__(self, g: int) -> np.ndarray:
         if g not in self.values:
@@ -223,6 +232,9 @@ class GroupChar:
         return self._inverses[g]
 
     def check(self) -> None:
+        """The character laws, run until they first pass: the values are read-only."""
+        if self._checked:
+            return
         grp, r = self.group, self.ring
         if not grp.is_subgroup(self.domain):
             raise InvariantViolation("character domain is not a subgroup")
@@ -241,6 +253,7 @@ class GroupChar:
             if not r.is_unit(self.values[a]):
                 raise InvariantViolation(f"character value at {a} is not a unit")
             raise InvariantViolation(f"character fails at ({a},{b})")
+        self._checked = True
 
     def __repr__(self):
         return f"<{self.name}: {len(self.domain)} of {self.group.m} elements, values in {self.ring.name}>"

@@ -108,11 +108,12 @@ class OrdinaryContext:
         return f"<OrdinaryContext |Dp|={len(grp.dp)} |Ip|={len(grp.ip)} kappa on {self.kappa_alignment}>"
 
 
-def _kappa_inverse_on_inertia(res: Residual, kappa: GroupChar, chi) -> bool:
-    """Is `chi`, a map g -> residue-field value, kappa^-1 on the inertia marks?"""
+def _kappa_inverse_on_inertia(res: Residual, kappa: GroupChar):
+    """The test "is `chi`, a map g -> residue-field value, kappa^-1 on the
+    inertia marks?", with kappa^-1 projected to the residue field once."""
     ip = res.ch.psr.group.ip
     want = res.field.proj(np.array([kappa.inv_value(g) for g in ip], dtype=np.int64).reshape(len(ip), -1))
-    return all(np.array_equal(chi(g), w) for g, w in zip(ip, want))
+    return lambda chi: all(np.array_equal(chi(g), w) for g, w in zip(ip, want))
 
 
 def _residual_corner_alignment(ch: ChAlgebra, phi1, phi2, kappa: GroupChar) -> str:
@@ -122,11 +123,14 @@ def _residual_corner_alignment(ch: ChAlgebra, phi1, phi2, kappa: GroupChar) -> s
     case = res.split["case"]
     if case != "split":
         return "coincident" if case == "coincident" else "nonsplit"
+    return _split_corner_alignment(ch, phi1, phi2, _kappa_inverse_on_inertia(res, kappa))
+
+
+def _split_corner_alignment(ch: ChAlgebra, phi1, phi2, aligned) -> str:
+    """The alignment over a split residual, `aligned` the kappa^-1 test."""
+    field = ch.residual.field
     # residual corner characters: phi_i(rho(g)) mod the maximal ideal, phi_i an (n, base.n) matrix
-    hit1, hit2 = (
-        _kappa_inverse_on_inertia(res, kappa, lambda g, phi=phi: res.field.proj((ch.rho(g) @ phi) % ch.base.char))
-        for phi in (phi1, phi2)
-    )
+    hit1, hit2 = (aligned(lambda g, phi=phi: field.proj((ch.rho(g) @ phi) % ch.base.char)) for phi in (phi1, phi2))
     if hit1 and hit2:
         return "both"
     if hit1:
@@ -323,7 +327,8 @@ def _decide(ch: ChAlgebra, kappa: GroupChar, budget: int):
         return {"supported": False, "ordinary": None, "reason": res.split["reason"], "checked": 0}, None
     chis = None
     if case == "split":
-        chis = [chi for chi in res.split["chars"] if _kappa_inverse_on_inertia(res, kappa, chi)]
+        aligned = _kappa_inverse_on_inertia(res, kappa)  # kappa^-1 projected once per decision
+        chis = [chi for chi in res.split["chars"] if aligned(chi)]
         if not chis:
             reason = "no residual character matches kappa^-1 on inertia"
             return {"supported": True, "ordinary": False, "reason": reason, "checked": 0}, None
@@ -346,7 +351,7 @@ def _decide(ch: ChAlgebra, kappa: GroupChar, budget: int):
             "checked": hit + 1 if chis is None else len(targets),
             "witness": {
                 "e1": [int(c) for c in es[hit]],
-                "alignment": _residual_corner_alignment(ch, *phi[hit], kappa),
+                "alignment": "nonsplit" if chis is None else _split_corner_alignment(ch, *phi[hit], aligned),
             },
         }, row
     if chis is None:

@@ -61,9 +61,18 @@ class Pseudorep2:
         m, n = self.group.m, self.ring.n
         self.t = np.asarray(self.t, dtype=np.int64).reshape(m, n) % self.ring.char
         self.d = np.asarray(self.d, dtype=np.int64).reshape(m, n) % self.ring.char
+        self.t.flags.writeable = self.d.flags.writeable = False  # so `validation` cannot go stale
+        self._validation = None
+
+    @property
+    def validation(self) -> dict:
+        """`validate_pseudorep` of this pair, run once: t and d are read-only."""
+        if self._validation is None:
+            self._validation = validate_pseudorep(self)
+        return self._validation
 
     def check(self) -> None:
-        report = validate_pseudorep(self)
+        report = self.validation
         if not report["ok"]:
             first = report["failures"][0]
             raise InvariantViolation(f"pseudorep law fails: {first}")

@@ -21,7 +21,12 @@ their own rho; m is formed as ker rho, one `kernel_mod`, when first read:
   m_A exactly when b is in m_B, for (a, b) in P, so rad(P) = ker(P -> A
   -> k) and rho_P = pr_A . rho_A.  A local alone is not enough: with
   B = C x D, P is A x D.
-- `DvrModel`: rho keeps the first e coordinates, the constant term.
+- Entry rings: Z/p^k and F_q map by the identity onto F_p and F_q.  For
+  B local, B[t]/(t^N) keeps rho_B on the constant block, as m_B + tB[t]
+  is nilpotent with quotient k (`DvrModel`: the first e coordinates).
+  The h-levels of `towers` split by pi: T -> base, and ker(pi) is
+  nilpotent, as x^2 = s x (s in m) and e_a^2 = t e_a; so pi^-1(m_base)
+  is nilpotent with quotient k, and rho_T = pi . rho_base.
 
 `mul_matrix`, the left multiplication matrices, and the products built
 on the table read the nonzero constants only from dimension _SPARSE_DIM
@@ -985,8 +990,9 @@ def gorenstein_test(r: FiniteRing) -> bool:
 
 
 def zmod_ring(p: int, k: int, name: str | None = None) -> FiniteRing:
-    table = np.ones((1, 1, 1), dtype=np.int64)
-    return FiniteRing(p, k, table, np.array([1]), name=name or f"Z{p}^{k}")
+    ring = FiniteRing(p, k, np.ones((1, 1, 1), dtype=np.int64), np.array([1]), name=name or f"Z{p}^{k}")
+    ring._residue_map = np.ones((1, 1), dtype=np.int64)  # Z/p^k -> F_p (module docstring)
+    return ring
 
 
 def _find_irreducible(p: int, e: int) -> list[int]:
@@ -1034,7 +1040,9 @@ def field_ring(p: int, e: int = 1, name: str | None = None) -> FiniteRing:
             table[i, j] = np.array(reds[i + j]) % p
     one = np.zeros(e, dtype=np.int64)
     one[0] = 1
-    return FiniteRing(p, 1, table, one, name=name or f"F{p**e}")
+    ring = FiniteRing(p, 1, table, one, name=name or f"F{p**e}")
+    ring._residue_map = np.eye(e, dtype=np.int64)  # a field is its own residue field
+    return ring
 
 
 def truncated_poly_ring(base: FiniteRing, trunc: int, name: str | None = None) -> FiniteRing:
@@ -1057,7 +1065,10 @@ def truncated_poly_ring(base: FiniteRing, trunc: int, name: str | None = None) -
                     table[i1 * e + j1, i2 * e + j2, blk : blk + e] = prod
     one = np.zeros(n, dtype=np.int64)
     one[:e] = base.one
-    return FiniteRing(base.p, base.k, table, one, name=name or f"{base.name}[t]/t^{trunc}")
+    ring = FiniteRing(base.p, base.k, table, one, name=name or f"{base.name}[t]/t^{trunc}")
+    if base._residue_map is not None:  # the base's rho on the constant block (module docstring)
+        ring._residue_map = np.pad(base._residue_map, ((0, n - e), (0, 0)))
+    return ring
 
 
 def product_ring(a: FiniteRing, b: FiniteRing, name: str | None = None) -> FiniteRing:
@@ -1088,7 +1099,6 @@ class DvrModel:
         self.residue = field_ring(p, e)
         self.ring = truncated_poly_ring(self.residue, trunc, name=f"F{p**e}[t]/t^{trunc}")
         self.ring.check_ring()
-        self.ring._residue_map = np.eye(self.ring.n, e, dtype=np.int64)  # the constant term
 
     @property
     def q(self) -> int:

@@ -235,7 +235,7 @@ class _State:
 
 
 def _stage_validate(st: _State) -> dict:
-    res = psrep.validate_pseudorep(st.psr)
+    res = st.psr.validation
     return {"ok": res["ok"], "failures": res["failures"], "group_order": st.psr.group.m}
 
 

@@ -408,7 +408,8 @@ def lenstra_check(R: FiniteRing, phi: RingMap, T: AugmentedAlgebra) -> dict:
 
 
 def _adjoin_x(o: DvrModel, square: np.ndarray, name: str):
-    """base[x] with x^2 = square * x, square a base element."""
+    """base[x] with x^2 = square * x, square in the maximal ideal of the base,
+    carrying rho = pi . rho_base (`rings` module docstring)."""
     nl = o.ring.n
     n = 2 * nl
     if n > MAX_POLY_DIM:  # refused before the n^3 table is allocated
@@ -429,6 +430,7 @@ def _adjoin_x(o: DvrModel, square: np.ndarray, name: str):
     # both maps are checked by `augmented_algebra`, which every caller runs
     emb = RingMap(o.ring, ring, np.hstack([eye, zero]), name="emb")
     pi = RingMap(ring, o.ring, np.vstack([eye, zero]), name="pi")
+    ring._residue_map = (pi.matrix @ o.ring._residue_map) % o.p
     x = np.zeros(n, dtype=np.int64)
     x[nl:] = o.ring.one
     return ring, emb, pi, x, np.vstack([one, x])
@@ -466,6 +468,7 @@ def axis_algebra(o: DvrModel, s: int, name: str | None = None) -> AugmentedAlgeb
     eye = np.eye(nl, dtype=np.int64)
     emb = RingMap(o.ring, ring, np.hstack([eye] + [np.zeros((nl, nl), dtype=np.int64)] * (s - 1)), name="emb")
     pi = RingMap(ring, o.ring, np.vstack([eye] + [np.zeros((nl, nl), dtype=np.int64)] * (s - 1)), name="pi")
+    ring._residue_map = (pi.matrix @ o.ring._residue_map) % o.p  # e_a^2 = t e_a (`rings` module docstring)
     basis = np.zeros((s, n), dtype=np.int64)
     basis[0] = one
     for a in range(1, s):

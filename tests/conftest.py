@@ -10,6 +10,14 @@ a test:
   structure read off its residue map against Frobenius when it has one;
 - `rings.fiber_product`: `check_ring` on the ring, `check_hom` on both
   projections, and the local structure as for a quotient;
+- `rings.zmod_ring`, `rings.field_ring`, `rings.truncated_poly_ring` and
+  the branch and axes h-levels (`towers._adjoin_x`, `towers.axis_algebra`),
+  which carry a residue map from their construction: the local structure
+  as for a quotient;
+- `gma.ChAlgebra.residual` over a field base, the algebra itself through
+  identity quotients: against `ch_base_change` along the identity, which
+  must give the same table, group images, trace and residual split with
+  an identity projection;
 - `algebras._presented_quotient`: `check_algebra` on the quotient;
 - `gma._ch_algebra`: the Cayley-Hamilton identity and the group law
   (`oracles.verify_ch`);
@@ -38,8 +46,9 @@ checks that the basis handed to each of them is its own Howell form:
 
 Each wrapper replaces its function in every `exalg` module that holds
 it, such as `towers`, which imports `quotient_ring` and `fiber_product`
-by name.  This file is imported before any test module, so the tests'
-own imports by name get the wrappers too.  The hook keeps counts per
+by name; a cached property runs the wrapper in place of its function.
+This file is imported before any test module, so the tests' own imports
+by name get the wrappers too.  The hook keeps counts per
 function (`AUDITED`), never the objects, so the rings of a unit
 are still freed by reference counting alone.
 """
@@ -50,13 +59,13 @@ import functools
 import numpy as np
 
 import exalg
-from exalg import algebras, gma, linalg, modules, rings, towers
+from exalg import algebras, gma, linalg, modules, psrep, rings, towers
 from exalg.errors import InvariantViolation
 
 AUDITED = collections.Counter()  # objects and calls audited so far, by function name
 
 
-def _check_local_data(ring) -> None:
+def _check_local_data(ring, *_, **__) -> None:
     """The local structure a carried residue map gives, against Frobenius."""
     if ring._residue_map is None:
         return
@@ -79,6 +88,37 @@ def _check_fiber_product(out, *_, **__) -> None:
     proj_a.check_hom()
     proj_b.check_hom()
     _check_local_data(ring)
+
+
+# bound before any test counts the library's calls
+_base_change, _residual_split = gma.ch_base_change, psrep.residual_split
+
+
+def _same_split(got: dict, want: dict) -> bool:
+    """The same case and character values; a test may reword the reason."""
+    if got["case"] != want["case"]:
+        return False
+    if got["chars"] is None or want["chars"] is None:
+        return got["chars"] is want["chars"]
+    return all(a.domain == b.domain and all(np.array_equal(a(g), b(g)) for g in a.domain)
+               for a, b in zip(got["chars"], want["chars"]))
+
+
+def _check_residual(res, ch) -> None:
+    """Over a field base, the residual against `ch_base_change` along the identity."""
+    if not ch.base.maximal_ideal().is_zero():
+        return
+    want, connect = _base_change(ch, rings.RingMap.identity(ch.base))
+    got, eye = res.ch, np.eye(ch.nbar, dtype=np.int64)
+    same = (got.algebra.k == want.algebra.k
+            and all(np.array_equal(getattr(got.algebra, f), getattr(want.algebra, f))
+                    for f in ("table", "one", "base_embed"))
+            and np.array_equal(got.rho_mat, want.rho_mat) and np.array_equal(got.t_matrix, want.t_matrix)
+            and all(np.array_equal(m, eye) for m in (connect, got.quot.proj.matrix, got.quot.lift_matrix))
+            and np.array_equal(res.field.proj.matrix, np.eye(ch.base.n, dtype=np.int64))
+            and _same_split(res.split, _residual_split(want.psr)))
+    if not same:
+        raise InvariantViolation(f"residual of {ch.algebra.name} over a field differs from its base change")
 
 
 def _check_tower(t, *_, **__) -> None:
@@ -139,6 +179,12 @@ def _check_ch(ch, *_, **__) -> None:
 CHECKS = {
     (rings, "quotient_ring"): _check_quotient,
     (rings, "fiber_product"): _check_fiber_product,
+    (rings, "zmod_ring"): _check_local_data,
+    (rings, "field_ring"): _check_local_data,
+    (rings, "truncated_poly_ring"): _check_local_data,
+    (towers, "_adjoin_x"): lambda out, *_, **__: _check_local_data(out[0]),
+    (towers, "axis_algebra"): lambda aug, *_, **__: _check_local_data(aug.ring),
+    (gma.ChAlgebra, "residual"): _check_residual,
     (algebras, "_presented_quotient"): lambda quot, *_, **__: quot.ring.check_algebra(),
     (gma, "_ch_algebra"): _check_ch,
     (towers, "build_eisenstein_tower"): _check_tower,
@@ -159,6 +205,11 @@ PRECONDITIONS = {
 }
 
 
+def _function(attr):
+    """The function an attribute runs: a cached property's own function."""
+    return attr.func if isinstance(attr, functools.cached_property) else attr
+
+
 def _audited(name, call, require, check):
     """`call` with its precondition checked before it runs and its output
     checked, given the arguments, after."""
@@ -176,10 +227,13 @@ def _audited(name, call, require, check):
 def _install() -> None:
     modules = [getattr(exalg, name) for name in exalg.__all__ if name.islower()]
     skip = lambda *_, **__: None  # noqa: E731
-    wrapped = [(home, name, _audited(name, getattr(home, name), PRECONDITIONS.get((home, name), skip),
+    wrapped = [(home, name, _audited(name, _function(getattr(home, name)), PRECONDITIONS.get((home, name), skip),
                                      CHECKS.get((home, name), skip)))
                for home, name in dict.fromkeys([*CHECKS, *PRECONDITIONS])]
     for home, name, wrapper in wrapped:
+        if isinstance(getattr(home, name), functools.cached_property):
+            getattr(home, name).func = wrapper
+            continue
         if isinstance(home, type):  # a classmethod: the wrapper calls it bound
             setattr(home, name, staticmethod(wrapper))
             continue

@@ -15,7 +15,6 @@ import time
 
 import numpy as np
 import oracles
-import pytest
 
 from exalg import gma, groups, linalg, modules, ordinary, psrep, scenarios, towers
 from exalg.psrep import extended_forms
@@ -170,18 +169,17 @@ def test_criterion_01_seeded_traces_validate_and_perturbations_fail():
         assert report["ok"], (psr.name, report["failures"])
     for _ in range(100):
         psr = rng.choice(psrs)
-        arr = psr.t if rng.random() < 0.5 else psr.d
+        t, d = psr.t.copy(), psr.d.copy()  # a pseudorep's arrays are read-only
+        arr = t if rng.random() < 0.5 else d
         g = rng.randrange(psr.group.m)
         coord = rng.randrange(psr.ring.n)
         delta = rng.randrange(1, psr.ring.char)
-        saved = arr[g].copy()
         arr[g, coord] = (arr[g, coord] + delta) % psr.ring.char
-        report = psrep.validate_pseudorep(psr)
-        arr[g] = saved
+        report = psrep.validate_pseudorep(psrep.Pseudorep2(psr.group, psr.ring, t, d, name=psr.name))
         assert not report["ok"], (psr.name, g, coord, delta)
         w = report["failures"][0]
         assert w["law"] and w["lhs"] != w["rhs"]
-        assert psrep.validate_pseudorep(psr)["ok"]  # restore really restored
+        assert psrep.validate_pseudorep(psr)["ok"]  # the original is untouched
     _finish(1, t0, 10)
 
 

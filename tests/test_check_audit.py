@@ -1,12 +1,14 @@
 """The audit hook of `conftest.py` reaches every function it wraps.
 
-Five constructors skip checks that their own checks imply, and the hook
-runs those checks on everything the tests build, and the Nakayama picks
-against one pick at a time; three functions take a Howell basis as
-given, and the hook checks that precondition on every call.  One tower
-unit and one psrep unit must pass through all eight functions, and
-no `exalg` module may keep a binding to an unwrapped function, or what it
-builds would go unaudited.
+Five constructors skip checks that their own checks imply, five ring
+constructors carry a residue map that no Frobenius computation checks,
+and the residual over a field skips its base change; the hook runs those
+checks on everything the tests build, and the Nakayama picks against one
+pick at a time.  Three functions take a Howell basis as given, and the
+hook checks that precondition on every call.  One tower unit, one psrep
+unit and one branch and one axes h-level must pass through all fourteen
+functions, and no `exalg` module may keep a binding to an unwrapped
+function, or what it builds would go unaudited.
 """
 
 import sys
@@ -22,9 +24,12 @@ def test_one_tower_and_one_psrep_unit_reach_every_audited_constructor():
     before = dict(conftest.AUDITED)
     for name in ("plane-tower-r2", "diag-ordinary"):
         assert scenarios.run_scenario(name).verdict == "ok"
+    towers.branch_algebra(rings.DvrModel(5, 1, 8), 2)
+    towers.axis_algebra(rings.DvrModel(5, 1, 8), 2)
     names = {name for _, name in conftest.CHECKS}
     assert names == {"quotient_ring", "fiber_product", "_presented_quotient", "_ch_algebra", "build_eisenstein_tower",
-                     "_min_module_rows"}
+                     "_min_module_rows", "zmod_ring", "field_ring", "truncated_poly_ring", "_adjoin_x",
+                     "axis_algebra", "residual"}
     takers = {name for _, name in conftest.PRECONDITIONS}
     assert takers == {"from_basis", "smith_form", "_min_module_rows"}
     assert all(conftest.AUDITED[name] > before.get(name, 0) for name in names | takers), dict(conftest.AUDITED)
@@ -34,7 +39,7 @@ def test_every_binding_of_an_audited_constructor_is_wrapped():
     modules = {name: getattr(exalg, name) for name in exalg.__all__ if name.islower()}
     seen = set()
     for home, name in [*conftest.CHECKS, *conftest.PRECONDITIONS]:
-        wrapper = getattr(home, name)
+        wrapper = conftest._function(getattr(home, name))
         for module_name, module in modules.items():
             for attr, value in vars(module).items():
                 assert value is not wrapper.__wrapped__, f"{module_name}.{attr} is unaudited"

@@ -182,7 +182,7 @@ def ref_is_ordinary_ch(ch, kappa, budget=400000):
         return {"supported": False, "ordinary": None, "reason": res.split["reason"], "checked": 0}
     chis = None
     if case == "split":
-        chis = [chi for chi in res.split["chars"] if ordinary._kappa_inverse_on_inertia(res, kappa, chi)]
+        chis = [chi for chi in res.split["chars"] if ordinary._kappa_inverse_on_inertia(res, kappa)(chi)]
         if not chis:
             reason = "no residual character matches kappa^-1 on inertia"
             return {"supported": True, "ordinary": False, "reason": reason, "checked": 0}

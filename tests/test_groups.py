@@ -71,6 +71,17 @@ def test_subgroup_closure_and_marks():
         d3.mark(dp=(0, 3), ip=(0, 1, 2))  # inertia escapes decomposition
 
 
+def test_marking_shares_the_checked_table_and_checks_the_marks(monkeypatch):
+    d3 = groups.dihedral_group(3)
+    monkeypatch.setattr(groups.MarkedGroup, "check_group", lambda self: pytest.fail("table checked again"))
+    marked = d3.mark(dp=(0, 1, 2), ip=(0,))
+    assert marked.table is d3.table and marked._inv is d3._inv and d3.dp is None
+    assert (marked.dp, marked.ip) == ((0, 1, 2), (0,))
+    for dp, ip in [((0, 1), (0,)), ((0, 1, 2), (0, 1, 2, 6)), ((0, 3), (0, 1, 2))]:
+        with pytest.raises(InputError):
+            d3.mark(dp=dp, ip=ip)
+
+
 def test_bad_tables_rejected():
     with pytest.raises(InvariantViolation):
         groups.MarkedGroup(np.array([[0, 1], [1, 1]]))  # not a bijection
@@ -108,6 +119,15 @@ def test_character_on_subgroup_only():
     assert chi.domain == rot
     with pytest.raises(InputError):
         chi(3)
+
+
+def test_a_character_is_checked_once_and_its_values_are_read_only(monkeypatch):
+    c4 = groups.cyclic_group(4)
+    chi = groups.cyclic_char(c4, F5, 1, np.array([2]))  # checked when built
+    monkeypatch.setattr(groups.MarkedGroup, "is_subgroup", lambda *_: pytest.fail("character checked again"))
+    chi.check()
+    with pytest.raises(ValueError):
+        chi(1)[0] = 3
 
 
 def test_character_multiplicativity_enforced():

@@ -13,6 +13,7 @@ collapses the base, and the deformed dihedral family over F5[s]/(s^2)
 produces the base ideal (s) under rotation marks.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exalg import algebras, gma, groups, linalg, ordinary, psrep, rings, scenarios
-from exalg.errors import BudgetExceeded, InputError, InvariantViolation
+from exalg.errors import BudgetExceeded, InputError
 
 F5 = rings.zmod_ring(5, 1)
 F7 = rings.zmod_ring(7, 1)
@@ -755,11 +756,38 @@ def test_ordinary_quotients_match_the_three_quotient_construction(monkeypatch, t
     ident = rings.RingMap(zero, zero, np.zeros((0, 0), dtype=np.int64), name="id")
     gma.ch_base_change(zero_ch, ident, extra=np.zeros((0, 0), dtype=np.int64))
     counts = {where: sum(w == where for w, _, _ in built) for where in ("gma", "ordinary")}
-    assert (len(contexts), kept, counts) == (76, 41, {"gma": 78, "ordinary": 82})
+    # over a field base the residual is the algebra itself (`gma.Residual`), so
+    # only the 22 residuals over bases that are not fields base-change
+    assert (len(contexts), kept, counts) == (76, 41, {"gma": 22, "ordinary": 82})
     for where, (ch, f, name, extra), got in built:
         _same_base_change(got, _rebuild_reference(ch, f, name, extra))
         if where == "ordinary":
             _same_base_change(got, _three_quotient_reference(ch, f, extra, name))
+
+
+def test_psrep_scenarios_run_no_frobenius_and_base_change_only_off_fields(monkeypatch):
+    """The bundled psrep scenarios, and diag-ordinary over Z/25: no ring
+    runs Frobenius, as the entry rings carry their residue maps, and
+    `ch_base_change` runs only for an ordinary quotient, or for the
+    residual of an algebra whose base is not a field."""
+    frobenius, calls = [], []
+    real_frobenius, real_base_change = rings._frobenius_local_data, gma.ch_base_change
+    monkeypatch.setattr(rings, "_frobenius_local_data", lambda r: frobenius.append(r) or real_frobenius(r))
+
+    def recorded(ch, f, *args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, ch.base.maximal_ideal().is_zero()))
+        return real_base_change(ch, f, *args, **kwargs)
+
+    monkeypatch.setattr(gma, "ch_base_change", recorded)
+    monkeypatch.setattr(ordinary, "ch_base_change", recorded)
+    z25 = dict(scenarios.BUILTIN["diag-ordinary"], name="diag-ordinary-z25", ring={"kind": "zmod", "p": 5, "k": 2},
+               kappa={"kind": "power", "gen": 1, "value": 18})  # 7 and 18 have order 4 mod 25
+    z25["psrep"] = {"kind": "char_pair", "chi1": {"kind": "power", "gen": 1, "value": 7}, "chi2": {"kind": "trivial"}}
+    for source in ("diag-ordinary", "s3-irreducible", z25):
+        assert scenarios.run_scenario(source).verdict == "ok"
+    assert frobenius == []
+    # s3-irreducible's ordinary quotient collapses, so it base-changes nothing
+    assert calls == [("ordinary_quotient", True), ("residual", False), ("ordinary_quotient", False)]
 
 
 # ---- tangent counting ------------------------------------------------

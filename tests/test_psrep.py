@@ -66,11 +66,24 @@ def test_sum_of_characters_validates():
     assert psr.d[1].tolist() == [2]
 
 
+def test_a_pseudorep_validates_once_and_its_arrays_are_read_only(monkeypatch):
+    calls, validate = [], psrep.validate_pseudorep
+    monkeypatch.setattr(psrep, "validate_pseudorep", lambda psr: calls.append(psr) or validate(psr))
+    psr = psrep.psi_of_rep(s3_faithful_rep(F5))
+    psr.check()
+    psr.check()
+    assert psr.validation["ok"] and calls == [psr]
+    for arr in (psr.t, psr.d):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+
+
 def test_corrupted_trace_is_witnessed():
     rep = s3_faithful_rep(F5)
     psr = psrep.psi_of_rep(rep)
-    psr.t[2] = (psr.t[2] + 1) % 5
-    report = psrep.validate_pseudorep(psr)
+    t = psr.t.copy()
+    t[2] = (t[2] + 1) % 5
+    report = psrep.validate_pseudorep(psrep.Pseudorep2(psr.group, psr.ring, t, psr.d))
     assert not report["ok"]
     laws = {f["law"] for f in report["failures"]}
     assert any("t(g)t(h)" in l or "2 d(g)" in l for l in laws)
@@ -84,8 +97,9 @@ def test_corrupted_det_is_witnessed():
     psr = psrep.psrep_from_chars(
         groups.cyclic_char(c4, F5, 1, np.array([2])), groups.trivial_char(c4, F5)
     )
-    psr.d[2] = np.array([0])
-    report = psrep.validate_pseudorep(psr)
+    d = psr.d.copy()
+    d[2] = np.array([0])
+    report = psrep.validate_pseudorep(psrep.Pseudorep2(psr.group, psr.ring, psr.t, d))
     assert not report["ok"]
     assert any(f["law"] == "d unit-valued" for f in report["failures"])
 

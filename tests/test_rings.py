@@ -487,6 +487,30 @@ def test_dvr_model_residue_map_matches_frobenius(p, e, trunc):
     assert np.array_equal(ring.radical_rows(), want["radical"])
 
 
+def _h_level_rings():
+    """The h-level rings of the branch and axes towers of the corpus."""
+    for p, e, trunc, _, spec in towers._CORPUS_SPECS:
+        if spec["kind"] != "plane":
+            yield towers._h_level(rings.DvrModel(p, e, trunc), spec).ring
+
+
+@pytest.mark.parametrize("build", [
+    lambda: [rings.zmod_ring(5, 1), rings.zmod_ring(5, 3), rings.field_ring(5, 2), rings.field_ring(3, 3)],
+    lambda: [rings.truncated_poly_ring(rings.field_ring(5, 2), 4), rings.truncated_poly_ring(rings.zmod_ring(5, 2), 3),
+             rings.truncated_poly_ring(rings.truncated_poly_ring(rings.field_ring(3, 2), 2), 2)],
+    lambda: list(_h_level_rings()),
+], ids=["zmod-and-fields", "truncated", "h-levels"])
+def test_entry_rings_carry_the_frobenius_residue_map(build):
+    """Each entry ring carries, bit for bit, the residue map that Frobenius
+    finds on a ring of the same presentation (`rings` module docstring)."""
+    built = build()
+    for ring in built:
+        fresh = rings.FiniteRing(ring.p, ring.k, ring.table, ring.one, name=ring.name)
+        _, proj, factors = rings._frobenius_local_data(fresh)
+        assert factors == 1 and np.array_equal(ring._residue_map, proj), ring.name
+    assert built
+
+
 def test_fiber_product_requires_surjections():
     incl = rings.RingMap(F5, T2, np.array([[1, 0]]), name="incl")
     incl.check_hom()

@@ -440,23 +440,21 @@ def test_a_tower_unit_derives_each_object_once(monkeypatch):
     assert sum(ideal is t.script_I for ideal in annihilated) == 1
 
 
-@pytest.mark.parametrize("spec", [towers._CORPUS_SPECS[0], towers._CORPUS_SPECS[10]], ids=["plane", "axes"])
-def test_frobenius_runs_only_on_entry_rings(spec, monkeypatch):
-    """Build, audit and replay of one corpus tower run Frobenius only on
-    the rings no residue map reaches: none for a plane tower, whose h is
-    the base with its formula, and for an axes tower its h-level ring and
-    that ring's reduced quotient, the residue field.  Every quotient and
-    fibre product after them reads its residue map instead."""
+@pytest.mark.parametrize("spec", [towers._CORPUS_SPECS[i] for i in (0, 9, 10, 17)],
+                         ids=["plane", "plane-F25", "axes", "branch"])
+def test_frobenius_runs_on_no_ring_of_a_tower(spec, monkeypatch):
+    """Build, audit and replay of one corpus tower run Frobenius on no
+    ring: the base F_q[t]/(t^N) carries its residue map from
+    `truncated_poly_ring` over `field_ring`, the branch and axes h-levels
+    carry pi . rho_base, and every quotient and fibre product after them
+    reads its residue map."""
     seen, frobenius = [], rings._frobenius_rows
     monkeypatch.setattr(rings, "_frobenius_rows", lambda r: seen.append(r) or frobenius(r))
     p, e, trunc, r, h_spec = spec
     t = towers.build_eisenstein_tower(DvrModel(p, e, trunc), r, dict(h_spec))
     towers.theorem_audit(t)
     towers.fitting_replay(t)
-    if h_spec["kind"] == "plane":
-        assert seen == []
-    else:
-        assert len(seen) == 2 and seen[0] is t.h and seen[1].n == t.h.residue_log_size == 1
+    assert seen == []
 
 
 def test_replay_refuses_by_minor_count_before_picking(monkeypatch):
