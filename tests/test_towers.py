@@ -442,12 +442,13 @@ def test_a_tower_unit_derives_each_object_once(monkeypatch):
 
 @pytest.mark.parametrize("spec", [towers._CORPUS_SPECS[i] for i in (0, 9, 10, 17)],
                          ids=["plane", "plane-F25", "axes", "branch"])
-def test_frobenius_runs_on_no_ring_of_a_tower(spec, monkeypatch):
-    """Build, audit and replay of one corpus tower run Frobenius on no
-    ring: the base F_q[t]/(t^N) carries its residue map from
+def test_frobenius_runs_only_on_entry_rings(spec, monkeypatch):
+    """Build, audit and replay of one corpus tower run Frobenius only on
+    the rings no residue map reaches, and no ring of a tower is such an
+    entry ring: the base F_q[t]/(t^N) carries its residue map from
     `truncated_poly_ring` over `field_ring`, the branch and axes h-levels
     carry pi . rho_base, and every quotient and fibre product after them
-    reads its residue map."""
+    reads its residue map.  So Frobenius runs on no ring."""
     seen, frobenius = [], rings._frobenius_rows
     monkeypatch.setattr(rings, "_frobenius_rows", lambda r: seen.append(r) or frobenius(r))
     p, e, trunc, r, h_spec = spec
