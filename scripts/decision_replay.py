@@ -6,13 +6,14 @@ One pass of workload W (see perfbench/workloads.py, used read-only) runs
 on the `exalg` of this script's checkout with `ordinary._decide`, the
 decision that `is_ordinary_ch` and a scenario's stages share, wrapped to
 record every input: the pseudorepresentation of its Cayley-Hamilton
-quotient, kappa and the budget, as plain arrays.  Each input is rebuilt
-in this checkout's `exalg` and in that of PARENT_CHECKOUT (another
-checkout of the repository, loaded under a separate package name); there
-its quotient and residual are derived untimed, and `is_ordinary_ch`
-decides it.  Any difference in the result, or in the type and message of
-an error, is printed and makes the exit status 1, as does a pass with
-psrep units that records no decision.  The best-of-N time of all
+quotient, with the residue map its ring carries, kappa and the budget,
+as plain arrays.  Each input is rebuilt in this checkout's `exalg` and
+in that of PARENT_CHECKOUT (another checkout of the repository, loaded
+under a separate package name); there its quotient and residual are
+derived untimed, and `is_ordinary_ch` decides it.  Any difference in
+the result, or in the type and message of an error, is printed and makes
+the exit status 1, as does a pass with psrep units that records no
+decision.  The best-of-N time of all
 decisions through each checkout is printed last.
 """
 
@@ -45,6 +46,7 @@ def plain(ch, kappa, budget) -> dict:
     psr, grp, ring = ch.psr, ch.psr.group, ch.psr.ring
     return {
         "ring": (ring.p, ring.k, ring.table.copy(), ring.one.copy(), ring.name),
+        "residue_map": ring._residue_map,  # rho, without which the rebuilt ring reads as not local
         "group": (grp.table.copy(), grp.identity, list(grp.names), grp.dp, grp.ip, grp.name),
         "psr": (psr.t.copy(), psr.d.copy(), psr.name),
         "kappa": ({g: v.copy() for g, v in kappa.values.items()}, kappa.name),
@@ -56,6 +58,7 @@ def rebuild(pkg, rec):
     """(ch, kappa, budget) of a recorded input in package `pkg`, the
     quotient's residual derived."""
     ring = pkg.rings.FiniteRing(*rec["ring"])
+    ring._residue_map = rec["residue_map"]
     table, identity, names, dp, ip, name = rec["group"]
     grp = pkg.groups.MarkedGroup(table, identity, names, dp=dp, ip=ip, name=name)
     t, d, psr_name = rec["psr"]

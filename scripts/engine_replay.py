@@ -28,11 +28,15 @@ in the rows of `maximal_multiples` against those of the parent's own
 wrapped call is part of that call's input and is not repeated on its
 own.  The same pass also repeats, wherever it is called from, every
 `towers._min_module_rows` call through the parent's `_min_module_rows`
-(any difference in the picks), and every `FiniteRing._local_data` of a
-ring that carries a residue map through the parent's Frobenius
-computation on a ring with the same presentation (any difference in the
-radical, in whether the ring is local, that is has one local factor, or
-in its residue degree).
+(any difference in the picks), and every `FiniteRing._local_data`
+through the parent's, on a ring with the same presentation: without a
+residue map, so that a parent that has the Frobenius computation finds
+the local structure by it, and with ours where the parent has none.
+A ring that carries a residue map is compared in the radical, in whether
+the ring is local, that is has one local factor, and in its residue
+degree; a ring that carries none, which this checkout reads as not
+local, in whether it is local and in its residue degree.  The parent's
+rings carry our residue maps everywhere else.
 Each difference makes the exit status 1.  A unit that raises in either
 pass is named, with the workload and the exception, and the exit status
 is 1; the first pass raising ends the script before any comparison.
@@ -42,7 +46,7 @@ pick and local structure is timed the same way on the inputs it was
 recorded with, right after its comparison: both checkouts' calls in
 turns, N rounds, with every wrapper passing its calls straight through;
 the best time of each call is summed per kind and printed after its
-count (this checkout's local structure with its radical formed at once),
+count (each local structure with the radical of a local ring formed at once),
 for `maximal_multiples` with the rows each checkout returned.
 """
 
@@ -128,7 +132,8 @@ def compare_products(workload: str, seed: int, their_rings, their_towers, repeat
     every call of one pass repeated at once on the parent's rings."""
     from exalg import rings, towers
 
-    kinds = ("mul_outer", "orbit", "check_hom", "maximal_multiples", "_min_module_rows", "carried _local_data")
+    kinds = ("mul_outer", "orbit", "check_hom", "maximal_multiples", "_min_module_rows", "carried _local_data",
+             "uncarried _local_data")
     stats = {kind: {"calls": 0, "differ": 0, "parent_s": 0.0, "tree_s": 0.0} for kind in kinds}
     stats["maximal_multiples"].update(parent_rows=0, tree_rows=0)
     twins = weakref.WeakKeyDictionary()  # our ring -> the parent's ring with its presentation
@@ -138,6 +143,7 @@ def compare_products(workload: str, seed: int, their_rings, their_towers, repeat
     def twin(ring, fresh=False):
         if fresh or ring not in twins:
             other = their_rings.FiniteRing(ring.p, ring.k, ring.table.copy(), ring.one.copy(), name=ring.name)
+            other._residue_map = ring._residue_map
             if other.n >= their_rings._SPARSE_DIM:
                 other._sparse  # built outside the timed calls, as ours was by check_ring
             twins.setdefault(ring, other)
@@ -237,26 +243,36 @@ def compare_products(workload: str, seed: int, their_rings, their_towers, repeat
         lambda x, y, *args: array_differences(["picks"], x, y), nested=True)
 
     local_data = rings.FiniteRing.__dict__["_local_data"]
+    frobenius = hasattr(their_rings, "_frobenius_local_data")
 
-    def ours_local(ring):
-        """Our local structure with the radical formed at once."""
-        out = ring.__dict__["_local_data"] = local_data.func(ring)
-        ring.radical_rows()
+    def with_radical(ring, out):
+        """`out`, the local structure of the ring, with the radical of a local ring formed."""
+        if out["local"]:
+            ring.radical_rows()
         return out
 
+    def ours_local(ring):
+        ring.__dict__["_local_data"] = local_data.func(ring)
+        return with_radical(ring, ring.__dict__["_local_data"])
+
     def parent_local(ring):
-        other = twin(ring, fresh=True)  # its Frobenius computation, not a cached one
-        return lambda: other._local_data
+        other = twin(ring, fresh=True)  # its own computation, not a cached one
+        if frobenius:
+            other._residue_map = None
+        return lambda: with_radical(other, other._local_data)
 
     def same_local(ours, theirs, ring):
-        out = array_differences(["radical"], ours["radical"], theirs["radical"])
-        return out + [f"{key} {ours[key]} != {theirs[key]}" for key in ("local", "residue_log") if ours[key] != theirs[key]]
+        out = [f"{key} {ours[key]} != {theirs[key]}" for key in ("local", "residue_log") if ours[key] != theirs[key]]
+        if ours["local"] and theirs["local"]:
+            out += array_differences(["radical"], ours["radical"], theirs["radical"])
+        return out
 
-    carried = compared(
-        "carried _local_data", ours_local, parent_local, lambda r: f"{r.name}, dim {r.n}", same_local, nested=True)
+    carried, uncarried = (
+        compared(kind, ours_local, parent_local, lambda r: f"{r.name}, dim {r.n}", same_local, nested=True)
+        for kind in ("carried _local_data", "uncarried _local_data"))
 
     def read_local(ring):
-        return local_data.func(ring) if ring._residue_map is None else carried(ring)
+        return (uncarried if ring._residue_map is None else carried)(ring)
 
     counted_local = functools.cached_property(read_local)
     counted_local.__set_name__(rings.FiniteRing, "_local_data")

@@ -5,14 +5,17 @@ structure constants.  Elements are int64 coefficient vectors.  The odd-p
 restriction keeps 2 invertible, which the degree-2 trace/determinant
 machinery upstream relies on.
 
-Local structure (radical, residue field) is derived, not declared.  A ring
-with no residue map finds it by Frobenius: the radical of the mod-p fibre
-is the kernel of a high Frobenius power, which is F_p-linear in
-characteristic p, and the local factors are counted in the Frobenius
-fixed space of the reduced quotient.  A local ring then keeps its residue
-map rho: R -> k, an (n, e) array over F_p with m = ker rho (the projection
-onto the reduced quotient, a field), and the rings derived from it carry
-their own rho; m is formed as ker rho, one `kernel_mod`, when first read:
+Local structure (radical, residue field) is carried, never searched.  A
+ring is local exactly when it carries its residue map rho: R -> k, an
+(n, e) array over F_p onto the reduced quotient, a field; m = ker rho is
+formed, one `kernel_mod`, when first read.  The constructors set rho on
+every local ring they build:
+- Entry rings: Z/p^k and F_q map by the identity onto F_p and F_q.  For
+  B local, B[t]/(t^N) keeps rho_B on the constant block, as m_B + tB[t]
+  is nilpotent with quotient k (`DvrModel`: the first e coordinates).
+  The h-levels of `towers` split by pi: T -> base, and ker(pi) is
+  nilpotent, as x^2 = s x (s in m) and e_a^2 = t e_a; so pi^-1(m_base)
+  is nilpotent with quotient k, and rho_T = pi . rho_base.
 - R/I for R local and R/I != 0: I is proper, so it lies in m and
   rho_{R/I} = lift . rho_R, whose kernel m/I is nilpotent with a field
   as quotient.
@@ -21,12 +24,16 @@ their own rho; m is formed as ker rho, one `kernel_mod`, when first read:
   m_A exactly when b is in m_B, for (a, b) in P, so rad(P) = ker(P -> A
   -> k) and rho_P = pr_A . rho_A.  A local alone is not enough: with
   B = C x D, P is A x D.
-- Entry rings: Z/p^k and F_q map by the identity onto F_p and F_q.  For
-  B local, B[t]/(t^N) keeps rho_B on the constant block, as m_B + tB[t]
-  is nilpotent with quotient k (`DvrModel`: the first e coordinates).
-  The h-levels of `towers` split by pi: T -> base, and ker(pi) is
-  nilpotent, as x^2 = s x (s in m) and e_a^2 = t e_a; so pi^-1(m_base)
-  is nilpotent with quotient k, and rho_T = pi . rho_base.
+- A x 0 and A x_0 0 are A, 0 x B and 0 x_0 B are B: the nonzero factor's rho.
+The other rings the constructors build are not local, and carry none:
+- `product_ring` of two nonzero rings holds the idempotent (1, 0), and a
+  local ring has no idempotents but 0 and 1.
+- `fiber_product` with a nonzero factor that is not local maps onto it,
+  and a nonzero quotient of a local ring is local; over C = 0, with two
+  nonzero factors, it is A x B.
+A ring built from a table, and a quotient of a ring without rho (even a
+local one, such as a factor of a product), carry none either: no stage
+builds one, and `radical_rows` and `maximal_ideal` refuse it as not local.
 
 `mul_matrix`, the left multiplication matrices, and the products built
 on the table read the nonzero constants only from dimension _SPARSE_DIM
@@ -433,7 +440,7 @@ class FiniteRing:
         if self.n == 0:
             return True  # zero ring: 0 = 1 is invertible
         h = linalg.howell_form(self.mul_matrix(x), self.p, self.k, ncols=self.n)
-        return bool(linalg.FactoredSpan(h, self.p, self.k).contains(self.one))
+        return linalg.span_contains(h, self.one, self.p, self.k)
 
     def inv(self, x) -> np.ndarray:
         y, ok = linalg.FactoredSpan.factor(self.mul_matrix(x), self.p, self.k).solve(self.one)
@@ -507,16 +514,12 @@ class FiniteRing:
 
     @cached_property
     def _local_data(self) -> dict:
-        """"local" and "residue_log" off the residue map, else by Frobenius,
-        which also gives "radical" and keeps rho (module docstring)."""
+        """"local" and "residue_log" off the residue map: a nonzero ring is
+        local exactly when it carries one (module docstring)."""
         if self.n == 0:
             return {"radical": np.zeros((0, 0), dtype=np.int64), "local": False, "residue_log": 0}
         if self._residue_map is None:
-            rad, proj, factors = _frobenius_local_data(self)
-            if factors != 1:
-                return {"radical": rad, "local": False, "residue_log": 0}
-            self._residue_map = proj
-            return {"radical": rad, "local": True, "residue_log": proj.shape[1]}
+            return {"local": False, "residue_log": 0}
         return {"local": True, "residue_log": self._residue_map.shape[1]}
 
     @property
@@ -526,11 +529,13 @@ class FiniteRing:
     def radical_rows(self) -> np.ndarray:
         data = self._local_data
         if "radical" not in data:  # m = ker rho, formed on the first read
+            if not data["local"]:
+                raise InputError("ring is not local")
             data["radical"] = linalg.kernel_mod(self._residue_map, self.p, self.k, 1)
         return data["radical"]
 
     def radical_ideal(self) -> "Ideal":
-        # the rows are the Howell basis of the preimage of nil(R/p), an ideal
+        # the rows are the Howell basis of m = ker rho, an ideal
         return Ideal.from_basis(self, self.radical_rows())
 
     def maximal_ideal(self) -> "Ideal":
@@ -622,51 +627,6 @@ def _summed(keys: np.ndarray, terms: np.ndarray, m: int):
     sums = np.add.reduceat(terms, starts) % m
     nonzero = sums != 0
     return keys[starts][nonzero], sums[nonzero]
-
-
-def _row_products(xs: np.ndarray, mats: np.ndarray, m: int) -> np.ndarray:
-    """xs[s] @ mats[s] mod m for each row s: one ring product per row."""
-    return np.matmul(xs[:, None, :], mats)[:, 0] % m
-
-
-def _frobenius_rows(r: FiniteRing) -> np.ndarray:
-    """Rows e_i^p mod p for every basis vector e_i of r."""
-    out, b, e = np.tile(r.one, (r.n, 1)), np.eye(r.n, dtype=np.int64), r.p
-    while e:  # square and multiply, all basis vectors at once
-        left = r.mul_matrix(b)
-        if e & 1:
-            out = _row_products(out, left, r.char)
-        b, e = _row_products(b, left, r.char), e >> 1
-    return out % r.p
-
-
-def _frobenius_local_data(r: FiniteRing):
-    """(radical, proj, factors) of a nonzero ring by Frobenius: the Howell
-    basis of its radical, the projection (n, n') mod p onto its reduced
-    quotient and the number of local factors."""
-    n, p = r.n, r.p
-    # Frobenius power with p^m >= n kills exactly the nilpotents mod p
-    mm = 1
-    while p**mm < n:
-        mm += 1
-    # x -> x^p is F_p-linear mod p, so x -> x^(p^mm) is a matrix power
-    step = _frobenius_rows(r)
-    frob = np.eye(n, dtype=np.int64)
-    for _ in range(mm):
-        frob = (frob @ step) % p
-    nil_modp = linalg.kernel(frob, p, 1)
-    # lift to Z/p^k: radical = preimage of nil(R/p), contains p itself; at
-    # k = 1 the kernel is that radical's Howell basis already
-    rad = nil_modp
-    if r.k > 1:
-        rad = linalg.howell_form(np.vstack([nil_modp, p * np.eye(n, dtype=np.int64)]), p, r.k, ncols=n)
-    # reduced quotient mod p, then count local factors by Frobenius fixed space
-    new_k, proj, lift = _smith_coordinates(p, 1, n, nil_modp)
-    q = FiniteRing(p, new_k, *_quotient_structure(p, 1, new_k, r.table % p, r.one % p, proj, lift))
-    if q.n == 0:
-        raise InvariantViolation("reduced quotient is zero for a nonzero ring")
-    fixed = linalg.kernel((_frobenius_rows(q) - np.eye(q.n, dtype=np.int64)) % p, p, 1)
-    return rad, proj, fixed.shape[0]
 
 
 class Ideal:
@@ -954,8 +914,10 @@ def fiber_product(f: RingMap, g: RingMap, name: str | None = None):
         raise InvariantViolation("fiber product does not contain 1")
     one = one_c[sel]
     ring = FiniteRing(p, k, table, one, name=name or f"{a_ring.name}x{b_ring.name}")
-    if a_ring._residue_map is not None and b_ring._residue_map is not None and c_ring.n:
-        ring._residue_map = (ba @ a_ring._residue_map) % p  # A and B local, C != 0 (module docstring)
+    # P is local when its nonzero factors are, and C != 0 or one factor is zero (module docstring)
+    local = [(pr, r._residue_map) for r, pr in ((a_ring, ba), (b_ring, bb)) if r.n]
+    if local and all(rho is not None for _, rho in local) and (c_ring.n or len(local) == 1):
+        ring._residue_map = (local[0][0] @ local[0][1]) % p  # rho_P = pr . rho of a nonzero factor
     return ring, RingMap(ring, a_ring, ba, name="pr1"), RingMap(ring, b_ring, bb, name="pr2")
 
 
@@ -1079,7 +1041,11 @@ def product_ring(a: FiniteRing, b: FiniteRing, name: str | None = None) -> Finit
     table[: a.n, : a.n, : a.n] = a.table
     table[a.n :, a.n :, a.n :] = b.table
     one = np.concatenate([a.one, b.one])
-    return FiniteRing(a.p, a.k, table, one, name=name or f"{a.name}x{b.name}")
+    ring = FiniteRing(a.p, a.k, table, one, name=name or f"{a.name}x{b.name}")
+    nonzero = [r for r in (a, b) if r.n]
+    if len(nonzero) == 1:  # A x 0 is A and 0 x B is B, in their own coordinates
+        ring._residue_map = nonzero[0]._residue_map
+    return ring
 
 
 # ---- truncated discrete valuation model ----------------------------
@@ -1105,6 +1071,8 @@ class DvrModel:
         return self.p**self.e
 
     def t(self, power: int = 1) -> np.ndarray:
+        if power < 0:
+            raise InputError(f"power of t must be >= 0, got {power}")
         x = np.zeros(self.ring.n, dtype=np.int64)
         if power < self.trunc:
             x[power * self.e] = 1

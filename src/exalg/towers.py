@@ -25,6 +25,10 @@ Both promises are re-verified directly, by exact linear algebra and by
 the principal-ideal presentation route, and a discrepancy is a hard
 failure rather than a report entry.
 
+Each stock algebra comes with its Lambda-basis, which `augmented_algebra`
+checks; none is searched for.  The "mod" h-level Lambda/(t^j), j >= 1, is
+killed by t^j, so it is not free, and is refused before it is built.
+
 An EisensteinTower glues a finite flat local Lambda-algebra h, given
 with a surjection onto Lambda/(t^r), against Lambda itself:
 
@@ -94,7 +98,6 @@ from .rings import (
     gorenstein_test,
     product_ring,
     quotient_ring,
-    truncated_poly_ring,
 )
 from .serialize import int_field
 
@@ -113,7 +116,6 @@ __all__ = [
     "fitting_replay",
     "ideal_colength",
     "lenstra_check",
-    "pinched_cubic",
     "theorem_audit",
     "tower_corpus",
     "tower_eta",
@@ -134,31 +136,11 @@ _MINOR_BUDGET = 20000
 # ---- base-module linear algebra ------------------------------------
 
 
-def _scalar_rows(ring: FiniteRing, emb: RingMap, rows: np.ndarray) -> np.ndarray:
-    """Howell basis of the base-scalar span of the given rows."""
-    return linalg.howell_form(ring.orbit(rows, by=emb.matrix), ring.p, ring.k, ncols=ring.n)
-
-
-def _free_basis(o: DvrModel, ring: FiniteRing, emb: RingMap, basis=None) -> np.ndarray:
-    """A base-module basis of the ring, or a proof that none exists.
-
-    Greedy over coordinate vectors when no candidate is supplied; the
-    final certificate is surjectivity of Lambda^d -> ring together with
-    the size count, which pins freeness exactly.
-    """
-    if basis is None:
-        picked: list[np.ndarray] = []
-        span = np.zeros((0, ring.n), dtype=np.int64)
-        for i in range(ring.n):
-            v = np.zeros(ring.n, dtype=np.int64)
-            v[i] = 1
-            if not linalg.span_contains(span, v, ring.p, ring.k):
-                picked.append(v)
-                span = _scalar_rows(ring, emb, np.array(picked, dtype=np.int64))
-        basis = np.array(picked, dtype=np.int64)
-    else:
-        basis = np.asarray(basis, dtype=np.int64) % ring.char
-        span = _scalar_rows(ring, emb, basis)
+def _free_basis(o: DvrModel, ring: FiniteRing, emb: RingMap, basis) -> np.ndarray:
+    """The candidate base-module basis of the ring, checked: Lambda^d ->
+    ring is onto and the sizes agree, which pins freeness exactly."""
+    basis = np.asarray(basis, dtype=np.int64) % ring.char
+    span = linalg.howell_form(ring.orbit(basis, by=emb.matrix), ring.p, ring.k, ncols=ring.n)
     if linalg.span_log_size(span, ring.p, ring.k) != ring.k * ring.n:
         raise InputError("algebra is not spanned by the base-module basis")
     if basis.shape[0] * o.ring.n != ring.n:
@@ -191,12 +173,12 @@ class AugmentedAlgebra:
         return f"<AugmentedAlgebra {self.ring.name}: rank {self.rank} over {self.o.ring.name}>"
 
 
-def augmented_algebra(o: DvrModel, ring: FiniteRing, pi: RingMap, emb: RingMap, basis=None) -> AugmentedAlgebra:
+def augmented_algebra(o: DvrModel, ring: FiniteRing, pi: RingMap, emb: RingMap, basis) -> AugmentedAlgebra:
     """Assemble and fully verify the augmented structure.
 
     Checks: both maps are homomorphisms, pi is surjective and splits
     emb, the ring is local with the base's residue field, and the ring
-    is free as a base module (rank computed, not assumed).
+    is free as a base module on `basis` (rank counted, not assumed).
     """
     if ring.p != o.ring.p or ring.k != o.ring.k:
         raise InputError("algebra and base must share characteristic")
@@ -476,24 +458,6 @@ def axis_algebra(o: DvrModel, s: int, name: str | None = None) -> AugmentedAlgeb
     return augmented_algebra(o, ring, pi, emb, basis)
 
 
-def pinched_cubic(o: DvrModel, name: str | None = None):
-    """base[x]/(x^3, t x): finite local but not flat over the base.
-
-    Returns (ring, pi) with pi killing x; the stock source for criterion
-    runs that must end without a conclusion.
-    """
-    cube = truncated_poly_ring(o.ring, 3, name="tmp")
-    nl = o.ring.n
-    tx = np.zeros(cube.n, dtype=np.int64)
-    tx[nl : 2 * nl] = o.t(1)
-    quot = quotient_ring(cube, Ideal(cube, tx.reshape(1, -1)), name=name or f"{o.ring.name}[x]/(x3,tx)")
-    # pi keeps the base coordinates of a lift, which come first in the cube;
-    # every multiple of tx is zero there, so any section gives the same pi
-    pi = RingMap(quot.ring, o.ring, quot.lift_matrix[:, :nl] % o.ring.char, name="pi")
-    pi.check_hom()
-    return quot.ring, pi
-
-
 # ---- Eisenstein towers ----------------------------------------------
 
 
@@ -565,10 +529,11 @@ def _h_level(lam: DvrModel, h_spec: dict) -> AugmentedAlgebra:
     if kind == "axes":
         return axis_algebra(lam, int_field(h_spec, "s"))
     if kind == "mod":
-        quot = lam.quotient_mod_t(int_field(h_spec, "j"))
-        # rejected here: the quotient is torsion as a base module
-        _free_basis(lam, quot.ring, quot.proj)
-        raise InvariantViolation("torsion quotient slipped past the freeness check")
+        j = int_field(h_spec, "j")
+        if j < 1:
+            raise InputError(f"torsion level h.j must be >= 1, got {j}")
+        # base/t^j is killed by t^j, so it is no free base module: nothing to build
+        raise InputError("algebra is not free over the base")
     raise InputError(f"unknown h-spec kind {kind!r}")
 
 
@@ -586,10 +551,11 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
     """Glue the h-level of h_spec against the base over base/(t^r).
 
     h_spec kinds: "plane" (h is the base), "branch" (two copies meeting
-    to order m), "axes" (s copies glued at the origin), "mod" (torsion
-    quotient, always rejected).  r = 0 is the degenerate gluing over the
-    zero ring and comes back flagged.  The paper's claims on the tower
-    are verified before it is returned (`_verify_tower`).
+    to order m), "axes" (s copies glued at the origin), "mod" (base/t^j
+    for j >= 1: torsion, so refused as not free before anything is
+    built).  r = 0 is the degenerate gluing over the zero ring and comes
+    back flagged.  The paper's claims on the tower are verified before it
+    is returned (`_verify_tower`).
 
     emb_H is not checked as a homomorphism: the exact solve gives
     (pr_h, pr_lam) emb_H = (emb_h, id), where (pr_h, pr_lam) is injective,

@@ -6,14 +6,16 @@ skipped check, unchanged, on every object the tests build through that
 constructor, so a construction bug that the argument misses still fails
 a test:
 
-- `rings.quotient_ring`: `check_ring` on the quotient, and the local
-  structure read off its residue map against Frobenius when it has one;
+- `rings.quotient_ring`: `check_ring` on the quotient, and its local
+  structure: read off its residue map against Frobenius when it has one,
+  else the ring must be zero or not local by Frobenius;
 - `rings.fiber_product`: `check_ring` on the ring, `check_hom` on both
   projections, and the local structure as for a quotient;
-- `rings.zmod_ring`, `rings.field_ring`, `rings.truncated_poly_ring` and
-  the branch and axes h-levels (`towers._adjoin_x`, `towers.axis_algebra`),
-  which carry a residue map from their construction: the local structure
-  as for a quotient;
+- `rings.zmod_ring`, `rings.field_ring`, `rings.truncated_poly_ring`,
+  `rings.product_ring`, the branch and axes h-levels (`towers._adjoin_x`,
+  `towers.axis_algebra`) and the local rings the tests build by hand
+  (`oracles.local_ring`), which carry a residue map from their
+  construction or none: the local structure as for a quotient;
 - `gma.ChAlgebra.residual` over a field base, the algebra itself through
   identity quotients: against `ch_base_change` along the identity, which
   must give the same table, group images, trace and residual split with
@@ -46,9 +48,9 @@ checks that the basis handed to each of them is its own Howell form:
 
 Each wrapper replaces its function in every `exalg` module that holds
 it, such as `towers`, which imports `quotient_ring` and `fiber_product`
-by name; a cached property runs the wrapper in place of its function.
-This file is imported before any test module, so the tests' own imports
-by name get the wrappers too.  The hook keeps counts per
+by name, and in `oracles`; a cached property runs the wrapper in place
+of its function.  This file is imported before any test module, so the
+tests' own imports by name get the wrappers too.  The hook keeps counts per
 function (`AUDITED`), never the objects, so the rings of a unit
 are still freed by reference counting alone.
 """
@@ -57,6 +59,7 @@ import collections
 import functools
 
 import numpy as np
+import oracles
 
 import exalg
 from exalg import algebras, gma, linalg, modules, psrep, rings, towers
@@ -66,12 +69,15 @@ AUDITED = collections.Counter()  # objects and calls audited so far, by function
 
 
 def _check_local_data(ring, *_, **__) -> None:
-    """The local structure a carried residue map gives, against Frobenius."""
-    if ring._residue_map is None:
+    """The local structure a carried residue map gives, against Frobenius;
+    a nonzero ring that carries none must not be local."""
+    if ring.n == 0:
         return
-    import oracles  # after the wrappers are in place: oracles imports constructors by name
-
     want = oracles.frobenius_local_data(ring)
+    if ring._residue_map is None:
+        if want["local"]:
+            raise InvariantViolation(f"{ring.name} carries no residue map, but Frobenius finds it local")
+        return
     if not (want["local"] and ring.is_local and ring.residue_log_size == want["residue_log"]
             and np.array_equal(ring.radical_rows(), want["radical"])):
         raise InvariantViolation(f"carried local structure of {ring.name} differs from Frobenius")
@@ -155,8 +161,6 @@ def _check_tower(t, *_, **__) -> None:
 
 
 def _check_picks(picked, ring, full, g) -> None:
-    import oracles
-
     if not np.array_equal(picked, oracles.loop_min_module_rows(ring, full, g)):
         raise InvariantViolation("Nakayama picks differ from one pick at a time")
     if full.shape[0] == 0:
@@ -171,8 +175,6 @@ def _check_picks(picked, ring, full, g) -> None:
 
 
 def _check_ch(ch, *_, **__) -> None:
-    import oracles
-
     oracles.verify_ch(ch)
 
 
@@ -182,6 +184,8 @@ CHECKS = {
     (rings, "zmod_ring"): _check_local_data,
     (rings, "field_ring"): _check_local_data,
     (rings, "truncated_poly_ring"): _check_local_data,
+    (rings, "product_ring"): _check_local_data,
+    (oracles, "local_ring"): _check_local_data,
     (towers, "_adjoin_x"): lambda out, *_, **__: _check_local_data(out[0]),
     (towers, "axis_algebra"): lambda aug, *_, **__: _check_local_data(aug.ring),
     (gma.ChAlgebra, "residual"): _check_residual,
@@ -225,7 +229,7 @@ def _audited(name, call, require, check):
 
 
 def _install() -> None:
-    modules = [getattr(exalg, name) for name in exalg.__all__ if name.islower()]
+    modules = [getattr(exalg, name) for name in exalg.__all__ if name.islower()] + [oracles]
     skip = lambda *_, **__: None  # noqa: E731
     wrapped = [(home, name, _audited(name, _function(getattr(home, name)), PRECONDITIONS.get((home, name), skip),
                                      CHECKS.get((home, name), skip)))

@@ -10,9 +10,12 @@ only builds test inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import pathlib
 import random
+import runpy
 
 import numpy as np
 
@@ -174,10 +177,10 @@ def _left_kernel_mod_p(a, p: int) -> np.ndarray:
     return _rref_mod_p(out, p).reshape(-1, a.shape[0])
 
 
-# Oracle for the residue maps that `rings.quotient_ring`, `rings.fiber_product`
-# and `DvrModel` carry, which `FiniteRing._local_data` reads in place of
-# Frobenius: the local structure from scratch, with x^p taken by `pow_el`
-# and the F_p linear algebra by elimination, apart from `linalg`.
+# Oracle for `FiniteRing._local_data`, which reads the residue map a ring
+# carries and takes a ring without one as not local: the local structure
+# from scratch by Frobenius, with x^p taken by `pow_el` and the F_p linear
+# algebra by elimination, apart from `linalg`.
 def frobenius_local_data(r: FiniteRing) -> dict:
     """{"radical", "local", "residue_log", "factors"} of a nonzero ring."""
     n, p = r.n, r.p
@@ -204,6 +207,24 @@ def local_factor_count(r: FiniteRing) -> int:
 def elements(r: FiniteRing, limit: int | None = 2_000_000):
     for block in r.element_blocks(limit):
         yield from block
+
+
+# Fixture: a local ring built by hand from its table, with the residue map
+# rho that its construction gives; the hook checks rho (`conftest`).
+def local_ring(p: int, k: int, table, one, rho, name: str) -> FiniteRing:
+    ring = FiniteRing(p, k, table, one, name=name)
+    ring._residue_map = np.asarray(rho, dtype=np.int64)
+    return ring
+
+
+# Fixture: the list of every ring whose local structure is read
+# (`FiniteRing._local_data`) while the patch is in place.
+def record_local_reads(monkeypatch) -> list:
+    read, local_data = [], FiniteRing.__dict__["_local_data"].func
+    counted = functools.cached_property(lambda r: read.append(r) or local_data(r))
+    counted.__set_name__(FiniteRing, "_local_data")
+    monkeypatch.setattr(FiniteRing, "_local_data", counted)
+    return read
 
 
 # Fixture: the zero ring, a supported input whose quotients and
@@ -503,6 +524,13 @@ def square_zero_algebra(o: DvrModel, name: str | None = None) -> AugmentedAlgebr
     zero = np.zeros(o.ring.n, dtype=np.int64)
     ring, emb, pi, _, basis = _adjoin_x(o, zero, name or f"{o.ring.name}[x]/(x2)")
     return augmented_algebra(o, ring, pi, emb, basis)
+
+
+# Fixture: base[x]/(x^3, tx) with pi killing x, the no-conclusion ring of
+# `scripts/criterion_sweep.py`, built by the script without running its sweep.
+def pinched_cubic(o: DvrModel):
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "criterion_sweep.py"
+    return runpy.run_path(str(script))["pinched_cubic"](o)
 
 
 # ---- trace forms --------------------------------------------------

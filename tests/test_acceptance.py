@@ -488,7 +488,7 @@ def test_criterion_07_numerical_criterion_on_branch_quotients():
         lhs = t.ring.mul(x, x)
         rhs = t.ring.mul(t.emb(O5.t(r)), x)
         assert np.array_equal(lhs, rhs)
-    ring, pi = towers.pinched_cubic(O5)
+    ring, pi = oracles.pinched_cubic(O5)
     rep = towers.lenstra_check(ring, pi, towers.base_algebra(O5))
     assert rep["cotangent_length"] == 1 and rep["eta_colength"] == 0
     assert rep["criterion_met"] is False

@@ -1,20 +1,23 @@
 """The audit hook of `conftest.py` reaches every function it wraps.
 
-Five constructors skip checks that their own checks imply, five ring
-constructors carry a residue map that no Frobenius computation checks,
-and the residual over a field skips its base change; the hook runs those
-checks on everything the tests build, and the Nakayama picks against one
-pick at a time.  Three functions take a Howell basis as given, and the
-hook checks that precondition on every call.  One tower unit, one psrep
-unit and one branch and one axes h-level must pass through all fourteen
-functions, and no `exalg` module may keep a binding to an unwrapped
-function, or what it builds would go unaudited.
+Five constructors skip checks that their own checks imply, seven ring
+constructors carry a residue map from their construction, or none, that
+nothing in the library checks against Frobenius, and the residual over a
+field skips its base change; the hook runs those checks on everything
+the tests build, and the Nakayama picks against one pick at a time.
+Three functions take a Howell basis as given, and the hook checks that
+precondition on every call.  One tower unit, one psrep unit, one branch
+and one axes h-level, one degenerate tower and one local ring built by
+hand must pass through all sixteen functions, and no `exalg` module may
+keep a binding to an unwrapped function, or what it builds would go
+unaudited.
 """
 
 import sys
 
 import conftest
 import numpy as np
+import oracles
 
 import exalg
 from exalg import linalg, rings, scenarios, towers
@@ -26,10 +29,12 @@ def test_one_tower_and_one_psrep_unit_reach_every_audited_constructor():
         assert scenarios.run_scenario(name).verdict == "ok"
     towers.branch_algebra(rings.DvrModel(5, 1, 8), 2)
     towers.axis_algebra(rings.DvrModel(5, 1, 8), 2)
+    towers.build_eisenstein_tower(rings.DvrModel(5, 1, 8), 0, {"kind": "plane"})  # H = h x base
+    oracles.local_ring(5, 1, np.ones((1, 1, 1)), np.ones(1), np.ones((1, 1)), "F5 by hand")
     names = {name for _, name in conftest.CHECKS}
     assert names == {"quotient_ring", "fiber_product", "_presented_quotient", "_ch_algebra", "build_eisenstein_tower",
-                     "_min_module_rows", "zmod_ring", "field_ring", "truncated_poly_ring", "_adjoin_x",
-                     "axis_algebra", "residual"}
+                     "_min_module_rows", "zmod_ring", "field_ring", "truncated_poly_ring", "product_ring",
+                     "_adjoin_x", "axis_algebra", "local_ring", "residual"}
     takers = {name for _, name in conftest.PRECONDITIONS}
     assert takers == {"from_basis", "smith_form", "_min_module_rows"}
     assert all(conftest.AUDITED[name] > before.get(name, 0) for name in names | takers), dict(conftest.AUDITED)

@@ -565,6 +565,17 @@ def test_oversized_axes_towers_exit_two_before_allocating(family, s):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("j", [-1, 0, 1, 3, 12, 16])
+def test_torsion_h_levels_exit_two(j):
+    """A "mod" h-level base/t^j is torsion for every j >= 1, so it is
+    refused as not free, and j < 1 is refused by name: exit 2, one line."""
+    doc = json.loads(json.dumps(scenarios.BUILTIN["plane-tower-r2"]))
+    doc["dvr"]["trunc"], doc["h"] = 12, {"kind": "mod", "j": j}
+    code, err = _run_quietly(doc)
+    assert code == 2 and err.count("\n") == 1
+    assert ("h.j must be >= 1" if j < 1 else "algebra is not free over the base") in err
+
+
 def test_axes_tower_past_the_minor_budget_exits_three():
     """h.s = 5 over F5 at trunc 12 passes the axes bound, and the replay
     refuses its relation module by minor count: exit 3, one stderr line."""

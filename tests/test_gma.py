@@ -576,7 +576,7 @@ def test_maximal_subideals_of_fat_point():
     tab[0, 0, 0] = 1
     tab[0, 1, 1] = tab[1, 0, 1] = 1
     tab[0, 2, 2] = tab[2, 0, 2] = 1
-    fat = rings.FiniteRing(5, 1, tab, np.array([1, 0, 0]), name="fat")
+    fat = oracles.local_ring(5, 1, tab, np.array([1, 0, 0]), [[1], [0], [0]], "fat")  # rho: the coordinate of 1
     fat.check_ring()
     subs = oracles.maximal_subideals(Ideal(fat, np.array([[0, 1, 0], [0, 0, 1]])))
     # lines of a 2-dimensional space over F5

@@ -14,6 +14,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_rings import bicusp_ring
 
 from exalg import linalg, modules, rings
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
@@ -143,28 +144,7 @@ def test_ideal_quotient_lengths_in_t4():
 
 def test_minimal_generators_by_nakayama():
     # two-generated maximal ideals
-    def ring_from_mult(p, names, prod, name):
-        n = len(names)
-        idx = {nm: i for i, nm in enumerate(names)}
-        table = np.zeros((n, n, n), dtype=np.int64)
-        for a in names:
-            for b in names:
-                for c, coeff in prod(a, b).items():
-                    table[idx[a], idx[b], idx[c]] = coeff % p
-        one = np.zeros(n, dtype=np.int64)
-        one[idx["1"]] = 1
-        return rings.FiniteRing(p, 1, table, one, name=name)
-
-    def prod(a, b):
-        if a == "1":
-            return {b: 1}
-        if b == "1":
-            return {a: 1}
-        if {a, b} == {"x", "y"}:
-            return {"xy": 1}
-        return {}
-
-    bicusp = ring_from_mult(5, ["1", "x", "y", "xy"], prod, "bicusp")
+    bicusp = bicusp_ring()
     zero = rings.Ideal(bicusp, np.zeros((0, 4), dtype=np.int64))
     m = oracles.module_from_ideal_quotient(bicusp, bicusp.maximal_ideal(), zero)
     assert m.minimal_generator_count() == 2

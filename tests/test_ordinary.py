@@ -766,13 +766,12 @@ def test_ordinary_quotients_match_the_three_quotient_construction(monkeypatch, t
 
 
 def test_psrep_scenarios_run_no_frobenius_and_base_change_only_off_fields(monkeypatch):
-    """The bundled psrep scenarios, and diag-ordinary over Z/25: no ring
-    runs Frobenius, as the entry rings carry their residue maps, and
-    `ch_base_change` runs only for an ordinary quotient, or for the
-    residual of an algebra whose base is not a field."""
-    frobenius, calls = [], []
-    real_frobenius, real_base_change = rings._frobenius_local_data, gma.ch_base_change
-    monkeypatch.setattr(rings, "_frobenius_local_data", lambda r: frobenius.append(r) or real_frobenius(r))
+    """The bundled psrep scenarios, and diag-ordinary over Z/25: every
+    nonzero ring whose local structure is read carries its residue map,
+    so none would have needed Frobenius, and `ch_base_change` runs only
+    for an ordinary quotient, or for the residual of an algebra whose base
+    is not a field."""
+    read, calls, real_base_change = oracles.record_local_reads(monkeypatch), [], gma.ch_base_change
 
     def recorded(ch, f, *args, **kwargs):
         calls.append((sys._getframe(1).f_code.co_name, ch.base.maximal_ideal().is_zero()))
@@ -785,7 +784,7 @@ def test_psrep_scenarios_run_no_frobenius_and_base_change_only_off_fields(monkey
     z25["psrep"] = {"kind": "char_pair", "chi1": {"kind": "power", "gen": 1, "value": 7}, "chi2": {"kind": "trivial"}}
     for source in ("diag-ordinary", "s3-irreducible", z25):
         assert scenarios.run_scenario(source).verdict == "ok"
-    assert frobenius == []
+    assert read and all(ring._residue_map is not None or ring.n == 0 for ring in read)
     # s3-irreducible's ordinary quotient collapses, so it base-changes nothing
     assert calls == [("ordinary_quotient", True), ("residual", False), ("ordinary_quotient", False)]
 

@@ -92,7 +92,7 @@ def ring_from_mult(p, names, prod, name):
                 table[idx[a], idx[b], idx[c]] = coeff % p
     one = np.zeros(n, dtype=np.int64)
     one[idx["1"]] = 1
-    r = rings.FiniteRing(p, 1, table, one, name=name)
+    r = oracles.local_ring(p, 1, table, one, one[:, None], name)  # rho: the coordinate of 1
     r.check_ring()
     return r
 
@@ -466,6 +466,22 @@ def test_fiber_product_over_a_non_local_factor_carries_no_residue_map():
     assert not h.is_local and oracles.local_factor_count(h) == 2
 
 
+def test_products_with_a_zero_factor_are_the_other_factor():
+    """A x 0 and A x_0 0 are A, and 0 x B and 0 x_0 B are B: each carries
+    the residue map of its nonzero factor, and A x_0 B of two nonzero
+    factors carries none."""
+    z = oracles.zero_ring(5)
+    for a, b, carried in [(T2, z, T2), (z, F25, F25)]:
+        assert np.array_equal(rings.product_ring(a, b)._residue_map, carried._residue_map)
+    onto_zero = [rings.RingMap(r, z, np.zeros((r.n, 0), dtype=np.int64)) for r in (T2, z, F25)]
+    for f, g, carried in [(0, 1, T2), (1, 2, F25)]:
+        h, pa, pb = rings.fiber_product(onto_zero[f], onto_zero[g])
+        pr = pa if carried is onto_zero[f].src else pb
+        assert h.n == carried.n and np.array_equal(h._residue_map, (pr.matrix @ carried._residue_map) % 5)
+    h, _, _ = rings.fiber_product(onto_zero[0], onto_zero[2])
+    assert h.n == T2.n + F25.n and not h.is_local
+
+
 def test_fiber_product_of_local_rings_carries_the_residue_map():
     mat = np.zeros((4, 2), dtype=np.int64)
     mat[0, 0] = mat[1, 1] = 1
@@ -501,13 +517,14 @@ def _h_level_rings():
     lambda: list(_h_level_rings()),
 ], ids=["zmod-and-fields", "truncated", "h-levels"])
 def test_entry_rings_carry_the_frobenius_residue_map(build):
-    """Each entry ring carries, bit for bit, the residue map that Frobenius
-    finds on a ring of the same presentation (`rings` module docstring)."""
+    """Each entry ring carries a residue map whose kernel and residue
+    degree are the radical and residue degree that Frobenius finds
+    (`rings` module docstring)."""
     built = build()
     for ring in built:
-        fresh = rings.FiniteRing(ring.p, ring.k, ring.table, ring.one, name=ring.name)
-        _, proj, factors = rings._frobenius_local_data(fresh)
-        assert factors == 1 and np.array_equal(ring._residue_map, proj), ring.name
+        want = oracles.frobenius_local_data(ring)
+        assert want["factors"] == 1 and ring.is_local and ring.residue_log_size == want["residue_log"], ring.name
+        assert np.array_equal(ring.radical_rows(), want["radical"]), ring.name
     assert built
 
 
@@ -666,24 +683,6 @@ def test_mul_ideal_matches_per_pair_mul(r, data):
     want = np.array([r.mul(x, y) for x in a.basis for y in b.basis], dtype=np.int64).reshape(-1, r.n)
     assert np.array_equal(got, want)
     assert np.array_equal(a.mul_ideal(b).basis, linalg.howell_form(want, r.p, r.k, ncols=r.n))
-
-
-@pytest.mark.parametrize("r", BATCH_RINGS, ids=lambda r: r.name)
-@given(data=st.data())
-@settings(max_examples=10, deadline=None)
-def test_frobenius_matrix_matches_per_vector_pow(r, data):
-    step = rings._frobenius_rows(r)
-    for i in range(r.n):
-        e = np.zeros(r.n, dtype=np.int64)
-        e[i] = 1
-        assert np.array_equal(step[i], r.pow_el(e, r.p) % r.p)
-    # x -> x^p is F_p-linear mod p, so its powers are matrix powers
-    x = np.array(data.draw(st.lists(st.integers(0, r.char - 1), min_size=r.n, max_size=r.n)))
-    mm = data.draw(st.integers(1, 3))
-    frob = np.eye(r.n, dtype=np.int64)
-    for _ in range(mm):
-        frob = (frob @ step) % r.p
-    assert np.array_equal((x @ frob) % r.p, r.pow_el(x, r.p**mm) % r.p)
 
 
 T21 = rings.truncated_poly_ring(Z25, 21, name="Z25[t]/t^21")

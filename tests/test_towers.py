@@ -126,19 +126,19 @@ def test_augmentation_must_be_surjective():
     d = doubling_map(O5)
     d.check_hom()
     with pytest.raises(InputError, match="surjective"):
-        towers.augmented_algebra(O5, O5.ring, d, RingMap.identity(O5.ring))
+        towers.augmented_algebra(O5, O5.ring, d, RingMap.identity(O5.ring), O5.ring.one[None])
 
 
 def test_augmentation_must_split():
     d = doubling_map(O5)
     with pytest.raises(InputError, match="split"):
-        towers.augmented_algebra(O5, O5.ring, RingMap.identity(O5.ring), d)
+        towers.augmented_algebra(O5, O5.ring, RingMap.identity(O5.ring), d, O5.ring.one[None])
 
 
 def test_torsion_quotient_is_not_free():
     quot = O5.quotient_mod_t(3)
     with pytest.raises(InputError, match="free"):
-        towers._free_basis(O5, quot.ring, quot.proj)
+        towers._free_basis(O5, quot.ring, quot.proj, quot.ring.one[None])
 
 
 @settings(max_examples=8, deadline=None)
@@ -174,7 +174,7 @@ def test_lenstra_branch_identity(r):
 def test_lenstra_no_conclusion():
     # cotangent length 1 against congruence colength 0: the inequality
     # fails and nothing further may be claimed
-    ring, pi = towers.pinched_cubic(O5)
+    ring, pi = oracles.pinched_cubic(O5)
     rep = towers.lenstra_check(ring, pi, towers.base_algebra(O5))
     assert rep["cotangent_length"] == 1
     assert rep["eta_colength"] == 0
@@ -198,7 +198,7 @@ def test_forged_congruence_ideal_is_hard_failure():
         o=O5, ring=O5.ring, pi=ident, emb=ident,
         wp=principal(O5, 8), rank=1, lam_basis=O5.ring.one.reshape(1, -1),
     )
-    ring, pi = towers.pinched_cubic(O5)
+    ring, pi = oracles.pinched_cubic(O5)
     with pytest.raises(InvariantViolation, match="isomorphism"):
         towers.lenstra_check(ring, pi, forged)
 
@@ -443,19 +443,17 @@ def test_a_tower_unit_derives_each_object_once(monkeypatch):
 @pytest.mark.parametrize("spec", [towers._CORPUS_SPECS[i] for i in (0, 9, 10, 17)],
                          ids=["plane", "plane-F25", "axes", "branch"])
 def test_frobenius_runs_only_on_entry_rings(spec, monkeypatch):
-    """Build, audit and replay of one corpus tower run Frobenius only on
-    the rings no residue map reaches, and no ring of a tower is such an
-    entry ring: the base F_q[t]/(t^N) carries its residue map from
-    `truncated_poly_ring` over `field_ring`, the branch and axes h-levels
-    carry pi . rho_base, and every quotient and fibre product after them
-    reads its residue map.  So Frobenius runs on no ring."""
-    seen, frobenius = [], rings._frobenius_rows
-    monkeypatch.setattr(rings, "_frobenius_rows", lambda r: seen.append(r) or frobenius(r))
+    """Build, audit and replay of one corpus tower read the local
+    structure only of rings that carry their residue map: the base
+    F_q[t]/(t^N) from `truncated_poly_ring` over `field_ring`, the branch
+    and axes h-levels pi . rho_base, and every quotient and fibre product
+    after them.  So no ring of a tower would have needed Frobenius."""
+    read = oracles.record_local_reads(monkeypatch)
     p, e, trunc, r, h_spec = spec
     t = towers.build_eisenstein_tower(DvrModel(p, e, trunc), r, dict(h_spec))
     towers.theorem_audit(t)
     towers.fitting_replay(t)
-    assert seen == []
+    assert read and all(ring._residue_map is not None for ring in read)
 
 
 def test_replay_refuses_by_minor_count_before_picking(monkeypatch):
