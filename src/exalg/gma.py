@@ -382,15 +382,12 @@ class GmaAlgebra:
 
     algebra: AssocAlgebra
     ch: ChAlgebra | None
-    e1: np.ndarray
-    e2: np.ndarray
+    e1: np.ndarray  # e2 = 1 - e1
     phi1: np.ndarray  # (n, base.n), corner-1 scalar coordinate
     phi2: np.ndarray
     b_basis: np.ndarray  # Howell basis of e1 E e2, rows in algebra coordinates
     c_basis: np.ndarray  # Howell basis of e2 E e1
     m_table: np.ndarray  # (nb, nc, base.n), pairing values of the basis rows
-    p12: np.ndarray  # (n, n): x -> e1 x e2
-    p21: np.ndarray
 
     @property
     def base(self) -> FiniteRing:
@@ -408,9 +405,9 @@ class GmaAlgebra:
 
 def gma_decompose(ch: TraceForms, e1: np.ndarray) -> GmaAlgebra:
     """The GMA structure for the idempotent e1 and e2 = 1 - e1, read off
-    one checked `_check_gma_stack` row: p12 and p21 are its Peirce
-    projectors, phi its corner coordinates, B and C the Howell forms of p12
-    and p21, and m(b, c) = t(b c).
+    one checked `_check_gma_stack` row: phi its corner coordinates, B and C
+    the Howell forms of its Peirce projectors x -> e1 x e2 and x -> e2 x e1,
+    and m(b, c) = t(b c).
 
     `ch` is a ChAlgebra, or the trace forms of an algebra that carries no
     group, such as a hand-built pairing algebra, which give a GmaAlgebra
@@ -425,11 +422,9 @@ def _read_gma(forms: TraceForms, e12, phi, peirce) -> GmaAlgebra:
     """The GmaAlgebra of one row (e12, phi, peirce) that `_check_gma_stack`
     returned, so checked."""
     al, a = forms.algebra, forms.base
-    p12, p21 = peirce[0, 1], peirce[1, 0]
-    b_basis, c_basis = (linalg.howell_form(pp, a.p, a.k, ncols=al.n) for pp in (p12, p21))
+    b_basis, c_basis = (linalg.howell_form(pp, a.p, a.k, ncols=al.n) for pp in (peirce[0, 1], peirce[1, 0]))
     m_table = forms.t_el(al.mul_outer(b_basis, c_basis))
-    return GmaAlgebra(al, forms if isinstance(forms, ChAlgebra) else None, *e12, *phi,
-                      b_basis, c_basis, m_table, p12, p21)
+    return GmaAlgebra(al, forms if isinstance(forms, ChAlgebra) else None, e12[0], *phi, b_basis, c_basis, m_table)
 
 
 def _check_gma_stack(forms: TraceForms, es):
@@ -494,17 +489,10 @@ def reducibility_ideal(gma: GmaAlgebra) -> dict:
 
     For pseudorep-backed instances the trace must become a sum of two
     characters over the quotient by this ideal; that certificate is
-    computed, not assumed.  Each generator keeps the (B row, C row) indices
-    it came from.
+    computed, not assumed.
     """
     a = gma.base
-    gens = gma.m_table.reshape(-1, a.n)
-    provenance = [
-        {"b_row": i, "c_row": j, "value": [int(c) for c in gma.m_table[i, j]]}
-        for i in range(gma.m_table.shape[0])
-        for j in range(gma.m_table.shape[1])
-    ]
-    ideal = Ideal(a, gens)
+    ideal = Ideal(a, gma.m_table.reshape(-1, a.n))
     q = quotient_ring(a, ideal, name=f"{a.name}/red")
     cert = None
     if gma.ch is not None:
@@ -513,7 +501,6 @@ def reducibility_ideal(gma: GmaAlgebra) -> dict:
             raise InvariantViolation("trace fails to split modulo the reducibility ideal")
     return {
         "ideal": ideal,
-        "generators": provenance,
         "quotient": q,
         "certificate": cert,
     }

@@ -1,50 +1,52 @@
 """Ordinarity at the marked decomposition subgroup, and the ordinary quotient.
 
-A GMA structure on a Cayley-Hamilton quotient is *ordinary* for a character
-kappa when the group images are upper triangular along the decomposition
-subgroup (the 12-coordinate dies on Dp) and the 11-corner restricted to the
-inertia subgroup is kappa^-1.  `_relations` walks those relations once
-for every consumer; `_base_ideal` turns them into the two-sided ideal J*
-they generate and the base ideal J_R of trace values they force, and
-`ordinary_quotient` adds the quotient algebra
+A GMA structure on a Cayley-Hamilton quotient E is *ordinary* for a
+character kappa when the group images are upper triangular along the
+decomposition subgroup (the 12-coordinate dies on Dp) and the 11-corner
+restricted to the inertia subgroup is kappa^-1.  `_relation_stack` builds
+the generators of those relations straight from e = e1.  By the corner
+rule the Ip generator e rho(g) e - kappa^-1(g) e is a e1 with
+a = phi1(rho(g)) - kappa^-1(g), so each relation holds exactly when its
+generator is zero.  The generators span the two-sided ideal J*, and the
+base ideal J_R that the relations force is generated by t(J*) and d(J*).
+It is derived one way, `_trace_rows`, as generated by the traces t(g e_j)
+for every generator g and every basis element e_j:
+
+- t(ab) = t(ba) on the quotient, since it descends from the law
+  t(gh) = t(hg) on group elements.  J* = E G E, and t(x g y) = t(g (y x)),
+  so t(J*) = t(G E) as additive groups, and the t(g e_j) span it.
+- 2 d(j) = t(j)^2 - t(j^2) with j^2 in J* and 2 a unit, so d(J*) already
+  lies in the ideal t(J*) generates.
+
+The decision reads J_R = 0 off those rows; `ordinary_quotient` takes the
+ideal they generate and adds the quotient algebra
 
     E_ord = E / (J* + J_R E)    over    A / J_R,
 
 which again carries a Cayley-Hamilton structure: E/(J_R E) is the
 Cayley-Hamilton quotient of psi (x) A/J_R (`gma` module docstring), here
-with J* killed as well.  One `gma.ch_base_change` takes that quotient of
-E; its `connect` map is the projection from E.  A pseudorepresentation
-is then ordinary precisely when J_R = 0 for some kappa-compatible choice
-of idempotent, and that is what `is_ordinary_ch` decides (searching over
-residual idempotents in the matrix-residual case).  It checks kappa once
-and reads the residual the algebra derived once, as do the corner
-alignment and the idempotent lift.
+with J* killed as well.  One `gma.ch_base_change` along A -> A/J_R takes
+it, with the generators as extra rows: J_R E is the two-sided ideal of
+ker(A -> A/J_R) 1, and `_killed_rows` closes the generators together with
+it, so J* is closed once.  E_ord's `quot` is the projection from E.  When
+J_R is the unit ideal the quotient collapses and no E_ord is built.
 
-The decision evaluates its N candidates on one stack: it lifts them
-together, builds their relations straight from e (`_relation_stack`),
-reads J_R = 0 off one contraction (`_j_r_zero`), and checks their
-structure with one `gma._check_gma_stack`, the GMA structure check that
-`gma_decompose` also reads its one row off; why its spanning-set forms
-are the structure is argued in the `gma` module docstring.  By its corner
-rule the Ip generator e1 rho(g) e1 - kappa^-1(g) e1 is a e1 with
-a = phi1(rho(g)) - kappa^-1(g), zero exactly when the relation holds.
+A pseudorepresentation is ordinary precisely when J_R = 0 for some
+kappa-compatible choice of idempotent, and that is what `is_ordinary_ch`
+decides (searching over residual idempotents in the matrix-residual
+case).  It checks kappa once and reads the residual the algebra derived
+once, as do the corner alignment and the idempotent lift.  It evaluates
+its N candidates on one stack: it lifts them together, builds their
+relations, reads J_R = 0 off one `_trace_rows` contraction, and checks
+their structure with one `gma._check_gma_stack`, the GMA structure check
+that `gma_decompose` also reads its one row off; why its spanning-set
+forms are the structure is argued in the `gma` module docstring.
 
 Its winner, else its first candidate, is a scenario's one idempotent:
 `_decide` returns its checked row with the verdict, and the scenario's
 GMA is read off that row (`gma._read_gma`), so a reported R^ord is built
 from the GMA the verdict found, and that row is checked once.
 `is_ordinary_ch` reads no GMA off it.
-
-J_R is generated by the traces of J* alone, and J_R = 0 exactly when
-t(g e_j) = 0 for every generator g of `_relations` and every basis
-element e_j:
-
-- t(ab) = t(ba) on the quotient, since it descends from the law
-  t(gh) = t(hg) on group elements.  J* = E G E, and t(x g y) = t(g (y x)),
-  so t(J*) = t(G E) as additive groups.
-- J_R is generated by t(J*) and d(J*), and 2 d(j) = t(j)^2 - t(j^2) with
-  j^2 in J* and 2 a unit, so d(J*) already lies in the ideal t(J*)
-  generates.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .algebras import two_sided_ideal_rows
 from .errors import InputError
 from .gma import (
     ChAlgebra,
@@ -173,10 +173,8 @@ def _relation_stack(ch: ChAlgebra, es, kappa: GroupChar) -> np.ndarray:
 
 def _relations(gma: GmaAlgebra, kappa: GroupChar) -> list:
     """The ordinary relations as (clause, element, J* generator), Dp first:
-    the `_relation_stack` row of gma's e1.  rho12(g) = 0 for g in Dp has the
-    generator e1 rho(g) e2 and rho11(g) = kappa^-1(g) for g in Ip the
-    generator e1 rho(g) e1 - kappa^-1(g) e1; by the corner rule each
-    relation holds exactly when its generator is zero."""
+    the `_relation_stack` row of gma's e1, rho12(g) = 0 for g in Dp and
+    rho11(g) = kappa^-1(g) for g in Ip (module docstring)."""
     grp = gma.ch.psr.group
     clauses = [("rho12-on-dp", g) for g in grp.dp] + [("rho11-minus-kappa-inv-on-ip", g) for g in grp.ip]
     return [(clause, g, v) for (clause, g), v in zip(clauses, _relation_stack(gma.ch, gma.e1[None], kappa)[0])]
@@ -207,74 +205,39 @@ def is_ordinary_rep(ctx: OrdinaryContext) -> dict:
 
 @dataclass(eq=False)
 class OrdinaryQuotient:
-    """E_ord = E/(J* + J_R E) over A/J_R, with the ideals that built it."""
+    """E_ord = E/(J* + J_R E) over A/J_R; E_ord is None when J_R is the unit ideal."""
 
-    ctx: OrdinaryContext
-    j_star_rows: np.ndarray  # Howell basis of J*, coordinates of ctx.ch.algebra
     j_r: Ideal
-    j_rows: np.ndarray  # Howell basis of J* + J_R E
     base_quot: QuotientRing
     e_ord: ChAlgebra | None
-    ord_proj: np.ndarray | None  # (ch.nbar, e_ord.nbar), reduce-then-project
     collapsed: bool
-    collapse_step: dict | None
 
     def __repr__(self):
         tail = "zero" if self.collapsed else f"dim {self.e_ord.nbar} over {self.base_quot.ring.name}"
         return f"<OrdinaryQuotient {tail}>"
 
 
-def _scaled_rows(al, basis) -> np.ndarray:
-    """Rows spanning I E, for the ideal I of the base with Howell basis `basis`."""
-    return al.amul(basis[:, None], np.eye(al.n, dtype=np.int64)).reshape(-1, al.n)
-
-
-def _base_ideal(gma: GmaAlgebra, kappa: GroupChar):
-    """(J* rows, J_R generators, J_R) of the ordinary relations.
-
-    J* is the two-sided ideal the generators of `_relations` span, as a
-    Howell basis; J_R is generated by the trace and determinant of each
-    J* row, stacked in that order: generator g is the trace of row g // 2
-    when g is even, else its determinant.
-    """
-    ch = gma.ch
-    al, a = ch.algebra, ch.base
-    gens = [v for _, _, v in _relations(gma, kappa) if v.any()]
-    j_star = two_sided_ideal_rows(al, np.asarray(gens, dtype=np.int64).reshape(-1, al.n))
-    jr_gens = np.stack([ch.t_el(j_star), ch.d_el(j_star)], axis=1).reshape(-1, a.n)
-    return j_star, jr_gens, Ideal(a, jr_gens)
-
-
-def _j_r_zero(ch: ChAlgebra, es, kappa: GroupChar) -> np.ndarray:
-    """Per trace-1 idempotent row of `es`: is J_R = 0, read as t(g e_j) = 0
-    for every generator g of `_relation_stack` and every basis element e_j
-    (module docstring), one contraction over the stack?"""
+def _trace_rows(ch: ChAlgebra, gens) -> np.ndarray:
+    """(N, R n, base.n): for each of the N stacks of R J* generators in
+    `gens`, as `_relation_stack` gives them, the traces t(g e_j) over its
+    generators g and the basis elements e_j, which generate its J_R (module
+    docstring); one contraction over all N."""
+    n, b = ch.algebra.n, ch.base
     # row j of mul_matrix(g) is g e_j
-    return ~((ch.algebra.mul_matrix(_relation_stack(ch, es, kappa)) @ ch.t_matrix) % ch.base.char).any(axis=(1, 2, 3))
+    return ((ch.algebra.mul_matrix(gens) @ ch.t_matrix) % b.char).reshape(len(gens), gens.shape[1] * n, b.n)
 
 
 def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> OrdinaryQuotient:
     ch = ctx.ch
     al, a = ch.algebra, ch.base
-    j_star, jr_gens, j_r = _base_ideal(ctx.gma, ctx.kappa)
-    # J* + J_R E, for the record and for the quotient below
-    j_rows = linalg.howell_form(np.vstack([j_star, _scaled_rows(al, j_r.basis)]), al.p, al.k, ncols=al.n)
+    gens = _relation_stack(ch, ctx.gma.e1[None], ctx.kappa)
+    j_r = Ideal(a, _trace_rows(ch, gens)[0])
     collapsed = j_r.is_unit_ideal()
-    e_ord = proj_mat = collapse_step = None
-    if collapsed:
-        hit = next((g for g, v in enumerate(jr_gens) if a.is_unit(v)), None)
-        generator = None if hit is None else {
-            "kind": ("trace", "determinant")[hit % 2], "row": hit // 2, "value": [int(c) for c in jr_gens[hit]]
-        }
-        collapse_step = {
-            "generator": generator,
-            "note": "" if generator else "unit arises only as a combination of generators",
-        }
     base_quot = quotient_ring(a, j_r, name=f"{a.name}/JR")
-    if not collapsed:
-        # the trace must die on J*, or J_R was not saturated and the base change refuses
-        e_ord, proj_mat = ch_base_change(ch, base_quot.proj, name or f"{al.name} ord", j_star)
-    return OrdinaryQuotient(ctx, j_star, j_r, j_rows, base_quot, e_ord, proj_mat, collapsed, collapse_step)
+    # J* is closed once, with ker(A -> A/J_R) 1; the trace must die on it,
+    # or J_R was not saturated and the base change refuses
+    e_ord = None if collapsed else ch_base_change(ch, base_quot.proj, name or f"{al.name} ord", gens[0])[0]
+    return OrdinaryQuotient(j_r, base_quot, e_ord, collapsed)
 
 
 # ---- deciding ordinarity for a pseudorepresentation ------------------
@@ -304,7 +267,7 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
 
     All candidates are lifted as one stack and J_R = 0 is read for each
     with one contraction, t(g e_j) = 0 for every generator g of
-    `_relation_stack` and basis element e_j (`_j_r_zero`).  The first row
+    `_relation_stack` and basis element e_j (`_trace_rows`).  The first row
     with J_R = 0 wins, as in a loop over the candidates; every row up to it
     passes one stacked structure check, the corner rule
     e_i x e_i = t(e_i x e_i) e_i and the other spanning-set forms of the
@@ -336,7 +299,7 @@ def _decide(ch: ChAlgebra, kappa: GroupChar, budget: int):
     if reason:
         return {"supported": False, "ordinary": None, "reason": reason, "checked": 0}, None
     es, _ = _newton_lift(ch, targets)
-    zero = _j_r_zero(ch, es, kappa)
+    zero = ~_trace_rows(ch, _relation_stack(ch, es, kappa)).any(axis=(1, 2))
     # as in a loop over the candidates: the first row with J_R = 0 wins, and the rows up to it are checked
     hit = int(np.argmax(zero)) if zero.any() else None
     e12, phi, peirce = _check_gma_stack(ch, es if hit is None else es[: hit + 1])

@@ -398,9 +398,9 @@ def run_scenario(source, seed=None, budget=None, stages=None) -> Report:
         try:
             payload = _STAGES[sc.kind][stage](st)
         except (InputError, BudgetExceeded, InvariantViolation) as e:
-            if str(e).startswith(f"{sc.name}: "):  # a field reader named the scenario already
-                raise type(e)(f"stage {stage}, scenario {e}") from e
-            raise type(e)(f"scenario {sc.name}, stage {stage}: {e}") from e
+            # a field reader may have led with the scenario name already
+            reason = str(e).removeprefix(f"{sc.name}: ")
+            raise type(e)(f"scenario {sc.name}, stage {stage}: {reason}") from e
         timing[stage] = time.perf_counter() - t0
         out[stage] = payload
         if stage == "validate" and not payload["ok"]:

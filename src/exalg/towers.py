@@ -48,8 +48,9 @@ the principal route applies.
 `build_eisenstein_tower` proves only the tower claims that depend on h
 (`_verify_tower`).  The construction implies the others, and the tests
 check them on every tower they build (`tests/conftest.py`):
-- colength r of h/I: `aug` is onto base/(t^r), so h/I is base/(t^r);
-- colength r of H/I_H: H -> h is onto, so H/I_H is h/I;
+- colength r of h/I: h -> base/(t^r) is onto, so h/I is base/(t^r);
+- colength r of H/I_H, I_H the kernel of H -> h -> base/(t^r): H -> h is
+  onto, so H/I_H is h/I;
 - ker(H -> base) matches I: ker pr_lam is I x 0, which pr_h maps onto I;
 - ker(H -> h) times ker(H -> base) is 0: (0, b)(a, 0) = 0 in H;
 - Ann(ker(H -> h)) is ker(H -> base) modulo the tail: ker(H -> h) is
@@ -91,7 +92,6 @@ from .rings import (
     DvrModel,
     FiniteRing,
     Ideal,
-    QuotientRing,
     RingMap,
     embedding_dimension,
     fiber_product,
@@ -467,7 +467,7 @@ class EisensteinTower:
 
     hlevel is the augmented h-level algebra the tower was glued from: h is
     its ring, emb_h its structure map and h_basis its base-module basis.
-    I lives in h, I_H and script_I in H; T0 generates ker(H -> h) and
+    I lives in h, script_I in H; T0 generates ker(H -> h) and
     maps to xi = t^r on the base side.  glue is the width of the
     truncation tail used for annihilator comparisons.
 
@@ -482,14 +482,11 @@ class EisensteinTower:
     xi: np.ndarray
     label: str
     hlevel: AugmentedAlgebra
-    aug: RingMap
-    lam_quot: QuotientRing
     H: FiniteRing
     pr_h: RingMap
     pr_lam: RingMap
     emb_H: RingMap
     I: Ideal
-    I_H: Ideal
     script_I: Ideal
     ker_h: Ideal
     T0: np.ndarray
@@ -525,9 +522,15 @@ def _h_level(lam: DvrModel, h_spec: dict) -> AugmentedAlgebra:
     if kind == "plane":
         return base_algebra(lam)
     if kind == "branch":
-        return branch_algebra(lam, int_field(h_spec, "m"))
+        m = int_field(h_spec, "m")
+        if m < 1:
+            raise InputError(f"branch meeting order h.m must be >= 1, got {m}")
+        return branch_algebra(lam, m)
     if kind == "axes":
-        return axis_algebra(lam, int_field(h_spec, "s"))
+        s = int_field(h_spec, "s")
+        if s < 2:
+            raise InputError(f"axis count h.s must be >= 2, got {s}")
+        return axis_algebra(lam, s)
     if kind == "mod":
         j = int_field(h_spec, "j")
         if j < 1:
@@ -594,7 +597,6 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
     i_ideal = aug.kernel_ideal()
     ker_h = pr_h.kernel_ideal()
     script_i = pr_lam.kernel_ideal()
-    i_h = pr_h.then(aug).kernel_ideal()
     if not ok[nl]:
         raise InvariantViolation("no tower element projects to (0, xi)")
     t0 = sols[nl]
@@ -606,14 +608,11 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
         xi=xi,
         label=label,
         hlevel=hlevel,
-        aug=aug,
-        lam_quot=lam_quot,
         H=H,
         pr_h=pr_h,
         pr_lam=pr_lam,
         emb_H=emb_H,
         I=i_ideal,
-        I_H=i_h,
         script_I=script_i,
         ker_h=ker_h,
         T0=t0,

@@ -23,10 +23,17 @@ a test:
 - `algebras._presented_quotient`: `check_algebra` on the quotient;
 - `gma._ch_algebra`: the Cayley-Hamilton identity and the group law
   (`oracles.verify_ch`);
+- `ordinary.ordinary_quotient`, which derives J_R from traces and closes
+  J* only inside its base change: J_R against the ideal that the trace
+  and determinant of every J* row generate (`oracles.ordinary_ideals`),
+  and, when the quotient has not collapsed, E_ord against
+  `ch_base_change` along A -> A/J_R with J* itself as the extra rows,
+  which must give the same table, group images, trace and projection;
 - `towers.build_eisenstein_tower`: `check_hom` on emb_H, emb_H followed
   by each projection, T0 projecting to (0, xi), h local, and the tower
   claims the construction implies (`towers` module docstring): the
-  colengths of h/I and H/I_H, ker(H -> base) against I, the two kernels
+  colengths of h/I and H/I_H (I_H from `oracles.tower_augmentation`),
+  ker(H -> base) against I, the two kernels
   annihilating each other, and Ann(ker(H -> h)) against ker(H -> base)
   beyond the tail;
 - `towers._min_module_rows`: the picks against one pick at a time
@@ -62,7 +69,7 @@ import numpy as np
 import oracles
 
 import exalg
-from exalg import algebras, gma, linalg, modules, psrep, rings, towers
+from exalg import algebras, gma, linalg, modules, ordinary, psrep, rings, towers
 from exalg.errors import InvariantViolation
 
 AUDITED = collections.Counter()  # objects and calls audited so far, by function name
@@ -110,21 +117,39 @@ def _same_split(got: dict, want: dict) -> bool:
                for a, b in zip(got["chars"], want["chars"]))
 
 
+def _same_ch(got, want) -> bool:
+    """The same algebra table, one, base embedding, group images and trace."""
+    return (got.algebra.k == want.algebra.k
+            and all(np.array_equal(getattr(got.algebra, f), getattr(want.algebra, f))
+                    for f in ("table", "one", "base_embed"))
+            and np.array_equal(got.rho_mat, want.rho_mat) and np.array_equal(got.t_matrix, want.t_matrix))
+
+
 def _check_residual(res, ch) -> None:
     """Over a field base, the residual against `ch_base_change` along the identity."""
     if not ch.base.maximal_ideal().is_zero():
         return
     want, connect = _base_change(ch, rings.RingMap.identity(ch.base))
     got, eye = res.ch, np.eye(ch.nbar, dtype=np.int64)
-    same = (got.algebra.k == want.algebra.k
-            and all(np.array_equal(getattr(got.algebra, f), getattr(want.algebra, f))
-                    for f in ("table", "one", "base_embed"))
-            and np.array_equal(got.rho_mat, want.rho_mat) and np.array_equal(got.t_matrix, want.t_matrix)
+    same = (_same_ch(got, want)
             and all(np.array_equal(m, eye) for m in (connect, got.quot.proj.matrix, got.quot.lift_matrix))
             and np.array_equal(res.field.proj.matrix, np.eye(ch.base.n, dtype=np.int64))
             and _same_split(res.split, _residual_split(want.psr)))
     if not same:
         raise InvariantViolation(f"residual of {ch.algebra.name} over a field differs from its base change")
+
+
+def _check_ordinary_quotient(oq, ctx, *_, **__) -> None:
+    """J_R and E_ord against the route through J* (module docstring)."""
+    ch = ctx.ch
+    j_star, j_r, _ = oracles.ordinary_ideals(ctx.gma, ctx.kappa)
+    if not np.array_equal(oq.j_r.basis, j_r.basis):
+        raise InvariantViolation(f"J_R of {ch.algebra.name} differs from the ideal of its J* traces")
+    if oq.collapsed:
+        return
+    want, connect = _base_change(ch, oq.base_quot.proj, extra=j_star)
+    if not (_same_ch(oq.e_ord, want) and np.array_equal(oq.e_ord.quot.proj.matrix, connect)):
+        raise InvariantViolation(f"ordinary quotient of {ch.algebra.name} differs from the one that kills J*")
 
 
 def _check_tower(t, *_, **__) -> None:
@@ -143,7 +168,7 @@ def _check_tower(t, *_, **__) -> None:
     res = lam.ring.residue_log_size
     if towers.ideal_colength(lam, t.I) != t.r:
         raise InvariantViolation("h/I is not the expected base quotient")
-    if (H.k * H.n - t.I_H.log_size()) != t.r * res:
+    if (H.k * H.n - oracles.tower_augmentation(t)[2].log_size()) != t.r * res:
         raise InvariantViolation("H/I_H is not the expected base quotient")
     # ker(H -> base) is I in disguise
     img = linalg.howell_form((t.script_I.basis @ t.pr_h.matrix) % t.h.char, p, k, ncols=t.h.n)
@@ -191,6 +216,7 @@ CHECKS = {
     (gma.ChAlgebra, "residual"): _check_residual,
     (algebras, "_presented_quotient"): lambda quot, *_, **__: quot.ring.check_algebra(),
     (gma, "_ch_algebra"): _check_ch,
+    (ordinary, "ordinary_quotient"): _check_ordinary_quotient,
     (towers, "build_eisenstein_tower"): _check_tower,
     (towers, "_min_module_rows"): _check_picks,
 }

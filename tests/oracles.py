@@ -28,15 +28,24 @@ from exalg.linalg import howell_form, span_equal
 from exalg.modules import maximal_multiples
 from exalg.ordinary import (
     OrdinaryContext,
-    _j_r_zero,
+    _relation_stack,
     _relations,
-    _scaled_rows,
+    _trace_rows,
     is_ordinary_psrep,
     ordinary_quotient,
 )
 from exalg.psrep import Pseudorep2, TraceForms, psrep_base_change, split_as_characters, validate_pseudorep
-from exalg.rings import DvrModel, FiniteRing, Ideal, RingMap, _smith_loop, quotient_ring, truncated_poly_ring
-from exalg.towers import AugmentedAlgebra, _adjoin_x, augmented_algebra
+from exalg.rings import (
+    DvrModel,
+    FiniteRing,
+    Ideal,
+    QuotientRing,
+    RingMap,
+    _smith_loop,
+    quotient_ring,
+    truncated_poly_ring,
+)
+from exalg.towers import AugmentedAlgebra, EisensteinTower, _adjoin_x, augmented_algebra
 
 
 # ---- spans --------------------------------------------------------
@@ -533,6 +542,15 @@ def pinched_cubic(o: DvrModel):
     return runpy.run_path(str(script))["pinched_cubic"](o)
 
 
+# Fixture: the augmentation h -> base/(t^r) that a tower is glued along, and
+# its kernel I_H in H, which `build_eisenstein_tower` does not keep.
+def tower_augmentation(t: EisensteinTower) -> tuple[QuotientRing, RingMap, Ideal]:
+    """(base/(t^r), aug: h -> base/(t^r), I_H = ker(H -> h -> base/(t^r)))."""
+    lam_quot = t.lam.quotient_mod_t(t.r)
+    aug = t.hlevel.pi.then(lam_quot.proj)
+    return lam_quot, aug, t.pr_h.then(aug).kernel_ideal()
+
+
 # ---- trace forms --------------------------------------------------
 
 
@@ -662,29 +680,43 @@ def verify_ch(ch) -> None:
         raise InvariantViolation("group images fail to multiply in the quotient")
 
 
-def _reassembles(gma: GmaAlgebra, xs, x11, x12, x21, x22) -> np.ndarray:
+# Fixture: the Peirce data of a GMA, which `gma_decompose` checks on its
+# stacked row and does not keep.
+def peirce(gma: GmaAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e2, p12, p21): e2 = 1 - e1 and the (n, n) Peirce projectors, row x
+    of p12 being e1 x e2 and of p21 e2 x e1."""
+    al = gma.algebra
+    e12 = np.stack([gma.e1, al.sub(al.one, gma.e1)])
+    # y @ left[i] = e_i y and y @ right[j] = y e_j
+    left, right = al.mul_matrix(e12), al.right_mul_matrix(e12)
+    return e12[1], (left[0] @ right[1]) % al.char, (left[1] @ right[0]) % al.char
+
+
+def _reassembles(gma: GmaAlgebra, e2, xs, x11, x12, x21, x22) -> np.ndarray:
     """Per row: x11 e1 + x12 + x21 + x22 e2 == xs, corners as base scalars."""
     al = gma.algebra
-    corners = al.mul(al.scalar(x11), gma.e1) + al.mul(al.scalar(x22), gma.e2)
+    corners = al.mul(al.scalar(x11), gma.e1) + al.mul(al.scalar(x22), e2)
     return ((corners + x12 + x21) % al.char == xs).all(axis=1)
 
 
 # Oracle for `gma.gma_decompose`: the group images in Peirce coordinates
 # reassemble exactly and keep their off-diagonal parts in the B and C spans.
-def coordinate_maps(gma: GmaAlgebra) -> dict:
+def coordinate_maps(gma: GmaAlgebra, parts=None) -> dict:
     """Group images in Peirce coordinates, with exact reassembly.
 
     rho11 and rho22 are base scalars; rho12 and rho21 keep algebra
-    coordinates inside the B and C spans.
+    coordinates inside the B and C spans.  `parts` is (e2, p12, p21),
+    `peirce(gma)` unless given.
     """
     if gma.ch is None:
         raise InputError("coordinate maps need a pseudorep-backed instance")
     ch, al, a = gma.ch, gma.algebra, gma.base
     x = ch.rho_mat
+    e2, p12, p21 = peirce(gma) if parts is None else parts
     rho11, rho22 = gma.phi1_of(x), (x @ gma.phi2) % gma.base.char
-    rho12, rho21 = (x @ gma.p12) % al.char, (x @ gma.p21) % al.char
+    rho12, rho21 = (x @ p12) % al.char, (x @ p21) % al.char
     _raise_first([
-        (_reassembles(gma, x, rho11, rho12, rho21, rho22), "coordinates do not reassemble the image of {}"),
+        (_reassembles(gma, e2, x, rho11, rho12, rho21, rho22), "coordinates do not reassemble the image of {}"),
         (linalg.FactoredSpan(gma.b_basis, a.p, a.k).contains(rho12), "off-diagonal coordinate escapes the B span"),
         (linalg.FactoredSpan(gma.c_basis, a.p, a.k).contains(rho21), "off-diagonal coordinate escapes the C span"),
     ])
@@ -787,11 +819,31 @@ def reducibility_minimality(gma: GmaAlgebra, budget: int = 100000) -> dict:
 # ---- the ordinary quotient ----------------------------------------
 
 
-# Adapter: the decision's stacked J_R = 0 test (`ordinary._j_r_zero`) for one
-# GMA, which the tests set against the ideal `ordinary._base_ideal` builds.
+def _scaled_rows(al, basis) -> np.ndarray:
+    """Rows spanning I E, for the ideal I of the base with Howell basis `basis`."""
+    return al.amul(basis[:, None], np.eye(al.n, dtype=np.int64)).reshape(-1, al.n)
+
+
+# Oracle for `ordinary._trace_rows`: J* closed as a two-sided ideal, and J_R
+# generated by the trace and the determinant of every J* row, as the
+# definition reads.  The test hook checks every `ordinary_quotient` call
+# against it (`tests/conftest.py`).
+def ordinary_ideals(gma: GmaAlgebra, kappa: GroupChar) -> tuple[np.ndarray, Ideal, np.ndarray]:
+    """(J*, J_R, J* + J_R E) of the ordinary relations at gma's e1: J* and
+    J* + J_R E as Howell bases in the coordinates of gma.ch.algebra."""
+    ch = gma.ch
+    al, a = ch.algebra, ch.base
+    gens = [v for _, _, v in _relations(gma, kappa) if v.any()]
+    j_star = two_sided_ideal_rows(al, np.asarray(gens, dtype=np.int64).reshape(-1, al.n))
+    j_r = Ideal(a, np.stack([ch.t_el(j_star), ch.d_el(j_star)], axis=1).reshape(-1, a.n))
+    j_rows = howell_form(np.vstack([j_star, _scaled_rows(al, j_r.basis)]), al.p, al.k, ncols=al.n)
+    return j_star, j_r, j_rows
+
+
+# Adapter: the decision's J_R = 0 test, `ordinary._trace_rows` at one GMA's
+# e1, which the tests set against `ordinary_ideals`.
 def _j_r_is_zero(gma: GmaAlgebra, kappa: GroupChar) -> bool:
-    """`_base_ideal(gma, kappa)[2].is_zero()`: `_j_r_zero` of gma's e1."""
-    return bool(_j_r_zero(gma.ch, gma.e1[None], kappa)[0])
+    return not _trace_rows(gma.ch, _relation_stack(gma.ch, gma.e1[None], kappa)).any()
 
 
 # Oracle for `ordinary.ordinary_quotient`: the universal property of E_ord,
@@ -812,6 +864,7 @@ def ordinary_factorization_check(ctx: OrdinaryContext, budget: int = 200000) -> 
     if a.size > budget:
         raise BudgetExceeded(f"base has {a.size} elements, budget {budget}")
     oq = ordinary_quotient(ctx)
+    j_star, _, j_rows = ordinary_ideals(ctx.gma, ctx.kappa)
     # the J* generators of `_relations`, zero rows included
     gens = np.array([v for _, _, v in _relations(ctx.gma, ctx.kappa)], dtype=np.int64).reshape(-1, al.n)
     base_ideals, seen = [], set()
@@ -825,8 +878,8 @@ def ordinary_factorization_check(ctx: OrdinaryContext, budget: int = 200000) -> 
     seeds = [np.zeros(al.n, dtype=np.int64)]
     seeds.extend(np.eye(al.n, dtype=np.int64))
     seeds.extend(random_element(al, rng, 8))
-    seeds.extend(oq.j_star_rows)
-    seeds.extend(oq.j_rows)
+    seeds.extend(j_star)
+    seeds.extend(j_rows)
     qualified = 0
     for ideal in base_ideals:
         ie = _scaled_rows(al, ideal.basis)
@@ -837,12 +890,12 @@ def ordinary_factorization_check(ctx: OrdinaryContext, budget: int = 200000) -> 
             qualified += 1
             if not ideal.contains_ideal(oq.j_r):
                 raise InvariantViolation("qualifying quotient misses the ordinary base ideal")
-            if not k_span.contains(oq.j_rows).all():
+            if not k_span.contains(j_rows).all():
                 raise InvariantViolation("qualifying quotient misses the ordinary ideal")
     # the canonical pair qualifies
-    if not linalg.FactoredSpan(oq.j_rows, al.p, al.k).contains(gens).all():
+    if not linalg.FactoredSpan(j_rows, al.p, al.k).contains(gens).all():
         raise InvariantViolation("ordinary ideal misses its own generators")
-    if not oq.j_r.span.contains(ch.t_el(oq.j_rows)).all():
+    if not oq.j_r.span.contains(ch.t_el(j_rows)).all():
         raise InvariantViolation("ordinary trace values escape the base ideal")
     return {"ok": True, "qualified": qualified, "base_ideals": len(base_ideals)}
 
@@ -1032,8 +1085,9 @@ def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -
     if not cert["split"]:
         raise InvariantViolation("trace fails to split modulo the reducibility ideal")
     # two-sided generators: J* plus the pairing products
-    prods = al.mul_outer((ch.rho_mat @ gma.p12) % al.char, (ch.rho_mat @ gma.p21) % al.char)
-    extra = np.vstack([oq.j_star_rows.reshape(-1, al.n), prods.reshape(-1, al.n)])
+    _, p12, p21 = peirce(gma)
+    prods = al.mul_outer((ch.rho_mat @ p12) % al.char, (ch.rho_mat @ p21) % al.char)
+    extra = np.vstack([ordinary_ideals(gma, ctx.kappa)[0], prods.reshape(-1, al.n)])
     e_red, proj_mat = ordinary.ch_base_change(ch, base_quot.proj, name or f"{al.name} red-ord", extra)
     rank_match = True
     if oq.e_ord is not None:

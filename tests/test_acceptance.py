@@ -277,12 +277,13 @@ def test_criterion_03_quotient_identity_reproduction_and_lifting():
         assert res["iterations"] <= oracles.radical_nilpotency_class(psr.ring), psr.name
         g = gma.gma_decompose(ch, res["e1"])
         a, al = ch.base, ch.algebra
+        _, p12, p21 = oracles.peirce(g)
         for gi in psr.group.elements():
             x = ch.rho(gi)
             tsum = (g.phi1_of(x) + (x @ g.phi2) % g.base.char) % a.char
             assert np.array_equal(tsum, psr.t[gi]), psr.name
-            x12 = (x @ g.p12) % al.char
-            x21 = (x @ g.p21) % al.char
+            x12 = (x @ p12) % al.char
+            x21 = (x @ p21) % al.char
             det = (a.mul(g.phi1_of(x), (x @ g.phi2) % g.base.char) - g.phi1_of(al.mul(x12, x21))) % a.char
             assert np.array_equal(det, psr.d[gi]), psr.name
     _finish(3, t0, 60)

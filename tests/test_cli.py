@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -127,7 +128,7 @@ def test_quoted_witness_re_verifies(reports):
     rep = reports["s3-irreducible"].stages
     g = gma.gma_decompose(ch, np.asarray(rep["gma"]["e1"]))
     w = rep["ordinary"]["witness"]
-    off_diag = (ch.rho(w["element"]) @ g.p12) % ch.algebra.char
+    off_diag = (ch.rho(w["element"]) @ oracles.peirce(g)[1]) % ch.algebra.char
     assert off_diag.any()  # the quoted coordinate really is nonzero
     f5 = zmod_ring(5, 1)
     ideal = Ideal(f5, np.asarray(rep["reducibility"]["ideal_basis"]))
@@ -229,16 +230,18 @@ def test_wrong_type_scenario_field_is_input_error(tmp_path, capsys, name, edit, 
     path = _bundled_variant(tmp_path, name, edit)
     assert cli.main(["pipeline", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{name}: field {field}" in err and err.count("\n") == 1
+    assert err.startswith(f"error: scenario {name}, stage ") and err.endswith(f": field {field}\n")
+    assert err.count("\n") == 1
 
 
 def test_field_errors_name_the_scenario_once(tmp_path, capsys):
     """A field reader already puts the scenario name in front of its message;
-    the stage prefix then names the stage without repeating the scenario."""
+    the stage prefix drops it and leads with the scenario and the stage, as
+    for every other stage error."""
     path = _bundled_variant(tmp_path, "diag-ordinary", lambda d: d["ring"].update(p="five"))
     assert cli.main(["pipeline", path]) == 2
     err = capsys.readouterr().err
-    assert err == "error: stage validate, scenario diag-ordinary: field 'ring.p' must be an integer, got 'five'\n"
+    assert err == "error: scenario diag-ordinary, stage validate: field 'ring.p' must be an integer, got 'five'\n"
     assert err.count("diag-ordinary") == 1
 
 
@@ -574,6 +577,20 @@ def test_torsion_h_levels_exit_two(j):
     code, err = _run_quietly(doc)
     assert code == 2 and err.count("\n") == 1
     assert ("h.j must be >= 1" if j < 1 else "algebra is not free over the base") in err
+
+
+@pytest.mark.parametrize("kind,field,value,rule", [
+    ("branch", "m", 0, "branch meeting order h.m must be >= 1"),
+    ("branch", "m", -3, "branch meeting order h.m must be >= 1"),
+    ("axes", "s", 0, "axis count h.s must be >= 2"),
+    ("axes", "s", 1, "axis count h.s must be >= 2"),
+])
+def test_small_branch_and_axes_h_levels_name_their_field(kind, field, value, rule):
+    """A branch meeting order below 1 and an axis count below 2 are refused
+    with the field and its value named, as h.j is: exit 2, one line."""
+    doc = json.loads(json.dumps(scenarios.BUILTIN["plane-tower-r2"]))
+    doc["h"] = {"kind": kind, field: value}
+    assert _run_quietly(doc) == (2, f"error: scenario plane-tower-r2, stage build: {rule}, got {value}\n")
 
 
 def test_axes_tower_past_the_minor_budget_exits_three():

@@ -56,7 +56,7 @@ def _ref_raise_first(checks):
 def _ref_reassembles(g, xs, x11, x12, x21, x22):
     """Per row: x11 e1 + x12 + x21 + x22 e2 == xs, corners as base scalars."""
     al = g.algebra
-    corners = al.mul(al.scalar(x11), g.e1) + al.mul(al.scalar(x22), g.e2)
+    corners = al.mul(al.scalar(x11), g.e1) + al.mul(al.scalar(x22), oracles.peirce(g)[0])
     return ((corners + x12 + x21) % al.char == xs).all(axis=1)
 
 
@@ -67,7 +67,8 @@ def _ref_verify_gma(g):
     if al.k * al.n != logs:
         raise InvariantViolation("Peirce pieces do not fill the algebra")
     eye = np.eye(al.n, dtype=np.int64)
-    phi1, phi2, x12, x21 = g.phi1, g.phi2, g.p12, g.p21
+    phi1, phi2 = g.phi1, g.phi2
+    _, x12, x21 = oracles.peirce(g)
     tx, tx2 = ((g.phi1_of(y) + (y @ g.phi2) % g.base.char) % a.char for y in (eye, al.mul(eye, eye)))
     want = (pow(2, -1, a.char) * (a.mul(tx, tx) - tx2)) % a.char
     got = (a.mul(phi1, phi2) - g.phi1_of(al.mul(x12, x21))) % a.char
@@ -115,7 +116,7 @@ def ref_gma_structure(algebra, ch, e1):
     swap, ok = span2.solve(al.mul_outer(c_basis, b_basis).transpose(1, 0, 2))
     if not ok.all() or not np.array_equal(swap, m_table):
         raise InvariantViolation("pairing is not symmetric across the corners")
-    g = gma.GmaAlgebra(al, ch, e1, e2, phi1, phi2, b_basis, c_basis, m_table, p12, p21)
+    g = gma.GmaAlgebra(al, ch, e1, phi1, phi2, b_basis, c_basis, m_table)
     _ref_verify_gma(g)
     return g
 
@@ -165,7 +166,7 @@ def ref_j_r_is_zero(g, kappa):
     ch = g.ch
     al, a, grp = ch.algebra, ch.base, ch.psr.group
     dp, ip = list(grp.dp), list(grp.ip)
-    off = (ch.rho_mat[dp] @ g.p12) % al.char
+    off = (ch.rho_mat[dp] @ oracles.peirce(g)[1]) % al.char
     kinv = np.array([kappa.inv_value(h) for h in ip], dtype=np.int64).reshape(len(ip), a.n)
     corner = al.amul((g.phi1_of(ch.rho_mat[ip]) - kinv) % a.char, g.e1)
     gens = np.vstack([off, corner])
@@ -364,6 +365,7 @@ def _provocations():
     """(message, ch, row) where `ref_gma_decompose(ch, row)` must raise message."""
     ch, e, g = _s3_candidate()
     al, c = ch.algebra, ch.algebra.char
+    e2, p12, _ = oracles.peirce(g)
     yield "e1 is not idempotent", ch, al.smul(2, e)
     yield "corner idempotent must have unit trace", ch, al.one
     # a unit shifted by b in B: 1 - e1 keeps trace 1 but meets e1
@@ -371,13 +373,13 @@ def _provocations():
     yield ("corner does not reduce to base scalars", *_m3_corner_case())
     # a unit shifted by e2 and a trace halved on corner 2: both corners
     # still follow their rule, but the two pairings differ by a factor 2
-    half = _with_one(ch, al.one + g.e2)
+    half = _with_one(ch, al.one + e2)
     half = dataclasses.replace(half, t_matrix=(g.phi1 + pow(2, -1, c) * g.phi2) % c)
     yield "pairing is not symmetric across the corners", half, e
     yield ("Peirce pieces do not fill the algebra", *_unfilled_case())
     # a trace moved off the corners, by the first coordinate of e1 x e2: the
     # determinant it induces changes
-    moved = dataclasses.replace(ch, t_matrix=(ch.t_matrix + g.p12[:, :1]) % c)
+    moved = dataclasses.replace(ch, t_matrix=(ch.t_matrix + p12[:, :1]) % c)
     yield "corner determinant disagrees with the descended one", moved, e
     # the same trace with the determinant kept: only the trace split fails
     kept = dataclasses.replace(moved)

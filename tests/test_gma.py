@@ -125,7 +125,7 @@ def test_s3_quotient_is_full_matrix_algebra():
     g = gma.gma_decompose(ch, res["e1"])
     # basis (e1, b, m^-1 c, e2) must reproduce the 2x2 structure constants
     m00 = g.m_table[0, 0]
-    basis = np.stack([g.e1, g.b_basis[0], ch.algebra.amul(F7.inv(m00), g.c_basis[0]), g.e2])
+    basis = np.stack([g.e1, g.b_basis[0], ch.algebra.amul(F7.inv(m00), g.c_basis[0]), oracles.peirce(g)[0]])
     mat = algebras.matrix_algebra(F7, 2)
     for i in range(4):
         for j in range(4):
@@ -383,12 +383,13 @@ def test_decompose_reproduces_trace_and_determinant():
         ch = gma.ch_quotient(psr)
         res = gma.lift_idempotents(ch)
         g = gma.gma_decompose(ch, res["e1"])
+        _, p12, p21 = oracles.peirce(g)
         eye = np.eye(ch.nbar, dtype=np.int64)
         for i in range(ch.nbar):
             tsum = (g.phi1_of(eye[i]) + (eye[i] @ g.phi2) % g.base.char) % ch.base.char
             assert np.array_equal(tsum, ch.t_el(eye[i]))
-            x12 = (eye[i] @ g.p12) % ch.algebra.char
-            x21 = (eye[i] @ g.p21) % ch.algebra.char
+            x12 = (eye[i] @ p12) % ch.algebra.char
+            x21 = (eye[i] @ p21) % ch.algebra.char
             det = (ch.base.mul(g.phi1_of(eye[i]), (eye[i] @ g.phi2) % g.base.char) - g.phi1_of(ch.algebra.mul(x12, x21))) % ch.base.char
             assert np.array_equal(det, ch.d_el(eye[i]))
 
@@ -448,9 +449,8 @@ def test_abstract_pairing_algebra_truncated_cubic():
     red = gma.reducibility_ideal(g)
     assert red["ideal"] == Ideal(T3, tvec.reshape(1, -1))
     assert red["certificate"] is None
-    vals = {(e["b_row"], e["c_row"]): e["value"] for e in red["generators"]}
-    assert vals[(0, 0)] == [0, 1, 0]
-    assert vals[(1, 1)] == [0, 0, 0]
+    assert g.m_table[0, 0].tolist() == [0, 1, 0]
+    assert g.m_table[1, 1].tolist() == [0, 0, 0]
 
 
 def test_abstract_pairing_algebra_has_no_group_coordinates():
@@ -550,8 +550,7 @@ def test_reducibility_ideal_intermediate_for_deformed_dihedral():
     assert not red["ideal"].is_zero()
     assert not red["ideal"].is_unit_ideal()
     assert red["certificate"]["split"] and not red["certificate"]["trivial"]
-    gens = {(e["b_row"], e["c_row"]): e["value"] for e in red["generators"]}
-    assert gens[(0, 0)] == [0, 4]
+    assert g.m_table[0, 0].tolist() == [0, 4]
 
 
 # ---- subideal lattice and minimality --------------------------------
@@ -755,14 +754,15 @@ def test_deformed_dihedral_family(a, b):
 # ---- batched Peirce checks against their per-row reference -----------
 
 
-def _loop_gma_failure(g):
+def _loop_gma_failure(g, parts):
     """First failure of Peirce reassembly and the corner determinant formula,
-    one basis vector at a time."""
+    one basis vector at a time; `parts` is (e2, p12, p21)."""
     al, a = g.algebra, g.base
     inv2 = pow(2, -1, a.char)
+    e2, p12, p21 = parts
     for x in np.eye(al.n, dtype=np.int64):
-        x12, x21 = (x @ g.p12) % al.char, (x @ g.p21) % al.char
-        parts = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul((x @ g.phi2) % g.base.char, g.e2)) % al.char
+        x12, x21 = (x @ p12) % al.char, (x @ p21) % al.char
+        parts = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul((x @ g.phi2) % g.base.char, e2)) % al.char
         if not np.array_equal(parts, x):
             return "Peirce reassembly fails"
         tx, tx2 = ((g.phi1_of(y) + (y @ g.phi2) % g.base.char) % a.char for y in (x, al.mul(x, x)))
@@ -775,12 +775,14 @@ def _loop_gma_failure(g):
     return None
 
 
-def _loop_coordinate_failure(g):
-    """First failure of the `coordinate_maps` checks, one group element at a time."""
+def _loop_coordinate_failure(g, parts):
+    """First failure of the `coordinate_maps` checks, one group element at a
+    time; `parts` is (e2, p12, p21)."""
     al, a = g.algebra, g.base
+    e2, p12, p21 = parts
     for i, x in enumerate(g.ch.rho_mat):
-        x12, x21 = (x @ g.p12) % al.char, (x @ g.p21) % al.char
-        back = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul((x @ g.phi2) % g.base.char, g.e2)) % al.char
+        x12, x21 = (x @ p12) % al.char, (x @ p21) % al.char
+        back = (al.amul(g.phi1_of(x), g.e1) + x12 + x21 + al.amul((x @ g.phi2) % g.base.char, e2)) % al.char
         if not np.array_equal(back, x):
             return f"coordinates do not reassemble the image of {i}"
         if not linalg.span_contains(g.b_basis, x12, a.p, a.k):
@@ -790,9 +792,9 @@ def _loop_coordinate_failure(g):
     return None
 
 
-def _raised(fn, g):
+def _raised(fn, *args):
     try:
-        fn(g)
+        fn(*args)
     except InvariantViolation as exc:
         return str(exc)
     return None
@@ -820,15 +822,17 @@ def test_batched_peirce_checks_match_the_per_row_reference(case, edits):
     the message, and the row, that the per-row loop meets first; intact
     ones also reassemble and meet the determinant formula row by row."""
     g = _peirce_case(case)
-    fields = {name: getattr(g, name).copy() for name in ("phi1", "phi2", "p12", "p21")}
+    e2, p12, p21 = oracles.peirce(g)
+    fields = {"phi1": g.phi1.copy(), "phi2": g.phi2.copy(), "p12": p12.copy(), "p21": p21.copy()}
     for name, where, delta in edits:
         flat = fields[name].reshape(-1)
         flat[where % flat.size] = (flat[where % flat.size] + delta) % g.algebra.char
-    bad = dataclasses.replace(g, **fields)
+    bad = dataclasses.replace(g, phi1=fields["phi1"], phi2=fields["phi2"])
+    parts = (e2, fields["p12"], fields["p21"])
     if bad.ch is not None:
-        assert _raised(oracles.coordinate_maps, bad) == _loop_coordinate_failure(bad)
+        assert _raised(oracles.coordinate_maps, bad, parts) == _loop_coordinate_failure(bad, parts)
     if not edits:
-        assert _loop_gma_failure(bad) is None
+        assert _loop_gma_failure(bad, parts) is None
 
 
 # ---- stacked Cayley-Hamilton checks against their per-element reference --

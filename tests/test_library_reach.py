@@ -1,5 +1,6 @@
 """Source rule: the library ships only what a stage, a script or the
-benchmark reaches, and it never imports the tests.
+benchmark reaches, keeps no field that nothing reads, and never imports
+the tests.
 
 Every definition under `src/exalg/` must be reached from a root: each
 module-level function and class, each method and property, and each
@@ -19,6 +20,14 @@ it; every other method or property is a definition of its own, reached
 by its name.  Names match by their last component, so any attribute `.f`
 reaches every package definition named f.  The rule over-approximates
 reach: it can miss dead code, but it never flags code a root runs.
+
+Every field under `src/exalg/` must be read: each annotated field of a
+class body and each `self.x = ...` store.  A field is read when an
+attribute of its last name is loaded somewhere under `src/exalg/` or in a
+root file under `scripts/` or `perfbench/`, code strings included.  Names
+match by their last component here too, so the rule over-approximates in
+the same way: a field that only the tests read fails it.
+
 Brute-force oracles and fixtures that only the tests need live in
 `tests/oracles.py`.
 """
@@ -45,15 +54,27 @@ def _names(*trees) -> set:
     return out
 
 
-def _names_with_code_strings(tree) -> set:
-    out = _names(tree)
+def _attribute_reads(*trees) -> set:
+    """Every attribute name loaded under the nodes."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _with_code_strings(tree, collect) -> set:
+    """`collect` of the tree and of each string in it that parses as Python."""
+    out = collect(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
-                out |= _names(ast.parse(textwrap.dedent(node.value)))
+                out |= collect(ast.parse(textwrap.dedent(node.value)))
             except SyntaxError:
                 pass
     return out
+
+
+def _root_files() -> list:
+    return [ast.parse(path.read_text()) for folder in ("scripts", "perfbench")
+            for path in sorted((ROOT / folder).rglob("*.py"))]
 
 
 def _is_dunder(name: str) -> bool:
@@ -92,9 +113,8 @@ def _package():
                 continue
             elif not isinstance(node, (*DEFINITIONS, ast.Import, ast.ImportFrom)):
                 roots |= _names(node)
-    for folder in ("scripts", "perfbench"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            roots |= _names_with_code_strings(ast.parse(path.read_text()))
+    for tree in _root_files():
+        roots |= _with_code_strings(tree, _names)
     return defs, roots
 
 
@@ -128,3 +148,26 @@ def test_library_ships_only_what_a_root_reaches():
             else:
                 continue
             assert not set(heads) & test_modules, f"{path.name} imports {heads} from the tests"
+
+
+def _fields(tree, stem: str):
+    """(qualified name, last name) of every annotated field of a class body
+    and every `self.x = ...` store in the module tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield f"{stem}.{node.name}.{stmt.target.id}", stmt.target.id
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield f"{stem}:{node.lineno} self.{node.attr}", node.attr
+
+
+def test_library_keeps_no_field_that_nothing_reads():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = _attribute_reads(*trees.values())
+    for tree in _root_files():
+        reads |= _with_code_strings(tree, _attribute_reads)
+    fields = [field for stem, tree in trees.items() for field in _fields(tree, stem)]
+    assert len(fields) > 100
+    assert [qualname for qualname, name in fields if name not in reads] == []

@@ -256,7 +256,8 @@ def test_cotangent_length_from_sizes(corpus):
         want = quotient_length(t.lam, t.I)
         assert towers.cotangent_length(t.h, t.I, t.lam) == want, t.label
         assert towers.fitting_replay(t)["cotangent_length"] == want, t.label
-        assert towers.cotangent_length(t.H, t.I_H, t.lam) == quotient_length(t.lam, t.I_H), t.label
+        i_h = oracles.tower_augmentation(t)[2]
+        assert towers.cotangent_length(t.H, i_h, t.lam) == quotient_length(t.lam, i_h), t.label
 
 
 def test_min_module_rows_picks_the_same_rows(corpus, monkeypatch):

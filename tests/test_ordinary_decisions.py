@@ -113,7 +113,7 @@ def test_decision_builds_no_ideal_and_checks_every_candidate_on_one_stack(monkey
     ch2 = gma.ch_quotient(psr2)
     assert ch2.residual.split["case"] == "matrix"
     counts = {}
-    for owner in (algebras, gma, ordinary):
+    for owner in (algebras, gma):
         _counter(monkeypatch, owner, "two_sided_ideal_rows", counts, "two_sided_ideal_rows")
     _count_every_binding(monkeypatch, gma.gma_decompose, counts, "gma_decompose")
     stacks, check = [], ordinary._check_gma_stack

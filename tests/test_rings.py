@@ -647,8 +647,9 @@ def test_fiber_product_table_matches_per_pair_solves(h_spec):
     from exalg import towers
 
     t = towers.build_eisenstein_tower(rings.DvrModel(5, 1, 16), 1, h_spec)
-    a_ring, b_ring = t.aug.src, t.lam_quot.proj.src
-    ring, pr1, pr2 = rings.fiber_product(t.aug, t.lam_quot.proj)
+    lam_quot, aug, _ = oracles.tower_augmentation(t)
+    a_ring, b_ring = aug.src, lam_quot.proj.src
+    ring, pr1, pr2 = rings.fiber_product(aug, lam_quot.proj)
     assert (ring.p, ring.k) == (t.H.p, t.H.k)
     assert np.array_equal(ring.table, t.H.table) and np.array_equal(ring.one, t.H.one)
     basis, na = np.hstack([pr1.matrix, pr2.matrix]), a_ring.n

@@ -19,6 +19,7 @@ from oracles import (
     dense_hom_sides,
     dense_mul_outer,
     dense_orbit,
+    tower_augmentation,
 )
 
 from exalg import algebras, groups, rings, towers
@@ -122,7 +123,7 @@ def test_a_corrupted_map_is_not_multiplicative(r):
 def test_genuine_maps_between_sparse_rings_pass():
     lam = rings.DvrModel(5, 1, 16)
     t = towers.build_eisenstein_tower(lam, 2, {"kind": "branch", "m": 3})
-    for f in (t.pr_h, t.pr_lam, t.emb_H, t.aug, t.hlevel.pi, t.hlevel.emb):
+    for f in (t.pr_h, t.pr_lam, t.emb_H, tower_augmentation(t)[1], t.hlevel.pi, t.hlevel.emb):
         lhs, rhs = dense_hom_sides(f)
         assert np.array_equal(lhs, rhs)
         assert np.array_equal(f._image_products(), lhs)
