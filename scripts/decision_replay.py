@@ -4,13 +4,12 @@
 
 One pass of workload W (see perfbench/workloads.py, used read-only) runs
 on the `exalg` of this script's checkout with `ordinary._decide`, the
-decision that `is_ordinary_ch` and a scenario's stages share, wrapped to
-record every input: the pseudorepresentation of its Cayley-Hamilton
-quotient, with the residue map its ring carries, kappa and the budget,
+decision that a scenario's stages read, wrapped to record every input:
+the pseudorepresentation of its Cayley-Hamilton quotient, with the residue map its ring carries, kappa and the budget,
 as plain arrays.  Each input is rebuilt in this checkout's `exalg` and
 in that of PARENT_CHECKOUT (another checkout of the repository, loaded
 under a separate package name); there its quotient and residual are
-derived untimed, and `is_ordinary_ch` decides it.  Any difference in
+derived untimed, and `ordinary._decide` decides it.  Any difference in
 the result, or in the type and message of an error, is printed and makes
 the exit status 1, as does a pass with psrep units that records no
 decision.  The best-of-N time of all
@@ -105,7 +104,7 @@ def capture(workload: str, seed: int) -> tuple[list[dict], int]:
 def decide(pkg, ch, kappa, budget):
     """The decision, or the type and message of the error it raises."""
     try:
-        return pkg.ordinary.is_ordinary_ch(ch, kappa, budget)
+        return pkg.ordinary._decide(ch, kappa, budget)[0]
     except Exception as e:
         if type(e).__name__ not in ERRORS:
             raise

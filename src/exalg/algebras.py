@@ -57,7 +57,8 @@ class AssocAlgebra(FiniteRing):
     def check_algebra(self) -> None:
         """The unit on every basis element, associativity, and the base as a
         central unital subring; the unit and centrality each on one stack,
-        naming the first failing index."""
+        naming the first failing index.  No constructor calls it; the tests
+        do, and perfbench's tracer wraps it by name."""
         n = self.n
         if n == 0:
             return
@@ -108,7 +109,8 @@ def group_algebra(base: FiniteRing, group, name: str | None = None) -> AssocAlge
 
 
 def matrix_algebra(base: FiniteRing, size: int, name: str | None = None) -> AssocAlgebra:
-    """size x size matrices over the base, basis E_ij x (base basis)."""
+    """size x size matrices over the base, basis E_ij x (base basis).  Only
+    the tests and `perfbench/tests` build one."""
     e = base.n
     n = size * size * e
 

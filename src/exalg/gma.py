@@ -302,47 +302,28 @@ def _residual_targets(res: Residual, chis, budget: int) -> tuple[list, str]:
     return targets, ""
 
 
-def lift_idempotents(ch: ChAlgebra, budget: int = 400000) -> dict:
-    """Complementary trace-1 idempotents e1, e2 = 1 - e1 of the quotient.
+def lift_idempotents(ch: ChAlgebra, budget: int) -> np.ndarray:
+    """A trace-1 idempotent e1 of the quotient, its partner e2 = 1 - e1.
 
     Works over a local base.  The residual algebra either splits as two
     characters or is a matrix residual; in both cases a trace-1 idempotent
     is found there (the first residual character's, or the first of a
     matrix residual) and lifted with the Newton step e <- 3e^2 - 2e^3.  The
-    partner 1 - e1 is then idempotent and orthogonal for free.  Equal
-    residual characters leave nothing to separate: unsupported flag.
+    partner 1 - e1 is then idempotent and orthogonal for free, and
+    `gma_decompose` checks the unit traces of both.  Equal residual
+    characters, or a zero algebra, leave nothing to lift: InputError.
     """
-    a = ch.base
-    if not a.is_local:
+    if not ch.base.is_local:
         raise InputError("idempotent lifting expects a local base")
     if ch.nbar == 0:
-        return {"supported": False, "reason": "algebra collapsed to zero", "e1": None, "e2": None}
-    res = ch.residual
-    chis, source = None, "matrix-residual"
-    if res.split["case"] == "split":
-        chis, source = res.split["chars"][:1], "split-characters"
-    targets, reason = _residual_targets(res, chis, budget)
+        reason = "algebra collapsed to zero"
+    else:
+        res = ch.residual
+        chis = res.split["chars"][:1] if res.split["case"] == "split" else None
+        targets, reason = _residual_targets(res, chis, budget)
     if reason:
-        return {
-            "supported": False,
-            "reason": reason,
-            "e1": None,
-            "e2": None,
-            "residual": res.split,
-        }
-    e1, iters = _newton_lift(ch, targets[0])
-    e2 = ch.algebra.sub(ch.algebra.one, e1)
-    if not np.array_equal(ch.t_el(e1), a.one) or not np.array_equal(ch.t_el(e2), a.one):
-        raise InvariantViolation("lifted idempotents do not have unit trace")
-    return {
-        "supported": True,
-        "reason": "",
-        "e1": e1,
-        "e2": e2,
-        "source": source,
-        "iterations": iters,
-        "residual": res.split,
-    }
+        raise InputError(f"idempotent lifting unsupported: {reason}")
+    return _newton_lift(ch, targets[0])[0]
 
 
 def _newton_lift(ch: ChAlgebra, targets):
@@ -484,19 +465,19 @@ def _raise_first(checks) -> None:
 # ---- reducibility ---------------------------------------------------
 
 
-def reducibility_ideal(gma: GmaAlgebra) -> dict:
+def reducibility_ideal(gma: GmaAlgebra, budget: int) -> dict:
     """Ideal generated by the pairing values, with a split certificate mod it.
 
     For pseudorep-backed instances the trace must become a sum of two
     characters over the quotient by this ideal; that certificate is
-    computed, not assumed.
+    computed, not assumed, by `split_as_characters` within `budget`.
     """
     a = gma.base
     ideal = Ideal(a, gma.m_table.reshape(-1, a.n))
     q = quotient_ring(a, ideal, name=f"{a.name}/red")
     cert = None
     if gma.ch is not None:
-        cert = split_as_characters(psrep_base_change(gma.ch.psr, q.proj))
+        cert = split_as_characters(psrep_base_change(gma.ch.psr, q.proj), budget)
         if not cert["split"]:
             raise InvariantViolation("trace fails to split modulo the reducibility ideal")
     return {

@@ -77,14 +77,6 @@ class MarkedGroup:
     def inv(self, a: int) -> int:
         return int(self._inv[a])
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out = self.identity
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
-
     def order_of(self, a: int) -> int:
         out, o = a, 1
         while out != self.identity:

@@ -10,8 +10,7 @@ A `FactoredSpan` is a row span factored once: its Howell form H, the
 transform U with U @ rows = H (from `howell_with_transform`) and the pivot
 of each row of H.  Its `reduce`, `contains` and `solve` answer a batch of
 vectors in one pass over the pivots, and its left kernel is computed only
-on request; `solve_left`, `span_contains` and `reduce_by_howell` are their
-one-vector forms.
+on request.
 
 The engine behind both Howell entry points clears each pivot column with
 one update of every other row holding a multiple of the pivot there,
@@ -75,11 +74,9 @@ __all__ = [
     "howell_with_transform",
     "kernel",
     "kernel_mod",
-    "solve_left",
     "span_contains",
     "span_equal",
     "span_log_size",
-    "reduce_by_howell",
     "pivot_info",
 ]
 
@@ -322,11 +319,6 @@ def pivot_info(h: np.ndarray, p: int, k: int) -> dict[int, int]:
     return {c: _val(piv, p, k) for _, c, piv in FactoredSpan(h, p, k).pivots}
 
 
-def reduce_by_howell(h: np.ndarray, vec, p: int, k: int):
-    """Reduce `vec` against a Howell-form matrix; see FactoredSpan.reduce."""
-    return FactoredSpan(h, p, k).reduce(vec)
-
-
 def span_contains(h: np.ndarray, vec, p: int, k: int) -> bool:
     return bool(FactoredSpan(h, p, k).contains(vec))
 
@@ -339,8 +331,3 @@ def span_log_size(h: np.ndarray, p: int, k: int) -> int:
     """log_p of the number of elements in the row span (h in Howell form)."""
     return sum(k - v for v in pivot_info(h, p, k).values())
 
-
-def solve_left(mat, rhs, p: int, k: int):
-    """Solve x @ mat = rhs over Z/p^k; return one solution or None."""
-    x, ok = FactoredSpan.factor(mat, p, k).solve(rhs)
-    return x if ok else None

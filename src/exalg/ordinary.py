@@ -32,7 +32,7 @@ it, so J* is closed once.  E_ord's `quot` is the projection from E.  When
 J_R is the unit ideal the quotient collapses and no E_ord is built.
 
 A pseudorepresentation is ordinary precisely when J_R = 0 for some
-kappa-compatible choice of idempotent, and that is what `is_ordinary_ch`
+kappa-compatible choice of idempotent, and that is what `_decide`
 decides (searching over residual idempotents in the matrix-residual
 case).  It checks kappa once and reads the residual the algebra derived
 once, as do the corner alignment and the idempotent lift.  It evaluates
@@ -46,7 +46,6 @@ Its winner, else its first candidate, is a scenario's one idempotent:
 `_decide` returns its checked row with the verdict, and the scenario's
 GMA is read off that row (`gma._read_gma`), so a reported R^ord is built
 from the GMA the verdict found, and that row is checked once.
-`is_ordinary_ch` reads no GMA off it.
 """
 
 from __future__ import annotations
@@ -64,10 +63,8 @@ from .gma import (
     _newton_lift,
     _residual_targets,
     ch_base_change,
-    ch_quotient,
 )
 from .groups import GroupChar
-from .psrep import Pseudorep2
 from .rings import Ideal, QuotientRing, quotient_ring
 
 __all__ = [
@@ -76,8 +73,6 @@ __all__ = [
     "is_ordinary_rep",
     "OrdinaryQuotient",
     "ordinary_quotient",
-    "is_ordinary_psrep",
-    "is_ordinary_ch",
 ]
 
 
@@ -243,19 +238,12 @@ def ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -> Ordinary
 # ---- deciding ordinarity for a pseudorepresentation ------------------
 
 
-def _require_decidable(psr: Pseudorep2) -> None:
-    if not psr.ring.is_local or psr.ring.n == 0:
-        raise InputError("ordinarity decision expects a local base")
-
-
-def is_ordinary_psrep(psr: Pseudorep2, kappa: GroupChar, budget: int = 400000) -> dict:
-    """`is_ordinary_ch` on the Cayley-Hamilton quotient of `psr`."""
-    _require_decidable(psr)
-    return is_ordinary_ch(ch_quotient(psr), kappa, budget)
-
-
-def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dict:
-    """Does the Cayley-Hamilton quotient admit an ordinary GMA structure?
+def _decide(ch: ChAlgebra, kappa: GroupChar, budget: int):
+    """(result, row): does the Cayley-Hamilton quotient admit an ordinary
+    GMA structure?  `row` is the row (e12, phi, peirce) of the stacked
+    check for the winning candidate, else for the first candidate tried,
+    from which `gma._read_gma` reads its GmaAlgebra; None when the
+    decision lifts no candidate.
 
     True iff J_R = 0 for some choice of trace-1 idempotent whose corner is
     kappa-compatible.  With a split residual the candidates are the lifts
@@ -274,15 +262,8 @@ def is_ordinary_ch(ch: ChAlgebra, kappa: GroupChar, budget: int = 400000) -> dic
     `gma` module docstring, and the witness alignment is read off the
     winner's corner coordinates there.
     """
-    return _decide(ch, kappa, budget)[0]
-
-
-def _decide(ch: ChAlgebra, kappa: GroupChar, budget: int):
-    """(`is_ordinary_ch` result, row): the row (e12, phi, peirce) of the
-    stacked check for the winning candidate, else for the first candidate
-    tried, from which `gma._read_gma` reads its GmaAlgebra; None when the
-    decision lifts no candidate."""
-    _require_decidable(ch.psr)
+    if not ch.base.is_local or ch.base.n == 0:
+        raise InputError("ordinarity decision expects a local base")
     _check_kappa(ch, kappa)
     res = ch.residual
     case = res.split["case"]

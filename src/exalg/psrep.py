@@ -38,9 +38,6 @@ __all__ = [
     "validate_pseudorep",
     "psrep_from_chars",
     "psrep_base_change",
-    "MatrixRep2",
-    "psi_of_rep",
-    "rep_from_chars",
     "extended_forms",
     "residual_split",
     "split_as_characters",
@@ -164,96 +161,6 @@ def psrep_base_change(psr: Pseudorep2, f: RingMap, name: str | None = None) -> P
     t = np.array([f(psr.t[g]) for g in psr.group.elements()])
     d = np.array([f(psr.d[g]) for g in psr.group.elements()])
     return Pseudorep2(psr.group, f.dst, t, d, name=name or psr.name)
-
-
-# ---- honest matrix representations ----------------------------------
-
-
-class MatrixRep2:
-    """A true 2-dimensional representation, stored as (m, 2, 2, n) images."""
-
-    def __init__(self, group: MarkedGroup, ring: FiniteRing, images, name: str = "rho"):
-        self.group, self.ring, self.name = group, ring, name
-        self.images = np.asarray(images, dtype=np.int64).reshape(group.m, 2, 2, ring.n) % ring.char
-
-    def of(self, g: int) -> np.ndarray:
-        return self.images[g]
-
-    def matmul(self, a, b) -> np.ndarray:
-        # the products a[i, l] b[l, j] as one (i, l, j) stack, summed over l
-        return self.ring.mul(a[:, :, None], b[None]).sum(axis=1) % self.ring.char
-
-    def trace(self, mat) -> np.ndarray:
-        return self.ring.add(mat[0, 0], mat[1, 1])
-
-    def det(self, mat) -> np.ndarray:
-        r = self.ring
-        return r.sub(r.mul(mat[0, 0], mat[1, 1]), r.mul(mat[0, 1], mat[1, 0]))
-
-    @staticmethod
-    def from_generators(group: MarkedGroup, ring: FiniteRing, gen_images: dict, name="rho"):
-        """Fill the whole group by products, checking consistency along the way."""
-        gens = {int(g): np.asarray(mat, dtype=np.int64).reshape(2, 2, ring.n) % ring.char
-                for g, mat in gen_images.items()}
-        rep = MatrixRep2(group, ring, np.zeros((group.m, 2, 2, ring.n)), name=name)
-        order = sorted(gens)
-        images = _multiplicative_fill(group, order, [gens[g] for g in order], MatrixRep2._eye(ring), rep.matmul)
-        if images is None:
-            raise InvariantViolation("inconsistent generator images")
-        if len(images) != group.m:
-            raise InputError("generator images do not generate the group")
-        rep.images = np.array([images[g] for g in range(group.m)])
-        rep.check()
-        return rep
-
-    @staticmethod
-    def _eye(ring: FiniteRing) -> np.ndarray:
-        out = np.zeros((2, 2, ring.n), dtype=np.int64)
-        out[0, 0] = ring.one
-        out[1, 1] = ring.one
-        return out
-
-    def check(self) -> None:
-        """The identity maps to 1, every image is invertible and rho(g) rho(h)
-        = rho(gh); raises at the first failure in element order, g before
-        its pairs (g, h).
-
-        All |G|^2 products are formed as one stack.  Where rho(g) rho(g^-1)
-        = rho(1) = 1 holds, det rho(g) is a unit, so `is_unit` runs only on
-        the first row with a failing pair, and only when (g, g^-1) fails.
-        """
-        grp, r, m = self.group, self.ring, self.group.m
-        if not np.array_equal(self.images[grp.identity], self._eye(r)):
-            raise InvariantViolation("identity image is not the identity matrix")
-        # entry products x[g, i, l] * x[h, l', j]; the matrix product keeps l = l'
-        prods = r.mul_outer(self.images.reshape(4 * m, r.n), self.images.reshape(4 * m, r.n))
-        prods = prods.reshape(m, 2, 2, m, 2, 2, r.n)
-        got = (prods[:, :, 0, :, 0] + prods[:, :, 1, :, 1]) % r.char  # (g, i, h, j)
-        ok = (got.transpose(0, 2, 1, 3, 4) == self.images[grp.table]).all(axis=(2, 3, 4))
-        if ok.all():
-            return
-        g = int(np.argmax(~ok.all(axis=1)))
-        if not ok[g, grp.inv(g)] and not r.is_unit(self.det(self.images[g])):
-            raise InvariantViolation(f"image of {g} is not invertible")
-        raise InvariantViolation(f"multiplicativity fails at ({g},{int(np.argmin(ok[g]))})")
-
-
-def psi_of_rep(rep: MatrixRep2, name: str | None = None) -> Pseudorep2:
-    """Trace and determinant of an honest representation."""
-    t = np.array([rep.trace(rep.images[g]) for g in rep.group.elements()])
-    d = np.array([rep.det(rep.images[g]) for g in rep.group.elements()])
-    return Pseudorep2(rep.group, rep.ring, t, d, name=name or f"psi({rep.name})")
-
-
-def rep_from_chars(chi1: GroupChar, chi2: GroupChar, name: str = "diag") -> MatrixRep2:
-    grp, r = chi1.group, chi1.ring
-    images = np.zeros((grp.m, 2, 2, r.n), dtype=np.int64)
-    for g in grp.elements():
-        images[g, 0, 0] = chi1(g)
-        images[g, 1, 1] = chi2(g)
-    rep = MatrixRep2(grp, r, images, name=name)
-    rep.check()
-    return rep
 
 
 # ---- extension to the group algebra ---------------------------------
@@ -425,7 +332,7 @@ def residual_split(psr: Pseudorep2) -> dict:
     return {"split": True, "unsupported": False, "reason": "", "chars": chars, "case": case}
 
 
-def split_as_characters(psr: Pseudorep2, budget: int = 200000) -> dict:
+def split_as_characters(psr: Pseudorep2, budget: int) -> dict:
     """Try to write (t, d) as chi1 + chi2 over any commutative coefficient ring.
 
     Candidate chi1 values at each generator are the roots of x^2 - t x + d

@@ -24,13 +24,12 @@ every local ring they build:
   m_A exactly when b is in m_B, for (a, b) in P, so rad(P) = ker(P -> A
   -> k) and rho_P = pr_A . rho_A.  A local alone is not enough: with
   B = C x D, P is A x D.
-- A x 0 and A x_0 0 are A, 0 x B and 0 x_0 B are B: the nonzero factor's rho.
-The other rings the constructors build are not local, and carry none:
-- `product_ring` of two nonzero rings holds the idempotent (1, 0), and a
-  local ring has no idempotents but 0 and 1.
-- `fiber_product` with a nonzero factor that is not local maps onto it,
-  and a nonzero quotient of a local ring is local; over C = 0, with two
-  nonzero factors, it is A x B.
+- A x_0 0 is A and 0 x_0 B is B: the nonzero factor's rho.
+The other rings the constructors build are not local, and carry none.  A
+`fiber_product` with a nonzero factor that is not local maps onto it, and
+a nonzero quotient of a local ring is local.  Over C = 0, with two nonzero
+factors, it is A x B, which holds the idempotent (1, 0), and a local ring
+has no idempotents but 0 and 1.
 A ring built from a table, and a quotient of a ring without rho (even a
 local one, such as a factor of a product), carry none either: no stage
 builds one, and `radical_rows` and `maximal_ideal` refuse it as not local.
@@ -149,7 +148,6 @@ __all__ = [
     "zmod_ring",
     "field_ring",
     "truncated_poly_ring",
-    "product_ring",
     "quotient_ring",
     "fiber_product",
     "embedding_dimension",
@@ -696,14 +694,6 @@ class Ideal:
         prods = r.mul_outer(self.basis, other.basis).reshape(-1, r.n)
         return Ideal.from_basis(r, linalg.howell_form(prods, r.p, r.k, ncols=r.n))
 
-    def power(self, e: int) -> "Ideal":
-        if e < 1:
-            raise InputError("power must be >= 1")
-        out = self
-        for _ in range(e - 1):
-            out = out.mul_ideal(self)
-        return out
-
     def annihilator(self) -> "Ideal":
         """{r : r * x = 0 for all x in the ideal}, computed once per ideal."""
         return self._annihilator
@@ -802,7 +792,7 @@ class RingMap:
 
 @dataclass(eq=False)
 class QuotientRing:
-    """R/I with its projection and a section of it: lift(c) = c @ lift_matrix.
+    """R/I with its projection and a section of it, c -> c @ lift_matrix.
 
     `quotient_algebra` returns the same bundle for algebras.
     """
@@ -810,10 +800,6 @@ class QuotientRing:
     ring: FiniteRing
     proj: RingMap
     lift_matrix: np.ndarray
-
-    def lift(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=np.int64) % self.ring.char
-        return (c @ self.lift_matrix) % self.proj.src.char
 
 
 def _smith_coordinates(p, k, n, rel_h):
@@ -1030,21 +1016,6 @@ def truncated_poly_ring(base: FiniteRing, trunc: int, name: str | None = None) -
     ring = FiniteRing(base.p, base.k, table, one, name=name or f"{base.name}[t]/t^{trunc}")
     if base._residue_map is not None:  # the base's rho on the constant block (module docstring)
         ring._residue_map = np.pad(base._residue_map, ((0, n - e), (0, 0)))
-    return ring
-
-
-def product_ring(a: FiniteRing, b: FiniteRing, name: str | None = None) -> FiniteRing:
-    if a.p != b.p or a.k != b.k:
-        raise InputError("product factors must share Z/p^k")
-    n = a.n + b.n
-    table = np.zeros((n, n, n), dtype=np.int64)
-    table[: a.n, : a.n, : a.n] = a.table
-    table[a.n :, a.n :, a.n :] = b.table
-    one = np.concatenate([a.one, b.one])
-    ring = FiniteRing(a.p, a.k, table, one, name=name or f"{a.name}x{b.name}")
-    nonzero = [r for r in (a, b) if r.n]
-    if len(nonzero) == 1:  # A x 0 is A and 0 x B is B, in their own coordinates
-        ring._residue_map = nonzero[0]._residue_map
     return ring
 
 

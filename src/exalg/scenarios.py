@@ -127,43 +127,28 @@ def _build_char(spec, grp, ring, name="chi"):
     raise InputError(f"unknown character kind {kind!r}")
 
 
-def _s3_standard(grp, ring):
-    rot = np.zeros((2, 2, ring.n), dtype=np.int64)
-    rot[0, 1] = (-ring.one) % ring.char
-    rot[1, 0] = ring.one
-    rot[1, 1] = (-ring.one) % ring.char
-    swap = np.zeros((2, 2, ring.n), dtype=np.int64)
-    swap[0, 1] = ring.one
-    swap[1, 0] = ring.one
-    return psrep.MatrixRep2.from_generators(grp, ring, {1: rot, 3: swap}, name="std")
-
-
-def _unipotent_conjugate(rep: psrep.MatrixRep2) -> psrep.MatrixRep2:
-    """Conjugate by [[1,1],[0,1]]: a triangular model of the same trace."""
-    ring = rep.ring
-    p = np.zeros((2, 2, ring.n), dtype=np.int64)
-    p[0, 0] = p[0, 1] = p[1, 1] = ring.one
-    pinv = p.copy()
-    pinv[0, 1] = (-ring.one) % ring.char
-    images = np.stack([rep.matmul(p, rep.matmul(rep.of(g), pinv)) for g in range(rep.group.m)])
-    return psrep.MatrixRep2(rep.group, ring, images, name=f"{rep.name}^u")
+def _s3_standard(grp, ring) -> psrep.Pseudorep2:
+    """(t, d) of the standard representation of S3, all a psrep keeps of it:
+    t is 2 at 1, -1 on the 3-cycles 1, 2 and 0 on the transpositions 3, 4, 5
+    of `groups.symmetric_3`, whose table the group must have; d is the sign."""
+    if not np.array_equal(grp.table, groups.symmetric_3().table):
+        raise InputError("s3_standard needs the symmetric group on 3 letters")
+    t = np.array([2, -1, -1, 0, 0, 0])[:, None] * ring.one
+    d = np.array([1, 1, 1, -1, -1, -1])[:, None] * ring.one
+    return psrep.Pseudorep2(grp, ring, t, d, name="s3std")
 
 
 def _build_psrep(spec: dict, grp, ring):
+    """The psrep of `spec`.  "triangular" names diag(chi1, chi2) conjugated
+    by a unipotent, which keeps the trace and the determinant, so as a
+    psrep it is chi1 + chi2, as "char_pair" is."""
     kind = spec.get("kind")
-    if kind == "char_pair":
+    if kind in ("char_pair", "triangular"):
         chi1 = _build_char(object_field(spec, "chi1"), grp, ring, name="chi1")
         chi2 = _build_char(object_field(spec, "chi2"), grp, ring, name="chi2")
-        return psrep.psrep_from_chars(chi1, chi2)
-    if kind == "triangular":
-        chi1 = _build_char(object_field(spec, "chi1"), grp, ring, name="chi1")
-        chi2 = _build_char(object_field(spec, "chi2"), grp, ring, name="chi2")
-        rep = _unipotent_conjugate(psrep.rep_from_chars(chi1, chi2))
-        return psrep.psi_of_rep(rep, name="tri")
+        return psrep.psrep_from_chars(chi1, chi2, name="psr" if kind == "char_pair" else "tri")
     if kind == "s3_standard":
-        if grp.m != 6:
-            raise InputError("s3_standard needs the symmetric group on 3 letters")
-        return psrep.psi_of_rep(_s3_standard(grp, ring), name="s3std")
+        return _s3_standard(grp, ring)
     raise InputError(f"unknown psrep kind {kind!r}")
 
 
@@ -214,10 +199,7 @@ class _State:
         row = None if self.kappa is None else self.decision[1]
         if row is not None:
             return gma_mod._read_gma(ch, *row)
-        res = gma_mod.lift_idempotents(ch, budget=self.sc.budget)
-        if not res["supported"]:
-            raise InputError(f"idempotent lifting unsupported: {res['reason']}")
-        return gma_mod.gma_decompose(ch, res["e1"])
+        return gma_mod.gma_decompose(ch, gma_mod.lift_idempotents(ch, self.sc.budget))
 
     # tower chain
     @cached_property
@@ -256,7 +238,7 @@ def _stage_gma(st: _State) -> dict:
 
 
 def _stage_reducibility(st: _State) -> dict:
-    red = gma_mod.reducibility_ideal(st.gma)
+    red = gma_mod.reducibility_ideal(st.gma, st.sc.budget)
     ideal = red["ideal"]
     cert = red["certificate"]
     return {

@@ -96,7 +96,6 @@ from .rings import (
     embedding_dimension,
     fiber_product,
     gorenstein_test,
-    product_ring,
     quotient_ring,
 )
 from .serialize import int_field
@@ -556,9 +555,11 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
     h_spec kinds: "plane" (h is the base), "branch" (two copies meeting
     to order m), "axes" (s copies glued at the origin), "mod" (base/t^j
     for j >= 1: torsion, so refused as not free before anything is
-    built).  r = 0 is the degenerate gluing over the zero ring and comes
-    back flagged.  The paper's claims on the tower are verified before it
-    is returned (`_verify_tower`).
+    built).  r = 0 glues over the zero ring through `fiber_product`, as
+    every r does: a fibre product over C = 0 is h x base, which is not
+    local and so carries no residue map, and that tower comes back
+    flagged.  The paper's claims on the tower are verified before it is
+    returned (`_verify_tower`).
 
     emb_H is not checked as a homomorphism: the exact solve gives
     (pr_h, pr_lam) emb_H = (emb_h, id), where (pr_h, pr_lam) is injective,
@@ -577,12 +578,7 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
         raise InvariantViolation("augmentation to the base quotient is not surjective")
     xi = lam.t(r)
     nh, nl = hring.n, lam.ring.n
-    if r == 0:
-        H = product_ring(hring, lam.ring, name=f"H({label})")
-        pr_h = RingMap(H, hring, np.vstack([np.eye(nh, dtype=np.int64), np.zeros((nl, nh), dtype=np.int64)]), name="pr1")
-        pr_lam = RingMap(H, lam.ring, np.vstack([np.zeros((nh, nl), dtype=np.int64), np.eye(nl, dtype=np.int64)]), name="pr2")
-    else:
-        H, pr_h, pr_lam = fiber_product(aug, lam_quot.proj, name=f"H({label})")
+    H, pr_h, pr_lam = fiber_product(aug, lam_quot.proj, name=f"H({label})")
     # one factorization of the (pr_h, pr_lam) coordinates serves the nl
     # diagonal images of the base and the lift of (0, xi)
     span = linalg.FactoredSpan.factor(np.hstack([pr_h.matrix, pr_lam.matrix]), H.p, H.k)

@@ -12,10 +12,11 @@ a test:
 - `rings.fiber_product`: `check_ring` on the ring, `check_hom` on both
   projections, and the local structure as for a quotient;
 - `rings.zmod_ring`, `rings.field_ring`, `rings.truncated_poly_ring`,
-  `rings.product_ring`, the branch and axes h-levels (`towers._adjoin_x`,
-  `towers.axis_algebra`) and the local rings the tests build by hand
-  (`oracles.local_ring`), which carry a residue map from their
-  construction or none: the local structure as for a quotient;
+  the branch and axes h-levels (`towers._adjoin_x`,
+  `towers.axis_algebra`) and the rings the tests build by hand
+  (`oracles.local_ring`, `oracles.product_ring`), which carry a residue
+  map from their construction or none: the local structure as for a
+  quotient;
 - `gma.ChAlgebra.residual` over a field base, the algebra itself through
   identity quotients: against `ch_base_change` along the identity, which
   must give the same table, group images, trace and residual split with
@@ -209,8 +210,8 @@ CHECKS = {
     (rings, "zmod_ring"): _check_local_data,
     (rings, "field_ring"): _check_local_data,
     (rings, "truncated_poly_ring"): _check_local_data,
-    (rings, "product_ring"): _check_local_data,
     (oracles, "local_ring"): _check_local_data,
+    (oracles, "product_ring"): _check_local_data,
     (towers, "_adjoin_x"): lambda out, *_, **__: _check_local_data(out[0]),
     (towers, "axis_algebra"): lambda aug, *_, **__: _check_local_data(aug.ring),
     (gma.ChAlgebra, "residual"): _check_residual,

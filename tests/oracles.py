@@ -22,19 +22,34 @@ import numpy as np
 from exalg import linalg, ordinary
 from exalg.algebras import AssocAlgebra, quotient_algebra, two_sided_ideal_rows
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
-from exalg.gma import GmaAlgebra, _raise_first, gma_decompose, reducibility_ideal
+from exalg.gma import (
+    GmaAlgebra,
+    _newton_lift,
+    _raise_first,
+    _residual_targets,
+    ch_quotient,
+    gma_decompose,
+    reducibility_ideal,
+)
 from exalg.groups import GroupChar, MarkedGroup, _require_order
 from exalg.linalg import howell_form, span_equal
 from exalg.modules import maximal_multiples
 from exalg.ordinary import (
     OrdinaryContext,
+    _decide,
     _relation_stack,
     _relations,
     _trace_rows,
-    is_ordinary_psrep,
     ordinary_quotient,
 )
-from exalg.psrep import Pseudorep2, TraceForms, psrep_base_change, split_as_characters, validate_pseudorep
+from exalg.psrep import (
+    Pseudorep2,
+    TraceForms,
+    _multiplicative_fill,
+    psrep_base_change,
+    split_as_characters,
+    validate_pseudorep,
+)
 from exalg.rings import (
     DvrModel,
     FiniteRing,
@@ -291,8 +306,8 @@ def monogenic_generator(r: FiniteRing):
         if linalg.span_log_size(span, r.p, r.k) == r.k * r.n:
             # first monic relation among the powers
             for d in range(1, r.n + 1):
-                sol = linalg.solve_left(np.array(powers[:d]), (-powers[d]) % r.char, r.p, r.k)
-                if sol is not None:
+                sol, ok = linalg.FactoredSpan.factor(np.array(powers[:d]), r.p, r.k).solve((-powers[d]) % r.char)
+                if ok:
                     return g, list(map(int, sol)) + [1]
     return None
 
@@ -516,6 +531,137 @@ def random_element(r: FiniteRing, rng, count: int | None = None) -> np.ndarray:
     rng.setstate(state)
     rng.getrandbits(32 * (int(kept[-1]) + 1) if need else 0)
     return words[kept].reshape(shape)
+
+
+# Fixture: true 2-dimensional representations.  The library takes a
+# pseudorepresentation as its trace and determinant only, so the tests
+# build a representation here and hand it over through `psi_of_rep`.
+class MatrixRep2:
+    """A true 2-dimensional representation, stored as (m, 2, 2, n) images."""
+
+    def __init__(self, group: MarkedGroup, ring: FiniteRing, images, name: str = "rho"):
+        self.group, self.ring, self.name = group, ring, name
+        self.images = np.asarray(images, dtype=np.int64).reshape(group.m, 2, 2, ring.n) % ring.char
+
+    def of(self, g: int) -> np.ndarray:
+        return self.images[g]
+
+    def matmul(self, a, b) -> np.ndarray:
+        # the products a[i, l] b[l, j] as one (i, l, j) stack, summed over l
+        return self.ring.mul(a[:, :, None], b[None]).sum(axis=1) % self.ring.char
+
+    def trace(self, mat) -> np.ndarray:
+        return self.ring.add(mat[0, 0], mat[1, 1])
+
+    def det(self, mat) -> np.ndarray:
+        r = self.ring
+        return r.sub(r.mul(mat[0, 0], mat[1, 1]), r.mul(mat[0, 1], mat[1, 0]))
+
+    @staticmethod
+    def from_generators(group: MarkedGroup, ring: FiniteRing, gen_images: dict, name="rho"):
+        """Fill the whole group by products, checking consistency along the way."""
+        gens = {int(g): np.asarray(mat, dtype=np.int64).reshape(2, 2, ring.n) % ring.char
+                for g, mat in gen_images.items()}
+        rep = MatrixRep2(group, ring, np.zeros((group.m, 2, 2, ring.n)), name=name)
+        order = sorted(gens)
+        images = _multiplicative_fill(group, order, [gens[g] for g in order], MatrixRep2._eye(ring), rep.matmul)
+        if images is None:
+            raise InvariantViolation("inconsistent generator images")
+        if len(images) != group.m:
+            raise InputError("generator images do not generate the group")
+        rep.images = np.array([images[g] for g in range(group.m)])
+        rep.check()
+        return rep
+
+    @staticmethod
+    def _eye(ring: FiniteRing) -> np.ndarray:
+        out = np.zeros((2, 2, ring.n), dtype=np.int64)
+        out[0, 0] = ring.one
+        out[1, 1] = ring.one
+        return out
+
+    def check(self) -> None:
+        """The identity maps to 1, every image is invertible and rho(g) rho(h)
+        = rho(gh); raises at the first failure in element order, g before
+        its pairs (g, h).
+
+        All |G|^2 products are formed as one stack.  Where rho(g) rho(g^-1)
+        = rho(1) = 1 holds, det rho(g) is a unit, so `is_unit` runs only on
+        the first row with a failing pair, and only when (g, g^-1) fails.
+        """
+        grp, r, m = self.group, self.ring, self.group.m
+        if not np.array_equal(self.images[grp.identity], self._eye(r)):
+            raise InvariantViolation("identity image is not the identity matrix")
+        # entry products x[g, i, l] * x[h, l', j]; the matrix product keeps l = l'
+        prods = r.mul_outer(self.images.reshape(4 * m, r.n), self.images.reshape(4 * m, r.n))
+        prods = prods.reshape(m, 2, 2, m, 2, 2, r.n)
+        got = (prods[:, :, 0, :, 0] + prods[:, :, 1, :, 1]) % r.char  # (g, i, h, j)
+        ok = (got.transpose(0, 2, 1, 3, 4) == self.images[grp.table]).all(axis=(2, 3, 4))
+        if ok.all():
+            return
+        g = int(np.argmax(~ok.all(axis=1)))
+        if not ok[g, grp.inv(g)] and not r.is_unit(self.det(self.images[g])):
+            raise InvariantViolation(f"image of {g} is not invertible")
+        raise InvariantViolation(f"multiplicativity fails at ({g},{int(np.argmin(ok[g]))})")
+
+
+def psi_of_rep(rep: MatrixRep2, name: str | None = None) -> Pseudorep2:
+    """Trace and determinant of an honest representation."""
+    t = np.array([rep.trace(rep.images[g]) for g in rep.group.elements()])
+    d = np.array([rep.det(rep.images[g]) for g in rep.group.elements()])
+    return Pseudorep2(rep.group, rep.ring, t, d, name=name or f"psi({rep.name})")
+
+
+def rep_from_chars(chi1: GroupChar, chi2: GroupChar, name: str = "diag") -> MatrixRep2:
+    grp, r = chi1.group, chi1.ring
+    images = np.zeros((grp.m, 2, 2, r.n), dtype=np.int64)
+    for g in grp.elements():
+        images[g, 0, 0] = chi1(g)
+        images[g, 1, 1] = chi2(g)
+    rep = MatrixRep2(grp, r, images, name=name)
+    rep.check()
+    return rep
+
+
+# Fixture: the triangular model that the scenarios' "triangular" psrep
+# names; `scenarios` builds it from its trace and determinant, chi1 + chi2.
+def unipotent_conjugate(rep: MatrixRep2) -> MatrixRep2:
+    """Conjugate by [[1,1],[0,1]]: a triangular model of the same trace."""
+    ring = rep.ring
+    p = np.zeros((2, 2, ring.n), dtype=np.int64)
+    p[0, 0] = p[0, 1] = p[1, 1] = ring.one
+    pinv = p.copy()
+    pinv[0, 1] = (-ring.one) % ring.char
+    images = np.stack([rep.matmul(p, rep.matmul(rep.of(g), pinv)) for g in range(rep.group.m)])
+    return MatrixRep2(rep.group, ring, images, name=f"{rep.name}^u")
+
+
+# Fixture: product rings A x B, which are not local when both factors are
+# nonzero; the towers glue over the zero ring with `rings.fiber_product`.
+def product_ring(a: FiniteRing, b: FiniteRing, name: str | None = None) -> FiniteRing:
+    if a.p != b.p or a.k != b.k:
+        raise InputError("product factors must share Z/p^k")
+    n = a.n + b.n
+    table = np.zeros((n, n, n), dtype=np.int64)
+    table[: a.n, : a.n, : a.n] = a.table
+    table[a.n :, a.n :, a.n :] = b.table
+    one = np.concatenate([a.one, b.one])
+    ring = FiniteRing(a.p, a.k, table, one, name=name or f"{a.name}x{b.name}")
+    nonzero = [r for r in (a, b) if r.n]
+    if len(nonzero) == 1:  # A x 0 is A and 0 x B is B, in their own coordinates
+        ring._residue_map = nonzero[0]._residue_map
+    return ring
+
+
+# Fixture: the Newton steps `gma.lift_idempotents` took, which it does not
+# return: `_newton_lift` counts them again on the residual target it lifts.
+def newton_iterations(ch, e1) -> int:
+    res = ch.residual
+    chis = res.split["chars"][:1] if res.split["case"] == "split" else None
+    e, iterations = _newton_lift(ch, _residual_targets(res, chis, 400000)[0][0])
+    if not np.array_equal(e, e1):
+        raise InvariantViolation("the lift differs from its residual target's")
+    return iterations
 
 
 # Fixture: the characteristic polynomial x^2 - t(g) x + d(g) at one group
@@ -796,7 +942,7 @@ def reducibility_minimality(gma: GmaAlgebra, budget: int = 100000) -> dict:
     """Check that no maximal proper subideal already splits the trace."""
     if gma.ch is None:
         raise InputError("minimality needs a pseudorep-backed instance")
-    red = reducibility_ideal(gma)
+    red = reducibility_ideal(gma, budget)
     ideal = red["ideal"]
     if ideal.is_zero():
         return {"minimal": True, "checked": 0, "witness": None, "note": "zero ideal, nothing below"}
@@ -904,7 +1050,21 @@ def _dual_numbers(f: FiniteRing):
     return truncated_poly_ring(f, 2, name=f"{f.name}[eps]")
 
 
-# Oracle for `ordinary.is_ordinary_psrep` and `psrep.split_as_characters`:
+# Fixture: the refusal `ordinary._decide` opens with, made before the
+# Cayley-Hamilton quotient of `psr` is built.
+def require_decidable(psr: Pseudorep2) -> None:
+    if not psr.ring.is_local or psr.ring.n == 0:
+        raise InputError("ordinarity decision expects a local base")
+
+
+# Fixture: the ordinarity verdict of a pseudorepresentation, `ordinary._decide`
+# on its Cayley-Hamilton quotient without the row a scenario reads its GMA off.
+def is_ordinary_psrep(psr: Pseudorep2, kappa: GroupChar, budget: int = 400000) -> dict:
+    require_decidable(psr)
+    return _decide(ch_quotient(psr), kappa, budget)[0]
+
+
+# Oracle for `ordinary._decide` and `psrep.split_as_characters`:
 # tangent spaces over F[eps] counted by enumerating the linearized solutions.
 def ordinary_tangent_count(
     psr: Pseudorep2, kappa: GroupChar | None = None, constraint: str = "all",
@@ -1008,7 +1168,7 @@ def ordinary_tangent_count(
                 }
             if not dec["ordinary"]:
                 continue
-            if constraint == "reducible-ordinary" and not split_as_characters(cand)["split"]:
+            if constraint == "reducible-ordinary" and not split_as_characters(cand, budget)["split"]:
                 continue
         kept.add(tuple(int(c) for c in delta))
     if not kept:
@@ -1081,7 +1241,7 @@ def reducible_ordinary_quotient(ctx: OrdinaryContext, name: str | None = None) -
             "collapsed": True,
             "rank_match": True,
         }
-    cert = split_as_characters(psrep_base_change(ch.psr, base_quot.proj))
+    cert = split_as_characters(psrep_base_change(ch.psr, base_quot.proj), 200000)
     if not cert["split"]:
         raise InvariantViolation("trace fails to split modulo the reducibility ideal")
     # two-sided generators: J* plus the pairing products

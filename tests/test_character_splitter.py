@@ -247,7 +247,7 @@ def test_every_decision_split_as_before(tmp_path, monkeypatch):
     for _, doc in units:
         state = scenarios._State(scenarios.load_scenario(doc))
         try:
-            ordinary.is_ordinary_psrep(state.psr, state.kappa, budget=state.sc.budget)
+            oracles.is_ordinary_psrep(state.psr, state.kappa, budget=state.sc.budget)
         except ERRORS:
             pass
     monkeypatch.undo()
@@ -264,7 +264,7 @@ def test_splitter_neither_inverts_nor_tests_units(monkeypatch):
         _counter(monkeypatch, rings.FiniteRing, name, counts, name)
     for psr in fields:
         psrep.residual_split(psr)
-        psrep.split_as_characters(psr)
+        psrep.split_as_characters(psr, 200000)
     for psr in (d5, *character_pairs(Z125)):
-        psrep.split_as_characters(psr)
+        psrep.split_as_characters(psr, 200000)
     assert counts == {}

@@ -9,10 +9,10 @@ checks on everything the tests build, and the Nakayama picks against one
 pick at a time.
 Three functions take a Howell basis as given, and the hook checks that
 precondition on every call.  One tower unit, one psrep unit, one branch
-and one axes h-level, one degenerate tower and one local ring built by
-hand must pass through all seventeen functions, and no `exalg` module may
-keep a binding to an unwrapped function, or what it builds would go
-unaudited.
+and one axes h-level, one degenerate tower, and one local ring and one
+product ring built by hand must pass through all seventeen functions,
+and no `exalg` module may keep a binding to an unwrapped function, or
+what it builds would go unaudited.
 """
 
 import sys
@@ -31,8 +31,9 @@ def test_one_tower_and_one_psrep_unit_reach_every_audited_constructor():
         assert scenarios.run_scenario(name).verdict == "ok"
     towers.branch_algebra(rings.DvrModel(5, 1, 8), 2)
     towers.axis_algebra(rings.DvrModel(5, 1, 8), 2)
-    towers.build_eisenstein_tower(rings.DvrModel(5, 1, 8), 0, {"kind": "plane"})  # H = h x base
+    towers.build_eisenstein_tower(rings.DvrModel(5, 1, 8), 0, {"kind": "plane"})  # H = h x_0 base
     oracles.local_ring(5, 1, np.ones((1, 1, 1)), np.ones(1), np.ones((1, 1)), "F5 by hand")
+    oracles.product_ring(rings.zmod_ring(5, 1), rings.zmod_ring(5, 1))
     names = {name for _, name in conftest.CHECKS}
     assert names == {"quotient_ring", "fiber_product", "_presented_quotient", "_ch_algebra", "build_eisenstein_tower",
                      "_min_module_rows", "zmod_ring", "field_ring", "truncated_poly_ring", "product_ring",

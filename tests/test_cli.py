@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exalg import cli, gma, ordinary, psrep, scenarios, serialize, towers
+from exalg import cli, gma, psrep, scenarios, serialize, towers
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
 from exalg.rings import Ideal, zmod_ring
 
@@ -418,6 +418,49 @@ def test_budget_exhaustion_exit_code(capsys):
     assert "budget exceeded:" in capsys.readouterr().err
 
 
+def test_reducibility_stage_spends_the_scenario_budget(tmp_path, capsys):
+    """diag-ordinary over Z/5^8 with Teichmuller lifts: the split certificate
+    enumerates the 5^8-element base, within --budget 10^6 but not 2 * 10^5."""
+    def lifts(d):
+        d["ring"].update(k=8)
+        d["psrep"]["chi1"].update(value=280182)
+        d["kappa"].update(value=110443)
+
+    path = _bundled_variant(tmp_path, "diag-ordinary", lifts)
+    assert cli.main(["pipeline", path, "--budget", "1000000"]) == 0
+    capsys.readouterr()
+    assert cli.main(["pipeline", path]) == 3
+    err = capsys.readouterr().err
+    assert err == ("budget exceeded: scenario diag-ordinary, stage reducibility: "
+                   "ring has 390625 elements, limit 200000\n")
+
+
+@pytest.mark.parametrize("group,code", [
+    ({"kind": "cyclic", "n": 6, "dp": [0, 2, 4], "ip": [0, 2, 4]}, 2),
+    ({"kind": "dihedral", "n": 3, "dp": [0, 1, 2], "ip": [0, 1, 2]}, 0),
+])
+def test_s3_standard_needs_the_table_of_s3(tmp_path, capsys, group, code):
+    """s3_standard writes (t, d) on the elements of S3, so a group of order 6
+    with another table is bad input; D3 has the table of S3."""
+    path = _bundled_variant(tmp_path, "s3-irreducible", lambda d: d.update(group=group))
+    assert cli.main(["pipeline", path]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   "error: scenario s3-irreducible, stage validate: s3_standard needs the symmetric group on 3 letters\n")
+
+
+def test_triangular_psrep_needs_characters_on_the_whole_group(tmp_path, capsys):
+    def on_rotations(d):
+        d["group"] = {"kind": "dihedral", "n": 2, "dp": [0, 1, 2, 3], "ip": [0, 1]}
+        d["psrep"].update(kind="triangular", chi1={"kind": "power", "gen": 1, "value": 4})
+        d["kappa"] = {"kind": "trivial"}
+
+    path = _bundled_variant(tmp_path, "diag-ordinary", on_rotations)
+    assert cli.main(["pipeline", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: scenario diag-ordinary, stage validate: characters must be defined on the whole group\n"
+
+
 def test_stage_errors_name_the_scenario_and_the_stage(capsys):
     with pytest.raises(BudgetExceeded, match=r"^scenario diag-ordinary, stage gma: ring has 25 elements"):
         scenarios.run_scenario("diag-ordinary", budget=1)
@@ -712,7 +755,7 @@ def test_ordinary_stage_decision_matches_the_psrep_entry_point(tmp_path):
             continue
         stage = scenarios.run_scenario(sc).stages["ordinary"]
         st = scenarios._State(sc)
-        fresh = ordinary.is_ordinary_psrep(st.psr, st.kappa, budget=sc.budget)
+        fresh = oracles.is_ordinary_psrep(st.psr, st.kappa, budget=sc.budget)
         assert (stage["psrep_supported"], stage["psrep_ordinary"]) == (fresh["supported"], fresh["ordinary"]), sc.name
         decided += 1
     assert decided == 10

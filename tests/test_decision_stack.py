@@ -1,6 +1,6 @@
 """The ordinarity decision on one stack, against the loop it replaced.
 
-`ordinary.is_ordinary_ch` lifts all of its residual candidates as one
+`ordinary._decide` lifts all of its residual candidates as one
 stack, reads J_R = 0 for all of them with one contraction, and checks
 their structure with one `gma._check_gma_stack`.  The reference below is
 the per-candidate loop it replaced, kept here: one Newton lift, one
@@ -32,7 +32,7 @@ from test_gma import s3_irr_psrep
 from test_ordinary import T2, _jr_cases, d4_rep, d5_t2_psrep
 from test_ordinary_decisions import _counter, _s3_f7, decision_units
 
-from exalg import algebras, gma, groups, linalg, ordinary, psrep, rings, scenarios
+from exalg import algebras, gma, groups, linalg, ordinary, rings, scenarios
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
 
 ERRORS = (InputError, BudgetExceeded, InvariantViolation)
@@ -175,7 +175,7 @@ def ref_j_r_is_zero(g, kappa):
 
 def ref_is_ordinary_ch(ch, kappa, budget=400000):
     """The decision as a loop: lift, decompose and test one candidate at a time."""
-    ordinary._require_decidable(ch.psr)
+    oracles.require_decidable(ch.psr)
     ordinary._check_kappa(ch, kappa)
     res = ch.residual
     case = res.split["case"]
@@ -239,7 +239,7 @@ def _named_cases():
     for psr, kappas in _jr_cases():
         for kappa in kappas:
             yield psr, kappa
-    d4 = psrep.psi_of_rep(d4_rep(tuple(range(8)), tuple(range(8))))
+    d4 = oracles.psi_of_rep(d4_rep(tuple(range(8)), tuple(range(8))))
     yield d4, groups.trivial_char(d4.group, d4.ring, domain=range(8), name="k")
     yield d4, groups.cyclic_char(d4.group, d4.ring, 4, d4.ring.from_int(-1), name="k-")
     yield from _d5_reflection_cases()
@@ -259,7 +259,7 @@ def _quotients(cases):
     """(ch, kappa, budget) for each case whose Cayley-Hamilton quotient builds."""
     for psr, kappa, budget in cases:
         try:
-            ordinary._require_decidable(psr)
+            oracles.require_decidable(psr)
             ch = gma.ch_quotient(psr)
         except ERRORS:
             continue
@@ -270,7 +270,7 @@ def test_stacked_decision_matches_the_loop(tmp_path):
     cases = list(_unit_cases(tmp_path)) + [(psr, kappa, 400000) for psr, kappa in _named_cases()]
     seen = {"ordinary": 0, "not ordinary": 0, "other": 0}
     for ch, kappa, budget in _quotients(cases):
-        got = outcome(ordinary.is_ordinary_ch, ch, kappa, budget)
+        got = outcome(lambda *args: ordinary._decide(*args)[0], ch, kappa, budget)
         assert got == outcome(ref_is_ordinary_ch, ch, kappa, budget)
         key = {True: "ordinary", False: "not ordinary"}.get(got.get("ordinary"), "other")
         seen[key] += 1
@@ -462,15 +462,15 @@ def test_residual_idempotents_are_enumerated_once(monkeypatch):
     ch = gma.ch_quotient(psr)
     counts = {}
     _counter(monkeypatch, gma, "_trace_one_idempotents", counts, "enumerations")
-    gma.lift_idempotents(ch)
-    assert ordinary.is_ordinary_ch(ch, kappa)["checked"] == 56
+    gma.lift_idempotents(ch, 400000)
+    assert ordinary._decide(ch, kappa, 400000)[0]["checked"] == 56
     assert counts == {"enumerations": 1}
     size = ch.residual.ch.algebra.size
     want = f"ring has {size} elements, limit {size - 1}"
     with pytest.raises(BudgetExceeded) as lift:
-        gma.lift_idempotents(ch, budget=size - 1)
+        gma.lift_idempotents(ch, size - 1)
     with pytest.raises(BudgetExceeded) as decide:
-        ordinary.is_ordinary_ch(ch, kappa, size - 1)
+        ordinary._decide(ch, kappa, size - 1)
     assert str(lift.value) == str(decide.value) == want
     assert counts == {"enumerations": 1}
 

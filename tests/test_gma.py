@@ -95,8 +95,8 @@ def d4_irr_psrep():
     rot[0, 1], rot[1, 0] = 4, 1
     ref = np.zeros((2, 2, 1), dtype=np.int64)
     ref[0, 0], ref[1, 1] = 1, 4
-    rep = psrep.MatrixRep2.from_generators(d4, F5, {1: rot, 4: ref}, name="d4std")
-    return psrep.psi_of_rep(rep)
+    rep = oracles.MatrixRep2.from_generators(d4, F5, {1: rot, 4: ref}, name="d4std")
+    return oracles.psi_of_rep(rep)
 
 
 # ---- quotient construction ------------------------------------------
@@ -121,8 +121,7 @@ def test_character_sum_quotient_has_rank_two():
 def test_s3_quotient_is_full_matrix_algebra():
     ch = gma.ch_quotient(s3_irr_psrep(F7))
     assert ch.nbar == 4
-    res = gma.lift_idempotents(ch)
-    g = gma.gma_decompose(ch, res["e1"])
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     # basis (e1, b, m^-1 c, e2) must reproduce the 2x2 structure constants
     m00 = g.m_table[0, 0]
     basis = np.stack([g.e1, g.b_basis[0], ch.algebra.amul(F7.inv(m00), g.c_basis[0]), oracles.peirce(g)[0]])
@@ -130,8 +129,8 @@ def test_s3_quotient_is_full_matrix_algebra():
     for i in range(4):
         for j in range(4):
             prod = ch.algebra.mul(basis[i], basis[j])
-            coords = linalg.solve_left(basis, prod, 7, 1)
-            assert coords is not None
+            coords, ok = linalg.FactoredSpan.factor(basis, 7, 1).solve(prod)
+            assert ok
             want = mat.table[i, j].reshape(4)
             assert np.array_equal(coords % 7, want), (i, j)
 
@@ -245,14 +244,14 @@ def test_base_change_rejects_a_map_that_is_not_onto(monkeypatch):
 
 def test_lift_on_character_sum_over_field():
     ch = gma.ch_quotient(c4_diag_psrep())
-    res = gma.lift_idempotents(ch)
-    assert res["supported"]
-    assert res["source"] == "split-characters"
-    assert res["iterations"] == 0
+    e1 = gma.lift_idempotents(ch, 400000)
+    assert ch.residual.split["case"] == "split"
+    assert oracles.newton_iterations(ch, e1) == 0
     al = ch.algebra
-    assert np.array_equal(al.mul(res["e1"], res["e1"]), res["e1"])
-    assert np.array_equal(al.add(res["e1"], res["e2"]), al.one)
-    assert not al.mul(res["e1"], res["e2"]).any()
+    e2 = al.sub(al.one, e1)
+    assert np.array_equal(al.mul(e1, e1), e1)
+    assert np.array_equal(al.mul(e2, e2), e2)
+    assert not al.mul(e1, e2).any()
 
 
 def test_stage_gma_takes_the_corner_kappa_aligns():
@@ -279,7 +278,7 @@ def test_stage_gma_takes_the_corner_kappa_aligns():
     chi1 = groups.trivial_char(c4, F5)
     chi2 = groups.cyclic_char(c4, F5, 1, np.array([2]))
     ch = state.ch
-    unaligned = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    unaligned = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     for g, chi in ((state.gma, chi2), (unaligned, chi1)):
         rho11 = oracles.coordinate_maps(g)["rho11"]
         assert all(np.array_equal(rho11[h], chi(h)) for h in c4.elements())
@@ -287,38 +286,34 @@ def test_stage_gma_takes_the_corner_kappa_aligns():
 
 def test_lift_over_z25_converges_within_radical_class():
     ch = gma.ch_quotient(c2_z25_psrep())
-    res = gma.lift_idempotents(ch)
-    assert res["supported"]
-    assert res["iterations"] <= oracles.radical_nilpotency_class(Z25)
+    e1 = gma.lift_idempotents(ch, 400000)
+    assert oracles.newton_iterations(ch, e1) <= oracles.radical_nilpotency_class(Z25)
     # (1 + g) / 2 with 1/2 = 13 mod 25
-    assert res["e1"].tolist() == [13, 13]
+    assert e1.tolist() == [13, 13]
 
 
 def test_lift_matrix_residual_cases():
     for psr, base in [(s3_irr_psrep(F7), F7), (s3_irr_psrep(Z25), Z25), (d4_irr_psrep(), F5)]:
         ch = gma.ch_quotient(psr)
-        res = gma.lift_idempotents(ch)
-        assert res["supported"]
-        assert res["source"] == "matrix-residual"
-        assert res["iterations"] <= oracles.radical_nilpotency_class(base)
-        assert np.array_equal(ch.t_el(res["e1"]), base.one)
+        e1 = gma.lift_idempotents(ch, 400000)
+        assert ch.residual.split["case"] != "split"  # the first residual trace-1 idempotent
+        assert oracles.newton_iterations(ch, e1) <= oracles.radical_nilpotency_class(base)
+        assert np.array_equal(ch.t_el(e1), base.one)
 
 
 def test_lift_on_deformed_dihedral():
     ch = gma.ch_quotient(d5_t2_psrep())
-    res = gma.lift_idempotents(ch)
-    assert res["supported"]
-    assert res["source"] == "split-characters"
-    assert res["iterations"] <= oracles.radical_nilpotency_class(T2)
+    e1 = gma.lift_idempotents(ch, 400000)
+    assert ch.residual.split["case"] == "split"
+    assert oracles.newton_iterations(ch, e1) <= oracles.radical_nilpotency_class(T2)
 
 
 def test_lift_refuses_equal_characters():
     d4 = groups.dihedral_group(4)
     chi = groups.trivial_char(d4, F5)
     ch = gma.ch_quotient(psrep.psrep_from_chars(chi, chi))
-    res = gma.lift_idempotents(ch)
-    assert not res["supported"]
-    assert "coincide" in res["reason"]
+    with pytest.raises(InputError, match="idempotent lifting unsupported: residual characters coincide"):
+        gma.lift_idempotents(ch, 400000)
 
 
 def test_lift_needs_local_base():
@@ -332,7 +327,7 @@ def test_lift_needs_local_base():
     chi = groups.trivial_char(c2, split)
     ch = gma.ch_quotient(psrep.psrep_from_chars(chi, chi))
     with pytest.raises(InputError):
-        gma.lift_idempotents(ch)
+        gma.lift_idempotents(ch, 400000)
 
 
 # ---- matrix coordinates ---------------------------------------------
@@ -340,7 +335,7 @@ def test_lift_needs_local_base():
 
 def test_decompose_character_sum_has_no_pairing_modules():
     ch = gma.ch_quotient(c4_diag_psrep())
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     assert g.b_basis.shape[0] == 0
     assert g.c_basis.shape[0] == 0
     assert g.m_table.size == 0
@@ -348,7 +343,7 @@ def test_decompose_character_sum_has_no_pairing_modules():
 
 def test_decompose_full_matrix_algebra():
     ch = gma.ch_quotient(s3_irr_psrep(Z25))
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     # B and C are free of rank 1 and the pairing is a unit: M2 over the base
     assert g.b_basis.shape[0] == 1
     assert g.c_basis.shape[0] == 1
@@ -358,7 +353,7 @@ def test_decompose_full_matrix_algebra():
 
 def test_decompose_dihedral_over_f5():
     ch = gma.ch_quotient(d4_irr_psrep())
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     assert g.b_basis.shape[0] == 1
     assert g.c_basis.shape[0] == 1
     assert g.m_table[0, 0].any()
@@ -366,7 +361,7 @@ def test_decompose_dihedral_over_f5():
 
 def test_decompose_deformed_dihedral_modules():
     ch = gma.ch_quotient(d5_t2_psrep())
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     al = ch.algebra
     s = np.array([0, 1])
     assert g.b_basis.shape[0] == 2
@@ -381,8 +376,7 @@ def test_decompose_deformed_dihedral_modules():
 def test_decompose_reproduces_trace_and_determinant():
     for psr in [c4_diag_psrep(), s3_irr_psrep(F7), d5_t2_psrep()]:
         ch = gma.ch_quotient(psr)
-        res = gma.lift_idempotents(ch)
-        g = gma.gma_decompose(ch, res["e1"])
+        g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
         _, p12, p21 = oracles.peirce(g)
         eye = np.eye(ch.nbar, dtype=np.int64)
         for i in range(ch.nbar):
@@ -405,7 +399,7 @@ def test_decompose_rejects_bad_idempotents():
 def test_coordinate_maps_of_character_sum_are_diagonal():
     psr = c4_diag_psrep()
     ch = gma.ch_quotient(psr)
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     cm = oracles.coordinate_maps(g)
     assert not cm["rho12"].any()
     assert not cm["rho21"].any()
@@ -417,7 +411,7 @@ def test_coordinate_maps_of_character_sum_are_diagonal():
 
 def test_coordinate_maps_frozen_dihedral_values():
     ch = gma.ch_quotient(d5_t2_psrep())
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     cm = oracles.coordinate_maps(g)
     # diagonal coordinates of the rotation differ by the deformation
     assert (cm["rho11"][1].tolist(), cm["rho22"][1].tolist()) in (
@@ -446,7 +440,7 @@ def test_abstract_pairing_algebra_truncated_cubic():
     tvec = np.array([0, 1, 0])
     g = oracles.abstract_gma(T3, tvec)
     assert g.algebra.n == 12
-    red = gma.reducibility_ideal(g)
+    red = gma.reducibility_ideal(g, 200000)
     assert red["ideal"] == Ideal(T3, tvec.reshape(1, -1))
     assert red["certificate"] is None
     assert g.m_table[0, 0].tolist() == [0, 1, 0]
@@ -466,7 +460,7 @@ def test_abstract_pairing_algebra_has_no_group_coordinates():
 
 def test_split_character_sum_recovers_characters():
     psr = c4_diag_psrep()
-    out = gma.split_as_characters(psr)
+    out = gma.split_as_characters(psr, 200000)
     assert out["split"] and not out["trivial"]
     chi1, chi2 = out["chars"]
     for g in psr.group.elements():
@@ -475,19 +469,19 @@ def test_split_character_sum_recovers_characters():
 
 
 def test_split_fails_for_irreducible_traces():
-    assert not gma.split_as_characters(s3_irr_psrep(F7))["split"]
-    assert not gma.split_as_characters(d4_irr_psrep())["split"]
+    assert not gma.split_as_characters(s3_irr_psrep(F7), 200000)["split"]
+    assert not gma.split_as_characters(d4_irr_psrep(), 200000)["split"]
 
 
 def test_split_fails_for_deformed_dihedral():
     # characters factor through the abelianization and cannot see s
-    assert not gma.split_as_characters(d5_t2_psrep())["split"]
+    assert not gma.split_as_characters(d5_t2_psrep(), 200000)["split"]
 
 
 def test_split_succeeds_residually_for_deformed_dihedral():
     psr = d5_t2_psrep()
     down = psrep.psrep_base_change(psr, T2.residue_field().proj)
-    out = gma.split_as_characters(down)
+    out = gma.split_as_characters(down, 200000)
     assert out["split"]
     chi1, chi2 = out["chars"]
     vals = sorted((int(chi1(5)[0]), int(chi2(5)[0])))
@@ -499,7 +493,7 @@ def test_split_over_zero_ring_is_trivial():
     c2 = groups.cyclic_group(2)
     t = np.zeros((2, 0), dtype=np.int64)
     psr = psrep.Pseudorep2(c2, zero, t, t.copy(), name="z")
-    out = gma.split_as_characters(psr)
+    out = gma.split_as_characters(psr, 200000)
     assert out["split"] and out["trivial"]
 
 
@@ -527,16 +521,16 @@ def test_split_budget_guard():
 
 def test_reducibility_ideal_zero_for_character_sum():
     ch = gma.ch_quotient(c4_diag_psrep())
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
-    red = gma.reducibility_ideal(g)
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
+    red = gma.reducibility_ideal(g, 200000)
     assert red["ideal"].is_zero()
     assert red["certificate"]["split"]
 
 
 def test_reducibility_ideal_unit_for_matrix_algebra():
     ch = gma.ch_quotient(s3_irr_psrep(F7))
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
-    red = gma.reducibility_ideal(g)
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
+    red = gma.reducibility_ideal(g, 200000)
     assert red["ideal"].is_unit_ideal()
     # the quotient is the zero ring, where the trace splits trivially
     assert red["certificate"]["split"] and red["certificate"]["trivial"]
@@ -544,8 +538,8 @@ def test_reducibility_ideal_unit_for_matrix_algebra():
 
 def test_reducibility_ideal_intermediate_for_deformed_dihedral():
     ch = gma.ch_quotient(d5_t2_psrep())
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
-    red = gma.reducibility_ideal(g)
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
+    red = gma.reducibility_ideal(g, 200000)
     assert red["ideal"] == Ideal(T2, np.array([[0, 1]]))
     assert not red["ideal"].is_zero()
     assert not red["ideal"].is_unit_ideal()
@@ -606,7 +600,7 @@ def test_maximal_subideals_reject_non_local():
 
 def test_minimality_of_deformed_dihedral_ideal():
     ch = gma.ch_quotient(d5_t2_psrep())
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     out = oracles.reducibility_minimality(g)
     assert out["minimal"]
     assert out["checked"] == 1  # only the zero ideal sits under (s)
@@ -615,7 +609,7 @@ def test_minimality_of_deformed_dihedral_ideal():
 
 def test_minimality_trivial_for_zero_ideal():
     ch = gma.ch_quotient(c4_diag_psrep())
-    g = gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     out = oracles.reducibility_minimality(g)
     assert out["minimal"] and out["checked"] == 0
 
@@ -709,14 +703,14 @@ def test_character_pairs_round_trip(u1, u2):
     assert psrep.validate_pseudorep(psr)["ok"]
     ch = gma.ch_quotient(psr)
     assert ch.nbar in (1, 2)
-    out = gma.split_as_characters(psr)
+    out = gma.split_as_characters(psr, 200000)
     assert out["split"]
-    res = gma.lift_idempotents(ch)
     if u1 == u2:
-        assert not res["supported"]
+        with pytest.raises(InputError, match="coincide"):
+            gma.lift_idempotents(ch, 400000)
         return
-    g = gma.gma_decompose(ch, res["e1"])
-    assert gma.reducibility_ideal(g)["ideal"].is_zero()
+    g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
+    assert gma.reducibility_ideal(g, 200000)["ideal"].is_zero()
 
 
 @given(st.integers(0, 4), st.integers(0, 4))
@@ -738,14 +732,15 @@ def test_deformed_dihedral_family(a, b):
         # the family is not closed under every (a, b); skip those
         return
     ch = gma.ch_quotient(psr)
-    res = gma.lift_idempotents(ch)
-    if not res["supported"]:
+    try:
+        e1 = gma.lift_idempotents(ch, 400000)
+    except InputError as e:
         # only equal residual characters block the lift here
-        assert "coincide" in res["reason"]
+        assert "coincide" in str(e)
         return
-    g = gma.gma_decompose(ch, res["e1"])
-    red = gma.reducibility_ideal(g)
-    if gma.split_as_characters(psr)["split"]:
+    g = gma.gma_decompose(ch, e1)
+    red = gma.reducibility_ideal(g, 200000)
+    if gma.split_as_characters(psr, 200000)["split"]:
         assert red["ideal"].is_zero()
     else:
         assert red["ideal"] == Ideal(T2, np.array([[0, 1]]))
@@ -806,7 +801,7 @@ def _peirce_case(name):
         return oracles.abstract_gma(T3, np.array([0, 1, 0]))
     psr = {"d5t2": d5_t2_psrep, "s3f7": lambda: s3_irr_psrep(F7), "c4": c4_diag_psrep}[name]()
     ch = gma.ch_quotient(psr)
-    return gma.gma_decompose(ch, gma.lift_idempotents(ch)["e1"])
+    return gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
 
 
 @settings(max_examples=80, deadline=None)

@@ -21,8 +21,6 @@ def test_cyclic_group_structure():
     assert c6.inv(2) == 4
     assert c6.order_of(2) == 3
     assert c6.order_of(1) == 6
-    assert c6.pow(1, 4) == 4
-    assert c6.pow(1, -1) == 5
 
 
 def test_dihedral_relations():

@@ -18,8 +18,11 @@ definition does.  The body of a class is its bases, decorators and
 class-level statements, and its dunder methods, which Python calls for
 it; every other method or property is a definition of its own, reached
 by its name.  Names match by their last component, so any attribute `.f`
-reaches every package definition named f.  The rule over-approximates
-reach: it can miss dead code, but it never flags code a root runs.
+reaches every package definition named f.  A method or property is
+reached only through an attribute load `.f`: a bare name f, such as the
+builtin `pow` or a parameter called `lift`, reaches the module-level
+definitions named f only.  The rule over-approximates reach: it can miss
+dead code, but it never flags code a root runs.
 
 Every field under `src/exalg/` must be read: each annotated field of a
 class body and each `self.x = ...` store.  A field is read when an
@@ -43,7 +46,8 @@ DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
 def _names(*trees) -> set:
-    """Every bare name and attribute name under the nodes."""
+    """Every bare name and attribute name under the nodes, an attribute
+    load also as "." and its name, which alone reaches a method."""
     out = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -51,6 +55,8 @@ def _names(*trees) -> set:
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
                 out.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    out.add("." + node.attr)
     return out
 
 
@@ -118,11 +124,18 @@ def _package():
     return defs, roots
 
 
+def _key(qualname: str) -> str:
+    """The name that reaches a definition: its last component, and for a
+    method "." and its last component."""
+    _, *owner, name = qualname.split(".")
+    return "." * bool(owner) + name
+
+
 def _reached(defs, roots) -> set:
-    """The last components reached from `roots`."""
+    """The names reached from `roots`."""
     by_name = {}
     for qualname, node in defs.items():
-        by_name.setdefault(qualname.rsplit(".", 1)[1], []).append(node)
+        by_name.setdefault(_key(qualname), []).append(node)
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
@@ -136,7 +149,7 @@ def _reached(defs, roots) -> set:
 def test_library_ships_only_what_a_root_reaches():
     defs, roots = _package()
     reached = _reached(defs, roots)
-    assert [name for name in defs if name.rsplit(".", 1)[1] not in reached] == []
+    assert [name for name in defs if _key(name) not in reached] == []
     # the package never imports the tests
     test_modules = {"tests", "conftest"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
     for path in sorted(SRC.rglob("*.py")):

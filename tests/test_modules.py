@@ -93,7 +93,7 @@ def test_fitting_strictly_below_annihilator():
     m = oracles.FinModule.from_presentation(T4, pres)
     assert m.length() == 2
     t = rings.Ideal(T4, [el(T4, [0, 1, 0, 0])])
-    t2 = t.power(2)
+    t2 = t.mul_ideal(t)
     assert m.annihilator() == t
     fit = modules.fitting_ideal(T4, pres)
     assert fit == t2
@@ -128,8 +128,8 @@ def test_stability_check_rejects_bare_additive_rows():
 
 def test_ideal_quotient_lengths_in_t4():
     t = rings.Ideal(T4, [el(T4, [0, 1, 0, 0])])
-    t2 = t.power(2)
-    t3 = t.power(3)
+    t2 = t.mul_ideal(t)
+    t3 = t2.mul_ideal(t)
     zero = rings.Ideal(T4, np.zeros((0, 4), dtype=np.int64))
     assert oracles.module_from_ideal_quotient(T4, t, t3).length() == 2
     m = oracles.module_from_ideal_quotient(T4, t, t2)
@@ -238,7 +238,7 @@ def test_det_identity_and_budget():
 
 # ---- the shared minor sweep against a permutation sum ----------------
 
-NONLOCAL = rings.product_ring(F5, F25, name="F5xF25")
+NONLOCAL = oracles.product_ring(F5, F25, name="F5xF25")
 
 
 def permutation_det(r, mat):

@@ -140,7 +140,7 @@ def _small_rings():
         for k in (1, 2):
             z = rings.zmod_ring(p, k)
             t2, t3 = rings.truncated_poly_ring(z, 2), rings.truncated_poly_ring(z, 3)
-            out += [z, t3, rings.product_ring(t2, t3), rings.truncated_poly_ring(t2, 2)]
+            out += [z, t3, oracles.product_ring(t2, t3), rings.truncated_poly_ring(t2, 2)]
         fp = rings.zmod_ring(p, 1)
         out += [rings.truncated_poly_ring(fp, 6), rings.truncated_poly_ring(rings.field_ring(p, 2), 3)]
     return out

@@ -94,7 +94,7 @@ def d4_rep(dp, ip):
     rot[0, 1], rot[1, 0] = 4, 1
     ref = np.zeros((2, 2, 1), dtype=np.int64)
     ref[0, 0], ref[1, 1] = 1, 4
-    return psrep.MatrixRep2.from_generators(grp, F5, {1: rot, 4: ref}, name="d4std")
+    return oracles.MatrixRep2.from_generators(grp, F5, {1: rot, 4: ref}, name="d4std")
 
 
 def s3_rep(dp, ip):
@@ -104,7 +104,7 @@ def s3_rep(dp, ip):
     r[0, 1], r[1, 0], r[1, 1] = 6, 1, 6
     s = np.zeros((2, 2, 1), dtype=np.int64)
     s[0, 1], s[1, 0] = 1, 1
-    return psrep.MatrixRep2.from_generators(grp, F7, {1: r, 3: s}, name="s3std")
+    return oracles.MatrixRep2.from_generators(grp, F7, {1: r, 3: s}, name="s3std")
 
 
 # ---- the representation-level oracle ---------------------------------
@@ -219,17 +219,17 @@ def _jr_cases():
     swap = np.zeros((2, 2, 1), dtype=np.int64)
     swap[0, 1], swap[1, 0] = 1, 1
     s3 = groups.symmetric_3().mark(dp=(0, 1, 2), ip=(0, 1, 2))
-    s3_f5 = psrep.psi_of_rep(psrep.MatrixRep2.from_generators(s3, F5, {1: rot, 3: swap}))
+    s3_f5 = oracles.psi_of_rep(oracles.MatrixRep2.from_generators(s3, F5, {1: rot, 3: swap}))
     yield s3_f5, [groups.trivial_char(s3_f5.group, F5, domain=range(6), name="k")]
     for dp, ip in [((0, 1, 2), (0, 1, 2)), ((0, 3), (0, 3)), ((0, 3), (0,))]:
-        psr = psrep.psi_of_rep(s3_rep(dp, ip))
+        psr = oracles.psi_of_rep(s3_rep(dp, ip))
         kappas = [groups.trivial_char(psr.group, F7, domain=range(6), name="k")]
         kappas.append(groups.cyclic_char(psr.group, F7, dp[1], F7.from_int(2 if dp[1] == 1 else 6), name="k2"))
         yield psr, kappas
     for ip in [(0, 2), (0, 1, 2, 3)]:
         psr, kappa = c4_setup(ip)
         yield psr, [kappa, groups.trivial_char(psr.group, F5, domain=range(4), name="k")]
-    d4 = psrep.psi_of_rep(d4_rep((0, 1, 2, 3), (0, 1, 2, 3)))
+    d4 = oracles.psi_of_rep(d4_rep((0, 1, 2, 3), (0, 1, 2, 3)))
     yield d4, [groups.cyclic_char(d4.group, F5, 1, F5.from_int(3), name="k3")]
     for dp, ip in [(tuple(range(5)), tuple(range(5))), ((0, 6), (0,)), ((0, 5), (0, 5))]:
         d5 = d5_t2_psrep(dp, ip)
@@ -262,12 +262,11 @@ def test_context_input_errors():
         groups.cyclic_char(bare, F5, 1, F5.from_int(2)),
     )
     with pytest.raises(InputError):
-        ordinary.is_ordinary_psrep(
+        oracles.is_ordinary_psrep(
             unmarked, groups.trivial_char(unmarked.group, F5, domain=range(4))
         )
     ch = gma.ch_quotient(psr)
-    res = gma.lift_idempotents(ch)
-    g1 = gma.gma_decompose(ch, res["e1"])
+    g1 = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
     wrong_ring = groups.trivial_char(psr.group, Z25, domain=range(4))
     with pytest.raises(InputError):
         ordinary.ordinary_context(g1, wrong_ring)
@@ -303,11 +302,10 @@ def test_swapped_input_collapses_with_provenance():
 
 def test_irreducible_input_collapses():
     rep = d4_rep(tuple(range(8)), tuple(range(8)))
-    psr = psrep.psi_of_rep(rep)
+    psr = oracles.psi_of_rep(rep)
     kappa = groups.trivial_char(psr.group, F5, domain=range(8), name="k")
     ch = gma.ch_quotient(psr)
-    res = gma.lift_idempotents(ch)
-    ctx = ordinary.ordinary_context(gma.gma_decompose(ch, res["e1"]), kappa)
+    ctx = ordinary.ordinary_context(gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000)), kappa)
     assert ctx.kappa_alignment == "nonsplit"
     oq = ordinary.ordinary_quotient(ctx)
     assert oq.collapsed
@@ -392,7 +390,7 @@ def test_quotient_carries_the_base_changed_trace():
 
 def test_decision_diagonal_true():
     psr, kappa = c4_setup()
-    out = ordinary.is_ordinary_psrep(psr, kappa)
+    out = oracles.is_ordinary_psrep(psr, kappa)
     assert out["supported"] and out["ordinary"]
     assert out["checked"] == 1
     assert out["witness"]["alignment"] == "corner1"
@@ -403,7 +401,7 @@ def test_decision_no_matching_character():
     chi2 = groups.cyclic_char(grp, F5, 1, F5.from_int(2))
     psr = psrep.psrep_from_chars(groups.trivial_char(grp, F5, domain=range(4)), chi2)
     kappa = groups.cyclic_char(grp, F5, 1, F5.from_int(2), name="kappa")
-    out = ordinary.is_ordinary_psrep(psr, kappa)
+    out = oracles.is_ordinary_psrep(psr, kappa)
     assert out["supported"] and not out["ordinary"]
     assert out["checked"] == 0
     assert "no residual character" in out["reason"]
@@ -413,7 +411,7 @@ def test_decision_equal_characters_unsupported():
     c2 = groups.cyclic_group(2).mark(dp=(0, 1), ip=(0, 1))
     triv = groups.trivial_char(c2, F5, domain=range(2))
     psr = psrep.psrep_from_chars(triv, triv)
-    out = ordinary.is_ordinary_psrep(psr, groups.trivial_char(c2, F5, domain=range(2)))
+    out = oracles.is_ordinary_psrep(psr, groups.trivial_char(c2, F5, domain=range(2)))
     assert not out["supported"]
     assert "coincide" in out["reason"]
 
@@ -423,7 +421,7 @@ def test_decision_irreducible_polynomial_unsupported():
     t = np.array([[2], [4], [4]])
     d = np.array([[1], [1], [1]])
     psr = psrep.Pseudorep2(c3, F5, t, d, name="c3conj")
-    out = ordinary.is_ordinary_psrep(psr, groups.trivial_char(c3, F5, domain=range(3)))
+    out = oracles.is_ordinary_psrep(psr, groups.trivial_char(c3, F5, domain=range(3)))
     assert not out["supported"]
     assert "irreducible" in out["reason"]
 
@@ -445,7 +443,7 @@ def test_decision_branches_on_the_residual_case_not_its_wording(monkeypatch):
     for mod in (psrep, gma, ordinary):
         if getattr(mod, "residual_split", None) is original:
             monkeypatch.setattr(mod, "residual_split", reworded)
-    out = ordinary.is_ordinary_psrep(psr, kappa)
+    out = oracles.is_ordinary_psrep(psr, kappa)
     assert (out["supported"], out["ordinary"], out["checked"]) == (True, False, 56)
 
 
@@ -456,7 +454,7 @@ def test_decision_checks_kappa_before_reading_it():
     f25 = rings.field_ring(5, 2)
     kappa = groups.trivial_char(psr.group, f25, domain=range(4), name="k25")
     with pytest.raises(InputError, match="kappa must take values in the base ring"):
-        ordinary.is_ordinary_psrep(psr, kappa)
+        oracles.is_ordinary_psrep(psr, kappa)
 
 
 def test_decision_builds_no_ordinary_quotient(monkeypatch):
@@ -470,10 +468,10 @@ def test_decision_builds_no_ordinary_quotient(monkeypatch):
 
     monkeypatch.setattr(ordinary, "ch_base_change", counted)
     psr, kappa = c4_setup()
-    assert ordinary.is_ordinary_psrep(psr, kappa)["ordinary"]
+    assert oracles.is_ordinary_psrep(psr, kappa)["ordinary"]
     for dp, ip in [(tuple(range(5)), tuple(range(5))), ((0, 6), (0,))]:
         d5 = d5_t2_psrep(dp, ip)
-        ordinary.is_ordinary_psrep(d5, groups.trivial_char(d5.group, T2, domain=dp, name="k"))
+        oracles.is_ordinary_psrep(d5, groups.trivial_char(d5.group, T2, domain=dp, name="k"))
     assert calls == []
     scenarios.run_scenario("diag-ordinary")
     assert len(calls) <= 1
@@ -482,11 +480,11 @@ def test_decision_builds_no_ordinary_quotient(monkeypatch):
 def test_decision_matrix_residual_depends_on_kappa():
     # rotations act with eigenvalues +-2, so kappa^-1 = 2 works and 1 does not
     rep = d4_rep((0, 1, 2, 3), (0, 1, 2, 3))
-    psr = psrep.psi_of_rep(rep)
+    psr = oracles.psi_of_rep(rep)
     good = groups.cyclic_char(psr.group, F5, 1, F5.from_int(3), name="k3")
-    assert ordinary.is_ordinary_psrep(psr, good)["ordinary"]
+    assert oracles.is_ordinary_psrep(psr, good)["ordinary"]
     bad = groups.trivial_char(psr.group, F5, domain=range(4), name="k1")
-    out = ordinary.is_ordinary_psrep(psr, bad)
+    out = oracles.is_ordinary_psrep(psr, bad)
     assert out["supported"] and not out["ordinary"]
     assert out["checked"] == 30
 
@@ -495,23 +493,23 @@ def test_decision_sees_the_nilpotent_obstruction():
     """The s-deformation is ordinary over the field but not over T2."""
     over_t2 = d5_t2_psrep(tuple(range(5)), tuple(range(5)))
     k2 = groups.trivial_char(over_t2.group, T2, domain=range(5), name="k")
-    out = ordinary.is_ordinary_psrep(over_t2, k2)
+    out = oracles.is_ordinary_psrep(over_t2, k2)
     assert out["supported"] and not out["ordinary"] and out["checked"] == 2
     over_f5 = d5_f5_psrep(tuple(range(5)), tuple(range(5)))
     k5 = groups.trivial_char(over_f5.group, F5, domain=range(5), name="k")
-    assert ordinary.is_ordinary_psrep(over_f5, k5)["ordinary"]
+    assert oracles.is_ordinary_psrep(over_f5, k5)["ordinary"]
 
 
 def test_decision_searches_both_corners():
     """rho12 vanishes on {e, rs} in one corner only; the search finds it."""
     psr = d5_t2_psrep((0, 6), (0,))
     kappa = groups.trivial_char(psr.group, T2, domain=(0, 6), name="k")
-    out = ordinary.is_ordinary_psrep(psr, kappa)
+    out = oracles.is_ordinary_psrep(psr, kappa)
     assert out["supported"] and out["ordinary"]
     ch = gma.ch_quotient(psr)
-    res = gma.lift_idempotents(ch)
+    e = gma.lift_idempotents(ch, 400000)
     flags = []
-    for e1 in (res["e1"], res["e2"]):
+    for e1 in (e, ch.algebra.sub(ch.algebra.one, e)):
         ctx = ordinary.ordinary_context(gma.gma_decompose(ch, e1), kappa)
         oq = ordinary.ordinary_quotient(ctx)
         flags.append(oq.j_r.is_zero())
@@ -527,7 +525,7 @@ def test_decision_agrees_with_representation_oracle():
         triv = groups.trivial_char(grp, F5, domain=range(4))
         for aval in (2, 3, 4):
             chi = groups.cyclic_char(grp, F5, 1, F5.from_int(aval))
-            rep = psrep.rep_from_chars(chi, triv)
+            rep = oracles.rep_from_chars(chi, triv)
             for bval in (1, 2, 3, 4):
                 kap = groups.cyclic_char(grp, F5, 1, F5.from_int(bval), name="k")
                 instances.append((rep, kap))
@@ -536,7 +534,7 @@ def test_decision_agrees_with_representation_oracle():
     triv6 = groups.trivial_char(grp6, F7, domain=range(6))
     for aval in (3, 2):
         chi = groups.cyclic_char(grp6, F7, 1, F7.from_int(aval))
-        rep = psrep.rep_from_chars(chi, triv6)
+        rep = oracles.rep_from_chars(chi, triv6)
         for bval in (1, 2, 3, 4, 5, 6):
             kap = groups.cyclic_char(grp6, F7, 1, F7.from_int(bval), name="k")
             instances.append((rep, kap))
@@ -562,7 +560,7 @@ def test_decision_agrees_with_representation_oracle():
     start = time.time()
     agreed = 0
     for rep, kap in instances:
-        decision = ordinary.is_ordinary_psrep(psrep.psi_of_rep(rep), kap)
+        decision = oracles.is_ordinary_psrep(oracles.psi_of_rep(rep), kap)
         if not decision["supported"]:
             continue
         assert decision["ordinary"] == rep_ordinary_oracle(rep, kap), rep.name
@@ -586,11 +584,10 @@ def test_factorization_universality():
         aligned_context(p2, groups.trivial_char(c2, Z25, domain=range(2), name="k"))
     )
     rep = d4_rep((0, 1, 2, 3), (0, 1, 2, 3))
-    p4 = psrep.psi_of_rep(rep)
+    p4 = oracles.psi_of_rep(rep)
     ch = gma.ch_quotient(p4)
-    res = gma.lift_idempotents(ch)
     kap = groups.cyclic_char(p4.group, F5, 1, F5.from_int(3), name="k")
-    cases.append(ordinary.ordinary_context(gma.gma_decompose(ch, res["e1"]), kap))
+    cases.append(ordinary.ordinary_context(gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000)), kap))
     p5 = d5_f5_psrep(tuple(range(5)), tuple(range(5)))
     cases.append(
         aligned_context(p5, groups.trivial_char(p5.group, F5, domain=range(5), name="k"))
@@ -631,11 +628,10 @@ def test_reducible_quotient_deformed_dihedral():
 
 def test_reducible_quotient_collapse():
     rep = d4_rep(tuple(range(8)), tuple(range(8)))
-    psr = psrep.psi_of_rep(rep)
+    psr = oracles.psi_of_rep(rep)
     ch = gma.ch_quotient(psr)
-    res = gma.lift_idempotents(ch)
     kappa = groups.trivial_char(psr.group, F5, domain=range(8), name="k")
-    ctx = ordinary.ordinary_context(gma.gma_decompose(ch, res["e1"]), kappa)
+    ctx = ordinary.ordinary_context(gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000)), kappa)
     out = oracles.reducible_ordinary_quotient(ctx)
     assert out["collapsed"] and out["e_red"] is None
 
@@ -846,7 +842,7 @@ def test_deformation_scale_does_not_change_the_verdict(a):
         d[5 + j] = [4, 0]
     psr = psrep.Pseudorep2(d5, T2, t, d, name="d5scaled")
     kappa = groups.trivial_char(d5, T2, domain=range(5), name="k")
-    out = ordinary.is_ordinary_psrep(psr, kappa)
+    out = oracles.is_ordinary_psrep(psr, kappa)
     assert out["supported"] and not out["ordinary"]
 
 
@@ -865,4 +861,4 @@ def test_diagonal_decision_matches_character_arithmetic(aval, bval):
         all(np.array_equal(c(g), kappa.inv_value(g)) for g in grp.ip)
         for c in (chi, triv)
     )
-    assert ordinary.is_ordinary_psrep(psr, kappa)["ordinary"] == expect
+    assert oracles.is_ordinary_psrep(psr, kappa)["ordinary"] == expect

@@ -1,6 +1,6 @@
 """The ordinarity decisions, locked by digest, and the work they may cost.
 
-The report digests do not cover `is_ordinary_psrep`'s `checked`, `reason`
+The report digests do not cover the decision's `checked`, `reason`
 or witness `e1`.  `data/ordinary_decisions.json` holds one sha256 per
 psrep unit of the full decision result (or of the error it raises): the
 two bundled psrep scenarios and the psrep units of
@@ -31,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import oracles
 
 from exalg import algebras, gma, groups, ordinary, psrep, rings, scenarios
 from exalg.errors import BudgetExceeded, InputError, InvariantViolation
@@ -55,7 +56,7 @@ def decision_digest(doc) -> str:
     """sha256 of the canonical JSON of the unit's decision, or of its error."""
     state = scenarios._State(scenarios.load_scenario(doc))
     try:
-        out = ordinary.is_ordinary_psrep(state.psr, state.kappa, budget=state.sc.budget)
+        out = oracles.is_ordinary_psrep(state.psr, state.kappa, budget=state.sc.budget)
     except (InputError, BudgetExceeded, InvariantViolation) as e:
         out = {"raised": type(e).__name__, "message": str(e)}
     return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
@@ -78,8 +79,8 @@ def _s3_f7(dp=(0, 1, 2), ip=(0, 1, 2)):
     r[0, 1], r[1, 0], r[1, 1] = 6, 1, 6
     s = np.zeros((2, 2, 1), dtype=np.int64)
     s[0, 1], s[1, 0] = 1, 1
-    rep = psrep.MatrixRep2.from_generators(grp, f7, {1: r, 3: s})
-    return psrep.psi_of_rep(rep), groups.trivial_char(grp, f7, domain=range(6), name="k")
+    rep = oracles.MatrixRep2.from_generators(grp, f7, {1: r, 3: s})
+    return oracles.psi_of_rep(rep), groups.trivial_char(grp, f7, domain=range(6), name="k")
 
 
 def _counter(monkeypatch, owner, name, counts, key):
@@ -123,12 +124,12 @@ def test_decision_builds_no_ideal_and_checks_every_candidate_on_one_stack(monkey
         return check(ch, es)
 
     monkeypatch.setattr(ordinary, "_check_gma_stack", recorded)
-    out = ordinary.is_ordinary_ch(ch, kappa)
+    out = ordinary._decide(ch, kappa, 400000)[0]
     assert out["supported"] and not out["ordinary"] and out["checked"] == 56
     assert stacks == [56]
     # an ordinary case: the rows up to the winner are checked, and the witness is read off that check
     stacks.clear()
-    out = ordinary.is_ordinary_ch(ch2, kappa2)
+    out = ordinary._decide(ch2, kappa2, 400000)[0]
     assert out["ordinary"] and out["checked"] == 5
     assert stacks == [5]
     assert counts.get("gma_decompose", 0) == 0 and counts.get("two_sided_ideal_rows", 0) == 0
@@ -166,7 +167,7 @@ def test_ordinary_verdicts_report_their_own_idempotent(tmp_path):
             continue
         ordinary_units += 1
         st = scenarios._State(sc)
-        witness = ordinary.is_ordinary_psrep(st.psr, st.kappa, budget=sc.budget)["witness"]
+        witness = oracles.is_ordinary_psrep(st.psr, st.kappa, budget=sc.budget)["witness"]
         assert report.stages["gma"]["e1"].tolist() == witness["e1"], sc.name
         assert stage["j_r_basis"].size == 0, sc.name
     assert ordinary_units == 41

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exalg import groups, linalg, psrep, rings
+from exalg import groups, linalg, psrep, rings, scenarios
 from exalg.errors import InputError, InvariantViolation
 
 F5 = rings.zmod_ring(5, 1)
@@ -34,7 +34,7 @@ def s3_faithful_rep(ring):
     swap = np.zeros((2, 2, ring.n), dtype=np.int64)
     swap[0, 1] = ring.one
     swap[1, 0] = ring.one
-    return psrep.MatrixRep2.from_generators(s3, ring, {1: rot, 3: swap}, name="std")
+    return oracles.MatrixRep2.from_generators(s3, ring, {1: rot, 3: swap}, name="std")
 
 
 def c3_irreducible_rep(ring):
@@ -43,7 +43,7 @@ def c3_irreducible_rep(ring):
     rot[0, 1] = (-ring.one) % ring.char
     rot[1, 0] = ring.one
     rot[1, 1] = (-ring.one) % ring.char
-    return psrep.MatrixRep2.from_generators(c3, ring, {1: rot}, name="c3std")
+    return oracles.MatrixRep2.from_generators(c3, ring, {1: rot}, name="c3std")
 
 
 # ---- validation laws ------------------------------------------------
@@ -51,7 +51,7 @@ def c3_irreducible_rep(ring):
 
 def test_trace_of_honest_rep_validates():
     for rep in [s3_faithful_rep(F5), s3_faithful_rep(F7), c3_irreducible_rep(F5)]:
-        psr = psrep.psi_of_rep(rep)
+        psr = oracles.psi_of_rep(rep)
         report = psrep.validate_pseudorep(psr)
         assert report["ok"], report["failures"]
 
@@ -69,7 +69,7 @@ def test_sum_of_characters_validates():
 def test_a_pseudorep_validates_once_and_its_arrays_are_read_only(monkeypatch):
     calls, validate = [], psrep.validate_pseudorep
     monkeypatch.setattr(psrep, "validate_pseudorep", lambda psr: calls.append(psr) or validate(psr))
-    psr = psrep.psi_of_rep(s3_faithful_rep(F5))
+    psr = oracles.psi_of_rep(s3_faithful_rep(F5))
     psr.check()
     psr.check()
     assert psr.validation["ok"] and calls == [psr]
@@ -80,7 +80,7 @@ def test_a_pseudorep_validates_once_and_its_arrays_are_read_only(monkeypatch):
 
 def test_corrupted_trace_is_witnessed():
     rep = s3_faithful_rep(F5)
-    psr = psrep.psi_of_rep(rep)
+    psr = oracles.psi_of_rep(rep)
     t = psr.t.copy()
     t[2] = (t[2] + 1) % 5
     report = psrep.validate_pseudorep(psrep.Pseudorep2(psr.group, psr.ring, t, psr.d))
@@ -170,7 +170,7 @@ def _loop_check_failure(rep):
 
 def _c4_diag(ring, value):
     c4 = groups.cyclic_group(4)
-    return psrep.rep_from_chars(groups.cyclic_char(c4, ring, 1, ring.from_int(value)), groups.trivial_char(c4, ring))
+    return oracles.rep_from_chars(groups.cyclic_char(c4, ring, 1, ring.from_int(value)), groups.trivial_char(c4, ring))
 
 
 @functools.cache
@@ -187,14 +187,14 @@ def _rep_case(name):
         inv = unip.copy()
         inv[0, 1] = 4
         images = [rep.matmul(unip, rep.matmul(rep.of(g), inv)) for g in range(4)]
-        return psrep.MatrixRep2(rep.group, F5, images, name="tri")
+        return oracles.MatrixRep2(rep.group, F5, images, name="tri")
     if name == "dihedral":
         d4 = groups.dihedral_group(4)
         rot = np.zeros((2, 2, 1), dtype=np.int64)
         rot[0, 1], rot[1, 0] = 4, 1
         ref = np.zeros((2, 2, 1), dtype=np.int64)
         ref[0, 0], ref[1, 1] = 1, 4
-        return psrep.MatrixRep2.from_generators(d4, F5, {1: rot, 4: ref}, name="d4std")
+        return oracles.MatrixRep2.from_generators(d4, F5, {1: rot, 4: ref}, name="d4std")
     return s3_faithful_rep({"s3f5": F5, "s3f7": F7, "s3f25": F25}[name])
 
 
@@ -208,7 +208,7 @@ _EDITS = st.lists(st.tuples(st.sampled_from(["t", "d"]), st.integers(0, 10**6), 
 def test_stacked_validate_matches_the_per_element_loop(case, edits, max_failures):
     """Corrupted traces and determinants give the loop's exact failure
     list, order and truncation included; intact pairs pass both."""
-    psr = psrep.psi_of_rep(_rep_case(case))
+    psr = oracles.psi_of_rep(_rep_case(case))
     arrays = {"t": psr.t.copy(), "d": psr.d.copy()}
     for name, where, delta in edits:
         arr = arrays[name]
@@ -236,7 +236,7 @@ def test_stacked_rep_check_raises_the_loop_first_message(case, edits):
         else:
             flat = images.reshape(-1)
             flat[where % flat.size] = (flat[where % flat.size] + delta) % rep.ring.char
-    bad = psrep.MatrixRep2(rep.group, rep.ring, images, name="bad")
+    bad = oracles.MatrixRep2(rep.group, rep.ring, images, name="bad")
     try:
         bad.check()
         got = None
@@ -249,7 +249,7 @@ def test_stacked_rep_check_raises_the_loop_first_message(case, edits):
 
 def test_char_poly_is_cayley_hamilton_for_reps():
     rep = s3_faithful_rep(F7)
-    psr = psrep.psi_of_rep(rep)
+    psr = oracles.psi_of_rep(rep)
     r = F7
     for g in rep.group.elements():
         c0, c1, _ = oracles.char_poly_at(psr, g)
@@ -283,7 +283,7 @@ def test_rep_generator_fill_rejects_inconsistency():
     bad[0, 0] = 2  # 2^2 = 4 != 1: not an involution
     bad[1, 1] = 1
     with pytest.raises(InvariantViolation):
-        psrep.MatrixRep2.from_generators(c2, F5, {1: bad})
+        oracles.MatrixRep2.from_generators(c2, F5, {1: bad})
 
 
 def test_rep_generator_fill_requires_generation():
@@ -292,23 +292,38 @@ def test_rep_generator_fill_requires_generation():
     sq[0, 0] = 4
     sq[1, 1] = 4  # image of g^2 only
     with pytest.raises(InputError):
-        psrep.MatrixRep2.from_generators(c4, F5, {2: sq})
+        oracles.MatrixRep2.from_generators(c4, F5, {2: sq})
 
 
 def test_diag_rep_from_chars():
     c4 = groups.cyclic_group(4)
     chi1 = groups.cyclic_char(c4, F5, 1, np.array([2]))
     chi2 = groups.cyclic_char(c4, F5, 1, np.array([3]))
-    rep = psrep.rep_from_chars(chi1, chi2)
-    psr = psrep.psi_of_rep(rep)
+    rep = oracles.rep_from_chars(chi1, chi2)
+    psr = oracles.psi_of_rep(rep)
     psr.check()
     assert psr.t[1].tolist() == [0]  # 2 + 3
     assert psr.d[1].tolist() == [1]  # 2 * 3
 
 
+@pytest.mark.parametrize("ring", [F5, F7, Z25, F25], ids=lambda r: r.name)
+def test_scenario_psreps_are_the_trace_and_determinant_of_their_matrices(ring):
+    """The scenarios build "s3_standard" and "triangular" from (t, d) alone;
+    each must be the pair of the representation it names."""
+    std = scenarios._build_psrep({"kind": "s3_standard"}, groups.symmetric_3(), ring)
+    want = oracles.psi_of_rep(s3_faithful_rep(ring))
+    assert np.array_equal(std.t, want.t) and np.array_equal(std.d, want.d)
+    c4 = groups.cyclic_group(4)
+    chi1 = {"kind": "power", "gen": 1, "value": ring.char - 1}
+    tri = scenarios._build_psrep({"kind": "triangular", "chi1": chi1, "chi2": {"kind": "trivial"}}, c4, ring)
+    chars = (scenarios._build_char(chi1, c4, ring), groups.trivial_char(c4, ring))
+    want = oracles.psi_of_rep(oracles.unipotent_conjugate(oracles.rep_from_chars(*chars)))
+    assert np.array_equal(tri.t, want.t) and np.array_equal(tri.d, want.d)
+
+
 def test_stacked_matmul_matches_the_per_entry_loop():
     ring = rings.truncated_poly_ring(rings.zmod_ring(5, 2), 3)
-    rep = psrep.MatrixRep2(groups.cyclic_group(1), ring, np.zeros((1, 2, 2, ring.n)))
+    rep = oracles.MatrixRep2(groups.cyclic_group(1), ring, np.zeros((1, 2, 2, ring.n)))
     rng = random.Random(5)
     for _ in range(50):
         a, b = (np.array([[oracles.random_element(ring, rng) for _ in range(2)] for _ in range(2)]) for _ in range(2))
@@ -342,7 +357,7 @@ def rho_hat(rep, x):
 
 def test_extension_matches_trace_and_det_of_rho_hat():
     rep = s3_faithful_rep(F5)
-    ext = psrep.extended_forms(psrep.psi_of_rep(rep))
+    ext = psrep.extended_forms(oracles.psi_of_rep(rep))
     rng = random.Random(11)
     for _ in range(20):
         x = oracles.random_element(ext.algebra, rng)
@@ -355,7 +370,7 @@ def test_extension_matches_trace_and_det_of_rho_hat():
 
 def test_extension_determinant_is_multiplicative_for_rep_traces():
     rep = s3_faithful_rep(F7)
-    ext = psrep.extended_forms(psrep.psi_of_rep(rep))
+    ext = psrep.extended_forms(oracles.psi_of_rep(rep))
     rng = random.Random(5)
     for _ in range(15):
         x, y = oracles.random_element(ext.algebra, rng), oracles.random_element(ext.algebra, rng)
@@ -377,7 +392,7 @@ def test_kernel_of_sum_of_trivial_chars_on_c2():
 def test_kernel_of_s3_irreducible_trace():
     # F5[S3] = F5 x F5 x M2(F5); the trace form of the 2-dim factor has the
     # two scalar factors as its radical
-    ext = psrep.extended_forms(psrep.psi_of_rep(s3_faithful_rep(F5)))
+    ext = psrep.extended_forms(oracles.psi_of_rep(s3_faithful_rep(F5)))
     rows = oracles.kernel_rows(ext)
     assert linalg.span_log_size(rows, 5, 1) == 2
     # idempotent average of the sign-trivial part lies in the radical:
@@ -393,7 +408,7 @@ def test_trace_radical_matches_the_per_basis_columns():
     per-basis `right_mul_matrix` columns give."""
     c4 = groups.cyclic_group(4)
     chi = groups.cyclic_char(c4, Z25, 1, np.array([7]))
-    for psr in (psrep.psi_of_rep(s3_faithful_rep(F5)), psrep.psrep_from_chars(chi, groups.trivial_char(c4, Z25))):
+    for psr in (oracles.psi_of_rep(s3_faithful_rep(F5)), psrep.psrep_from_chars(chi, groups.trivial_char(c4, Z25))):
         ext = psrep.extended_forms(psr)
         alg, t = ext.algebra, ext.t_matrix
         cols = [(alg.right_mul_matrix(e) @ t) % psr.ring.char for e in np.eye(alg.n, dtype=np.int64)]
@@ -437,7 +452,7 @@ def test_residual_split_equal_characters():
 
 
 def test_residual_split_irreducible_flags_unsupported():
-    psr = psrep.psi_of_rep(c3_irreducible_rep(F5))
+    psr = oracles.psi_of_rep(c3_irreducible_rep(F5))
     out = psrep.residual_split(psr)
     assert not out["split"] and out["unsupported"]
     assert "irreducible" in out["reason"]
@@ -445,7 +460,7 @@ def test_residual_split_irreducible_flags_unsupported():
 
 def test_residual_split_pointwise_but_inconsistent():
     # over F7 every element image splits, but S3 has no faithful character pair
-    psr = psrep.psi_of_rep(s3_faithful_rep(F7))
+    psr = oracles.psi_of_rep(s3_faithful_rep(F7))
     out = psrep.residual_split(psr)
     assert not out["split"] and out["unsupported"]
     assert "multiplicative" in out["reason"]
@@ -454,11 +469,11 @@ def test_residual_split_pointwise_but_inconsistent():
 def test_residual_split_after_extension():
     # the C3 trace splits once the coefficients grow to F25
     rep25 = c3_irreducible_rep(F25)
-    out = psrep.residual_split(psrep.psi_of_rep(rep25))
+    out = psrep.residual_split(oracles.psi_of_rep(rep25))
     assert out["split"]
     chi1, chi2 = out["chars"]
     for g in range(3):
-        assert np.array_equal(F25.mul(chi1(g), chi2(g)), psrep.psi_of_rep(rep25).d[g])
+        assert np.array_equal(F25.mul(chi1(g), chi2(g)), oracles.psi_of_rep(rep25).d[g])
 
 
 def test_residual_split_rejects_nonfield():

@@ -238,7 +238,7 @@ def test_local_rings_detected(r):
 
 def test_products_are_not_local():
     for a, b in [(F5, F5), (F25, F5), (T2, F5)]:
-        pr = rings.product_ring(a, b)
+        pr = oracles.product_ring(a, b)
         pr.check_ring()
         assert not pr.is_local
         assert oracles.local_factor_count(pr) == 2
@@ -306,12 +306,11 @@ def test_ideal_arithmetic():
     t2 = rings.Ideal(T4, [np.array([0, 0, 1, 0])])
     t3 = rings.Ideal(T4, [np.array([0, 0, 0, 1])])
     assert t.mul_ideal(t) == t2
-    assert t.power(2) == t2
-    assert t.power(3) == t3
+    assert t.mul_ideal(t).mul_ideal(t) == t3
     assert t2.add_ideal(t3) == t2
     assert t.contains_ideal(t2) and not t2.contains_ideal(t)
     assert rings.Ideal(T4, [T4.one]).is_unit_ideal()
-    assert t.power(4).is_zero()
+    assert t3.mul_ideal(t).is_zero()
 
 
 @pytest.mark.parametrize("r", [T4, Z25Y, F25], ids=lambda r: r.name)
@@ -399,8 +398,9 @@ def test_quotient_lift_section():
     ideal = rings.Ideal(T4, [np.array([0, 0, 1, 0])])
     q = rings.quotient_ring(T4, ideal)
     for c in oracles.elements(q.ring):
-        assert np.array_equal(q.proj(q.lift(c)), c)
-        assert ideal.contains(T4.sub(q.lift(c), q.lift(c)))
+        lift = (c @ q.lift_matrix) % T4.char
+        assert np.array_equal(q.proj(lift), c)
+        assert ideal.contains(T4.sub(lift, lift))
 
 
 @given(st.lists(st.lists(st.integers(0, 24), min_size=2, max_size=2), min_size=1, max_size=2))
@@ -457,7 +457,7 @@ def test_fiber_product_over_a_non_local_factor_carries_no_residue_map():
     """A x_C (C x D) is A x D, with two local factors: A local and C != 0
     do not make the fibre product local, so no residue map is carried."""
     a, c, d = T2, F5, F25
-    b = rings.product_ring(c, d)
+    b = oracles.product_ring(c, d)
     assert a.is_local and not b.is_local  # A has its residue map, B has none
     f = rings.RingMap(a, c, np.array([[1], [0]]), name="aug")
     g = rings.RingMap(b, c, np.array([[1], [0], [0]]), name="pr_C")
@@ -472,7 +472,7 @@ def test_products_with_a_zero_factor_are_the_other_factor():
     factors carries none."""
     z = oracles.zero_ring(5)
     for a, b, carried in [(T2, z, T2), (z, F25, F25)]:
-        assert np.array_equal(rings.product_ring(a, b)._residue_map, carried._residue_map)
+        assert np.array_equal(oracles.product_ring(a, b)._residue_map, carried._residue_map)
     onto_zero = [rings.RingMap(r, z, np.zeros((r.n, 0), dtype=np.int64)) for r in (T2, z, F25)]
     for f, g, carried in [(0, 1, T2), (1, 2, F25)]:
         h, pa, pb = rings.fiber_product(onto_zero[f], onto_zero[g])
@@ -588,7 +588,7 @@ def test_monogenic_generators_frozen():
     assert g.tolist() == [0, 1] and minpoly == [1, 1, 1]  # x^2 + x + 1
     g, minpoly = oracles.monogenic_generator(Z25)
     assert minpoly == [24, 1]
-    pr = rings.product_ring(F5, F5)
+    pr = oracles.product_ring(F5, F5)
     got = oracles.monogenic_generator(pr)
     assert got is not None
     g, minpoly = got
@@ -653,19 +653,20 @@ def test_fiber_product_table_matches_per_pair_solves(h_spec):
     assert (ring.p, ring.k) == (t.H.p, t.H.k)
     assert np.array_equal(ring.table, t.H.table) and np.array_equal(ring.one, t.H.one)
     basis, na = np.hstack([pr1.matrix, pr2.matrix]), a_ring.n
+    span = linalg.FactoredSpan.factor(basis, 5, 1)
     for i in range(ring.n):
         for j in range(i, ring.n):
             x, y = basis[i], basis[j]
             prod = np.concatenate([a_ring.mul(x[:na], y[:na]), b_ring.mul(x[na:], y[na:])])
-            coeff = linalg.solve_left(basis, prod, 5, 1)
-            assert np.array_equal(ring.table[i, j], coeff) and np.array_equal(ring.table[j, i], coeff)
-    one = linalg.solve_left(basis, np.concatenate([a_ring.one, b_ring.one]), 5, 1)
-    assert np.array_equal(ring.one, one)
+            coeff, ok = span.solve(prod)
+            assert ok and np.array_equal(ring.table[i, j], coeff) and np.array_equal(ring.table[j, i], coeff)
+    one, ok = span.solve(np.concatenate([a_ring.one, b_ring.one]))
+    assert ok and np.array_equal(ring.one, one)
 
 
 # ---- batched contractions against per-element products ---------------
 
-PRODUCT_RING = rings.product_ring(F5, F25, name="F5xF25")
+PRODUCT_RING = oracles.product_ring(F5, F25, name="F5xF25")
 BATCH_RINGS = [T3, Z25, F25, F27, Z25Y, PRODUCT_RING]
 
 
@@ -813,7 +814,7 @@ KERNEL_RINGS = [
     rings.truncated_poly_ring(F5, 14, name="F5[t]/t^14"),
     rings.truncated_poly_ring(Z25, 12, name="Z25[t]/t^12"),
     PRODUCT_RING,
-    rings.product_ring(rings.truncated_poly_ring(F5, 9), T4, name="F5[t]/t^9xT4"),
+    oracles.product_ring(rings.truncated_poly_ring(F5, 9), T4, name="F5[t]/t^9xT4"),
     towers.build_eisenstein_tower(rings.DvrModel(5, 1, 8), 2, {"kind": "plane"}).H,
     algebras.matrix_algebra(F5, 2),
     algebras.matrix_algebra(T3, 2),

@@ -321,6 +321,20 @@ def test_degenerate_tower():
     assert linalg.span_equal(t.ker_h.annihilator().basis, t.script_I.basis)
 
 
+@pytest.mark.parametrize("spec", [{"kind": "plane"}, {"kind": "branch", "m": 2}, {"kind": "axes", "s": 3}],
+                         ids=lambda spec: spec["kind"])
+def test_degenerate_tower_is_the_product_ring(spec):
+    """Glued over the zero ring, H is h x base in the product's own
+    coordinates, with the block projections, and carries no residue map."""
+    lam = rings.DvrModel(5, 1, 8)
+    t = towers.build_eisenstein_tower(lam, 0, spec)
+    prod = oracles.product_ring(t.h, lam.ring)
+    assert np.array_equal(t.H.table, prod.table) and np.array_equal(t.H.one, prod.one)
+    nh, nl = t.h.n, lam.ring.n
+    assert np.array_equal(t.pr_h.matrix, np.eye(nh + nl, nh, dtype=np.int64))
+    assert np.array_equal(t.pr_lam.matrix, np.eye(nh + nl, nl, -nh, dtype=np.int64))
+    assert t.H._residue_map is None and prod._residue_map is None
+
 # ---- corpus-wide invariants -----------------------------------------
 
 
