@@ -7,10 +7,13 @@ canonical JSON by default; --format text renders them for reading and
 ends with the wall time of each stage, which never enters the JSON.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error,
-3 enumeration budget exceeded.
+3 enumeration budget exceeded.  Exits 2 and 3 print one stderr line,
+`scenario <name>, stage <stage>: ...` (stage `load` before any stage
+runs) but for the refusals made outside any scenario.
 """
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -139,7 +142,7 @@ def _run(args) -> int:
         stages = overrides[sc.kind]
         if stages == ():
             raise InputError(f"{args.command} applies to tower scenarios; {sc.name} is a {sc.kind} scenario")
-        report = scenarios.run_scenario(sc, stages=stages)
+        report = scenarios.run_scenario(sc if stages is None else dataclasses.replace(sc, stages=stages))
         _emit(report, args)
         failed = failed or report.verdict != "ok"
     return 1 if failed else 0

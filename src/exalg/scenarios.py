@@ -2,11 +2,12 @@
 
 A scenario names its objects through a small builder vocabulary (rings,
 marked groups, characters, pseudorepresentations, towers) and lists the
-stages to run.  Stages resolve lazily: each object a stage reads is an
-attribute of the scenario's `_State` (ring, grp, psr, kappa, ch,
-decision and gma; lam and tower), built on first read and kept, so
-asking for the reducibility stage alone still builds the quotient chain
-it needs, but only the requested stages appear in the report.
+stages to run.  Its `_State` builds the objects the document spells out
+at stage `load`, and the derived ones (ch, decision, gma; tower) on
+first read, so the reducibility stage alone still builds the quotient
+chain it needs, but only the requested stages appear in the report.
+Each refusal reads `scenario <name>, stage <stage>: <reason>`
+(`_refusals`); a load error names its source until `name` is read.
 
 Everything here is deterministic.  The only randomness in the module is
 the corpus generator, which owns a seeded Random instance and bakes the
@@ -29,8 +30,10 @@ Tower scenarios:
     replay        Fitting-ideal replay of the cotangent bound
 """
 
+import contextlib
 import math
 import random
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -41,7 +44,7 @@ from . import gma as gma_mod
 from . import groups, ordinary, psrep, serialize, towers
 from .errors import BudgetExceeded, InputError, InvariantViolation
 from .rings import DvrModel, RingMap, field_ring, truncated_poly_ring, zmod_ring
-from .serialize import int_field, int_list_field, object_field
+from .serialize import check_field, int_field, int_list_field, list_field, object_field, str_field
 
 __all__ = [
     "BUILTIN",
@@ -91,40 +94,33 @@ class Report:
 
 
 def _build_ring(spec: dict):
-    kind = spec.get("kind")
+    kind = str_field(spec, "kind", ("field", "zmod", "poly"))
     if kind == "field":
         return field_ring(int_field(spec, "p"), int_field(spec, "e", 1))
     if kind == "zmod":
         return zmod_ring(int_field(spec, "p"), int_field(spec, "k", 1))
-    if kind == "poly":
-        base = _build_ring(object_field(spec, "base"))
-        return truncated_poly_ring(base, int_field(spec, "trunc"))
-    raise InputError(f"unknown ring kind {kind!r}")
+    base = _build_ring(object_field(spec, "base"))
+    return truncated_poly_ring(base, int_field(spec, "trunc"))
 
 
 def _build_group(spec: dict):
-    kind = spec.get("kind")
+    kind = str_field(spec, "kind", ("cyclic", "dihedral", "sym3"))
     if kind == "cyclic":
         grp = groups.cyclic_group(int_field(spec, "n"))
     elif kind == "dihedral":
         grp = groups.dihedral_group(int_field(spec, "n"))
-    elif kind == "sym3":
-        grp = groups.symmetric_3()
     else:
-        raise InputError(f"unknown group kind {kind!r}")
+        grp = groups.symmetric_3()
     return grp.mark(dp=tuple(int_list_field(spec, "dp")), ip=tuple(int_list_field(spec, "ip")))
 
 
 def _build_char(spec, grp, ring, name="chi"):
     if spec is None:
         return None
-    kind = spec.get("kind")
-    if kind == "trivial":
+    if str_field(spec, "kind", ("trivial", "power")) == "trivial":
         return groups.trivial_char(grp, ring, name=name)
-    if kind == "power":
-        value = ring.from_int(int_field(spec, "value"))
-        return groups.cyclic_char(grp, ring, int_field(spec, "gen", 1), value, name=name)
-    raise InputError(f"unknown character kind {kind!r}")
+    value = ring.from_int(int_field(spec, "value"))
+    return groups.cyclic_char(grp, ring, int_field(spec, "gen", 1), value, name=name)
 
 
 def _s3_standard(grp, ring) -> psrep.Pseudorep2:
@@ -142,47 +138,39 @@ def _build_psrep(spec: dict, grp, ring):
     """The psrep of `spec`.  "triangular" names diag(chi1, chi2) conjugated
     by a unipotent, which keeps the trace and the determinant, so as a
     psrep it is chi1 + chi2, as "char_pair" is."""
-    kind = spec.get("kind")
-    if kind in ("char_pair", "triangular"):
-        chi1 = _build_char(object_field(spec, "chi1"), grp, ring, name="chi1")
-        chi2 = _build_char(object_field(spec, "chi2"), grp, ring, name="chi2")
-        return psrep.psrep_from_chars(chi1, chi2, name="psr" if kind == "char_pair" else "tri")
+    kind = str_field(spec, "kind", ("char_pair", "triangular", "s3_standard"))
     if kind == "s3_standard":
         return _s3_standard(grp, ring)
-    raise InputError(f"unknown psrep kind {kind!r}")
+    chi1 = _build_char(object_field(spec, "chi1"), grp, ring, name="chi1")
+    chi2 = _build_char(object_field(spec, "chi2"), grp, ring, name="chi2")
+    return psrep.psrep_from_chars(chi1, chi2, name="psr" if kind == "char_pair" else "tri")
 
 
 # ---- lazy stage state ------------------------------------------------
 
 
 class _State:
-    """The objects of one scenario, each built on first read and kept.  An
-    invalid scenario raises the error of the first object it fails to
-    build, in the order ring, grp, psr, then kappa; lam, then tower."""
+    """The objects of one scenario: ring, grp, psr, kappa or lam, r, h built
+    now, in that order, and the rest on first read.  h's own fields are
+    read when the tower is built, as the benchmark builds towers from
+    plain spec dicts."""
 
     def __init__(self, sc: Scenario):
         self.sc = sc
+        body = sc.body
+        if sc.kind == "psrep":
+            self.ring = _build_ring(object_field(body, "ring"))
+            self.grp = _build_group(object_field(body, "group"))
+            self.psr = _build_psrep(object_field(body, "psrep"), self.grp, self.ring)
+            kappa = object_field(body, "kappa", nullable=True)
+            self.kappa = _build_char(kappa, self.grp, self.ring, name="kappa")
+        else:
+            d = object_field(body, "dvr")
+            self.lam = DvrModel(int_field(d, "p"), int_field(d, "e", 1), int_field(d, "trunc"))
+            self.r = int_field(body, "r")
+            self.h = object_field(body, "h")
 
     # psrep chain
-    @cached_property
-    def ring(self):
-        return _build_ring(object_field(self.sc.body, "ring"))
-
-    @cached_property
-    def grp(self):
-        return _build_group(object_field(self.sc.body, "group"))
-
-    @cached_property
-    def psr(self):
-        ring, grp = self.ring, self.grp
-        return _build_psrep(object_field(self.sc.body, "psrep"), grp, ring)
-
-    @cached_property
-    def kappa(self):
-        self.psr  # built first, so an invalid psrep raises before kappa is read
-        kappa = object_field(self.sc.body, "kappa", nullable=True)
-        return _build_char(kappa, self.grp, self.ring, name="kappa")
-
     @cached_property
     def ch(self):
         return gma_mod.ch_quotient(self.psr)
@@ -203,14 +191,8 @@ class _State:
 
     # tower chain
     @cached_property
-    def lam(self):
-        d = object_field(self.sc.body, "dvr")
-        return DvrModel(int_field(d, "p"), int_field(d, "e", 1), int_field(d, "trunc"))
-
-    @cached_property
     def tower(self):
-        lam = self.lam
-        return towers.build_eisenstein_tower(lam, int_field(self.sc.body, "r"), object_field(self.sc.body, "h"))
+        return towers.build_eisenstein_tower(self.lam, self.r, self.h)
 
 
 # ---- stages ----------------------------------------------------------
@@ -284,14 +266,9 @@ def _stage_build(st: _State) -> dict:
     }
 
 
-def _stage_audit(st: _State) -> dict:
-    return towers.theorem_audit(st.tower)
-
-
 def _stage_criterion(st: _State) -> dict:
-    t = st.tower
-    lam = st.lam
-    if st.sc.body["h"]["kind"] == "plane":
+    t, lam = st.tower, st.lam
+    if st.h["kind"] == "plane":
         model = towers.branch_algebra(lam, t.r) if t.r else towers.base_algebra(lam)
         tag = "rank2"
     else:
@@ -300,10 +277,6 @@ def _stage_criterion(st: _State) -> dict:
     rep = towers.lenstra_check(model.ring, RingMap.identity(model.ring), model)
     rep["model"] = tag
     return rep
-
-
-def _stage_replay(st: _State) -> dict:
-    return towers.fitting_replay(st.tower)
 
 
 _STAGES = {
@@ -316,9 +289,9 @@ _STAGES = {
     },
     "tower": {
         "build": _stage_build,
-        "audit": _stage_audit,
+        "audit": lambda st: towers.theorem_audit(st.tower),
         "criterion": _stage_criterion,
-        "replay": _stage_replay,
+        "replay": lambda st: towers.fitting_replay(st.tower),
     },
 }
 
@@ -326,63 +299,58 @@ _STAGES = {
 # ---- loading and running --------------------------------------------
 
 
-def load_scenario(source, seed=None, budget=None, stages=None) -> Scenario:
-    """Resolve a builtin name, a path, or a parsed dict into a Scenario."""
-    if isinstance(source, Scenario):
-        doc = dict(source.body)
-        doc.update(
-            name=source.name, kind=source.kind, seed=source.seed,
-            budget=source.budget, stages=list(source.stages),
-        )
-    elif isinstance(source, dict):
-        doc = source
-    elif isinstance(source, (str, Path)) and str(source) in BUILTIN:
-        doc = BUILTIN[str(source)]
-    else:
-        path = Path(source)
-        if not path.is_file():
-            raise InputError(f"no scenario file or bundled scenario named {source!r}")
-        doc = serialize.parse_scenario_text(path.read_text(), where=str(path))
-    if isinstance(doc, dict) and "schema" not in doc:
-        doc = {"schema": serialize.SCENARIO_SCHEMA, **doc}
-    doc = serialize.parse_scenario_text(serialize.canonical_json(doc), where=doc.get("name", "<scenario>"))
-    chosen = tuple(stages if stages is not None else doc["stages"])
-    known = _STAGES[doc["kind"]]
-    for s in chosen:
-        if s not in known:
-            raise InputError(f"unknown stage {s!r} for kind {doc['kind']!r}")
-    return Scenario(
-        name=doc["name"],
-        kind=doc["kind"],
-        seed=int(seed if seed is not None else doc["seed"]),
-        budget=int(budget if budget is not None else doc["budget"]),
-        stages=chosen,
-        body=doc,
-    )
+@contextlib.contextmanager
+def _refusals(scenario, stage: str):
+    """Lead each refusal raised inside with the scenario and the stage."""
+    try:
+        yield
+    except (InputError, BudgetExceeded, InvariantViolation) as e:
+        raise type(e)(f"scenario {scenario}, stage {stage}: {e}") from e
 
 
-def run_scenario(source, seed=None, budget=None, stages=None) -> Report:
+def load_scenario(source, seed=None, budget=None) -> Scenario:
+    """The Scenario of a builtin name, a path, or a dict (schema optional);
+    `seed` and `budget` override the document's own."""
+    with _refusals("<document>" if isinstance(source, dict) else source, "load"):
+        if isinstance(source, dict):
+            doc = serialize.read_scenario({"schema": serialize.SCENARIO_SCHEMA, **source})
+        elif str(source) in BUILTIN:
+            doc = serialize.read_scenario(BUILTIN[str(source)])
+        elif Path(source).is_file():
+            try:
+                text = Path(source).read_text()
+            except (OSError, UnicodeDecodeError) as e:
+                raise InputError(f"unreadable file: {e}") from None
+            doc = serialize.parse_scenario_text(text)
+        else:
+            raise InputError("no scenario file or bundled scenario by that name")
+    name = doc["name"]
+    with _refusals(name, "load"):
+        kind = str_field(doc, "kind", _STAGES)
+        listed = list_field(doc, "stages")
+        stages = tuple(str_field(listed, i, _STAGES[kind]) for i in range(len(listed)))
+        doc_seed = int_field(doc, "seed")
+        doc_budget = check_field(doc, "budget", int_field(doc, "budget") > 0, "positive")
+    return Scenario(name=name, kind=kind, seed=doc_seed if seed is None else seed,
+                    budget=doc_budget if budget is None else budget, stages=stages, body=doc)
+
+
+def run_scenario(sc: Scenario) -> Report:
     """Run the scenario's stages and assemble the report.
 
-    Hard invariant failures propagate as exceptions, their message led by
+    Refusals and hard invariant failures propagate as exceptions, led by
     the scenario and the stage that raised them; a validation stage that
     merely reports failures downgrades the verdict instead.
     """
-    import time
-
-    sc = load_scenario(source, seed=seed, budget=budget, stages=stages)
-    st = _State(sc)
+    with _refusals(sc.name, "load"):
+        st = _State(sc)
     out: dict = {}
     timing: dict = {}
     verdict = "ok"
     for stage in sc.stages:
         t0 = time.perf_counter()
-        try:
+        with _refusals(sc.name, stage):
             payload = _STAGES[sc.kind][stage](st)
-        except (InputError, BudgetExceeded, InvariantViolation) as e:
-            # a field reader may have led with the scenario name already
-            reason = str(e).removeprefix(f"{sc.name}: ")
-            raise type(e)(f"scenario {sc.name}, stage {stage}: {reason}") from e
         timing[stage] = time.perf_counter() - t0
         out[stage] = payload
         if stage == "validate" and not payload["ok"]:

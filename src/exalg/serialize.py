@@ -3,7 +3,7 @@
 Schema versions are plain strings checked on load.  Layouts:
 
 exalg.scenario/1 -- one JSON object per file
-    name        scenario id, unique per corpus, reused as the report name
+    name        scenario id, unique per corpus, the report's file stem
     kind        "psrep" or "tower"
     seed        int, echoed into the report
     budget      int, cap handed to every enumeration the stages run
@@ -24,10 +24,17 @@ exalg.report/1
 exalg.corpus/1 -- manifest written next to generated scenario files
     schema, seed, count, files [{name, sha256}], digest = sha256 over
     the per-file digests joined in name order.
+
+Every scenario field is read through the readers below, on the document
+`read_scenario` wraps, which refuses a float at any depth.  A refusal
+reads `field <path>: <reason>`, the path joining keys and list indices
+with dots (`group.dp.1`); `scenarios` leads it with `scenario <name>,
+stage <stage>: `, stage `load` before any stage runs.
 """
 
 import hashlib
 import json
+import re
 
 import numpy as np
 
@@ -36,19 +43,25 @@ from .errors import InputError
 SCENARIO_SCHEMA = "exalg.scenario/1"
 REPORT_SCHEMA = "exalg.report/1"
 CORPUS_SCHEMA = "exalg.corpus/1"
+# a scenario name is the stem of its report file, so it names no other directory
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 __all__ = [
     "CORPUS_SCHEMA",
     "REPORT_SCHEMA",
     "SCENARIO_SCHEMA",
     "canonical_json",
+    "check_field",
     "int_field",
     "int_list_field",
+    "list_field",
     "object_field",
     "parse_scenario_text",
+    "read_scenario",
     "render_text",
     "render_timing",
     "sha256_text",
+    "str_field",
     "to_jsonable",
 ]
 
@@ -82,84 +95,106 @@ def sha256_text(text: str) -> str:
 
 
 class _Fields(dict):
-    """One JSON object of a scenario; reading a field it lacks is an InputError."""
+    """A JSON object of a scenario; its `path` prefixes its fields' paths."""
 
     def __missing__(self, key):
-        raise InputError(f"{self.where}: missing field {self.path + str(key)!r}")
+        _refuse(self.path + str(key), "missing")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+class _Items(list):
+    """A JSON list of a scenario, its entries read by index like fields."""
 
 
-def _checked(obj: dict, key: str, v, ok: bool, what: str):
-    """v, read from obj[key], when ok; otherwise an InputError naming the
-    scenario, the field path and what the field must be."""
+def _refuse(path: str, reason: str):
+    raise InputError(f"field {repr(path)[1:-1]}: {reason}")  # escaped, so a key cannot break the line
+
+
+def _checked(obj, key, v, ok, what: str):
+    """v, read from obj[key], when ok; otherwise the refusal of the field."""
     if not ok:
-        where, path = getattr(obj, "where", "<scenario>"), getattr(obj, "path", "")
-        raise InputError(f"{where}: field {path + key!r} must be {what}, got {v!r}")
+        _refuse(getattr(obj, "path", "") + str(key), f"must be {what}, got {v!r}")
     return v
 
 
 def int_field(obj: dict, key: str, default: int | None = None) -> int:
-    """obj[key] (or `default` when given and absent); a value that is not an
-    integer is an InputError naming the scenario and the field path."""
+    """obj[key] (or `default` when given and absent), which must be an integer."""
     v = obj[key] if default is None else obj.get(key, default)
-    return _checked(obj, key, v, _is_int(v), "an integer")
+    return _checked(obj, key, v, isinstance(v, int) and not isinstance(v, bool), "an integer")
+
+
+def str_field(obj, key, choices=None, default: str | None = None) -> str:
+    """obj[key] (or `default` when given and absent), a string among `choices` if given."""
+    v = obj[key] if default is None else obj.get(key, default)
+    if choices is None:
+        return _checked(obj, key, v, isinstance(v, str), "a string")
+    return _checked(obj, key, v, isinstance(v, str) and v in choices, "one of " + ", ".join(map(repr, choices)))
+
+
+def list_field(obj: dict, key: str) -> list:
+    """obj[key], which must be a list; its entries are read by index."""
+    v = obj[key]
+    return _checked(obj, key, v, isinstance(v, list), "a list")
 
 
 def int_list_field(obj: dict, key: str) -> list:
-    """obj[key], which must be a list of integers; read like `int_field`."""
-    v = obj[key]
-    return _checked(obj, key, v, isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+    """obj[key], which must be a list of integers."""
+    items = list_field(obj, key)
+    return [int_field(items, i) for i in range(len(items))]
 
 
 def object_field(obj: dict, key: str, nullable: bool = False):
-    """obj[key], which must be a JSON object; read like `int_field`.  With
-    `nullable`, null or an absent field gives None."""
+    """obj[key], a JSON object; with `nullable`, None for null or absent."""
     v = obj.get(key) if nullable else obj[key]
     ok = isinstance(v, dict) or (nullable and v is None)
     return _checked(obj, key, v, ok, "an object or null" if nullable else "an object")
 
 
-def _fields(x, where: str, path: str = ""):
-    if isinstance(x, list):
-        return [_fields(v, where, f"{path}{i}.") for i, v in enumerate(x)]
+def check_field(obj: dict, key: str, ok, what: str):
+    """obj[key] when ok; otherwise the refusal that it must be `what`."""
+    return _checked(obj, key, obj[key], ok, what)
+
+
+def _fields(x, path: str = ""):
+    """x with its objects and lists wrapped to know their paths, tuples as lists
+    and numpy integers as ints; a float or other inexact value is refused."""
     if isinstance(x, dict):
-        x = _Fields({k: _fields(v, where, f"{path}{k}.") for k, v in x.items()})
-        x.where, x.path = where, path
-    return x
+        out = _Fields({str(k): _fields(v, f"{path}{k}.") for k, v in x.items()})
+    elif isinstance(x, (list, tuple)):
+        out = _Items(_fields(v, f"{path}{i}.") for i, v in enumerate(x))
+    elif isinstance(x, np.integer):
+        return int(x)
+    elif x is None or isinstance(x, (bool, int, str)):
+        return x
+    else:
+        _refuse(path[:-1], f"must be exact JSON data, got {x!r}")
+    out.path = path
+    return out
 
 
-def parse_scenario_text(text: str, where: str = "<scenario>") -> dict:
-    """Parse and shape-check one scenario document.
-
-    Raises InputError with the offending location or field name; deeper
-    semantic validation happens when the scenario is resolved, and a
-    field missing there raises InputError too.
-    """
-    try:
-        doc = _fields(json.loads(text), where)
-    except json.JSONDecodeError as e:
-        raise InputError(f"{where}: line {e.lineno} column {e.colno}: {e.msg}") from None
+def read_scenario(doc) -> dict:
+    """A parsed scenario document wrapped for the readers, its schema and name checked."""
     if not isinstance(doc, dict):
-        raise InputError(f"{where}: scenario must be a JSON object")
-    if doc.get("schema") != SCENARIO_SCHEMA:
-        raise InputError(f"{where}: field 'schema' must be {SCENARIO_SCHEMA!r}")
-    for field, kind in (("name", str), ("kind", str), ("seed", int), ("budget", int), ("stages", list)):
-        if not isinstance(doc.get(field), kind):
-            raise InputError(f"{where}: field {field!r} must be a {kind.__name__}")
-    if not all(isinstance(s, str) for s in doc["stages"]):
-        raise InputError(f"{where}: field 'stages' must be a list of strings")
-    if doc["budget"] <= 0:
-        raise InputError(f"{where}: field 'budget' must be positive")
-    if doc["kind"] not in ("psrep", "tower"):
-        raise InputError(f"{where}: field 'kind' must be 'psrep' or 'tower'")
-    required = ("ring", "group", "psrep") if doc["kind"] == "psrep" else ("dvr", "r", "h")
-    for field in required:
-        if field not in doc:
-            raise InputError(f"{where}: field {field!r} missing for kind {doc['kind']!r}")
+        raise InputError("scenario must be a JSON object")
+    try:
+        doc = _fields(doc)
+    except RecursionError:
+        raise InputError("scenario nests too deeply") from None
+    str_field(doc, "schema", (SCENARIO_SCHEMA,))
+    name = str_field(doc, "name")
+    _checked(doc, "name", name, _NAME.fullmatch(name),
+             "a file stem: a letter or digit, then letters, digits, '.', '_' or '-'")
     return doc
+
+
+def parse_scenario_text(text: str) -> dict:
+    """`read_scenario` of the JSON text, refused with its line and column when it does not parse."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # an integer past Python's digit limit, or nesting past its stack
+        raise InputError(f"unreadable JSON: {e}") from None
+    return read_scenario(doc)
 
 
 def render_timing(timing: dict) -> str:

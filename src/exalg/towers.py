@@ -98,7 +98,7 @@ from .rings import (
     gorenstein_test,
     quotient_ring,
 )
-from .serialize import int_field
+from .serialize import int_field, str_field
 
 __all__ = [
     "AugmentedAlgebra",
@@ -517,7 +517,7 @@ class EisensteinTower:
 
 
 def _h_level(lam: DvrModel, h_spec: dict) -> AugmentedAlgebra:
-    kind = h_spec.get("kind")
+    kind = str_field(h_spec, "kind", ("plane", "branch", "axes", "mod"))
     if kind == "plane":
         return base_algebra(lam)
     if kind == "branch":
@@ -530,22 +530,16 @@ def _h_level(lam: DvrModel, h_spec: dict) -> AugmentedAlgebra:
         if s < 2:
             raise InputError(f"axis count h.s must be >= 2, got {s}")
         return axis_algebra(lam, s)
-    if kind == "mod":
-        j = int_field(h_spec, "j")
-        if j < 1:
-            raise InputError(f"torsion level h.j must be >= 1, got {j}")
-        # base/t^j is killed by t^j, so it is no free base module: nothing to build
-        raise InputError("algebra is not free over the base")
-    raise InputError(f"unknown h-spec kind {kind!r}")
+    j = int_field(h_spec, "j")
+    if j < 1:
+        raise InputError(f"torsion level h.j must be >= 1, got {j}")
+    # base/t^j is killed by t^j, so it is no free base module: nothing to build
+    raise InputError("algebra is not free over the base")
 
 
 def _default_label(lam: DvrModel, r: int, h_spec: dict) -> str:
     kind = h_spec["kind"]
-    extra = ""
-    if kind == "branch":
-        extra = f"-m{h_spec['m']}"
-    elif kind == "axes":
-        extra = f"-s{h_spec['s']}"
+    extra = f"-m{h_spec['m']}" if kind == "branch" else f"-s{h_spec['s']}" if kind == "axes" else ""
     return f"{kind}-F{lam.q}{extra}-r{r}"
 
 
@@ -571,11 +565,10 @@ def build_eisenstein_tower(lam: DvrModel, r: int, h_spec: dict) -> EisensteinTow
         raise InputError("truncation too shallow: the tail window needs 4r <= N")
     hlevel = _h_level(lam, h_spec)
     hring, emb_h = hlevel.ring, hlevel.emb
-    label = h_spec.get("label") or _default_label(lam, r, h_spec)
+    label = str_field(h_spec, "label", default="") or _default_label(lam, r, h_spec)
     lam_quot = lam.quotient_mod_t(r)
+    # onto: `augmented_algebra` checked pi, and `quotient_ring` the section of its projection
     aug = hlevel.pi.then(lam_quot.proj)
-    if not aug.is_surjective():
-        raise InvariantViolation("augmentation to the base quotient is not surjective")
     xi = lam.t(r)
     nh, nl = hring.n, lam.ring.n
     H, pr_h, pr_lam = fiber_product(aug, lam_quot.proj, name=f"H({label})")

@@ -584,8 +584,11 @@ def test_criterion_09_fitting_bounds_annihilator_and_cotangent():
 
 def test_criterion_10_identical_seeds_identical_bytes(tmp_path):
     t0 = time.time()
-    first = [scenarios.run_scenario(n, seed=9).canonical() for n in sorted(scenarios.BUILTIN)]
-    second = [scenarios.run_scenario(n, seed=9).canonical() for n in sorted(scenarios.BUILTIN)]
+    def run(source, seed=None):
+        return scenarios.run_scenario(scenarios.load_scenario(source, seed=seed)).canonical()
+
+    first = [run(n, seed=9) for n in sorted(scenarios.BUILTIN)]
+    second = [run(n, seed=9) for n in sorted(scenarios.BUILTIN)]
     assert first == second
     m1 = scenarios.generate_corpus(seed=3, count=12, out_dir=tmp_path / "one")
     m2 = scenarios.generate_corpus(seed=3, count=12, out_dir=tmp_path / "two")
@@ -596,5 +599,5 @@ def test_criterion_10_identical_seeds_identical_bytes(tmp_path):
         assert a == b, f["name"]
     name = m1["files"][0]["name"]
     path = tmp_path / "one" / f"{name}.json"
-    assert scenarios.run_scenario(path).canonical() == scenarios.run_scenario(path).canonical()
+    assert run(path) == run(path)
     _finish(10, t0, 120)

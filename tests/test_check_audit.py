@@ -28,7 +28,7 @@ from exalg import linalg, rings, scenarios, towers
 def test_one_tower_and_one_psrep_unit_reach_every_audited_constructor():
     before = dict(conftest.AUDITED)
     for name in ("plane-tower-r2", "diag-ordinary"):
-        assert scenarios.run_scenario(name).verdict == "ok"
+        assert scenarios.run_scenario(scenarios.load_scenario(name)).verdict == "ok"
     towers.branch_algebra(rings.DvrModel(5, 1, 8), 2)
     towers.axis_algebra(rings.DvrModel(5, 1, 8), 2)
     towers.build_eisenstein_tower(rings.DvrModel(5, 1, 8), 0, {"kind": "plane"})  # H = h x_0 base

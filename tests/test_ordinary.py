@@ -473,7 +473,7 @@ def test_decision_builds_no_ordinary_quotient(monkeypatch):
         d5 = d5_t2_psrep(dp, ip)
         oracles.is_ordinary_psrep(d5, groups.trivial_char(d5.group, T2, domain=dp, name="k"))
     assert calls == []
-    scenarios.run_scenario("diag-ordinary")
+    scenarios.run_scenario(scenarios.load_scenario("diag-ordinary"))
     assert len(calls) <= 1
 
 
@@ -765,7 +765,7 @@ def test_psrep_scenarios_run_no_frobenius_and_base_change_only_off_fields(monkey
                kappa={"kind": "power", "gen": 1, "value": 18})  # 7 and 18 have order 4 mod 25
     z25["psrep"] = {"kind": "char_pair", "chi1": {"kind": "power", "gen": 1, "value": 7}, "chi2": {"kind": "trivial"}}
     for source in ("diag-ordinary", "s3-irreducible", z25):
-        assert scenarios.run_scenario(source).verdict == "ok"
+        assert scenarios.run_scenario(scenarios.load_scenario(source)).verdict == "ok"
     assert read and all(ring._residue_map is not None or ring.n == 0 for ring in read)
     # s3-irreducible's ordinary quotient collapses, so it base-changes nothing
     assert calls == [("ordinary_quotient", True), ("residual", False), ("ordinary_quotient", False)]

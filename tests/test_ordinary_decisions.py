@@ -149,7 +149,7 @@ def _s3_f7_docs() -> list:
 def test_s3_f7_ordinary_report_keeps_its_quotient():
     """The verdict's idempotent is the stage's: R^ord = F7, not the zero ring."""
     for doc in _s3_f7_docs():
-        stage = scenarios.run_scenario(doc).stages["ordinary"]
+        stage = scenarios.run_scenario(scenarios.load_scenario(doc)).stages["ordinary"]
         assert stage["psrep_ordinary"] and stage["rep_ordinary"], doc["name"]
         assert not stage["collapsed"] and stage["base_quotient_dim"] == 1
         assert stage["j_r_basis"].tolist() == []
@@ -190,7 +190,7 @@ def test_a_scenario_lifts_and_decomposes_once(tmp_path, monkeypatch):
         with monkeypatch.context() as m:
             for key, fn in originals.items():
                 _count_every_binding(m, fn, counts, key)
-            scenarios.run_scenario(doc)
+            scenarios.run_scenario(scenarios.load_scenario(doc))
         assert max(counts.values(), default=0) <= 1, (name, counts)
 
 

@@ -43,5 +43,5 @@ def test_reports_match_the_golden_content_digests(tmp_path, monkeypatch):
         key = wl.body_key(doc)
         if key not in bodies:
             pytest.fail(f"no golden digest for {source}")
-        report = scenarios.run_scenario(source).canonical().encode()
+        report = scenarios.run_scenario(scenarios.load_scenario(source)).canonical().encode()
         assert wl.content_digest(report) == bodies[key][0], source

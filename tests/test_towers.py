@@ -427,7 +427,7 @@ def test_a_tower_unit_leaves_no_reference_cycle(monkeypatch):
     built = _keep_tower(monkeypatch)
     gc.disable()
     try:
-        report = scenarios.run_scenario(BRANCH_UNIT)
+        report = scenarios.run_scenario(scenarios.load_scenario(BRANCH_UNIT))
         assert report.verdict == "ok"
         t = built.pop()
         refs = [weakref.ref(t.H), weakref.ref(t.h)]
@@ -447,7 +447,7 @@ def test_a_tower_unit_derives_each_object_once(monkeypatch):
     counted = functools.cached_property(lambda ideal: annihilated.append(ideal) or ann(ideal))
     counted.__set_name__(rings.Ideal, "_annihilator")
     monkeypatch.setattr(rings.Ideal, "_annihilator", counted)
-    assert scenarios.run_scenario(BRANCH_UNIT).verdict == "ok"
+    assert scenarios.run_scenario(scenarios.load_scenario(BRANCH_UNIT)).verdict == "ok"
     t = built[0]
     assert len(h_levels) == 1
     assert sum(ring is t.h and g == 1 and np.array_equal(rows, t.I.basis) for ring, rows, g in gens) == 1
