@@ -57,12 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _corpus_audit_report(seed) -> scenarios.Report:
+def _corpus_audit_report(args) -> scenarios.Report:
+    """The built-in collection's condition table as the report tower-corpus,
+    which reads no budget but refuses --budget as a scenario's load does."""
+    with scenarios._refusals("tower-corpus", "load"):
+        serialize.check_field(vars(args), "budget", args.budget is None or args.budget > 0, "positive")
     t0 = time.perf_counter()
     table = towers.audit_table(towers.tower_corpus())
     return scenarios.Report(
         scenario="tower-corpus",
-        seed=0 if seed is None else seed,
+        seed=0 if args.seed is None else args.seed,
         verdict="ok",
         stages={"audit": {"rows": table}},
         timing={"audit": time.perf_counter() - t0},
@@ -131,7 +135,7 @@ def _run(args) -> int:
     names = list(args.scenarios)
     if not names:
         if args.command == "audit":
-            _emit(_corpus_audit_report(args.seed), args)
+            _emit(_corpus_audit_report(args), args)
             return 0
         names = sorted(scenarios.BUILTIN)
     overrides = _STAGE_OVERRIDES[args.command]

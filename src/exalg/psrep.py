@@ -10,15 +10,16 @@ The pair extends to the group algebra E = A[G]: t linearly, and the
 determinant as the quadratic map d~(x) = (t(x)^2 - t(x^2)) / 2, which is
 where the odd-characteristic restriction earns its keep.
 
-This module is also the one home of the character splitter, which writes
-(t, d) as chi1 + chi2 with chi1 chi2 = d: `residual_split` over a field,
-classifying the residual, and `split_as_characters` over any coefficient
-ring.  Both take the roots of x^2 - t x + d from one stacked search
-(`_quadratic_roots`) and fill every choice of roots at the generators
-multiplicatively over the group (`_character_split`).  A fill with no
-clash agrees on every edge (a, g) of the Cayley graph, so it is a
-homomorphism of a finite group and hence unit-valued; then t = chi + d/chi
-says exactly chi (t - chi) = d, and chi2 = t - chi needs no inverse.
+This module is also the home of the character splitter,
+`residual_split`, which writes (t, d) over a field as chi1 + chi2 with
+chi1 chi2 = d, classifying the residual.  It takes the roots of
+x^2 - t x + d from one stacked search (`_quadratic_roots`) and fills every
+choice of roots at the generators multiplicatively over the group
+(`_character_split`).  A fill with no clash agrees on every edge (a, g) of
+the Cayley graph, so it is a homomorphism of a finite group and hence
+unit-valued; then t = chi + d/chi says exactly chi (t - chi) = d, and
+chi2 = t - chi needs no inverse.  Over the quotient by a reducibility
+ideal the split is read off the GMA instead (`gma` module docstring).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "psrep_base_change",
     "extended_forms",
     "residual_split",
-    "split_as_characters",
 ]
 
 
@@ -214,17 +214,17 @@ def extended_forms(psr: Pseudorep2) -> TraceForms:
 _ROOT_FIELD_LIMIT = 2500
 
 
-def _quadratic_roots(r: FiniteRing, t_rows, d_rows, limit: int | None) -> list[list[np.ndarray]]:
+def _quadratic_roots(r: FiniteRing, t_rows, d_rows) -> list[list[np.ndarray]]:
     """For each row i, the roots of x^2 - t_i x + d_i in r, in element order.
 
     The polynomials of all rows are evaluated together on one
-    `r.element_blocks(limit)` stack at a time; with no rows nothing is
+    `r.element_blocks` stack at a time; with no rows nothing is
     enumerated.
     """
     roots: list[list[np.ndarray]] = [[] for _ in range(len(t_rows))]
     if not roots:
         return roots
-    for xs in r.element_blocks(limit):
+    for xs in r.element_blocks(None):
         # (row, x): x^2 - t_row x + d_row
         vals = (r.mul(xs, xs)[None] - r.mul_outer(t_rows, xs) + d_rows[:, None]) % r.char
         for out, hit in zip(roots, ~vals.any(axis=2)):
@@ -266,13 +266,13 @@ def _multiplicative_fill(grp: MarkedGroup, gens: list[int], values, one, mul) ->
     return out
 
 
-def _character_split(psr: Pseudorep2, gens: list[int], per_gen: list) -> tuple:
-    """(chars, pairs found): write (t, d) as chi1 + chi2 with chi1 chi2 = d.
+def _character_split(psr: Pseudorep2, gens: list[int], per_gen: list) -> tuple | None:
+    """Write (t, d) as chi1 + chi2 with chi1 chi2 = d.
 
     Every choice of chi1 values at the generators `gens`, one from each list
     of `per_gen`, is filled multiplicatively over the group (a clash drops
     it) and kept when chi1 (t - chi1) = d, checked on one stack; chi2 is
-    t - chi1.  `chars` is the lexicographically first pair as checked
+    t - chi1.  Returns the lexicographically first pair as checked
     characters, or None when no choice is kept.
     """
     grp, r = psr.group, psr.ring
@@ -287,12 +287,12 @@ def _character_split(psr: Pseudorep2, gens: list[int], per_gen: list) -> tuple:
             keys = [tuple(x.ravel().tolist()) for x in (chi, chi2)]
             found.add((min(keys), max(keys)))
     if not found:
-        return None, 0
+        return None
     shape = (grp.m, r.n)
     chars = tuple(GroupChar(grp, r, dict(enumerate(np.reshape(key, shape))), name="chi") for key in min(found))
     for chi in chars:
         chi.check()
-    return chars, len(found)
+    return chars
 
 
 def _chars_equal(c1: GroupChar, c2: GroupChar) -> bool:
@@ -319,37 +319,15 @@ def residual_split(psr: Pseudorep2) -> dict:
     if f.size > _ROOT_FIELD_LIMIT:
         raise BudgetExceeded("square-root search field too large")
     # pointwise roots of x^2 - t x + d
-    roots = _quadratic_roots(f, psr.t, psr.d, None)
+    roots = _quadratic_roots(f, psr.t, psr.d)
     bare = [g for g in grp.elements() if not roots[g]]
     if bare:
         return _unsplit(f"irreducible characteristic polynomial at element {bare[0]}", "irreducible")
     # backtracking over a minimal generating set
     gens = _min_generating_set(grp)
-    chars, _ = _character_split(psr, gens, [roots[g] for g in gens])
+    chars = _character_split(psr, gens, [roots[g] for g in gens])
     if chars is None:
         return _unsplit("splits pointwise but admits no multiplicative assignment", "matrix")
     case = "coincident" if _chars_equal(*chars) else "split"
     return {"split": True, "unsupported": False, "reason": "", "chars": chars, "case": case}
 
-
-def split_as_characters(psr: Pseudorep2, budget: int) -> dict:
-    """Try to write (t, d) as chi1 + chi2 over any commutative coefficient ring.
-
-    Candidate chi1 values at each generator are the roots of x^2 - t x + d
-    there, extended multiplicatively over the group and kept when
-    chi1 (t - chi1) = d.  Over the zero ring the split is trivial.
-    """
-    grp, r = psr.group, psr.ring
-    if r.is_zero:
-        return {"split": True, "trivial": True, "chars": None, "pairs_found": 0}
-    gens = _min_generating_set(grp)
-    per_gen = _quadratic_roots(r, psr.t[gens], psr.d[gens], budget)
-    cost = 1
-    for roots in per_gen:
-        if not roots:
-            return {"split": False, "trivial": False, "chars": None, "pairs_found": 0}
-        cost *= len(roots)
-        if cost > budget:
-            raise BudgetExceeded(f"{cost} root combinations exceed the budget")
-    chars, count = _character_split(psr, gens, per_gen)
-    return {"split": chars is not None, "trivial": False, "chars": chars, "pairs_found": count}

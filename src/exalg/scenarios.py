@@ -19,7 +19,8 @@ Stage vocabulary, psrep scenarios:
     ch            Cayley-Hamilton quotient dimensions
     gma           idempotent pair and Peirce block sizes; with kappa, the
                   ordinarity decision's winner (else its first candidate)
-    reducibility  pairing ideal, its quotient, and the split certificate
+    reducibility  pairing ideal and its quotient, where the trace splits as
+                  the corner characters of the GMA
     ordinary      rep-level and trace-level ordinarity plus the quotient
 
 Tower scenarios:
@@ -146,14 +147,30 @@ def _build_psrep(spec: dict, grp, ring):
     return psrep.psrep_from_chars(chi1, chi2, name="psr" if kind == "char_pair" else "tri")
 
 
+def _int_at_least(obj: dict, key: str, low: int) -> int:
+    v = int_field(obj, key)
+    check_field(obj, key, v >= low, f">= {low}")
+    return v
+
+
+def _odd_prime(p: int) -> bool:
+    """Whether `linalg.check_modulus` takes p as the prime of a field."""
+    return 3 <= p < 2**21 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+# the integer field of each h-level kind and its least value, as `towers` reads them
+_H_FIELDS = {"branch": ("m", 1), "axes": ("s", 2), "mod": ("j", 1)}
+
+
 # ---- lazy stage state ------------------------------------------------
 
 
 class _State:
     """The objects of one scenario: ring, grp, psr, kappa or lam, r, h built
-    now, in that order, and the rest on first read.  h's own fields are
-    read when the tower is built, as the benchmark builds towers from
-    plain spec dicts."""
+    now, in that order, and the rest on first read.  Each tower field that
+    `towers` guards is refused here by its path; `towers` reads h again
+    when the tower is built, as the benchmark builds towers from plain
+    spec dicts."""
 
     def __init__(self, sc: Scenario):
         self.sc = sc
@@ -166,9 +183,15 @@ class _State:
             self.kappa = _build_char(kappa, self.grp, self.ring, name="kappa")
         else:
             d = object_field(body, "dvr")
-            self.lam = DvrModel(int_field(d, "p"), int_field(d, "e", 1), int_field(d, "trunc"))
-            self.r = int_field(body, "r")
+            p, e = int_field(d, "p"), int_field(d, "e", 1)
+            check_field(d, "p", _odd_prime(p), "an odd prime below 2^21")
+            check_field(d, "e", 1 <= e <= 3, "a residue degree of 1, 2 or 3")
+            self.lam = DvrModel(p, e, _int_at_least(d, "trunc", 2))
+            self.r = _int_at_least(body, "r", 0)
             self.h = object_field(body, "h")
+            kind = str_field(self.h, "kind", ("plane", *_H_FIELDS))
+            if kind in _H_FIELDS:
+                _int_at_least(self.h, *_H_FIELDS[kind])
 
     # psrep chain
     @cached_property
@@ -220,7 +243,7 @@ def _stage_gma(st: _State) -> dict:
 
 
 def _stage_reducibility(st: _State) -> dict:
-    red = gma_mod.reducibility_ideal(st.gma, st.sc.budget)
+    red = gma_mod.reducibility_ideal(st.gma)
     ideal = red["ideal"]
     cert = red["certificate"]
     return {
@@ -301,16 +324,19 @@ _STAGES = {
 
 @contextlib.contextmanager
 def _refusals(scenario, stage: str):
-    """Lead each refusal raised inside with the scenario and the stage."""
+    """Lead each refusal raised inside with the scenario and the stage; the
+    scenario, which may be a path, is escaped as a field path is, and a
+    comma as \\x2c, so it cannot break the line."""
     try:
         yield
     except (InputError, BudgetExceeded, InvariantViolation) as e:
-        raise type(e)(f"scenario {scenario}, stage {stage}: {e}") from e
+        label = repr(str(scenario))[1:-1].replace(",", r"\x2c")
+        raise type(e)(f"scenario {label}, stage {stage}: {e}") from e
 
 
 def load_scenario(source, seed=None, budget=None) -> Scenario:
     """The Scenario of a builtin name, a path, or a dict (schema optional);
-    `seed` and `budget` override the document's own."""
+    `seed` and `budget` replace the document's own, and are read as them."""
     with _refusals("<document>" if isinstance(source, dict) else source, "load"):
         if isinstance(source, dict):
             doc = serialize.read_scenario({"schema": serialize.SCENARIO_SCHEMA, **source})
@@ -325,14 +351,14 @@ def load_scenario(source, seed=None, budget=None) -> Scenario:
         else:
             raise InputError("no scenario file or bundled scenario by that name")
     name = doc["name"]
+    doc.update((key, value) for key, value in (("seed", seed), ("budget", budget)) if value is not None)
     with _refusals(name, "load"):
         kind = str_field(doc, "kind", _STAGES)
         listed = list_field(doc, "stages")
         stages = tuple(str_field(listed, i, _STAGES[kind]) for i in range(len(listed)))
-        doc_seed = int_field(doc, "seed")
-        doc_budget = check_field(doc, "budget", int_field(doc, "budget") > 0, "positive")
-    return Scenario(name=name, kind=kind, seed=doc_seed if seed is None else seed,
-                    budget=doc_budget if budget is None else budget, stages=stages, body=doc)
+        seed, budget = int_field(doc, "seed"), int_field(doc, "budget")
+        check_field(doc, "budget", budget > 0, "positive")
+    return Scenario(name=name, kind=kind, seed=seed, budget=budget, stages=stages, body=doc)
 
 
 def run_scenario(sc: Scenario) -> Report:

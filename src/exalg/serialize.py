@@ -149,9 +149,10 @@ def object_field(obj: dict, key: str, nullable: bool = False):
     return _checked(obj, key, v, ok, "an object or null" if nullable else "an object")
 
 
-def check_field(obj: dict, key: str, ok, what: str):
-    """obj[key] when ok; otherwise the refusal that it must be `what`."""
-    return _checked(obj, key, obj[key], ok, what)
+def check_field(obj: dict, key: str, ok, what: str) -> None:
+    """Refuse obj[key], a field already read, as not `what` unless ok."""
+    if not ok:
+        _checked(obj, key, obj[key], ok, what)
 
 
 def _fields(x, path: str = ""):

@@ -39,7 +39,12 @@ a test:
   beyond the tail;
 - `towers._min_module_rows`: the picks against one pick at a time
   (`oracles.loop_min_module_rows`), and their count against d and their
-  span against M.
+  span against M;
+- `gma.reducibility_ideal`, which reads its characters off the GMA
+  (`gma` module docstring): over a nonzero A/I each is a character of
+  A/I, their sum is t and their product d there, and as a set they are
+  the pair `oracles.split_as_characters` finds, where its search fits
+  `_SPLIT_BUDGET`.
 
 The local structure is compared with `oracles.frobenius_local_data`,
 which does its F_p linear algebra apart from `linalg`, so on rings over
@@ -71,7 +76,7 @@ import oracles
 
 import exalg
 from exalg import algebras, gma, linalg, modules, ordinary, psrep, rings, towers
-from exalg.errors import InvariantViolation
+from exalg.errors import BudgetExceeded, InvariantViolation
 
 AUDITED = collections.Counter()  # objects and calls audited so far, by function name
 
@@ -204,6 +209,31 @@ def _check_ch(ch, *_, **__) -> None:
     oracles.verify_ch(ch)
 
 
+_SPLIT_BUDGET = 200000  # the oracle's enumeration budget, the scenarios' default
+
+
+def _check_reducibility(red, g, *_, **__) -> None:
+    """The corner characters against the laws and against the root search."""
+    q, cert = red["quotient"], red["certificate"]
+    if g.ch is None or q.ring.n == 0:
+        return
+    psr, qr = g.ch.psr, q.ring
+    for chi in cert["chars"]:
+        if chi.ring is not qr or chi.domain != tuple(range(psr.group.m)):
+            raise InvariantViolation(f"{chi.name} is not a character of {qr.name} on the whole group")
+        chi.check()
+    chi1, chi2 = (np.array([chi(x) for x in chi.domain]) for chi in cert["chars"])
+    if not (np.array_equal(q.proj(psr.t), qr.add(chi1, chi2)) and np.array_equal(q.proj(psr.d), qr.mul(chi1, chi2))):
+        raise InvariantViolation(f"corner characters of {g.algebra.name} miss t or d modulo the reducibility ideal")
+    try:
+        want = oracles.split_as_characters(psrep.psrep_base_change(psr, q.proj), _SPLIT_BUDGET)
+    except BudgetExceeded:
+        return
+    got = {chi1.tobytes(), chi2.tobytes()}
+    if not want["split"] or got != {np.array([c(x) for x in c.domain]).tobytes() for c in want["chars"]}:
+        raise InvariantViolation(f"corner characters of {g.algebra.name} differ from the root search")
+
+
 CHECKS = {
     (rings, "quotient_ring"): _check_quotient,
     (rings, "fiber_product"): _check_fiber_product,
@@ -220,6 +250,7 @@ CHECKS = {
     (ordinary, "ordinary_quotient"): _check_ordinary_quotient,
     (towers, "build_eisenstein_tower"): _check_tower,
     (towers, "_min_module_rows"): _check_picks,
+    (gma, "reducibility_ideal"): _check_reducibility,
 }
 
 

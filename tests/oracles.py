@@ -45,9 +45,11 @@ from exalg.ordinary import (
 from exalg.psrep import (
     Pseudorep2,
     TraceForms,
+    _character_split,
+    _min_generating_set,
     _multiplicative_fill,
+    _quadratic_roots,
     psrep_base_change,
-    split_as_characters,
     validate_pseudorep,
 )
 from exalg.rings import (
@@ -936,13 +938,42 @@ def maximal_subideals(ideal: Ideal, budget: int = 100000) -> list[Ideal]:
     )
 
 
+# Oracle for `gma.reducibility_ideal`, which reads its characters off the
+# GMA: the split found by a search over the coefficient ring.
+def split_as_characters(psr: Pseudorep2, budget: int) -> dict:
+    """Try to write (t, d) as chi1 + chi2 over any commutative coefficient ring.
+
+    Candidate chi1 values at each generator are the roots of x^2 - t x + d
+    there, found by listing the ring within `budget`, extended
+    multiplicatively over the group and kept when chi1 (t - chi1) = d;
+    `chars` is the lexicographically first pair.  Over the zero ring the
+    split is trivial.
+    """
+    grp, r = psr.group, psr.ring
+    if r.is_zero:
+        return {"split": True, "trivial": True, "chars": None}
+    gens = _min_generating_set(grp)
+    if gens and r.size > budget:
+        raise BudgetExceeded(f"ring has {r.size} elements, limit {budget}")
+    per_gen = _quadratic_roots(r, psr.t[gens], psr.d[gens])
+    cost = 1
+    for roots in per_gen:
+        if not roots:
+            return {"split": False, "trivial": False, "chars": None}
+        cost *= len(roots)
+        if cost > budget:
+            raise BudgetExceeded(f"{cost} root combinations exceed the budget")
+    chars = _character_split(psr, gens, per_gen)
+    return {"split": chars is not None, "trivial": False, "chars": chars}
+
+
 # Oracle for `gma.reducibility_ideal`: no maximal proper subideal already
 # splits the trace, by enumerating the subideal lattice.
 def reducibility_minimality(gma: GmaAlgebra, budget: int = 100000) -> dict:
     """Check that no maximal proper subideal already splits the trace."""
     if gma.ch is None:
         raise InputError("minimality needs a pseudorep-backed instance")
-    red = reducibility_ideal(gma, budget)
+    red = reducibility_ideal(gma)
     ideal = red["ideal"]
     if ideal.is_zero():
         return {"minimal": True, "checked": 0, "witness": None, "note": "zero ideal, nothing below"}
@@ -1064,7 +1095,7 @@ def is_ordinary_psrep(psr: Pseudorep2, kappa: GroupChar, budget: int = 400000) -
     return _decide(ch_quotient(psr), kappa, budget)[0]
 
 
-# Oracle for `ordinary._decide` and `psrep.split_as_characters`:
+# Oracle for `ordinary._decide` and `split_as_characters`:
 # tangent spaces over F[eps] counted by enumerating the linearized solutions.
 def ordinary_tangent_count(
     psr: Pseudorep2, kappa: GroupChar | None = None, constraint: str = "all",

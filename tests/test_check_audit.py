@@ -4,13 +4,14 @@ Five constructors skip checks that their own checks imply, seven ring
 constructors carry a residue map from their construction, or none, that
 nothing in the library checks against Frobenius, the residual over a
 field skips its base change, and the ordinary quotient reads J_R off
-traces and closes J* only inside its base change; the hook runs those
-checks on everything the tests build, and the Nakayama picks against one
-pick at a time.
+traces and closes J* only inside its base change, and the reducibility
+ideal reads its characters off the GMA; the hook runs those checks on
+everything the tests build, and the Nakayama picks against one pick at a
+time.
 Three functions take a Howell basis as given, and the hook checks that
 precondition on every call.  One tower unit, one psrep unit, one branch
 and one axes h-level, one degenerate tower, and one local ring and one
-product ring built by hand must pass through all seventeen functions,
+product ring built by hand must pass through all eighteen functions,
 and no `exalg` module may keep a binding to an unwrapped function, or
 what it builds would go unaudited.
 """
@@ -37,7 +38,8 @@ def test_one_tower_and_one_psrep_unit_reach_every_audited_constructor():
     names = {name for _, name in conftest.CHECKS}
     assert names == {"quotient_ring", "fiber_product", "_presented_quotient", "_ch_algebra", "build_eisenstein_tower",
                      "_min_module_rows", "zmod_ring", "field_ring", "truncated_poly_ring", "product_ring",
-                     "_adjoin_x", "axis_algebra", "local_ring", "residual", "ordinary_quotient"}
+                     "_adjoin_x", "axis_algebra", "local_ring", "residual", "ordinary_quotient",
+                     "reducibility_ideal"}
     takers = {name for _, name in conftest.PRECONDITIONS}
     assert takers == {"from_basis", "smith_form", "_min_module_rows"}
     assert all(conftest.AUDITED[name] > before.get(name, 0) for name in names | takers), dict(conftest.AUDITED)

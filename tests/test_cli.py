@@ -291,9 +291,13 @@ def test_out_of_range_marks_are_input_error(tmp_path, capsys):
 
 
 # one value of each JSON type, and the values a field most often gets
-# wrong: a float, a magnitude past int64, a sign, a nested object and list
-_MUTANTS = ("x", 1, [], {}, None, True, 1.5, 10**30, -1, {"kind": {"p": [5]}}, [[0, 1], {"kind": "zmod"}])
+# wrong: a float, a magnitude past int64, zero, a sign, a nested object and list
+_MUTANTS = ("x", 1, [], {}, None, True, 1.5, 10**30, 0, -1, {"kind": {"p": [5]}}, [[0, 1], {"kind": "zmod"}])
 _DELETE = "<delete the field>"
+# --seed and --budget take the integers among them, or are left out
+_OPTIONS = (None, *(v for v in _MUTANTS if type(v) is int))
+# a scenario is named by its file until its name is read
+_FILE_NAMES = ("s.json", "x,y.json", "a:b.json", "a b.json", "s, stage load: x.json")
 _FUZZ_SEED = 3535  # a corpus seed that no golden and no recorded decision uses
 # the one format of every exit-2 and exit-3 line
 _REFUSAL = re.compile(r"(error|budget exceeded): scenario [^,]+, stage [a-z]+: (field [^ :]+: )?.+")
@@ -316,8 +320,10 @@ def _fuzz_documents() -> tuple:
 
 
 @st.composite
-def _mutated_documents(draw) -> dict:
-    """A fuzz document with one or two fields replaced or deleted."""
+def _mutated_runs(draw) -> tuple:
+    """(document, file name, options): a fuzz document with one or two
+    fields replaced or deleted, the name of its file and a --seed and a
+    --budget drawn from the values."""
     doc = json.loads(draw(st.sampled_from(_fuzz_documents())))
     for _ in range(draw(st.integers(1, 2))):
         path = draw(st.sampled_from(list(_field_paths(doc))))
@@ -327,31 +333,34 @@ def _mutated_documents(draw) -> dict:
             del parent[path[-1]]
         else:
             parent[path[-1]] = json.loads(json.dumps(value))
-    return doc
+    options = [(flag, draw(st.sampled_from(_OPTIONS))) for flag in ("--seed", "--budget")]
+    return doc, draw(st.sampled_from(_FILE_NAMES)), [a for flag, v in options if v is not None for a in (flag, str(v))]
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
-@given(_mutated_documents())
-def test_type_mutated_bundled_scenario_exits_cleanly(doc):
+@given(_mutated_runs())
+def test_type_mutated_bundled_scenario_exits_cleanly(run):
     """A bundled or generated scenario with one or two fields replaced or
-    deleted ends in exit 0 with a silent stderr and its report in OUT, or
-    in exit 2 or 3 with one line in the refusal format and nothing written;
-    nothing raises out of `cli.main`."""
+    deleted, in a file whose name may hold ',', ':' or a space, run with
+    or without --seed and --budget, ends in exit 0 with a silent stderr and
+    its report in OUT, or in exit 2 or 3 with one line in the refusal
+    format and nothing written; nothing raises out of `cli.main`."""
+    doc, file_name, options = run
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d:
         root = Path(d)
         (root / "in").mkdir()
-        (root / "in" / "s.json").write_text(json.dumps(doc))
+        (root / "in" / file_name).write_text(json.dumps(doc))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(["pipeline", str(root / "in" / "s.json"), "--out", str(root / "out")])
+            code = cli.main(["pipeline", str(root / "in" / file_name), "--out", str(root / "out"), *options])
         written = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
     text = err.getvalue()
     assert code in (0, 2, 3), text
     if code == 0:
-        assert text == "" and written == ["in/s.json", f"out/{doc['name']}.json"]
+        assert text == "" and written == [f"in/{file_name}", f"out/{doc['name']}.json"]
     else:
         assert _REFUSAL.fullmatch(text[:-1]) and text.count("\n") == 1 and text.endswith("\n"), text
-        assert written == ["in/s.json"]
+        assert written == [f"in/{file_name}"]
 
 
 # integer values from sign errors to magnitudes past int64; every integer
@@ -408,7 +417,7 @@ def test_value_mutated_bundled_scenario_exits_cleanly():
     "name,edit,message",
     [
         ("s3-irreducible", lambda d: d["ring"].update(e=0), "residue degree must be a positive integer, got 0"),
-        ("plane-tower-r2", lambda d: d["dvr"].update(e=-1), "residue degree must be a positive integer, got -1"),
+        ("plane-tower-r2", lambda d: d["dvr"].update(e=-1), "residue degree of 1, 2 or 3, got -1"),
         (
             "diag-ordinary",
             lambda d: d.update(ring={"kind": "poly", "base": {"kind": "zmod", "p": 5}, "trunc": 0}),
@@ -471,21 +480,45 @@ def test_budget_exhaustion_exit_code(capsys):
     assert "budget exceeded:" in capsys.readouterr().err
 
 
-def test_reducibility_stage_spends_the_scenario_budget(tmp_path, capsys):
-    """diag-ordinary over Z/5^8 with Teichmuller lifts: the split certificate
-    enumerates the 5^8-element base, within --budget 10^6 but not 2 * 10^5."""
-    def lifts(d):
-        d["ring"].update(k=8)
-        d["psrep"]["chi1"].update(value=280182)
-        d["kappa"].update(value=110443)
+def _teichmuller(a: int, p: int, k: int) -> int:
+    return pow(a, p ** (k - 1), p**k)
 
-    path = _bundled_variant(tmp_path, "diag-ordinary", lifts)
-    assert cli.main(["pipeline", path, "--budget", "1000000"]) == 0
-    capsys.readouterr()
-    assert cli.main(["pipeline", path]) == 3
-    err = capsys.readouterr().err
-    assert err == ("budget exceeded: scenario diag-ordinary, stage reducibility: "
-                   "ring has 390625 elements, limit 200000\n")
+
+def _cyclic_over_z77(n: int):
+    """C_n, n | 6, over Z/7^7, with chi1 = kappa the Teichmuller lift of a
+    residue of order n."""
+    def edit(d):
+        value = _teichmuller(6 if n == 2 else 2, 7, 7)
+        d.update(ring={"kind": "zmod", "p": 7, "k": 7},
+                 group={"kind": "cyclic", "n": n, "dp": list(range(n)), "ip": [0]},
+                 kappa={"kind": "power", "gen": 1, "value": value})
+        d["psrep"]["chi1"] = {"kind": "power", "gen": 1, "value": value}
+
+    return edit
+
+
+def _z58_lifts(d):
+    d["ring"].update(k=8)
+    d["psrep"]["chi1"].update(value=_teichmuller(2, 5, 8))
+    d["kappa"].update(value=_teichmuller(3, 5, 8))
+
+
+@pytest.mark.parametrize("edit", [
+    _z58_lifts,
+    lambda d: d.update(ring={"kind": "poly", "base": {"kind": "zmod", "p": 5}, "trunc": 8}),
+    _cyclic_over_z77(2),
+    _cyclic_over_z77(3),
+], ids=["Z5^8", "F5[s]/s^8", "Z7^7-C2", "Z7^7-C3"])
+def test_reducibility_stage_lists_no_ring_element(tmp_path, capsys, edit):
+    """diag-ordinary over bases with more elements than the default budget:
+    the reducibility stage reads its characters off the GMA and lists no
+    element of the base, so each runs to exit 0 with `split` true."""
+    path = _bundled_variant(tmp_path, "diag-ordinary", edit)
+    sc = scenarios.load_scenario(path)
+    assert scenarios._State(sc).ring.size > sc.budget == 200000
+    assert cli.main(["pipeline", path]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and json.loads(out.out)["stages"]["reducibility"]["split"] is True
 
 
 @pytest.mark.parametrize("group,code", [
@@ -672,21 +705,63 @@ def test_torsion_h_levels_exit_two(j):
     doc["dvr"]["trunc"], doc["h"] = 12, {"kind": "mod", "j": j}
     code, err = _run_quietly(doc)
     assert code == 2 and err.count("\n") == 1
-    assert ("h.j must be >= 1" if j < 1 else "algebra is not free over the base") in err
+    assert ("stage load: field h.j: must be >= 1" if j < 1 else "stage build: algebra is not free over the base") in err
 
 
 @pytest.mark.parametrize("kind,field,value,rule", [
-    ("branch", "m", 0, "branch meeting order h.m must be >= 1"),
-    ("branch", "m", -3, "branch meeting order h.m must be >= 1"),
-    ("axes", "s", 0, "axis count h.s must be >= 2"),
-    ("axes", "s", 1, "axis count h.s must be >= 2"),
+    ("branch", "m", 0, "field h.m: must be >= 1"),
+    ("branch", "m", -3, "field h.m: must be >= 1"),
+    ("axes", "s", 0, "field h.s: must be >= 2"),
+    ("axes", "s", 1, "field h.s: must be >= 2"),
 ])
 def test_small_branch_and_axes_h_levels_name_their_field(kind, field, value, rule):
     """A branch meeting order below 1 and an axis count below 2 are refused
-    with the field and its value named, as h.j is: exit 2, one line."""
+    at load with the field and its value named, as h.j is: exit 2, one line."""
     doc = json.loads(json.dumps(scenarios.BUILTIN["plane-tower-r2"]))
     doc["h"] = {"kind": kind, field: value}
-    assert _run_quietly(doc) == (2, f"error: scenario plane-tower-r2, stage build: {rule}, got {value}\n")
+    assert _run_quietly(doc) == (2, f"error: scenario plane-tower-r2, stage load: {rule}, got {value}\n")
+
+
+@pytest.mark.parametrize("where,field,value,rule", [
+    (None, "r", -1, "field r: must be >= 0"),
+    ("dvr", "p", 4, "field dvr.p: must be an odd prime below 2^21"),
+    ("dvr", "p", 2**21 + 17, "field dvr.p: must be an odd prime below 2^21"),  # the least prime past it
+    ("dvr", "e", 4, "field dvr.e: must be a residue degree of 1, 2 or 3"),
+    ("dvr", "trunc", 1, "field dvr.trunc: must be >= 2"),
+])
+def test_tower_guards_name_their_field(where, field, value, rule):
+    """The tower fields that `towers` and `linalg.check_modulus` guard are
+    refused at load by their path: exit 2, one line in the format."""
+    doc = json.loads(json.dumps(scenarios.BUILTIN["plane-tower-r2"]))
+    (doc[where] if where else doc)[field] = value
+    assert _run_quietly(doc) == (2, f"error: scenario plane-tower-r2, stage load: {rule}, got {value}\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["pipeline", "diag-ordinary", "--budget", "0"], "scenario diag-ordinary, stage load: field budget: must be positive, got 0"),
+    (["pipeline", "plane-tower-r2", "--budget", "-3"],
+     "scenario plane-tower-r2, stage load: field budget: must be positive, got -3"),
+    (["audit", "plane-tower-r2", "--budget", "0"], "scenario plane-tower-r2, stage load: field budget: must be positive, got 0"),
+    (["audit", "--budget", "0"], "scenario tower-corpus, stage load: field budget: must be positive, got 0"),
+])
+def test_budget_overrides_are_read_as_the_field(capsys, argv, line):
+    """--budget replaces the document's budget and is refused as it would
+    be; `audit` of the built-in collection, the report tower-corpus, reads
+    none and refuses it the same way."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {line}\n" and _REFUSAL.fullmatch(err[:-1])
+
+
+def test_a_source_path_cannot_break_the_refusal_line(tmp_path, capsys):
+    """A file that is not JSON is named by its path, with its comma escaped."""
+    path = tmp_path / "x,y.json"
+    path.write_text("{,")
+    assert cli.main(["pipeline", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert _REFUSAL.fullmatch(err[:-1]) and err.count("\n") == 1
+    label = str(path).replace(",", r"\x2c")
+    assert err == f"error: scenario {label}, stage load: line 1 column 2: Expecting property name enclosed in double quotes\n"
 
 
 def test_axes_tower_past_the_minor_budget_exits_three():

@@ -440,7 +440,7 @@ def test_abstract_pairing_algebra_truncated_cubic():
     tvec = np.array([0, 1, 0])
     g = oracles.abstract_gma(T3, tvec)
     assert g.algebra.n == 12
-    red = gma.reducibility_ideal(g, 200000)
+    red = gma.reducibility_ideal(g)
     assert red["ideal"] == Ideal(T3, tvec.reshape(1, -1))
     assert red["certificate"] is None
     assert g.m_table[0, 0].tolist() == [0, 1, 0]
@@ -460,7 +460,7 @@ def test_abstract_pairing_algebra_has_no_group_coordinates():
 
 def test_split_character_sum_recovers_characters():
     psr = c4_diag_psrep()
-    out = gma.split_as_characters(psr, 200000)
+    out = oracles.split_as_characters(psr, 200000)
     assert out["split"] and not out["trivial"]
     chi1, chi2 = out["chars"]
     for g in psr.group.elements():
@@ -469,19 +469,19 @@ def test_split_character_sum_recovers_characters():
 
 
 def test_split_fails_for_irreducible_traces():
-    assert not gma.split_as_characters(s3_irr_psrep(F7), 200000)["split"]
-    assert not gma.split_as_characters(d4_irr_psrep(), 200000)["split"]
+    assert not oracles.split_as_characters(s3_irr_psrep(F7), 200000)["split"]
+    assert not oracles.split_as_characters(d4_irr_psrep(), 200000)["split"]
 
 
 def test_split_fails_for_deformed_dihedral():
     # characters factor through the abelianization and cannot see s
-    assert not gma.split_as_characters(d5_t2_psrep(), 200000)["split"]
+    assert not oracles.split_as_characters(d5_t2_psrep(), 200000)["split"]
 
 
 def test_split_succeeds_residually_for_deformed_dihedral():
     psr = d5_t2_psrep()
     down = psrep.psrep_base_change(psr, T2.residue_field().proj)
-    out = gma.split_as_characters(down, 200000)
+    out = oracles.split_as_characters(down, 200000)
     assert out["split"]
     chi1, chi2 = out["chars"]
     vals = sorted((int(chi1(5)[0]), int(chi2(5)[0])))
@@ -493,7 +493,7 @@ def test_split_over_zero_ring_is_trivial():
     c2 = groups.cyclic_group(2)
     t = np.zeros((2, 0), dtype=np.int64)
     psr = psrep.Pseudorep2(c2, zero, t, t.copy(), name="z")
-    out = gma.split_as_characters(psr, 200000)
+    out = oracles.split_as_characters(psr, 200000)
     assert out["split"] and out["trivial"]
 
 
@@ -513,7 +513,7 @@ def test_zero_ring_quotient_is_the_zero_algebra_and_does_not_decompose():
 
 def test_split_budget_guard():
     with pytest.raises(BudgetExceeded):
-        gma.split_as_characters(c4_diag_psrep(), budget=1)
+        oracles.split_as_characters(c4_diag_psrep(), budget=1)
 
 
 # ---- reducibility ideal ---------------------------------------------
@@ -522,7 +522,7 @@ def test_split_budget_guard():
 def test_reducibility_ideal_zero_for_character_sum():
     ch = gma.ch_quotient(c4_diag_psrep())
     g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
-    red = gma.reducibility_ideal(g, 200000)
+    red = gma.reducibility_ideal(g)
     assert red["ideal"].is_zero()
     assert red["certificate"]["split"]
 
@@ -530,7 +530,7 @@ def test_reducibility_ideal_zero_for_character_sum():
 def test_reducibility_ideal_unit_for_matrix_algebra():
     ch = gma.ch_quotient(s3_irr_psrep(F7))
     g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
-    red = gma.reducibility_ideal(g, 200000)
+    red = gma.reducibility_ideal(g)
     assert red["ideal"].is_unit_ideal()
     # the quotient is the zero ring, where the trace splits trivially
     assert red["certificate"]["split"] and red["certificate"]["trivial"]
@@ -539,7 +539,7 @@ def test_reducibility_ideal_unit_for_matrix_algebra():
 def test_reducibility_ideal_intermediate_for_deformed_dihedral():
     ch = gma.ch_quotient(d5_t2_psrep())
     g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
-    red = gma.reducibility_ideal(g, 200000)
+    red = gma.reducibility_ideal(g)
     assert red["ideal"] == Ideal(T2, np.array([[0, 1]]))
     assert not red["ideal"].is_zero()
     assert not red["ideal"].is_unit_ideal()
@@ -703,14 +703,14 @@ def test_character_pairs_round_trip(u1, u2):
     assert psrep.validate_pseudorep(psr)["ok"]
     ch = gma.ch_quotient(psr)
     assert ch.nbar in (1, 2)
-    out = gma.split_as_characters(psr, 200000)
+    out = oracles.split_as_characters(psr, 200000)
     assert out["split"]
     if u1 == u2:
         with pytest.raises(InputError, match="coincide"):
             gma.lift_idempotents(ch, 400000)
         return
     g = gma.gma_decompose(ch, gma.lift_idempotents(ch, 400000))
-    assert gma.reducibility_ideal(g, 200000)["ideal"].is_zero()
+    assert gma.reducibility_ideal(g)["ideal"].is_zero()
 
 
 @given(st.integers(0, 4), st.integers(0, 4))
@@ -739,8 +739,8 @@ def test_deformed_dihedral_family(a, b):
         assert "coincide" in str(e)
         return
     g = gma.gma_decompose(ch, e1)
-    red = gma.reducibility_ideal(g, 200000)
-    if gma.split_as_characters(psr, 200000)["split"]:
+    red = gma.reducibility_ideal(g)
+    if oracles.split_as_characters(psr, 200000)["split"]:
         assert red["ideal"].is_zero()
     else:
         assert red["ideal"] == Ideal(T2, np.array([[0, 1]]))
